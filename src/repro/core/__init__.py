@@ -1,6 +1,7 @@
 """TeMCO: the paper's compiler optimizations.
 
-- :mod:`liveness` — tensor liveness & skip-connection discovery,
+- :mod:`liveness` — tensor liveness, skip-connection discovery and
+  the one memory-schedule simulator every static peak comes from,
 - :mod:`memory_model` — the paper's Eq. 1–4 closed forms,
 - :mod:`skip_opt` — skip connection optimization (Algorithms 1–2),
 - :mod:`fusion` — activation layer fusion (Listing 1),
@@ -14,15 +15,15 @@ from .equivalence import (EquivalenceReport, assert_equivalent, compare_graphs,
                           topk_agreement)
 from .folding import fold_batchnorm
 from .fusion import FusionConfig, FusionStats, fuse_activation_layers
-from .liveness import (LiveInterval, SkipConnection, analyze_liveness,
-                       estimate_peak_floor, estimate_peak_internal,
-                       find_skip_connections, live_bytes_at)
+from .liveness import (LiveInterval, MemorySchedule, SkipConnection,
+                       analyze_liveness, estimate_peak_floor,
+                       estimate_peak_internal, find_skip_connections, simulate)
 from .memory_model import (ConvPairSpec, eq1_weight_elems_original,
                            eq2_weight_elems_decomposed,
                            eq3_peak_internal_original,
                            eq4_peak_internal_decomposed, fused_peak_internal)
 from .pipeline import OptimizationReport, TeMCOCompiler, TeMCOConfig, optimize
-from .scheduling import ScheduleStats, greedy_order, reschedule, schedule_peak
+from .scheduling import ScheduleStats, greedy_order, reschedule
 from .skip_opt import (RestorePlan, SkipOptConfig, SkipOptStats, find_reduced,
                        optimize_skip_connections)
 from .transform import (TransformStats, commute_upsample_lconv, merge_lconv_add,
@@ -36,7 +37,8 @@ __all__ = [
     "estimate_peak_internal",
     "estimate_peak_floor",
     "find_skip_connections",
-    "live_bytes_at",
+    "MemorySchedule",
+    "simulate",
     "ConvPairSpec",
     "eq1_weight_elems_original",
     "eq2_weight_elems_decomposed",
@@ -60,7 +62,6 @@ __all__ = [
     "ScheduleStats",
     "greedy_order",
     "reschedule",
-    "schedule_peak",
     "TeMCOConfig",
     "TeMCOCompiler",
     "OptimizationReport",

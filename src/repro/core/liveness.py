@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 from ..ir.graph import Graph
 from ..ir.node import Node
+from ..ir.ops import UNARY_ELEMENTWISE_OPS
 from ..ir.value import Value
 
-__all__ = ["LiveInterval", "analyze_liveness", "live_bytes_at",
+__all__ = ["LiveInterval", "analyze_liveness", "MemorySchedule", "simulate",
+           "free_schedule", "reuses_input_buffer",
            "estimate_peak_internal", "estimate_peak_floor",
            "SkipConnection", "find_skip_connections"]
 
@@ -58,49 +60,134 @@ def analyze_liveness(graph: Graph) -> dict[Value, LiveInterval]:
     return {v: LiveInterval(v, begin[v], max(end[v], begin[v])) for v in begin}
 
 
-def live_bytes_at(intervals: dict[Value, LiveInterval], index: int) -> int:
-    """Total internal-tensor bytes live while node ``index`` executes."""
-    return sum(iv.value.nbytes for iv in intervals.values() if iv.live_at(index))
+@dataclass(frozen=True)
+class MemorySchedule:
+    """The executor's alloc/free order, replayed statically.
+
+    Indices follow the ledger's convention: ``0..len(nodes)-1`` are the
+    nodes, ``-1`` is the input-binding phase.
+    """
+
+    #: live bytes sampled at each node after its output is charged and
+    #: before anything is freed — the executor's
+    #: :class:`~repro.runtime.memory_profile.MemoryEvent` ``live_bytes``
+    live: tuple[int, ...]
+    #: peak over the whole run, input binding, prefetch charges and
+    #: remat transients included — what the allocator measures
+    peak_bytes: int
+    #: where the peak is first reached (``-1`` = during input binding)
+    peak_index: int
+    #: ``frees_after[i]``: the values freed right after node ``i``, in
+    #: the executor's order; ``frees_after[-1]`` (stored last, so plain
+    #: negative indexing finds it) holds the unused graph inputs, which
+    #: are freed as soon as they are bound
+    frees_after: tuple[tuple[Value, ...], ...]
 
 
-#: element-wise ops a framework may execute in place on their input
-INPLACE_CAPABLE_OPS = frozenset(("relu", "silu", "sigmoid", "tanh",
-                                 "leaky_relu", "elu", "hardswish", "gelu",
-                                 "identity", "dropout"))
+def free_schedule(graph: Graph, order: list[Node] | None = None
+                  ) -> tuple[tuple[Value, ...], ...]:
+    """:attr:`MemorySchedule.frees_after` of ``graph`` run in ``order``
+    (default: ``graph.nodes``): every value dies right after its last
+    consumer, a dead-end output right after its producer, and graph
+    outputs never."""
+    nodes = graph.nodes if order is None else order
+    needed = {v.name for v in graph.outputs}
+    frees: list[tuple[Value, ...]] = [()] * (len(nodes) + 1)
+    for index in range(len(nodes) - 1, -1, -1):
+        node = nodes[index]
+        dead_end = node.output.name not in needed
+        dying = []
+        for v in node.inputs:
+            if v.name not in needed:
+                needed.add(v.name)
+                dying.append(v)
+        if dead_end:
+            dying.append(node.output)
+        frees[index] = tuple(dying)
+    frees[-1] = tuple(v for v in graph.inputs if v.name not in needed)
+    return tuple(frees)
+
+
+def reuses_input_buffer(node: Node, dying: tuple[Value, ...]) -> bool:
+    """The in-place rule: a unary element-wise op that is its input's
+    last consumer may write its result over that input, so the input is
+    released *before* the output is charged."""
+    return node.op in UNARY_ELEMENTWISE_OPS and node.inputs[0] in dying
+
+
+def simulate(graph: Graph, *, order: list[Node] | None = None, actions=None,
+             inplace_activations: bool = False) -> MemorySchedule:
+    """Replay the executor's allocation schedule without running it.
+
+    This is the generalized Eq. 3/4 of the paper evaluated over the
+    whole graph, mirroring :func:`repro.runtime.executor.execute` event
+    for event: inputs are charged one by one (an unused one is freed at
+    once), each node charges its output, is sampled, then frees what
+    :func:`free_schedule` says dies there.  Every static peak or
+    live-byte figure in the package is read off the result.
+
+    ``order`` evaluates a candidate schedule (a permutation of
+    ``graph.nodes``) without mutating the graph.  ``actions`` are a
+    memory plan's spill/remat actions bucketed by node boundary
+    (:func:`repro.plan.bucket_actions`), replayed where
+    :class:`~repro.runtime.planned.PlanEnforcer` applies them.
+    ``inplace_activations`` models the PyTorch ``inplace=True``
+    convention (:func:`reuses_input_buffer`); the paper's Eq. 3 counts
+    the activation pair (``2·C'H'W'``), i.e. the default ``False``.
+    """
+    nodes = graph.nodes if order is None else order
+    frees_after = free_schedule(graph, order)
+    empty: dict[int, list] = {}
+    spill_at, issue_at, drop_at, remat_at = (
+        (actions.spill_at, actions.issue_at, actions.drop_at, actions.remat_at)
+        if actions is not None else (empty,) * 4)
+
+    def released(index: int) -> int:
+        """Bytes the plan evicts at the boundary after ``index``."""
+        return (sum(a.nbytes for a in spill_at.get(index, ()))
+                + sum(a.nbytes for a in drop_at.get(index, ())))
+
+    live = peak = 0
+    peak_index = -1
+    for v in graph.inputs:                 # ledger position -1
+        live += v.nbytes
+        peak = max(peak, live)
+        if v in frees_after[-1]:
+            live -= v.nbytes
+    live -= released(-1)
+
+    samples: list[int] = []
+    for index, node in enumerate(nodes):
+        # node boundary, before the kernel: prefetch charges, then each
+        # remat chain's intermediates pile up until its target is bound
+        live += sum(a.nbytes for a in issue_at.get(index, ()))
+        high = live
+        for a in remat_at.get(index, ()):
+            high = max(high, live + a.transient_bytes)
+            live += a.nbytes
+        # the node itself
+        dying = frees_after[index]
+        reused = (node.inputs[0].nbytes
+                  if inplace_activations and reuses_input_buffer(node, dying)
+                  else 0)
+        live += node.output.nbytes - reused
+        samples.append(live)
+        if max(high, live) > peak:
+            peak = max(high, live)
+            peak_index = index
+        live -= sum(v.nbytes for v in dying) - reused
+        live -= released(index)            # boundary after the frees
+    return MemorySchedule(live=tuple(samples), peak_bytes=peak,
+                          peak_index=peak_index, frees_after=frees_after)
 
 
 def estimate_peak_internal(graph: Graph, *,
                            inplace_activations: bool = False) -> int:
-    """Static peak internal-tensor bytes of the schedule.
-
-    This is the generalized Eq. 3/4 of the paper evaluated over the
-    whole graph, and is exactly what the refcounting executor measures
-    (a property test pins the two together).
-
-    ``inplace_activations`` models the PyTorch ``inplace=True``
-    convention: an element-wise op whose input dies at that op reuses
-    the input buffer, so input and output never coexist.  The paper's
-    Eq. 3 counts the activation pair (``2·C'H'W'``), i.e. the default
-    ``False`` policy; the flag exists for the accounting ablation.
-    """
-    intervals = analyze_liveness(graph)
-    if not graph.nodes:
-        return sum(v.nbytes for v in graph.inputs)
-    inplace_saving: dict[int, int] = {}
-    if inplace_activations:
-        output_ids = {id(v) for v in graph.outputs}
-        for i, node in enumerate(graph.nodes):
-            if node.op not in INPLACE_CAPABLE_OPS:
-                continue
-            v = node.inputs[0]
-            # in-place applies when this node is the input's *last*
-            # consumer and holds only one reference to it
-            uses_here = sum(1 for u in node.inputs if u is v)
-            if (intervals[v].end == i and uses_here == 1
-                    and id(v) not in output_ids):
-                inplace_saving[i] = v.nbytes
-    return max(live_bytes_at(intervals, i) - inplace_saving.get(i, 0)
-               for i in range(len(graph.nodes)))
+    """Static peak internal-tensor bytes of the schedule: exactly what
+    the executor measures (property tests pin the two together).  See
+    :func:`simulate` for the accounting policies."""
+    return simulate(graph,
+                    inplace_activations=inplace_activations).peak_bytes
 
 
 def estimate_peak_floor(graph: Graph) -> int:

@@ -9,10 +9,9 @@ This module implements that general tool:
 - :func:`reschedule` — greedy list scheduling: repeatedly emit the
   ready node that minimizes the post-emission live-byte total (ties
   broken toward freeing the most bytes, then original order).  The
-  result is kept only if it does not worsen the statically estimated
-  peak, so the pass is always safe to run.
-- :func:`schedule_peak` — evaluate the peak of a candidate order
-  without mutating the graph (used by tests and the ablation bench).
+  result is kept only if :func:`~repro.core.liveness.simulate` gives
+  it a lower peak than the current order, so the pass is always safe
+  to run.
 """
 
 from __future__ import annotations
@@ -23,11 +22,11 @@ from dataclasses import dataclass
 from ..ir.graph import Graph
 from ..ir.node import Node
 from ..obs import get_tracer
-from .liveness import estimate_peak_internal
+from .liveness import simulate
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["ScheduleStats", "reschedule", "schedule_peak", "greedy_order"]
+__all__ = ["ScheduleStats", "reschedule", "greedy_order"]
 
 
 @dataclass(frozen=True)
@@ -41,35 +40,6 @@ class ScheduleStats:
         if self.peak_before == 0:
             return 0.0
         return 1.0 - self.peak_after / self.peak_before
-
-
-def schedule_peak(graph: Graph, order: list[Node]) -> int:
-    """Peak internal bytes of executing ``graph``'s nodes in ``order``.
-
-    Simulates the executor's refcount policy directly on the candidate
-    order (graph inputs live from the start, outputs to the end).
-    """
-    remaining: dict[str, int] = {}
-    for node in order:
-        for v in node.inputs:
-            remaining[v.name] = remaining.get(v.name, 0) + 1
-    for v in graph.outputs:
-        remaining[v.name] = remaining.get(v.name, 0) + 1
-
-    live = {v.name: v.nbytes for v in graph.inputs}
-    current = sum(live.values())
-    peak = current
-    for node in order:
-        current += node.output.nbytes
-        live[node.output.name] = node.output.nbytes
-        peak = max(peak, current)
-        for v in node.inputs:
-            remaining[v.name] -= 1
-            if remaining[v.name] == 0 and v.name in live:
-                current -= live.pop(v.name)
-        if remaining.get(node.output.name, 0) == 0:
-            current -= live.pop(node.output.name)
-    return peak
 
 
 def greedy_order(graph: Graph) -> list[Node]:
@@ -135,9 +105,9 @@ def reschedule(graph: Graph) -> ScheduleStats:
     statically estimated peak; otherwise leave the graph untouched."""
     tracer = get_tracer()
     with tracer.span("reschedule", category="compiler", graph=graph.name):
-        peak_before = estimate_peak_internal(graph)
+        peak_before = simulate(graph).peak_bytes
         candidate = greedy_order(graph)
-        peak_after = schedule_peak(graph, candidate)
+        peak_after = simulate(graph, order=candidate).peak_bytes
         if peak_after < peak_before:
             graph.nodes = candidate
             graph.validate()

@@ -45,12 +45,17 @@ __all__ = [
     "node_flops",
     "conv_output_hw",
     "ACTIVATION_OPS",
+    "UNARY_ELEMENTWISE_OPS",
     "POOL_OPS",
 ]
 
 #: Element-wise activation op kinds that activation-layer fusion can absorb.
 ACTIVATION_OPS = ("relu", "silu", "sigmoid", "tanh",
                   "leaky_relu", "elu", "hardswish", "gelu")
+
+#: Shape-preserving one-input element-wise op kinds — the ops that may
+#: run in place on a dying input (:func:`repro.core.liveness.reuses_input_buffer`).
+UNARY_ELEMENTWISE_OPS = ACTIVATION_OPS + ("identity", "dropout")
 
 #: Pooling op kinds that activation-layer fusion can absorb.
 POOL_OPS = ("maxpool2d", "avgpool2d")
@@ -256,7 +261,7 @@ def _unary_validate(node: Node) -> None:
     _require(len(node.inputs) == 1, node, "expects exactly one input")
 
 
-for _act in ACTIVATION_OPS + ("identity", "dropout"):
+for _act in UNARY_ELEMENTWISE_OPS:
     register(_act, _unary_same_shape, _unary_validate)
 
 

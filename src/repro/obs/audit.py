@@ -7,17 +7,18 @@ runtime to the bar the deployment-arena literature (Pisarchyk & Lee
 the measurement itself must be verifiable.
 
 :func:`audit_graph` runs one inference with the allocation ledger on
-and cross-checks four independent accounts of the same bytes:
+and holds that one measurement against one prediction, the schedule
+:func:`repro.core.liveness.simulate` replays (the general-graph form of
+the paper's Eq. 3/4):
 
 1. **ledger self-consistency** — the event log replays from zero to
    exactly the claimed totals (a corrupted or fabricated ledger fails),
-2. **measured vs predicted** — the allocator's peak equals the static
-   liveness estimate (:func:`repro.core.liveness.estimate_peak_internal`,
-   the general-graph form of the paper's Eq. 3/4) within ``tolerance``,
-3. **measured vs arena** — the measured max-live never exceeds the
-   planned arena's total bytes, nor the plan's aligned lower bound,
-4. **profile vs allocator** — the per-node event timeline peaks at the
-   allocator's peak (the two measurement paths agree).
+2. **peak** — the allocator's peak equals the predicted peak within
+   ``tolerance``, and is reached at the predicted schedule index,
+3. **timeline** — every per-node live-byte sample equals the predicted
+   one within ``tolerance``,
+4. **arena** — the measured max-live never exceeds the planned arena's
+   total bytes, nor the plan's aligned lower bound.
 
 Every violation is a typed :class:`AuditFinding`; a graph *passes*
 when no error-severity finding was raised.  :func:`audit_model` audits
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.liveness import estimate_peak_internal
+from ..core.liveness import simulate
 from ..ir.graph import Graph
 from ..runtime.arena import ArenaPlan, plan_arena
 from ..runtime.executor import execute
@@ -170,10 +171,11 @@ def ledger_findings(ledger, *, expected_peak: int | None = None,
 def audit_graph(graph: Graph, inputs: dict[str, np.ndarray] | None = None, *,
                 tolerance: float = DEFAULT_TOLERANCE, model: str = "",
                 variant: str = "", seed: int = 0) -> GraphAudit:
-    """Execute ``graph`` with the ledger on and cross-check every
-    account of its memory (see the module docstring for the four
-    checks).  ``tolerance`` is the allowed relative deviation between
-    measured and predicted peak (0.0 = bit-exact, the default)."""
+    """Execute ``graph`` with the ledger on and check the measurement
+    against the simulated schedule (see the module docstring for the
+    four checks).  ``tolerance`` is the allowed relative deviation of a
+    measured byte count from its prediction (0.0 = bit-exact, the
+    default)."""
     if inputs is None:
         rng = np.random.default_rng(seed)
         inputs = {v.name: rng.normal(size=v.shape).astype(v.dtype.np)
@@ -197,20 +199,37 @@ def audit_graph(graph: Graph, inputs: dict[str, np.ndarray] | None = None, *,
         ledger, expected_peak=profile.peak_internal_bytes,
         keep={v.name for v in graph.outputs}, subject=subject)
 
-    # 2. measured vs statically predicted peak
+    def deviates(got: int, want: int) -> bool:
+        return abs(got - want) > tolerance * want
+
+    # 2. the peak, and where in the schedule it is first reached
+    schedule = simulate(graph)
     measured = profile.peak_internal_bytes
-    predicted = estimate_peak_internal(graph)
-    deviation = (abs(measured - predicted) / predicted) if predicted else (
-        1.0 if measured else 0.0)
-    if deviation > tolerance:
+    predicted = schedule.peak_bytes
+    peak_at = next((e.node_index for e in ledger.events
+                    if e.live_bytes == measured), -1)
+    if deviates(measured, predicted) or (
+            not tolerance and peak_at != schedule.peak_index):
         findings.append(AuditFinding(
             kind="peak_mismatch", severity="error", subject=subject,
-            message=(f"measured peak {measured} B deviates "
-                     f"{deviation:.2%} from the liveness prediction "
-                     f"{predicted} B (tolerance {tolerance:.2%})"),
+            message=(f"measured peak {measured} B at schedule index "
+                     f"{peak_at} disagrees with the simulated peak "
+                     f"{predicted} B at index {schedule.peak_index} "
+                     f"(tolerance {tolerance:.2%})"),
             measured=measured, expected=predicted))
 
-    # 3. measured max-live must fit the planned arena
+    # 3. the per-node timeline, sample by sample
+    timeline = [e.live_bytes for e in profile.events]
+    for index, (got, want) in enumerate(zip(timeline, schedule.live)):
+        if deviates(got, want):
+            findings.append(AuditFinding(
+                kind="profile_mismatch", severity="error", subject=subject,
+                message=(f"node {index} ({graph.nodes[index].name}) measured "
+                         f"{got} live B but the simulation gives {want} B"),
+                measured=got, expected=want))
+            break  # later samples inherit the first divergence
+
+    # 4. measured max-live must fit the planned arena
     max_live = ledger.max_live_bytes
     if max_live > plan.arena_bytes:
         findings.append(AuditFinding(
@@ -226,15 +245,6 @@ def audit_graph(graph: Graph, inputs: dict[str, np.ndarray] | None = None, *,
                      f"{plan.peak_lower_bound} B — the plan and the "
                      f"measurement disagree about liveness"),
             measured=measured, expected=plan.peak_lower_bound))
-
-    # 4. the two measurement paths (event timeline vs allocator peak)
-    timeline_peak = max((e.live_bytes for e in profile.events), default=0)
-    if timeline_peak != measured:
-        findings.append(AuditFinding(
-            kind="profile_mismatch", severity="error", subject=subject,
-            message=(f"per-node event timeline peaks at {timeline_peak} B "
-                     f"but the allocator recorded {measured} B"),
-            measured=timeline_peak, expected=measured))
 
     if tracer.enabled:
         _emit_arena_track(tracer, plan, span_base)
@@ -287,7 +297,7 @@ class BudgetAudit:
     The budgeted run must honour four claims at once: the plan is
     feasible, the *measured* ledger peak stays at or under the budget,
     the measured peak lands exactly on the planner's simulated peak
-    (the byte-exact contract of :func:`repro.plan.simulate_plan`), and
+    (the byte-exact contract of :func:`repro.core.liveness.simulate`), and
     the outputs are bitwise identical to an unplanned run.
     """
 

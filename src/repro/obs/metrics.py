@@ -18,7 +18,7 @@ import random
 import threading
 from dataclasses import dataclass, field
 
-__all__ = ["Histogram", "MetricsRegistry"]
+__all__ = ["Histogram", "MetricsRegistry", "interpolated_quantile"]
 
 #: histogram quantiles flattened into :meth:`MetricsRegistry.snapshot`
 _SNAPSHOT_QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
@@ -29,6 +29,19 @@ _SNAPSHOT_QUANTILES = (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
 #: empty or single-sample series
 _EMPTY_SNAPSHOT = {"count": 0.0, "sum": 0.0, "mean": 0.0, "min": 0.0,
                    "max": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
+
+
+def interpolated_quantile(values, q: float) -> float:
+    """Linearly interpolated quantile, ``q`` in [0, 1], of a non-empty
+    collection of numbers in any order — the one definition behind
+    every p50/p95/p99 the package reports."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile must be in [0, 1], got {q}")
+    ordered = sorted(values)
+    pos = q * (len(ordered) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(ordered) - 1)
+    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
 class Histogram:
@@ -89,15 +102,7 @@ class Histogram:
         """Linearly interpolated quantile over the reservoir, ``q`` in
         [0, 1].  Well-defined on every series: an empty histogram
         reports 0.0 and a single-sample one reports that sample."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        pos = q * (len(ordered) - 1)
-        lo = int(pos)
-        hi = min(lo + 1, len(ordered) - 1)
-        return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
+        return interpolated_quantile(self._samples or (0.0,), q)
 
     def snapshot(self) -> dict[str, float]:
         """count/sum/mean/min/max plus the standard latency quantiles.

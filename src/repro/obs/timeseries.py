@@ -23,6 +23,8 @@ import time
 from collections import deque
 from typing import Callable
 
+from .metrics import interpolated_quantile
+
 __all__ = ["TimeSeriesStore", "MetricsScraper"]
 
 
@@ -123,19 +125,9 @@ class TimeSeriesStore:
         """Interpolated quantile of the series *values* — over the
         trailing window when ``seconds`` is given, else the full
         retained history.  Empty series report 0.0."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if seconds is None:
-            values = [v for _, v in self.series(name)]
-        else:
-            values = [v for _, v in self.window(name, seconds)]
-        if not values:
-            return 0.0
-        values.sort()
-        pos = q * (len(values) - 1)
-        lo = int(pos)
-        hi = min(lo + 1, len(values) - 1)
-        return values[lo] + (values[hi] - values[lo]) * (pos - lo)
+        points = (self.series(name) if seconds is None
+                  else self.window(name, seconds))
+        return interpolated_quantile([v for _, v in points] or (0.0,), q)
 
     def mean(self, name: str, seconds: float | None = None) -> float:
         """Mean of the series values (windowed when ``seconds`` is

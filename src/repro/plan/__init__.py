@@ -9,9 +9,9 @@ promoted to a user-facing contract.
 """
 
 from .budget import BudgetSyntaxError, format_bytes, parse_budget
-from .planner import (InfeasibleBudget, KeepAction, MemoryPlan, PlanAction,
-                      PlanCostModel, RematAction, SpillAction, plan_memory,
-                      simulate_plan)
+from .planner import (ActionBuckets, InfeasibleBudget, KeepAction, MemoryPlan,
+                      PlanAction, PlanCostModel, RematAction, SpillAction,
+                      bucket_actions, plan_memory)
 from .store import PrefetchWorker, SpillStore, SpillStoreError
 
 __all__ = [
@@ -26,7 +26,8 @@ __all__ = [
     "MemoryPlan",
     "InfeasibleBudget",
     "plan_memory",
-    "simulate_plan",
+    "ActionBuckets",
+    "bucket_actions",
     "SpillStore",
     "SpillStoreError",
     "PrefetchWorker",

@@ -26,19 +26,20 @@ configured FLOP rate), apply the cheapest, and repeat until the budget
 holds.  When no candidate relieves a still-over-budget peak the typed
 :class:`InfeasibleBudget` reports the residual bytes.
 
-The simulation is the contract: it replicates the executor's event
-order exactly (input binding, prefetch charges, remat transients,
-output allocation, refcount frees, spills/drops), so the planned peak
-and the measured ledger peak of an enforced run agree bit-for-bit —
-`repro memcheck --budget` cross-checks exactly that.
+The simulation is the contract: :func:`repro.core.liveness.simulate`
+replicates the executor's event order exactly (input binding, prefetch
+charges, remat transients, output allocation, last-use frees,
+spills/drops), so the planned peak and the measured ledger peak of an
+enforced run agree bit-for-bit — `repro memcheck --budget` cross-checks
+exactly that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterable, Union
 
-from ..core.liveness import LiveInterval, analyze_liveness
+from ..core.liveness import LiveInterval, analyze_liveness, simulate
 from ..ir.graph import Graph
 from ..ir.node import Node
 from ..ir.ops import node_flops
@@ -46,8 +47,8 @@ from ..ir.value import Value
 from .budget import format_bytes
 
 __all__ = ["PlanCostModel", "KeepAction", "SpillAction", "RematAction",
-           "PlanAction", "MemoryPlan", "InfeasibleBudget", "plan_memory",
-           "simulate_plan"]
+           "PlanAction", "ActionBuckets", "bucket_actions", "MemoryPlan",
+           "InfeasibleBudget", "plan_memory"]
 
 
 @dataclass(frozen=True)
@@ -173,6 +174,36 @@ class RematAction:
 PlanAction = Union[KeepAction, SpillAction, RematAction]
 
 
+@dataclass(frozen=True)
+class ActionBuckets:
+    """A plan's actions keyed by the node boundary they fire at — the
+    one form both :func:`repro.core.liveness.simulate` and
+    :class:`~repro.runtime.planned.PlanEnforcer` walk, so prediction
+    and enforcement cannot bucket differently."""
+
+    #: after node ``i``'s frees (``-1`` = right after input binding)
+    spill_at: dict[int, list[SpillAction]] = field(default_factory=dict)
+    drop_at: dict[int, list[RematAction]] = field(default_factory=dict)
+    #: before node ``i``'s kernel, in this order
+    issue_at: dict[int, list[SpillAction]] = field(default_factory=dict)
+    bind_at: dict[int, list[SpillAction]] = field(default_factory=dict)
+    remat_at: dict[int, list[RematAction]] = field(default_factory=dict)
+
+
+def bucket_actions(actions: Iterable[PlanAction]) -> ActionBuckets:
+    """Bucket ``actions`` by boundary, keeping their order within one."""
+    buckets = ActionBuckets()
+    for a in actions:
+        if isinstance(a, SpillAction):
+            buckets.spill_at.setdefault(a.spill_after, []).append(a)
+            buckets.issue_at.setdefault(a.prefetch_issue, []).append(a)
+            buckets.bind_at.setdefault(a.next_use, []).append(a)
+        elif isinstance(a, RematAction):
+            buckets.drop_at.setdefault(a.drop_after, []).append(a)
+            buckets.remat_at.setdefault(a.remat_before, []).append(a)
+    return buckets
+
+
 class InfeasibleBudget(RuntimeError):
     """No plan fits: reports how far the best plan still overshoots."""
 
@@ -265,102 +296,6 @@ class MemoryPlan:
 
 
 # ---------------------------------------------------------------------------
-# simulation: the byte-exact mirror of the enforced executor schedule
-# ---------------------------------------------------------------------------
-
-def simulate_plan(graph: Graph, actions: dict[str, PlanAction]
-                  ) -> tuple[list[int], int, int]:
-    """Replay the executor's allocation schedule under ``actions``.
-
-    Returns ``(planned_live, peak_bytes, peak_index)``: the per-node
-    pre-free live-byte samples, the peak over the whole run (including
-    input binding, prefetch charges and remat transients), and the node
-    index where the peak is first reached (-1 = during input binding).
-    """
-    spill_at: dict[int, list[SpillAction]] = {}
-    issue_at: dict[int, list[SpillAction]] = {}
-    bind_at: dict[int, list[SpillAction]] = {}
-    drop_at: dict[int, list[RematAction]] = {}
-    remat_at: dict[int, list[RematAction]] = {}
-    for a in actions.values():
-        if isinstance(a, SpillAction):
-            spill_at.setdefault(a.spill_after, []).append(a)
-            issue_at.setdefault(a.prefetch_issue, []).append(a)
-            bind_at.setdefault(a.next_use, []).append(a)
-        elif isinstance(a, RematAction):
-            drop_at.setdefault(a.drop_after, []).append(a)
-            remat_at.setdefault(a.remat_before, []).append(a)
-
-    refcount: dict[str, int] = {}
-    for node in graph.nodes:
-        for v in node.inputs:
-            refcount[v.name] = refcount.get(v.name, 0) + 1
-    for v in graph.outputs:
-        refcount[v.name] = refcount.get(v.name, 0) + 1
-
-    live = peak = 0
-    peak_index = -1
-    resident: set[str] = set()
-
-    def bump(index: int) -> None:
-        nonlocal peak, peak_index
-        if live > peak:
-            peak = live
-            peak_index = index
-
-    # input binding (ledger position -1)
-    for v in graph.inputs:
-        live += v.nbytes
-        resident.add(v.name)
-        bump(-1)
-        if refcount.get(v.name, 0) == 0:
-            live -= v.nbytes
-            resident.discard(v.name)
-    for a in spill_at.get(-1, ()):
-        live -= a.nbytes
-        resident.discard(a.value.name)
-
-    planned: list[int] = []
-    for index, node in enumerate(graph.nodes):
-        # --- node boundary, before the kernel -------------------------
-        for a in issue_at.get(index, ()):  # prefetch charge
-            live += a.nbytes
-            bump(index)
-        for a in bind_at.get(index, ()):   # array lands; bytes already charged
-            resident.add(a.value.name)
-        for a in remat_at.get(index, ()):  # chain replay: transient highs
-            transient = live
-            for cnode in a.chain:
-                transient += cnode.output.nbytes
-                if transient > peak:
-                    peak = transient
-                    peak_index = index
-            live += a.value.nbytes         # intermediates freed, target stays
-            resident.add(a.value.name)
-        # --- the node itself ------------------------------------------
-        live += node.output.nbytes
-        resident.add(node.output.name)
-        bump(index)
-        planned.append(live)               # pre-free sample == MemoryEvent
-        for v in node.inputs:
-            refcount[v.name] -= 1
-            if refcount[v.name] == 0 and v.name in resident:
-                live -= v.nbytes
-                resident.discard(v.name)
-        if refcount.get(node.output.name, 0) == 0 and node.output.name in resident:
-            live -= node.output.nbytes
-            resident.discard(node.output.name)
-        # --- node boundary, after the frees ---------------------------
-        for a in spill_at.get(index, ()):
-            live -= a.nbytes
-            resident.discard(a.value.name)
-        for a in drop_at.get(index, ()):
-            live -= a.nbytes
-            resident.discard(a.value.name)
-    return planned, peak, peak_index
-
-
-# ---------------------------------------------------------------------------
 # candidate discovery
 # ---------------------------------------------------------------------------
 
@@ -407,8 +342,7 @@ def _collect_chain(graph: Graph, value: Value, at_index: int,
                 return None  # needs a graph input that is gone
             seen.add(u.name)
             stack.append(pred)
-    index_of = {node.name: i for i, node in enumerate(graph.nodes)}
-    chain.sort(key=lambda n: index_of[n.name])
+    chain.sort(key=lambda n: intervals[n.output].begin)  # schedule order
     return tuple(chain)
 
 
@@ -501,7 +435,6 @@ def plan_memory(graph: Graph, budget_bytes: int | None = None, *,
         for v in node.inputs:
             uses_by_name.setdefault(v.name, []).append(index)
 
-    _, baseline_peak, _ = simulate_plan(graph, {})
     actions: dict[str, PlanAction] = {}
     rejected: set[tuple[str, str]] = set()
 
@@ -510,34 +443,39 @@ def plan_memory(graph: Graph, budget_bytes: int | None = None, *,
         return (a.cost_seconds(cm) / max(a.nbytes, 1),
                 0 if isinstance(a, SpillAction) else 1, a.value.name)
 
-    while True:
-        planned, peak, peak_index = simulate_plan(graph, actions)
-        if budget_bytes is None or peak <= budget_bytes:
-            break
+    # ``schedule`` is always the simulation of the current ``actions``:
+    # a revert restores the action set it was computed from
+    schedule = simulate(graph)
+    baseline_peak = schedule.peak_bytes
+    while budget_bytes is not None and schedule.peak_bytes > budget_bytes:
         cands = _candidates(graph, intervals, uses_by_name, actions,
-                            peak_index, cm, rejected)
+                            schedule.peak_index, cm, rejected)
         if not cands:
-            raise InfeasibleBudget(graph.name, budget_bytes, peak)
+            raise InfeasibleBudget(graph.name, budget_bytes,
+                                   schedule.peak_bytes)
         best = min(cands, key=score)
         actions[best.value.name] = best
+        revert = True  # unless the step keeps every restore chain valid
         if _revalidate_chains(graph, intervals, actions, cm):
-            _, new_peak, new_index = simulate_plan(graph, actions)
+            trial = simulate(graph, actions=bucket_actions(actions.values()))
             # no local relief (e.g. the remat transient re-creates the
             # peak); a same-height peak at a *different* index is kept —
             # that plateau is relieved on the next iteration
-            revert = new_peak > peak or (new_peak == peak
-                                         and new_index == peak_index)
-        else:
-            revert = True  # the step broke an existing restore chain
+            revert = trial.peak_bytes > schedule.peak_bytes or (
+                trial.peak_bytes == schedule.peak_bytes
+                and trial.peak_index == schedule.peak_index)
         if revert:
             del actions[best.value.name]
             _revalidate_chains(graph, intervals, actions, cm)
             rejected.add((best.value.name, best.kind))
+        else:
+            schedule = trial
 
     # record the keeps: what still makes up the planned peak
+    peak_index = max(schedule.peak_index, 0)
     for v, iv in intervals.items():
-        if v.name not in actions and iv.live_at(max(peak_index, 0)) \
-                and _resident_at(v, max(peak_index, 0), intervals, actions):
+        if v.name not in actions and iv.live_at(peak_index) \
+                and _resident_at(v, peak_index, intervals, actions):
             actions[v.name] = KeepAction(value=v)
 
     ordered = sorted(
@@ -547,5 +485,5 @@ def plan_memory(graph: Graph, budget_bytes: int | None = None, *,
     return MemoryPlan(
         graph_name=graph.name, num_nodes=len(graph.nodes),
         budget_bytes=budget_bytes, baseline_peak_bytes=baseline_peak,
-        planned_peak_bytes=peak, planned_live=tuple(planned),
+        planned_peak_bytes=schedule.peak_bytes, planned_live=schedule.live,
         actions=tuple(ordered), cost_model=cm)

@@ -160,10 +160,10 @@ def _plan_arena(graph: Graph, alignment: int) -> ArenaPlan:
         placed.append(ArenaSlot(value_name=value.name, offset=offset, size=size,
                                 begin=interval.begin, end=interval.end))
 
-    arena_bytes = max((slot.limit for slot in placed), default=0)
-    lower = _peak_lower_bound(placed)
-    plan = ArenaPlan(slots=placed, arena_bytes=arena_bytes,
-                     peak_lower_bound=lower)
+    plan = ArenaPlan(slots=placed,
+                     arena_bytes=max((slot.limit for slot in placed), default=0))
+    plan.peak_lower_bound = max(
+        (occupied for _, occupied in plan.occupancy_series()), default=0)
     plan.validate()
     return plan
 
@@ -206,18 +206,3 @@ def execute_in_arena(graph: Graph, inputs, plan: ArenaPlan | None = None):
 
 def _align(n: int, alignment: int) -> int:
     return ((n + alignment - 1) // alignment) * alignment
-
-
-def _peak_lower_bound(slots: list[ArenaSlot]) -> int:
-    """Max over time of the sum of live (aligned) tensor sizes."""
-    if not slots:
-        return 0
-    events: dict[int, int] = {}
-    for slot in slots:
-        events[slot.begin] = events.get(slot.begin, 0) + slot.size
-        events[slot.end + 1] = events.get(slot.end + 1, 0) - slot.size
-    current = peak = 0
-    for t in sorted(events):
-        current += events[t]
-        peak = max(peak, current)
-    return peak

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..ir.graph import Graph
 from ..obs import get_tracer
+from ..obs.metrics import interpolated_quantile
 from .executor import ExecutionResult, execute
 from .memory_profile import MemoryProfile
 
@@ -47,11 +48,7 @@ class TimingResult:
         """Linearly interpolated percentile, ``q`` in [0, 100]."""
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
-        ordered = sorted(self.seconds_per_run)
-        pos = q / 100.0 * (len(ordered) - 1)
-        lo = int(pos)
-        hi = min(lo + 1, len(ordered) - 1)
-        return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
+        return interpolated_quantile(self.seconds_per_run, q / 100.0)
 
     @property
     def p50(self) -> float:

@@ -1,9 +1,10 @@
 """Graph executor with framework-faithful memory accounting.
 
-Executes the schedule (``graph.nodes`` order) with reference-counted
-frees: a value's array is dropped — and its bytes returned to the
-allocator — immediately after its last consumer runs, exactly the
-policy the paper's Eq. 3/4 peak analysis models.  Graph inputs are
+Executes the schedule (``graph.nodes`` order) with last-use frees: a
+value's array is dropped — and its bytes returned to the allocator —
+immediately after its last consumer runs, exactly the policy the
+paper's Eq. 3/4 peak analysis models and the free lists
+:func:`repro.core.liveness.simulate` predicts with.  Graph inputs are
 live from the start; graph outputs stay live to the end.
 
 The executor measures, per node, the live internal bytes *during* that
@@ -21,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import kernels
+from ..core.liveness import free_schedule, reuses_input_buffer
 from ..ir.graph import Graph
 from ..ir.ops import node_flops
-from ..ir.value import Value
 from ..obs import get_tracer
 from .allocator import TensorAllocator
 from .ledger import AllocationLedger
@@ -57,12 +58,6 @@ class ExecutionResult:
         if len(self.outputs) != 1:
             raise ValueError(f"graph has {len(self.outputs)} outputs: {sorted(self.outputs)}")
         return next(iter(self.outputs.values()))
-
-
-#: element-wise ops whose output may reuse a dying input's buffer
-_INPLACE_OPS = frozenset(("relu", "silu", "sigmoid", "tanh",
-                          "leaky_relu", "elu", "hardswish", "gelu",
-                          "identity", "dropout"))
 
 
 def execute(graph: Graph, inputs: dict[str, np.ndarray], *,
@@ -146,16 +141,7 @@ def execute(graph: Graph, inputs: dict[str, np.ndarray], *,
     profile = MemoryProfile(weight_bytes=graph.weight_bytes(), ledger=ledger)
     timings: list[NodeTiming] = []
 
-    # reference counts: number of consuming nodes (+1 for graph outputs so
-    # they are never freed mid-inference)
-    refcount: dict[str, int] = {}
-    for node in graph.nodes:
-        for v in node.inputs:
-            refcount[v.name] = refcount.get(v.name, 0) + 1
-    for v in graph.outputs:
-        refcount[v.name] = refcount.get(v.name, 0) + 1
-
-    value_by_name: dict[str, Value] = {v.name: v for v in graph.values()}
+    frees_after = free_schedule(graph)
 
     # bind and account graph inputs
     for v in graph.inputs:
@@ -168,14 +154,13 @@ def execute(graph: Graph, inputs: dict[str, np.ndarray], *,
             raise ValueError(f"input {v.name!r} has shape {arr.shape}, expected {v.shape}")
         env[v.name] = np.asarray(arr, dtype=v.dtype.np)
         allocator.alloc(v)
-        if refcount.get(v.name, 0) == 0:
+        if v in frees_after[-1]:
             # unused input: free immediately (still counted as allocated once)
             allocator.free(v)
             del env[v.name]
     if enforcer is not None:
         enforcer.after_inputs()
 
-    output_names = {v.name for v in graph.outputs}
     for index, node in enumerate(graph.nodes):
         if ledger is not None:
             ledger.position(index, node.name)
@@ -200,17 +185,15 @@ def execute(graph: Graph, inputs: dict[str, np.ndarray], *,
 
         # in-place elementwise: release the dying input before charging
         # the output, so the pair never coexists in the accounting
-        if inplace_activations and node.op in _INPLACE_OPS:
-            v = node.inputs[0]
-            if (refcount.get(v.name, 0) == 1 and v.name in env
-                    and v.name not in output_names):
-                allocator.free(value_by_name[v.name])
-                del env[v.name]
-                refcount[v.name] = 0
-                if tracing:
-                    tracer.instant("reuse", category="allocator",
-                                   value=node.output.name, source=v.name,
-                                   bytes=node.output.nbytes)
+        dying = frees_after[index]
+        if inplace_activations and reuses_input_buffer(node, dying):
+            v, dying = dying[0], dying[1:]  # a unary op: its input leads
+            allocator.free(v)
+            del env[v.name]
+            if tracing:
+                tracer.instant("reuse", category="allocator",
+                               value=node.output.name, source=v.name,
+                               bytes=node.output.nbytes)
 
         allocator.alloc(node.output)
         env[node.output.name] = out_array
@@ -247,17 +230,11 @@ def execute(graph: Graph, inputs: dict[str, np.ndarray], *,
                                planned_bytes=plan.planned_live[index],
                                live_bytes=allocator.current_bytes)
 
-        # free inputs whose last use just ran
-        for v in node.inputs:
-            refcount[v.name] -= 1
-            if refcount[v.name] == 0 and v.name in env:
-                allocator.free(value_by_name[v.name])
-                del env[v.name]
-        # a dead-end output (no consumers, not a graph output) is freed
-        # as soon as its producing layer finishes
-        if refcount.get(node.output.name, 0) == 0:
-            allocator.free(node.output)
-            del env[node.output.name]
+        # inputs whose last use just ran, and a dead-end output (no
+        # consumers, not a graph output) as soon as its layer finishes
+        for v in dying:
+            allocator.free(v)
+            del env[v.name]
         if enforcer is not None:
             enforcer.after_node(index)
 

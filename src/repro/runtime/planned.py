@@ -30,7 +30,8 @@ import logging
 import numpy as np
 
 from .. import kernels
-from ..plan.planner import MemoryPlan, RematAction, SpillAction
+from ..plan.planner import (MemoryPlan, RematAction, SpillAction,
+                            bucket_actions)
 from ..plan.store import PrefetchWorker, SpillStore, SpillStoreError
 from .allocator import TensorAllocator
 from .memory_profile import PlanStats
@@ -52,20 +53,8 @@ class PlanEnforcer:
         self.tracer = tracer
         self.stats = PlanStats(budget_bytes=plan.budget_bytes,
                                planned_peak_bytes=plan.planned_peak_bytes)
-        self._spill_at: dict[int, list[SpillAction]] = {}
-        self._issue_at: dict[int, list[SpillAction]] = {}
-        self._bind_at: dict[int, list[SpillAction]] = {}
-        self._drop_at: dict[int, list[RematAction]] = {}
-        self._remat_at: dict[int, list[RematAction]] = {}
-        for a in plan.actions:
-            if isinstance(a, SpillAction):
-                self._spill_at.setdefault(a.spill_after, []).append(a)
-                self._issue_at.setdefault(a.prefetch_issue, []).append(a)
-                self._bind_at.setdefault(a.next_use, []).append(a)
-            elif isinstance(a, RematAction):
-                self._drop_at.setdefault(a.drop_after, []).append(a)
-                self._remat_at.setdefault(a.remat_before, []).append(a)
-        needs_store = bool(self._spill_at)
+        self._at = bucket_actions(plan.actions)
+        needs_store = bool(self._at.spill_at)
         self.store = store if store is not None else (
             SpillStore() if needs_store else None)
         self._worker = PrefetchWorker(self.store) if needs_store else None
@@ -78,24 +67,24 @@ class PlanEnforcer:
         self.after_node(-1)
 
     def before_node(self, index: int) -> None:
-        for a in self._issue_at.get(index, ()):
+        for a in self._at.issue_at.get(index, ()):
             self._issue(a)
-        for a in self._bind_at.get(index, ()):
+        for a in self._at.bind_at.get(index, ()):
             self._bind(a)
-        for a in self._remat_at.get(index, ()):
+        for a in self._at.remat_at.get(index, ()):
             self._remat(a)
 
     def after_node(self, index: int) -> None:
-        for a in self._spill_at.get(index, ()):
+        for a in self._at.spill_at.get(index, ()):
             self._spill(a)
-        for a in self._drop_at.get(index, ()):
+        for a in self._at.drop_at.get(index, ()):
             self._drop(a)
 
     def finish(self) -> None:
         """Bind spilled graph outputs (sentinel ``next_use ==
         num_nodes``), then release the worker."""
         try:
-            for a in self._bind_at.get(self.plan.num_nodes, ()):
+            for a in self._at.bind_at.get(self.plan.num_nodes, ()):
                 self._bind(a)
         finally:
             self.close()

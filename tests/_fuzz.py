@@ -3,7 +3,9 @@
 Generates structurally diverse, always-valid inference graphs: chains
 with random activations, pools, skip connections joined by add/concat,
 and occasional upsampling — the full surface TeMCO's passes pattern-
-match on.  Deterministic given the seed.
+match on — plus, on request, the strays real exported graphs carry:
+graph inputs nothing reads and branches nothing consumes.
+Deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -17,26 +19,43 @@ ACTS = ("relu", "silu", "sigmoid", "tanh", "leaky_relu", "elu",
 
 
 def random_cnn(seed: int, *, max_blocks: int = 5, hw: int = 16,
-               batch: int = 1, base_channels: int = 8) -> Graph:
+               batch: int = 1, base_channels: int = 8,
+               strays: bool = False, long_skip: bool = False) -> Graph:
     """A random small CNN with skip connections.
 
     Structure: a stem conv, then up to ``max_blocks`` blocks, each
     randomly one of {plain conv+act, conv+act+pool, residual add,
     branch+concat}; spatial dims shrink only via pools so adds/concats
     always align.
+
+    ``strays`` adds up to two unused graph inputs (bound before and/or
+    after ``x``, one of them larger than any activation) and a dead-end
+    branch off some blocks, without changing the network drawn for
+    ``seed``.  ``long_skip`` concatenates the (pooled) stem activation
+    onto the tail, U-Net style: a tensor idle across every block, which
+    is what gives a memory budget below the peak something to evict.
     """
     rng = np.random.default_rng(seed)
+    stray_rng = np.random.default_rng([seed, 1])  # leaves ``rng`` alone
     b = GraphBuilder(f"fuzz{seed}", seed=seed)
+    if strays and stray_rng.integers(0, 2):
+        b.input("unused_big", (batch, 64, hw, hw))
     x = b.input("x", (batch, 3, hw, hw))
+    if strays and stray_rng.integers(0, 2):
+        b.input("unused_small", (batch, 1, 2, 2))
     channels = base_channels * int(rng.integers(1, 3))
     h = b.conv2d(x, channels, 3, padding=1, name="stem")
-    h = getattr(b, str(rng.choice(ACTS)))(h)
+    h = stem = getattr(b, str(rng.choice(ACTS)))(h)
 
     cur_hw = hw
     num_blocks = int(rng.integers(1, max_blocks + 1))
     for i in range(num_blocks):
         kind = int(rng.integers(0, 4))
         act = str(rng.choice(ACTS))
+        if strays and stray_rng.integers(0, 2):
+            dead = b.conv2d(h, base_channels, 1, name=f"b{i}.dead")
+            if stray_rng.integers(0, 2):
+                b.relu(dead)
         if kind == 0:  # plain conv + act
             channels = base_channels * int(rng.integers(1, 5))
             h = b.conv2d(h, channels, 3, padding=1, name=f"b{i}.conv")
@@ -62,4 +81,9 @@ def random_cnn(seed: int, *, max_blocks: int = 5, hw: int = 16,
             channels = h.shape[1]
             if rng.integers(0, 2):
                 h = b.conv2d(h, channels, 1, name=f"b{i}.mix")
+    if long_skip:
+        if cur_hw < hw:
+            stem = b.avgpool2d(stem, hw // cur_hw)
+        h = b.conv2d(b.concat(h, stem, name="tail.cat"), base_channels, 1,
+                     name="tail.mix")
     return b.finish(h)

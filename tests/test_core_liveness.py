@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (analyze_liveness, estimate_peak_internal,
-                        find_skip_connections, live_bytes_at)
+                        find_skip_connections)
 from repro.ir import GraphBuilder
 from repro.runtime import execute
 
@@ -59,14 +59,6 @@ class TestPeakEstimate:
             g = factory()
             measured = execute(g, random_input(g)).memory.peak_internal_bytes
             assert estimate_peak_internal(g) == measured
-
-    def test_live_bytes_at_bounds(self):
-        g = make_skip_graph()
-        intervals = analyze_liveness(g)
-        total = sum(v.nbytes for v in g.values())
-        for i in range(len(g.nodes)):
-            b = live_bytes_at(intervals, i)
-            assert 0 < b <= total
 
     def test_empty_graph(self):
         b = GraphBuilder("t", seed=0)

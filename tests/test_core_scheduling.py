@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (assert_equivalent, estimate_peak_internal, greedy_order,
-                        reschedule, schedule_peak)
+                        reschedule, simulate)
 from repro.ir import GraphBuilder
+from repro.obs.audit import audit_graph
 from repro.runtime import execute
 
 from _graph_fixtures import (make_chain_graph, make_residual_graph,
@@ -35,22 +36,35 @@ def diamond_graph(heavy_first: bool = True, seed: int = 0):
     return b.finish(mix)
 
 
-class TestSchedulePeak:
-    def test_matches_estimator_for_original_order(self):
-        for factory in (make_chain_graph, make_skip_graph, make_residual_graph):
-            g = factory()
-            assert schedule_peak(g, list(g.nodes)) == estimate_peak_internal(g)
+def interleaved_graph(unused_input: bool = False):
+    """Two wide-then-narrow branches emitted wide, wide, narrow, narrow:
+    both wide tensors coexist unless the schedule finishes one branch
+    before starting the other — the order ``reschedule`` finds."""
+    b = GraphBuilder("interleaved", seed=0)
+    x = b.input("x", (1, 2, 16, 16))
+    if unused_input:
+        b.input("big", (1, 64, 16, 16))
+    wide1 = b.conv2d(x, 64, 3, padding=1, name="wide1")
+    wide2 = b.conv2d(x, 64, 3, padding=1, name="wide2")
+    narrow1 = b.conv2d(wide1, 2, 1, name="narrow1")
+    narrow2 = b.conv2d(wide2, 2, 1, name="narrow2")
+    return b.finish(b.concat(narrow1, narrow2))
 
+
+class TestCandidateOrder:
     def test_detects_order_sensitivity(self):
-        g = diamond_graph(heavy_first=False)
+        g = interleaved_graph()
         original = list(g.nodes)
-        # move light2 after the heavy chain: frees nothing early
-        reordered = [original[1], original[2], original[3], original[4],
-                     original[0], original[5], original[6], original[7]]
-        assert {id(n) for n in reordered} == {id(n) for n in original}
-        p1 = schedule_peak(g, original)
-        p2 = schedule_peak(g, reordered)
-        assert p1 != p2
+        # finish one branch before starting the other
+        reordered = [original[0], original[2], original[1], original[3],
+                     original[4]]
+        p1 = simulate(g, order=original).peak_bytes
+        p2 = simulate(g, order=reordered).peak_bytes
+        assert p2 < p1
+        # a candidate order predicts what running in that order measures
+        assert execute(g, random_input(g)).memory.peak_internal_bytes == p1
+        g.nodes = reordered
+        assert execute(g, random_input(g)).memory.peak_internal_bytes == p2
 
 
 class TestGreedyOrder:
@@ -88,6 +102,16 @@ class TestReschedule:
         assert stats.peak_after <= baseline
         g.validate()
 
+    @pytest.mark.parametrize("unused_input", [False, True])
+    def test_applies_when_the_greedy_order_is_better(self, unused_input):
+        g = interleaved_graph(unused_input)
+        stats = reschedule(g)
+        assert stats.changed and stats.peak_after < stats.peak_before
+        assert [n.name for n in g.nodes[:4]] == ["wide1", "narrow1",
+                                                 "wide2", "narrow2"]
+        measured = execute(g, random_input(g)).memory.peak_internal_bytes
+        assert measured == stats.peak_after
+
     def test_noop_when_already_optimal(self):
         g = make_chain_graph()  # pure chain: only one topological order
         stats = reschedule(g)
@@ -105,3 +129,28 @@ class TestReschedule:
         stats = reschedule(g)
         measured = execute(g, random_input(g)).memory.peak_internal_bytes
         assert measured == stats.peak_after
+
+
+def test_unused_input_all_accounts_agree():
+    """A graph input nothing reads is charged while the inputs are bound
+    and freed at once: the peak can sit *before* node 0, and every
+    account of memory has to say so."""
+    b = GraphBuilder("unused", seed=0)
+    x = b.input("x", (1, 2, 4, 4))
+    big = b.input("big", (1, 64, 16, 16))
+    out = b.relu(x)
+    b.sigmoid(x, name="dead_end")
+    g = b.finish(out)
+
+    schedule = simulate(g)
+    measured = execute(g, random_input(g)).memory.peak_internal_bytes
+    assert schedule.peak_bytes == measured == x.nbytes + big.nbytes
+    assert schedule.peak_index == -1
+    assert schedule.frees_after[-1] == (big,)
+    assert estimate_peak_internal(g) == measured
+    audit = audit_graph(g)
+    assert audit.passed, audit.findings
+
+    # "before" and "after" share a ruler, so the unused input cannot
+    # stop a profitable reorder
+    assert reschedule(interleaved_graph(unused_input=True)).changed

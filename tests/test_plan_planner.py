@@ -3,13 +3,13 @@ and the typed infeasibility contract."""
 
 import pytest
 
-from repro.core import estimate_peak_floor, estimate_peak_internal
+from repro.core import estimate_peak_floor, estimate_peak_internal, simulate
 from repro.ir.ops import node_flops
 from repro.models import build_wavenet2d
 from repro.plan import (BudgetSyntaxError, InfeasibleBudget, KeepAction,
                         MemoryPlan, PlanCostModel, RematAction, SpillAction,
-                        format_bytes, parse_budget, plan_memory,
-                        simulate_plan)
+                        bucket_actions, format_bytes, parse_budget,
+                        plan_memory)
 
 
 @pytest.fixture(scope="module")
@@ -61,23 +61,19 @@ class TestBudgetGrammar:
 
 
 class TestSimulation:
-    def test_empty_plan_matches_static_peak_estimate(self, wavenet):
-        _, peak, _ = simulate_plan(wavenet, {})
-        assert peak == estimate_peak_internal(wavenet)
-
     def test_planned_live_has_one_sample_per_node(self, wavenet):
-        planned, peak, peak_index = simulate_plan(wavenet, {})
-        assert len(planned) == len(wavenet.nodes)
-        assert 0 <= peak_index < len(wavenet.nodes)
+        schedule = simulate(wavenet)
+        assert len(schedule.live) == len(wavenet.nodes)
+        assert 0 <= schedule.peak_index < len(wavenet.nodes)
         # pre-free samples bound the peak from below, never above
-        assert max(planned) <= peak
+        assert max(schedule.live) <= schedule.peak_bytes
 
     def test_plan_actions_replay_to_the_planned_peak(self, wavenet):
         budget = int(0.7 * estimate_peak_internal(wavenet))
         plan = plan_memory(wavenet, budget)
-        actions = {a.value.name: a for a in plan.actions}
-        _, peak, _ = simulate_plan(wavenet, actions)
-        assert peak == plan.planned_peak_bytes
+        schedule = simulate(wavenet, actions=bucket_actions(plan.actions))
+        assert schedule.peak_bytes == plan.planned_peak_bytes
+        assert schedule.live == plan.planned_live
 
 
 class TestPlanMemory:

@@ -6,8 +6,8 @@ with itself:
 - every decomposition method lowers to a sequence matching its
   reconstructed kernel (semantics within float tolerance),
 - the full TeMCO pipeline preserves outputs and never raises the peak,
-- the static estimator equals the executor's measurement (both
-  accounting policies),
+- the one memory simulator predicts the executor's whole live-byte
+  timeline, unplanned (both accounting policies) and under a budget,
 - serialization round-trips optimized graphs bit-exactly,
 - arena plans stay valid on optimized graphs.
 """
@@ -17,9 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import compare_graphs, estimate_peak_internal, optimize
+from repro.core import compare_graphs, optimize, simulate
 from repro.decompose import DecompositionConfig, decompose_graph
 from repro.ir import graph_from_dict, graph_to_dict
+from repro.plan import InfeasibleBudget, plan_memory
 from repro.runtime import execute, plan_arena
 
 from _fuzz import random_cnn
@@ -53,15 +54,52 @@ def test_every_method_optimizable(seed, method):
     assert report.peak_after <= report.peak_before
 
 
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 10_000), inplace=st.booleans())
-def test_estimator_parity_on_optimized_random_cnns(seed, inplace):
-    g = random_cnn(seed)
+def _measured_timeline(memory):
+    return tuple(e.live_bytes for e in memory.events)
+
+
+def _decomposed_and_optimized(seed):
+    """Both ends of the pipeline: ``optimize`` eliminates dead-end
+    branches, so only the decomposed graph still carries them."""
+    g = random_cnn(seed, strays=True, long_skip=True)
     dg = decompose_graph(g, DecompositionConfig(ratio=0.3))
-    opt, _ = optimize(dg)
-    measured = execute(opt, random_input(opt, seed),
-                       inplace_activations=inplace).memory.peak_internal_bytes
-    assert estimate_peak_internal(opt, inplace_activations=inplace) == measured
+    return dg, optimize(dg)[0]
+
+
+@pytest.mark.parametrize("inplace", [False, True])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_simulated_timeline_is_the_measured_one(inplace, seed):
+    """One prediction vs one measurement: every per-node sample, the
+    peak and the index it is reached at — on graphs with unused inputs
+    and dead-end branches, under both accounting policies."""
+    for graph in _decomposed_and_optimized(seed):
+        schedule = simulate(graph, inplace_activations=inplace)
+        memory = execute(graph, random_input(graph, seed), record_ledger=True,
+                         inplace_activations=inplace).memory
+        assert schedule.live == _measured_timeline(memory)
+        assert schedule.peak_bytes == memory.peak_internal_bytes
+        assert schedule.peak_index == next(
+            e.node_index for e in memory.ledger.events
+            if e.live_bytes == memory.peak_internal_bytes)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_planned_timeline_is_the_enforced_one(seed):
+    """Under the tightest of a few budgets the planner can meet, the
+    plan's simulated timeline is what the enforced run measures."""
+    for graph in _decomposed_and_optimized(seed):
+        peak = simulate(graph).peak_bytes
+        for fraction in (0.8, 0.9, 0.97, 1.0):  # 1.0 is always feasible
+            try:
+                plan = plan_memory(graph, int(fraction * peak))
+                break
+            except InfeasibleBudget:
+                continue
+        memory = execute(graph, random_input(graph, seed), plan=plan).memory
+        assert plan.planned_live == _measured_timeline(memory)
+        assert plan.planned_peak_bytes == memory.peak_internal_bytes
 
 
 @settings(max_examples=10, deadline=None)

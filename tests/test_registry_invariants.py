@@ -37,10 +37,15 @@ class TestOpKernelParity:
             assert name in KERNELS
             get_activation(name)  # must exist in the kernel activation table
 
-    def test_inplace_sets_agree(self):
-        from repro.core.liveness import INPLACE_CAPABLE_OPS
-        from repro.runtime.executor import _INPLACE_OPS
-        assert INPLACE_CAPABLE_OPS == _INPLACE_OPS
+    def test_inplace_capable_ops_are_unary(self):
+        # the in-place rule (core.liveness.reuses_input_buffer) releases
+        # ``inputs[0]`` of these ops, so each must take exactly one input
+        from repro.ir import Node, Value
+        x = Value("x", (1, 2, 4, 4))
+        for name in ops.UNARY_ELEMENTWISE_OPS:
+            assert name in ops.REGISTRY and name in KERNELS
+            with pytest.raises(ValueError):
+                ops.validate_node(Node("n", name, [x, x], x.with_shape(x.shape, "y")))
 
     def test_flops_nonnegative_defaults(self):
         # every spec's flops hook must be callable on a minimal node
