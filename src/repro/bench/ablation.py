@@ -18,6 +18,7 @@ import numpy as np
 from ..core import (FusionConfig, SkipOptConfig, TeMCOConfig,
                     estimate_peak_internal, optimize)
 from ..core.skip_opt import optimize_skip_connections
+from ..data.synthetic import random_inputs
 from ..decompose import DecompositionConfig, decompose_graph, decomposition_records
 from ..models import build_model
 from ..runtime import InferenceSession
@@ -182,8 +183,7 @@ def ablate_tile_size(model: str = "vgg16", batch: int = 4, hw: int = 32,
     """Channel-block width of Listing 1's tiles: scratch vs wall-clock."""
     original = build_model(model, batch=batch, hw=hw, seed=seed)
     decomposed = decompose_graph(original, DecompositionConfig(seed=seed))
-    rng = np.random.default_rng(seed)
-    inputs = {"image": rng.normal(size=original.inputs[0].shape).astype(np.float32)}
+    inputs = random_inputs(original, seed)
     points = []
     for block in block_sizes:
         optimized, _report = optimize(

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..core import (FusionConfig, SkipOptConfig, TeMCOConfig,
                     estimate_peak_internal, optimize)
+from ..data.synthetic import random_inputs
 from ..decompose import DecompositionConfig, decompose_graph
 from ..ir.graph import Graph
 from ..models import MODEL_ZOO, build_model
@@ -142,9 +143,7 @@ class VariantSet:
     graphs: dict[str, Graph]
 
     def input_batch(self, seed: int = 0) -> dict[str, np.ndarray]:
-        rng = np.random.default_rng(seed)
-        shape = self.graphs["original"].inputs[0].shape
-        return {"image": rng.normal(size=shape).astype(np.float32)}
+        return random_inputs(self.graphs["original"], seed)
 
     def peak_internal(self, variant: str) -> int:
         return estimate_peak_internal(self.graphs[variant])

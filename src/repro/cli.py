@@ -106,8 +106,6 @@ import threading
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .bench import (DEFAULT_MODELS, PAPER_LABELS, BenchConfig, collect_bench,
                     compare_bench, figure4, figure10, figure11, figure12,
                     format_comparison, format_table,
@@ -115,6 +113,7 @@ from .bench import (DEFAULT_MODELS, PAPER_LABELS, BenchConfig, collect_bench,
                     trace_figures, use_tuned_fusion, write_bench)
 from .core import (TeMCOConfig, estimate_peak_floor, estimate_peak_internal,
                    optimize)
+from .data import random_inputs
 from .decompose import DecompositionConfig, decompose_graph
 from .fleet import FaultPolicy, PoolConfig, ReplicaPool, Router
 from .ir import (Graph, format_graph, load_graph, save_dot, save_graph,
@@ -127,8 +126,8 @@ from .plan import (BudgetSyntaxError, InfeasibleBudget, PlanCostModel,
                    format_bytes, parse_budget, plan_memory)
 from .runtime import (InferenceSession, metrics_markdown, plan_arena,
                       profile_markdown, timeline_csv)
-from .serve import (InferenceServer, LoadgenConfig, ServerConfig, resolve_plan,
-                    run_loadgen, serve_http)
+from .serve import (InferenceServer, LoadgenConfig, Servable, ServerConfig,
+                    resolve_plan, run_loadgen, serve_http)
 from .tune import (TuneCache, TuneConfig, cached_overrides, load_cached_plan,
                    tune_model)
 
@@ -184,19 +183,12 @@ def _cmd_export(args) -> int:
     graph = _load_model(args.model, args.batch, args.hw, args.seed)
     if args.what == "dot":
         save_dot(graph, args.output)
-    elif args.what == "timeline":
-        rng = np.random.default_rng(args.seed)
-        inputs = {v.name: rng.normal(size=v.shape).astype(v.dtype.np)
-                  for v in graph.inputs}
+    else:
+        inputs = random_inputs(graph, args.seed)
         profile = InferenceSession(graph).run(inputs).memory
-        Path(args.output).write_text(timeline_csv(profile))
-    else:  # report
-        rng = np.random.default_rng(args.seed)
-        inputs = {v.name: rng.normal(size=v.shape).astype(v.dtype.np)
-                  for v in graph.inputs}
-        profile = InferenceSession(graph).run(inputs).memory
-        Path(args.output).write_text(profile_markdown(profile,
-                                                      title=graph.name))
+        Path(args.output).write_text(
+            timeline_csv(profile) if args.what == "timeline"
+            else profile_markdown(profile, title=graph.name))
     print(f"wrote {args.what} for {graph.name!r} to {args.output}")
     return 0
 
@@ -310,9 +302,7 @@ def _cmd_run(args) -> int:
             return 1
         print(f"memory plan: {memory_plan.summary()} "
               f"(unplanned peak {format_bytes(reference)})")
-    rng = np.random.default_rng(args.seed)
-    inputs = {v.name: rng.normal(size=v.shape).astype(v.dtype.np)
-              for v in target.inputs}
+    inputs = random_inputs(target, args.seed)
     session = InferenceSession(target, memory_plan=memory_plan)
     timing = session.time_inference(inputs, warmup=1, repeats=args.repeats)
     result = session.run(inputs)
@@ -433,23 +423,38 @@ def _server_config(args) -> ServerConfig:
 
 
 def _slo_monitor(args) -> SLOMonitor | None:
-    specs = getattr(args, "slo", None)
-    return SLOMonitor(parse_slos(specs)) if specs else None
+    return SLOMonitor(parse_slos(args.slo)) if args.slo else None
 
 
-def _serve_memory_plan(plan: Graph, args):
-    """Resolve ``--budget`` for the serving graph; ``(ok, plan|None)``."""
-    if not getattr(args, "budget", None):
-        return True, None
+def _build_backend(plan: Graph, args, slo: SLOMonitor | None,
+                   replicas: int | None) -> Servable:
+    """The servable the CLI flags describe: one server under
+    ``--budget``, or (``replicas`` set) a router over a pool sharing
+    ``--host-budget``.  Exits (``SystemExit``, which :func:`main`
+    returns) 2 on ``--budget`` with a fleet and 1 on a budget with no
+    feasible plan."""
     try:
-        mplan, reference = _budget_plan(plan, args.budget)
+        if replicas is None:
+            mplan = None
+            if args.budget:
+                mplan, reference = _budget_plan(plan, args.budget)
+                # stderr: loadgen --json keeps stdout machine-parseable
+                print(f"memory plan: {mplan.summary()} (unplanned peak "
+                      f"{format_bytes(reference)})", file=sys.stderr)
+            return InferenceServer(plan, _server_config(args), slo=slo,
+                                   memory_plan=mplan)
+        if args.budget:
+            print(f"{args.command}: a fleet takes --host-budget (split "
+                  f"across replicas) instead of --budget", file=sys.stderr)
+            raise SystemExit(2)
+        pool = ReplicaPool(plan, PoolConfig(
+            replicas=replicas, host_budget=args.host_budget,
+            server=_server_config(args)))
+        return Router(pool, slo=slo, fault=(
+            FaultPolicy.parse(args.fault) if args.fault else None))
     except InfeasibleBudget as exc:
-        _print_infeasible("serve", plan, exc)
-        return False, None
-    # stderr: loadgen --json keeps stdout machine-parseable
-    print(f"memory plan: {mplan.summary()} "
-          f"(unplanned peak {format_bytes(reference)})", file=sys.stderr)
-    return True, mplan
+        _print_infeasible(args.command, plan, exc)
+        raise SystemExit(1) from None
 
 
 def _trap_signals(stop: threading.Event) -> dict:
@@ -467,11 +472,6 @@ def _trap_signals(stop: threading.Event) -> dict:
     return previous
 
 
-def _restore_signals(previous: dict) -> None:
-    for sig, handler in previous.items():
-        signal.signal(sig, handler)
-
-
 def _wait_for_stop(stop: threading.Event, duration: float | None) -> None:
     """Block until ``stop`` is set or ``duration`` elapses.  Waits in
     short slices: Python-level signal handlers only run when the main
@@ -487,26 +487,23 @@ def _wait_for_stop(stop: threading.Event, duration: float | None) -> None:
             return
 
 
-def _cmd_serve(args) -> int:
-    plan = _serve_plan(args)
-    ok, mplan = _serve_memory_plan(plan, args)
-    if not ok:
-        return 1
-    slo = _slo_monitor(args)
+def _serve_until_stopped(backend: Servable, args, banner: str) -> int:
+    """Serve ``backend`` over HTTP until ``--duration`` runs out or a
+    SIGTERM/SIGINT arrives, then drain and print the run's metrics.
+    ``banner`` is printed once the socket is bound, with ``{url}``
+    replaced by the frontend's address."""
+    slo = backend.slo
     stop = threading.Event()
     previous = _trap_signals(stop)
     try:
-        with InferenceServer(plan, _server_config(args), slo=slo,
-                             memory_plan=mplan) as server:
+        with backend:
             # the fleet view powers GET /fleetz and `repro top`; it only
-            # reads the server, so serving behaviour is unchanged
-            server.view = FleetView(server)
-            with server.view, serve_http(server, host=args.host,
-                                         port=args.port) as frontend:
+            # reads the backend, so serving behaviour is unchanged
+            backend.view = FleetView(backend)
+            with backend.view, serve_http(backend, host=args.host,
+                                          port=args.port) as frontend:
                 host, port = frontend.address
-                print(f"serving {plan.name!r} on http://{host}:{port} "
-                      f"({args.workers} worker(s), graph batch "
-                      f"{server.graph_batch}, queue bound {args.max_queue})")
+                print(banner.replace("{url}", f"http://{host}:{port}"))
                 print("endpoints: POST /infer, GET /healthz, GET /stats, "
                       "GET /metrics, GET /fleetz"
                       + (", GET /slo" if slo else ""))
@@ -522,82 +519,44 @@ def _cmd_serve(args) -> int:
                 # stops sending traffic before the socket goes away
                 print("draining: rejecting new requests, finishing "
                       "in-flight work (healthz now 503)", file=sys.stderr)
-                if not server.drain(args.drain_timeout):
+                if not backend.drain(args.drain_timeout):
                     print(f"drain timed out after {args.drain_timeout} s; "
                           f"leftover requests rejected", file=sys.stderr)
-            print(metrics_markdown(server.metrics,
-                                   title=f"{plan.name} serving metrics"))
+            print(metrics_markdown(
+                backend.metrics,
+                title=f"{backend.graph.name} serving metrics"))
             if slo:
                 for status in slo.evaluate():
                     print(status.summary())
     finally:
-        _restore_signals(previous)
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
     return 0
 
 
-def _build_router(plan: Graph, args, *, replicas: int,
-                  slo: SLOMonitor | None = None) -> Router:
-    """A fleet router per the CLI flags (raises
-    :class:`~repro.plan.InfeasibleBudget` when ``--host-budget`` has
-    no feasible per-replica plan)."""
-    fault = (FaultPolicy.parse(args.fault)
-             if getattr(args, "fault", None) else None)
-    pool = ReplicaPool(plan, PoolConfig(
-        replicas=replicas, host_budget=getattr(args, "host_budget", None),
-        server=_server_config(args)))
-    return Router(pool, slo=slo, fault=fault)
+def _cmd_serve(args) -> int:
+    plan = _serve_plan(args)
+    server = _build_backend(plan, args, _slo_monitor(args), None)
+    return _serve_until_stopped(
+        server, args,
+        f"serving {plan.name!r} on {{url}} ({args.workers} worker(s), "
+        f"graph batch {server.graph_batch}, queue bound {args.max_queue})")
 
 
 def _cmd_fleet(args) -> int:
     plan = _serve_plan(args)
-    if getattr(args, "budget", None):
-        print("fleet: use --host-budget (split across replicas) instead "
-              "of --budget", file=sys.stderr)
-        return 2
-    slo = _slo_monitor(args)
-    try:
-        router = _build_router(plan, args, replicas=args.replicas, slo=slo)
-    except InfeasibleBudget as exc:
-        _print_infeasible("fleet", plan, exc)
-        return 1
-    stop = threading.Event()
-    previous = _trap_signals(stop)
-    try:
-        with router:
-            router.view = FleetView(router)
-            with router.view, serve_http(router, host=args.host,
-                                         port=args.port) as frontend:
-                host, port = frontend.address
-                pool = router.pool
-                budget_note = ""
-                if pool.memory_plan is not None:
-                    budget_note = (
-                        f", host budget "
-                        f"{format_bytes(pool.host_budget_bytes)} "
-                        f"({format_bytes(pool.memory_plan.budget_bytes or 0)}"
-                        f" per replica)")
-                print(f"fleet serving {plan.name!r} on http://{host}:{port} "
-                      f"({args.replicas} replica(s) x {args.workers} "
-                      f"worker(s){budget_note})")
-                print("endpoints: POST /infer, GET /healthz, GET /stats, "
-                      "GET /metrics, GET /fleetz"
-                      + (", GET /slo" if slo else ""))
-                if router.fault is not None:
-                    print(f"fault armed: {router.fault.describe()}")
-                try:
-                    _wait_for_stop(stop, args.duration)
-                except KeyboardInterrupt:
-                    pass
-                print("draining fleet: finishing in-flight requests",
-                      file=sys.stderr)
-                if not router.drain(args.drain_timeout):
-                    print(f"fleet drain timed out after "
-                          f"{args.drain_timeout} s", file=sys.stderr)
-            print(metrics_markdown(router.metrics,
-                                   title=f"{plan.name} fleet metrics"))
-    finally:
-        _restore_signals(previous)
-    return 0
+    router = _build_backend(plan, args, _slo_monitor(args), args.replicas)
+    banner = (f"fleet serving {plan.name!r} on {{url}} ({args.replicas} "
+              f"replica(s) x {args.workers} worker(s)")
+    pool = router.pool
+    if pool.memory_plan is not None:
+        banner += (f", host budget {format_bytes(pool.host_budget_bytes)} "
+                   f"({format_bytes(pool.memory_plan.budget_bytes or 0)} "
+                   f"per replica)")
+    banner += ")"
+    if router.fault is not None:
+        banner += f"\nfault armed: {router.fault.describe()}"
+    return _serve_until_stopped(router, args, banner)
 
 
 def _cmd_loadgen(args) -> int:
@@ -608,36 +567,19 @@ def _cmd_loadgen(args) -> int:
         deadline_s=(args.deadline_ms / 1e3
                     if args.deadline_ms is not None else None),
         seed=args.seed)
-    slo = _slo_monitor(args)
-    if args.fleet:
-        if getattr(args, "budget", None):
-            print("loadgen --fleet: use --host-budget (split across "
-                  "replicas) instead of --budget", file=sys.stderr)
-            return 2
-        try:
-            backend = _build_router(plan, args, replicas=args.fleet, slo=slo)
-        except InfeasibleBudget as exc:
-            _print_infeasible("loadgen", plan, exc)
-            return 1
-    else:
-        ok, mplan = _serve_memory_plan(plan, args)
-        if not ok:
-            return 1
-        backend = InferenceServer(plan, _server_config(args), slo=slo,
-                                  memory_plan=mplan)
+    backend = _build_backend(plan, args, _slo_monitor(args),
+                             args.fleet or None)
     detect = args.detect_anomalies or args.fail_on_anomaly
     anomalies: list[dict] = []
     with backend:
-        view = None
         if detect:
             # scrape fast so the rolling store sees the run as it
             # happens — the detectors need in-flight history, not just
             # the end-of-run totals
-            view = FleetView(backend, interval_s=0.2)
-            backend.view = view
-            view.start()
+            backend.view = FleetView(backend, interval_s=0.2).start()
         report = run_loadgen(backend, config)
-        if view is not None:
+        if detect:
+            view = backend.view
             view.scraper.scrape_once()  # final sample + detector pass
             view.stop()
             anomalies = [a.to_dict() for a in view.monitor.findings()]
@@ -719,32 +661,13 @@ def _cmd_diag(args) -> int:
     :func:`repro.obs.write_diag_bundle`.
     """
     plan = _serve_plan(args)
-    slo = _slo_monitor(args)
     tracer = Tracer()
     with use_tracer(tracer):
-        if args.replicas:
-            if getattr(args, "budget", None):
-                print("diag: use --host-budget (split across replicas) "
-                      "instead of --budget", file=sys.stderr)
-                return 2
-            try:
-                backend = _build_router(plan, args, replicas=args.replicas,
-                                        slo=slo)
-            except InfeasibleBudget as exc:
-                _print_infeasible("diag", plan, exc)
-                return 1
-        else:
-            ok, mplan = _serve_memory_plan(plan, args)
-            if not ok:
-                return 1
-            backend = InferenceServer(plan, _server_config(args), slo=slo,
-                                      memory_plan=mplan)
-        rng = np.random.default_rng(args.seed)
-        inputs = {v.name: rng.normal(size=v.shape).astype(v.dtype.np)
-                  for v in backend.graph.inputs}
+        backend = _build_backend(plan, args, _slo_monitor(args),
+                                 args.replicas or None)
+        inputs = random_inputs(backend.graph, args.seed)
         with backend:
-            view = FleetView(backend, interval_s=0.1)
-            backend.view = view
+            view = backend.view = FleetView(backend, interval_s=0.1)
             with view:
                 # two waves with a gap so the scraper catches the
                 # counters mid-climb (a flat series rates as 0)
@@ -761,10 +684,9 @@ def _cmd_diag(args) -> int:
                             "replicas": args.replicas,
                             "requests": args.requests,
                             "workers": args.workers,
-                            "budget": getattr(args, "budget", None),
-                            "host_budget": getattr(args, "host_budget",
-                                                   None),
-                            "fault": getattr(args, "fault", None)},
+                            "budget": args.budget,
+                            "host_budget": args.host_budget,
+                            "fault": args.fault},
                     audit=args.audit)
     print(f"wrote diag bundle to {args.output} "
           f"({len(members)} members):")
@@ -785,10 +707,8 @@ def _cmd_trace(args) -> int:
             decomposed = decompose_graph(graph, DecompositionConfig(
                 method=args.method, ratio=args.ratio, seed=args.seed))
             target, _report = optimize(decomposed)
-        rng = np.random.default_rng(args.seed)
-        inputs = {v.name: rng.normal(size=v.shape).astype(v.dtype.np)
-                  for v in target.inputs}
-        result = InferenceSession(target, tracer=tracer).run(inputs)
+        result = InferenceSession(target, tracer=tracer).run(
+            random_inputs(target, args.seed))
     out = Path(args.trace) if args.trace else Path(f"{graph.name}.trace.json")
     write_trace(tracer, out)
 
@@ -825,9 +745,7 @@ def _cmd_profile(args) -> int:
             decomposed = decompose_graph(graph, DecompositionConfig(
                 method=args.method, ratio=args.ratio, seed=args.seed))
             target, _report = optimize(decomposed)
-        rng = np.random.default_rng(args.seed)
-        inputs = {v.name: rng.normal(size=v.shape).astype(v.dtype.np)
-                  for v in target.inputs}
+        inputs = random_inputs(target, args.seed)
         session = InferenceSession(target, tracer=tracer)
         for _ in range(args.repeats):
             session.run(inputs)
@@ -1513,6 +1431,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except SystemExit as exc:  # a command bailed out, message printed
+        return exc.code
     except BudgetSyntaxError as exc:
         # a misspelled --budget is a usage error, same exit code as
         # argparse's own rejections

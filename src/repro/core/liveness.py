@@ -77,6 +77,8 @@ class MemorySchedule:
     peak_bytes: int
     #: where the peak is first reached (``-1`` = during input binding)
     peak_index: int
+    #: the most that is live while the inputs are bound, before node 0
+    bind_peak_bytes: int
     #: ``frees_after[i]``: the values freed right after node ``i``, in
     #: the executor's order; ``frees_after[-1]`` (stored last, so plain
     #: negative indexing finds it) holds the unused graph inputs, which
@@ -155,6 +157,7 @@ def simulate(graph: Graph, *, order: list[Node] | None = None, actions=None,
         if v in frees_after[-1]:
             live -= v.nbytes
     live -= released(-1)
+    bind_peak = peak
 
     samples: list[int] = []
     for index, node in enumerate(nodes):
@@ -178,7 +181,8 @@ def simulate(graph: Graph, *, order: list[Node] | None = None, actions=None,
         live -= sum(v.nbytes for v in dying) - reused
         live -= released(index)            # boundary after the frees
     return MemorySchedule(live=tuple(samples), peak_bytes=peak,
-                          peak_index=peak_index, frees_after=frees_after)
+                          peak_index=peak_index, bind_peak_bytes=bind_peak,
+                          frees_after=frees_after)
 
 
 def estimate_peak_internal(graph: Graph, *,
@@ -192,8 +196,10 @@ def estimate_peak_internal(graph: Graph, *,
 
 def estimate_peak_floor(graph: Graph) -> int:
     """The irreducible working set: the largest inputs+output footprint
-    of any single node (each input counted once), or the total input
-    bytes when that is larger (inputs are all bound before node 0).
+    of any single node (each input counted once), or what binding the
+    graph inputs holds at once when that is larger (the used ones are
+    all resident before node 0; an unused one is freed as it is bound,
+    so the term comes from :func:`simulate`, not a plain sum).
 
     No memory plan can beat this — every node's operands and result
     must be resident while it runs, whatever gets spilled or
@@ -201,7 +207,7 @@ def estimate_peak_floor(graph: Graph) -> int:
     by construction; :func:`repro.plan.plan_memory` reports them with
     the residual against its best achievable peak.
     """
-    floor = sum(v.nbytes for v in graph.inputs)
+    floor = simulate(graph).bind_peak_bytes
     for node in graph.nodes:
         distinct = {v.name: v.nbytes for v in node.inputs}
         distinct[node.output.name] = node.output.nbytes

@@ -11,6 +11,8 @@ deterministic synthetic equivalents that exercise the same code paths:
 - :func:`segmentation_batch` — images containing a bright convex
   "car-like" blob on a textured background, with the exact binary mask,
   so dice scores are meaningful.
+- :func:`random_inputs` — seeded Gaussian noise shaped like a graph's
+  inputs: the payload every timing run, audit and load generator feeds.
 
 What matters for the reproduction is *relative* accuracy between the
 decomposed model and its TeMCO-optimized form (the paper's claim is
@@ -24,7 +26,20 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["classification_batch", "segmentation_batch", "ClassificationBatch",
-           "SegmentationBatch"]
+           "SegmentationBatch", "random_inputs"]
+
+
+def random_inputs(graph, seed: int = 0, *,
+                  samples: int | None = None) -> dict[str, np.ndarray]:
+    """Seeded standard-normal arrays for every input of ``graph``, in
+    input order from one generator (so a seed names one payload).
+    ``samples`` overrides the batch dimension — a serving request
+    carries fewer samples than the graph's static batch."""
+    rng = np.random.default_rng(seed)
+    return {v.name: rng.normal(
+                size=v.shape if samples is None else (samples,) + v.shape[1:]
+            ).astype(v.dtype.np)
+            for v in graph.inputs}
 
 
 @dataclass(frozen=True)

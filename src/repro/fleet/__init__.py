@@ -14,9 +14,9 @@ server.
 - :mod:`repro.fleet.router` — :class:`Router`: least-outstanding
   balancing, deadline-aware hedged retries (first response wins),
   bounded retry-with-backoff, zero-downtime rolling reload.  A
-  :class:`Router` is *servable*: :func:`repro.serve.serve_http` and
-  :func:`repro.serve.run_loadgen` drive it exactly like a single
-  server,
+  :class:`Router` is a :class:`~repro.serve.Servable`:
+  :func:`repro.serve.serve_http` and :func:`repro.serve.run_loadgen`
+  drive it exactly like a single server,
 - :mod:`repro.fleet.faults` — :class:`FaultPolicy`: deterministic
   kill/stall/slow fault injection for failover testing (the CI smoke
   kills a replica mid-run and asserts zero client-visible errors).

@@ -17,7 +17,9 @@ Kinds:
 - ``stall`` — the replica black-holes new requests (submits are
   accepted but never complete), modelling a wedged process.  Hedged
   retries rescue the stuck requests; accumulated failures get the
-  replica ejected and restarted.
+  replica ejected and restarted — at which point (as when the pool
+  closes) what it swallowed is rejected, like connections reset by a
+  killed process, so no attempt stays unsettled forever.
 - ``slow`` — every subsequent request to the replica is delayed by
   ``slow_s`` before submission, modelling a degraded-but-alive
   replica.  Latency-sensitive traffic hedges around it.

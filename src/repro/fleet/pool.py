@@ -45,8 +45,8 @@ from ..core import estimate_peak_internal
 from ..ir.graph import Graph
 from ..obs import MetricsRegistry, TaggedTracer, get_tracer
 from ..plan import MemoryPlan, parse_budget, plan_memory
-from ..serve.server import (InferenceServer, ServeError, ServeFuture,
-                            ServerClosed, ServerConfig)
+from ..serve.servable import ServeError, ServeFuture, ServerClosed
+from ..serve.server import InferenceServer, ServerConfig
 from .faults import FaultPolicy
 
 logger = logging.getLogger(__name__)
@@ -77,7 +77,8 @@ class Replica:
     """One managed server plus its routing/health bookkeeping.
 
     Mutable counters (``outstanding``, ``routed``,
-    ``consecutive_failures``) are guarded by the owning pool's lock.
+    ``consecutive_failures``) are guarded by the owning pool's lock;
+    the fault-injection state by the replica's own.
     """
 
     def __init__(self, replica_id: int, spec: ReplicaSpec) -> None:
@@ -99,6 +100,11 @@ class Replica:
         #: fault-injection modes (see repro.fleet.faults)
         self.stalled = False
         self.slow_s = 0.0
+        #: futures a ``stall`` fault swallowed; rejected when the
+        #: replica restarts, the way a killed process resets its
+        #: connections, so no attempt stays unsettled forever
+        self._black_hole: list[ServeFuture] = []
+        self._fault_lock = threading.Lock()
 
     @property
     def ready(self) -> bool:
@@ -108,44 +114,61 @@ class Replica:
     def submit(self, inputs, *, deadline_s: float | None = None,
                trace_id: str | None = None) -> ServeFuture:
         """Submit through this replica, honouring injected faults."""
-        if self.stalled:
-            # black hole: accepted, never resolved — the router's
-            # hedging or attempt timeout rescues the request
-            return ServeFuture(request_id=-1, samples=0)
+        with self._fault_lock:
+            if self.stalled:
+                # black hole: accepted, never resolved — the router's
+                # hedging or attempt timeout rescues the request
+                future = ServeFuture(request_id=-1, samples=0)
+                self._black_hole.append(future)
+                return future
         if self.slow_s > 0:
-            return self._submit_slowly(inputs, deadline_s=deadline_s,
-                                       trace_id=trace_id)
+            return self._submit_slowly(inputs, deadline_s, trace_id)
+        return self._submit_now(inputs, deadline_s, trace_id)
+
+    def _submit_now(self, inputs, deadline_s: float | None,
+                    trace_id: str | None) -> ServeFuture:
         server = self.server
         if server is None:
             raise ServerClosed(f"replica {self.id} has no running server")
         return server.submit(inputs, deadline_s=deadline_s,
                              trace_id=trace_id)
 
-    def _submit_slowly(self, inputs, *, deadline_s: float | None,
-                       trace_id: str | None = None) -> ServeFuture:
-        # a slow replica delays its *response*, not the caller's submit;
-        # relaying through a proxy future keeps the router free to hedge
-        # while this replica dawdles
+    def _submit_slowly(self, inputs, deadline_s: float | None,
+                       trace_id: str | None) -> ServeFuture:
+        # a slow replica delays its *response*, not the caller's submit:
+        # a timer submits late and a callback relays the outcome into a
+        # proxy future, so the router stays free to hedge meanwhile
         proxy = ServeFuture(request_id=-1, samples=0)
         delay = self.slow_s
 
-        def _relay() -> None:
-            time.sleep(delay)
-            server = self.server
-            if server is None:
-                proxy._reject(ServerClosed(
-                    f"replica {self.id} has no running server"))
-                return
+        def relay(inner: ServeFuture) -> None:
             try:
-                inner = server.submit(inputs, deadline_s=deadline_s,
-                                      trace_id=trace_id)
-                proxy._resolve(inner.result(None), delay + inner.latency_s)
+                proxy._resolve(inner.result(0), delay + inner.latency_s)
             except ServeError as error:
                 proxy._reject(error)
 
-        threading.Thread(target=_relay, daemon=True,
-                         name=f"repro-fleet-slow-{self.id}").start()
+        def submit_late() -> None:
+            try:
+                self._submit_now(inputs, deadline_s,
+                                 trace_id).add_done_callback(relay)
+            except ServeError as error:
+                proxy._reject(error)
+
+        timer = threading.Timer(delay, submit_late)
+        timer.name = f"repro-fleet-delay-{self.id}"
+        timer.daemon = True
+        timer.start()
         return proxy
+
+    def clear_faults(self) -> None:
+        """Back to a healthy replica: faults off, swallowed requests
+        rejected (their routers retry elsewhere or have moved on)."""
+        with self._fault_lock:
+            self.stalled = False
+            self.slow_s = 0.0
+            swallowed, self._black_hole = self._black_hole, []
+        for future in swallowed:
+            future._reject(ServerClosed(f"replica {self.id} restarted"))
 
     def describe(self) -> dict:
         return {"id": self.id, "state": self.state,
@@ -269,6 +292,7 @@ class ReplicaPool:
             server, replica.server = replica.server, None
             replica.state = ReplicaState.STOPPED
             self._gauge_up(replica)
+            replica.clear_faults()
             if server is not None:
                 server.close()
 
@@ -287,8 +311,7 @@ class ReplicaPool:
             replica.spec.graph, replica.spec.server_config,
             tracer=tracer, memory_plan=replica.spec.memory_plan).start()
         replica.state = ReplicaState.READY
-        replica.stalled = False
-        replica.slow_s = 0.0
+        replica.clear_faults()
         replica.consecutive_failures = 0
         self._gauge_up(replica)
 

@@ -1,24 +1,25 @@
 """The fleet router: least-outstanding balancing, hedges, retries.
 
 :class:`Router` sits in front of a :class:`~repro.fleet.pool.ReplicaPool`
-and implements the same *servable* protocol as a single
-:class:`~repro.serve.InferenceServer` (``graph`` / ``slo`` /
-``submit`` / ``stats`` / ``health_doc`` / ``metrics_text``), so the
-HTTP frontend (:func:`repro.serve.serve_http`) and the load generator
+and is a :class:`~repro.serve.Servable` like a single
+:class:`~repro.serve.InferenceServer`, so the HTTP frontend
+(:func:`repro.serve.serve_http`) and the load generator
 (:func:`repro.serve.run_loadgen`) drive a whole fleet unchanged.
 
 Per request the router runs a small orchestration (one daemon thread,
-resolved through a :class:`FleetFuture`):
+resolved through a :class:`FleetFuture`).  The thread never polls: it
+sleeps on one event until an attempt settles (a completion callback
+sets it) or the next timer is due — hedge, deadline, attempt timeout:
 
 - **balancing** — route to the ready replica with the fewest
   outstanding requests,
 - **hedged retries** — if the primary attempt hasn't resolved after a
   hedge delay, launch the same request on a sibling and take
-  whichever responds first (the loser is abandoned to a reaper so its
-  outstanding count settles).  With a deadline, the hedge delay is
-  ``remaining − p95`` (projected from the fleet latency histogram,
-  clamped): hedge exactly when waiting out the primary would likely
-  bust the deadline,
+  whichever responds first (the loser's outstanding count settles
+  from its own completion callback).  With a deadline, the hedge
+  delay is ``remaining − p95`` (projected from the fleet latency
+  histogram, clamped): hedge exactly when waiting out the primary
+  would likely bust the deadline,
 - **bounded retry with backoff** — a failed attempt (replica crashed,
   draining, queue full, worker error) is retried on a sibling up to
   ``RouterConfig.max_attempts`` times with doubling backoff; replica
@@ -32,8 +33,8 @@ resolved through a :class:`FleetFuture`):
 
 Zero-downtime operations: :meth:`Router.drain` stops admissions and
 gracefully drains every replica; :meth:`Router.rolling_reload` swaps
-replicas one at a time (drain → new spec → restart → wait ready), so
-readiness never drops below ``K − 1`` while the fleet keeps serving.
+replicas one at a time (drain → new spec → restart), so readiness
+never drops below ``K − 1`` while the fleet keeps serving.
 
 Everything lands on the pool's shared metrics registry
 (``fleet.hedges``, ``fleet.retries.reason.*`` → the labeled
@@ -43,24 +44,25 @@ Everything lands on the pool's shared metrics registry
 
 from __future__ import annotations
 
-import itertools
 import logging
 import threading
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..obs import SLOMonitor, new_trace_id
-from ..serve.batcher import request_samples
-from ..serve.server import (DeadlineExceeded, Overloaded, ServeError,
-                            ServeFuture, ServerClosed, ServerDraining)
+from ..obs import SLOMonitor
+from ..serve.servable import (DeadlineExceeded, Overloaded, Servable,
+                              ServeError, ServeFuture, ServerClosed)
 from .faults import FaultPolicy
 from .pool import Replica, ReplicaPool, ReplicaSpec
 
 logger = logging.getLogger(__name__)
 
 __all__ = ["FleetFuture", "RouterConfig", "Router"]
+
+#: clamp floor for the deadline-aware hedge delay
+HEDGE_MIN_DELAY_S = 0.002
+#: ceiling of the doubling retry backoff
+RETRY_BACKOFF_MAX_S = 0.1
 
 
 class FleetFuture(ServeFuture):
@@ -86,35 +88,30 @@ class RouterConfig:
     #: total submission attempts per request (primary + retries);
     #: hedges don't consume attempts
     max_attempts: int = 4
-    #: backoff before a retry; doubles per retry, capped below
+    #: backoff before a retry; doubles per retry, capped at
+    #: :data:`RETRY_BACKOFF_MAX_S`
     retry_backoff_s: float = 0.005
-    retry_backoff_max_s: float = 0.1
     #: hedging on/off
     hedge: bool = True
     #: hedge delay without a deadline (and the clamp ceiling with one)
     hedge_delay_s: float = 0.05
-    #: clamp floor for the deadline-aware hedge delay
-    hedge_min_delay_s: float = 0.002
     #: per-attempt cap: an attempt silent this long is abandoned as
     #: stalled and retried (rescues black-holed replicas)
     attempt_timeout_s: float = 10.0
-    #: completion poll cadence of the orchestration loop
-    poll_interval_s: float = 0.001
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(
                 f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.retry_backoff_s < 0 or self.retry_backoff_max_s <= 0:
-            raise ValueError("retry backoffs must be positive")
-        if self.hedge_delay_s <= 0 or self.hedge_min_delay_s <= 0:
-            raise ValueError("hedge delays must be > 0")
+        if self.retry_backoff_s < 0:
+            raise ValueError("retry_backoff_s must be >= 0, got "
+                             f"{self.retry_backoff_s}")
+        if self.hedge_delay_s <= 0:
+            raise ValueError(
+                f"hedge_delay_s must be > 0, got {self.hedge_delay_s}")
         if self.attempt_timeout_s <= 0:
             raise ValueError("attempt_timeout_s must be > 0, got "
                              f"{self.attempt_timeout_s}")
-        if self.poll_interval_s <= 0:
-            raise ValueError("poll_interval_s must be > 0, got "
-                             f"{self.poll_interval_s}")
 
 
 def _failure_reason(error: BaseException | None) -> str:
@@ -141,190 +138,129 @@ class _Attempt:
         self.hedged = hedged
 
 
-class Router:
+class _Routed:
+    """One admitted request's routing state; only its orchestration
+    thread touches it, except ``wake`` — set by whichever thread
+    settles one of the request's attempts."""
+
+    def __init__(self, future: FleetFuture, inputs,
+                 deadline_s: float | None) -> None:
+        self.future = future
+        self.inputs = inputs
+        self.deadline_s = deadline_s
+        self.admitted_at = time.monotonic()
+        self.deadline_at = (None if deadline_s is None
+                            else self.admitted_at + deadline_s)
+        #: replicas that already failed this request
+        self.failed: set[int] = set()
+        self.wake = threading.Event()
+
+
+class Router(Servable):
     """Route requests across a replica pool; never hang, rarely fail."""
+
+    family = "fleet"
+    _noun = "fleet router"
 
     def __init__(self, pool: ReplicaPool, config: RouterConfig | None = None,
                  *, slo: SLOMonitor | None = None,
                  fault: FaultPolicy | None = None) -> None:
+        super().__init__(pool.graph, metrics=pool.metrics, tracer=pool.tracer,
+                         slo=slo, memory_plan=pool.memory_plan)
         self.pool = pool
         self.config = config or RouterConfig()
-        self.metrics = pool.metrics
-        self.tracer = pool.tracer
-        self.slo = slo
         self.fault = fault
-        self.graph = pool.graph
-        self.graph_batch = pool.graph.inputs[0].shape[0]
-        self._lock = threading.Lock()
-        self._ids = itertools.count()
-        self._in_flight = 0
-        self._closed = False
-        self._draining = False
         self._fault_fired = False
 
-    # -- lifecycle -----------------------------------------------------
+    # -- the Servable hooks ---------------------------------------------
 
-    def start(self) -> "Router":
+    def _start(self) -> None:
         self.pool.start()
-        return self
 
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
+    def _close(self, timeout: float | None) -> None:
         self.pool.close()
 
-    def __enter__(self) -> "Router":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def drain(self, timeout: float | None = 30.0) -> bool:
-        """Graceful fleet shutdown: stop admitting, wait out in-flight
-        requests, drain every replica, close the pool.  Returns False
-        when the timeout expired with work still pending."""
-        with self._lock:
-            if self._closed:
-                return True
-            self._draining = True
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
+    def _drain_parts(self, deadline: float | None) -> bool:
+        """Gracefully drain every replica (lapped hedge attempts may
+        still be running on them)."""
         drained = True
-        while True:
-            with self._lock:
-                if self._in_flight == 0:
-                    break
-            if deadline is not None and time.monotonic() > deadline:
-                drained = False
-                break
-            time.sleep(0.002)
         for replica in self.pool.replicas:
             remaining = (None if deadline is None
                          else max(0.1, deadline - time.monotonic()))
             if not self.pool.drain_replica(replica, remaining):
                 drained = False
-        self.close()
         return drained
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def draining(self) -> bool:
-        return self._draining and not self._closed
 
     def healthy(self) -> bool:
         """Routable: at least one ready replica and admitting work."""
         return (not self._closed and not self._draining
                 and self.pool.ready_count() > 0)
 
+    def _health_fields(self, status: str) -> dict:
+        replicas = self.pool.describe()
+        return {"model": self.graph.name, "replicas": replicas,
+                "ready": sum(1 for r in replicas if r["state"] == "ready")}
+
+    def _gauges(self) -> dict[str, float]:
+        return {"fleet.ready_replicas": float(self.pool.ready_count()),
+                "fleet.in_flight": float(self._in_flight)}
+
+    def replicas(self) -> list[tuple[str, dict, Servable | None]]:
+        return [(str(r.id), r.describe(), r.server)
+                for r in self.pool.replicas]
+
+    def _admit_locked(self, request_id: int, inputs, samples: int,
+                      deadline_s: float | None, trace_id: str,
+                      admitted_us: float) -> FleetFuture:
+        return FleetFuture(request_id, samples, trace_id)
+
+    def _dispatch(self, future: FleetFuture, inputs,
+                  deadline_s: float | None) -> None:
+        """Routing, hedging and retries run on a per-request thread, so
+        ``submit`` never blocks on replica work; every downstream
+        failure arrives through the future as the same typed errors a
+        single server raises."""
+        threading.Thread(
+            target=self._orchestrate,
+            args=(_Routed(future, inputs, deadline_s),),
+            name=f"repro-fleet-req-{future.request_id}", daemon=True).start()
+
     # -- zero-downtime reload ------------------------------------------
 
     def rolling_reload(self, spec: ReplicaSpec | None = None, *,
                        timeout: float | None = 30.0) -> bool:
         """Swap every replica to ``spec`` (default: its current spec,
-        i.e. a rolling restart) one at a time: drain → rebuild → wait
-        ready.  At most one replica is ever out of rotation, so a
-        ``K``-replica fleet keeps at least ``K − 1`` ready throughout.
-        Returns False when any replica's drain timed out or the
-        rebuilt replica failed to come back ready."""
+        i.e. a rolling restart) one at a time: drain → rebuild.  At
+        most one replica is ever out of rotation, so a ``K``-replica
+        fleet keeps at least ``K − 1`` ready throughout.  Returns
+        False when any replica's drain timed out or the rebuilt
+        replica did not come back ready."""
         ok = True
         for replica in self.pool.replicas:
-            target = spec or replica.spec
-            if not self.pool.reload_replica(replica, target, timeout):
+            if not self.pool.reload_replica(replica, spec or replica.spec,
+                                            timeout) or not replica.ready:
                 ok = False
-            wait_until = time.monotonic() + (timeout or 30.0)
-            while not replica.ready:
-                if time.monotonic() > wait_until:
-                    ok = False
-                    break
-                time.sleep(0.002)
         return ok
-
-    # -- admission -----------------------------------------------------
-
-    def submit(self, inputs: dict[str, np.ndarray] | np.ndarray, *,
-               deadline_s: float | None = None) -> FleetFuture:
-        """Admit one request to the fleet; returns its future.
-
-        Never blocks on replica work: routing, hedging and retries run
-        on a per-request orchestration thread.  Raises only for a
-        closed/draining router; every downstream failure arrives
-        through the future as the same typed errors a single server
-        raises."""
-        with self._lock:
-            if self._closed:
-                raise ServerClosed("fleet router is closed")
-            if self._draining:
-                raise ServerDraining("fleet router is draining: finishing "
-                                     "in-flight requests, admitting none")
-            request_id = next(self._ids)
-            self._in_flight += 1
-        if isinstance(inputs, np.ndarray):
-            if len(self.graph.inputs) != 1:
-                with self._lock:
-                    self._in_flight -= 1
-                raise ValueError(
-                    f"graph has {len(self.graph.inputs)} inputs; pass a dict")
-            inputs = {self.graph.inputs[0].name: inputs}
-        try:
-            samples = request_samples(self.graph, inputs)
-        except Exception:
-            with self._lock:
-                self._in_flight -= 1
-            raise
-        trace_id = new_trace_id()
-        future = FleetFuture(request_id, samples, trace_id)
-        self.metrics.inc("fleet.requests")
-        now = time.monotonic()
-        deadline_at = None if deadline_s is None else now + deadline_s
-        if self.tracer.enabled:
-            admit_us = self.tracer.now_us()
-            self.tracer.complete(
-                "fleet.admit", admit_us,
-                max(self.tracer.now_us() - admit_us, 1.0),
-                category="fleet", request_id=request_id,
-                trace_id=trace_id, samples=samples)
-            self.tracer.flow("fleet.request", request_id, "start",
-                             ts_us=admit_us, trace_id=trace_id)
-        worker = threading.Thread(
-            target=self._orchestrate,
-            args=(future, inputs, deadline_s, deadline_at, now),
-            name=f"repro-fleet-req-{request_id}", daemon=True)
-        worker.start()
-        return future
-
-    def infer(self, inputs: dict[str, np.ndarray] | np.ndarray, *,
-              deadline_s: float | None = None,
-              timeout: float | None = None) -> dict[str, np.ndarray]:
-        """Synchronous convenience: :meth:`submit` + wait."""
-        return self.submit(inputs, deadline_s=deadline_s).result(timeout)
 
     # -- orchestration (per-request thread) -----------------------------
 
-    def _orchestrate(self, future: FleetFuture, inputs, deadline_s,
-                     deadline_at, admitted_at) -> None:
+    def _orchestrate(self, routed: _Routed) -> None:
         try:
-            self._route(future, inputs, deadline_s, deadline_at,
-                        admitted_at)
-        except BaseException as exc:  # noqa: BLE001 — never lose a future
+            self._route(routed)
+        except Exception as exc:  # noqa: BLE001 — never lose a future
             logger.exception("fleet orchestration failed")
-            self._finish_error(future, ServeError(
+            self._finish_error(routed.future, ServeError(
                 f"fleet orchestration failed: {exc!r}"))
-        finally:
-            with self._lock:
-                self._in_flight -= 1
 
-    def _route(self, future: FleetFuture, inputs, deadline_s,
-               deadline_at, admitted_at) -> None:
+    def _route(self, routed: _Routed) -> None:
         config = self.config
-        failed: set[int] = set()
+        future = routed.future
         reasons: list[str] = []
         last_error: BaseException | None = None
         backoff = config.retry_backoff_s
         for attempt_index in range(config.max_attempts):
-            if deadline_at is not None and time.monotonic() > deadline_at:
+            if (routed.deadline_at is not None
+                    and time.monotonic() > routed.deadline_at):
                 self._finish_error(future, DeadlineExceeded(
                     f"request {future.request_id} expired after "
                     f"{len(reasons)} attempt(s)"))
@@ -339,24 +275,23 @@ class Router:
                         trace_id=future.trace_id, reason=reason,
                         attempt=attempt_index)
                 time.sleep(backoff)
-                backoff = min(backoff * 2, config.retry_backoff_max_s)
-            replica = self.pool.pick(failed) or self.pool.pick()
+                backoff = min(backoff * 2, RETRY_BACKOFF_MAX_S)
+            replica = self.pool.pick(routed.failed) or self.pool.pick()
             if replica is None:
                 reasons.append("no_ready_replica")
                 last_error = Overloaded(
                     "no ready replica in the fleet; retry with backoff")
                 continue
             attempt, submit_error = self._submit_attempt(
-                future, replica, inputs, deadline_s, hedged=False)
+                routed, replica, hedged=False)
             if attempt is None:
-                failed.add(replica.id)
+                routed.failed.add(replica.id)
                 reasons.append(_failure_reason(submit_error))
                 last_error = submit_error
                 continue
-            verdict, last_error, reason = self._await_attempts(
-                future, attempt, inputs, deadline_s, deadline_at,
-                admitted_at, failed)
-            if verdict:
+            resolved, last_error, reason = self._await_attempts(
+                routed, attempt)
+            if resolved:
                 return
             if isinstance(last_error, DeadlineExceeded):
                 self._finish_error(future, last_error)
@@ -371,12 +306,13 @@ class Router:
             final = Overloaded(str(final))
         self._finish_error(future, final)
 
-    def _submit_attempt(self, future: FleetFuture, replica: Replica,
-                        inputs, deadline_s, *, hedged: bool
+    def _submit_attempt(self, routed: _Routed, replica: Replica, *,
+                        hedged: bool
                         ) -> tuple[_Attempt | None, BaseException | None]:
         """Fire the armed fault if due, then submit to ``replica``.
         Returns ``(attempt, None)``, or ``(None, error)`` when
         admission failed."""
+        future = routed.future
         self._maybe_fire_fault(replica)
         self.pool.note_submit(replica)
         future.attempts += 1
@@ -387,32 +323,36 @@ class Router:
                 trace_id=future.trace_id, replica=replica.id,
                 attempt=future.attempts)
         try:
-            inner = replica.submit(inputs, deadline_s=deadline_s,
+            inner = replica.submit(routed.inputs,
+                                   deadline_s=routed.deadline_s,
                                    trace_id=future.trace_id)
         except ServeError as exc:
             self.pool.note_settle(replica)
             self.pool.record_failure(replica, _failure_reason(exc))
             return None, exc
+        wake = routed.wake  # the callback must not pin the payload
+        inner.add_done_callback(lambda _inner: wake.set())
         return _Attempt(inner, replica, time.monotonic(), hedged), None
 
-    def _await_attempts(self, future: FleetFuture, primary: _Attempt,
-                        inputs, deadline_s, deadline_at, admitted_at,
-                        failed: set[int]
+    def _await_attempts(self, routed: _Routed, primary: _Attempt
                         ) -> tuple[bool, BaseException | None, str]:
-        """Poll the primary (and at most one hedge) until a response,
-        a failure, a deadline, or a stall.  Returns ``(resolved,
-        last_error, reason)``."""
+        """Sleep on ``routed.wake`` until the primary (or its one
+        hedge) responds, every attempt failed, the deadline passed, or
+        everything stalled.  Returns ``(resolved, last_error,
+        reason)``."""
         config = self.config
+        future = routed.future
         pending = [primary]
-        hedge_at = (time.monotonic()
-                    + self._hedge_delay(deadline_at)
+        #: None once the hedge is launched (or hedging is off)
+        hedge_at = (time.monotonic() + self._hedge_delay(routed.deadline_at)
                     if config.hedge else None)
         last_error: BaseException | None = None
         reason = "stalled"
-        while pending:
-            for attempt in list(pending):
-                if not attempt.future.done():
-                    continue
+        while True:
+            # clear before looking: a completion from here on re-sets
+            # the event, so the wait below cannot miss it
+            routed.wake.clear()
+            for attempt in [a for a in pending if a.future.done()]:
                 pending.remove(attempt)
                 self._observe_attempt(attempt)
                 try:
@@ -423,45 +363,47 @@ class Router:
                     if not isinstance(exc, DeadlineExceeded):
                         self.pool.record_failure(attempt.replica,
                                                  failure_reason)
-                        failed.add(attempt.replica.id)
+                        routed.failed.add(attempt.replica.id)
                     last_error, reason = exc, failure_reason
                     continue
-                self._finish_success(future, attempt, outputs,
-                                     admitted_at, pending)
+                self._finish_success(routed, attempt, outputs, pending)
                 return True, None, "ok"
+            if not pending:
+                return False, last_error, reason
             now = time.monotonic()
-            if deadline_at is not None and now > deadline_at:
+            if routed.deadline_at is not None and now >= routed.deadline_at:
                 self._abandon(pending)
                 return False, DeadlineExceeded(
                     f"request {future.request_id} expired in flight"), \
                     "deadline"
-            if (hedge_at is not None and now >= hedge_at
-                    and len(pending) == 1 and not pending[0].hedged):
+            if hedge_at is not None and now >= hedge_at:
                 hedge_at = None
                 sibling = self.pool.pick(
-                    failed | {a.replica.id for a in pending})
+                    routed.failed | {a.replica.id for a in pending})
                 if sibling is not None:
                     self.metrics.inc("fleet.hedges")
-                    hedge, _ = self._submit_attempt(
-                        future, sibling, inputs, deadline_s, hedged=True)
+                    hedge, _ = self._submit_attempt(routed, sibling,
+                                                    hedged=True)
                     if hedge is not None:
                         pending.append(hedge)
-            if pending and all(now - a.started_at > config.attempt_timeout_s
-                               for a in pending):
+            stalled_at = (max(a.started_at for a in pending)
+                          + config.attempt_timeout_s)
+            if now >= stalled_at:
                 self._abandon(pending)
                 for attempt in pending:
                     self.pool.record_failure(attempt.replica, "stalled")
-                    failed.add(attempt.replica.id)
+                    routed.failed.add(attempt.replica.id)
                 return False, ServeError(
                     f"request {future.request_id}: all attempts stalled "
                     f"past {config.attempt_timeout_s} s"), "stalled"
-            time.sleep(config.poll_interval_s)
-        return False, last_error, reason
+            due = min(t for t in (stalled_at, hedge_at, routed.deadline_at)
+                      if t is not None)
+            routed.wake.wait(max(0.0, due - now))
 
-    def _finish_success(self, future: FleetFuture, winner: _Attempt,
-                        outputs, admitted_at, pending: list[_Attempt]
-                        ) -> None:
-        latency = time.monotonic() - admitted_at
+    def _finish_success(self, routed: _Routed, winner: _Attempt, outputs,
+                        pending: list[_Attempt]) -> None:
+        future = routed.future
+        latency = time.monotonic() - routed.admitted_at
         future.served_by = winner.replica.id
         self.pool.note_settle(winner.replica)
         self.pool.record_success(winner.replica)
@@ -502,7 +444,7 @@ class Router:
 
         Measured from submission to settlement *as the router saw
         it*, so a replica whose responses are delayed (the ``slow``
-        fault's proxy future, a saturated queue) shows up here even
+        fault's delayed relay, a saturated queue) shows up here even
         when its own ``serve.latency_ms`` clock looks healthy — the
         replica-outlier anomaly detector reads this family first.
         """
@@ -511,36 +453,27 @@ class Router:
             (time.monotonic() - attempt.started_at) * 1e3)
 
     def _abandon(self, attempts: list[_Attempt]) -> None:
-        """Hand lost/lapped attempts to reaper threads so their
-        replicas' outstanding counts settle whenever (if ever) the
-        inner futures resolve."""
+        """Lost / lapped attempts: nobody waits for them any more, but
+        each still holds a slot in its replica's outstanding count —
+        released by a completion callback whenever the attempt
+        settles (every attempt does: a closing server rejects what it
+        holds, a restarting replica what a fault swallowed)."""
         for attempt in attempts:
-            def reap(a: _Attempt = attempt) -> None:
-                settled = True
-                try:
-                    a.future.result(self.config.attempt_timeout_s)
-                except TimeoutError:
-                    settled = False  # never resolved: no latency to report
-                except Exception:  # noqa: BLE001 — outcome irrelevant
-                    pass
-                finally:
-                    self.pool.note_settle(a.replica)
-                    if settled:
-                        self._observe_attempt(a)
-            threading.Thread(target=reap, name="repro-fleet-reaper",
-                             daemon=True).start()
+            def settle(_inner: ServeFuture, a: _Attempt = attempt) -> None:
+                self.pool.note_settle(a.replica)
+                self._observe_attempt(a)
+            attempt.future.add_done_callback(settle)
 
-    def _hedge_delay(self, deadline_at) -> float:
+    def _hedge_delay(self, deadline_at: float | None) -> float:
         """How long to give the primary before hedging.  With a
         deadline: the slack left after a p95-projected wait, clamped;
         without: the fixed configured delay."""
-        config = self.config
         if deadline_at is None:
-            return config.hedge_delay_s
+            return self.config.hedge_delay_s
         remaining = deadline_at - time.monotonic()
         p95_s = self.metrics.quantiles("fleet.latency_ms").get("p95", 0.0) / 1e3
-        return min(max(remaining - p95_s, config.hedge_min_delay_s),
-                   config.hedge_delay_s)
+        return min(max(remaining - p95_s, HEDGE_MIN_DELAY_S),
+                   self.config.hedge_delay_s)
 
     def _maybe_fire_fault(self, replica: Replica) -> None:
         fault = self.fault
@@ -553,41 +486,3 @@ class Router:
             self.tracer.instant("fleet.fault", category="fleet",
                                 replica=replica.id, kind=fault.kind)
         self.pool.apply_fault(replica, fault)
-
-    # -- introspection (the servable surface) ---------------------------
-
-    def stats(self) -> dict[str, float]:
-        """Fleet-wide metrics snapshot (pool registry + liveness)."""
-        if self.slo is not None:
-            self.slo.export_gauges(self.metrics)
-        snapshot = self.metrics.snapshot()
-        snapshot["fleet.ready_replicas"] = float(self.pool.ready_count())
-        with self._lock:
-            snapshot["fleet.in_flight"] = float(self._in_flight)
-        return snapshot
-
-    def health_doc(self) -> dict:
-        """The fleet ``GET /healthz`` body: ``"ok"`` while at least
-        one replica is ready, with per-replica detail."""
-        replicas = self.pool.describe()
-        ready = sum(1 for r in replicas if r["state"] == "ready")
-        if self.healthy():
-            status = "ok"
-        elif self.draining:
-            status = "draining"
-        else:
-            status = "unavailable"
-        return {"status": status, "model": self.graph.name,
-                "replicas": replicas, "ready": ready}
-
-    def metrics_text(self) -> str:
-        """The fleet ``GET /metrics`` body (replica-labeled families
-        included)."""
-        from .._version import __version__
-        from ..obs.prometheus import prometheus_text
-
-        stats = self.stats()
-        return prometheus_text(
-            self.metrics, build_info=__version__,
-            extra_gauges={key: stats[key] for key in
-                          ("fleet.ready_replicas", "fleet.in_flight")})

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.liveness import simulate
+from ..data.synthetic import random_inputs
 from ..ir.graph import Graph
 from ..runtime.arena import ArenaPlan, plan_arena
 from ..runtime.executor import execute
@@ -177,9 +178,7 @@ def audit_graph(graph: Graph, inputs: dict[str, np.ndarray] | None = None, *,
     measured byte count from its prediction (0.0 = bit-exact, the
     default)."""
     if inputs is None:
-        rng = np.random.default_rng(seed)
-        inputs = {v.name: rng.normal(size=v.shape).astype(v.dtype.np)
-                  for v in graph.inputs}
+        inputs = random_inputs(graph, seed)
     tracer = get_tracer()
     span_base = len(tracer.spans) if tracer.enabled else 0
 
@@ -357,9 +356,7 @@ def audit_budgeted(graph: Graph, budget_bytes: int,
     from ..plan import InfeasibleBudget, plan_memory
 
     if inputs is None:
-        rng = np.random.default_rng(seed)
-        inputs = {v.name: rng.normal(size=v.shape).astype(v.dtype.np)
-                  for v in graph.inputs}
+        inputs = random_inputs(graph, seed)
     subject = graph.name or model
     tracer = get_tracer()
 

@@ -79,10 +79,7 @@ def write_diag_bundle(path: str | Path, *, view, config: dict | None = None,
         add_json("trace.json", trace)
 
     backend = view.backend
-    plan = getattr(backend, "memory_plan", None)
-    if plan is None:
-        pool = getattr(backend, "pool", None)
-        plan = getattr(pool, "memory_plan", None)
+    plan = backend.memory_plan
     if plan is not None:
         add_json("memory_plan.json", plan.to_dict())
         if audit and plan.budget_bytes:

@@ -1,7 +1,7 @@
 """Cross-replica aggregation: one merged view of a serving fleet.
 
-:class:`FleetView` sits next to any *servable* backend — a single
-:class:`~repro.serve.InferenceServer` or a fleet
+:class:`FleetView` sits next to any :class:`~repro.serve.Servable`
+backend — a single :class:`~repro.serve.InferenceServer` or a fleet
 :class:`~repro.fleet.Router` — and produces the fleet-level surfaces
 the per-process layers cannot:
 
@@ -43,6 +43,11 @@ __all__ = ["FleetView"]
 _DROP_PREFIX = "serve.dropped.reason."
 
 
+def _latency_quantiles(stats: dict[str, float], family: str) -> dict:
+    return {q: stats.get(f"{family}.latency_ms.{q}", 0.0)
+            for q in ("p50", "p95", "p99")}
+
+
 class FleetView:
     """One merged observability surface over a servable backend."""
 
@@ -53,10 +58,9 @@ class FleetView:
         self.store = store or TimeSeriesStore(store_samples)
         self.interval_s = interval_s
         self._started_at = time.monotonic()
-        tracer = getattr(backend, "tracer", None)
         self.monitor = AnomalyMonitor(
             self.store, detectors, registry=backend.metrics,
-            tracer=tracer if tracer is not None and tracer.enabled else None)
+            tracer=backend.tracer if backend.tracer.enabled else None)
         self.scraper = MetricsScraper(self.snapshot, self.store,
                                       interval_s=interval_s,
                                       hook=self.monitor.check)
@@ -76,26 +80,13 @@ class FleetView:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # -- backend shape --------------------------------------------------
-
-    def _replicas(self) -> list[tuple[str, dict, object]]:
-        """``(id, descriptor, server)`` per replica; a single server
-        backend is presented as pseudo-replica ``0``."""
-        pool = getattr(self.backend, "pool", None)
-        if pool is None:
-            return [("0", {"id": 0, "state": "ready", "generation": 0,
-                           "routed": 0, "outstanding": 0},
-                     self.backend)]
-            # a lone InferenceServer: one replica, itself
-        return [(str(r.id), r.describe(), r.server) for r in pool.replicas]
-
     # -- the flat scrape ------------------------------------------------
 
     def snapshot(self) -> dict[str, float]:
         """Backend stats + per-replica server stats suffixed
         ``.replica.<id>`` — one flat dict per scrape instant."""
         merged = dict(self.backend.stats())
-        for rid, _desc, server in self._replicas():
+        for rid, _desc, server in self.backend.replicas():
             if server is None or server is self.backend:
                 continue
             for name, value in server.stats().items():
@@ -109,10 +100,9 @@ class FleetView:
         renders from."""
         out = MetricsRegistry()
         out.merge(self.backend.metrics)
-        for rid, _desc, server in self._replicas():
-            if server is None or server is self.backend:
-                continue
-            out.merge(server.metrics, label=f"replica.{rid}")
+        for rid, _desc, server in self.backend.replicas():
+            if server is not None and server is not self.backend:
+                out.merge(server.metrics, label=f"replica.{rid}")
         return out
 
     # -- the operator document ------------------------------------------
@@ -130,31 +120,21 @@ class FleetView:
         store = self.store
         stats = self.backend.stats()
         health = self.backend.health_doc()
-        fleet_completed = ("fleet.completed" if "fleet.completed" in stats
-                           else "serve.completed")
-        latency_base = ("fleet.latency_ms" if "fleet.latency_ms.p50" in stats
-                        or "fleet.requests" in stats else "serve.latency_ms")
+        family = self.backend.family  # "serve" or "fleet"
         replicas = []
-        for rid, desc, server in self._replicas():
+        for rid, desc, server in self.backend.replicas():
             suffix = "" if server is self.backend else f".replica.{rid}"
-            if server is not None:
-                rstats = server.stats()
-            else:
-                rstats = {}
+            rstats = server.stats() if server is not None else {}
             drops = {name[len(_DROP_PREFIX):]: value
                      for name, value in rstats.items()
                      if name.startswith(_DROP_PREFIX)}
             replicas.append({
-                "id": desc.get("id", rid),
-                "state": desc.get("state", "unknown"),
-                "generation": desc.get("generation", 0),
-                "outstanding": desc.get("outstanding", 0),
+                "id": desc["id"],
+                "state": desc["state"],
+                "generation": desc["generation"],
+                "outstanding": desc["outstanding"],
                 "qps": store.rate(f"serve.completed{suffix}", window_s),
-                "latency_ms": {
-                    "p50": rstats.get("serve.latency_ms.p50", 0.0),
-                    "p95": rstats.get("serve.latency_ms.p95", 0.0),
-                    "p99": rstats.get("serve.latency_ms.p99", 0.0),
-                },
+                "latency_ms": _latency_quantiles(rstats, "serve"),
                 "attempt_p95_ms": stats.get(
                     f"fleet.attempt_ms.replica.{rid}.p95", 0.0),
                 "queue_depth": rstats.get("serve.queue_depth", 0.0),
@@ -169,29 +149,23 @@ class FleetView:
                                          window_s),
                 "remat_rate": store.rate(f"plan.remat{suffix}", window_s),
             })
-        slo = getattr(self.backend, "slo", None)
-        doc = {
+        slo = self.backend.slo
+        return {
             "model": self.backend.graph.name,
             "version": __version__,
-            "status": health.get("status", "unknown"),
+            "status": health["status"],
             "uptime_s": time.monotonic() - self._started_at,
             "fleet": {
                 "replicas": len(replicas),
                 "ready": sum(1 for r in replicas if r["state"] == "ready"),
-                "qps": store.rate(fleet_completed, window_s),
-                "completed": stats.get(fleet_completed, 0.0),
-                "failed": stats.get("fleet.failed",
-                                    stats.get("serve.failed", 0.0)),
-                "in_flight": stats.get("fleet.in_flight",
-                                       stats.get("serve.in_flight", 0.0)),
+                "qps": store.rate(f"{family}.completed", window_s),
+                "completed": stats.get(f"{family}.completed", 0.0),
+                "failed": stats.get(f"{family}.failed", 0.0),
+                "in_flight": stats.get(f"{family}.in_flight", 0.0),
                 "hedges": stats.get("fleet.hedges", 0.0),
                 "retries": sum(v for k, v in stats.items()
                                if k.startswith("fleet.retries.reason.")),
-                "latency_ms": {
-                    "p50": stats.get(f"{latency_base}.p50", 0.0),
-                    "p95": stats.get(f"{latency_base}.p95", 0.0),
-                    "p99": stats.get(f"{latency_base}.p99", 0.0),
-                },
+                "latency_ms": _latency_quantiles(stats, family),
             },
             "replicas": replicas,
             "slo": ([status.to_dict() for status in slo.evaluate()]
@@ -205,7 +179,6 @@ class FleetView:
                 "window_s": window_s,
             },
         }
-        return doc
 
     # -- the stitched trace ----------------------------------------------
 
@@ -221,9 +194,8 @@ class FleetView:
         retries).  Returns None when the backend traced nothing
         (tracing off or a no-op tracer).
         """
-        source = getattr(self.backend, "tracer", None)
-        if source is None or not getattr(source, "enabled", False) \
-                or not hasattr(source, "export_records"):
+        source = self.backend.tracer
+        if not source.enabled or not hasattr(source, "export_records"):
             return None
         from .export import to_chrome_trace
 
@@ -246,24 +218,19 @@ class FleetView:
 
         out.name_thread(0, "fleet")
         groups: dict[int, dict] = {}
-        for span in records["spans"]:
-            tid = row(span["args"].get("replica"))
-            groups.setdefault(tid, {"epoch_wall": records["epoch_wall"],
-                                    "spans": [], "instants": [],
-                                    "counters": []})["spans"].append(span)
-        for instant in records["instants"]:
-            tid = row(instant["args"].get("replica"))
-            groups.setdefault(tid, {"epoch_wall": records["epoch_wall"],
-                                    "spans": [], "instants": [],
-                                    "counters": []})["instants"].append(
-                                        instant)
+
+        def group(tid: int) -> dict:
+            return groups.setdefault(tid, {
+                "epoch_wall": records["epoch_wall"],
+                "spans": [], "instants": [], "counters": []})
+
+        for kind in ("spans", "instants"):
+            for record in records[kind]:
+                group(row(record["args"].get("replica")))[kind].append(record)
         if records["counters"]:
-            groups.setdefault(0, {"epoch_wall": records["epoch_wall"],
-                                  "spans": [], "instants": [],
-                                  "counters": []})["counters"] \
-                .extend(records["counters"])
-        for tid, group in sorted(groups.items()):
-            out.absorb(group, tid=tid)
+            group(0)["counters"].extend(records["counters"])
+        for tid, group_records in sorted(groups.items()):
+            out.absorb(group_records, tid=tid)
 
         # cross-replica arrows: one per extra attempt of any request
         # that was hedged/retried onto a different replica

@@ -1,8 +1,11 @@
 """Serving: dynamic batching, backpressure, deadlines, load generation.
 
 The first subsystem that exercises the compiler's output under
-concurrency.  Four moving parts:
+concurrency.  Five moving parts:
 
+- :mod:`repro.serve.servable` — :class:`Servable`, the declared base
+  a single server and a whole fleet (:class:`repro.fleet.Router`)
+  both subclass, plus the typed errors and :class:`ServeFuture`,
 - :mod:`repro.serve.batcher` — pure packing logic that coalesces /
   splits / zero-pads requests against the graph's static batch,
 - :mod:`repro.serve.server` — :class:`InferenceServer`: a bounded
@@ -38,9 +41,9 @@ from .batcher import Segment, Shard, assemble, request_samples, scatter
 from .httpd import ServeHTTPD, serve_http
 from .loadgen import (LoadgenConfig, LoadgenReport, request_inputs,
                       run_loadgen)
-from .server import (DeadlineExceeded, InferenceServer, Overloaded,
-                     ServeError, ServeFuture, ServerClosed, ServerConfig,
-                     ServerDraining, resolve_plan)
+from .servable import (DeadlineExceeded, Overloaded, Servable, ServeError,
+                       ServeFuture, ServerClosed, ServerDraining)
+from .server import InferenceServer, ServerConfig, resolve_plan
 
 __all__ = [
     "Segment",
@@ -54,6 +57,7 @@ __all__ = [
     "ServerClosed",
     "ServerDraining",
     "ServeFuture",
+    "Servable",
     "ServerConfig",
     "InferenceServer",
     "resolve_plan",

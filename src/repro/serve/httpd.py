@@ -1,11 +1,9 @@
 """Minimal stdlib HTTP frontend for a servable backend.
 
-The frontend serves anything implementing the small *servable*
-protocol — ``graph``, ``slo``, ``submit(inputs, deadline_s=...)``,
-``stats()``, ``health_doc()``, ``metrics_text()`` — which today means
-a single :class:`InferenceServer` or a whole-fleet
-:class:`~repro.fleet.Router`.  JSON in/out, no dependencies beyond
-the standard library (the repo's no-new-deps rule):
+The frontend serves any :class:`~repro.serve.Servable` — a single
+:class:`InferenceServer` or a whole-fleet :class:`~repro.fleet.Router`.
+JSON in/out, no dependencies beyond the standard library (the repo's
+no-new-deps rule):
 
 - ``GET /healthz`` — liveness: 200 ``{"status": "ok", ...}`` while the
   backend accepts work, 503 once draining, closed or a worker died,
@@ -45,8 +43,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 
 from ..obs.prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
-from .server import (DeadlineExceeded, InferenceServer, Overloaded,
-                     ServerClosed)
+from .servable import DeadlineExceeded, Overloaded, Servable, ServerClosed
 
 logger = logging.getLogger(__name__)
 
@@ -60,9 +57,8 @@ MAX_BODY_BYTES = 32 * 1024 * 1024
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1.0"
-    #: set by :func:`serve_http` on the handler subclass; any servable
-    #: backend (an InferenceServer or a fleet Router)
-    inference_server: InferenceServer
+    #: set by :class:`ServeHTTPD` on the handler subclass
+    inference_server: Servable
     max_body_bytes = MAX_BODY_BYTES
 
     def log_message(self, fmt: str, *args) -> None:  # route to logging
@@ -99,12 +95,11 @@ class _Handler(BaseHTTPRequestHandler):
                     "slo": statuses,
                     "healthy": all(s["healthy"] for s in statuses)})
         elif self.path == "/fleetz":
-            view = getattr(server, "view", None)
-            if view is None:
+            if server.view is None:
                 self._reply(404, {"error": "no fleet view attached "
                                            "(serve with observability on)"})
             else:
-                self._reply(200, view.fleet_doc())
+                self._reply(200, server.view.fleet_doc())
         else:
             self._reply(404, {"error": f"no such endpoint {self.path!r}"})
 
@@ -153,10 +148,9 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class ServeHTTPD:
-    """Owns the listening socket + acceptor thread for one backend
-    (an :class:`InferenceServer` or a :class:`~repro.fleet.Router`)."""
+    """Owns the listening socket + acceptor thread for one backend."""
 
-    def __init__(self, server: InferenceServer, host: str = "127.0.0.1",
+    def __init__(self, server: Servable, host: str = "127.0.0.1",
                  port: int = 0) -> None:
         handler = type("BoundHandler", (_Handler,),
                        {"inference_server": server})
@@ -170,19 +164,24 @@ class ServeHTTPD:
         return self.httpd.server_address[:2]
 
     def start(self) -> "ServeHTTPD":
-        self._thread = threading.Thread(target=self.httpd.serve_forever,
-                                        name="repro-serve-http", daemon=True)
-        self._thread.start()
-        host, port = self.address
-        logger.info("http frontend listening on %s:%d", host, port)
+        """Run the acceptor (idempotent: ``serve_http(x)`` and ``with
+        serve_http(x):`` both end up with exactly one)."""
+        if self._thread is None:
+            # shutdown() waits out one poll interval, so keep it short
+            self._thread = threading.Thread(
+                target=self.httpd.serve_forever, args=(0.05,),
+                name="repro-serve-http", daemon=True)
+            self._thread.start()
+            host, port = self.address
+            logger.info("http frontend listening on %s:%d", host, port)
         return self
 
     def close(self) -> None:
-        self.httpd.shutdown()
-        self.httpd.server_close()
         if self._thread is not None:
+            self.httpd.shutdown()
             self._thread.join(5.0)
             self._thread = None
+        self.httpd.server_close()
 
     def __enter__(self) -> "ServeHTTPD":
         return self.start()
@@ -191,7 +190,7 @@ class ServeHTTPD:
         self.close()
 
 
-def serve_http(server: InferenceServer, host: str = "127.0.0.1",
+def serve_http(server: Servable, host: str = "127.0.0.1",
                port: int = 0) -> ServeHTTPD:
     """Start the HTTP frontend for ``server``; returns the running
     :class:`ServeHTTPD` (close it to release the socket)."""

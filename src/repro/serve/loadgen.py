@@ -1,4 +1,4 @@
-"""Open- and closed-loop load generation against an InferenceServer.
+"""Open- and closed-loop load generation against any Servable.
 
 Two canonical load models (Schroeder et al., "Open Versus Closed: A
 Cautionary Tale", NSDI'06):
@@ -10,7 +10,7 @@ Cautionary Tale", NSDI'06):
   requests/second regardless of completions.  Measures latency under
   a target load, and is the mode that exercises backpressure: when
   the server falls behind, arrivals pile into the admission queue and
-  overflow into :class:`~repro.serve.server.Overloaded` rejections.
+  overflow into :class:`~repro.serve.Overloaded` rejections.
 
 The report carries completed/rejected/shed counts, wall-clock
 throughput, and the latency distribution as a
@@ -32,9 +32,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..data.synthetic import random_inputs
 from ..ir.graph import Graph
 from ..runtime.engine import TimingResult
-from .server import DeadlineExceeded, InferenceServer, Overloaded, ServeError
+from .servable import (DeadlineExceeded, Overloaded, Servable, ServeError,
+                       ServeFuture)
 
 __all__ = ["LoadgenConfig", "LoadgenReport", "request_inputs", "run_loadgen"]
 
@@ -143,9 +145,7 @@ class LoadgenReport:
 def request_inputs(graph: Graph, samples: int = 1,
                    seed: int = 0) -> dict[str, np.ndarray]:
     """Synthetic request payload matching the graph's per-sample shapes."""
-    rng = np.random.default_rng(seed)
-    return {v.name: rng.normal(size=(samples,) + v.shape[1:]).astype(v.dtype.np)
-            for v in graph.inputs}
+    return random_inputs(graph, seed, samples=samples)
 
 
 class _Tally:
@@ -166,29 +166,23 @@ class _Tally:
                 self.latencies.append(latency_s)
 
 
-def _settle(future_or_exc, tally: _Tally, timeout: float) -> None:
-    """Wait out one submission (a future, or the admission error)."""
-    if isinstance(future_or_exc, Overloaded):
-        tally.record("rejected")
-        return
-    if isinstance(future_or_exc, ServeError):
-        tally.record("errors")
-        return
+def _settle(future: ServeFuture, tally: _Tally, timeout: float) -> None:
+    """Wait out one submission and tally its outcome."""
     try:
-        future_or_exc.result(timeout)
+        future.result(timeout)
     except Overloaded:
-        # a fleet router reports exhausted-overload through the
-        # future rather than at submit; still a typed rejection
+        # refused at admission, or (a fleet router) reported through
+        # the future once retries ran out; a typed rejection either way
         tally.record("rejected")
     except DeadlineExceeded:
         tally.record("shed")
     except Exception:
         tally.record("errors")
     else:
-        tally.record("completed", future_or_exc.latency_s)
+        tally.record("completed", future.latency_s)
 
 
-def run_loadgen(server: InferenceServer,
+def run_loadgen(server: Servable,
                 config: LoadgenConfig | None = None) -> LoadgenReport:
     """Drive ``server`` with synthetic traffic; returns the report.
 
@@ -203,6 +197,17 @@ def run_loadgen(server: InferenceServer,
     tally = _Tally()
     start = time.perf_counter()
 
+    def submit(i: int) -> ServeFuture:
+        """The request's future; an admission error comes back as an
+        already-rejected one, so every outcome is read the same way."""
+        try:
+            return server.submit(payloads[i % len(payloads)],
+                                 deadline_s=config.deadline_s)
+        except ServeError as exc:
+            refused = ServeFuture(request_id=-1, samples=config.samples)
+            refused._reject(exc)
+            return refused
+
     if config.mode == "closed":
         counter = iter(range(config.requests))
         counter_lock = threading.Lock()
@@ -213,13 +218,7 @@ def run_loadgen(server: InferenceServer,
                     i = next(counter, None)
                 if i is None:
                     return
-                try:
-                    future = server.submit(payloads[i % len(payloads)],
-                                           deadline_s=config.deadline_s)
-                except ServeError as exc:
-                    _settle(exc, tally, config.timeout_s)
-                    continue
-                _settle(future, tally, config.timeout_s)
+                _settle(submit(i), tally, config.timeout_s)
 
         clients = [threading.Thread(target=client, name=f"loadgen-{i}")
                    for i in range(config.concurrency)]
@@ -230,19 +229,14 @@ def run_loadgen(server: InferenceServer,
     else:  # open loop: Poisson arrivals, completions gathered afterwards
         rng = np.random.default_rng(config.seed)
         gaps = rng.exponential(1.0 / config.rate, size=config.requests)
-        submissions: list = []
+        submissions: list[ServeFuture] = []
         next_at = time.perf_counter()
         for i in range(config.requests):
             next_at += gaps[i]
             delay = next_at - time.perf_counter()
             if delay > 0:
                 time.sleep(delay)
-            try:
-                submissions.append(
-                    server.submit(payloads[i % len(payloads)],
-                                  deadline_s=config.deadline_s))
-            except ServeError as exc:
-                submissions.append(exc)
+            submissions.append(submit(i))
         for item in submissions:
             _settle(item, tally, config.timeout_s)
 

@@ -40,7 +40,6 @@ tiles.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import threading
 import time
@@ -51,77 +50,15 @@ import numpy as np
 
 from ..ir.graph import Graph
 from ..obs import (MetricsRegistry, NOOP_TRACER, SLOMonitor, TaggedTracer,
-                   get_tracer, new_trace_id)
+                   get_tracer)
 from ..runtime.engine import InferenceSession
-from .batcher import Shard, assemble, request_samples, scatter
+from .batcher import assemble, scatter
+from .servable import (DeadlineExceeded, Overloaded, Servable, ServeError,
+                       ServeFuture, ServerClosed)
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["ServeError", "Overloaded", "DeadlineExceeded", "ServerClosed",
-           "ServerDraining", "ServeFuture", "ServerConfig",
-           "InferenceServer", "resolve_plan"]
-
-
-class ServeError(RuntimeError):
-    """Base class for typed serving failures."""
-
-
-class Overloaded(ServeError):
-    """Admission queue full: the caller should back off and retry."""
-
-
-class DeadlineExceeded(ServeError):
-    """The request's deadline expired before it could be served."""
-
-
-class ServerClosed(ServeError):
-    """The server is shut down (or was, before the request completed)."""
-
-
-class ServerDraining(ServerClosed):
-    """The server is draining: it finishes in-flight work but admits
-    nothing new.  A subclass of :class:`ServerClosed` so existing
-    retry/failover logic treats the two identically; the fleet router
-    uses the distinction only for metrics labels."""
-
-
-class ServeFuture:
-    """Completion handle for one submitted request."""
-
-    def __init__(self, request_id: int, samples: int,
-                 trace_id: str = "") -> None:
-        self.request_id = request_id
-        self.samples = samples
-        #: lifecycle trace id assigned at admission; grep the exported
-        #: trace for it to reconstruct this request's waterfall
-        self.trace_id = trace_id
-        self._event = threading.Event()
-        self._outputs: dict[str, np.ndarray] | None = None
-        self._error: BaseException | None = None
-        #: wall-clock seconds from admission to completion (set on resolve)
-        self.latency_s: float | None = None
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def result(self, timeout: float | None = None) -> dict[str, np.ndarray]:
-        """Block for the outputs; raises the typed error on failure."""
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"request {self.request_id} not done after {timeout}s")
-        if self._error is not None:
-            raise self._error
-        assert self._outputs is not None
-        return self._outputs
-
-    def _resolve(self, outputs: dict[str, np.ndarray], latency_s: float) -> None:
-        self._outputs = outputs
-        self.latency_s = latency_s
-        self._event.set()
-
-    def _reject(self, error: BaseException) -> None:
-        self._error = error
-        self._event.set()
+__all__ = ["ServerConfig", "InferenceServer", "resolve_plan"]
 
 
 @dataclass(frozen=True)
@@ -169,7 +106,7 @@ class _Request:
     dequeued_us: float = 0.0
 
 
-class InferenceServer:
+class InferenceServer(Servable):
     """Serve a compiled graph from a pool of warm sessions.
 
     Use as a context manager, or call :meth:`start` / :meth:`close`::
@@ -184,31 +121,23 @@ class InferenceServer:
                  tracer=None, slo: SLOMonitor | None = None,
                  memory_plan=None) -> None:
         graph.validate()
-        self.graph = graph
+        #: ``memory_plan`` is enforced on every batch each worker
+        #: session runs; each run opens its own spill store, so
+        #: workers never share spill state
+        super().__init__(
+            graph, metrics=metrics or MetricsRegistry(),
+            tracer=tracer if tracer is not None else get_tracer(),
+            slo=slo, memory_plan=memory_plan)
         self.config = config or ServerConfig()
-        self.metrics = metrics or MetricsRegistry()
-        self.tracer = tracer if tracer is not None else get_tracer()
-        self.slo = slo
-        #: optional :class:`~repro.plan.MemoryPlan` enforced on every
-        #: batch each worker session runs; each run opens its own
-        #: spill store, so workers never share spill state
-        self.memory_plan = memory_plan
         if memory_plan is not None:
             self.metrics.gauge("plan.budget_bytes",
                                float(memory_plan.budget_bytes or 0))
             self.metrics.gauge("plan.planned_peak_bytes",
                                float(memory_plan.planned_peak_bytes))
-        self.graph_batch = graph.inputs[0].shape[0]
         self.max_batch = self.config.max_batch or self.graph_batch
-        self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._queue: deque[_Request] = deque()
         self._workers: list[threading.Thread] = []
-        self._closed = False
-        self._draining = False
-        self._started = False
-        self._in_flight = 0
-        self._ids = itertools.count()
         # one warm session per worker: sessions keep per-run mutable
         # state (last_result), so they are per-thread, while the
         # read-only graph and its weights are shared.  When tracing,
@@ -230,16 +159,9 @@ class InferenceServer:
                              memory_plan=memory_plan)
             for index in range(self.config.num_workers)]
 
-    # -- lifecycle -----------------------------------------------------
+    # -- the Servable hooks ---------------------------------------------
 
-    def start(self) -> "InferenceServer":
-        """Spawn the worker threads (idempotent)."""
-        with self._lock:
-            if self._closed:
-                raise ServerClosed("server already closed")
-            if self._started:
-                return self
-            self._started = True
+    def _start(self) -> None:
         for index in range(self.config.num_workers):
             worker = threading.Thread(
                 target=self._worker_loop,
@@ -252,14 +174,9 @@ class InferenceServer:
                     self.config.num_workers, self.max_batch,
                     self.config.max_queue, self.config.max_wait_s * 1e3,
                     "on" if self.config.batching else "off")
-        return self
 
-    def close(self, timeout: float | None = 10.0) -> None:
-        """Stop accepting work, drain workers, reject queued requests."""
+    def _close(self, timeout: float | None) -> None:
         with self._not_empty:
-            if self._closed:
-                return
-            self._closed = True
             pending = list(self._queue)
             self._queue.clear()
             self._gauge_depth_locked()
@@ -273,152 +190,51 @@ class InferenceServer:
             worker.join(timeout)
         self._workers.clear()
 
-    def __enter__(self) -> "InferenceServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def drain(self, timeout: float | None = 30.0) -> bool:
-        """Graceful shutdown: stop admitting, finish in-flight, close.
-
-        New :meth:`submit` calls raise :class:`ServerDraining` (a
-        :class:`ServerClosed`) immediately, :meth:`healthy` flips to
-        False (so ``GET /healthz`` answers 503 and a fleet router
-        stops sending traffic), and the call blocks until every
-        queued and in-flight request has completed — then the server
-        closes for real.  Returns False when ``timeout`` expired with
-        work still pending (the server closes anyway, rejecting the
-        leftovers the way :meth:`close` does).
-        """
-        with self._not_empty:
-            if self._closed:
-                return True
-            self._draining = True
-            self._not_empty.notify_all()
-        deadline = (None if timeout is None
-                    else time.monotonic() + timeout)
-        drained = True
-        while True:
-            with self._lock:
-                idle = not self._queue and self._in_flight == 0
-            if idle:
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                drained = False
-                break
-            time.sleep(0.002)
-        self.close()
-        return drained
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    @property
-    def draining(self) -> bool:
-        return self._draining and not self._closed
-
     def healthy(self) -> bool:
         """Accepting work and every worker thread alive."""
         if self._closed or self._draining or not self._started:
             return False
         return all(w.is_alive() for w in self._workers)
 
-    def health_doc(self) -> dict:
-        """The ``GET /healthz`` body: ``status`` is ``"ok"`` while
-        accepting work, ``"draining"`` during :meth:`drain`, else
-        ``"unavailable"`` — anything but ``"ok"`` maps to 503."""
-        if self.healthy():
-            return {"status": "ok", "model": self.graph.name,
+    def _health_fields(self, status: str) -> dict:
+        if status == "ok":
+            return {"model": self.graph.name,
                     "workers": self.config.num_workers,
                     "graph_batch": self.graph_batch}
-        if self.draining:
-            return {"status": "draining", "model": self.graph.name}
-        return {"status": "unavailable"}
+        return {"model": self.graph.name} if status == "draining" else {}
 
-    def metrics_text(self) -> str:
-        """The ``GET /metrics`` body: the registry in Prometheus text
-        exposition, plus the point-in-time extras and the
-        ``repro_build_info`` version gauge."""
-        from ..obs.prometheus import prometheus_text
-        from .._version import __version__
+    def _gauges(self) -> dict[str, float]:
+        with self._lock:
+            queued = len(self._queue)
+            in_flight = self._in_flight - queued
+        return {"serve.queue_depth": float(queued),
+                "serve.in_flight": float(in_flight),
+                "serve.workers": float(self.config.num_workers),
+                "serve.graph_batch": float(self.graph_batch)}
 
-        stats = self.stats()
-        return prometheus_text(
-            self.metrics, build_info=__version__,
-            extra_gauges={key: stats[key] for key in (
-                "serve.queue_depth", "serve.in_flight",
-                "serve.workers", "serve.graph_batch")})
-
-    # -- admission -----------------------------------------------------
-
-    def submit(self, inputs: dict[str, np.ndarray] | np.ndarray, *,
-               deadline_s: float | None = None,
-               trace_id: str | None = None) -> ServeFuture:
-        """Admit one request; returns its :class:`ServeFuture`.
-
-        Raises :class:`Overloaded` when the admission queue is at
-        ``max_queue`` (the request is *not* enqueued) and
-        :class:`ServerClosed` after :meth:`close`.  ``trace_id`` lets
-        an upstream router propagate the id it assigned at fleet
-        admission, so one request's spans correlate across the router
-        and every replica it was attempted on; without one, the
-        server assigns a fresh id.
-        """
-        if isinstance(inputs, np.ndarray):
-            if len(self.graph.inputs) != 1:
-                raise ValueError(
-                    f"graph has {len(self.graph.inputs)} inputs; pass a dict")
-            inputs = {self.graph.inputs[0].name: inputs}
-        samples = request_samples(self.graph, inputs)
+    def _admit_locked(self, request_id: int, inputs, samples: int,
+                      deadline_s: float | None, trace_id: str,
+                      admitted_us: float) -> ServeFuture:
+        """Enqueue, or raise :class:`Overloaded` when the admission
+        queue is at ``max_queue`` (the request is *not* enqueued)."""
         if deadline_s is None:
             deadline_s = self.config.default_deadline_s
         now = time.monotonic()
-        request_id = next(self._ids)
-        if trace_id is None:
-            trace_id = new_trace_id()
-        tracing = self.tracer.enabled
-        admitted_us = self.tracer.now_us() if tracing else 0.0
         request = _Request(
             id=request_id, trace_id=trace_id, inputs=inputs, samples=samples,
             future=ServeFuture(request_id, samples, trace_id),
             enqueued_at=now, admitted_us=admitted_us,
             deadline_at=None if deadline_s is None else now + deadline_s)
-        with self._not_empty:
-            if self._closed:
-                raise ServerClosed("server is closed")
-            if self._draining:
-                raise ServerDraining("server is draining: finishing "
-                                     "in-flight requests, admitting none")
-            if len(self._queue) >= self.config.max_queue:
-                self.metrics.inc("serve.rejected")
-                self._drop(request, "queue_full")
-                raise Overloaded(
-                    f"admission queue full ({self.config.max_queue} requests); "
-                    f"retry with backoff")
-            self._queue.append(request)
-            self.metrics.inc("serve.requests")
-            self._gauge_depth_locked()
-            self._not_empty.notify()
-        if tracing:
-            # a short admission span on the main row hosts the source
-            # endpoint of the fan-in arrow; the destination lands in
-            # the micro-batch span that eventually serves the request
-            self.tracer.complete(
-                "serve.admit", admitted_us,
-                max(self.tracer.now_us() - admitted_us, 1.0),
-                category="serve", request_id=request_id, trace_id=trace_id,
-                samples=samples)
-            self.tracer.flow("serve.request", request_id, "start",
-                             ts_us=admitted_us, trace_id=trace_id)
+        if len(self._queue) >= self.config.max_queue:
+            self.metrics.inc("serve.rejected")
+            self._drop(request, "queue_full")
+            raise Overloaded(
+                f"admission queue full ({self.config.max_queue} requests); "
+                f"retry with backoff")
+        self._queue.append(request)
+        self._gauge_depth_locked()
+        self._not_empty.notify()
         return request.future
-
-    def infer(self, inputs: dict[str, np.ndarray] | np.ndarray, *,
-              deadline_s: float | None = None,
-              timeout: float | None = None) -> dict[str, np.ndarray]:
-        """Synchronous convenience: :meth:`submit` + wait for the result."""
-        return self.submit(inputs, deadline_s=deadline_s).result(timeout)
 
     # -- worker side ---------------------------------------------------
 
@@ -460,51 +276,64 @@ class InferenceServer:
         self.metrics.inc("serve.shed")
         self._drop(request, "deadline_expired")
 
-    def _pop_live_locked(self, now: float) -> _Request | None:
-        """Pop the next unexpired request, shedding expired ones."""
+    def _pop_live_locked(self, expired: list[_Request]) -> _Request | None:
+        """Pop the next unexpired request; expired ones are moved to
+        ``expired`` for the caller to shed once it has let go of the
+        lock (rejecting a future runs its callbacks)."""
+        now = time.monotonic()
         while self._queue:
             request = self._queue.popleft()
             if self.tracer.enabled:
                 request.dequeued_us = self.tracer.now_us()
             if request.deadline_at is not None and now > request.deadline_at:
-                self._shed(request, now)
+                expired.append(request)
                 continue
             return request
         return None
 
-    def _take_batch(self) -> list[_Request] | None:
-        """Block for the next micro-batch; None when the server closes.
-
-        Takes the first live request, then keeps the batch open for up
-        to ``max_wait_s`` (or until ``max_batch`` samples) for
-        co-riders.  With batching off, returns single requests.
-        """
-        with self._not_empty:
-            while True:
-                first = self._pop_live_locked(time.monotonic())
-                if first is not None:
-                    break
-                self._gauge_depth_locked()
-                if self._closed:
-                    return None
-                self._not_empty.wait()
-            taken = [first]
-            total = first.samples
-            if self.config.batching:
-                wait_until = time.monotonic() + self.config.max_wait_s
-                while total < self.max_batch and not self._closed:
-                    request = self._pop_live_locked(time.monotonic())
-                    if request is not None:
-                        taken.append(request)
-                        total += request.samples
-                        continue
-                    remaining = wait_until - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._not_empty.wait(remaining)
+    def _fill_batch_locked(self, expired: list[_Request]
+                           ) -> list[_Request] | None:
+        """Wait for the first live request, then keep the batch open
+        for up to ``max_wait_s`` (or until ``max_batch`` samples) for
+        co-riders; with batching off, a single request.  None when the
+        server closed; empty when there is only shedding to do."""
+        first = self._pop_live_locked(expired)
+        while first is None:
             self._gauge_depth_locked()
-            self._in_flight += len(taken)
+            if self._closed:
+                return None
+            if expired:
+                return []
+            self._not_empty.wait()
+            first = self._pop_live_locked(expired)
+        taken = [first]
+        total = first.samples
+        if self.config.batching:
+            wait_until = time.monotonic() + self.config.max_wait_s
+            while total < self.max_batch and not self._closed:
+                request = self._pop_live_locked(expired)
+                if request is not None:
+                    taken.append(request)
+                    total += request.samples
+                    continue
+                remaining = wait_until - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._not_empty.wait(remaining)
+        self._gauge_depth_locked()
         return taken
+
+    def _take_batch(self) -> list[_Request] | None:
+        """Block for the next micro-batch; None when the server closes."""
+        while True:
+            expired: list[_Request] = []
+            with self._not_empty:
+                taken = self._fill_batch_locked(expired)
+            now = time.monotonic()
+            for request in expired:
+                self._shed(request, now)
+            if taken is None or taken:
+                return taken
 
     def _worker_loop(self, index: int, session: InferenceSession) -> None:
         while True:
@@ -521,9 +350,6 @@ class InferenceServer:
                             ServeError(f"inference failed: {exc!r}"))
                         self._drop(request, "worker_error")
                 self.metrics.inc("serve.failed", len(taken))
-            finally:
-                with self._lock:
-                    self._in_flight -= len(taken)
 
     def _run_batch(self, index: int, session: InferenceSession,
                    taken: list[_Request]) -> None:
@@ -635,22 +461,6 @@ class InferenceServer:
             tracer.async_slice("batching", request.id, dequeued, exec_start,
                                **base)
         tracer.async_slice("execute", request.id, exec_start, done_us, **base)
-
-    # -- introspection -------------------------------------------------
-
-    def stats(self) -> dict[str, float]:
-        """Point-in-time health/metrics snapshot (counters, gauges,
-        latency and batch-occupancy quantiles; with an SLO monitor
-        attached, fresh ``slo.*`` burn-rate gauges)."""
-        if self.slo is not None:
-            self.slo.export_gauges(self.metrics)
-        snapshot = self.metrics.snapshot()
-        with self._lock:
-            snapshot["serve.queue_depth"] = float(len(self._queue))
-            snapshot["serve.in_flight"] = float(self._in_flight)
-        snapshot["serve.workers"] = float(self.config.num_workers)
-        snapshot["serve.graph_batch"] = float(self.graph_batch)
-        return snapshot
 
 
 def resolve_plan(graph: Graph, *, tuned: bool = False, cache_dir=None,

@@ -30,6 +30,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..core import TeMCOConfig, estimate_peak_internal, optimize
+from ..data.synthetic import random_inputs
 from ..decompose import DecompositionConfig, decompose_graph
 from ..ir.graph import Graph
 from ..ir.node import Node
@@ -149,11 +150,8 @@ def _site_measurer(node: Node, repeats: int,
 
 
 def _graph_seconds(graph: Graph, *, repeats: int, seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    inputs = {v.name: rng.normal(size=v.shape).astype(v.dtype.np)
-              for v in graph.inputs}
     timing = InferenceSession(graph).time_inference(
-        inputs, warmup=1, repeats=max(1, repeats))
+        random_inputs(graph, seed), warmup=1, repeats=max(1, repeats))
     return timing.best
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.data import random_inputs
 from repro.ir import GraphBuilder
 
 
@@ -47,6 +48,4 @@ def make_residual_graph(seed: int = 0, batch: int = 2, channels: int = 16,
 
 
 def random_input(graph, seed: int = 0) -> dict[str, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    return {v.name: rng.normal(size=v.shape).astype(v.dtype.np)
-            for v in graph.inputs}
+    return random_inputs(graph, seed)

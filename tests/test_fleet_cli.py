@@ -25,7 +25,7 @@ class TestLoadgenFleet:
     def test_fleet_loadgen_survives_kill_fault(self, capsys, tmp_path):
         metrics_out = tmp_path / "fleet.metrics"
         assert main(["loadgen", "unet_small", "--batch", "2", "--hw", "16",
-                     "--fleet", "3", "--fault", "1:kill:3",
+                     "--fleet", "3", "--fault", "1:kill:2",
                      "--requests", "12", "--concurrency", "4",
                      "--metrics-out", str(metrics_out), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

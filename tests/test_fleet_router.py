@@ -1,4 +1,8 @@
-"""The fleet router: balancing, failover, hedging, typed errors."""
+"""The fleet router: balancing, failover, hedging, typed errors.
+
+What the router shares with a single server (admission checks,
+``infer``, drain, lifecycle) is covered in ``test_servable.py``.
+"""
 
 import threading
 import time
@@ -9,10 +13,10 @@ import pytest
 from repro.fleet import (FaultPolicy, PoolConfig, ReplicaPool, Router,
                          RouterConfig)
 from repro.serve import (DeadlineExceeded, InferenceServer, LoadgenConfig,
-                         Overloaded, ServerClosed, ServerConfig,
-                         ServerDraining, run_loadgen)
+                         Overloaded, ServeError, ServerConfig, run_loadgen)
 
 from _graph_fixtures import make_chain_graph
+from test_servable import serving_threads, wait_until
 
 
 def _fleet(replicas=2, *, graph=None, fault=None, router=None, **pool_kwargs):
@@ -68,12 +72,6 @@ class TestRouting:
             assert future.served_by in (0, 1)
             assert future.attempts >= 1
             assert future.trace_id
-
-    def test_submit_after_close_raises(self):
-        fleet = _fleet(replicas=1).start()
-        fleet.close()
-        with pytest.raises(ServerClosed):
-            fleet.submit(_payload(fleet.graph))
 
 
 class TestFailover:
@@ -156,32 +154,66 @@ class TestFailover:
             assert report.rejected == 4
 
 
-class TestDrain:
-    def test_drain_finishes_in_flight_then_rejects(self):
-        with _fleet(replicas=2) as fleet:
-            futures = [fleet.submit(_payload(fleet.graph, seed=i))
-                       for i in range(6)]
-            assert fleet.drain(timeout=10.0)
-            for future in futures:
-                assert future.result(0)  # all in-flight work completed
-            with pytest.raises(ServerClosed):  # drain ends fully closed
-                fleet.submit(_payload(fleet.graph))
-            assert fleet.closed
+class TestNoHelperThreads:
+    """Lost attempts settle from completion callbacks: nothing polls,
+    nothing reaps, and close() leaves no serving thread behind."""
 
-    def test_drain_flips_health(self):
-        fleet = _fleet(replicas=1).start()
-        try:
-            assert fleet.healthy()
-            assert fleet.health_doc()["status"] == "ok"
-            fleet._draining = True
-            assert not fleet.healthy()
-            assert fleet.health_doc()["status"] == "draining"
-            with pytest.raises(ServerDraining):
-                fleet.submit(_payload(fleet.graph))
-        finally:
-            fleet._draining = False
-            fleet.close()
-        assert fleet.health_doc()["status"] == "unavailable"
+    def _settled(self, fleet):
+        return wait_until(lambda: all(r.outstanding == 0
+                                      for r in fleet.pool.replicas))
+
+    def test_hedge_loser_settles_from_its_callback(self):
+        before = set(threading.enumerate())
+        # both replicas hold a batch open for 100 ms, so the hedge
+        # (due at 10 ms) is always launched and one attempt always loses
+        config = RouterConfig(hedge_delay_s=0.01)
+        with _fleet(replicas=2, server=ServerConfig(max_wait_s=0.1),
+                    router=config) as fleet:
+            future = fleet.submit(_payload(fleet.graph))
+            assert future.result(10.0) and future.attempts == 2
+            assert fleet.metrics.get("fleet.hedges") == 1
+            assert self._settled(fleet)
+        assert wait_until(lambda: not serving_threads(before)), \
+            serving_threads(before)
+
+    def test_black_holed_attempt_settles_when_the_fleet_closes(self):
+        before = set(threading.enumerate())
+        fault = FaultPolicy(replica=0, kind="stall", after=1)
+        config = RouterConfig(hedge_delay_s=0.02, attempt_timeout_s=30.0)
+        with _fleet(replicas=2, fault=fault, router=config) as fleet:
+            assert fleet.infer(_payload(fleet.graph), timeout=10.0)
+            stalled = fleet.pool.replicas[0]
+            assert stalled.outstanding == 1  # swallowed, never answered
+        assert stalled.outstanding == 0
+        assert wait_until(lambda: not serving_threads(before)), \
+            serving_threads(before)
+
+    def test_close_wakes_a_request_stuck_on_a_stalled_replica(self):
+        before = set(threading.enumerate())
+        fault = FaultPolicy(replica=0, kind="stall", after=1)
+        config = RouterConfig(hedge=False, attempt_timeout_s=30.0)
+        fleet = _fleet(replicas=1, fault=fault, router=config).start()
+        future = fleet.submit(_payload(fleet.graph))
+        assert wait_until(lambda: fleet.pool.replicas[0].outstanding == 1)
+        start = time.monotonic()
+        fleet.close()
+        with pytest.raises(ServeError):
+            future.result(5.0)
+        assert time.monotonic() - start < 1.0  # not the attempt timeout
+        assert wait_until(lambda: not serving_threads(before)), \
+            serving_threads(before)
+
+    def test_slow_fault_relays_without_a_blocked_thread(self):
+        before = set(threading.enumerate())
+        fault = FaultPolicy(replica=0, kind="slow", after=1, slow_s=0.1)
+        config = RouterConfig(hedge=False)
+        with _fleet(replicas=1, fault=fault, router=config) as fleet:
+            future = fleet.submit(_payload(fleet.graph))
+            outputs = future.result(10.0)
+            assert outputs and future.latency_s >= 0.1
+            assert self._settled(fleet)
+        assert wait_until(lambda: not serving_threads(before)), \
+            serving_threads(before)
 
 
 class TestServableSurface:

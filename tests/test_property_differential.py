@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import compare_graphs, optimize, simulate
+from repro.core import (compare_graphs, estimate_peak_floor, optimize,
+                        simulate)
 from repro.decompose import DecompositionConfig, decompose_graph
 from repro.ir import graph_from_dict, graph_to_dict
 from repro.plan import InfeasibleBudget, plan_memory
@@ -79,6 +80,9 @@ def test_simulated_timeline_is_the_measured_one(inplace, seed):
                          inplace_activations=inplace).memory
         assert schedule.live == _measured_timeline(memory)
         assert schedule.peak_bytes == memory.peak_internal_bytes
+        # unused inputs are freed as they are bound, so even with
+        # strays the floor never exceeds the (default-policy) peak
+        assert estimate_peak_floor(graph) <= simulate(graph).peak_bytes
         assert schedule.peak_index == next(
             e.node_index for e in memory.ledger.events
             if e.live_bytes == memory.peak_internal_bytes)

@@ -124,6 +124,32 @@ class TestEndpoints:
             frontend.close()
 
 
+class TestFrontendLifecycle:
+    def test_with_block_runs_one_acceptor_and_closes_promptly(self):
+        import threading
+        import time
+
+        def acceptors():
+            return [t for t in threading.enumerate()
+                    if t.name == "repro-serve-http" and t.is_alive()]
+
+        before = acceptors()
+        g = make_chain_graph(batch=4)
+        with InferenceServer(g, ServerConfig(max_wait_s=0.0)) as server:
+            start = time.monotonic()
+            # serve_http() returns a started frontend and the with-block
+            # starts it again: still exactly one acceptor thread
+            with serve_http(server, port=0) as frontend:
+                assert len(acceptors()) == len(before) + 1
+                assert frontend.start() is frontend
+                assert len(acceptors()) == len(before) + 1
+                host, port = frontend.address
+                assert _get(f"http://{host}:{port}/healthz")[0] == 200
+            assert time.monotonic() - start < 1.0
+            assert acceptors() == before
+            frontend.close()  # idempotent
+
+
 class TestBodyLimits:
     def test_oversized_body_is_413(self):
         g = make_chain_graph(batch=4)

@@ -1,4 +1,8 @@
-"""InferenceServer: batching equivalence, backpressure, deadlines."""
+"""InferenceServer: batching equivalence, backpressure, deadlines.
+
+What the server shares with the fleet router (admission checks,
+``infer``, drain, lifecycle) is covered in ``test_servable.py``.
+"""
 
 import time
 
@@ -73,13 +77,6 @@ class TestServedNumerics:
              for lo in (0, 4, 8)])
         assert np.array_equal(served[out_name], reference[:10])
 
-    def test_bare_array_convenience(self):
-        g = make_chain_graph(batch=4)
-        with InferenceServer(g, ServerConfig(max_wait_s=0.0)) as server:
-            served = server.infer(_sample(3)["x"], timeout=10.0)
-        assert served[g.outputs[0].name].shape[0] == 1
-
-
 class TestBackpressure:
     def test_full_queue_rejects_typed_and_does_not_enqueue(self):
         g = make_chain_graph(batch=4)
@@ -104,14 +101,6 @@ class TestBackpressure:
                 future.result(1.0)
         with pytest.raises(ServerClosed):
             server.submit(_sample(9))
-
-    def test_close_is_idempotent(self):
-        g = make_chain_graph(batch=4)
-        server = InferenceServer(g).start()
-        server.close()
-        server.close()
-        assert not server.healthy()
-
 
 class TestDeadlines:
     def test_expired_request_is_shed_and_counted(self):
@@ -250,54 +239,3 @@ class TestWorkerAttribution:
             server.submit(_sample(0)).result(10.0)
         # sessions got the no-op tracer: nothing to assert beyond "works"
         assert server.stats()["serve.completed"] == 1
-
-
-class TestDrain:
-    def test_drain_finishes_in_flight_and_flips_health(self):
-        from repro.serve import ServerDraining
-
-        g = make_chain_graph(batch=4)
-        # a hold-open window keeps the request in flight long enough
-        # for the drain to start with work outstanding
-        config = ServerConfig(num_workers=1, max_wait_s=0.2)
-        with InferenceServer(g, config) as server:
-            assert server.healthy()
-            assert server.health_doc()["status"] == "ok"
-            future = server.submit(_sample(0))
-            assert server.drain(timeout=10.0)
-            assert future.done() and future.result(0)
-            assert not server.healthy()
-            with pytest.raises(ServerClosed):
-                server.submit(_sample(1))
-
-    def test_submit_while_draining_is_typed_rejection(self):
-        from repro.serve import ServerDraining
-
-        g = make_chain_graph(batch=4)
-        with InferenceServer(g, ServerConfig(max_wait_s=0.0)) as server:
-            # freeze the server in its draining state: drain() holds it
-            # there only as long as work is in flight, which is too
-            # brief to assert against reliably
-            server._draining = True
-            try:
-                assert server.draining
-                assert server.health_doc()["status"] == "draining"
-                assert not server.healthy()
-                with pytest.raises(ServerDraining):
-                    server.submit(_sample(1))
-            finally:
-                server._draining = False
-            assert server.drain(timeout=10.0)
-
-    def test_drain_on_idle_server_is_immediate(self):
-        g = make_chain_graph(batch=4)
-        with InferenceServer(g, ServerConfig(max_wait_s=0.0)) as server:
-            start = time.monotonic()
-            assert server.drain(timeout=10.0)
-            assert time.monotonic() - start < 2.0
-
-    def test_drain_is_idempotent(self):
-        g = make_chain_graph(batch=4)
-        with InferenceServer(g, ServerConfig(max_wait_s=0.0)) as server:
-            assert server.drain(timeout=10.0)
-            assert server.drain(timeout=10.0)  # already closed: still True
