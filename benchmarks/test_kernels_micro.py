@@ -9,8 +9,8 @@ comparison: separate lconv/act/fconv layers vs the fused tiled kernel
 import numpy as np
 import pytest
 
-from repro.kernels import (conv2d, fused_block, get_activation, maxpool2d,
-                           pointwise_conv)
+from repro.kernels import (conv2d, fused_block, fused_restore,
+                           get_activation, maxpool2d, pointwise_conv)
 
 RNG = np.random.default_rng(0)
 
@@ -76,3 +76,37 @@ class TestFusedVsSeparate:
         x = _data((4, self.C_IN, self.HW, self.HW))
         w1, b1, w2, b2 = self._weights()
         benchmark(fused_block, x, w1, b1, w2, b2, "relu", None, 0, 32, 8)
+
+
+MAXPOOL_3S2P1 = {"kind": "max", "kernel": (3, 3), "stride": (2, 2),
+                 "padding": (1, 1)}
+
+
+@pytest.mark.parametrize("batch", [4, 32])
+class TestHotSites:
+    """The fused / pool call sites that carry perfbench's `graph_b4` and
+    `graph_b32` (shapes read off the traced zoo at Tucker r=0.1, hw 32),
+    so a kernel-layer regression shows without a 30 s perfbench run."""
+
+    def test_fused_restore_fractalnet(self, benchmark, batch):
+        # (N,2,32,32) -> 16 channels + relu: 131 calls per fractalnet run
+        x, w1, b1 = _data((batch, 2, 32, 32)), _data((16, 2)), _data(16)
+        benchmark(fused_restore, x, w1, b1, "relu", None, 0, 16)
+
+    def test_fused_block_pooled_alexnet(self, benchmark, batch):
+        # (N,19,8,8) -> 192 -> 19 around a 3x3/s2/p1 max pool
+        x = _data((batch, 19, 8, 8))
+        w1, b1 = _data((192, 19)), _data(192)
+        w2, b2 = _data((19, 192)), _data(19)
+        benchmark(fused_block, x, w1, b1, w2, b2, "relu", MAXPOOL_3S2P1)
+
+    def test_fused_block_densenet(self, benchmark, batch):
+        # (N,64,4,4) -> 176 -> 88: tiny tiles, dispatch-bound
+        x = _data((batch, 64, 4, 4))
+        w1, b1 = _data((176, 64)), _data(176)
+        w2, b2 = _data((88, 176)), _data(88)
+        benchmark(fused_block, x, w1, b1, w2, b2, "relu")
+
+    def test_maxpool_overlapping_padded(self, benchmark, batch):
+        x = _data((batch, 64, 16, 16))
+        benchmark(maxpool2d, x, (3, 3), (2, 2), (1, 1))

@@ -3,7 +3,8 @@
 Each activation is a pure ``ndarray -> ndarray`` function; the fused
 block reuses these on channel-block tiles, which is what makes
 activation-layer fusion semantics-preserving (the activation is applied
-to exactly the same elements, just in tiled order).
+to exactly the same elements, just in tiled order) and, through ``out=``
+(which may be the input), in place with the same arithmetic.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ __all__ = ["relu", "silu", "sigmoid", "tanh", "leaky_relu", "elu",
            "hardswish", "gelu", "get_activation", "softmax"]
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.maximum(x, 0, out=out)
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # numerically stable piecewise logistic
-    out = np.empty_like(x)
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # numerically stable piecewise logistic (each half reads before it writes)
+    if out is None:
+        out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
@@ -30,36 +32,46 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def silu(x: np.ndarray) -> np.ndarray:
+def silu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Sigmoid-weighted linear unit (a.k.a. swish), x * sigmoid(x)."""
-    return x * sigmoid(x)
+    return np.multiply(x, sigmoid(x), out=out)
 
 
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
+def tanh(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.tanh(x, out=out)
 
 
-def leaky_relu(x: np.ndarray, negative_slope: float = 0.01) -> np.ndarray:
-    return np.where(x >= 0, x, negative_slope * x)
+def leaky_relu(x: np.ndarray, negative_slope: float = 0.01,
+               out: np.ndarray | None = None) -> np.ndarray:
+    result = np.where(x >= 0, x, negative_slope * x)
+    if out is None:
+        return result
+    out[...] = result
+    return out
 
 
-def elu(x: np.ndarray, alpha: float = 1.0) -> np.ndarray:
+def elu(x: np.ndarray, alpha: float = 1.0,
+        out: np.ndarray | None = None) -> np.ndarray:
     """Exponential linear unit: x for x>0, α(eˣ−1) otherwise."""
-    out = x.copy()
+    if out is None:
+        out = x.copy()
+    elif out is not x:
+        out[...] = x
     neg = x < 0
     out[neg] = alpha * np.expm1(x[neg])
     return out
 
 
-def hardswish(x: np.ndarray) -> np.ndarray:
+def hardswish(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """x · clip(x+3, 0, 6) / 6 (MobileNetV3's cheap swish)."""
-    return x * np.clip(x + 3.0, 0.0, 6.0) / 6.0
+    return np.divide(x * np.clip(x + 3.0, 0.0, 6.0), 6.0, out=out)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
+def gelu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Gaussian error linear unit (tanh approximation)."""
-    c = np.sqrt(2.0 / np.pi)
-    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x ** 3)))
+    c = (2.0 / np.pi) ** 0.5  # a Python float: keeps a float32 input float32
+    return np.multiply(0.5 * x, 1.0 + np.tanh(c * (x + 0.044715 * x ** 3)),
+                       out=out)
 
 
 def softmax(x: np.ndarray, axis: int = 1) -> np.ndarray:

@@ -12,10 +12,19 @@ blocks*: for each block of ``block_size`` restored channels we
 
 At no point does the full restored tensor ``(N, C', H, W)`` exist —
 only one ``(N, block, H, W)`` tile, which is the entire memory claim of
-activation-layer fusion.  The per-element results are bit-identical to
-running the three layers separately (same contractions, same order of
-activation application; only the fconv summation order over C' changes,
-a float-reassociation the equivalence checker bounds).
+activation-layer fusion.  The results equal running the three layers
+separately up to float reassociation, which the equivalence checker
+bounds (same contractions and activation order; the GEMMs run per sample
+and the fconv sums over C' block by block).
+
+One tile buffer is allocated per call and reused by every block: step 1
+is a batched ``np.matmul(w1[c0:c1], x, out=tile)`` (one GEMM per sample,
+so no sample's result depends on its batch neighbours), bias and
+activation run in place, and step 4 is a batched GEMM into one reused
+accumulator that is added into the output; a restore with nothing to
+resample writes straight into its output slice.  Beyond its two GEMMs a
+block costs two in-place passes, the pooling passes and ~10 NumPy calls
+of fixed dispatch, which is what dominates at batch 4.
 
 Correctness constraint from the paper (§3.2): the activation is
 element-wise and the fconv needs *all* activated channels per output
@@ -30,6 +39,7 @@ from typing import Any
 
 import numpy as np
 
+from ..ir.ops import conv_output_hw
 from .activation import get_activation
 from .pool import avgpool2d, maxpool2d, upsample_nearest
 
@@ -54,37 +64,61 @@ def _resample(tile: np.ndarray, pool: dict[str, Any] | None,
     return tile
 
 
+def _resampled_hw(h: int, w: int, pool: dict[str, Any] | None,
+                  upsample: int) -> tuple[int, int]:
+    """Spatial size of an ``h x w`` tile after :func:`_resample`."""
+    if pool is not None:
+        return conv_output_hw(h, w, pool["kernel"],
+                              pool.get("stride", pool["kernel"]),
+                              pool.get("padding", 0))
+    scale = int(upsample) or 1
+    return h * scale, w * scale
+
+
 def _fused_core(x_region: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
                 w2: np.ndarray | None, act_fn,
                 pool: dict[str, Any] | None, upsample: int,
-                block_size: int) -> np.ndarray:
-    """Channel-blocked lconv→act→resample[→fconv] over one spatial region."""
+                block_size: int, out: np.ndarray) -> None:
+    """Channel-blocked lconv→act→resample[→fconv] over one spatial region,
+    streamed through one reusable tile into ``out``, that region's output."""
+    n, r_in, h, w = x_region.shape
     c_prime = w1.shape[0]
-    out: np.ndarray | None = None
+    # a view, except for a spatial tile of a larger input (rank-R, tile-sized copy)
+    x_flat = x_region.reshape(n, r_in, h * w)
+    # a restore with nothing to resample lands straight in its output slice
+    direct = (w2 is None and pool is None and not upsample
+              and out.flags.c_contiguous)
+    if not direct:
+        scratch = np.empty((n, block_size, h * w),
+                           dtype=np.result_type(x_region, w1))
+    if w2 is not None:
+        acc = np.empty((n, out.shape[1], out.shape[2] * out.shape[3]),
+                       dtype=out.dtype)
+        acc_nchw = acc.reshape(out.shape)
     for c0 in range(0, c_prime, block_size):
         c1 = min(c0 + block_size, c_prime)
-        # (1) restore a channel block: (N, blk, h, w)
-        tile = np.einsum("nrhw,br->nbhw", x_region, w1[c0:c1], optimize=True)
+        tile = (out[:, c0:c1].reshape(n, c1 - c0, h * w) if direct
+                else scratch[:, :c1 - c0])
+        # (1) restore a channel block, one GEMM per sample: (N, blk, h*w)
+        np.matmul(w1[c0:c1], x_flat, out=tile)
         if b1 is not None:
-            tile += b1[c0:c1][None, :, None, None]
-        # (2) activation on the tile
+            tile += b1[c0:c1, None]
+        # (2) activation, in place
         if act_fn is not None:
-            tile = act_fn(tile)
+            act_fn(tile, out=tile)
+        if direct:
+            continue
         # (3) optional spatial resampling per block
-        tile = _resample(tile, pool, upsample)
+        tile = _resample(tile.reshape(n, c1 - c0, h, w), pool, upsample)
         if w2 is None:  # restore epilogue: write the block through
-            if out is None:
-                n = x_region.shape[0]
-                out = np.empty((n, c_prime, tile.shape[2], tile.shape[3]),
-                               dtype=x_region.dtype)
             out[:, c0:c1] = tile
         else:
             # (4) accumulate into the reduced output
-            contribution = np.einsum("nbhw,ob->nohw", tile, w2[:, c0:c1],
-                                     optimize=True)
-            out = contribution if out is None else out + contribution
-    assert out is not None  # C' >= 1 by construction
-    return out
+            np.matmul(w2[:, c0:c1], tile.reshape(n, c1 - c0, -1), out=acc)
+            if c0 == 0:
+                out[...] = acc_nchw
+            else:
+                out += acc_nchw
 
 
 def spatially_tileable(h: int, w: int, spatial_tile: int,
@@ -144,58 +178,40 @@ def fused_block(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
     """
     if pool is not None and upsample:
         raise ValueError("fused_block cannot both pool and upsample")
-    n, r_in, h, w = x.shape
+    _n, r_in, _h, _w = x.shape
     c_prime, r_in_w = w1.shape
     if r_in_w != r_in:
         raise ValueError(f"w1 in-channels {r_in_w} != input channels {r_in}")
-    r_out, c_prime_w = w2.shape
+    _r_out, c_prime_w = w2.shape
     if c_prime_w != c_prime:
         raise ValueError(f"w2 in-channels {c_prime_w} != w1 out-channels {c_prime}")
     act_fn = get_activation(act, **(act_params or {})) if act is not None else None
-    block_size = min(max(1, int(block_size)), c_prime)
-    spatial_tile = int(spatial_tile or 0)
-
-    if not spatially_tileable(h, w, spatial_tile, pool):
-        out = _fused_core(x, w1, b1, w2, act_fn, pool, upsample, block_size)
-    else:
-        out = _tiled(x, w1, b1, w2, act_fn, pool, upsample, block_size,
-                     spatial_tile, out_channels=r_out)
+    out = _tiled(x, w1, b1, w2, act_fn, pool, upsample, block_size,
+                 spatial_tile, np.result_type(x, w1, w2))
     if b2 is not None:
         out += b2[None, :, None, None]
-    return np.ascontiguousarray(out)
+    return out
 
 
 def _tiled(x, w1, b1, w2, act_fn, pool, upsample, block_size, spatial_tile,
-           out_channels):
-    """Loop exact spatial tiles, mapping each to its output region."""
+           dtype):
+    """Run the core over each exact spatial tile (the whole input when
+    tiling is off or inexact), each writing its own region of the output."""
     n, _r, h, w = x.shape
-    if pool is not None:
-        sh, sw = pool.get("stride", pool["kernel"])
-        oh, ow = h // sh, w // sw
-
-        def out_range(y0, x0, y1, x1):
-            return y0 // sh, x0 // sw, y1 // sh, x1 // sw
-    elif upsample:
-        scale = int(upsample)
-        oh, ow = h * scale, w * scale
-
-        def out_range(y0, x0, y1, x1):
-            return y0 * scale, x0 * scale, y1 * scale, x1 * scale
-    else:
-        oh, ow = h, w
-
-        def out_range(y0, x0, y1, x1):
-            return y0, x0, y1, x1
-
-    out = np.empty((n, out_channels, oh, ow), dtype=x.dtype)
-    for y0 in range(0, h, spatial_tile):
-        for x0 in range(0, w, spatial_tile):
-            y1 = min(y0 + spatial_tile, h)
-            x1 = min(x0 + spatial_tile, w)
-            region = x[:, :, y0:y1, x0:x1]
-            oy0, ox0, oy1, ox1 = out_range(y0, x0, y1, x1)
-            out[:, :, oy0:oy1, ox0:ox1] = _fused_core(
-                region, w1, b1, w2, act_fn, pool, upsample, block_size)
+    c_prime = w1.shape[0]
+    block_size = min(max(1, int(block_size)), c_prime)
+    th, tw = h, w
+    if spatially_tileable(h, w, int(spatial_tile or 0), pool):
+        th = tw = int(spatial_tile)
+    oth, otw = _resampled_hw(th, tw, pool, upsample)
+    out = np.empty((n, c_prime if w2 is None else w2.shape[0],
+                    h // th * oth, w // tw * otw), dtype=dtype)
+    for ty in range(h // th):
+        for tx in range(w // tw):
+            _fused_core(x[:, :, ty * th:(ty + 1) * th, tx * tw:(tx + 1) * tw],
+                        w1, b1, w2, act_fn, pool, upsample, block_size,
+                        out[:, :, ty * oth:(ty + 1) * oth,
+                            tx * otw:(tx + 1) * otw])
     return out
 
 
@@ -219,17 +235,13 @@ def fused_restore(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
     """
     if pool is not None and upsample:
         raise ValueError("fused_restore cannot both pool and upsample")
-    n, r_in, h, w = x.shape
-    c_prime, r_in_w = w1.shape
+    _n, r_in, _h, _w = x.shape
+    _c_prime, r_in_w = w1.shape
     if r_in_w != r_in:
         raise ValueError(f"w1 in-channels {r_in_w} != input channels {r_in}")
     act_fn = get_activation(act, **(act_params or {})) if act is not None else None
-    block_size = min(max(1, int(block_size)), c_prime)
-    spatial_tile = int(spatial_tile or 0)
-    if not spatially_tileable(h, w, spatial_tile, pool):
-        return _fused_core(x, w1, b1, None, act_fn, pool, upsample, block_size)
     return _tiled(x, w1, b1, None, act_fn, pool, upsample, block_size,
-                  spatial_tile, out_channels=c_prime)
+                  spatial_tile, x.dtype)
 
 
 def fused_scratch_bytes(input_shape: tuple[int, ...], itemsize: int,
@@ -242,6 +254,13 @@ def fused_scratch_bytes(input_shape: tuple[int, ...], itemsize: int,
     Reported separately from internal-tensor memory (the paper's CUDA
     tiles live in shared memory, outside the DRAM tensor pool); exposed
     for the tile-size ablation benchmark.
+
+    Beyond the returned array the kernels hold at most this tile + one
+    resampled tile (pooled: the padded tile while it is reduced;
+    upsampled: ``scale + scale²`` tiles) + one ``(N, R_out, tile)`` fconv
+    accumulator, all independent of ``C'`` (measured with ``tracemalloc``
+    in ``tests/test_kernels_fused.py``); an exact ``spatial_tile`` also
+    copies its rank-``R`` input region, which is strided.
     """
     n, _r, h, w = input_shape
     blk = max(1, int(block_size))

@@ -36,8 +36,10 @@ logger = logging.getLogger(__name__)
 __all__ = ["TuneCache", "TuneRecord", "SiteRecord", "default_cache_dir",
            "CACHE_VERSION"]
 
-#: Bump to invalidate every existing entry on schema change.
-CACHE_VERSION = 1
+#: Bump to invalidate every existing entry: on a schema change, and when
+#: the fused kernels change enough that measured winners go stale
+#: (2: streaming batched-GEMM kernel; v1 picks were timed on the einsum one).
+CACHE_VERSION = 2
 
 
 def default_cache_dir() -> Path:

@@ -38,8 +38,9 @@ DEFAULT_BLOCK_SIZES = (4, 8, 16, 32, 64, 128, 256)
 DEFAULT_SPATIAL_TILES = (0, 8, 16, 32)
 
 #: Modeled fixed cost of one block dispatch, in equivalent traffic
-#: bytes.  The NumPy kernels pay einsum setup + allocation per block;
-#: this term is what makes tiny blocks score badly.
+#: bytes.  The NumPy kernels pay a fixed ~10 calls per block (two GEMM
+#: launches, the in-place bias and activation passes, slicing, and the
+#: accumulator add); this term is what makes tiny blocks score badly.
 _DISPATCH_OVERHEAD_BYTES = 32 * 1024
 
 
@@ -136,11 +137,11 @@ def estimate_cost(site: SiteSpec, block_size: int,
     oh, ow = site.out_hw
     out_ch = site.r_out if site.r_out is not None else site.c_prime
 
-    flops = 2 * n * site.c_prime * r_in * h * w          # restore einsum
+    flops = 2 * n * site.c_prime * r_in * h * w          # restore GEMM
     if site.act is not None:
         flops += n * site.c_prime * h * w
     if site.r_out is not None:
-        flops += 2 * n * site.r_out * site.c_prime * oh * ow  # fconv einsum
+        flops += 2 * n * site.r_out * site.c_prime * oh * ow  # fconv GEMM
 
     # traffic: input re-read per channel block; weights once per spatial
     # tile; the tile itself written+read through act/resample; the fconv

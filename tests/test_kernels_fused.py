@@ -1,5 +1,7 @@
 """The fused kernels vs running the layers separately (Listing 1 claim)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,3 +134,126 @@ class TestScratchAccounting:
         shape = (1, 8, 10, 10)
         assert fused_scratch_bytes(shape, 4, block_size=64, c_prime=5) == \
             fused_scratch_bytes(shape, 4, block_size=5)
+
+
+MAXPOOL_3S2P1 = {"kind": "max", "kernel": (3, 3), "stride": (2, 2),
+                 "padding": (1, 1)}
+AVGPOOL_2 = {"kind": "avg", "kernel": (2, 2), "stride": (2, 2),
+             "padding": (0, 0)}
+#: the resampling / tiling forms a fused kernel runs in
+VARIANTS = {
+    "plain": {},
+    "maxpool": {"pool": MAXPOOL_3S2P1},
+    "avgpool": {"pool": AVGPOOL_2},
+    "upsample": {"upsample": 2},
+    "spatial_tile": {"spatial_tile": 4},
+    "spatial_tile+avgpool": {"spatial_tile": 4, "pool": AVGPOOL_2},
+    "spatial_tile+upsample": {"spatial_tile": 4, "upsample": 2},
+}
+
+
+def _f32(rng, *shape):
+    return rng.normal(size=shape).astype(np.float32)
+
+
+class TestPerSampleIndependence:
+    """``kernel(x)[i]`` is bitwise ``kernel(x[i:i+1])``: a sample's answer
+    does not depend on its batch neighbours.  The micro-batcher's
+    "padded batch == direct run" promise rests on this property."""
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_fused_block(self, rng, n, variant):
+        x = _f32(rng, n, 5, 8, 8)
+        w1, b1 = _f32(rng, 40, 5), _f32(rng, 40)
+        w2, b2 = _f32(rng, 7, 40), _f32(rng, 7)
+        kwargs = dict(act="relu", block_size=16, **VARIANTS[variant])
+        whole = fused_block(x, w1, b1, w2, b2, **kwargs)
+        for i in range(n):
+            alone = fused_block(x[i:i + 1], w1, b1, w2, b2, **kwargs)
+            assert whole[i:i + 1].tobytes() == alone.tobytes(), (variant, i)
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_fused_restore(self, rng, n, variant):
+        x = _f32(rng, n, 3, 8, 8)
+        w1, b1 = _f32(rng, 40, 3), _f32(rng, 40)
+        kwargs = dict(act="silu", block_size=16, **VARIANTS[variant])
+        whole = fused_restore(x, w1, b1, **kwargs)
+        for i in range(n):
+            alone = fused_restore(x[i:i + 1], w1, b1, **kwargs)
+            assert whole[i:i + 1].tobytes() == alone.tobytes(), (variant, i)
+
+
+def _traced_peak(fn):
+    """(result, peak bytes allocated while ``fn`` ran, result included)."""
+    fn()  # first-call caches (ufunc loops, BLAS buffers) are not scratch
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestScratchMeasured:
+    """`fused_scratch_bytes` against what the kernels really hold: beyond
+    the returned array, at most the tile + one resample call on that tile
+    + one fconv accumulator (`fused_block`) — whatever ``C'`` is."""
+
+    N, R, HW, BLOCK, R_OUT = 2, 8, 64, 16, 8  # tile 512 KiB, accumulator 256 KiB
+    #: NumPy's own fixed-size ufunc buffers (8192 elements each: one for the
+    #: broadcast bias add, two for ``+=`` into a strided region) + views
+    SLACK = 72 * 1024
+
+    def _transient(self, rng, c_prime, fconv, **variant):
+        x = _f32(rng, self.N, self.R, self.HW, self.HW)
+        w1, b1 = _f32(rng, c_prime, self.R), _f32(rng, c_prime)
+        if fconv:
+            w2, b2 = _f32(rng, self.R_OUT, c_prime), _f32(rng, self.R_OUT)
+            out, peak = _traced_peak(lambda: fused_block(
+                x, w1, b1, w2, b2, act="relu", block_size=self.BLOCK,
+                **variant))
+        else:
+            out, peak = _traced_peak(lambda: fused_restore(
+                x, w1, b1, act="relu", block_size=self.BLOCK, **variant))
+        return peak - out.nbytes, out
+
+    def _bound(self, rng, out, fconv, pool=None, upsample=0, spatial_tile=0):
+        edge = spatial_tile or self.HW
+        scratch = fused_scratch_bytes((self.N, self.R, self.HW, self.HW), 4,
+                                      block_size=self.BLOCK,
+                                      spatial_tile=spatial_tile)
+        assert scratch == self.N * self.BLOCK * edge * edge * 4
+        tile = _f32(rng, self.N, self.BLOCK, edge, edge)
+        resample = 0
+        if pool is not None:
+            fn = maxpool2d if pool["kind"] == "max" else avgpool2d
+            resample = _traced_peak(lambda: fn(
+                tile, pool["kernel"], pool["stride"], pool["padding"]))[1]
+        elif upsample:
+            resample = _traced_peak(
+                lambda: upsample_nearest(tile, upsample))[1]
+        share = (edge * edge) / (self.HW * self.HW)  # of the output, per tile
+        accumulator = int(out.nbytes * share) if fconv else 0
+        # an exact spatial tile is a strided region: its rank-R input is copied
+        region = self.N * self.R * edge * edge * 4 if spatial_tile else 0
+        return scratch + resample + accumulator + region + self.SLACK
+
+    @pytest.mark.parametrize("fconv", [True, False],
+                             ids=["fused_block", "fused_restore"])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_transient_bounded_and_independent_of_cprime(self, rng, fconv,
+                                                         variant):
+        kwargs = dict(VARIANTS[variant])
+        if kwargs.get("spatial_tile"):
+            kwargs["spatial_tile"] = 32
+        narrow, out = self._transient(rng, 64, fconv, **kwargs)
+        wide, _ = self._transient(rng, 512, fconv, **kwargs)
+        assert abs(wide - narrow) <= self.SLACK, (narrow, wide)
+        assert wide <= self._bound(rng, out, fconv, **kwargs), (variant, wide)
+
+    def test_plain_restore_needs_no_tile(self, rng):
+        # nothing to resample: each block lands in its slice of the output
+        transient, _ = self._transient(rng, 512, fconv=False)
+        assert transient <= self.SLACK

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import (avgpool2d, batchnorm2d, get_activation,
-                           global_avgpool, linear, maxpool2d, relu, sigmoid,
-                           silu, softmax, tanh, upsample_nearest)
+                           global_avgpool, linear, maxpool2d, pad2d, relu,
+                           sigmoid, silu, softmax, sliding_windows, tanh,
+                           upsample_nearest)
 
 
 @pytest.fixture
@@ -45,6 +46,66 @@ class TestPooling:
             for ox in range(4):
                 ref = xp[:, :, 2 * oy:2 * oy + 3, 2 * ox:2 * ox + 3].max(axis=(2, 3))
                 np.testing.assert_array_equal(out[:, :, oy, ox], ref)
+
+    #: (kernel, stride, padding): overlapping + padded, non-square kernel
+    #: and stride, stride > kernel, 1x1, and a window as large as the input
+    GEOMETRIES = [((3, 3), (2, 2), (1, 1)), ((3, 2), (2, 1), (1, 0)),
+                  ((2, 3), (1, 2), (0, 2)), ((2, 2), (3, 3), (0, 0)),
+                  ((1, 1), (1, 1), (0, 0)), ((9, 11), (1, 1), (0, 0)),
+                  ((2, 2), (2, 2), (0, 0))]
+
+    @staticmethod
+    def _windows(x, kernel, stride, padding, fill):
+        """The 6-D window view the kernels reduced before the tap loop."""
+        return sliding_windows(pad2d(x, padding, value=fill), kernel, stride)
+
+    @pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32])
+    def test_maxpool_equals_windowed_reference(self, rng, kernel, stride,
+                                               padding, dtype):
+        x = (rng.normal(size=(2, 3, 9, 11)) * 100).astype(dtype)
+        x[0, 0, :4, :4] = 0  # ties
+        lowest = (np.finfo(dtype).min if np.issubdtype(dtype, np.floating)
+                  else np.iinfo(dtype).min)
+        want = self._windows(x, kernel, stride, padding, lowest).max(axis=(4, 5))
+        got = maxpool2d(x, kernel, stride, padding)
+        assert got.dtype == dtype and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_avgpool_matches_windowed_reference(self, rng, kernel, stride,
+                                                padding, dtype):
+        # the taps are summed rows first, then columns, not in window
+        # order: equal to a few ulps, far inside the equivalence
+        # checker's 1e-5 + 1e-4 * max|reference|
+        x = rng.normal(size=(2, 3, 9, 11)).astype(dtype)
+        want = self._windows(x, kernel, stride, padding, 0.0).mean(
+            axis=(4, 5), dtype=dtype)
+        got = avgpool2d(x, kernel, stride, padding)
+        assert got.dtype == dtype and got.flags.c_contiguous
+        eps = np.finfo(dtype).eps
+        np.testing.assert_allclose(got, want, rtol=8 * eps, atol=8 * eps)
+
+    def test_avgpool_integer_dtype_truncates_like_mean(self):
+        x = np.arange(2 * 16, dtype=np.int32).reshape(1, 2, 4, 4)
+        want = self._windows(x, (2, 2), (2, 2), 0, 0).mean(
+            axis=(4, 5), dtype=np.int32)
+        np.testing.assert_array_equal(avgpool2d(x, (2, 2)), want)
+
+    @pytest.mark.parametrize("pool", [maxpool2d, avgpool2d])
+    def test_window_that_does_not_fit_raises(self, pool):
+        x = np.zeros((1, 1, 2, 5), dtype=np.float32)
+        with pytest.raises(ValueError, match="does not fit"):
+            pool(x, (3, 3))
+        assert pool(x, (3, 3), padding=(1, 0)).shape == (1, 1, 1, 1)
+
+    def test_pool_result_never_aliases_its_input(self, rng):
+        x = rng.normal(size=(1, 2, 3, 3)).astype(np.float32)
+        for pool in (maxpool2d, avgpool2d):
+            out = pool(x, (1, 1))
+            assert not np.shares_memory(out, x)
+            np.testing.assert_array_equal(out, x)
 
     def test_global_avgpool(self, rng):
         x = rng.normal(size=(2, 5, 3, 3))
@@ -93,6 +154,26 @@ class TestActivations:
         s = softmax(x, axis=1)
         np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-12)
         assert np.isfinite(s).all()
+
+    @pytest.mark.parametrize("name,params", [
+        ("relu", {}), ("silu", {}), ("sigmoid", {}), ("tanh", {}),
+        ("leaky_relu", {"negative_slope": 0.2}), ("elu", {"alpha": 0.5}),
+        ("hardswish", {}), ("gelu", {})])
+    def test_out_form_is_bitwise_the_pure_form(self, rng, name, params):
+        # what the fused kernels run on their tile: out= another array,
+        # out= the input itself, and out= a strided view of a larger one
+        fn = get_activation(name, **params)
+        x = rng.normal(scale=3, size=(2, 6, 3, 3)).astype(np.float32)
+        kept = x.copy()
+        want = fn(x)
+        other = np.empty_like(x)
+        assert fn(x, out=other) is other
+        assert other.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(x, kept)  # the pure forms stay pure
+        tile = np.empty((2, 8, 3, 3), dtype=np.float32)[:, :6]
+        tile[...] = x
+        assert fn(tile, out=tile) is tile
+        assert tile.tobytes() == want.tobytes()
 
     def test_get_activation_unknown_raises(self):
         with pytest.raises(KeyError, match="unknown activation"):
