@@ -329,15 +329,19 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _temco_target(graph: Graph, args) -> Graph:
+    """``graph`` decomposed (``--method`` / ``--ratio``) and
+    TeMCO-optimized with the default configuration."""
+    decomposed = decompose_graph(graph, DecompositionConfig(
+        method=args.method, ratio=args.ratio, seed=args.seed))
+    return optimize(decomposed)[0]
+
+
 def _cmd_plan(args) -> int:
     """``repro plan``: compute and display a budget-constrained memory
     plan without (necessarily) running it."""
     graph = _load_model(args.model, args.batch, args.hw, args.seed)
-    target = graph
-    if args.optimize:
-        decomposed = decompose_graph(graph, DecompositionConfig(
-            method=args.method, ratio=args.ratio, seed=args.seed))
-        target, _report = optimize(decomposed)
+    target = _temco_target(graph, args) if args.optimize else graph
     cost_model = PlanCostModel(
         spill_bandwidth_bytes_per_s=args.spill_gbps * 1e9,
         recompute_flops_per_s=args.compute_gflops * 1e9)
@@ -702,11 +706,7 @@ def _cmd_trace(args) -> int:
     graph = _load_model(args.model, args.batch, args.hw, args.seed)
     tracer = Tracer()
     with use_tracer(tracer):
-        target = graph
-        if not args.no_optimize:
-            decomposed = decompose_graph(graph, DecompositionConfig(
-                method=args.method, ratio=args.ratio, seed=args.seed))
-            target, _report = optimize(decomposed)
+        target = graph if args.no_optimize else _temco_target(graph, args)
         result = InferenceSession(target, tracer=tracer).run(
             random_inputs(target, args.seed))
     out = Path(args.trace) if args.trace else Path(f"{graph.name}.trace.json")
@@ -740,11 +740,7 @@ def _cmd_profile(args) -> int:
     graph = _load_model(args.model, args.batch, args.hw, args.seed)
     tracer = Tracer()
     with use_tracer(tracer):
-        target = graph
-        if not args.no_optimize:
-            decomposed = decompose_graph(graph, DecompositionConfig(
-                method=args.method, ratio=args.ratio, seed=args.seed))
-            target, _report = optimize(decomposed)
+        target = graph if args.no_optimize else _temco_target(graph, args)
         inputs = random_inputs(target, args.seed)
         session = InferenceSession(target, tracer=tracer)
         for _ in range(args.repeats):
@@ -1062,6 +1058,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "suffix, or NN%% of the unplanned predicted "
                             "peak (e.g. 256MiB, 60%%)")
 
+    def decomposition_flags(p, purpose: str = ""):
+        def text(what):
+            return f"decomposition {what} {purpose}" if purpose else None
+        p.add_argument("--method", choices=("tucker", "cp", "tt"),
+                       default="tucker", help=text("method"))
+        p.add_argument("--ratio", type=float, default=0.1,
+                       help=text("ratio"))
+
     def tune_flags(p, *, no_tune: bool = True):
         p.add_argument("--tuned", action="store_true",
                        help="use autotuned fused-kernel tiles from the "
@@ -1083,8 +1087,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="decompose + TeMCO-optimize")
     common(p)
     obs_flags(p)
-    p.add_argument("--method", choices=("tucker", "cp", "tt"), default="tucker")
-    p.add_argument("--ratio", type=float, default=0.1)
+    decomposition_flags(p)
     p.add_argument("--rank-policy", choices=("ratio", "energy"),
                    default="ratio", dest="rank_policy")
     p.add_argument("--energy", type=float, default=0.9,
@@ -1099,10 +1102,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     obs_flags(p)
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--method", choices=("tucker", "cp", "tt"), default="tucker",
-                   help="decomposition method for the --tuned plan lookup")
-    p.add_argument("--ratio", type=float, default=0.1,
-                   help="decomposition ratio for the --tuned plan lookup")
+    decomposition_flags(p, "for the --tuned plan lookup")
     budget_flag(p)
     tune_flags(p)
     p.set_defaults(fn=_obs_wrap(_cmd_run))
@@ -1116,10 +1116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--optimize", action="store_true",
                    help="plan the decomposed + TeMCO-optimized graph "
                         "instead of the raw model")
-    p.add_argument("--method", choices=("tucker", "cp", "tt"), default="tucker",
-                   help="decomposition method for --optimize")
-    p.add_argument("--ratio", type=float, default=0.1,
-                   help="decomposition ratio for --optimize")
+    decomposition_flags(p, "for --optimize")
     p.add_argument("--spill-gbps", type=float, default=12.0,
                    dest="spill_gbps", metavar="GBPS",
                    help="modelled host<->device spill bandwidth in GB/s "
@@ -1142,8 +1139,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="per-site")
     p.add_argument("--repeats", type=int, default=2,
                    help="timing repeats per trial (default 2)")
-    p.add_argument("--method", choices=("tucker", "cp", "tt"), default="tucker")
-    p.add_argument("--ratio", type=float, default=0.1)
+    decomposition_flags(p)
     p.add_argument("--concat-strategy", choices=("merge", "split", "none"),
                    default="merge")
     p.add_argument("--force", action="store_true",
@@ -1158,8 +1154,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "inference with full tracing")
     common(p)
     obs_flags(p)
-    p.add_argument("--method", choices=("tucker", "cp", "tt"), default="tucker")
-    p.add_argument("--ratio", type=float, default=0.1)
+    decomposition_flags(p)
     p.add_argument("--no-optimize", action="store_true", dest="no_optimize",
                    help="trace the raw model without decompose+TeMCO")
     p.set_defaults(fn=_cmd_trace)
@@ -1169,8 +1164,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        "flamegraph export")
     common(p)
     obs_flags(p)
-    p.add_argument("--method", choices=("tucker", "cp", "tt"), default="tucker")
-    p.add_argument("--ratio", type=float, default=0.1)
+    decomposition_flags(p)
     p.add_argument("--no-optimize", action="store_true", dest="no_optimize",
                    help="profile the raw model without decompose+TeMCO")
     p.add_argument("--repeats", type=int, default=3,
@@ -1201,11 +1195,7 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="no_batching",
                        help="serve one request per micro-batch (the "
                             "baseline dynamic batching is compared against)")
-        p.add_argument("--method", choices=("tucker", "cp", "tt"),
-                       default="tucker",
-                       help="decomposition method for the --tuned plan lookup")
-        p.add_argument("--ratio", type=float, default=0.1,
-                       help="decomposition ratio for the --tuned plan lookup")
+        decomposition_flags(p, "for the --tuned plan lookup")
         budget_flag(p)
         p.add_argument("--slo", action="append", default=None, metavar="SPEC",
                        help="service-level objective, repeatable: "
@@ -1364,9 +1354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hw", type=int, default=32,
                    help="input resolution (default 32)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ratio", type=float, default=0.1)
-    p.add_argument("--method", choices=("tucker", "cp", "tt"),
-                   default="tucker")
+    decomposition_flags(p)
     p.add_argument("--tolerance", type=float, default=0.0,
                    help="allowed relative measured-vs-predicted peak "
                         "deviation (default 0.0: bit-exact)")

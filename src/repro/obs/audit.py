@@ -17,8 +17,12 @@ the paper's Eq. 3/4):
    ``tolerance``, and is reached at the predicted schedule index,
 3. **timeline** — every per-node live-byte sample equals the predicted
    one within ``tolerance``,
-4. **arena** — the measured max-live never exceeds the planned arena's
-   total bytes, nor the plan's aligned lower bound.
+4. **arena size** — the measured max-live never exceeds the planned
+   arena's total bytes, nor the plan's aligned lower bound,
+5. **arena overlap** — with every slot's planned live interval replaced
+   by the ledger's *measured* ``alloc_index..free_index``, no two
+   tensors that were live together share arena bytes (what running the
+   graph inside the arena would prove, without a second executor).
 
 Every violation is a typed :class:`AuditFinding`; a graph *passes*
 when no error-severity finding was raised.  :func:`audit_model` audits
@@ -34,13 +38,14 @@ the planned occupancy render side by side in Perfetto.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..core.liveness import simulate
 from ..data.synthetic import random_inputs
 from ..ir.graph import Graph
+from ..runtime.allocator import AllocationError
 from ..runtime.arena import ArenaPlan, plan_arena
 from ..runtime.executor import execute
 from ..runtime.memory_profile import MemoryProfile
@@ -65,8 +70,9 @@ class AuditFinding:
 
     ``kind`` is machine-readable: ``ledger_inconsistent``,
     ``peak_mismatch``, ``arena_overflow``, ``arena_lower_bound``,
-    ``profile_mismatch``, ``no_reduction``, and — from the budgeted
-    audit (:func:`audit_budgeted`) — ``infeasible_budget``,
+    ``arena_overlap``, ``profile_mismatch``, ``no_reduction``, and —
+    from the budgeted audit (:func:`audit_budgeted`) —
+    ``infeasible_budget``,
     ``budget_exceeded``, ``plan_mismatch``, ``output_divergence``.
     ``severity`` is ``error`` (fails the audit) or ``warning``
     (reported only).
@@ -174,7 +180,7 @@ def audit_graph(graph: Graph, inputs: dict[str, np.ndarray] | None = None, *,
                 variant: str = "", seed: int = 0) -> GraphAudit:
     """Execute ``graph`` with the ledger on and check the measurement
     against the simulated schedule (see the module docstring for the
-    four checks).  ``tolerance`` is the allowed relative deviation of a
+    five checks).  ``tolerance`` is the allowed relative deviation of a
     measured byte count from its prediction (0.0 = bit-exact, the
     default)."""
     if inputs is None:
@@ -244,6 +250,23 @@ def audit_graph(graph: Graph, inputs: dict[str, np.ndarray] | None = None, *,
                      f"{plan.peak_lower_bound} B — the plan and the "
                      f"measurement disagree about liveness"),
             measured=measured, expected=plan.peak_lower_bound))
+
+    # 5. tensors measured live together must not share arena bytes
+    last = len(graph.nodes) - 1
+    lifetimes = {life.value: life for life in ledger.lifetimes()}
+    measured_slots = []
+    for slot in plan.slots:
+        life = lifetimes[slot.value_name]
+        measured_slots.append(replace(
+            slot, begin=life.alloc_index,
+            # never freed = a graph output, live to the end
+            end=last if life.free_index is None else life.free_index))
+    try:
+        ArenaPlan(slots=measured_slots).validate()
+    except AllocationError as exc:
+        findings.append(AuditFinding(
+            kind="arena_overlap", severity="error", subject=subject,
+            message=f"under the measured lifetimes: {exc}"))
 
     if tracer.enabled:
         _emit_arena_track(tracer, plan, span_base)

@@ -190,10 +190,20 @@ class ActionBuckets:
     remat_at: dict[int, list[RematAction]] = field(default_factory=dict)
 
 
+def _action_order(a: PlanAction) -> tuple:
+    """The canonical order of a plan's actions: spills, remats, keeps;
+    largest first; by name."""
+    return ({"spill": 0, "remat": 1, "keep": 2}[a.kind], -a.nbytes,
+            a.value.name)
+
+
 def bucket_actions(actions: Iterable[PlanAction]) -> ActionBuckets:
-    """Bucket ``actions`` by boundary, keeping their order within one."""
+    """Bucket ``actions`` by boundary, each bucket in
+    :func:`_action_order` whatever order they arrive in: what is live
+    while two remat chains replay at one boundary depends on which goes
+    first, so the planner must price the order the enforcer runs."""
     buckets = ActionBuckets()
-    for a in actions:
+    for a in sorted(actions, key=_action_order):
         if isinstance(a, SpillAction):
             buckets.spill_at.setdefault(a.spill_after, []).append(a)
             buckets.issue_at.setdefault(a.prefetch_issue, []).append(a)
@@ -478,12 +488,9 @@ def plan_memory(graph: Graph, budget_bytes: int | None = None, *,
                 and _resident_at(v, peak_index, intervals, actions):
             actions[v.name] = KeepAction(value=v)
 
-    ordered = sorted(
-        actions.values(),
-        key=lambda a: ({"spill": 0, "remat": 1, "keep": 2}[a.kind],
-                       -a.nbytes, a.value.name))
     return MemoryPlan(
         graph_name=graph.name, num_nodes=len(graph.nodes),
         budget_bytes=budget_bytes, baseline_peak_bytes=baseline_peak,
         planned_peak_bytes=schedule.peak_bytes, planned_live=schedule.live,
-        actions=tuple(ordered), cost_model=cm)
+        actions=tuple(sorted(actions.values(), key=_action_order)),
+        cost_model=cm)

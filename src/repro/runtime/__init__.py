@@ -1,16 +1,14 @@
 """Execution runtime: allocator, executor, sessions, parallel engine."""
 
 from .allocator import AllocationError, TensorAllocator
-from .arena import ArenaPlan, ArenaSlot, execute_in_arena, plan_arena
+from .arena import ArenaPlan, ArenaSlot, plan_arena
 from .engine import InferenceSession, TimingResult
-from .executor import ExecutionResult, NodeTiming, execute
+from .executor import ExecutionResult, execute
 from .ledger import AllocationLedger, LedgerEvent, TensorLifetime
 from .memory_profile import MemoryEvent, MemoryProfile, PlanStats
 from .parallel import ParallelRunner, shard_batch
 from .planned import PlanEnforcer
-from .report import (compare_markdown, metrics_markdown, op_breakdown,
-                     profile_markdown, save_report, timeline_csv,
-                     timing_markdown)
+from .report import metrics_markdown, profile_markdown, timeline_csv
 
 __all__ = [
     "AllocationError",
@@ -18,11 +16,9 @@ __all__ = [
     "ArenaPlan",
     "ArenaSlot",
     "plan_arena",
-    "execute_in_arena",
     "InferenceSession",
     "TimingResult",
     "ExecutionResult",
-    "NodeTiming",
     "execute",
     "AllocationLedger",
     "LedgerEvent",
@@ -36,8 +32,4 @@ __all__ = [
     "timeline_csv",
     "metrics_markdown",
     "profile_markdown",
-    "compare_markdown",
-    "op_breakdown",
-    "save_report",
-    "timing_markdown",
 ]

@@ -8,12 +8,18 @@ derived from the schedule; the allocator's job is exact byte
 accounting — current footprint, peak footprint, and the live-set
 snapshot at the peak (used by the Figure-4 breakdown of how much of the
 peak is skip connections).
+
+Every event — a charge (``alloc``, or a plan's ``prefetch`` / ``remat``),
+a release (``free``, or a plan's ``spill``) and a transient ``scratch``
+charge — leaves through one emit path to the subscribed ``sinks``; the
+allocation ledger and the tracer's allocator instants are two such
+sinks, so they cannot disagree about what happened.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Callable
 
 from ..ir.value import Value
 
@@ -37,14 +43,16 @@ class TensorAllocator:
     #: cumulative bytes ever allocated (allocation traffic)
     total_allocated_bytes: int = 0
     num_allocations: int = 0
-    #: optional enabled tracer (set by the executor); when present, every
-    #: alloc/free emits an instant event on the ``allocator`` category
-    tracer: Any = field(default=None, repr=False, compare=False)
-    #: optional :class:`~repro.runtime.ledger.AllocationLedger` (set by
-    #: the executor); when present, every event is appended to it
-    ledger: Any = field(default=None, repr=False, compare=False)
+    #: ``(action, name, nbytes, live_after)`` callables told of every
+    #: event, in order — the ledger's ``record`` and the tracer's
+    #: allocator instants subscribe here
+    sinks: list[Callable[[str, str, int, int], None]] = field(
+        default_factory=list, repr=False, compare=False)
 
-    def alloc(self, value: Value) -> None:
+    def alloc(self, value: Value, action: str = "alloc") -> None:
+        """Charge ``value``.  ``action`` is the event's tag: ``"alloc"``,
+        or how a memory plan brought the tensor back — ``"prefetch"``
+        (staged from the spill store) or ``"remat"`` (recomputed)."""
         if value.name in self._live:
             raise AllocationError(f"value {value.name!r} allocated twice")
         nbytes = value.nbytes
@@ -55,14 +63,12 @@ class TensorAllocator:
         if self.current_bytes > self.peak_bytes:
             self.peak_bytes = self.current_bytes
             self.peak_live_set = dict(self._live)
-        if self.ledger is not None:
-            self.ledger.record("alloc", value.name, nbytes, self.current_bytes)
-        if self.tracer is not None:
-            self.tracer.instant("alloc", category="allocator",
-                                value=value.name, bytes=nbytes,
-                                live_bytes=self.current_bytes)
+        self._emit(action, value.name, nbytes, self.current_bytes)
 
-    def free(self, value: Value) -> None:
+    def free(self, value: Value, action: str = "free") -> None:
+        """Release ``value``.  ``action="spill"`` tags a planned move to
+        the host-side store, so the auditor can tell evictions from
+        lifetime-end frees."""
         try:
             nbytes = self._live.pop(value.name)
         except KeyError as exc:
@@ -70,52 +76,7 @@ class TensorAllocator:
         self.current_bytes -= nbytes
         if self.current_bytes < 0:  # pragma: no cover - defensive
             raise AllocationError("negative live bytes: accounting bug")
-        if self.ledger is not None:
-            self.ledger.record("free", value.name, nbytes, self.current_bytes)
-        if self.tracer is not None:
-            self.tracer.instant("free", category="allocator",
-                                value=value.name, bytes=nbytes,
-                                live_bytes=self.current_bytes)
-
-    def spill(self, value: Value) -> None:
-        """Release ``value``'s bytes because it moved to the host-side
-        spill store — a free tagged ``spill`` in the ledger so the
-        auditor can tell planned evictions from lifetime-end frees."""
-        try:
-            nbytes = self._live.pop(value.name)
-        except KeyError as exc:
-            raise AllocationError(
-                f"value {value.name!r} spilled but not live") from exc
-        self.current_bytes -= nbytes
-        if self.ledger is not None:
-            self.ledger.record("spill", value.name, nbytes, self.current_bytes)
-        if self.tracer is not None:
-            self.tracer.instant("spill", category="allocator",
-                                value=value.name, bytes=nbytes,
-                                live_bytes=self.current_bytes)
-
-    def restore(self, value: Value, action: str) -> None:
-        """Re-charge a previously released tensor; ``action`` is the
-        ledger tag — ``"prefetch"`` (staged back from the spill store)
-        or ``"remat"`` (recomputed by a plan's restore chain)."""
-        if action not in ("prefetch", "remat"):
-            raise ValueError(f"unknown restore action {action!r}")
-        if value.name in self._live:
-            raise AllocationError(f"value {value.name!r} restored while live")
-        nbytes = value.nbytes
-        self._live[value.name] = nbytes
-        self.current_bytes += nbytes
-        self.total_allocated_bytes += nbytes
-        self.num_allocations += 1
-        if self.current_bytes > self.peak_bytes:
-            self.peak_bytes = self.current_bytes
-            self.peak_live_set = dict(self._live)
-        if self.ledger is not None:
-            self.ledger.record(action, value.name, nbytes, self.current_bytes)
-        if self.tracer is not None:
-            self.tracer.instant(action, category="allocator",
-                                value=value.name, bytes=nbytes,
-                                live_bytes=self.current_bytes)
+        self._emit(action, value.name, nbytes, self.current_bytes)
 
     def charge_scratch(self, nbytes: int) -> None:
         """Transient workspace charge: bumps the peak if the current live
@@ -127,16 +88,12 @@ class TensorAllocator:
             self.peak_bytes = candidate
             self.peak_live_set = dict(self._live)
             self.peak_live_set["<scratch>"] = int(nbytes)
-        if self.ledger is not None:
-            self.ledger.record("scratch", "<scratch>", int(nbytes), candidate)
-        if self.tracer is not None:
-            self.tracer.instant("scratch", category="allocator",
-                                bytes=int(nbytes), live_bytes=candidate)
+        self._emit("scratch", "<scratch>", int(nbytes), candidate)
 
-    @property
-    def live_values(self) -> dict[str, int]:
-        """Name -> bytes of currently live tensors (copy)."""
-        return dict(self._live)
+    def _emit(self, action: str, name: str, nbytes: int,
+              live_after: int) -> None:
+        for sink in self.sinks:
+            sink(action, name, nbytes, live_after)
 
     def assert_empty(self, keep: set[str] = frozenset()) -> None:
         """Check everything except ``keep`` has been freed (leak check)."""

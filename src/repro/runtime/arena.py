@@ -29,7 +29,7 @@ from ..core.liveness import analyze_liveness
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["ArenaSlot", "ArenaPlan", "plan_arena", "execute_in_arena"]
+__all__ = ["ArenaSlot", "ArenaPlan", "plan_arena"]
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,6 @@ class ArenaPlan:
                         f"arena overlap: {a.value_name!r} [{a.offset}, {a.limit}) "
                         f"and {b.value_name!r} [{b.offset}, {b.limit}) are live "
                         f"together")
-
-    def offset_of(self, value_name: str) -> int:
-        for slot in self.slots:
-            if slot.value_name == value_name:
-                return slot.offset
-        raise KeyError(f"value {value_name!r} not in arena plan")
 
     def occupancy_series(self) -> list[tuple[int, int]]:
         """``(schedule index, occupied arena bytes)`` over the schedule.
@@ -166,42 +160,6 @@ def _plan_arena(graph: Graph, alignment: int) -> ArenaPlan:
         (occupied for _, occupied in plan.occupancy_series()), default=0)
     plan.validate()
     return plan
-
-
-def execute_in_arena(graph: Graph, inputs, plan: ArenaPlan | None = None):
-    """Execute ``graph`` with every internal tensor living inside the
-    planned arena buffer — an end-to-end proof that the offset plan is
-    sound (any overlap of live tensors would corrupt the results).
-
-    Returns ``(outputs dict, plan)``.  Outputs are copied out of the
-    arena before returning.
-    """
-    import numpy as np
-
-    from .. import kernels
-
-    if plan is None:
-        plan = plan_arena(graph)
-    arena = np.zeros(plan.arena_bytes, dtype=np.uint8)
-    slot_by_name = {s.value_name: s for s in plan.slots}
-
-    def view(value):
-        slot = slot_by_name[value.name]
-        flat = arena[slot.offset:slot.offset + value.nbytes]
-        return flat.view(value.dtype.np).reshape(value.shape)
-
-    env = {}
-    for v in graph.inputs:
-        dst = view(v)
-        dst[...] = np.asarray(inputs[v.name], dtype=v.dtype.np)
-        env[v.name] = dst
-    for node in graph.nodes:
-        result = kernels.run_node(node, [env[v.name] for v in node.inputs])
-        dst = view(node.output)
-        dst[...] = result
-        env[node.output.name] = dst
-    outputs = {v.name: env[v.name].copy() for v in graph.outputs}
-    return outputs, plan
 
 
 def _align(n: int, alignment: int) -> int:

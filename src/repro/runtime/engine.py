@@ -18,8 +18,7 @@ import numpy as np
 from ..ir.graph import Graph
 from ..obs import get_tracer
 from ..obs.metrics import interpolated_quantile
-from .executor import ExecutionResult, execute
-from .memory_profile import MemoryProfile
+from .executor import ExecutionResult, Schedule, execute
 
 logger = logging.getLogger(__name__)
 
@@ -66,14 +65,17 @@ class TimingResult:
 class InferenceSession:
     """Run a (possibly TeMCO-optimized) model graph.
 
+    The graph is frozen at construction: its run
+    :class:`~repro.runtime.executor.Schedule` (free lists, weight
+    bytes, fused-tile scratch) is built from it once and reused by
+    every inference, so mutate a graph before handing it to a session,
+    never after.
+
     Parameters
     ----------
     graph:
         A validated IR graph.  The session validates it again on
         construction so user-assembled graphs fail fast.
-    count_fused_scratch:
-        Charge fused-kernel tiles to the internal-tensor pool (see
-        :func:`repro.runtime.executor.execute`).
     tracer:
         An :class:`repro.obs.Tracer` that every inference of this
         session records into; defaults to the ambient tracer (a no-op
@@ -88,23 +90,18 @@ class InferenceSession:
         actions; per-run in-memory stores are created when omitted.
     """
 
-    def __init__(self, graph: Graph, *, count_fused_scratch: bool = False,
-                 tracer=None, memory_plan=None, spill_store=None) -> None:
+    def __init__(self, graph: Graph, *, tracer=None, memory_plan=None,
+                 spill_store=None) -> None:
         graph.validate()
         self.graph = graph
-        self.count_fused_scratch = count_fused_scratch
         self.tracer = tracer
         self.memory_plan = memory_plan
         self.spill_store = spill_store
+        self._schedule = Schedule(graph)
         self.last_result: ExecutionResult | None = None
 
-    @property
-    def input_names(self) -> list[str]:
-        return [v.name for v in self.graph.inputs]
-
     def run(self, inputs: dict[str, np.ndarray] | np.ndarray, *,
-            record_timings: bool = False, record_ledger: bool = False,
-            tracer=None) -> ExecutionResult:
+            record_ledger: bool = False, tracer=None) -> ExecutionResult:
         """Run one inference.  A bare array is bound to the sole input.
 
         ``tracer`` overrides the session tracer for this call only —
@@ -121,9 +118,8 @@ class InferenceSession:
             tracer = self.tracer if self.tracer is not None else get_tracer()
         with tracer.span("inference", category="runtime",
                          graph=self.graph.name):
-            result = execute(self.graph, inputs, record_timings=record_timings,
+            result = execute(self._schedule, inputs,
                              record_ledger=record_ledger,
-                             count_fused_scratch=self.count_fused_scratch,
                              plan=self.memory_plan,
                              spill_store=self.spill_store,
                              tracer=tracer)
@@ -131,10 +127,6 @@ class InferenceSession:
         logger.debug("inference on %s: %s", self.graph.name,
                      result.memory.summary())
         return result
-
-    def profile_memory(self, inputs: dict[str, np.ndarray] | np.ndarray) -> MemoryProfile:
-        """Run once and return the memory profile."""
-        return self.run(inputs).memory
 
     def time_inference(self, inputs: dict[str, np.ndarray] | np.ndarray,
                        *, warmup: int = 1, repeats: int = 3) -> TimingResult:

@@ -1,57 +1,199 @@
 """Graph executor with framework-faithful memory accounting.
 
-Executes the schedule (``graph.nodes`` order) with last-use frees: a
-value's array is dropped — and its bytes returned to the allocator —
-immediately after its last consumer runs, exactly the policy the
-paper's Eq. 3/4 peak analysis models and the free lists
+One loop runs a prebuilt :class:`Schedule` (``graph.nodes`` order) with
+last-use frees: a value's array is dropped — and its bytes returned to
+the allocator — immediately after its last consumer runs, exactly the
+policy the paper's Eq. 3/4 peak analysis models and the free lists
 :func:`repro.core.liveness.simulate` predicts with.  Graph inputs are
 live from the start; graph outputs stay live to the end.
 
-The executor measures, per node, the live internal bytes *during* that
-node's execution (inputs + output + long-lived tensors), producing the
-:class:`~repro.runtime.memory_profile.MemoryProfile` timeline that the
-Figure-4/10 benchmarks report, plus optional wall-clock timings for
-Figure 11.
+The loop itself only runs kernels, keeps the byte account and samples,
+per node, the live internal bytes *during* that node's execution
+(inputs + output + long-lived tensors) into the
+:class:`~repro.runtime.memory_profile.MemoryProfile` timeline the
+Figure-4/10 benchmarks report.  Everything else a run can be asked for
+is a :class:`RunObserver` attached for that run, in this order: the
+finite check, the ledger's schedule position, the tracer (node spans,
+the ``memory`` counter, ``executor.*`` metrics) and the memory plan's
+:class:`~repro.runtime.planned.PlanEnforcer`.  Every observer is closed
+when the run ends, whether it returned or raised.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .. import kernels
 from ..core.liveness import free_schedule, reuses_input_buffer
 from ..ir.graph import Graph
+from ..ir.node import Node
 from ..ir.ops import node_flops
-from ..obs import get_tracer
+from ..ir.value import Value
+from ..obs import NOOP_TRACER, get_tracer
 from .allocator import TensorAllocator
 from .ledger import AllocationLedger
 from .memory_profile import MemoryEvent, MemoryProfile
 
-__all__ = ["execute", "ExecutionResult", "NodeTiming"]
+__all__ = ["execute", "ExecutionResult"]
 
 
-@dataclass(frozen=True)
-class NodeTiming:
+class Step(NamedTuple):
+    """One node of a :class:`Schedule` with what the graph fixes about it."""
+
     index: int
-    node_name: str
-    op: str
-    seconds: float
+    node: Node
+    #: values freed right after the node, in the executor's order
+    dying: tuple[Value, ...]
+    #: the in-place rule applies (:func:`reuses_input_buffer`): under
+    #: ``inplace_activations`` the node overwrites ``dying[0]``
+    overwrites_input: bool
+    #: channel-block tile bytes of a fused kernel, 0 for any other op
+    scratch_bytes: int
+
+
+class Schedule:
+    """Everything about running ``graph`` that no input can change.
+
+    Built once per :class:`~repro.runtime.engine.InferenceSession`
+    (:func:`execute` builds a throw-away one when handed a bare graph),
+    so the graph must not be mutated afterwards.
+    """
+
+    def __init__(self, graph: Graph) -> None:
+        self.graph = graph
+        frees_after = free_schedule(graph)
+        #: inputs no node reads: freed as soon as they are bound
+        self.unused_inputs = frees_after[-1]
+        self.weight_bytes = graph.weight_bytes()
+        self.steps = tuple(
+            Step(index, node, frees_after[index],
+                 reuses_input_buffer(node, frees_after[index]),
+                 _fused_scratch_bytes(node))
+            for index, node in enumerate(graph.nodes))
+        self.peak_scratch_bytes = max(
+            (step.scratch_bytes for step in self.steps), default=0)
+
+
+def _fused_scratch_bytes(node: Node) -> int:
+    if node.op not in ("fused_block", "fused_restore"):
+        return 0
+    return kernels.fused_scratch_bytes(
+        node.input.shape, node.input.dtype.itemsize,
+        block_size=int(node.attrs.get("block_size", kernels.DEFAULT_BLOCK_SIZE)),
+        c_prime=node.params["w1"].shape[0],
+        spatial_tile=int(node.attrs.get("spatial_tile", 0) or 0))
+
+
+class RunObserver:
+    """What one run reports to besides its result; every hook defaults
+    to a no-op.  ``after_node(-1)`` fires once graph inputs are bound."""
+
+    def before_node(self, step: Step) -> None:
+        """The node is about to run; its inputs are not gathered yet."""
+
+    def node_done(self, step: Step, in_arrays: list[np.ndarray],
+                  out_array: np.ndarray, start_us: float,
+                  end_us: float) -> None:
+        """The kernel ran over ``[start_us, end_us]`` and its output is
+        charged; nothing the node kills has been freed yet."""
+
+    def after_node(self, index: int) -> None:
+        """The boundary after node ``index``'s frees."""
+
+    def finish(self, profile: MemoryProfile) -> None:
+        """The last node is done and ``profile`` holds the run's totals."""
+
+    def close(self) -> None:
+        """The run is over (it may have raised): release resources."""
+
+
+class _FiniteCheck(RunObserver):
+    def node_done(self, step, in_arrays, out_array, start_us, end_us):
+        if not np.isfinite(out_array).all():
+            bad = int((~np.isfinite(out_array)).sum())
+            raise FloatingPointError(
+                f"node {step.node.name!r} ({step.node.op}) produced {bad} "
+                f"non-finite value(s) at schedule index {step.index}")
+
+
+class _LedgerPosition(RunObserver):
+    """Attributes the ledger's events to the node being run."""
+
+    def __init__(self, ledger: AllocationLedger) -> None:
+        self.ledger = ledger
+
+    def before_node(self, step):
+        self.ledger.position(step.index, step.node.name)
+
+
+class _TraceObserver(RunObserver):
+    """Node spans, the ``memory`` counter track, allocator instants and
+    the ``executor.*`` metrics of one traced run."""
+
+    def __init__(self, tracer, allocator: TensorAllocator,
+                 inplace_activations: bool) -> None:
+        self.tracer = tracer
+        self.allocator = allocator
+        self.inplace_activations = inplace_activations
+        self._overwrite: Step | None = None
+        allocator.sinks.append(self.allocator_event)
+
+    def allocator_event(self, action: str, name: str, nbytes: int,
+                        live_bytes: int) -> None:
+        if action == "scratch":  # belongs to no tensor
+            self.tracer.instant(action, category="allocator",
+                                bytes=nbytes, live_bytes=live_bytes)
+            return
+        self.tracer.instant(action, category="allocator", value=name,
+                            bytes=nbytes, live_bytes=live_bytes)
+        step = self._overwrite
+        if step is not None and name == step.dying[0].name:
+            # the in-place release: the output takes over this buffer
+            self._overwrite = None
+            self.tracer.instant("reuse", category="allocator",
+                                value=step.node.output.name, source=name,
+                                bytes=step.node.output.nbytes)
+
+    def before_node(self, step):
+        if self.inplace_activations and step.overwrites_input:
+            self._overwrite = step
+
+    def node_done(self, step, in_arrays, out_array, start_us, end_us):
+        node = step.node
+        # bytes = data the kernel touched (inputs + output + weights);
+        # with the analytic FLOP count this gives the hot-path profiler
+        # (repro.obs.profile) the arithmetic intensity of every node
+        moved = (sum(int(a.nbytes) for a in in_arrays)
+                 + int(out_array.nbytes) + node.param_bytes())
+        self.tracer.complete(node.name, start_us, end_us - start_us,
+                             category=node.op, index=step.index, op=node.op,
+                             bytes=moved, flops=node_flops(node),
+                             scratch=step.scratch_bytes)
+        self.tracer.counter("memory",
+                            live_bytes=self.allocator.current_bytes,
+                            scratch_bytes=step.scratch_bytes)
+
+    def finish(self, profile):
+        metrics = self.tracer.metrics
+        metrics.inc("executor.runs")
+        metrics.inc("executor.nodes_executed", len(profile.events))
+        metrics.inc("executor.allocation_traffic_bytes",
+                    profile.total_allocated_bytes)
+        metrics.gauge("executor.peak_internal_bytes",
+                      profile.peak_internal_bytes)
+        metrics.gauge("executor.peak_scratch_bytes",
+                      profile.peak_scratch_bytes)
 
 
 @dataclass
 class ExecutionResult:
-    """Outputs plus the memory/time measurements of one inference."""
+    """Outputs plus the memory measurements of one inference."""
 
     outputs: dict[str, np.ndarray]
     memory: MemoryProfile
-    timings: list[NodeTiming] = field(default_factory=list)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(t.seconds for t in self.timings)
 
     def output(self) -> np.ndarray:
         """The sole output (raises if the graph has several)."""
@@ -60,22 +202,19 @@ class ExecutionResult:
         return next(iter(self.outputs.values()))
 
 
-def execute(graph: Graph, inputs: dict[str, np.ndarray], *,
-            record_timings: bool = False,
+def execute(graph: Graph | Schedule, inputs: dict[str, np.ndarray], *,
             record_ledger: bool = False,
             count_fused_scratch: bool = False,
             inplace_activations: bool = False,
-            check_leaks: bool = True,
             check_finite: bool = False,
             plan=None,
             spill_store=None,
             tracer=None) -> ExecutionResult:
-    """Run ``graph`` on ``inputs`` (name -> array).
+    """Run ``graph`` (or its prebuilt :class:`Schedule`) on ``inputs``
+    (name -> array); only graph outputs may remain live at the end.
 
     Parameters
     ----------
-    record_timings:
-        Collect per-node wall-clock times (Figure 11).
     record_ledger:
         Record every allocator event (tensor, bytes, owning node,
         timestamp) into an
@@ -92,8 +231,6 @@ def execute(graph: Graph, inputs: dict[str, np.ndarray], *,
         its input's last consumer, the input's bytes are released
         *before* the output is charged, so the pair never coexists.
         The default False matches the paper's Eq. 3/4 accounting.
-    check_leaks:
-        Assert that only graph outputs remain live at the end.
     check_finite:
         Debugging aid: raise ``FloatingPointError`` naming the first
         node that produces a non-finite value (NaN/inf), instead of
@@ -112,21 +249,29 @@ def execute(graph: Graph, inputs: dict[str, np.ndarray], *,
         An :class:`repro.obs.Tracer` to record per-node spans, the
         ``memory`` counter track, and allocator alloc/free events into.
         Defaults to the ambient tracer (:func:`repro.obs.get_tracer`),
-        which is a no-op unless one was installed — the hot path guards
-        on ``tracer.enabled`` so disabled tracing adds no allocations.
+        which is a no-op unless one was installed — a disabled tracer
+        gets no observer, so it is never invoked on the hot path.
     """
+    schedule = graph if isinstance(graph, Schedule) else Schedule(graph)
+    graph = schedule.graph
     if tracer is None:
         tracer = get_tracer()
-    tracing = tracer.enabled
     env: dict[str, np.ndarray] = {}
     allocator = TensorAllocator()
-    if tracing:
-        allocator.tracer = tracer
-    ledger: AllocationLedger | None = None
+    profile = MemoryProfile(weight_bytes=schedule.weight_bytes,
+                            peak_scratch_bytes=schedule.peak_scratch_bytes)
+    observers: list[RunObserver] = []
+    now_us = NOOP_TRACER.now_us
+    if check_finite:
+        observers.append(_FiniteCheck())
     if record_ledger:
-        ledger = allocator.ledger = AllocationLedger()
-        ledger.position(-1, "")  # graph-input binding phase
-    enforcer = None
+        profile.ledger = AllocationLedger()
+        allocator.sinks.append(profile.ledger.record)
+        observers.append(_LedgerPosition(profile.ledger))
+    if tracer.enabled:
+        now_us = tracer.now_us
+        observers.append(_TraceObserver(tracer, allocator,
+                                        inplace_activations))
     if plan is not None:
         if inplace_activations:
             raise ValueError(
@@ -137,132 +282,74 @@ def execute(graph: Graph, inputs: dict[str, np.ndarray], *,
                 f"plan for {plan.graph_name!r} covers {plan.num_nodes} nodes "
                 f"but graph {graph.name!r} has {len(graph.nodes)}")
         from .planned import PlanEnforcer
-        enforcer = PlanEnforcer(plan, allocator, env, spill_store, tracer)
-    profile = MemoryProfile(weight_bytes=graph.weight_bytes(), ledger=ledger)
-    timings: list[NodeTiming] = []
+        observers.append(PlanEnforcer(plan, allocator, env, spill_store,
+                                      tracer))
 
-    frees_after = free_schedule(graph)
+    try:
+        # bind and account graph inputs
+        for v in graph.inputs:
+            try:
+                arr = inputs[v.name]
+            except KeyError as exc:
+                raise KeyError(f"missing input {v.name!r}; graph inputs: "
+                               f"{[i.name for i in graph.inputs]}") from exc
+            if tuple(arr.shape) != v.shape:
+                raise ValueError(f"input {v.name!r} has shape {arr.shape}, expected {v.shape}")
+            env[v.name] = np.asarray(arr, dtype=v.dtype.np)
+            allocator.alloc(v)
+            if v in schedule.unused_inputs:
+                # freed at once (still counted as allocated once)
+                allocator.free(v)
+                del env[v.name]
+        for observer in observers:
+            observer.after_node(-1)
 
-    # bind and account graph inputs
-    for v in graph.inputs:
-        try:
-            arr = inputs[v.name]
-        except KeyError as exc:
-            raise KeyError(f"missing input {v.name!r}; graph inputs: "
-                           f"{[i.name for i in graph.inputs]}") from exc
-        if tuple(arr.shape) != v.shape:
-            raise ValueError(f"input {v.name!r} has shape {arr.shape}, expected {v.shape}")
-        env[v.name] = np.asarray(arr, dtype=v.dtype.np)
-        allocator.alloc(v)
-        if v in frees_after[-1]:
-            # unused input: free immediately (still counted as allocated once)
-            allocator.free(v)
-            del env[v.name]
-    if enforcer is not None:
-        enforcer.after_inputs()
+        for step in schedule.steps:
+            node = step.node
+            for observer in observers:
+                observer.before_node(step)
+            in_arrays = [env[v.name] for v in node.inputs]
+            start_us = now_us()
+            out_array = kernels.run_node(node, in_arrays)
+            end_us = now_us()
 
-    for index, node in enumerate(graph.nodes):
-        if ledger is not None:
-            ledger.position(index, node.name)
-        if enforcer is not None:
-            enforcer.before_node(index)
-        in_arrays = [env[v.name] for v in node.inputs]
-        start = time.perf_counter() if record_timings else 0.0
-        span_start = tracer.now_us() if tracing else 0.0
-        out_array = kernels.run_node(node, in_arrays)
-        # the span is recorded after the scratch block below so it can
-        # carry the fused-tile bytes; the end timestamp is taken here,
-        # so the recorded duration covers the kernel alone
-        span_end = tracer.now_us() if tracing else 0.0
-        if check_finite and not np.isfinite(out_array).all():
-            bad = int((~np.isfinite(out_array)).sum())
-            raise FloatingPointError(
-                f"node {node.name!r} ({node.op}) produced {bad} non-finite "
-                f"value(s) at schedule index {index}")
-        if record_timings:
-            timings.append(NodeTiming(index, node.name, node.op,
-                                      time.perf_counter() - start))
-
-        # in-place elementwise: release the dying input before charging
-        # the output, so the pair never coexists in the accounting
-        dying = frees_after[index]
-        if inplace_activations and reuses_input_buffer(node, dying):
-            v, dying = dying[0], dying[1:]  # a unary op: its input leads
-            allocator.free(v)
-            del env[v.name]
-            if tracing:
-                tracer.instant("reuse", category="allocator",
-                               value=node.output.name, source=v.name,
-                               bytes=node.output.nbytes)
-
-        allocator.alloc(node.output)
-        env[node.output.name] = out_array
-
-        scratch = 0
-        if node.op in ("fused_block", "fused_restore"):
-            scratch = kernels.fused_scratch_bytes(
-                node.input.shape, node.input.dtype.itemsize,
-                block_size=int(node.attrs.get("block_size", kernels.DEFAULT_BLOCK_SIZE)),
-                c_prime=node.params["w1"].shape[0],
-                spatial_tile=int(node.attrs.get("spatial_tile", 0) or 0))
-            profile.peak_scratch_bytes = max(profile.peak_scratch_bytes, scratch)
+            # in-place elementwise: release the dying input before
+            # charging the output, so the pair never coexists in the
+            # accounting
+            dying = step.dying
+            if inplace_activations and step.overwrites_input:
+                v, dying = dying[0], dying[1:]  # a unary op: its input leads
+                allocator.free(v)
+                del env[v.name]
+            allocator.alloc(node.output)
+            env[node.output.name] = out_array
             if count_fused_scratch:
-                allocator.charge_scratch(scratch)
+                allocator.charge_scratch(step.scratch_bytes)
+            profile.events.append(MemoryEvent(
+                index=step.index, node_name=node.name, op=node.op,
+                live_bytes=allocator.current_bytes,
+                scratch_bytes=step.scratch_bytes))
+            for observer in observers:
+                observer.node_done(step, in_arrays, out_array, start_us,
+                                   end_us)
 
-        profile.events.append(MemoryEvent(
-            index=index, node_name=node.name, op=node.op,
-            live_bytes=allocator.current_bytes, scratch_bytes=scratch))
-        if tracing:
-            # bytes = data the kernel touched (inputs + output +
-            # weights); with the analytic FLOP count this gives the
-            # hot-path profiler (repro.obs.profile) the arithmetic
-            # intensity of every executed node
-            moved = (sum(int(a.nbytes) for a in in_arrays)
-                     + int(out_array.nbytes) + node.param_bytes())
-            tracer.complete(node.name, span_start, span_end - span_start,
-                            category=node.op, index=index, op=node.op,
-                            bytes=moved, flops=node_flops(node),
-                            scratch=scratch)
-            tracer.counter("memory", live_bytes=allocator.current_bytes,
-                           scratch_bytes=scratch)
-            if enforcer is not None:
-                tracer.counter("plan",
-                               planned_bytes=plan.planned_live[index],
-                               live_bytes=allocator.current_bytes)
+            # inputs whose last use just ran, and a dead-end output (no
+            # consumers, not a graph output) as soon as its layer finishes
+            for v in dying:
+                allocator.free(v)
+                del env[v.name]
+            for observer in observers:
+                observer.after_node(step.index)
 
-        # inputs whose last use just ran, and a dead-end output (no
-        # consumers, not a graph output) as soon as its layer finishes
-        for v in dying:
-            allocator.free(v)
-            del env[v.name]
-        if enforcer is not None:
-            enforcer.after_node(index)
-
-    if enforcer is not None:
-        enforcer.finish()
-    outputs = {v.name: env[v.name] for v in graph.outputs}
-    if check_leaks:
-        allocator.assert_empty(keep={v.name for v in graph.outputs})
-
-    profile.peak_internal_bytes = allocator.peak_bytes
-    profile.peak_live_set = allocator.peak_live_set
-    profile.total_allocated_bytes = allocator.total_allocated_bytes
-    profile.num_allocations = allocator.num_allocations
-    if enforcer is not None:
-        profile.plan_stats = enforcer.stats
-        if tracing:
-            tracer.metrics.inc("plan.spilled_bytes",
-                               enforcer.stats.spilled_bytes)
-            tracer.metrics.inc("plan.remat", enforcer.stats.remats)
-            tracer.metrics.gauge("plan.planned_peak_bytes",
-                                 plan.planned_peak_bytes)
-    if tracing:
-        tracer.metrics.inc("executor.runs")
-        tracer.metrics.inc("executor.nodes_executed", len(graph.nodes))
-        tracer.metrics.inc("executor.allocation_traffic_bytes",
-                           allocator.total_allocated_bytes)
-        tracer.metrics.gauge("executor.peak_internal_bytes",
-                             allocator.peak_bytes)
-        tracer.metrics.gauge("executor.peak_scratch_bytes",
-                             profile.peak_scratch_bytes)
-    return ExecutionResult(outputs=outputs, memory=profile, timings=timings)
+        profile.peak_internal_bytes = allocator.peak_bytes
+        profile.peak_live_set = allocator.peak_live_set
+        profile.total_allocated_bytes = allocator.total_allocated_bytes
+        profile.num_allocations = allocator.num_allocations
+        for observer in observers:
+            observer.finish(profile)
+    finally:
+        for observer in observers:
+            observer.close()
+    allocator.assert_empty(keep={v.name for v in graph.outputs})
+    return ExecutionResult(
+        outputs={v.name: env[v.name] for v in graph.outputs}, memory=profile)

@@ -66,10 +66,6 @@ class MemoryEvent:
     live_bytes: int
     scratch_bytes: int = 0
 
-    @property
-    def total_bytes(self) -> int:
-        return self.live_bytes + self.scratch_bytes
-
 
 @dataclass
 class MemoryProfile:

@@ -46,26 +46,28 @@ def _init_worker(structure: dict[str, Any], weights: dict[str, np.ndarray]) -> N
     _WORKER_GRAPH = graph_from_dict(structure, weights)
 
 
-def _run_shard(shard: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    assert _WORKER_GRAPH is not None, "worker not initialized"
-    return execute(_WORKER_GRAPH, shard).outputs
+def _run_shard(payload: tuple[Graph | None, int, str | None,
+                              dict[str, np.ndarray]],
+               ) -> tuple[dict[str, np.ndarray], dict[str, Any] | None]:
+    """Run one shard; ``payload`` is ``(graph, shard_index, trace_id,
+    shard)``.  ``graph=None`` means the pool worker's own copy.
 
-
-def _run_shard_traced(payload: tuple[int, str, dict[str, np.ndarray]],
-                      ) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
-    """Worker half of cross-process trace propagation.
-
-    Runs the shard under a fresh process-local tracer (tagged with the
-    propagated trace id and shard index) and returns the outputs plus
-    the tracer's picklable record dump for the parent to absorb.
+    With a ``trace_id`` the shard runs under a fresh local tracer
+    (tagged with the id and the shard index) and the tracer's picklable
+    record dump comes back with the outputs for the parent to absorb —
+    the worker half of cross-process trace propagation.
     """
-    assert _WORKER_GRAPH is not None, "worker not initialized"
-    shard_index, trace_id, shard = payload
+    graph, shard_index, trace_id, shard = payload
+    if graph is None:
+        assert _WORKER_GRAPH is not None, "worker not initialized"
+        graph = _WORKER_GRAPH
+    if trace_id is None:
+        return execute(graph, shard).outputs, None
     local = Tracer()
     tagged = TaggedTracer(local, trace_id=trace_id, shard=shard_index)
     with tagged.span("parallel.shard", category="parallel",
                      samples=next(iter(shard.values())).shape[0]):
-        outputs = execute(_WORKER_GRAPH, shard, tracer=tagged).outputs
+        outputs = execute(graph, shard, tracer=tagged).outputs
     return outputs, local.export_records()
 
 
@@ -148,43 +150,24 @@ class ParallelRunner:
             shards.append({name: arr[lo:lo + graph_batch] for name, arr in inputs.items()})
 
         tracer = get_tracer()
-        if not tracer.enabled:
-            if self._pool is None or len(shards) == 1:
-                results = [_run_local(self.graph, shard) for shard in shards]
-            else:
-                results = self._pool.map(_run_shard, shards)
-        else:
-            results = self._run_traced(tracer, shards, trace_id
-                                       or new_trace_id())
-        return {name: np.concatenate([r[name] for r in results], axis=0)
-                for name in results[0]}
-
-    def _run_traced(self, tracer, shards, trace_id: str) -> list[dict]:
-        """Traced fan-out: propagate ``trace_id`` into every worker and
-        absorb their shard timelines."""
+        # shards are traced (and their records absorbed) only when the
+        # ambient tracer records
+        trace_id = (trace_id or new_trace_id()) if tracer.enabled else None
+        # few shards or no pool: same code, this process
+        local = self._pool is None or len(shards) == 1
+        payloads = [(self.graph if local else None, index, trace_id, shard)
+                    for index, shard in enumerate(shards)]
+        results = []
         with tracer.span("parallel.run", category="parallel",
                          trace_id=trace_id, shards=len(shards),
                          workers=self.num_workers):
-            if self._pool is None or len(shards) == 1:
-                results = []
-                for index, shard in enumerate(shards):
-                    local = TaggedTracer(tracer, trace_id=trace_id,
-                                         shard=index)
-                    results.append(execute(self.graph, shard,
-                                           tracer=local).outputs)
-                return results
-            pairs = self._pool.map(
-                _run_shard_traced,
-                [(index, trace_id, shard)
-                 for index, shard in enumerate(shards)])
-            results = []
+            pairs = (map(_run_shard, payloads) if local
+                     else self._pool.map(_run_shard, payloads))
             for index, (outputs, records) in enumerate(pairs):
-                tid = PARALLEL_TID_BASE + index
-                tracer.name_thread(tid, f"shard-{index}")
-                tracer.absorb(records, tid=tid)
+                if records is not None:
+                    tid = PARALLEL_TID_BASE + index
+                    tracer.name_thread(tid, f"shard-{index}")
+                    tracer.absorb(records, tid=tid)
                 results.append(outputs)
-            return results
-
-
-def _run_local(graph: Graph, shard: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return execute(graph, shard).outputs
+        return {name: np.concatenate([r[name] for r in results], axis=0)
+                for name in results[0]}

@@ -1,21 +1,27 @@
 """Runtime enforcement of a :class:`~repro.plan.MemoryPlan`.
 
-The executor stays the single execution loop; this module supplies the
-:class:`PlanEnforcer` it drives at node boundaries:
+The executor stays the single execution loop; :class:`PlanEnforcer` is
+the :class:`~repro.runtime.executor.RunObserver` it attaches to a
+budgeted run, acting at the node boundaries:
 
-- ``after_inputs()``  — spills scheduled right after input binding;
-- ``before_node(i)``  — prefetch charges issued for node ``i``, arrays
-  bound for consumers at ``i``, remat chains replayed for ``i``;
 - ``after_node(i)``   — spill writes and remat drops scheduled after
-  node ``i``'s frees;
-- ``finish()``        — restore graph outputs spilled past their last
-  use, then stop the prefetch worker.
+  node ``i``'s frees (``-1``: right after input binding);
+- ``before_node(step)`` — prefetch charges issued for the node, arrays
+  bound for its consumers, remat chains replayed for it;
+- ``node_done(...)``  — the ``plan`` counter sample (planned vs live);
+- ``finish(profile)`` — restore graph outputs spilled past their last
+  use, hand ``plan_stats`` to the profile, emit the ``plan.*`` metrics;
+- ``close()``         — stop the prefetch worker and clear the spill
+  store; the executor calls it when the run ends *or raises*, so an
+  abandoned run leaves neither a thread nor spilled tensors behind.
 
-Every byte movement goes through the
-:class:`~repro.runtime.allocator.TensorAllocator` using the tagged
-``spill`` / ``prefetch`` / ``remat`` ledger actions, so an enforced
-run's ledger replays to exactly the plan's predicted peak — the
-invariant `repro memcheck --budget` checks.
+Within one boundary the actions run in the order
+:func:`~repro.plan.bucket_actions` fixes — the same order the planner
+priced them in.  Every byte movement goes through the
+:class:`~repro.runtime.allocator.TensorAllocator` with the tagged
+``spill`` / ``prefetch`` / ``remat`` actions, so an enforced run's
+ledger replays to exactly the plan's predicted peak — the invariant
+`repro memcheck --budget` checks.
 
 Failure semantics: a failed spill write falls back to keep-resident
 (the request stays correct, the budget becomes best-effort); a failed
@@ -34,6 +40,7 @@ from ..plan.planner import (MemoryPlan, RematAction, SpillAction,
                             bucket_actions)
 from ..plan.store import PrefetchWorker, SpillStore, SpillStoreError
 from .allocator import TensorAllocator
+from .executor import RunObserver
 from .memory_profile import PlanStats
 
 logger = logging.getLogger(__name__)
@@ -41,7 +48,7 @@ logger = logging.getLogger(__name__)
 __all__ = ["PlanEnforcer"]
 
 
-class PlanEnforcer:
+class PlanEnforcer(RunObserver):
     """Applies one plan's actions to one running inference."""
 
     def __init__(self, plan: MemoryPlan, allocator: TensorAllocator,
@@ -63,10 +70,8 @@ class PlanEnforcer:
 
     # -- boundary hooks (called by the executor) ------------------------
 
-    def after_inputs(self) -> None:
-        self.after_node(-1)
-
-    def before_node(self, index: int) -> None:
+    def before_node(self, step) -> None:
+        index = step.index
         for a in self._at.issue_at.get(index, ()):
             self._issue(a)
         for a in self._at.bind_at.get(index, ()):
@@ -74,20 +79,30 @@ class PlanEnforcer:
         for a in self._at.remat_at.get(index, ()):
             self._remat(a)
 
+    def node_done(self, step, in_arrays, out_array, start_us, end_us) -> None:
+        if self.tracer.enabled:
+            self.tracer.counter(
+                "plan", planned_bytes=self.plan.planned_live[step.index],
+                live_bytes=self.allocator.current_bytes)
+
     def after_node(self, index: int) -> None:
         for a in self._at.spill_at.get(index, ()):
             self._spill(a)
         for a in self._at.drop_at.get(index, ()):
             self._drop(a)
 
-    def finish(self) -> None:
+    def finish(self, profile) -> None:
         """Bind spilled graph outputs (sentinel ``next_use ==
-        num_nodes``), then release the worker."""
-        try:
-            for a in self._at.bind_at.get(self.plan.num_nodes, ()):
-                self._bind(a)
-        finally:
-            self.close()
+        num_nodes``) and report what the plan did."""
+        for a in self._at.bind_at.get(self.plan.num_nodes, ()):
+            self._bind(a)
+        profile.plan_stats = self.stats
+        if self.tracer.enabled:
+            metrics = self.tracer.metrics
+            metrics.inc("plan.spilled_bytes", self.stats.spilled_bytes)
+            metrics.inc("plan.remat", self.stats.remats)
+            metrics.gauge("plan.planned_peak_bytes",
+                          self.plan.planned_peak_bytes)
 
     def close(self) -> None:
         if self._worker is not None:
@@ -118,7 +133,7 @@ class PlanEnforcer:
                              self.tracer.now_us() - start, category="plan",
                              value=name, bytes=a.nbytes,
                              spill_after=a.spill_after, next_use=a.next_use)
-        self.allocator.spill(a.value)
+        self.allocator.free(a.value, action="spill")
         del self.env[name]
         self.stats.spills += 1
         self.stats.spilled_bytes += a.nbytes
@@ -130,7 +145,7 @@ class PlanEnforcer:
         # the bytes are charged when the transfer starts, not when it
         # lands — the conservative double-buffer accounting the planner
         # simulates
-        self.allocator.restore(a.value, "prefetch")
+        self.allocator.alloc(a.value, action="prefetch")
         self._worker.issue(name)
 
     def _bind(self, a: SpillAction) -> None:
@@ -145,11 +160,7 @@ class PlanEnforcer:
             # failure means the data is gone and must surface
             self.stats.fetch_retries += 1
             self.tracer.metrics.inc("plan.fetch_retries")
-            try:
-                array = self.store.fetch(name)
-            except SpillStoreError:
-                self.close()
-                raise
+            array = self.store.fetch(name)
         # the span duration is the prefetch *stall*: zero when the
         # transfer fully overlapped the preceding node's compute
         self.tracer.complete("plan.prefetch", start,
@@ -167,10 +178,9 @@ class PlanEnforcer:
         for cnode in a.chain:
             in_arrays = [self.env[v.name] for v in cnode.inputs]
             out_array = kernels.run_node(cnode, in_arrays)
-            if cnode.output.name == target:
-                self.allocator.restore(a.value, "remat")
-            else:
-                self.allocator.alloc(cnode.output)
+            self.allocator.alloc(
+                cnode.output,
+                action="remat" if cnode.output.name == target else "alloc")
             self.env[cnode.output.name] = out_array
         for cnode in a.chain:
             if cnode.output.name != target:
@@ -189,8 +199,3 @@ class PlanEnforcer:
         # simply returned, nothing moves anywhere
         self.allocator.free(a.value)
         del self.env[a.value.name]
-
-    # -- reporting -------------------------------------------------------
-
-    def planned_live_at(self, index: int) -> int:
-        return self.plan.planned_live[index]

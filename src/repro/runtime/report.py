@@ -1,23 +1,18 @@
-"""Report emitters: memory profiles and comparisons as CSV / Markdown.
+"""Report emitters: memory profiles and metrics as CSV / Markdown.
 
 Turns :class:`~repro.runtime.memory_profile.MemoryProfile` objects into
 artifacts people actually attach to issues and papers: per-layer CSV
-timelines, Markdown comparison tables, and the op-level breakdown of
-where the peak lives.
+timelines and the Markdown breakdown of what the peak is made of.
 """
 
 from __future__ import annotations
 
 import io
-from pathlib import Path
 
-from ..ir.graph import Graph
 from ..obs.metrics import MetricsRegistry
-from .engine import TimingResult
 from .memory_profile import MemoryProfile
 
-__all__ = ["timeline_csv", "profile_markdown", "compare_markdown",
-           "op_breakdown", "metrics_markdown", "timing_markdown"]
+__all__ = ["timeline_csv", "profile_markdown", "metrics_markdown"]
 
 MIB = 1024 * 1024
 
@@ -30,19 +25,6 @@ def timeline_csv(profile: MemoryProfile) -> str:
         out.write(f"{e.index},{e.node_name},{e.op},{e.live_bytes},"
                   f"{e.scratch_bytes}\n")
     return out.getvalue()
-
-
-def op_breakdown(profile: MemoryProfile) -> dict[str, int]:
-    """Peak memory observed while each op kind executes.
-
-    Ranks by :attr:`MemoryEvent.total_bytes` (live + transient scratch)
-    so fused kernels — whose channel-block tiles live outside the
-    live-tensor pool — are not under-reported relative to plain ops.
-    """
-    peaks: dict[str, int] = {}
-    for e in profile.events:
-        peaks[e.op] = max(peaks.get(e.op, 0), e.total_bytes)
-    return dict(sorted(peaks.items(), key=lambda kv: -kv[1]))
 
 
 def profile_markdown(profile: MemoryProfile, title: str = "Memory profile") -> str:
@@ -66,24 +48,6 @@ def profile_markdown(profile: MemoryProfile, title: str = "Memory profile") -> s
     return "\n".join(lines) + "\n"
 
 
-def compare_markdown(profiles: dict[str, MemoryProfile],
-                     title: str = "Variant comparison") -> str:
-    """Several variants side by side as one Markdown table."""
-    lines = [f"## {title}", "",
-             "| variant | peak internal MiB | weights MiB | total MiB |",
-             "|---|---|---|---|"]
-    baseline = None
-    for label, p in profiles.items():
-        if baseline is None:
-            baseline = p.peak_internal_bytes or 1
-        reduction = 1.0 - p.peak_internal_bytes / baseline
-        extra = f" ({reduction:+.1%})" if p is not list(profiles.values())[0] else ""
-        lines.append(f"| {label} | {p.peak_internal_bytes / MIB:.2f}{extra} "
-                     f"| {p.weight_bytes / MIB:.2f} "
-                     f"| {p.peak_total_bytes / MIB:.2f} |")
-    return "\n".join(lines) + "\n"
-
-
 def metrics_markdown(registry: MetricsRegistry,
                      title: str = "Session metrics") -> str:
     """A :class:`~repro.obs.MetricsRegistry` as one Markdown table.
@@ -97,22 +61,3 @@ def metrics_markdown(registry: MetricsRegistry,
         shown = f"{value:g}" if isinstance(value, float) else str(value)
         lines.append(f"| `{name}` | {shown} | {mib} |")
     return "\n".join(lines) + "\n"
-
-
-def timing_markdown(timing: TimingResult,
-                    title: str = "Timing") -> str:
-    """A :class:`~repro.runtime.engine.TimingResult` as one Markdown table.
-
-    Reports the location statistics plus the tail percentiles
-    (p50/p95/p99) that serving SLOs are written against.
-    """
-    lines = [f"## {title}", "",
-             f"- runs: {len(timing.seconds_per_run)}", "",
-             "| stat | ms |", "|---|---|"]
-    for stat in ("best", "median", "mean", "p50", "p95", "p99"):
-        lines.append(f"| {stat} | {getattr(timing, stat) * 1e3:.3f} |")
-    return "\n".join(lines) + "\n"
-
-
-def save_report(text: str, path: str | Path) -> None:
-    Path(path).write_text(text)

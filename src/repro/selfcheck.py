@@ -96,15 +96,15 @@ def _check_estimator_parity() -> str:
 
 
 def _check_arena() -> str:
-    from .runtime import execute, execute_in_arena
+    from .obs.audit import audit_graph
 
     g = _tiny_graph()
     rng = np.random.default_rng(3)
     inputs = {"x": rng.normal(size=(2, 12, 16, 16)).astype(np.float32)}
-    want = execute(g, inputs).output()
-    outputs, plan = execute_in_arena(g, inputs)
-    np.testing.assert_allclose(outputs[g.outputs[0].name], want, atol=1e-5)
-    return f"arena-backed execution OK ({plan.arena_bytes / 1024:.0f} KiB arena)"
+    audit = audit_graph(g, inputs)
+    assert audit.passed, [f.message for f in audit.errors]
+    return (f"co-live tensors never share arena bytes "
+            f"({audit.arena_bytes / 1024:.0f} KiB arena)")
 
 
 def _check_training() -> str:
@@ -127,7 +127,7 @@ CHECKS: list[tuple[str, Callable[[], str]]] = [
     ("decompositions", _check_decompositions),
     ("temco-equivalence", _check_optimizer_equivalence),
     ("estimator-parity", _check_estimator_parity),
-    ("arena-execution", _check_arena),
+    ("arena-audit", _check_arena),
     ("training", _check_training),
 ]
 

@@ -50,7 +50,7 @@ class TestMalformedGraphs:
         node.output.shape = (node.output.shape[0], node.output.shape[1],
                              node.output.shape[2], node.output.shape[3] - 1)
         with pytest.raises(RuntimeError, match="produced shape"):
-            execute(g, random_input(g), check_leaks=False)
+            execute(g, random_input(g))
 
 
 class TestDegenerateInputs:
@@ -147,7 +147,7 @@ class TestFiniteChecking:
         g.find_node("poisoned").params["weight"][:] = np.inf
         with pytest.raises(FloatingPointError, match="poisoned"):
             execute(g, {"x": np.ones((1, 2, 2, 2), np.float32)},
-                    check_finite=True, check_leaks=False)
+                    check_finite=True)
 
     def test_check_finite_quiet_on_healthy_graph(self):
         g = make_chain_graph()

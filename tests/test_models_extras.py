@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core import optimize
-from repro.decompose import DecompositionConfig, decompose_graph
 from repro.models import EXTRA_MODELS, build_extra
 from repro.runtime import execute
 
@@ -29,11 +28,10 @@ class TestExtraModels:
         out = execute(g, random_input(g)).output()
         assert np.isfinite(out).all()
 
-    def test_temco_end_to_end(self, name):
-        g = build_extra(name, batch=1, hw=32)
-        dg = decompose_graph(g, DecompositionConfig(ratio=0.25))
+    def test_temco_end_to_end(self, name, decomposed):
+        dg = decomposed(name, 32)
         opt, report = optimize(dg)
-        inp = random_input(g)
+        inp = random_input(dg)
         a = execute(dg, inp).output()
         b = execute(opt, inp).output()
         scale = max(1e-6, float(np.abs(a).max()))
@@ -55,10 +53,8 @@ class TestExtraSpecifics:
         # only the classifier head's hidden layer may use relu
         assert sum(1 for n in g.nodes if n.op == "relu") <= 1
 
-    def test_vgg_silu_fusion_produces_silu_kernels(self):
-        g = build_extra("vgg11_silu", batch=1, hw=32)
-        dg = decompose_graph(g, DecompositionConfig(ratio=0.25))
-        opt, report = optimize(dg)
+    def test_vgg_silu_fusion_produces_silu_kernels(self, decomposed):
+        opt, report = optimize(decomposed("vgg11_silu", 32))
         fused_acts = {n.attrs.get("act") for n in opt.nodes
                       if n.op.startswith("fused")}
         assert "silu" in fused_acts

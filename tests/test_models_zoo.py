@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import estimate_peak_internal, optimize
-from repro.decompose import DecompositionConfig, decompose_graph
+from repro.core import optimize
 from repro.models import (MODEL_ZOO, build_densenet, build_model, build_resnet,
                           build_unet, build_vgg, model_names)
 from repro.runtime import execute
@@ -66,11 +65,10 @@ class TestEveryModel:
         g = build_model(name, batch=1, hw=SMALL[name])
         assert not any(n.op == "batchnorm2d" for n in g.nodes)
 
-    def test_decompose_and_optimize_preserve_outputs(self, name):
-        g = build_model(name, batch=1, hw=SMALL[name])
-        dg = decompose_graph(g, DecompositionConfig(ratio=0.25))
+    def test_decompose_and_optimize_preserve_outputs(self, name, decomposed):
+        dg = decomposed(name, SMALL[name])
         opt, report = optimize(dg)
-        inp = random_input(g)
+        inp = random_input(dg)
         a = execute(dg, inp).output()
         b = execute(opt, inp).output()
         scale = max(1e-6, float(np.abs(a).max()))

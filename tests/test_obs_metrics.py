@@ -295,7 +295,11 @@ class TestThreadSafety:
                 m.observe("serve.latency_ms", float(worker * per_thread + i))
 
         def read():
-            while not stop.is_set():
+            # paced: back-to-back snapshots (each sorts the reservoir
+            # under the lock) starve the writers, and the test then
+            # lasts as long as the starvation does rather than the
+            # writers' fixed number of observations
+            while True:
                 snap = m.snapshot()
                 # counts only grow, quantiles stay within observed range
                 if snap:
@@ -305,6 +309,8 @@ class TestThreadSafety:
                             <= snap["serve.latency_ms.p50"]
                             <= snap["serve.latency_ms.max"])
                 snapshots.append(snap)
+                if stop.wait(0.001):
+                    return
 
         threads = [threading.Thread(target=write, args=(w,))
                    for w in range(writers)]

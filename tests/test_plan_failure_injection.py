@@ -3,6 +3,9 @@ degrade to keep-resident (the request stays correct), a transient fetch
 failure must be retried, and lost data must surface as a typed error —
 never as silently wrong outputs."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -89,6 +92,39 @@ class TestPermanentFetchFailure:
         graph, inputs, _, plan = planned_wavenet
         with pytest.raises(SpillStoreError):
             execute(graph, inputs, plan=plan, spill_store=_DeadFetchStore())
+
+
+class TestAbandonedRun:
+    def test_kernel_failure_stops_the_worker_and_clears_the_store(
+            self, tmp_path, monkeypatch):
+        """A run that raises mid-plan must not leave the prefetch thread
+        waiting out its idle timeout, nor spilled tensors on disk."""
+        from repro import kernels
+
+        graph = build_wavenet2d(batch=1, hw=32)
+        plan = plan_memory(graph, int(0.60 * estimate_peak_internal(graph)))
+        assert plan.spills
+        rng = np.random.default_rng(0)
+        inputs = {v.name: rng.standard_normal(v.shape).astype(np.float32)
+                  for v in graph.inputs}
+        # the node a prefetch is issued at: the worker thread is up and
+        # the tensor is still parked in the store
+        doomed = graph.nodes[plan.spills[0].prefetch_issue]
+        run_node = kernels.run_node
+
+        def kernel_raises(node, in_arrays):
+            if node is doomed:
+                raise ZeroDivisionError("injected kernel failure")
+            return run_node(node, in_arrays)
+
+        monkeypatch.setattr(kernels, "run_node", kernel_raises)
+        store = SpillStore(directory=tmp_path)
+        with pytest.raises(ZeroDivisionError, match="injected"):
+            execute(graph, inputs, plan=plan, spill_store=store)
+        time.sleep(0.2)
+        assert not [t for t in threading.enumerate()
+                    if t.name == "repro-prefetch" and t.is_alive()]
+        assert len(store) == 0 and not any(tmp_path.iterdir())
 
 
 class TestSpillStoreContract:

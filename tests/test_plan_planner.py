@@ -4,6 +4,8 @@ and the typed infeasibility contract."""
 import pytest
 
 from repro.core import estimate_peak_floor, estimate_peak_internal, simulate
+from repro.data.synthetic import random_inputs
+from repro.ir import GraphBuilder
 from repro.ir.ops import node_flops
 from repro.models import build_wavenet2d
 from repro.plan import (BudgetSyntaxError, InfeasibleBudget, KeepAction,
@@ -74,6 +76,59 @@ class TestSimulation:
         schedule = simulate(wavenet, actions=bucket_actions(plan.actions))
         assert schedule.peak_bytes == plan.planned_peak_bytes
         assert schedule.live == plan.planned_live
+
+
+def _two_remats_at_one_boundary():
+    """``a`` is cheap to hold but replays through a wide intermediate;
+    ``b`` is its own chain.  Both are dropped after node 2 and replayed
+    before node 5, where which chain goes first sets the high water."""
+    b = GraphBuilder("two_remats", seed=0)
+    x = b.input("x", (1, 4, 8, 8))
+    a = b.conv2d(b.conv2d(x, 32, 1), 2, 1)         # nodes 0, 1
+    bb = b.conv2d(x, 8, 1)                          # node 2
+    m = b.relu(b.relu(x))                           # nodes 3, 4
+    ab = b.concat(a, bb)                            # node 5
+    g = b.finish(b.concat(b.concat(ab, m), x))      # nodes 6, 7
+
+    def remat(value, chain):
+        return RematAction(
+            value=value, drop_after=2, remat_before=5, chain=chain,
+            recompute_flops=sum(node_flops(n) for n in chain),
+            transient_bytes=sum(n.output.nbytes for n in chain))
+
+    return g, remat(a, (g.nodes[0], g.nodes[1])), remat(bb, (g.nodes[2],))
+
+
+class TestActionOrder:
+    """Two remats at one boundary: the planner prices the order the
+    enforcer replays, whatever order the actions were found in."""
+
+    def test_the_two_orders_would_price_differently(self):
+        _, ra, rb = _two_remats_at_one_boundary()
+        assert (max(ra.transient_bytes, ra.nbytes + rb.transient_bytes)
+                != max(rb.transient_bytes, rb.nbytes + ra.transient_bytes))
+
+    @pytest.mark.parametrize("found_first", ["a", "b"])
+    def test_priced_order_is_the_enforced_order(self, found_first):
+        from repro.runtime import execute
+        g, ra, rb = _two_remats_at_one_boundary()
+        found = (ra, rb) if found_first == "a" else (rb, ra)
+        priced = simulate(g, actions=bucket_actions(found))
+        # the plan hands the enforcer the opposite arrival order
+        plan = MemoryPlan(
+            graph_name=g.name, num_nodes=len(g.nodes), budget_bytes=None,
+            baseline_peak_bytes=simulate(g).peak_bytes,
+            planned_peak_bytes=priced.peak_bytes, planned_live=priced.live,
+            actions=found[::-1], cost_model=PlanCostModel())
+        inputs = random_inputs(g, 0)
+        result = execute(g, inputs, plan=plan, record_ledger=True)
+        assert result.memory.plan_stats.remats == 2
+        assert result.memory.ledger.peak_bytes == plan.planned_peak_bytes
+        assert result.memory.peak_internal_bytes == plan.planned_peak_bytes
+        assert (tuple(e.live_bytes for e in result.memory.events)
+                == plan.planned_live)
+        for name, want in execute(g, inputs).outputs.items():
+            assert (result.outputs[name] == want).all()
 
 
 class TestPlanMemory:

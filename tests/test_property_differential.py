@@ -134,15 +134,13 @@ def test_pipeline_idempotent_on_random_cnns(seed):
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10_000))
-def test_arena_execution_on_random_cnns(seed):
-    """Arena-backed execution must agree with the normal executor —
-    the planner's non-overlap guarantee proven by running in it."""
-    from repro.runtime import execute_in_arena
+def test_arena_audit_on_random_cnns(seed):
+    """The planner's non-overlap guarantee under the lifetimes the
+    executor measures (and every other conformance check)."""
+    from repro.obs.audit import audit_graph
     g = random_cnn(seed, max_blocks=3)
-    inp = random_input(g, seed)
-    want = execute(g, inp).output()
-    outputs, _plan = execute_in_arena(g, inp)
-    np.testing.assert_allclose(outputs[g.outputs[0].name], want, atol=1e-5)
+    audit = audit_graph(g, random_input(g, seed))
+    assert audit.passed, audit.errors
 
 
 @settings(max_examples=10, deadline=None)

@@ -10,10 +10,8 @@ from repro.core import optimize
 from repro.decompose import DecompositionConfig, decompose_graph
 from repro.ir import save_dot, to_dot
 from repro.obs import MetricsRegistry
-from repro.runtime import (TimingResult, compare_markdown, execute,
-                           metrics_markdown, op_breakdown, profile_markdown,
-                           timeline_csv, timing_markdown)
-from repro.runtime.memory_profile import MemoryEvent, MemoryProfile
+from repro.runtime import (TimingResult, execute, metrics_markdown,
+                           profile_markdown, timeline_csv)
 
 from _graph_fixtures import make_chain_graph, make_skip_graph, random_input
 
@@ -62,33 +60,6 @@ class TestReports:
         peak = profile.peak_event()
         assert peak.node_name in md
 
-    def test_compare_markdown(self):
-        a = self._profile(make_chain_graph)
-        b = self._profile(make_skip_graph)
-        md = compare_markdown({"one": a, "two": b})
-        assert md.count("|") > 8
-        assert "one" in md and "two" in md
-
-    def test_op_breakdown_sorted(self):
-        profile = self._profile()
-        breakdown = op_breakdown(profile)
-        values = list(breakdown.values())
-        assert values == sorted(values, reverse=True)
-        assert "concat" in breakdown
-
-    def test_op_breakdown_ranks_by_total_bytes(self):
-        # fused op B peaks higher once scratch is charged, despite the
-        # smaller live set — total_bytes ranking must put it first
-        profile = MemoryProfile(events=[
-            MemoryEvent(0, "a", "conv2d", live_bytes=100, scratch_bytes=0),
-            MemoryEvent(1, "b", "fused_block", live_bytes=60,
-                        scratch_bytes=200),
-        ], peak_internal_bytes=100)
-        breakdown = op_breakdown(profile)
-        assert list(breakdown) == ["fused_block", "conv2d"]
-        assert breakdown["fused_block"] == 260
-        assert breakdown["conv2d"] == 100
-
     def test_metrics_markdown_table(self):
         registry = MetricsRegistry()
         registry.inc("executor.runs", 2)
@@ -123,12 +94,3 @@ class TestTimingPercentiles:
         times = list(np.random.default_rng(0).uniform(0.001, 0.1, size=40))
         timing = TimingResult(seconds_per_run=times)
         assert min(times) <= timing.p50 <= timing.p95 <= timing.p99 <= max(times)
-
-    def test_timing_markdown_table(self):
-        timing = TimingResult(seconds_per_run=[0.010, 0.020, 0.030])
-        md = timing_markdown(timing, title="T")
-        assert "## T" in md and "runs: 3" in md
-        for stat in ("best", "median", "mean", "p50", "p95", "p99"):
-            assert f"| {stat} |" in md
-        assert "| best | 10.000 |" in md
-        assert "| p50 | 20.000 |" in md

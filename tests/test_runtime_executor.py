@@ -50,13 +50,6 @@ class TestExecution:
         res = execute(g, random_input(g))
         assert res.output().shape == (1, 2, 2, 2)
 
-    def test_timings_recorded(self):
-        g = make_chain_graph()
-        res = execute(g, random_input(g), record_timings=True)
-        assert len(res.timings) == len(g.nodes)
-        assert all(t.seconds >= 0 for t in res.timings)
-        assert res.total_seconds > 0
-
 
 class TestMemoryAccounting:
     def test_events_one_per_node(self):
