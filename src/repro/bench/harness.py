@@ -104,12 +104,12 @@ def use_tuned_fusion(lookup: Callable[[Graph, TeMCOConfig],
     global _TUNED_LOOKUP
     prev = _TUNED_LOOKUP
     _TUNED_LOOKUP = lookup
-    build_variants.cache_clear()
+    _build_variants.cache_clear()
     try:
         yield
     finally:
         _TUNED_LOOKUP = prev
-        build_variants.cache_clear()
+        _build_variants.cache_clear()
 
 
 def _variant_config(original: Graph, config: TeMCOConfig) -> TeMCOConfig:
@@ -152,11 +152,23 @@ class VariantSet:
         return self.graphs[variant].weight_bytes()
 
 
-@functools.lru_cache(maxsize=64)
 def build_variants(model: str, batch: int = 4, hw: int | None = None,
                    ratio: float = 0.1, seed: int = 0,
                    method: str = "tucker") -> VariantSet:
-    """Build original/decomposed/TeMCO variants for one model (cached)."""
+    """Build original/decomposed/TeMCO variants for one model.
+
+    Cached on the resolved arguments: positional and keyword spellings,
+    and ``hw=None`` and the model's default resolution, share one
+    :class:`VariantSet`, so a model is factorised once per process.
+    """
+    if hw is None and model in MODEL_ZOO:
+        hw = MODEL_ZOO[model].default_hw
+    return _build_variants(model, batch, hw, ratio, seed, method)
+
+
+@functools.lru_cache(maxsize=64)
+def _build_variants(model: str, batch: int, hw: int | None, ratio: float,
+                    seed: int, method: str) -> VariantSet:
     original = build_model(model, batch=batch, hw=hw, seed=seed)
     actual_hw = original.inputs[0].shape[2]
     decomposed = decompose_graph(

@@ -80,12 +80,6 @@ memcheck [MODEL ...]
     spill/remat-tagged ledger.  See ``docs/memory_auditing.md``.
 bench {fig4,fig10,fig11,fig12}
     Regenerate one paper figure as a text table.
-bench [--json] [--name N] / bench --compare [BASELINE]
-    With no figure: measure the bench suite (per-model peak bytes,
-    reduction %, latency p50/p95/p99).  ``--json`` writes
-    ``BENCH_<name>.json``; ``--compare`` re-measures with the
-    baseline's own config and fails on peak regressions (the CI gate
-    against the committed ``BENCH_baseline.json``).
 
 ``optimize``, ``run``, ``bench``, ``serve`` and ``loadgen`` also
 accept ``--trace PATH`` (dump a Chrome trace / JSONL of the whole
@@ -106,11 +100,9 @@ import threading
 import time
 from pathlib import Path
 
-from .bench import (DEFAULT_MODELS, PAPER_LABELS, BenchConfig, collect_bench,
-                    compare_bench, figure4, figure10, figure11, figure12,
-                    format_comparison, format_table,
-                    internal_reduction_geomean, load_bench, overhead_ratios,
-                    trace_figures, use_tuned_fusion, write_bench)
+from .bench import (PAPER_LABELS, figure4, figure10, figure11, figure12,
+                    format_table, internal_reduction_geomean, overhead_ratios,
+                    trace_figures, use_tuned_fusion)
 from .core import (TeMCOConfig, estimate_peak_floor, estimate_peak_internal,
                    optimize)
 from .data import random_inputs
@@ -905,83 +897,9 @@ def _cmd_memcheck(args) -> int:
     return 0
 
 
-def _cmd_bench_suite(args) -> int:
-    """``repro bench`` without a figure: measure / write / gate."""
-    if args.compare:
-        baseline = load_bench(args.compare)
-        config = BenchConfig.from_dict(baseline["config"])
-        print(f"bench gate: re-measuring {len(config.models)} model(s) with "
-              f"the baseline's config (batch {config.batch}, hw {config.hw}, "
-              f"{config.repeats} repeats)")
-        current = collect_bench(config, name=args.name)
-        if args.out:
-            write_bench(current, args.out)
-            print(f"wrote current measurements to {args.out}")
-        comparison = compare_bench(
-            current, baseline,
-            peak_tolerance_pct=args.peak_tolerance,
-            latency_tolerance_pct=args.latency_tolerance)
-        print(format_comparison(comparison))
-        return 0 if comparison.passed else 1
-    config = BenchConfig(models=tuple(args.models or DEFAULT_MODELS),
-                         batch=args.batch, hw=args.hw, repeats=args.repeats,
-                         budget=args.budget, fleet=args.fleet)
-    doc = collect_bench(config, name=args.name)
-    headers = ["model", "variant", "peak B", "p50 ms", "p95 ms", "p99 ms"]
-    if config.budget:
-        # informational: the planner-enforced peak under --budget
-        headers.append(f"peak B @ {config.budget}")
-    rows = []
-    for model, entry in sorted(doc["models"].items()):
-        for variant, v in sorted(entry["variants"].items()):
-            row = [model, variant, v["peak_bytes"],
-                   f"{v['latency_ms']['p50']:.2f}",
-                   f"{v['latency_ms']['p95']:.2f}",
-                   f"{v['latency_ms']['p99']:.2f}"]
-            if config.budget:
-                budgeted = v.get("budgeted", {})
-                row.append(budgeted["measured_peak_bytes"]
-                           if budgeted.get("feasible") else "infeasible")
-            rows.append(row)
-    print(format_table(
-        headers, rows,
-        title=f"bench suite {doc['name']!r} ({doc['created_at']})"))
-    for model, entry in sorted(doc["models"].items()):
-        print(f"{model}: {entry['reduction_pct']:.1f}% peak reduction "
-              f"({entry['best_variant']})")
-    if config.fleet and "fleet" in doc:
-        fleet = doc["fleet"]
-        rows = []
-        for replicas, r in sorted(fleet["replicas"].items()):
-            rows.append([replicas,
-                         "yes" if r.get("feasible") else "no",
-                         r.get("replica_budget_bytes", "-"),
-                         f"{r['throughput_rps']:.1f}"
-                         if r.get("feasible") else "-",
-                         f"{r['p50_ms']:.2f}" if r.get("feasible") else "-",
-                         r.get("errors", "-")])
-        print()
-        print(format_table(
-            ["replicas", "feasible", "budget B/replica", "req/s", "p50 ms",
-             "errors"],
-            rows,
-            title=f"fleet throughput, {fleet['model']} under "
-                  f"{format_bytes(fleet['host_budget_bytes'])} host budget "
-                  f"(informational, never gated)"))
-        if "speedup" in fleet:
-            print(f"3-replica speedup over 1: {fleet['speedup']:.2f}x")
-    if args.json:
-        out = args.out or Path(f"BENCH_{args.name}.json")
-        write_bench(doc, out)
-        print(f"wrote bench document to {out}")
-    return 0
-
-
 def _cmd_bench(args) -> int:
     if args.log_level:
         configure_logging(args.log_level)
-    if args.figure is None:
-        return _cmd_bench_suite(args)
     tuned_ctx = contextlib.nullcontext()
     if args.tuned:
         cache = TuneCache(args.cache_dir)
@@ -1121,10 +1039,12 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="spill_gbps", metavar="GBPS",
                    help="modelled host<->device spill bandwidth in GB/s "
                         "(default 12)")
-    p.add_argument("--compute-gflops", type=float, default=2000.0,
+    kernel_gflops = PlanCostModel.recompute_flops_per_s / 1e9
+    p.add_argument("--compute-gflops", type=float, default=kernel_gflops,
                    dest="compute_gflops", metavar="GFLOPS",
                    help="modelled recompute throughput in GFLOP/s "
-                        "(default 2000)")
+                        f"(default {kernel_gflops:g}, what the NumPy "
+                        "kernels reach)")
     p.add_argument("--json", action="store_true",
                    help="print the full plan as JSON (for scripts/CI)")
     p.set_defaults(fn=_obs_wrap(_cmd_plan))
@@ -1364,51 +1284,15 @@ def build_parser() -> argparse.ArgumentParser:
     obs_flags(p)
     p.set_defaults(fn=_obs_wrap(_cmd_memcheck))
 
-    p = sub.add_parser("bench", help="regenerate a paper figure, or (with "
-                                     "no figure) run the bench suite / "
-                                     "regression gate")
-    p.add_argument("figure", nargs="?", default=None,
-                   choices=("fig4", "fig10", "fig11", "fig12"),
-                   help="paper figure to regenerate; omit to measure the "
-                        "bench suite (see --json / --compare)")
+    p = sub.add_parser("bench", help="regenerate a paper figure")
+    p.add_argument("figure", choices=("fig4", "fig10", "fig11", "fig12"),
+                   help="paper figure to regenerate")
     p.add_argument("--model", default=None)
     p.add_argument("--batch", type=int, default=4)
     p.add_argument("--hw", type=int, default=32,
                    help="input resolution for fig11/fig12 (default 32)")
     p.add_argument("--repeats", type=int, default=2,
                    help="timing repeats per fig11 measurement (default 2)")
-    p.add_argument("--models", nargs="+", default=None, metavar="MODEL",
-                   help="suite mode: models to measure (default: "
-                        f"{' '.join(DEFAULT_MODELS)})")
-    p.add_argument("--json", action="store_true",
-                   help="suite mode: write the measurements as "
-                        "BENCH_<name>.json")
-    p.add_argument("--name", default="current",
-                   help="suite mode: document name (default 'current')")
-    p.add_argument("--out", type=Path, default=None, metavar="PATH",
-                   help="suite mode: explicit output path for --json "
-                        "(default BENCH_<name>.json)")
-    p.add_argument("--compare", nargs="?", const="BENCH_baseline.json",
-                   default=None, metavar="BASELINE",
-                   help="suite mode: re-measure with BASELINE's config and "
-                        "fail on peak regressions (default baseline: "
-                        "BENCH_baseline.json)")
-    p.add_argument("--peak-tolerance", type=float, default=0.0,
-                   dest="peak_tolerance", metavar="PCT",
-                   help="--compare: allowed peak growth in percent "
-                        "(default 0.0: any growth fails)")
-    p.add_argument("--latency-tolerance", type=float, default=None,
-                   dest="latency_tolerance", metavar="PCT",
-                   help="--compare: gate p50 latency at PCT percent growth "
-                        "(default: latency is informational only)")
-    p.add_argument("--budget", default=None, metavar="BYTES",
-                   help="suite mode: add an informational budgeted-peak "
-                        "column (repro.plan enforced; NN%% is relative to "
-                        "each variant's own peak; never gated)")
-    p.add_argument("--fleet", action="store_true",
-                   help="suite mode: add an informational fleet-throughput "
-                        "comparison (1 vs 3 replicas under one shared host "
-                        "budget via the repro.fleet router; never gated)")
     obs_flags(p)
     tune_flags(p, no_tune=False)
     p.set_defaults(fn=_cmd_bench)

@@ -37,6 +37,7 @@ exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Union
 
 from ..core.liveness import LiveInterval, analyze_liveness, simulate
@@ -51,19 +52,26 @@ __all__ = ["PlanCostModel", "KeepAction", "SpillAction", "RematAction",
            "InfeasibleBudget", "plan_memory"]
 
 
+#: What a remat chain runs at: the rate this runtime's NumPy kernels
+#: sustain on one BLAS thread, perfbench's per-layer
+#: ``kernels.gflops_per_s`` on ``graph_b4`` (conv 7.3, fused 7.1).
+KERNEL_FLOPS_PER_S = 7e9
+
+
 @dataclass(frozen=True)
 class PlanCostModel:
     """Knobs of the spill-vs-remat decision.
 
     Defaults model a PCIe-class host link (~12 GB/s effective) against
-    a ~2 TFLOP/s compute budget; both are configurable per plan because
-    the right answer flips with the hardware ratio.
+    the rate the kernels that replay a remat chain actually reach
+    (:data:`KERNEL_FLOPS_PER_S`); both are configurable per plan
+    because the right answer flips with the hardware ratio.
     """
 
     #: host-link bandwidth used for spill + prefetch transfers
     spill_bandwidth_bytes_per_s: float = 12e9
     #: sustained rate assumed for rematerialization compute
-    recompute_flops_per_s: float = 2e12
+    recompute_flops_per_s: float = KERNEL_FLOPS_PER_S
     #: nodes of lead between issuing a prefetch and needing the tensor
     #: (1 = the transfer overlaps the preceding node's compute)
     prefetch_lead: int = 1
@@ -246,6 +254,12 @@ class MemoryPlan:
     planned_live: tuple[int, ...]
     actions: tuple[PlanAction, ...]
     cost_model: PlanCostModel
+
+    @cached_property
+    def buckets(self) -> ActionBuckets:
+        """``actions`` by the boundary they fire at, bucketed once for
+        every run that enforces the plan (read-only: shared by runs)."""
+        return bucket_actions(self.actions)
 
     @property
     def spills(self) -> tuple[SpillAction, ...]:

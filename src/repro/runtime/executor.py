@@ -52,6 +52,12 @@ class Step(NamedTuple):
     overwrites_input: bool
     #: channel-block tile bytes of a fused kernel, 0 for any other op
     scratch_bytes: int
+    #: analytic FLOP count (:func:`repro.ir.ops.node_flops`)
+    flops: int
+    #: data the kernel touches: inputs + output + weights.  With
+    #: ``flops`` it gives the hot-path profiler (:mod:`repro.obs.profile`)
+    #: the arithmetic intensity of every node
+    bytes_moved: int
 
 
 class Schedule:
@@ -71,7 +77,9 @@ class Schedule:
         self.steps = tuple(
             Step(index, node, frees_after[index],
                  reuses_input_buffer(node, frees_after[index]),
-                 _fused_scratch_bytes(node))
+                 _fused_scratch_bytes(node), node_flops(node),
+                 sum(v.nbytes for v in node.inputs) + node.output.nbytes
+                 + node.param_bytes())
             for index, node in enumerate(graph.nodes))
         self.peak_scratch_bytes = max(
             (step.scratch_bytes for step in self.steps), default=0)
@@ -163,14 +171,9 @@ class _TraceObserver(RunObserver):
 
     def node_done(self, step, in_arrays, out_array, start_us, end_us):
         node = step.node
-        # bytes = data the kernel touched (inputs + output + weights);
-        # with the analytic FLOP count this gives the hot-path profiler
-        # (repro.obs.profile) the arithmetic intensity of every node
-        moved = (sum(int(a.nbytes) for a in in_arrays)
-                 + int(out_array.nbytes) + node.param_bytes())
         self.tracer.complete(node.name, start_us, end_us - start_us,
                              category=node.op, index=step.index, op=node.op,
-                             bytes=moved, flops=node_flops(node),
+                             bytes=step.bytes_moved, flops=step.flops,
                              scratch=step.scratch_bytes)
         self.tracer.counter("memory",
                             live_bytes=self.allocator.current_bytes,

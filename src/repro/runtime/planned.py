@@ -36,8 +36,7 @@ import logging
 import numpy as np
 
 from .. import kernels
-from ..plan.planner import (MemoryPlan, RematAction, SpillAction,
-                            bucket_actions)
+from ..plan.planner import MemoryPlan, RematAction, SpillAction
 from ..plan.store import PrefetchWorker, SpillStore, SpillStoreError
 from .allocator import TensorAllocator
 from .executor import RunObserver
@@ -60,7 +59,7 @@ class PlanEnforcer(RunObserver):
         self.tracer = tracer
         self.stats = PlanStats(budget_bytes=plan.budget_bytes,
                                planned_peak_bytes=plan.planned_peak_bytes)
-        self._at = bucket_actions(plan.actions)
+        self._at = plan.buckets
         needs_store = bool(self._at.spill_at)
         self.store = store if store is not None else (
             SpillStore() if needs_store else None)

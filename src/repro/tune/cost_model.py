@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..ir.node import Node
+from ..ir.ops import node_flops
 from ..kernels import DEFAULT_BLOCK_SIZE, fused_scratch_bytes
 from ..kernels.fused import spatially_tileable
 
@@ -58,6 +59,8 @@ class SiteSpec:
     act: str | None
     pool: dict[str, Any] | None
     upsample: int
+    out_hw: tuple[int, int]  #: spatial size after the pool / upsample
+    flops: int         #: :func:`repro.ir.ops.node_flops` of the node
 
     @classmethod
     def from_node(cls, node: Node) -> "SiteSpec":
@@ -76,17 +79,10 @@ class SiteSpec:
             act=node.attrs.get("act"),
             pool=node.attrs.get("pool"),
             upsample=int(node.attrs.get("upsample", 0) or 0),
+            # the IR's own shape inference (ir.ops.conv_output_hw for pools)
+            out_hw=tuple(node.output.shape[2:]),  # type: ignore[arg-type]
+            flops=node_flops(node),
         )
-
-    @property
-    def out_hw(self) -> tuple[int, int]:
-        _n, _r, h, w = self.input_shape
-        if self.pool is not None:
-            sh, sw = self.pool.get("stride", self.pool["kernel"])
-            return h // sh, w // sw
-        if self.upsample:
-            return h * self.upsample, w * self.upsample
-        return h, w
 
 
 @dataclass(frozen=True)
@@ -137,12 +133,6 @@ def estimate_cost(site: SiteSpec, block_size: int,
     oh, ow = site.out_hw
     out_ch = site.r_out if site.r_out is not None else site.c_prime
 
-    flops = 2 * n * site.c_prime * r_in * h * w          # restore GEMM
-    if site.act is not None:
-        flops += n * site.c_prime * h * w
-    if site.r_out is not None:
-        flops += 2 * n * site.r_out * site.c_prime * oh * ow  # fconv GEMM
-
     # traffic: input re-read per channel block; weights once per spatial
     # tile; the tile itself written+read through act/resample; the fconv
     # accumulator read+written once per block beyond the first
@@ -162,7 +152,7 @@ def estimate_cost(site: SiteSpec, block_size: int,
         scratch_bytes=fused_scratch_bytes(
             site.input_shape, site.itemsize, block_size=blk,
             c_prime=site.c_prime, spatial_tile=spatial_tile if tiled else 0),
-        flops=flops, traffic_bytes=traffic, blocks=blocks)
+        flops=site.flops, traffic_bytes=traffic, blocks=blocks)
 
 
 def prune_candidates(site: SiteSpec, candidates: list[tuple[int, int]],

@@ -18,8 +18,14 @@ class TestHarness:
 
     def test_build_variants_cached(self):
         a = build_variants("unet_small", batch=1, hw=32)
-        b = build_variants("unet_small", batch=1, hw=32)
-        assert a is b
+        assert build_variants("unet_small", batch=1, hw=32) is a
+        # however the call is spelled
+        assert build_variants("unet_small", 1, 32) is a
+        assert build_variants(model="unet_small", hw=32, batch=1, ratio=0.1,
+                              seed=0, method="tucker") is a
+        # hw=None is the model's default resolution (wavenet2d: 32)
+        assert build_variants("wavenet2d", batch=1) \
+            is build_variants("wavenet2d", 1, 32)
 
     def test_variants_are_equivalent(self):
         vs = build_variants("unet_small", batch=1, hw=32)

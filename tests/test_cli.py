@@ -301,30 +301,12 @@ class TestMemcheckCLI:
         assert {"memory", "arena"} <= tracks
 
 
-class TestBenchSuiteCLI:
-    def test_suite_writes_json_and_gate_round_trips(self, capsys, tmp_path):
-        baseline = tmp_path / "BENCH_base.json"
-        assert main(["bench", "--json", "--name", "base",
-                     "--models", "alexnet", "--batch", "2",
-                     "--repeats", "2", "--out", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "peak reduction" in out and baseline.exists()
-        assert main(["bench", "--compare", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "+0.00%" in out
-
-    def test_gate_fails_on_seeded_regression(self, capsys, tmp_path):
-        baseline = tmp_path / "BENCH_base.json"
-        assert main(["bench", "--json", "--name", "base",
-                     "--models", "alexnet", "--batch", "2",
-                     "--repeats", "2", "--out", str(baseline)]) == 0
-        capsys.readouterr()
-        doc = json.loads(baseline.read_text())
-        for variant in doc["models"]["alexnet"]["variants"].values():
-            variant["peak_bytes"] //= 2  # current peaks now look higher
-        baseline.write_text(json.dumps(doc))
-        assert main(["bench", "--compare", str(baseline)]) == 1
-        assert "FAIL" in capsys.readouterr().out
+class TestBenchCLI:
+    def test_bare_bench_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "usage: repro bench" in capsys.readouterr().err
 
 
 class TestProfileCLI:

@@ -1,12 +1,8 @@
 """The planner's user-facing surfaces: `repro plan`, `--budget` on
-run/memcheck/bench, the /metrics counter names, and the bench
-document's informational budgeted column."""
+run/memcheck, and the /metrics counter names."""
 
 import json
 
-import pytest
-
-from repro.bench import BenchConfig, collect_bench
 from repro.cli import main
 from repro.obs import MetricsRegistry, prometheus_metric_name, prometheus_text
 
@@ -106,41 +102,3 @@ class TestPlanMetricNames:
             "repro_plan_spilled_bytes"
         assert prometheus_metric_name("plan.remat") == "repro_plan_remat"
 
-
-class TestBenchBudgetedColumn:
-    @pytest.fixture(scope="class")
-    def doc(self):
-        config = BenchConfig(models=("wavenet2d",), batch=1, hw=16,
-                             repeats=1, warmup=0, budget="60%")
-        return collect_bench(config, name="test")
-
-    def test_budgeted_entry_present_and_informational(self, doc):
-        entry = doc["models"]["wavenet2d"]["variants"]["original"]["budgeted"]
-        assert entry["feasible"] is True
-        assert entry["measured_peak_bytes"] <= entry["budget_bytes"]
-        assert entry["measured_peak_bytes"] == entry["planned_peak_bytes"]
-        assert entry["spills"] > 0
-
-    def test_infeasible_variant_reports_residual_not_crash(self, doc):
-        # 60% of the already-optimized variant's own peak sits below its
-        # floor; the column must report that, never fail the suite
-        best = doc["models"]["wavenet2d"]["best_variant"]
-        entry = doc["models"]["wavenet2d"]["variants"][best]["budgeted"]
-        if not entry["feasible"]:
-            assert entry["residual_bytes"] > 0
-
-    def test_budget_recorded_in_config_for_reproduction(self, doc):
-        assert doc["config"]["budget"] == "60%"
-
-    def test_config_without_budget_still_loads(self, doc):
-        legacy = dict(doc["config"])
-        legacy.pop("budget")
-        config = BenchConfig.from_dict(legacy)
-        assert config.budget is None
-
-    def test_no_budget_means_no_column(self):
-        config = BenchConfig(models=("wavenet2d",), batch=1, hw=16,
-                             repeats=1, warmup=0)
-        doc = collect_bench(config, name="test")
-        variants = doc["models"]["wavenet2d"]["variants"]
-        assert all("budgeted" not in v for v in variants.values())

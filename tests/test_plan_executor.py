@@ -10,7 +10,7 @@ from repro.core import estimate_peak_internal
 from repro.ir import GraphBuilder
 from repro.models import build_model
 from repro.obs.audit import BudgetAudit, audit_budgeted
-from repro.plan import InfeasibleBudget, plan_memory
+from repro.plan import InfeasibleBudget, PlanCostModel, plan_memory
 from repro.runtime.executor import execute
 
 #: the two long-skip zoo models whose peak sits far above the
@@ -75,6 +75,11 @@ class TestBudgetedZooRuns:
         assert stats.planned_peak_bytes == plan.planned_peak_bytes
 
 
+#: compute priced far above what the NumPy kernels reach, for tests
+#: that need a remat in the plan whatever the default rates are
+REMAT_FAVOURING = PlanCostModel(recompute_flops_per_s=2e12)
+
+
 def _remat_graph():
     """A cheap idle tensor whose producer input stays resident, so the
     planner prefers recomputation over a spill round-trip."""
@@ -91,7 +96,8 @@ def _remat_graph():
 class TestRematEnforcement:
     def test_planner_chooses_remat_for_cheap_resident_chain(self):
         graph = _remat_graph()
-        plan = plan_memory(graph, int(0.92 * estimate_peak_internal(graph)))
+        plan = plan_memory(graph, int(0.92 * estimate_peak_internal(graph)),
+                           cost_model=REMAT_FAVOURING)
         assert [a.value.name for a in plan.remats] == ["cheap.out"]
         assert not plan.spills
 
@@ -99,7 +105,8 @@ class TestRematEnforcement:
         graph = _remat_graph()
         inputs = _inputs_for(graph)
         reference = execute(graph, inputs)
-        plan = plan_memory(graph, int(0.92 * estimate_peak_internal(graph)))
+        plan = plan_memory(graph, int(0.92 * estimate_peak_internal(graph)),
+                           cost_model=REMAT_FAVOURING)
         planned = execute(graph, inputs, plan=plan, record_ledger=True)
         assert np.array_equal(planned.outputs["join.out"],
                               reference.outputs["join.out"])

@@ -8,17 +8,19 @@ from repro import kernels
 from repro.core import estimate_peak_internal, optimize, simulate
 from repro.ir.graph import Graph
 from repro.obs import Tracer
-from repro.plan import bucket_actions, plan_memory
+from repro.plan import PlanCostModel, bucket_actions, plan_memory
+from repro.plan import planner as planner_module
 from repro.runtime import InferenceSession, execute
 from repro.runtime import executor as executor_module
 
 from _graph_fixtures import make_skip_graph, random_input
 
 
-def _budgeted(decomposed, name, fraction):
+def _budgeted(decomposed, name, fraction, cost_model=None):
     graph, _ = optimize(decomposed(name, 16))
     assert any(n.op.startswith("fused") for n in graph.nodes)
-    plan = plan_memory(graph, int(fraction * estimate_peak_internal(graph)))
+    plan = plan_memory(graph, int(fraction * estimate_peak_internal(graph)),
+                       cost_model=cost_model)
     return graph, plan
 
 
@@ -32,7 +34,9 @@ def traced_run(request, decomposed):
         graph, plan = _budgeted(decomposed, "fractalnet", 0.9)
         assert plan.spills
     else:
-        graph, plan = _budgeted(decomposed, "wavenet2d", 0.8)
+        graph, plan = _budgeted(
+            decomposed, "wavenet2d", 0.8,
+            PlanCostModel(recompute_flops_per_s=2e12))  # remats priced ~free
         assert plan.remats
     tracer = Tracer()
     result = execute(graph, random_input(graph), tracer=tracer,
@@ -127,7 +131,9 @@ def test_schedule_is_built_once_per_session(decomposed, monkeypatch):
     """What only the graph fixes is decided at construction, not per
     request."""
     graph, _ = optimize(decomposed("wavenet2d", 16))
-    calls = {"free_schedule": 0, "weight_bytes": 0, "fused_scratch_bytes": 0}
+    plan = plan_memory(graph, int(0.8 * estimate_peak_internal(graph)))
+    calls = {"free_schedule": 0, "weight_bytes": 0, "fused_scratch_bytes": 0,
+             "node_flops": 0, "bucket_actions": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -143,14 +149,28 @@ def test_schedule_is_built_once_per_session(decomposed, monkeypatch):
     monkeypatch.setattr(kernels, "fused_scratch_bytes",
                         counted("fused_scratch_bytes",
                                 kernels.fused_scratch_bytes))
+    monkeypatch.setattr(executor_module, "node_flops",
+                        counted("node_flops", executor_module.node_flops))
+    monkeypatch.setattr(planner_module, "bucket_actions",
+                        counted("bucket_actions",
+                                planner_module.bucket_actions))
     fused = sum(n.op.startswith("fused") for n in graph.nodes)
-    session = InferenceSession(graph)
+    session = InferenceSession(graph, memory_plan=plan)
     built = dict(calls)
     assert built == {"free_schedule": 1, "weight_bytes": 1,
-                     "fused_scratch_bytes": fused}
+                     "fused_scratch_bytes": fused,
+                     "node_flops": len(graph.nodes), "bucket_actions": 0}
     inputs = random_input(graph)
     first = session.run(inputs)
     second = session.run(inputs, record_ledger=True)
-    assert calls == built
+    tracers = [Tracer(), Tracer()]
+    for tracer in tracers:
+        session.run(inputs, tracer=tracer)
+    # the plan's actions are bucketed by the first run that enforces it
+    assert calls == dict(built, bucket_actions=1)
     assert first.memory.peak_scratch_bytes > 0
     assert first.memory.events == second.memory.events
+    node_spans = [[(s.name, s.args) for s in tracer.spans
+                   if s.category == s.args.get("op")] for tracer in tracers]
+    assert len(node_spans[0]) == len(graph.nodes)
+    assert node_spans[0] == node_spans[1]

@@ -1,9 +1,14 @@
 """repro.tune.cost_model: site extraction, candidate grids, pruning."""
 
+import numpy as np
 import pytest
 
 from repro.core import optimize
 from repro.decompose import DecompositionConfig, decompose_graph
+from repro.ir.emit import make_node
+from repro.ir.graph import Graph
+from repro.ir.ops import node_flops
+from repro.ir.value import Value
 from repro.kernels import DEFAULT_BLOCK_SIZE, fused_scratch_bytes
 from repro.tune import (SiteSpec, collect_sites, estimate_cost,
                         prune_candidates, site_candidates)
@@ -30,6 +35,19 @@ class TestSiteSpec:
             assert site.input_shape == tuple(node.inputs[0].shape)
             assert site.itemsize == 4
             assert site.site_key == node.attrs["fused_from"][0]
+
+    def test_pooled_size_and_flops_are_the_ir_definitions(self):
+        # 3x3 / stride 2 / no padding on 32x32 pools to 15x15, not 32 // 2
+        graph = Graph("t", [Value("x", (2, 4, 32, 32))])
+        node = make_node(graph, "fused_block", [graph.inputs[0]],
+                         attrs={"act": "relu",
+                                "pool": {"kind": "max", "kernel": [3, 3],
+                                         "stride": [2, 2], "padding": [0, 0]}},
+                         params={"w1": np.zeros((32, 4), np.float32),
+                                 "w2": np.zeros((6, 32), np.float32)})
+        site = SiteSpec.from_node(node)
+        assert site.out_hw == node.output.shape[2:] == (15, 15)
+        assert estimate_cost(site, 8, 0).flops == node_flops(node)
 
     def test_rejects_non_fused_node(self):
         graph = make_chain_graph()
