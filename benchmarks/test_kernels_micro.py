@@ -84,9 +84,10 @@ MAXPOOL_3S2P1 = {"kind": "max", "kernel": (3, 3), "stride": (2, 2),
 
 @pytest.mark.parametrize("batch", [4, 32])
 class TestHotSites:
-    """The fused / pool call sites that carry perfbench's `graph_b4` and
-    `graph_b32` (shapes read off the traced zoo at Tucker r=0.1, hw 32),
-    so a kernel-layer regression shows without a 30 s perfbench run."""
+    """The fused / pool / core-conv call sites that carry perfbench's
+    `graph_b4` and `graph_b32` (shapes read off the traced zoo at rank
+    ratio 0.1, hw 32), so a kernel-layer regression shows without a 30 s
+    perfbench run."""
 
     def test_fused_restore_fractalnet(self, benchmark, batch):
         # (N,2,32,32) -> 16 channels + relu: 131 calls per fractalnet run
@@ -110,3 +111,33 @@ class TestHotSites:
     def test_maxpool_overlapping_padded(self, benchmark, batch):
         x = _data((batch, 64, 16, 16))
         benchmark(maxpool2d, x, (3, 3), (2, 2), (1, 1))
+
+    def test_conv_core_fractalnet(self, benchmark, batch):
+        # 2 -> 2 channels, 3x3 @ 32x32: 63 calls per fractalnet run
+        x, w, b = _data((batch, 2, 32, 32)), _data((2, 2, 3, 3)), _data(2)
+        benchmark(conv2d, x, w, b, (1, 1), (1, 1))
+
+    def test_conv_core_unet(self, benchmark, batch):
+        # the widest decoder core: 19 -> 6 channels, 3x3 @ 8x8
+        x, w, b = _data((batch, 19, 8, 8)), _data((6, 19, 3, 3)), _data(6)
+        benchmark(conv2d, x, w, b, (1, 1), (1, 1))
+
+    def test_conv_dilated_wavenet2d(self, benchmark, batch):
+        # 24 -> 24, dilation 8 (padded input 48x48): 2 calls per run
+        x, w, b = _data((batch, 24, 32, 32)), _data((24, 24, 3, 3)), _data(24)
+        benchmark(conv2d, x, w, b, (1, 1), (8, 8), 1, (8, 8))
+
+    def test_conv_stem_densenet(self, benchmark, batch):
+        # Tucker core of the 7x7/s2/p3 stem: 1 -> 3, 49 taps of 16x16
+        x, w = _data((batch, 1, 32, 32)), _data((3, 1, 7, 7))
+        benchmark(conv2d, x, w, None, (2, 2), (3, 3))
+
+    def test_conv_cp_depthwise(self, benchmark, batch):
+        # CP's vertical spatial factor: one 3x1 filter per rank channel
+        x, w = _data((batch, 4, 32, 32)), _data((4, 1, 3, 1))
+        benchmark(conv2d, x, w, None, (1, 1), (1, 0), 4)
+
+    def test_conv_tt_horizontal(self, benchmark, batch):
+        # TT's 1x5 core carrying the alexnet stem's horizontal stride
+        x, w = _data((batch, 4, 16, 32)), _data((6, 4, 1, 5))
+        benchmark(conv2d, x, w, None, (1, 2), (0, 2))

@@ -1,13 +1,20 @@
 """Convolution kernels (forward only, NCHW).
 
-Three code paths, all vectorized:
+Two code paths:
 
 - **pointwise fast path** — 1×1 stride-1 ungrouped convs (the
   fconv/lconv layers that dominate decomposed models) run as one
-  ``tensordot`` over the channel axis, no window view needed;
-- **depthwise path** — ``groups == C_in`` (CP decomposition's spatial
-  factors) runs as one ``einsum`` over per-channel windows;
-- **general path** — im2col windows + grouped ``tensordot``.
+  ``tensordot`` over the channel axis, no window copy needed;
+- **spatial path** — everything else (dense, grouped, depthwise; any
+  stride, padding, dilation, kernel shape) is one explicit im2col and
+  one batched GEMM.  The input is padded once and its ``kh*kw`` shifted
+  slices (stride and dilation live only in the slice expressions) are
+  copied into a channel-major column buffer ``cols[N, C, kh*kw, OH,
+  OW]``, so the weight needs no repacking; one broadcast ``np.matmul``
+  then writes the NCHW result and the bias is added in place.  Scratch
+  is the padded input plus ``cols`` — no output-sized temporary — and
+  the GEMMs run per sample, so ``conv2d(x)[i]`` is bitwise
+  ``conv2d(x[i:i+1])``.
 
 `conv_transpose2d` is lowered to a stride-1 convolution of the
 zero-stuffed input with the spatially flipped, transposed kernel —
@@ -19,7 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .im2col import pad2d, pair, sliding_windows
+from ..ir.ops import conv_output_hw
+from .im2col import pad2d, pair
 
 __all__ = ["conv2d", "pointwise_conv", "conv_transpose2d"]
 
@@ -43,37 +51,32 @@ def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
     """General 2D convolution. ``weight``: ``(C_out, C_in/groups, KH, KW)``."""
     cout, cin_g, kh, kw = weight.shape
     sh, sw = pair(stride)
-    n, c, _h, _w = x.shape
+    n, c, h, w = x.shape
+    if c != groups * cin_g or cout % groups:
+        raise ValueError(f"input {x.shape} and weight {weight.shape} do not "
+                         f"form a convolution with groups={groups}")
     if groups == 1 and kh == 1 and kw == 1 and (sh, sw) == (1, 1) \
             and pair(padding) == (0, 0):
         return pointwise_conv(x, weight.reshape(cout, cin_g), bias)
 
+    dh, dw = pair(dilation)
+    oh, ow = conv_output_hw(h, w, (kh, kw), stride, padding, dilation)
     xp = pad2d(x, padding)
-    win = sliding_windows(xp, (kh, kw), (sh, sw), pair(dilation))  # (N, C, OH, OW, KH, KW)
-
-    if groups == 1:
-        # contract over (C, KH, KW)
-        out = np.tensordot(win, weight, axes=([1, 4, 5], [1, 2, 3]))  # (N,OH,OW,Cout)
-        out = np.moveaxis(out, 3, 1)
-    elif groups == c and cin_g == 1:
-        # depthwise: one spatial filter per channel, channel multiplier cout//c
-        mult = cout // c
-        w = weight.reshape(c, mult, kh, kw)
-        out = np.einsum("nchwkl,cmkl->ncmhw", win, w, optimize=True)
-        out = out.reshape(n, cout, out.shape[3], out.shape[4])
-    else:
-        oh, ow = win.shape[2], win.shape[3]
-        out = np.empty((n, cout, oh, ow), dtype=x.dtype)
-        cpg_in = c // groups
-        cpg_out = cout // groups
-        for g in range(groups):
-            wg = weight[g * cpg_out:(g + 1) * cpg_out]
-            xg = win[:, g * cpg_in:(g + 1) * cpg_in]
-            og = np.tensordot(xg, wg, axes=([1, 4, 5], [1, 2, 3]))
-            out[:, g * cpg_out:(g + 1) * cpg_out] = np.moveaxis(og, 3, 1)
+    dtype = np.result_type(x, weight)
+    cols = np.empty((n, c, kh * kw, oh, ow), dtype=dtype)
+    for i in range(kh):
+        rows = slice(i * dh, i * dh + sh * (oh - 1) + 1, sh)
+        for j in range(kw):
+            cols[:, :, i * kw + j] = xp[:, :, rows,
+                                        j * dw:j * dw + sw * (ow - 1) + 1:sw]
+    out = np.empty((n, cout, oh, ow), dtype=dtype)
+    depth = cin_g * kh * kw
+    np.matmul(weight.reshape(groups, cout // groups, depth),
+              cols.reshape(n, groups, depth, oh * ow),
+              out=out.reshape(n, groups, cout // groups, oh * ow))
     if bias is not None:
-        out = out + bias[None, :, None, None]
-    return np.ascontiguousarray(out)
+        out += bias[None, :, None, None]
+    return out
 
 
 def conv_transpose2d(x: np.ndarray, weight: np.ndarray,
@@ -88,18 +91,15 @@ def conv_transpose2d(x: np.ndarray, weight: np.ndarray,
     if c != cin:
         raise ValueError(f"input channels {c} != weight in-channels {cin}")
 
-    # zero-stuff the input according to stride
-    hs = (h - 1) * sh + 1
-    ws = (w - 1) * sw + 1
-    stuffed = np.zeros((n, c, hs, ws), dtype=x.dtype)
-    stuffed[:, :, ::sh, ::sw] = x
-
     # equivalent direct conv: flipped kernel, swapped in/out channels,
     # full padding reduced by the requested padding
     wk = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # (Cout, Cin, KH, KW)
-    pad_h = kh - 1 - ph
-    pad_w = kw - 1 - pw
+    pad_h, pad_w = kh - 1 - ph, kw - 1 - pw
     if pad_h < 0 or pad_w < 0:
         raise ValueError("padding larger than kernel-1 is not supported")
-    stuffed = np.pad(stuffed, ((0, 0), (0, 0), (pad_h, pad_h + oph), (pad_w, pad_w + opw)))
-    return conv2d(stuffed, np.ascontiguousarray(wk), bias, stride=(1, 1), padding=(0, 0))
+    # zero-stuff the input by the stride, straight into its padded buffer
+    hs, ws = (h - 1) * sh + 1, (w - 1) * sw + 1
+    stuffed = np.zeros((n, c, hs + 2 * pad_h + oph, ws + 2 * pad_w + opw),
+                       dtype=x.dtype)
+    stuffed[:, :, pad_h:pad_h + hs:sh, pad_w:pad_w + ws:sw] = x
+    return conv2d(stuffed, wk, bias)

@@ -1,9 +1,10 @@
-"""Sliding-window views for convolution and pooling.
+"""Padding and sliding-window views for convolution and pooling.
 
-Uses ``numpy.lib.stride_tricks.as_strided`` to expose all convolution
-windows as a zero-copy 6D view — the cache-friendly idiom the
-hpc-parallel guides recommend (views, not copies; the copy happens at
-most once inside the consuming GEMM).
+``sliding_windows`` uses ``numpy.lib.stride_tricks.as_strided`` to
+expose all windows as a zero-copy 6D view.  The forward kernels do not
+use it (a consumer that contracts the view copies it first, and then
+transposes the result: `kernels.conv` copies the taps itself, straight
+into the layout its GEMM wants); `repro.train.gradients` does.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ def pad2d(x: np.ndarray, padding, value: float = 0.0) -> np.ndarray:
     ph, pw = pair(padding)
     if ph == 0 and pw == 0:
         return x
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
-                  mode="constant", constant_values=value)
+    n, c, h, w = x.shape
+    padded = np.full((n, c, h + 2 * ph, w + 2 * pw), value, dtype=x.dtype)
+    padded[:, :, ph:ph + h, pw:pw + w] = x
+    return padded
 
 
 def sliding_windows(x: np.ndarray, kernel, stride, dilation=(1, 1)) -> np.ndarray:

@@ -9,10 +9,11 @@ with ``directory=`` (lossless round-trip either way, so planned runs
 stay bitwise-identical to unplanned ones).
 
 :class:`PrefetchWorker` is a single background thread that services
-fetches asynchronously: the executor *issues* a fetch one node early
-(the plan's prefetch lead) and *waits* on it right before the consumer
-runs, so the transfer overlaps the preceding node's compute — the
-double-buffering the plan's cost model assumes.
+directory-store fetches asynchronously: the executor *issues* a fetch
+one node early (the plan's prefetch lead) and *waits* on it right
+before the consumer runs, so the transfer overlaps the preceding node's
+compute — the double-buffering the plan's cost model assumes.  Fetches
+from an in-memory store are resolved inline at *issue*.
 
 Failure semantics (exercised by the failure-injection tests):
 
@@ -146,7 +147,10 @@ class PrefetchWorker:
     blocks until that fetch lands and returns the array (or re-raises
     the fetch error for the caller's synchronous retry).  One issued
     fetch can be in flight while the executor computes the preceding
-    node — the double buffer.
+    node — the double buffer.  An in-memory store (``directory=None``)
+    has nothing to overlap, so ``issue`` resolves its fetch on the
+    calling thread and no thread is ever started; errors are captured
+    and surface from ``wait`` all the same.
     """
 
     def __init__(self, store: SpillStore) -> None:
@@ -173,18 +177,25 @@ class PrefetchWorker:
                 return
             if item is _STOP:
                 return
-            name, pending = item
-            try:
-                pending.array = self.store.fetch(name)
-            except Exception as exc:  # surfaced via wait()
-                pending.error = exc
-            finally:
-                pending.event.set()
+            self._fetch(*item)
+
+    def _fetch(self, name: str, pending: _Pending) -> None:
+        try:
+            pending.array = self.store.fetch(name)
+        except Exception as exc:  # surfaced via wait()
+            pending.error = exc
+        finally:
+            pending.event.set()
 
     def issue(self, name: str) -> None:
         pending = _Pending()
         with self._lock:
             self._pending[name] = pending
+        if self.store.directory is None:
+            # an in-memory fetch is a table lookup: there is no I/O to
+            # overlap, and the thread hop costs more than the lookup
+            self._fetch(name, pending)
+            return
         self._ensure_thread()
         self._queue.put((name, pending))
 

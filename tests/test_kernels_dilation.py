@@ -11,30 +11,7 @@ from repro.runtime import execute
 from repro.train import UntrainableOpError, backward, forward_with_tape
 
 from _graph_fixtures import random_input
-
-
-def naive_dilated(x, w, stride, padding, dilation):
-    n, c, h, wd = x.shape
-    cout, _, kh, kw = w.shape
-    sh, sw = stride
-    ph, pw = padding
-    dh, dw = dilation
-    xp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw))
-    xp[:, :, ph:ph + h, pw:pw + wd] = x
-    oh = (h + 2 * ph - dh * (kh - 1) - 1) // sh + 1
-    ow = (wd + 2 * pw - dw * (kw - 1) - 1) // sw + 1
-    out = np.zeros((n, cout, oh, ow))
-    for ni in range(n):
-        for o in range(cout):
-            for ci in range(c):
-                for i in range(oh):
-                    for j in range(ow):
-                        for ki in range(kh):
-                            for kj in range(kw):
-                                out[ni, o, i, j] += (
-                                    xp[ni, ci, i * sh + dh * ki, j * sw + dw * kj]
-                                    * w[o, ci, ki, kj])
-    return out
+from test_kernels_conv import naive_conv2d
 
 
 class TestDilatedConv:
@@ -49,8 +26,19 @@ class TestDilatedConv:
         w = rng.normal(size=(4, 3, 3, 3))
         got = conv2d(x, w, None, stride=stride, padding=padding,
                      dilation=dilation)
-        want = naive_dilated(x, w, stride, padding, dilation)
+        want = naive_conv2d(x, w, None, stride, padding, dilation=dilation)
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+    @pytest.mark.parametrize("groups", [2, 4])
+    def test_grouped_and_depthwise_dilated(self, groups):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(2, 4, 10, 9))
+        w = rng.normal(size=(8, 4 // groups, 3, 2))
+        kwargs = dict(stride=(2, 1), padding=(2, 1), groups=groups,
+                      dilation=(2, 3))
+        np.testing.assert_allclose(conv2d(x, w, None, **kwargs),
+                                   naive_conv2d(x, w, None, **kwargs),
+                                   atol=1e-10)
 
     def test_dilation_one_unchanged(self):
         rng = np.random.default_rng(4)
@@ -67,7 +55,7 @@ class TestDilatedConv:
         x = rng.normal(size=(1, 2, 9, 9))
         w = rng.normal(size=(2, 2, 3, 3))
         got = conv2d(x, w, None, padding=(d, d), dilation=(d, d))
-        want = naive_dilated(x, w, (1, 1), (d, d), (d, d))
+        want = naive_conv2d(x, w, None, padding=(d, d), dilation=(d, d))
         np.testing.assert_allclose(got, want, atol=1e-9)
 
 

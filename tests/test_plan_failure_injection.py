@@ -94,6 +94,66 @@ class TestPermanentFetchFailure:
             execute(graph, inputs, plan=plan, spill_store=_DeadFetchStore())
 
 
+class TestPrefetchThread:
+    """Only a directory store has I/O worth a thread: an in-memory fetch
+    is resolved where it is issued, errors captured all the same."""
+
+    def test_in_memory_fetch_is_resolved_inline(self):
+        store = SpillStore()
+        array = np.arange(6, dtype=np.float32)
+        store.put("t", array)
+        worker = PrefetchWorker(store)
+        try:
+            worker.issue("t")
+            assert worker._thread is None
+            assert worker.wait("t") is array
+        finally:
+            worker.close()
+
+    def test_in_memory_fetch_error_surfaces_from_wait(self):
+        worker = PrefetchWorker(_DeadFetchStore())
+        worker.store.put("t", np.zeros(2, np.float32))
+        try:
+            worker.issue("t")  # must not raise: the enforcer retries at bind
+            assert worker._thread is None
+            with pytest.raises(SpillStoreError, match="async prefetch"):
+                worker.wait("t")
+        finally:
+            worker.close()
+
+    def test_budgeted_run_on_the_default_store_starts_no_thread(
+            self, planned_wavenet, monkeypatch):
+        graph, inputs, reference, plan = planned_wavenet
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        result = execute(graph, inputs, plan=plan)
+        assert "repro-prefetch" not in started
+        assert result.memory.plan_stats.prefetches == len(plan.spills)
+        assert result.memory.peak_internal_bytes == plan.planned_peak_bytes
+        for name, array in reference.outputs.items():
+            assert np.array_equal(result.outputs[name], array), name
+
+    def test_directory_store_fetches_on_the_worker_thread(self, tmp_path):
+        store = SpillStore(directory=tmp_path)
+        array = np.arange(6, dtype=np.float32)
+        store.put("t", array)
+        worker = PrefetchWorker(store)
+        try:
+            worker.issue("t")
+            assert worker._thread is not None
+            assert worker._thread.name == "repro-prefetch"
+            assert np.array_equal(worker.wait("t"), array)
+        finally:
+            worker.close()
+        assert worker._thread is None
+
+
 class TestAbandonedRun:
     def test_kernel_failure_stops_the_worker_and_clears_the_store(
             self, tmp_path, monkeypatch):
