@@ -536,15 +536,17 @@ def _cmd_serve(args) -> int:
     return _serve_until_stopped(
         server, args,
         f"serving {plan.name!r} on {{url}} ({args.workers} worker(s), "
-        f"graph batch {server.graph_batch}, queue bound {args.max_queue})")
+        f"graph batch {server.graph_batch}, {server.buckets.describe()}, "
+        f"queue bound {args.max_queue})")
 
 
 def _cmd_fleet(args) -> int:
     plan = _serve_plan(args)
     router = _build_backend(plan, args, _slo_monitor(args), args.replicas)
-    banner = (f"fleet serving {plan.name!r} on {{url}} ({args.replicas} "
-              f"replica(s) x {args.workers} worker(s)")
     pool = router.pool
+    banner = (f"fleet serving {plan.name!r} on {{url}} ({args.replicas} "
+              f"replica(s) x {args.workers} worker(s), "
+              f"{pool.buckets.describe()}")
     if pool.memory_plan is not None:
         banner += (f", host budget {format_bytes(pool.host_budget_bytes)} "
                    f"({format_bytes(pool.memory_plan.budget_bytes or 0)} "
@@ -1106,7 +1108,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "queue rejects with Overloaded (default 64)")
         p.add_argument("--max-wait-ms", type=float, default=2.0,
                        dest="max_wait_ms",
-                       help="micro-batch coalescing window (default 2 ms)")
+                       help="upper bound on holding a batch open for "
+                            "co-riders while another worker runs one; no "
+                            "effect with --workers 1 (default 2 ms)")
         p.add_argument("--deadline-ms", type=float, default=None,
                        dest="deadline_ms",
                        help="default per-request deadline; expired requests "

@@ -40,11 +40,13 @@ import logging
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..core import estimate_peak_internal
 from ..ir.graph import Graph
 from ..obs import MetricsRegistry, TaggedTracer, get_tracer
 from ..plan import MemoryPlan, parse_budget, plan_memory
+from ..serve.batcher import Buckets, derive_buckets
 from ..serve.servable import ServeError, ServeFuture, ServerClosed
 from ..serve.server import InferenceServer, ServerConfig
 from .faults import FaultPolicy
@@ -71,6 +73,12 @@ class ReplicaSpec:
     graph: Graph
     server_config: ServerConfig = field(default_factory=ServerConfig)
     memory_plan: MemoryPlan | None = None
+
+    @cached_property
+    def buckets(self) -> Buckets:
+        """The batch buckets of this spec, derived and probed once and
+        shared by every replica (and every restart) built from it."""
+        return derive_buckets(self.graph, self.memory_plan)
 
 
 class Replica:
@@ -262,6 +270,8 @@ class ReplicaPool:
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> "ReplicaPool":
+        for replica in self.replicas:
+            replica.spec.buckets  # derive + probe outside the lock
         with self._lock:
             if self._closed:
                 raise ServerClosed("pool already closed")
@@ -273,8 +283,9 @@ class ReplicaPool:
                 target=self._health_loop, name="repro-fleet-health",
                 daemon=True)
             self._health_thread.start()
-        logger.info("fleet pool up: %d replica(s) of %s%s",
+        logger.info("fleet pool up: %d replica(s) of %s, %s%s",
                     len(self.replicas), self.graph.name,
+                    self.buckets.describe(),
                     "" if self.memory_plan is None else
                     f", {self.memory_plan.summary()} per replica")
         return self
@@ -303,13 +314,17 @@ class ReplicaPool:
         self.close()
 
     def _start_replica(self, replica: Replica) -> None:
-        """Build and start one server from the replica's spec (under
-        the pool lock; server startup is thread-spawning only)."""
+        """Build and start one server from the replica's spec.  Called
+        under the pool lock, so it must stay cheap: callers that bring
+        a new spec touch ``spec.buckets`` (a start-up probe: forward
+        runs of the graph) *before* taking the lock, which leaves
+        session building and thread spawning here."""
         tracer = (TaggedTracer(self.tracer, replica=replica.id)
                   if self.tracer.enabled else None)
         replica.server = InferenceServer(
             replica.spec.graph, replica.spec.server_config,
-            tracer=tracer, memory_plan=replica.spec.memory_plan).start()
+            tracer=tracer, memory_plan=replica.spec.memory_plan,
+            buckets=replica.spec.buckets).start()
         replica.state = ReplicaState.READY
         replica.clear_faults()
         replica.consecutive_failures = 0
@@ -420,6 +435,7 @@ class ReplicaPool:
         """Drain ``replica`` then restart it from ``spec`` — one step
         of a rolling reload.  Returns the drain verdict."""
         drained = self.drain_replica(replica, timeout)
+        spec.buckets  # derive + probe while pick() can still route
         with self._lock:
             replica.spec = spec
             replica.generation += 1
@@ -444,6 +460,12 @@ class ReplicaPool:
             replica.slow_s = fault.slow_s
 
     # -- introspection ---------------------------------------------------
+
+    @property
+    def buckets(self) -> Buckets:
+        """The batch buckets the replicas run at (replica 0's spec:
+        specs differ only while a rolling reload is under way)."""
+        return self.replicas[0].spec.buckets
 
     def ready_count(self) -> int:
         with self._lock:

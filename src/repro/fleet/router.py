@@ -199,7 +199,8 @@ class Router(Servable):
     def _health_fields(self, status: str) -> dict:
         replicas = self.pool.describe()
         return {"model": self.graph.name, "replicas": replicas,
-                "ready": sum(1 for r in replicas if r["state"] == "ready")}
+                "ready": sum(1 for r in replicas if r["state"] == "ready"),
+                **self.pool.buckets.health_fields()}
 
     def _gauges(self) -> dict[str, float]:
         return {"fleet.ready_replicas": float(self.pool.ready_count()),

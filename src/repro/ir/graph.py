@@ -184,6 +184,23 @@ class Graph:
         g.outputs = [mapping[v] for v in self.outputs]
         return g
 
+    def with_batch(self, n: int, name: str | None = None) -> "Graph":
+        """The same graph at batch size ``n``: a :meth:`clone` (weight
+        arrays shared) whose inputs lead with ``n`` and whose node
+        shapes are re-inferred in schedule order.  Nodes, attrs and
+        schedule order are this graph's, so whatever was decided on it
+        (decomposition, fusion sites, tiles) carries over unchanged."""
+        if n < 1:
+            raise ValueError(f"batch must be >= 1, got {n}")
+        g = self.clone(name)
+        for v in g.inputs:
+            v.shape = (n,) + v.shape[1:]
+        for node in g.nodes:
+            shape, node.output.dtype = _ops.infer_output(node)
+            node.output.shape = tuple(shape)
+        g.validate()
+        return g
+
     # ------------------------------------------------------------------
     # validation
     # ------------------------------------------------------------------

@@ -37,6 +37,13 @@ def pointwise_conv(x: np.ndarray, weight2d: np.ndarray,
     """1×1 stride-1 convolution: ``y[n,o,h,w] = Σ_c W[o,c] x[n,c,h,w]``.
 
     ``weight2d`` has shape ``(C_out, C_in)``.
+
+    A sample's output depends on that sample only, but its bits are
+    *not* promised across batch sizes: ``tensordot`` folds the batch
+    into the GEMM's ``N``, and BLAS's rounding order follows the GEMM's
+    shape.  The serving probe
+    (:func:`repro.serve.batcher.probe_buckets`) decides per shape
+    whether a smaller batch may stand in for a larger one.
     """
     out = np.tensordot(weight2d, x, axes=([1], [1]))  # (Cout, N, H, W)
     out = np.moveaxis(out, 0, 1)

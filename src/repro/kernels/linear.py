@@ -8,7 +8,14 @@ __all__ = ["linear", "batchnorm2d"]
 
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """``y = x @ W.T + b`` with ``W``: ``(out_features, in_features)``."""
+    """``y = x @ W.T + b`` with ``W``: ``(out_features, in_features)``.
+
+    A row of ``y`` depends on its own row of ``x`` only, but its bits
+    are *not* promised across batch sizes: BLAS picks a gemv at one row
+    and a gemm at several, and the two round in different orders.  The
+    serving probe (:func:`repro.serve.batcher.probe_buckets`) decides
+    per shape whether a smaller batch may stand in for a larger one.
+    """
     out = x @ weight.T
     if bias is not None:
         out = out + bias

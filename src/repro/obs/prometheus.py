@@ -16,7 +16,9 @@ only, like the rest of the repo:
   ``repro_serve_dropped_total{reason="queue_full"} ...`` — so a single
   PromQL ``sum by (reason)`` breaks overload/shed/expiry apart — and
   the fleet's ``fleet.replica_up.replica.0`` renders as
-  ``repro_fleet_replica_up{replica="0"}``,
+  ``repro_fleet_replica_up{replica="0"}``, the batcher's
+  ``serve.bucket_runs.size.1`` as
+  ``repro_serve_bucket_runs_total{size="1"}``,
 - gauges render as ``TYPE gauge``,
 - when a ``build_info`` version string is passed (the serving
   frontends pass :data:`repro.__version__`), a conventional
@@ -51,7 +53,7 @@ _QUANTILE_KEYS = (("p50", "0.5"), ("p95", "0.95"), ("p99", "0.99"))
 
 #: dotted-name segments that collapse into Prometheus labels:
 #: ``<base>.<key>.<value>`` renders as ``<base>{<key>="<value>"}``
-LABEL_KEYS = ("reason", "replica", "kind")
+LABEL_KEYS = ("reason", "replica", "kind", "size")
 
 
 def _escape_label_value(value: str) -> str:

@@ -7,7 +7,8 @@ concurrency.  Five moving parts:
   a single server and a whole fleet (:class:`repro.fleet.Router`)
   both subclass, plus the typed errors and :class:`ServeFuture`,
 - :mod:`repro.serve.batcher` — pure packing logic that coalesces /
-  splits / zero-pads requests against the graph's static batch,
+  splits requests against the graph's static batch and hands the tail
+  to the smallest probe-verified batch bucket that holds it,
 - :mod:`repro.serve.server` — :class:`InferenceServer`: a bounded
   admission queue with typed :class:`Overloaded` backpressure,
   per-request deadlines with shed-on-expiry, and worker threads each
@@ -37,7 +38,8 @@ See ``docs/serving.md`` for the batching policy and overload
 semantics, and ``repro serve`` / ``repro loadgen`` on the CLI.
 """
 
-from .batcher import Segment, Shard, assemble, request_samples, scatter
+from .batcher import (Bucket, BucketRefusal, Buckets, Segment, Shard,
+                      assemble, derive_buckets, request_samples, scatter)
 from .httpd import ServeHTTPD, serve_http
 from .loadgen import (LoadgenConfig, LoadgenReport, request_inputs,
                       run_loadgen)
@@ -48,6 +50,10 @@ from .server import InferenceServer, ServerConfig, resolve_plan
 __all__ = [
     "Segment",
     "Shard",
+    "Bucket",
+    "BucketRefusal",
+    "Buckets",
+    "derive_buckets",
     "request_samples",
     "assemble",
     "scatter",

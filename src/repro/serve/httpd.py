@@ -28,6 +28,17 @@ no-new-deps rule):
   than :data:`MAX_BODY_BYTES` to **413**, a closed or draining server
   to **503** — the typed overload semantics on the wire.
 
+The frontend speaks HTTP/1.1 with **keep-alive**: a client that holds
+its connection open pays for one TCP connection and one handler thread,
+not one of each per request.  ``TCP_NODELAY`` is set on every accepted
+socket, and that is not optional: a reply is two writes (headers, then
+body), and on a kept-alive connection Nagle's algorithm holds the second
+back until the client's delayed ACK of the first — measured 44 ms per
+round trip against 0.13 ms with it off.  A reply sent before the request
+body was read (413, a bad ``Content-Length``) closes the connection,
+since what is left on it is not a request; a client that sent
+``Connection: close`` or spoke HTTP/1.0 is closed after its answer.
+
 JSON tensors are the simplest thing that round-trips everywhere; for
 throughput benchmarking use the in-process
 :mod:`repro.serve.loadgen`, which skips serialization entirely.
@@ -37,6 +48,7 @@ from __future__ import annotations
 
 import json
 import logging
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -57,6 +69,10 @@ MAX_BODY_BYTES = 32 * 1024 * 1024
 
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1.0"
+    protocol_version = "HTTP/1.1"  # keep-alive
+    #: ``setup()`` sets ``TCP_NODELAY``; see the module docstring for
+    #: what keep-alive costs without it
+    disable_nagle_algorithm = True
     #: set by :class:`ServeHTTPD` on the handler subclass
     inference_server: Servable
     max_body_bytes = MAX_BODY_BYTES
@@ -73,6 +89,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -104,6 +122,12 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, {"error": f"no such endpoint {self.path!r}"})
 
     def do_POST(self) -> None:  # noqa: N802
+        # until the body is read, what follows on the connection is not
+        # the next request: a reply sent before that must close it.
+        # Afterwards the client's own choice (``Connection: close``,
+        # HTTP/1.0), as parse_request() read it, stands again.
+        keep_alive = not self.close_connection
+        self.close_connection = True
         if self.path != "/infer":
             self._reply(404, {"error": f"no such endpoint {self.path!r}"})
             return
@@ -117,7 +141,9 @@ class _Handler(BaseHTTPRequestHandler):
                     "error": f"request body of {length} bytes exceeds the "
                              f"{self.max_body_bytes}-byte limit"})
                 return
-            doc = json.loads(self.rfile.read(length))
+            body = self.rfile.read(length)
+            self.close_connection = not keep_alive
+            doc = json.loads(body)
             raw = doc["inputs"]
             if not isinstance(raw, dict):
                 raise ValueError("'inputs' must be an object")
@@ -147,6 +173,48 @@ class _Handler(BaseHTTPRequestHandler):
                 "latency_ms": (future.latency_s or 0.0) * 1e3})
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """A threading server that knows its live connections, so that
+    closing it can end the handler threads idle keep-alive clients
+    would otherwise keep parked in a read."""
+
+    daemon_threads = True
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self._live: dict[socket.socket, threading.Thread] = {}
+        self._live_lock = threading.Lock()
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name="repro-serve-http-conn", daemon=True)
+        with self._live_lock:
+            self._live[request] = thread
+        thread.start()
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self._live_lock:
+                del self._live[request]
+
+    def close_connections(self, timeout: float) -> None:
+        """End every handler thread: an idle one sees end-of-file at
+        once, a busy one after writing the reply it is working on."""
+        with self._live_lock:
+            live = list(self._live.items())
+        for request, _thread in live:
+            try:
+                request.shutdown(socket.SHUT_RD)
+            except OSError:  # the handler closed it meanwhile
+                pass
+        for _request, thread in live:
+            thread.join(timeout)
+
+
 class ServeHTTPD:
     """Owns the listening socket + acceptor thread for one backend."""
 
@@ -154,8 +222,7 @@ class ServeHTTPD:
                  port: int = 0) -> None:
         handler = type("BoundHandler", (_Handler,),
                        {"inference_server": server})
-        self.httpd = ThreadingHTTPServer((host, port), handler)
-        self.httpd.daemon_threads = True
+        self.httpd = _HTTPServer((host, port), handler)
         self._thread: threading.Thread | None = None
 
     @property
@@ -182,6 +249,7 @@ class ServeHTTPD:
             self._thread.join(5.0)
             self._thread = None
         self.httpd.server_close()
+        self.httpd.close_connections(5.0)
 
     def __enter__(self) -> "ServeHTTPD":
         return self.start()

@@ -9,14 +9,21 @@
   expire while queued are shed at dequeue time (their future raises
   :class:`DeadlineExceeded`) instead of wasting a batch slot,
 - **dynamic batching** — each worker thread drains the queue into up
-  to one graph-batch of samples, waiting at most
-  ``ServerConfig.max_wait_s`` after the first request for co-riders,
-  then runs the shard(s) on its own warm
-  :class:`~repro.runtime.engine.InferenceSession`,
+  to one graph-batch of samples and runs the shard(s) on its own warm
+  :class:`~repro.runtime.engine.InferenceSession`, one per batch
+  **bucket** (:func:`~repro.serve.batcher.derive_buckets`: the tail
+  shard runs at the smallest probe-verified batch size that holds it,
+  not zero-padded to the static batch).  The batcher is
+  work-conserving: a worker holds a batch open for co-riders (at most
+  ``ServerConfig.max_wait_s``) only while another worker is running a
+  batch — the only evidence one can arrive — and stops holding the
+  moment that batch ends; an idle worker never sits on the only
+  request in the system,
 - **observability** — queue depth gauge, latency/batch-occupancy
   histograms, shed/reject counters (aggregate *and* reason-labeled:
   ``serve.dropped.reason.{queue_full,deadline_expired,server_closed,
   worker_error}`` renders as one Prometheus family with a ``reason``
+  label; ``serve.bucket_runs.size.<n>`` likewise with a ``size``
   label), all in a :class:`~repro.obs.MetricsRegistry`
   (:meth:`stats`),
 - **request-lifecycle tracing** — every request gets a ``trace_id``
@@ -52,7 +59,7 @@ from ..ir.graph import Graph
 from ..obs import (MetricsRegistry, NOOP_TRACER, SLOMonitor, TaggedTracer,
                    get_tracer)
 from ..runtime.engine import InferenceSession
-from .batcher import assemble, scatter
+from .batcher import Buckets, assemble, derive_buckets, scatter
 from .servable import (DeadlineExceeded, Overloaded, Servable, ServeError,
                        ServeFuture, ServerClosed)
 
@@ -70,7 +77,9 @@ class ServerConfig:
     max_queue: int = 64
     #: samples per micro-batch; None = the graph's static batch
     max_batch: int | None = None
-    #: how long a worker holds the first request open for co-riders
+    #: upper bound on how long a worker holds a batch open for
+    #: co-riders; the hold lasts only while another worker is running
+    #: a batch, so it needs ``num_workers >= 2`` to ever start
     max_wait_s: float = 0.002
     #: deadline applied to requests submitted without one (None = none)
     default_deadline_s: float | None = None
@@ -119,28 +128,38 @@ class InferenceServer(Servable):
     def __init__(self, graph: Graph, config: ServerConfig | None = None, *,
                  metrics: MetricsRegistry | None = None,
                  tracer=None, slo: SLOMonitor | None = None,
-                 memory_plan=None) -> None:
+                 memory_plan=None, buckets: Buckets | None = None) -> None:
         graph.validate()
-        #: ``memory_plan`` is enforced on every batch each worker
-        #: session runs; each run opens its own spill store, so
-        #: workers never share spill state
+        #: ``memory_plan`` is enforced on every static batch each worker
+        #: session runs (a smaller bucket runs under its own plan for
+        #: the same budget); each run opens its own spill store, so
+        #: workers never share spill state.  ``buckets`` lets a pool
+        #: hand every replica the one set it derived for their spec.
         super().__init__(
             graph, metrics=metrics or MetricsRegistry(),
             tracer=tracer if tracer is not None else get_tracer(),
             slo=slo, memory_plan=memory_plan)
         self.config = config or ServerConfig()
+        self.buckets = (buckets if buckets is not None
+                        else derive_buckets(graph, memory_plan))
         if memory_plan is not None:
             self.metrics.gauge("plan.budget_bytes",
                                float(memory_plan.budget_bytes or 0))
-            self.metrics.gauge("plan.planned_peak_bytes",
-                               float(memory_plan.planned_peak_bytes))
+            # the largest plan any bucket runs under, so that the
+            # running-max measured peak can only exceed it by drifting
+            self.metrics.gauge("plan.planned_peak_bytes", float(max(
+                bucket.memory_plan.planned_peak_bytes
+                for bucket in self.buckets.offered.values())))
         self.max_batch = self.config.max_batch or self.graph_batch
         self._not_empty = threading.Condition(self._lock)
         self._queue: deque[_Request] = deque()
+        #: batches some worker has taken and not finished running; what
+        #: a worker with a drained queue holds its batch open against
+        self._running = 0
         self._workers: list[threading.Thread] = []
-        # one warm session per worker: sessions keep per-run mutable
-        # state (last_result), so they are per-thread, while the
-        # read-only graph and its weights are shared.  When tracing,
+        # one warm session per worker and bucket: sessions keep per-run
+        # mutable state (last_result), so they are per-thread, while the
+        # read-only graphs and their weights are shared.  When tracing,
         # each worker records through a TaggedTracer stamping its
         # worker_id and pinning its spans onto a dedicated, labeled
         # Chrome-trace row (tid = worker index + 1; tid 0 stays the
@@ -155,8 +174,10 @@ class InferenceServer(Servable):
         else:
             self._worker_tracers = [NOOP_TRACER] * self.config.num_workers
         self._sessions = [
-            InferenceSession(graph, tracer=self._worker_tracers[index],
-                             memory_plan=memory_plan)
+            {size: InferenceSession(bucket.graph,
+                                    tracer=self._worker_tracers[index],
+                                    memory_plan=bucket.memory_plan)
+             for size, bucket in self.buckets.offered.items()}
             for index in range(self.config.num_workers)]
 
     # -- the Servable hooks ---------------------------------------------
@@ -169,9 +190,10 @@ class InferenceServer(Servable):
                 name=f"repro-serve-{index}", daemon=True)
             worker.start()
             self._workers.append(worker)
-        logger.info("serving %s: %d worker(s), batch %d, queue bound %d, "
-                    "max wait %.1f ms, batching %s", self.graph.name,
+        logger.info("serving %s: %d worker(s), batch %d, %s, queue bound "
+                    "%d, max wait %.1f ms, batching %s", self.graph.name,
                     self.config.num_workers, self.max_batch,
+                    self.buckets.describe(),
                     self.config.max_queue, self.config.max_wait_s * 1e3,
                     "on" if self.config.batching else "off")
 
@@ -200,7 +222,8 @@ class InferenceServer(Servable):
         if status == "ok":
             return {"model": self.graph.name,
                     "workers": self.config.num_workers,
-                    "graph_batch": self.graph_batch}
+                    "graph_batch": self.graph_batch,
+                    **self.buckets.health_fields()}
         return {"model": self.graph.name} if status == "draining" else {}
 
     def _gauges(self) -> dict[str, float]:
@@ -293,10 +316,15 @@ class InferenceServer(Servable):
 
     def _fill_batch_locked(self, expired: list[_Request]
                            ) -> list[_Request] | None:
-        """Wait for the first live request, then keep the batch open
-        for up to ``max_wait_s`` (or until ``max_batch`` samples) for
-        co-riders; with batching off, a single request.  None when the
-        server closed; empty when there is only shedding to do."""
+        """Wait for the first live request and take what else is
+        queued, up to ``max_batch`` samples; with batching off, a single
+        request.  With the queue drained, hold the batch open — for at
+        most ``max_wait_s`` — only while another worker is running a
+        batch (a batch held open like this one does not count): the
+        next request of one of its callers is the only co-rider that
+        can arrive, and :meth:`_worker_loop` wakes the holder when that
+        batch ends.  None when the server closed; empty when there is
+        only shedding to do."""
         first = self._pop_live_locked(expired)
         while first is None:
             self._gauge_depth_locked()
@@ -317,9 +345,10 @@ class InferenceServer(Servable):
                     total += request.samples
                     continue
                 remaining = wait_until - time.monotonic()
-                if remaining <= 0:
+                if remaining <= 0 or not self._running:
                     break
                 self._not_empty.wait(remaining)
+        self._running += 1
         self._gauge_depth_locked()
         return taken
 
@@ -335,13 +364,14 @@ class InferenceServer(Servable):
             if taken is None or taken:
                 return taken
 
-    def _worker_loop(self, index: int, session: InferenceSession) -> None:
+    def _worker_loop(self, index: int,
+                     sessions: dict[int, InferenceSession]) -> None:
         while True:
             taken = self._take_batch()
             if taken is None:
                 return
             try:
-                self._run_batch(index, session, taken)
+                self._run_batch(index, sessions, taken)
             except BaseException as exc:  # noqa: BLE001 — fail the batch, not the server
                 logger.exception("serve worker failed on a batch")
                 for request in taken:
@@ -350,14 +380,19 @@ class InferenceServer(Servable):
                             ServeError(f"inference failed: {exc!r}"))
                         self._drop(request, "worker_error")
                 self.metrics.inc("serve.failed", len(taken))
+            finally:
+                with self._not_empty:
+                    self._running -= 1
+                    # a worker holding a batch open against this one
+                    # has nobody left to wait for
+                    self._not_empty.notify_all()
 
-    def _run_batch(self, index: int, session: InferenceSession,
+    def _run_batch(self, index: int, sessions: dict[int, InferenceSession],
                    taken: list[_Request]) -> None:
         tracer = self._worker_tracers[index]
         tracing = self.tracer.enabled
-        shards = assemble(self.graph,
-                          [(request, request.inputs) for request in taken],
-                          batch=self.graph_batch)
+        shards = assemble(self.buckets,
+                          [(request, request.inputs) for request in taken])
         buffers: dict[_Request, dict[str, np.ndarray]] = {}
         filled: dict[_Request, int] = {}
         totals = {request: request.samples for request in taken}
@@ -376,7 +411,8 @@ class InferenceServer(Servable):
                          request_ids=[request.id for request in taken],
                          trace_ids=trace_ids, requests=len(taken),
                          samples=sum(r.samples for r in taken),
-                         padding=padding):
+                         padding=padding,
+                         bucket=[shard.size for shard in shards]):
             if tracing:
                 # fan-in: one arrow per coalesced request, from its
                 # admission span into this batch span
@@ -386,9 +422,11 @@ class InferenceServer(Servable):
                                 ts_us=fanin_us, trace_id=request.trace_id)
             run_tracer = tracer.tagged(trace_ids=trace_ids) if tracing else None
             for shard in shards:
-                result = session.run(shard.inputs, tracer=run_tracer)
+                size = shard.size
+                result = sessions[size].run(shard.inputs, tracer=run_tracer)
                 outputs = result.outputs
                 self.metrics.inc("serve.batches")
+                self.metrics.inc(f"serve.bucket_runs.size.{size}")
                 self._record_measured_peak(result.memory)
                 self.metrics.inc("serve.padded_samples", shard.padding)
                 self._record_plan_stats(result.memory.plan_stats)

@@ -49,16 +49,19 @@ class TestRouting:
                     assert np.array_equal(outputs[name], reference[name])
 
     def test_requests_spread_across_replicas(self):
-        # hold batches open so outstanding counts stay visible, and
-        # stagger submits so each request picks against settled counts
-        # — otherwise instant completions make the spread racy
+        # slow every replica so outstanding counts stay visible, and
+        # submit each request once the previous one has picked, so each
+        # picks against settled counts
         config = RouterConfig(hedge=False)
-        with _fleet(replicas=3, server=ServerConfig(max_wait_s=0.3),
-                    router=config) as fleet:
+        with _fleet(replicas=3, router=config) as fleet:
+            for replica in fleet.pool.replicas:
+                fleet.pool.apply_fault(replica, FaultPolicy(
+                    replica=replica.id, kind="slow", after=1, slow_s=0.3))
             futures = []
             for i in range(6):
                 futures.append(fleet.submit(_payload(fleet.graph, seed=i)))
-                time.sleep(0.02)
+                assert wait_until(lambda: sum(
+                    r.routed for r in fleet.pool.replicas) > i)
             for future in futures:
                 future.result(10.0)
             routed = [r.routed for r in fleet.pool.replicas]
@@ -164,11 +167,11 @@ class TestNoHelperThreads:
 
     def test_hedge_loser_settles_from_its_callback(self):
         before = set(threading.enumerate())
-        # both replicas hold a batch open for 100 ms, so the hedge
-        # (due at 10 ms) is always launched and one attempt always loses
+        # replica 0 answers 100 ms late, so the hedge (due at 10 ms) is
+        # always launched and the first attempt always loses
+        fault = FaultPolicy(replica=0, kind="slow", after=1, slow_s=0.1)
         config = RouterConfig(hedge_delay_s=0.01)
-        with _fleet(replicas=2, server=ServerConfig(max_wait_s=0.1),
-                    router=config) as fleet:
+        with _fleet(replicas=2, fault=fault, router=config) as fleet:
             future = fleet.submit(_payload(fleet.graph))
             assert future.result(10.0) and future.attempts == 2
             assert fleet.metrics.get("fleet.hedges") == 1

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ir import GraphBuilder
+from repro.ir.ops import ACTIVATION_OPS
 from repro.kernels import (avgpool2d, batchnorm2d, get_activation,
                            global_avgpool, linear, maxpool2d, pad2d, relu,
-                           sigmoid, silu, softmax, sliding_windows, tanh,
-                           upsample_nearest)
+                           run_node, sigmoid, silu, softmax, sliding_windows,
+                           tanh, upsample_nearest)
 
 
 @pytest.fixture
@@ -213,3 +215,60 @@ class TestLinearBatchnorm:
         out = batchnorm2d(x, np.ones(1), np.zeros(1), mean, var, eps=0.0)
         assert abs(out.mean()) < 0.1
         assert abs(out.std() - 1.0) < 0.1
+
+
+def _one_node_graphs():
+    """name -> builder of a one-node graph of that op at batch ``n``."""
+    def unary(op, shape=(5, 6, 6), **kwargs):
+        def build(n):
+            b = GraphBuilder(op, seed=3)
+            x = b.input("x", (n,) + shape)
+            return b.finish(getattr(b, op)(x, **kwargs))
+        return build
+
+    def binary(op):
+        def build(n):
+            b = GraphBuilder(op, seed=3)
+            x, y = b.input("x", (n, 5, 6, 6)), b.input("y", (n, 5, 6, 6))
+            return b.finish(getattr(b, op)(x, y))
+        return build
+
+    def batchnorm(n):
+        b = GraphBuilder("batchnorm2d", seed=3)
+        x = b.input("x", (n, 5, 6, 6))
+        stats = [b.rng.uniform(0.5, 2.0, size=5) for _ in range(4)]
+        return b.finish(b.batchnorm2d(x, *stats))
+
+    cases = {op: unary(op) for op in ACTIVATION_OPS}
+    cases.update({
+        "softmax": unary("softmax"),
+        "softmax_2d": unary("softmax", shape=(11,)),
+        "global_avgpool": unary("global_avgpool"),
+        "flatten": unary("flatten"),
+        "upsample_nearest": unary("upsample_nearest", scale=2),
+        "maxpool2d": unary("maxpool2d", kernel=3, stride=2, padding=1),
+        "avgpool2d": unary("avgpool2d", kernel=2),
+        "batchnorm2d": batchnorm,
+        "add": binary("add"), "concat": binary("concat"),
+    })
+    return cases
+
+
+class TestBatchSizeIndependence:
+    """``op(x)[i:i+1]`` is bitwise ``op(x[i:i+1])`` for every op that is
+    not a GEMM: a batch bucket of any size answers what the static batch
+    does (the serving probe re-checks the GEMM-backed ops per shape)."""
+
+    CASES = _one_node_graphs()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_a_sample_alone_equals_the_sample_in_a_batch(self, rng, name, n):
+        graph = self.CASES[name](n)
+        (whole_node,), (alone_node,) = graph.nodes, graph.with_batch(1).nodes
+        xs = [rng.normal(size=v.shape).astype(np.float32)
+              for v in graph.inputs]
+        whole = run_node(whole_node, xs)
+        for i in range(n):
+            alone = run_node(alone_node, [x[i:i + 1] for x in xs])
+            assert whole[i:i + 1].tobytes() == alone.tobytes(), (name, i)

@@ -38,6 +38,27 @@ def wait_until(predicate, timeout=1.0) -> bool:
     return True
 
 
+def hold_runs(backend) -> threading.Event:
+    """Park every batch of the started ``backend`` inside its
+    ``session.run`` until the returned gate is set: an explicit stall
+    (the batcher itself never sits on work)."""
+    gate = threading.Event()
+
+    def gated(real_run):
+        def run(inputs, **kwargs):
+            assert gate.wait(10.0)
+            return real_run(inputs, **kwargs)
+        return run
+
+    servers = ([backend] if isinstance(backend, InferenceServer)
+               else [replica.server for replica in backend.pool.replicas])
+    for server in servers:
+        for sessions in server._sessions:
+            for session in sessions.values():
+                session.run = gated(session.run)
+    return gate
+
+
 def _two_input_graph():
     b = GraphBuilder("pair", seed=0)
     x = b.input("x", (4, 8, 6, 6))
@@ -154,11 +175,13 @@ class TestLifecycle:
 
 class TestDrain:
     def test_drain_finishes_in_flight_then_rejects(self, make_servable):
-        # a hold-open window keeps the requests in flight long enough
-        # for the drain to start with work outstanding
-        backend = make_servable(server=ServerConfig(max_wait_s=0.1)).start()
+        # stalled runs keep the requests in flight long enough for the
+        # drain to start with work outstanding
+        backend = make_servable().start()
+        gate = hold_runs(backend)
         futures = [backend.submit(_sample(backend.graph, seed=i))
                    for i in range(3)]
+        threading.Timer(0.1, gate.set).start()
         assert backend.drain(timeout=10.0)
         for future in futures:
             assert future.done() and future.result(0)
@@ -169,13 +192,14 @@ class TestDrain:
     def test_drain_is_woken_by_the_last_completion(self, make_servable):
         # no hedging: a lapped hedge would still be running on its
         # replica after the last *request* settled, and drain waits it out
-        backend = make_servable(server=ServerConfig(max_wait_s=0.1),
-                                router=RouterConfig(hedge=False)).start()
+        backend = make_servable(router=RouterConfig(hedge=False)).start()
+        gate = hold_runs(backend)
         settled_at = []
         for i in range(3):
             backend.submit(_sample(backend.graph, seed=i)).add_done_callback(
                 lambda _future: settled_at.append(time.monotonic()))
         assert backend._in_flight == 3
+        threading.Timer(0.1, gate.set).start()
         assert backend.drain(timeout=10.0)
         returned_at = time.monotonic()
         assert len(settled_at) == 3
@@ -189,8 +213,10 @@ class TestDrain:
         assert servable.drain(timeout=10.0)  # already closed: still True
 
     def test_drain_times_out_with_work_still_pending(self, make_servable):
-        backend = make_servable(server=ServerConfig(max_wait_s=0.5)).start()
+        backend = make_servable().start()
+        gate = hold_runs(backend)
         future = backend.submit(_sample(backend.graph))
+        threading.Timer(0.3, gate.set).start()
         assert not backend.drain(timeout=0.02)
         assert backend.closed
         # close() lets the batch a worker already holds finish

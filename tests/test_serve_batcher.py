@@ -3,9 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.serve import assemble, request_samples, scatter
+from repro.serve import (Bucket, Buckets, assemble, derive_buckets,
+                         request_samples, scatter)
 
 from _graph_fixtures import make_chain_graph
+
+
+def _static_only(graph) -> Buckets:
+    """Pad-to-B: the static batch is the only size offered."""
+    size = graph.inputs[0].shape[0]
+    return Buckets({size: Bucket(size, graph)})
 
 
 def _req(k: int, seed: int, channels: int = 16, hw: int = 12):
@@ -43,7 +50,7 @@ class TestAssemble:
     def test_coalesces_single_samples_in_fifo_order(self):
         g = make_chain_graph(batch=4)
         reqs = [(i, _req(1, i)) for i in range(4)]
-        shards = assemble(g, reqs)
+        shards = assemble(_static_only(g), reqs)
         assert len(shards) == 1
         shard = shards[0]
         assert shard.padding == 0 and shard.live_samples == 4
@@ -54,14 +61,14 @@ class TestAssemble:
 
     def test_pads_short_batch_with_zeros(self):
         g = make_chain_graph(batch=4)
-        shards = assemble(g, [(0, _req(1, 0))])
+        shards = assemble(_static_only(g), [(0, _req(1, 0))])
         assert len(shards) == 1 and shards[0].padding == 3
         assert not shards[0].inputs["x"][1:].any()
 
     def test_splits_oversized_request_across_shards(self):
         g = make_chain_graph(batch=4)
         big = _req(10, 7)
-        shards = assemble(g, [("big", big)])
+        shards = assemble(_static_only(g), [("big", big)])
         assert [s.live_samples for s in shards] == [4, 4, 2]
         assert shards[-1].padding == 2
         rebuilt = np.concatenate(
@@ -70,14 +77,32 @@ class TestAssemble:
 
     def test_mixed_sizes_pack_greedily(self):
         g = make_chain_graph(batch=4)
-        shards = assemble(g, [("a", _req(3, 0)), ("b", _req(2, 1)),
-                              ("c", _req(1, 2))])
+        shards = assemble(_static_only(g),
+                          [("a", _req(3, 0)), ("b", _req(2, 1)),
+                           ("c", _req(1, 2))])
         # a(3) + b's first sample fill shard 0; b's second + c pad shard 1
         assert [s.live_samples for s in shards] == [4, 2]
         assert [(s.request, s.length) for s in shards[0].segments] == \
             [("a", 3), ("b", 1)]
         assert [(s.request, s.length) for s in shards[1].segments] == \
             [("b", 1), ("c", 1)]
+
+
+    def test_tail_shard_takes_the_smallest_bucket_that_holds_it(self):
+        g = make_chain_graph(batch=4)
+        buckets = derive_buckets(g)
+        assert buckets.sizes == [1, 2, 4]
+        for k, sizes, padding in [(1, [1], 0), (2, [2], 0), (3, [4], 1),
+                                  (4, [4], 0), (5, [4, 1], 0),
+                                  (10, [4, 4, 2], 0)]:
+            request = _req(k, k)
+            shards = assemble(buckets, [("r", request)])
+            assert [s.size for s in shards] == sizes, k
+            assert [len(s.inputs["x"]) for s in shards] == sizes
+            assert sum(s.padding for s in shards) == padding
+            rebuilt = np.concatenate(
+                [s.inputs["x"][:s.live_samples] for s in shards])
+            np.testing.assert_array_equal(rebuilt, request["x"])
 
 
 class TestScatter:
@@ -87,7 +112,7 @@ class TestScatter:
         reqs = [("a", _req(3, 0)), ("b", _req(6, 1)), ("c", _req(1, 2))]
         totals = {h: inputs["x"].shape[0] for h, inputs in reqs}
         buffers, filled, completed = {}, {}, []
-        for shard in assemble(g, reqs):
+        for shard in assemble(_static_only(g), reqs):
             # "run" an identity model: output == input
             completed += scatter(shard, {"x": shard.inputs["x"]},
                                  buffers, filled, totals)
@@ -99,7 +124,7 @@ class TestScatter:
         g = make_chain_graph(batch=4)
         reqs = [("big", _req(6, 3))]
         totals = {"big": 6}
-        shards = assemble(g, reqs)
+        shards = assemble(_static_only(g), reqs)
         buffers, filled = {}, {}
         first = scatter(shards[0], {"x": shards[0].inputs["x"]},
                         buffers, filled, totals)

@@ -200,3 +200,146 @@ class TestHealthzDuringDrain:
                 finally:
                     server._draining = False
                 assert _get(f"{base}/healthz")[0] == 200
+
+
+def _infer_body(samples: int = 1) -> bytes:
+    return json.dumps({"inputs": {
+        "x": np.zeros((samples, 16, 12, 12)).tolist()}}).encode()
+
+
+def _exchange(address, request: bytes) -> bytes:
+    """Send ``request`` on a fresh socket and read until the server
+    closes the connection (a server that keeps it open times out)."""
+    import socket
+
+    with socket.create_connection(address, timeout=5.0) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+class TestKeepAlive:
+    def test_sequential_posts_share_one_connection(self):
+        import http.client
+        import statistics
+        import time
+
+        g = make_chain_graph(batch=4)
+        with InferenceServer(g, ServerConfig()) as server:
+            with serve_http(server, port=0) as frontend:
+                accepted = []
+                get_request = frontend.httpd.get_request
+
+                def counting():
+                    accepted.append(1)
+                    return get_request()
+
+                frontend.httpd.get_request = counting
+                conn = http.client.HTTPConnection(*frontend.address,
+                                                  timeout=10)
+                body, seconds = _infer_body(), []
+                for _ in range(50):
+                    start = time.monotonic()
+                    conn.request("POST", "/infer", body,
+                                 {"Content-Type": "application/json"})
+                    response = conn.getresponse()
+                    payload = response.read()
+                    seconds.append(time.monotonic() - start)
+                    assert response.status == 200 and response.version == 11
+                    assert "outputs" in json.loads(payload)
+                conn.close()
+        assert len(accepted) == 1
+        # without TCP_NODELAY every one of these takes ~44 ms (Nagle
+        # holds the body back until the client's delayed ACK of the
+        # headers); the median, so that one stall of a shared box
+        # cannot fail the test
+        assert statistics.median(seconds) < 0.020, sorted(seconds)[-5:]
+
+    @pytest.mark.parametrize("head,status", [
+        (b"Content-Length: 4096\r\n", 413),
+        (b"Content-Length: -5\r\n", 400),
+        (b"Content-Length: many\r\n", 400),
+    ])
+    def test_reply_before_the_body_was_read_closes_the_connection(
+            self, head, status):
+        g = make_chain_graph(batch=4)
+        with InferenceServer(g, ServerConfig()) as server:
+            with serve_http(server, port=0) as frontend:
+                frontend.httpd.RequestHandlerClass.max_body_bytes = 64
+                reply = _exchange(frontend.address,
+                                  b"POST /infer HTTP/1.1\r\nHost: x\r\n"
+                                  + head + b"\r\n")
+                assert reply.startswith(b"HTTP/1.1 %d " % status), reply[:80]
+                assert b"Connection: close\r\n" in reply
+                # a fresh connection is served as if nothing happened
+                host, port = frontend.address
+                assert _get(f"http://{host}:{port}/healthz")[0] == 200
+
+    @pytest.mark.parametrize("version,head", [
+        (b"HTTP/1.1", b"Connection: close\r\n"),
+        (b"HTTP/1.0", b""),
+    ])
+    def test_a_client_that_asked_to_close_is_closed_after_its_answer(
+            self, version, head):
+        """Reading the body must not undo what the request line and
+        the ``Connection`` header said: a client reading to end-of-file
+        would hang on a connection the server kept."""
+        body = _infer_body()
+        g = make_chain_graph(batch=4)
+        with InferenceServer(g, ServerConfig()) as server:
+            with serve_http(server, port=0) as frontend:
+                reply = _exchange(
+                    frontend.address,
+                    b"POST /infer " + version + b"\r\nHost: x\r\n" + head
+                    + b"Content-Length: %d\r\n\r\n" % len(body) + body)
+        headers, _, payload = reply.partition(b"\r\n\r\n")
+        assert headers.startswith(b"HTTP/1.1 200 "), reply[:80]
+        assert b"Connection: close" in headers
+        assert "outputs" in json.loads(payload)
+
+    def test_bad_json_keeps_the_connection(self):
+        import http.client
+
+        g = make_chain_graph(batch=4)
+        with InferenceServer(g, ServerConfig()) as server:
+            with serve_http(server, port=0) as frontend:
+                conn = http.client.HTTPConnection(*frontend.address,
+                                                  timeout=10)
+                conn.request("POST", "/infer", b"{not json")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 400
+                sock = conn.sock  # the body was read: same connection
+                conn.request("POST", "/infer", _infer_body())
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200 and conn.sock is sock
+                conn.close()
+
+
+class TestNoHelperThreads:
+    def test_close_ends_the_handler_of_an_idle_keep_alive_client(self):
+        import http.client
+        import threading
+
+        def handlers():
+            return [t for t in threading.enumerate()
+                    if t.name == "repro-serve-http-conn" and t.is_alive()]
+
+        before = handlers()
+        g = make_chain_graph(batch=4)
+        with InferenceServer(g, ServerConfig()) as server:
+            frontend = serve_http(server, port=0)
+            conn = http.client.HTTPConnection(*frontend.address, timeout=10)
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+            # the client keeps its connection: its handler thread is
+            # parked in a read for the next request
+            assert len(handlers()) == len(before) + 1
+            frontend.close()
+            assert handlers() == before
+            conn.close()

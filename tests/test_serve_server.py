@@ -164,15 +164,18 @@ class TestWorkerResilience:
         g = make_chain_graph(batch=4)
         server = InferenceServer(g, ServerConfig(max_wait_s=0.0))
         boom = {"armed": True}
-        real_run = server._sessions[0].run
 
-        def failing_run(inputs, **kwargs):
-            if boom["armed"]:
-                boom["armed"] = False
-                raise RuntimeError("injected kernel failure")
-            return real_run(inputs, **kwargs)
+        def failing(real_run):
+            def run(inputs, **kwargs):
+                if boom["armed"]:
+                    boom["armed"] = False
+                    raise RuntimeError("injected kernel failure")
+                return real_run(inputs, **kwargs)
+            return run
 
-        server._sessions[0].run = failing_run
+        # whichever bucket's session the worker picks fails first
+        for session in server._sessions[0].values():
+            session.run = failing(session.run)
         server.start()
         with pytest.raises(ServeError, match="inference failed"):
             server.infer(_sample(0), timeout=10.0)

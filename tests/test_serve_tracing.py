@@ -52,7 +52,9 @@ class TestServeTracing:
         assert len(batches) == 1
         assert batches[0].tid == 1  # worker 0's row
         assert batches[0].args["worker_id"] == 0
-        assert "padding" in batches[0].args
+        # one sample on the one-sample bucket: nothing padded
+        assert batches[0].args["padding"] == 0
+        assert batches[0].args["bucket"] == [1]
 
         # per-op executor spans carry the batch's trace ids on the
         # worker's row
