@@ -16,14 +16,12 @@ from repro.bench import (ablate_tile_size, fast_mode, format_table,
 from _bench_util import run_once
 
 BLOCKS = (4, 32, 256) if fast_mode() else (4, 16, 32, 64, 256)
-TUNE_BUDGET = 3 if fast_mode() else 6
 
 
 def test_tile_size_ablation(benchmark, report_sink):
     points = run_once(benchmark, lambda: ablate_tile_size(
         "vgg11", batch=4, hw=32, block_sizes=BLOCKS, repeats=2))
-    choices = tuned_tile_choices("vgg11", batch=4, hw=32,
-                                 budget=TUNE_BUDGET, repeats=1)
+    choices = tuned_tile_choices("vgg11", batch=4, hw=32, repeats=1)
 
     table = [[p.block_size, p.scratch_mib, p.seconds * 1e3] for p in points]
     modal_block, picks = Counter(c.block_size for c in choices).most_common(1)[0]

@@ -159,8 +159,8 @@ class TunedTileChoice:
 
 
 def tuned_tile_choices(model: str = "vgg16", batch: int = 4, hw: int = 32,
-                       budget: int = 6, repeats: int = 1,
-                       seed: int = 0) -> list[TunedTileChoice]:
+                       repeats: int = 1, seed: int = 0,
+                       ) -> list[TunedTileChoice]:
     """The autotuner's per-site picks on the same fused graph the A4
     sweep times — lets the ablation report show where the measured
     optimum lands relative to the swept grid."""
@@ -168,8 +168,7 @@ def tuned_tile_choices(model: str = "vgg16", batch: int = 4, hw: int = 32,
     original = build_model(model, batch=batch, hw=hw, seed=seed)
     decomposed = decompose_graph(original, DecompositionConfig(seed=seed))
     optimized, _report = optimize(decomposed)
-    result = tune_graph(optimized, TuneConfig(budget=budget, repeats=repeats,
-                                              seed=seed))
+    result = tune_graph(optimized, TuneConfig(repeats=repeats, seed=seed))
     return [TunedTileChoice(site=s.site_key, block_size=s.block_size,
                             spatial_tile=s.spatial_tile,
                             best_ms=s.seconds * 1e3,

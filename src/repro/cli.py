@@ -24,9 +24,10 @@ plan MODEL|FILE.npz [--budget BYTES] [--optimize]
     plan.  Exits non-zero with the residual when the budget is
     infeasible.  See ``docs/memory_planning.md``.
 tune MODEL|FILE.npz
-    Autotune the fused kernels' ``(block_size, spatial_tile)`` and
-    persist the chosen tiles plus the compiled plan in the tuning
-    cache; a second invocation is a cache hit and does no work.
+    Autotune the fused kernels' ``(block_size, spatial_tile)`` — every
+    valid pair of every site is timed, the fastest kept — and persist
+    the chosen tiles plus the compiled plan in the tuning cache; a
+    second invocation is a cache hit and does no work.
 trace MODEL|FILE.npz
     Decompose + optimize + run one inference with full tracing; write a
     Chrome trace (open in Perfetto / ``chrome://tracing``) carrying the
@@ -775,8 +776,7 @@ def _cmd_tune(args) -> int:
     decomposition = DecompositionConfig(method=args.method, ratio=args.ratio,
                                         seed=args.seed)
     temco = TeMCOConfig(concat_strategy=args.concat_strategy)
-    config = TuneConfig(mode=args.mode, budget=args.budget,
-                        repeats=args.repeats, seed=args.seed)
+    config = TuneConfig(repeats=args.repeats, seed=args.seed)
     _plan, record, hit = tune_model(graph, cache=cache,
                                     decomposition=decomposition, temco=temco,
                                     config=config, force=args.force)
@@ -788,12 +788,11 @@ def _cmd_tune(args) -> int:
                 for s in record.sites]
         print(format_table(
             ["site", "block", "tile", "best ms", "default ms", "trials"],
-            rows, title=f"tuned tiles ({record.mode} mode, "
-                        f"{record.total_trials} trials)"))
+            rows, title=f"tuned tiles ({record.total_trials} trials)"))
     else:
         print("no fusion sites to tune")
     if record.tuned_seconds is not None and record.default_seconds is not None:
-        verdict = (" — fell back to default tiles"
+        verdict = (" — fell back to the compiled tiles"
                    if record.fell_back_to_default else "")
         print(f"whole graph: tuned {record.tuned_seconds * 1e3:.2f} ms vs "
               f"default {record.default_seconds * 1e3:.2f} ms{verdict}")
@@ -1055,10 +1054,6 @@ def build_parser() -> argparse.ArgumentParser:
                                     "the compiled plan")
     common(p)
     obs_flags(p)
-    p.add_argument("--budget", type=int, default=12,
-                   help="measured trials per site (default 12)")
-    p.add_argument("--mode", choices=("per-site", "global"),
-                   default="per-site")
     p.add_argument("--repeats", type=int, default=2,
                    help="timing repeats per trial (default 2)")
     decomposition_flags(p)

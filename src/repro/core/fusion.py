@@ -24,6 +24,7 @@ from ..ir import ops as _ops
 from ..ir.emit import make_node
 from ..ir.graph import Graph
 from ..ir.node import Node
+from ..kernels import DEFAULT_BLOCK_SIZE
 from ..obs import get_tracer
 
 logger = logging.getLogger(__name__)
@@ -38,12 +39,6 @@ class FusionConfig:
     block_size:
         Channel-block width of the generated fused kernels (the tile
         size ``T`` of Listing 1); sweepable in the tile ablation.
-    allow_pool:
-        Absorb a pooling layer between activation and fconv
-        (``lconv-relu-pool-fconv`` in Listing 1).
-    allow_upsample:
-        Absorb a nearest-neighbour upsample (UNet decoder after the
-        upsample-commute transformation).
     require_activation:
         If False, also fuse bare ``lconv → fconv`` pairs (no activation
         in between); semantically those could be folded into one matmul,
@@ -61,12 +56,10 @@ class FusionConfig:
         tile choices.  Sites without an entry use the global knobs.
     """
 
-    block_size: int = 32
+    block_size: int = DEFAULT_BLOCK_SIZE
     #: optional spatial tile edge for the generated fused kernels
     #: (Listing 1's 3D blocking); 0 = channel blocking only
     spatial_tile: int = 0
-    allow_pool: bool = True
-    allow_upsample: bool = True
     require_activation: bool = False
     allow_epilogue: bool = True
     site_overrides: dict[str, tuple[int, int]] | None = None
@@ -170,12 +163,9 @@ def _match_chain(graph: Graph, lconv: Node, consumers: dict,
     elif config.require_activation:
         return None
     resample: Node | None = None
-    if cursor.op in _ops.POOL_OPS and config.allow_pool:
-        resample = cursor
-        cursor = _single_consumer(consumers, resample)
-        if cursor is None:
-            return epilogue(act, resample)
-    elif cursor.op == "upsample_nearest" and config.allow_upsample:
+    # a pool (``lconv-relu-pool-fconv`` in Listing 1) or a nearest
+    # upsample (UNet decoder after the upsample-commute transformation)
+    if cursor.op in _ops.POOL_OPS or cursor.op == "upsample_nearest":
         resample = cursor
         cursor = _single_consumer(consumers, resample)
         if cursor is None:

@@ -4,15 +4,14 @@ The fused kernels (paper Listing 1) expose a tile size that trades
 scratch memory against GEMM efficiency.  This package turns that knob
 from a hardcoded default into a measured, cached decision:
 
-- :mod:`repro.tune.cost_model` — analytic scratch/FLOPs/traffic
-  estimates that prune and order the candidate space,
-- :mod:`repro.tune.search` — grid seed → greedy hill-climb with early
-  stopping over real kernel timings,
+- :mod:`repro.tune.tuner` — times every valid
+  ``(block_size, spatial_tile)`` pair of every fused kernel, keeps the
+  fastest, A/B-guards the whole graph against the tiles as compiled;
+  plus the compiler-side hooks (:func:`tune_model`,
+  :func:`cached_overrides`),
 - :mod:`repro.tune.cache` — content-addressed persistent cache keyed
   on graph fingerprint × compiler settings × hardware fingerprint,
-  storing tuned configs *and* serialized compiled plans,
-- :mod:`repro.tune.tuner` — the orchestrator plus the compiler-side
-  hooks (:func:`tune_model`, :func:`cached_overrides`).
+  storing tuned configs *and* serialized compiled plans.
 
 See ``docs/tuning.md`` for the search space, cache layout and the
 hardware-fingerprint caveats.
@@ -20,12 +19,10 @@ hardware-fingerprint caveats.
 
 from .cache import (CACHE_VERSION, SiteRecord, TuneCache, TuneRecord,
                     default_cache_dir)
-from .cost_model import (CostEstimate, SiteSpec, estimate_cost,
-                         prune_candidates, site_candidates)
 from .fingerprint import hardware_digest, hardware_fingerprint
-from .search import SearchResult, Trial, greedy_search
 from .tuner import (TuneConfig, TuneResult, apply_overrides, cached_overrides,
-                    collect_sites, load_cached_plan, tune_graph, tune_model)
+                    collect_sites, load_cached_plan, site_candidates,
+                    tune_graph, tune_model)
 
 __all__ = [
     "CACHE_VERSION",
@@ -33,19 +30,12 @@ __all__ = [
     "TuneRecord",
     "SiteRecord",
     "default_cache_dir",
-    "SiteSpec",
-    "CostEstimate",
-    "site_candidates",
-    "estimate_cost",
-    "prune_candidates",
     "hardware_fingerprint",
     "hardware_digest",
-    "Trial",
-    "SearchResult",
-    "greedy_search",
     "TuneConfig",
     "TuneResult",
     "collect_sites",
+    "site_candidates",
     "tune_graph",
     "apply_overrides",
     "tune_model",

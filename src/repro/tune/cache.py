@@ -12,8 +12,8 @@ the directory given by ``--cache-dir`` / ``$REPRO_TUNE_CACHE``)::
 The key is a SHA-256 over the *content* of everything that determines
 the result: the source graph's canonical fingerprint (weights
 included, so editing a layer invalidates the entry), the
-decomposition/compiler settings, the requested tuning mode, the cache
-schema version, and the hardware digest.  Corrupt or truncated entries
+decomposition/compiler settings, the candidate grid, the cache schema
+version, and the hardware digest.  Corrupt or truncated entries
 are ignored with a warning — a broken cache can slow you down, never
 crash you.
 """
@@ -38,8 +38,10 @@ __all__ = ["TuneCache", "TuneRecord", "SiteRecord", "default_cache_dir",
 
 #: Bump to invalidate every existing entry: on a schema change, and when
 #: the fused kernels change enough that measured winners go stale
-#: (2: streaming batched-GEMM kernel; v1 picks were timed on the einsum one).
-CACHE_VERSION = 2
+#: (2: streaming batched-GEMM kernel; v1 picks were timed on the einsum one.
+#: 3: exhaustive sweep — records lose ``mode`` / ``budget``, the key loses the
+#: tuning mode and two ``FusionConfig`` fields).
+CACHE_VERSION = 3
 
 
 def default_cache_dir() -> Path:
@@ -60,7 +62,7 @@ class SiteRecord:
     block_size: int
     spatial_tile: int
     seconds: float           #: best measured per-site kernel time
-    baseline_seconds: float  #: default-config per-site kernel time
+    baseline_seconds: float  #: per-site kernel time at the compiled tile
     scratch_bytes: int
     baseline_scratch_bytes: int
     trials: int
@@ -74,13 +76,11 @@ class TuneRecord:
     model: str
     created: str
     version: int = CACHE_VERSION
-    mode: str = "per-site"
-    budget: int = 0
     hardware: dict[str, str] = field(default_factory=dict)
     sites: list[SiteRecord] = field(default_factory=list)
     total_trials: int = 0
     tuned_seconds: float | None = None    #: whole-graph, tuned tiles
-    default_seconds: float | None = None  #: whole-graph, default tiles
+    default_seconds: float | None = None  #: whole-graph, tiles as compiled
     peak_internal_bytes: int | None = None
     fell_back_to_default: bool = False
 
@@ -94,8 +94,7 @@ class TuneRecord:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "TuneRecord":
-        doc = json.loads(text)
+    def from_doc(cls, doc: dict[str, Any]) -> "TuneRecord":
         sites = [SiteRecord(**s) for s in doc.pop("sites", [])]
         return cls(sites=sites, **doc)
 
@@ -143,17 +142,18 @@ class TuneCache:
         if not path.is_file():
             return None
         try:
-            record = TuneRecord.from_json(path.read_text())
+            doc = json.loads(path.read_text())
+            # before the fields are read: another version's are not ours
+            if doc["version"] != CACHE_VERSION:
+                logger.warning("tune cache: ignoring %s (schema v%s, want "
+                               "v%s)", path, doc["version"], CACHE_VERSION)
+                return None
+            return TuneRecord.from_doc(doc)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError,
                 OSError) as exc:
             logger.warning("tune cache: ignoring corrupt record %s (%s)",
                            path, exc)
             return None
-        if record.version != CACHE_VERSION:
-            logger.warning("tune cache: ignoring %s (schema v%s, want v%s)",
-                           path, record.version, CACHE_VERSION)
-            return None
-        return record
 
     def load_plan(self, key: str) -> Graph | None:
         """The compiled plan for ``key``, or ``None`` (missing / corrupt)."""
@@ -181,10 +181,9 @@ class TuneCache:
         return path
 
 
-def new_record(key: str, model: str, *, mode: str, budget: int) -> TuneRecord:
+def new_record(key: str, model: str) -> TuneRecord:
     """A fresh record stamped with now + this machine's fingerprint."""
     return TuneRecord(
         key=key, model=model,
         created=time.strftime("%Y-%m-%dT%H:%M:%S"),
-        mode=mode, budget=budget,
         hardware=hardware_fingerprint())

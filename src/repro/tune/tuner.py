@@ -1,19 +1,17 @@
 """The autotuner: measured tile selection + cache/compiler integration.
 
-Two tuning modes over an optimized (post-fusion) graph:
+Each fused kernel of an optimized (post-fusion) graph is timed *in
+isolation* on its real weights and a representative input, once for
+every valid ``(block_size, spatial_tile)`` pair — the whole space is at
+most 7 block widths x 4 spatial tiles of a sub-millisecond kernel, so
+it is enumerated, not searched — and the fastest pair wins.
 
-- ``per-site`` (default) — each fused kernel is timed *in isolation*
-  on its real weights and representative input shapes; the greedy
-  search picks the fastest ``(block_size, spatial_tile)`` per site.
-- ``global`` — one shared pair, scored by whole-graph wall-clock; far
-  fewer trials, useful when sites are many and similar.
-
-Either way the tuner ends with a whole-graph A/B guard: the tuned
-graph is re-timed against the default configuration and *falls back*
-to the default tiles if it lost (measurement noise or per-site wins
-that do not compose), so accepting a tuning result can never make the
-model slower than the untuned fused path.  Peak internal-tensor bytes
-are unaffected by tile choices by construction (tiles are scratch, not
+The tuner ends with a whole-graph A/B guard: the tuned graph is
+re-timed against the graph as compiled and *falls back* to the
+compiled tiles if it lost (measurement noise or per-site wins that do
+not compose), so accepting a tuning result can never make the model
+slower than the untuned fused path.  Peak internal-tensor bytes are
+unaffected by tile choices by construction (tiles are scratch, not
 internal tensors); the record stores the estimate as evidence.
 
 Every trial and every selection is emitted through :mod:`repro.obs`
@@ -25,7 +23,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -34,53 +32,45 @@ from ..data.synthetic import random_inputs
 from ..decompose import DecompositionConfig, decompose_graph
 from ..ir.graph import Graph
 from ..ir.node import Node
-from ..kernels import DEFAULT_BLOCK_SIZE, fused_block, fused_restore
+from ..kernels import DEFAULT_BLOCK_SIZE, fused_scratch_bytes, run_node
+from ..kernels.fused import spatially_tileable
 from ..obs import get_tracer
 from ..runtime import InferenceSession
 from .cache import SiteRecord, TuneCache, TuneRecord, new_record
-from .cost_model import (DEFAULT_BLOCK_SIZES, DEFAULT_SPATIAL_TILES, SiteSpec,
-                         prune_candidates, site_candidates)
-from .search import Trial, greedy_search
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["TuneConfig", "TuneResult", "collect_sites", "tune_graph",
-           "apply_overrides", "tune_model", "cached_overrides",
+__all__ = ["TuneConfig", "TuneResult", "collect_sites", "site_candidates",
+           "tune_graph", "apply_overrides", "tune_model", "cached_overrides",
            "load_cached_plan"]
+
+#: Channel-block widths tried at every site (clamped to its C').
+DEFAULT_BLOCK_SIZES = (4, 8, 16, 32, 64, 128, 256)
+#: Spatial tile edges tried (0 = channel blocking only); a tile
+#: survives only where the kernel would actually apply it exactly.
+DEFAULT_SPATIAL_TILES = (0, 8, 16, 32)
 
 
 @dataclass(frozen=True)
 class TuneConfig:
-    """Search-space and budget knobs for one tuning run."""
+    """The grid one tuning run measures, and how carefully."""
 
-    mode: str = "per-site"  #: ``per-site`` or ``global``
-    #: measured trials per site (``per-site``) or in total (``global``)
-    budget: int = 12
-    #: timing repeats per trial; the minimum is kept (least-noise estimator)
+    #: timed calls per trial after one warm-up; the minimum is kept
+    #: (least-noise estimator)
     repeats: int = 2
     block_sizes: tuple[int, ...] = DEFAULT_BLOCK_SIZES
     spatial_tiles: tuple[int, ...] = DEFAULT_SPATIAL_TILES
-    #: candidates surviving cost-model pruning, per site
-    keep: int = 8
-    #: consecutive non-improving trials before the climb stops
-    patience: int = 3
-    #: optional hard cap on per-site scratch bytes (None = uncapped; the
-    #: C' clamp already bounds scratch at one full-width tile)
-    max_scratch_bytes: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("per-site", "global"):
-            raise ValueError(f"bad tune mode {self.mode!r}")
-        if self.budget < 1:
-            raise ValueError(f"budget must be >= 1, got {self.budget}")
+        if self.repeats < 1:
+            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
 
 
 @dataclass
 class TuneResult:
     """Chosen tiles for one optimized graph."""
 
-    mode: str
     sites: list[SiteRecord] = field(default_factory=list)
 
     @property
@@ -97,12 +87,23 @@ def collect_sites(graph: Graph) -> list[Node]:
     return [n for n in graph.nodes if n.op in ("fused_block", "fused_restore")]
 
 
+def _site_key(node: Node) -> str:
+    """The anchoring lconv's name — stable across recompiles."""
+    return str((node.attrs.get("fused_from") or [node.name])[0])
+
+
+def _compiled_tile(node: Node) -> tuple[int, int]:
+    """The ``(block_size, spatial_tile)`` pair the node carries."""
+    return (int(node.attrs.get("block_size", DEFAULT_BLOCK_SIZE)),
+            int(node.attrs.get("spatial_tile", 0) or 0))
+
+
 def apply_overrides(graph: Graph,
                     overrides: dict[str, tuple[int, int]]) -> int:
     """Patch fused nodes' tile attrs in place; returns #sites patched."""
     patched = 0
     for node in collect_sites(graph):
-        key = str((node.attrs.get("fused_from") or [node.name])[0])
+        key = _site_key(node)
         if key not in overrides:
             continue
         block, tile = overrides[key]
@@ -113,50 +114,53 @@ def apply_overrides(graph: Graph,
     return patched
 
 
+def site_candidates(node: Node,
+                    block_sizes: tuple[int, ...] = DEFAULT_BLOCK_SIZES,
+                    spatial_tiles: tuple[int, ...] = DEFAULT_SPATIAL_TILES,
+                    ) -> list[tuple[int, int]]:
+    """Valid, deduplicated ``(block_size, spatial_tile)`` pairs of a site.
+
+    Block sizes clamp to ``C'`` (so 128 and 256 collapse onto one
+    candidate for a 96-channel site); spatial tiles survive only where
+    the kernel would apply them exactly rather than silently falling
+    back to channel-only blocking.
+    """
+    _n, _r, h, w = node.inputs[0].shape
+    c_prime = int(node.params["w1"].shape[0])
+    blocks = sorted({min(max(1, int(b)), c_prime) for b in block_sizes})
+    tiles = [0] + sorted({int(t) for t in spatial_tiles if t > 0
+                          and spatially_tileable(h, w, t,
+                                                 node.attrs.get("pool"))})
+    return [(b, t) for t in tiles for b in blocks]
+
+
 # ---------------------------------------------------------------------------
 # measurement
 # ---------------------------------------------------------------------------
 
-def _site_measurer(node: Node, repeats: int,
-                   seed: int) -> Callable[[int, int], float]:
-    """Time the fused kernel directly on a representative input."""
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=node.inputs[0].shape).astype(node.inputs[0].dtype.np)
-    kwargs: dict[str, Any] = dict(
-        act=node.attrs.get("act"),
-        pool=node.attrs.get("pool"),
-        upsample=int(node.attrs.get("upsample", 0) or 0),
-        act_params=node.attrs.get("act_params"))
-
-    def measure(block_size: int, spatial_tile: int) -> float:
-        best = float("inf")
-        for rep in range(max(1, repeats) + 1):  # +1 warmup, discarded
-            start = time.perf_counter()
-            if node.op == "fused_block":
-                fused_block(x, node.params["w1"], node.params.get("b1"),
-                            node.params["w2"], node.params.get("b2"),
-                            block_size=block_size, spatial_tile=spatial_tile,
-                            **kwargs)
-            else:
-                fused_restore(x, node.params["w1"], node.params.get("b1"),
-                              block_size=block_size, spatial_tile=spatial_tile,
-                              **kwargs)
-            elapsed = time.perf_counter() - start
-            if rep > 0:
-                best = min(best, elapsed)
-        return best
-
-    return measure
+def _site_seconds(node: Node, x: np.ndarray, block_size: int,
+                  spatial_tile: int, repeats: int) -> float:
+    """Best of ``repeats`` timed kernel calls after one warm-up."""
+    trial = node.clone(node.name, node.inputs, node.output)
+    trial.attrs.update(block_size=block_size, spatial_tile=spatial_tile)
+    best = float("inf")
+    for rep in range(repeats + 1):
+        start = time.perf_counter()
+        run_node(trial, [x])
+        elapsed = time.perf_counter() - start
+        if rep > 0:  # the first call is the warm-up
+            best = min(best, elapsed)
+    return best
 
 
 def _graph_seconds(graph: Graph, *, repeats: int, seed: int) -> float:
     timing = InferenceSession(graph).time_inference(
-        random_inputs(graph, seed), warmup=1, repeats=max(1, repeats))
+        random_inputs(graph, seed), warmup=1, repeats=repeats)
     return timing.best
 
 
 # ---------------------------------------------------------------------------
-# search drivers
+# the sweep
 # ---------------------------------------------------------------------------
 
 def tune_graph(optimized: Graph,
@@ -168,101 +172,60 @@ def tune_graph(optimized: Graph,
     """
     config = config or TuneConfig()
     tracer = get_tracer()
-    result = TuneResult(mode=config.mode)
+    result = TuneResult()
     sites = collect_sites(optimized)
     if not sites:
         return result
     with tracer.span("tune", category="tuner", graph=optimized.name,
-                     mode=config.mode, sites=len(sites)):
-        if config.mode == "per-site":
-            for node in sites:
-                result.sites.append(_tune_site(node, config, tracer))
-        else:
-            result.sites.extend(_tune_global(optimized, sites, config, tracer))
+                     sites=len(sites)):
+        for node in sites:
+            result.sites.append(_tune_site(node, config, tracer))
     return result
 
 
 def _tune_site(node: Node, config: TuneConfig, tracer) -> SiteRecord:
-    site = SiteSpec.from_node(node)
-    candidates = prune_candidates(
-        site, site_candidates(site, config.block_sizes, config.spatial_tiles),
-        keep=config.keep, max_scratch_bytes=config.max_scratch_bytes)
-    default_key = (min(DEFAULT_BLOCK_SIZE, site.c_prime), 0)
-    measure = _site_measurer(node, config.repeats, config.seed)
+    """Time every candidate of one site; the fastest wins, a tie goes
+    to the tile the graph was compiled with."""
+    compiled = _compiled_tile(node)
+    candidates = site_candidates(node, config.block_sizes,
+                                 config.spatial_tiles)
+    if compiled not in candidates:  # always price the baseline
+        candidates.insert(0, compiled)
+    value = node.inputs[0]
+    x = np.random.default_rng(config.seed).normal(
+        size=value.shape).astype(value.dtype.np)
 
-    def on_trial(trial: Trial) -> None:
-        tracer.decision("tune", site.name, "trial", "measured",
-                        block_size=trial.block_size,
-                        spatial_tile=trial.spatial_tile,
-                        seconds=trial.seconds,
-                        scratch_bytes=trial.scratch_bytes)
+    def scratch(tile: tuple[int, int]) -> int:
+        return fused_scratch_bytes(
+            value.shape, value.dtype.itemsize, block_size=tile[0],
+            c_prime=node.params["w1"].shape[0], spatial_tile=tile[1])
 
-    with tracer.span("tune.site", category="tuner", site=site.name,
+    seconds: dict[tuple[int, int], float] = {}
+    with tracer.span("tune.site", category="tuner", site=node.name,
                      candidates=len(candidates)):
-        outcome = greedy_search(candidates, measure, budget=config.budget,
-                                patience=config.patience,
-                                seeds=[default_key], on_trial=on_trial)
-    baseline = outcome.trial_for(default_key) or outcome.best
-    best = outcome.best
-    tracer.decision("tune", site.name, "select", "measured_best",
-                    block_size=best.block_size,
-                    spatial_tile=best.spatial_tile,
-                    seconds=best.seconds,
-                    baseline_seconds=baseline.seconds,
-                    trials=outcome.measured)
-    logger.info("tune: %s -> block %d tile %d (%.3f ms vs default %.3f ms, "
-                "%d trials)", site.name, best.block_size, best.spatial_tile,
-                best.seconds * 1e3, baseline.seconds * 1e3, outcome.measured)
+        for block, tile in candidates:
+            seconds[block, tile] = _site_seconds(node, x, block, tile,
+                                                 config.repeats)
+            tracer.decision("tune", node.name, "trial", "measured",
+                            block_size=block, spatial_tile=tile,
+                            seconds=seconds[block, tile],
+                            scratch_bytes=scratch((block, tile)))
+    best = min(candidates, key=lambda c: (seconds[c], c != compiled))
+    tracer.decision("tune", node.name, "select", "measured_best",
+                    block_size=best[0], spatial_tile=best[1],
+                    seconds=seconds[best],
+                    baseline_seconds=seconds[compiled],
+                    trials=len(candidates))
+    logger.info("tune: %s -> block %d tile %d (%.3f ms vs compiled %.3f ms, "
+                "%d trials)", node.name, *best, seconds[best] * 1e3,
+                seconds[compiled] * 1e3, len(candidates))
     return SiteRecord(
-        site_key=site.site_key, node=site.name,
-        block_size=best.block_size, spatial_tile=best.spatial_tile,
-        seconds=best.seconds, baseline_seconds=baseline.seconds,
-        scratch_bytes=best.scratch_bytes,
-        baseline_scratch_bytes=baseline.scratch_bytes,
-        trials=outcome.measured)
-
-
-def _tune_global(optimized: Graph, sites: list[Node], config: TuneConfig,
-                 tracer) -> list[SiteRecord]:
-    """One shared tile pair scored by whole-graph wall-clock."""
-    specs = [SiteSpec.from_node(n) for n in sites]
-    blocks = sorted({min(max(1, b), max(s.c_prime for s in specs))
-                     for b in config.block_sizes})
-    tiles = sorted({int(t) for t in config.spatial_tiles if t >= 0})
-    pairs = [(b, t) for t in tiles for b in blocks]
-    work = optimized.clone(f"{optimized.name}.tune")
-    measured: list[tuple[int, int, float]] = []
-
-    def measure(block: int, tile: int) -> float:
-        apply_overrides(work, {s.site_key: (block, tile) for s in specs})
-        seconds = _graph_seconds(work, repeats=config.repeats,
-                                 seed=config.seed)
-        tracer.decision("tune", optimized.name, "trial", "measured_global",
-                        block_size=block, spatial_tile=tile, seconds=seconds)
-        measured.append((block, tile, seconds))
-        return seconds
-
-    default_key = (DEFAULT_BLOCK_SIZE, 0)
-    ordered = sorted(pairs, key=lambda p: (p != default_key, p))
-    for block, tile in ordered[:max(1, config.budget)]:
-        measure(block, tile)
-    best_block, best_tile, best_secs = min(measured, key=lambda m: m[2])
-    baseline = next((m for m in measured
-                     if (m[0], m[1]) == default_key), measured[0])
-    tracer.decision("tune", optimized.name, "select", "measured_best_global",
-                    block_size=best_block, spatial_tile=best_tile,
-                    seconds=best_secs, baseline_seconds=baseline[2],
-                    trials=len(measured))
-    records = []
-    for spec in specs:
-        blk = min(best_block, spec.c_prime)
-        records.append(SiteRecord(
-            site_key=spec.site_key, node=spec.name,
-            block_size=blk, spatial_tile=best_tile,
-            seconds=best_secs, baseline_seconds=baseline[2],
-            scratch_bytes=0, baseline_scratch_bytes=0,
-            trials=len(measured) if spec is specs[0] else 0))
-    return records
+        site_key=_site_key(node), node=node.name,
+        block_size=best[0], spatial_tile=best[1],
+        seconds=seconds[best], baseline_seconds=seconds[compiled],
+        scratch_bytes=scratch(best),
+        baseline_scratch_bytes=scratch(compiled),
+        trials=len(candidates))
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +246,9 @@ def _cache_extra(decomposition: DecompositionConfig, temco: TeMCOConfig,
     return {
         "decomposition": asdict(decomposition),
         "concat_strategy": temco.concat_strategy,
-        "mode": config.mode,
         "block_sizes": list(config.block_sizes),
         "spatial_tiles": list(config.spatial_tiles),
         "fusion_defaults": [fusion.block_size, fusion.spatial_tile,
-                            fusion.allow_pool, fusion.allow_upsample,
                             fusion.require_activation, fusion.allow_epilogue],
     }
 
@@ -327,30 +288,30 @@ def tune_model(original: Graph, *,
     optimized, _report = optimize(decomposed, temco)
     result = tune_graph(optimized, config)
 
-    record = new_record(key, original.name, mode=config.mode,
-                        budget=config.budget)
+    record = new_record(key, original.name)
     record.sites = result.sites
     record.total_trials = result.total_trials
 
     if result.sites:
-        # whole-graph A/B guard: tuned tiles must beat the default tiles
+        # whole-graph A/B guard: tuned tiles must beat the compiled ones
+        compiled = {_site_key(n): _compiled_tile(n)
+                    for n in collect_sites(optimized)}
         record.default_seconds = _graph_seconds(
             optimized, repeats=config.repeats, seed=config.seed)
         apply_overrides(optimized, result.overrides)
         record.tuned_seconds = _graph_seconds(
             optimized, repeats=config.repeats, seed=config.seed)
         if record.tuned_seconds > record.default_seconds:
-            apply_overrides(optimized, {s.site_key: (DEFAULT_BLOCK_SIZE, 0)
-                                        for s in result.sites})
+            apply_overrides(optimized, compiled)
             for s in record.sites:
-                s.block_size, s.spatial_tile = DEFAULT_BLOCK_SIZE, 0
+                s.block_size, s.spatial_tile = compiled[s.site_key]
             record.fell_back_to_default = True
             tracer.decision("tune", original.name, "fallback",
                             "default_not_beaten",
                             tuned_seconds=record.tuned_seconds,
                             default_seconds=record.default_seconds)
-            logger.info("tune: %s fell back to default tiles (%.3f ms > "
-                        "%.3f ms)", original.name,
+            logger.info("tune: %s fell back to the compiled tiles (%.3f ms "
+                        "> %.3f ms)", original.name,
                         record.tuned_seconds * 1e3,
                         record.default_seconds * 1e3)
     record.peak_internal_bytes = estimate_peak_internal(optimized)

@@ -103,16 +103,14 @@ def tuned_cache(tmp_path_factory):
     """A tune cache populated once for alexnet @ batch 1, hw 16."""
     cache_dir = tmp_path_factory.mktemp("tune-cache")
     assert main(["tune", "alexnet", "--batch", "1", "--hw", "16",
-                 "--budget", "2", "--repeats", "1",
-                 "--cache-dir", str(cache_dir)]) == 0
+                 "--repeats", "1", "--cache-dir", str(cache_dir)]) == 0
     return cache_dir
 
 
 class TestTuneCLI:
     def test_tune_miss_then_hit(self, capsys, tmp_path):
         args = ["tune", "alexnet", "--batch", "1", "--hw", "16",
-                "--budget", "2", "--repeats", "1",
-                "--cache-dir", str(tmp_path)]
+                "--repeats", "1", "--cache-dir", str(tmp_path)]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "tune cache miss" in out and "tuned tiles" in out
@@ -123,7 +121,7 @@ class TestTuneCLI:
 
     def test_tune_force_retunes(self, capsys, tuned_cache):
         assert main(["tune", "alexnet", "--batch", "1", "--hw", "16",
-                     "--budget", "2", "--repeats", "1", "--force",
+                     "--repeats", "1", "--force",
                      "--cache-dir", str(tuned_cache)]) == 0
         assert "tune cache miss" in capsys.readouterr().out
 
@@ -159,8 +157,7 @@ class TestTuneCLI:
     def test_tune_trace_carries_trial_decisions(self, capsys, tmp_path):
         trace = tmp_path / "tune.trace.json"
         assert main(["tune", "alexnet", "--batch", "1", "--hw", "16",
-                     "--budget", "2", "--repeats", "1",
-                     "--cache-dir", str(tmp_path / "cache"),
+                     "--repeats", "1", "--cache-dir", str(tmp_path / "cache"),
                      "--trace", str(trace)]) == 0
         doc = json.loads(trace.read_text())
         marks = [e for e in doc["traceEvents"]

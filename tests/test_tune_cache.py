@@ -19,7 +19,7 @@ def cache(tmp_path):
 
 
 def make_record(key: str) -> TuneRecord:
-    record = new_record(key, "chain", mode="per-site", budget=4)
+    record = new_record(key, "chain")
     record.sites = [SiteRecord(site_key="c1", node="fused[c1+c2]",
                                block_size=16, spatial_tile=8,
                                seconds=0.001, baseline_seconds=0.002,
@@ -47,8 +47,8 @@ class TestKeying:
 
     def test_extra_settings_change_key(self, cache):
         graph = make_chain_graph()
-        assert (cache.key_for(graph, extra={"mode": "per-site"})
-                != cache.key_for(graph, extra={"mode": "global"}))
+        assert (cache.key_for(graph, extra={"concat_strategy": "merge"})
+                != cache.key_for(graph, extra={"concat_strategy": "split"}))
 
 
 class TestRoundtrip:
@@ -106,11 +106,15 @@ class TestCorruption:
     @pytest.mark.parametrize("version", [CACHE_VERSION - 1, CACHE_VERSION + 1],
                              ids=["older", "newer"])
     def test_version_mismatch_ignored(self, cache, caplog, version):
-        # "older" is what a cache tuned before the last bump holds: picks
-        # timed on kernels that no longer exist must not be served
+        # "older" is what a cache tuned before the last bump holds: a v2
+        # record, whose extra fields must read as stale, not as corrupt
         record = make_record("e" * 32)
         record.version = version
-        cache.store(record)
+        path = cache.store(record)
+        if version < CACHE_VERSION:
+            doc = json.loads(path.read_text())
+            path.write_text(json.dumps({**doc, "mode": "per-site",
+                                        "budget": 12}))
         with caplog.at_level(logging.WARNING, logger="repro.tune.cache"):
             assert cache.load(record.key) is None
         assert any("schema" in r.message for r in caplog.records)

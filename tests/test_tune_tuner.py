@@ -1,19 +1,23 @@
-"""repro.tune.tuner: search drivers, cache integration, compiler hook."""
+"""repro.tune.tuner: the exhaustive sweep, cache integration, compiler hook."""
+
+import math
 
 import numpy as np
 import pytest
 
-from repro.core import estimate_peak_internal, optimize
+from repro.core import (FusionConfig, TeMCOConfig, estimate_peak_internal,
+                        optimize)
 from repro.decompose import DecompositionConfig, decompose_graph
 from repro.obs import Tracer, use_tracer
 from repro.runtime import InferenceSession
 from repro.tune import (TuneCache, TuneConfig, apply_overrides,
                         cached_overrides, collect_sites, load_cached_plan,
-                        tune_graph, tune_model)
+                        site_candidates, tune_graph, tune_model)
+from repro.tune import tuner as tuner_mod
 
 from _graph_fixtures import make_chain_graph, random_input
 
-FAST = TuneConfig(budget=2, repeats=1)
+FAST = TuneConfig(repeats=1)
 
 
 def optimized_chain(**kwargs):
@@ -47,18 +51,114 @@ class TestTuneGraph:
         result = tune_graph(graph, FAST)
         assert result.sites == []
 
-    def test_global_mode_shares_one_choice(self):
-        _graph, optimized = optimized_chain()
-        result = tune_graph(optimized, TuneConfig(mode="global", budget=2,
-                                                  repeats=1))
-        tiles = {s.spatial_tile for s in result.sites}
-        assert len(tiles) == 1
-
     def test_bad_config_rejected(self):
         with pytest.raises(ValueError):
-            TuneConfig(mode="psychic")
-        with pytest.raises(ValueError):
-            TuneConfig(budget=0)
+            TuneConfig(repeats=0)
+
+
+def bowl(site, block, tile):
+    """Unimodal: one minimum at (16, 0)."""
+    return 1.0 + abs(math.log2(block) - 4) + tile / 8
+
+
+def pit(site, block, tile):
+    """Non-unimodal: tile 0 slopes gently down to the widest block and
+    tile 8 is a plateau twice as slow, except one pit at (4, 8).  The
+    hill-climb this sweep replaced seeded at the default, the blocking
+    extremes of tile 0 and the model's favourite, climbed to the widest
+    block and stopped there — (4, 8) is no neighbour of anything it
+    measured (checked on the parent commit: it returned (128, 0))."""
+    if tile:
+        return 0.1 if block == 4 else 2.0
+    return 1.0 - 0.001 * math.log2(block)
+
+
+def scattered(site, block, tile):
+    """No structure at all, and a different table per kind of site."""
+    shift = 7 * site.startswith("fused_restore")
+    return 1.0 + (block * 31 + tile * 17 + shift) % 101 / 101
+
+
+@pytest.fixture
+def fake_timer(monkeypatch):
+    """Replace the per-site timer by a function of (site, block, tile);
+    returns the installer, which also hands back the call log."""
+    def install(surface):
+        calls = []
+
+        def timer(node, x, block_size, spatial_tile, repeats):
+            calls.append((node.name, block_size, spatial_tile))
+            return surface(node.name, block_size, spatial_tile)
+
+        monkeypatch.setattr(tuner_mod, "_site_seconds", timer)
+        return calls
+    return install
+
+
+class TestExhaustiveSweep:
+    """With a deterministic timer the pick is provably the best point."""
+
+    @pytest.mark.parametrize(("surface", "first_pick"), [
+        (bowl, (16, 0)), (pit, (4, 8)), (scattered, (32, 8))],
+        ids=["bowl", "pit", "scattered"])
+    def test_every_candidate_measured_once_and_argmin_wins(
+            self, fake_timer, surface, first_pick):
+        # 64 channels at hw 16: the first site has a 6 x 2 grid
+        _graph, optimized = optimized_chain(channels=64, hw=16)
+        calls = fake_timer(surface)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = tune_graph(optimized, FAST)
+        sites = collect_sites(optimized)
+        assert len(site_candidates(sites[0])) == 12
+        for node, rec in zip(sites, result.sites):
+            candidates = site_candidates(node)
+            mine = [(b, t) for name, b, t in calls if name == node.name]
+            assert sorted(mine) == sorted(candidates)  # all, each once
+            assert rec.trials == len(candidates)
+            trials = {(d.quantities["block_size"],
+                       d.quantities["spatial_tile"]): d.quantities["seconds"]
+                      for d in tracer.decisions
+                      if d.verdict == "trial" and d.subject == node.name}
+            assert len(trials) == len(candidates)
+            best = min(trials, key=trials.get)
+            assert (rec.block_size, rec.spatial_tile) == best
+            assert rec.seconds == surface(node.name, *best)
+            assert rec.baseline_seconds == surface(
+                node.name, node.attrs["block_size"],
+                node.attrs["spatial_tile"])
+        assert result.total_trials == len(calls)
+        first = result.sites[0]
+        assert (first.block_size, first.spatial_tile) == first_pick
+
+    def test_ties_go_to_the_compiled_tile(self, fake_timer):
+        _graph, optimized = optimized_chain(channels=64, hw=16)
+        fake_timer(lambda site, block, tile: 1.0)
+        result = tune_graph(optimized, FAST)
+        for node, rec in zip(collect_sites(optimized), result.sites):
+            assert (rec.block_size, rec.spatial_tile) == \
+                (node.attrs["block_size"], node.attrs["spatial_tile"])
+
+    def test_only_the_compiled_tile_is_a_noop(self, fake_timer):
+        _graph, optimized = optimized_chain()  # C' = 32: compiled (32, 0)
+        calls = fake_timer(bowl)
+        result = tune_graph(optimized, TuneConfig(
+            repeats=1, block_sizes=(32,), spatial_tiles=(0,)))
+        assert len(calls) == len(result.sites)
+        assert all((s.block_size, s.spatial_tile, s.trials) == (32, 0, 1)
+                   and s.seconds == s.baseline_seconds
+                   for s in result.sites)
+
+    def test_compiled_tile_off_the_grid_is_still_priced(self, fake_timer):
+        graph = make_chain_graph()
+        optimized, _report = optimize(
+            decompose_graph(graph, DecompositionConfig(seed=0)),
+            TeMCOConfig(fusion=FusionConfig(block_size=5)))
+        calls = fake_timer(lambda site, block, tile: 1.0)
+        result = tune_graph(optimized, FAST)
+        assert all((name, 5, 0) in calls
+                   for name in {n.name for n in collect_sites(optimized)})
+        assert all(s.block_size == 5 for s in result.sites)  # the tie rule
 
 
 class TestApplyOverrides:
@@ -147,7 +247,6 @@ class TestTuneModel:
 
     def test_ab_guard_falls_back_when_tuned_loses(self, tmp_path, monkeypatch):
         from repro.kernels import DEFAULT_BLOCK_SIZE
-        from repro.tune import tuner as tuner_mod
         # whole-graph timings: default fast, tuned slow
         seconds = iter([0.001, 0.1])
         monkeypatch.setattr(tuner_mod, "_graph_seconds",
@@ -158,6 +257,23 @@ class TestTuneModel:
         assert rec.fell_back_to_default
         assert all(s.block_size == DEFAULT_BLOCK_SIZE and s.spatial_tile == 0
                    for s in rec.sites)
+
+    def test_ab_guard_falls_back_to_the_compiled_tiles(self, tmp_path,
+                                                       monkeypatch):
+        # compiled at block 8: a lost A/B must restore 8 — the tiles the
+        # "default" whole-graph time was taken at — not block 32
+        seconds = iter([0.001, 0.1])
+        monkeypatch.setattr(tuner_mod, "_graph_seconds",
+                            lambda *a, **k: next(seconds))
+        temco = TeMCOConfig(fusion=FusionConfig(block_size=8))
+        plan, rec, _hit = tune_model(make_chain_graph(),
+                                     cache=TuneCache(tmp_path), temco=temco,
+                                     config=FAST)
+        assert rec.fell_back_to_default
+        assert all((s.block_size, s.spatial_tile) == (8, 0)
+                   for s in rec.sites)
+        assert all((n.attrs["block_size"], n.attrs["spatial_tile"]) == (8, 0)
+                   for n in collect_sites(plan))
 
     def test_emits_tune_decisions(self, tmp_path):
         cache = TuneCache(tmp_path)
