@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.kernels import (conv2d, fused_block, fused_restore,
-                           get_activation, maxpool2d, pointwise_conv)
+                           get_activation, maxpool2d, pointwise_conv, relu)
 
 RNG = np.random.default_rng(0)
 
@@ -107,6 +107,12 @@ class TestHotSites:
         w1, b1 = _data((176, 64)), _data(176)
         w2, b2 = _data((88, 176)), _data(88)
         benchmark(fused_block, x, w1, b1, w2, b2, "relu")
+
+    def test_relu_standalone(self, benchmark, batch):
+        # the decomposed graphs' relu after a restored (N,16,32,32): the
+        # array-operand SIMD path, allocation of the result included
+        x = _data((batch, 16, 32, 32))
+        benchmark(relu, x)
 
     def test_maxpool_overlapping_padded(self, benchmark, batch):
         x = _data((batch, 64, 16, 16))

@@ -789,6 +789,10 @@ def _cmd_tune(args) -> int:
         print(format_table(
             ["site", "block", "tile", "best ms", "default ms", "trials"],
             rows, title=f"tuned tiles ({record.total_trials} trials)"))
+        near = sum(s.baseline_seconds <= 1.05 * s.seconds
+                   for s in record.sites)
+        print(f"compiled tile within 5 % of the best at {near} of "
+              f"{len(record.sites)} sites")
     else:
         print("no fusion sites to tune")
     if record.tuned_seconds is not None and record.default_seconds is not None:

@@ -14,7 +14,8 @@
 from .equivalence import (EquivalenceReport, assert_equivalent, compare_graphs,
                           topk_agreement)
 from .folding import fold_batchnorm
-from .fusion import FusionConfig, FusionStats, fuse_activation_layers
+from .fusion import (FusionConfig, FusionStats, fuse_activation_layers,
+                     widen_tiles)
 from .liveness import (LiveInterval, MemorySchedule, SkipConnection,
                        analyze_liveness, estimate_peak_floor,
                        estimate_peak_internal, find_skip_connections, simulate)
@@ -53,6 +54,7 @@ __all__ = [
     "FusionConfig",
     "FusionStats",
     "fuse_activation_layers",
+    "widen_tiles",
     "TransformStats",
     "commute_upsample_lconv",
     "merge_lconv_add",

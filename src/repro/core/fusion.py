@@ -24,12 +24,18 @@ from ..ir import ops as _ops
 from ..ir.emit import make_node
 from ..ir.graph import Graph
 from ..ir.node import Node
-from ..kernels import DEFAULT_BLOCK_SIZE
+from ..kernels import DEFAULT_BLOCK_SIZE, site_scratch_bytes
 from ..obs import get_tracer
+from .liveness import simulate
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["FusionConfig", "FusionStats", "fuse_activation_layers"]
+__all__ = ["FusionConfig", "FusionStats", "fuse_activation_layers",
+           "widen_tiles", "MAX_BLOCK_SIZE"]
+
+#: Widest channel block :func:`widen_tiles` hands out: past it the PR 20
+#: sweep found no site that still got faster.
+MAX_BLOCK_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -38,7 +44,10 @@ class FusionConfig:
 
     block_size:
         Channel-block width of the generated fused kernels (the tile
-        size ``T`` of Listing 1); sweepable in the tile ablation.
+        size ``T`` of Listing 1); sweepable in the tile ablation.  The
+        default ``None`` derives it per site: ``DEFAULT_BLOCK_SIZE``,
+        widened by the pipeline's :func:`widen_tiles` into memory the
+        graph already owns.  A number is compiled exactly as given.
     require_activation:
         If False, also fuse bare ``lconv → fconv`` pairs (no activation
         in between); semantically those could be folded into one matmul,
@@ -56,7 +65,7 @@ class FusionConfig:
         tile choices.  Sites without an entry use the global knobs.
     """
 
-    block_size: int = DEFAULT_BLOCK_SIZE
+    block_size: int | None = None
     #: optional spatial tile edge for the generated fused kernels
     #: (Listing 1's 3D blocking); 0 = channel blocking only
     spatial_tile: int = 0
@@ -65,7 +74,7 @@ class FusionConfig:
     site_overrides: dict[str, tuple[int, int]] | None = None
 
     def __post_init__(self) -> None:
-        if self.block_size < 1:
+        if self.block_size is not None and self.block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {self.block_size}")
         if self.spatial_tile < 0:
             raise ValueError(
@@ -80,7 +89,7 @@ class FusionConfig:
         if self.site_overrides and lconv_name in self.site_overrides:
             blk, tile = self.site_overrides[lconv_name]
             return int(blk), int(tile)
-        return self.block_size, self.spatial_tile
+        return self.block_size or DEFAULT_BLOCK_SIZE, self.spatial_tile
 
 
 @dataclass
@@ -89,6 +98,8 @@ class FusionStats:
     with_pool: int = 0
     with_upsample: int = 0
     epilogues: int = 0
+    #: sites :func:`widen_tiles` gave a wider block than ``DEFAULT_BLOCK_SIZE``
+    widened: int = 0
     details: list[str] = field(default_factory=list)
 
 
@@ -257,3 +268,55 @@ def _fuse(graph: Graph, chain: _Chain, config: FusionConfig,
         block_size=block_size,
         spatial_tile=spatial_tile)
     logger.debug("fusion: %s collapses %s", fused.name, attrs["fused_from"])
+
+
+def widen_tiles(graph: Graph, config: FusionConfig | None = None) -> int:
+    """Widen default-tiled fused sites into memory the graph already owns.
+
+    Fewer, wider blocks save a site's per-block passes and dispatch
+    (1.5-2.9x at ``C' >= 104`` on at most 8x8 pixels), but a tile is
+    scratch on top of whatever is live at that node.  The budget is
+    therefore the scratch-counted peak the graph has anyway at the tiles
+    it carries — ``execute(..., count_fused_scratch=True)``'s peak — and
+    each site gets the fewest blocks of at most ``MAX_BLOCK_SIZE``
+    channels whose tile fits under it next to the site's own live
+    bytes, split evenly (384 channels in two blocks run 192 + 192, not
+    256 + 128): no peak, counted either way, moves.  Run on the final
+    schedule (``live`` is per node index).  Sites with a
+    ``site_overrides`` entry, and every site when ``block_size`` or
+    ``spatial_tile`` is configured, keep their tile.  Returns the number
+    of sites widened.
+    """
+    config = config or FusionConfig()
+    sites = [(index, node) for index, node in enumerate(graph.nodes)
+             if node.op in ("fused_block", "fused_restore")]
+    if not sites or config.block_size is not None or config.spatial_tile:
+        return 0
+    tracer = get_tracer()
+    schedule = simulate(graph)
+    live = schedule.live
+    budget = max(schedule.peak_bytes,
+                 max(live[i] + site_scratch_bytes(node) for i, node in sites))
+    widened = 0
+    for index, node in sites:
+        site = (node.attrs.get("fused_from") or [node.name])[0]
+        if site in (config.site_overrides or {}):
+            continue
+        current = int(node.attrs.get("block_size", DEFAULT_BLOCK_SIZE))
+        c_prime = int(node.params["w1"].shape[0])
+        fits = (budget - live[index]) // site_scratch_bytes(node, 1, 0)
+        widest = min(c_prime, MAX_BLOCK_SIZE, fits)
+        blocks = -(-c_prime // max(widest, 1))
+        if widest > current and blocks < -(-c_prime // current):
+            block = -(-c_prime // blocks)
+            block = min(block + block % 2, widest)  # even, if that fits too
+            node.attrs["block_size"] = block
+            widened += 1
+            tracer.decision("fusion", node.name, "widen", "slack",
+                            live_bytes=live[index], budget_bytes=budget,
+                            block_size_before=current, block_size=block)
+        elif current < min(c_prime, MAX_BLOCK_SIZE):
+            tracer.decision("fusion", node.name, "keep", "no_slack",
+                            live_bytes=live[index], budget_bytes=budget,
+                            block_size=current)
+    return widened

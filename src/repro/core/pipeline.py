@@ -19,7 +19,8 @@ from typing import Callable
 
 from ..ir.graph import Graph
 from ..obs import get_tracer
-from .fusion import FusionConfig, FusionStats, fuse_activation_layers
+from .fusion import (FusionConfig, FusionStats, fuse_activation_layers,
+                     widen_tiles)
 from .liveness import estimate_peak_internal
 from .scheduling import ScheduleStats, reschedule
 from .skip_opt import SkipOptConfig, SkipOptStats, optimize_skip_connections
@@ -99,7 +100,8 @@ class OptimizationReport:
         if self.fusion:
             f_ = self.fusion
             lines.append(f"fusion: {f_.fused} fused kernels "
-                         f"({f_.with_pool} with pool, {f_.with_upsample} with upsample)")
+                         f"({f_.with_pool} with pool, {f_.with_upsample} "
+                         f"with upsample, {f_.widened} widened into slack)")
         if self.schedule and self.schedule.changed:
             lines.append(f"scheduling: peak {self.schedule.peak_before:,} B -> "
                          f"{self.schedule.peak_after:,} B")
@@ -228,14 +230,17 @@ class TeMCOCompiler:
             report.transforms = tstats
 
         if config.enable_fusion:
-            report.fusion = fuse_activation_layers(
-                work, self._fusion_config(work, config))
+            fusion = self._fusion_config(work, config)
+            report.fusion = fuse_activation_layers(work, fusion)
 
         if config.enable_scheduling:
             report.schedule = reschedule(work)
 
         work.dead_code_eliminate()
         work.validate()
+        if config.enable_fusion:
+            # tiles are sized against the live bytes of the final schedule
+            report.fusion.widened = widen_tiles(work, fusion)
         report.peak_after = estimate_peak_internal(work)
         report.weight_bytes_after = work.weight_bytes()
         logger.debug("pipeline: %s peak %d B -> %d B", work.name,

@@ -30,6 +30,7 @@ __all__ = [
     "fused_block",
     "fused_restore",
     "fused_scratch_bytes",
+    "site_scratch_bytes",
     "DEFAULT_BLOCK_SIZE",
     "linear",
     "batchnorm2d",
@@ -109,6 +110,22 @@ def _k_fused_block(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
                        block_size=int(node.attrs.get("block_size", DEFAULT_BLOCK_SIZE)),
                        spatial_tile=int(node.attrs.get("spatial_tile", 0) or 0),
                        act_params=node.attrs.get("act_params"))
+
+
+def site_scratch_bytes(node: Node, block_size: int | None = None,
+                       spatial_tile: int | None = None) -> int:
+    """:func:`fused_scratch_bytes` of a fused node — at the tile its attrs
+    carry, or at another one — and 0 for every other op."""
+    if node.op not in ("fused_block", "fused_restore"):
+        return 0
+    if block_size is None:
+        block_size = node.attrs.get("block_size", DEFAULT_BLOCK_SIZE)
+    if spatial_tile is None:
+        spatial_tile = node.attrs.get("spatial_tile", 0) or 0
+    return fused_scratch_bytes(
+        node.input.shape, node.input.dtype.itemsize,
+        block_size=int(block_size), c_prime=node.params["w1"].shape[0],
+        spatial_tile=int(spatial_tile), pool=node.attrs.get("pool"))
 
 
 KERNELS: dict[str, Callable[[Node, list[np.ndarray]], np.ndarray]] = {

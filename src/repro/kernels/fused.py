@@ -17,14 +17,28 @@ separately up to float reassociation, which the equivalence checker
 bounds (same contractions and activation order; the GEMMs run per sample
 and the fconv sums over C' block by block).
 
-One tile buffer is allocated per call and reused by every block: step 1
-is a batched ``np.matmul(w1[c0:c1], x, out=tile)`` (one GEMM per sample,
-so no sample's result depends on its batch neighbours), bias and
-activation run in place, and step 4 is a batched GEMM into one reused
-accumulator that is added into the output; a restore with nothing to
-resample writes straight into its output slice.  Beyond its two GEMMs a
-block costs two in-place passes, the pooling passes and ~10 NumPy calls
-of fixed dispatch, which is what dominates at batch 4.
+One tile buffer is allocated per call and reused by every block, and a
+block touches it twice before the fconv GEMM reads it — the restore GEMM
+writes it, the activation rewrites it in place:
+
+* step 1 is a batched ``np.matmul([w1 | b1][c0:c1], [x; 1], out=tile)``
+  (one GEMM per sample, so no sample's result depends on its batch
+  neighbours).  The bias is the last column of the restore matrix —
+  packed once per weight pair, on its first call — against a row of
+  ones appended to the rank-``R`` input (one ``(N, R+1, h·w)`` copy per
+  call or spatial tile), so there is no ``tile += b1`` pass;
+* step 2 runs the activation in place (``relu`` against a row of zeros,
+  the array-operand form NumPy vectorises: see :mod:`.activation`);
+* step 4 is a batched GEMM into one reused accumulator that is added
+  into the output; a restore with nothing to resample writes straight
+  into its output slice.
+
+Data-movement passes, not FLOPs, are what a block costs: on the
+``(4, 2, 32, 32) -> 16`` restore the GEMM is 21 us where the bias add
+was 15 and the scalar-operand relu 40.  The pooling passes and ~10 NumPy
+calls of fixed dispatch per block remain, which is why the compiler
+hands out the fewest, widest blocks the graph's memory already pays for
+(:func:`repro.core.fusion.widen_tiles`).
 
 Correctness constraint from the paper (§3.2): the activation is
 element-wise and the fconv needs *all* activated channels per output
@@ -35,6 +49,7 @@ over C' that accumulates across blocks.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any
 
 import numpy as np
@@ -75,16 +90,44 @@ def _resampled_hw(h: int, w: int, pool: dict[str, Any] | None,
     return h * scale, w * scale
 
 
-def _fused_core(x_region: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
+#: ``[w1 | b1]`` of every live ``(w1, b1)`` pair: packed on a pair's
+#: first call (a session's warm-up run) and dropped with either array
+_augmented: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _augmented_weight(w1: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """The ``(C', R+1)`` restore matrix with the bias as its last column.
+
+    A fused node's weights are constants of the compiled graph, so the
+    packed copy is keyed by the arrays' identity and never re-read.
+    """
+    key = (id(w1), id(b1))
+    packed = _augmented.get(key)
+    if packed is None:
+        packed = _augmented[key] = np.concatenate((w1, b1[:, None]), axis=1)
+        for array in (w1, b1):  # an id is reused only after its array died
+            weakref.finalize(array, _augmented.pop, key, None)
+    return packed
+
+
+def _fused_core(x_region: np.ndarray, w1: np.ndarray,
                 w2: np.ndarray | None, act_fn,
                 pool: dict[str, Any] | None, upsample: int,
                 block_size: int, out: np.ndarray) -> None:
     """Channel-blocked lconv→act→resample[→fconv] over one spatial region,
-    streamed through one reusable tile into ``out``, that region's output."""
+    streamed through one reusable tile into ``out``, that region's output.
+    ``w1`` has ``R + 1`` columns when it carries the bias."""
     n, r_in, h, w = x_region.shape
     c_prime = w1.shape[0]
-    # a view, except for a spatial tile of a larger input (rank-R, tile-sized copy)
-    x_flat = x_region.reshape(n, r_in, h * w)
+    if w1.shape[1] == r_in:
+        # a view, except for a spatial tile of a larger input (rank-R, tile-sized copy)
+        x_flat = x_region.reshape(n, r_in, h * w)
+    else:
+        # [w1 | b1] @ [x; 1]: the bias is added inside the restore GEMM
+        x_aug = np.empty((n, r_in + 1, h, w), dtype=x_region.dtype)
+        x_aug[:, :r_in] = x_region
+        x_aug[:, r_in] = 1
+        x_flat = x_aug.reshape(n, r_in + 1, h * w)
     # a restore with nothing to resample lands straight in its output slice
     direct = (w2 is None and pool is None and not upsample
               and out.flags.c_contiguous)
@@ -101,8 +144,6 @@ def _fused_core(x_region: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
                 else scratch[:, :c1 - c0])
         # (1) restore a channel block, one GEMM per sample: (N, blk, h*w)
         np.matmul(w1[c0:c1], x_flat, out=tile)
-        if b1 is not None:
-            tile += b1[c0:c1, None]
         # (2) activation, in place
         if act_fn is not None:
             act_fn(tile, out=tile)
@@ -200,6 +241,8 @@ def _tiled(x, w1, b1, w2, act_fn, pool, upsample, block_size, spatial_tile,
     n, _r, h, w = x.shape
     c_prime = w1.shape[0]
     block_size = min(max(1, int(block_size)), c_prime)
+    if b1 is not None:
+        w1 = _augmented_weight(w1, b1)
     th, tw = h, w
     if spatially_tileable(h, w, int(spatial_tile or 0), pool):
         th = tw = int(spatial_tile)
@@ -209,7 +252,7 @@ def _tiled(x, w1, b1, w2, act_fn, pool, upsample, block_size, spatial_tile,
     for ty in range(h // th):
         for tx in range(w // tw):
             _fused_core(x[:, :, ty * th:(ty + 1) * th, tx * tw:(tx + 1) * tw],
-                        w1, b1, w2, act_fn, pool, upsample, block_size,
+                        w1, w2, act_fn, pool, upsample, block_size,
                         out[:, :, ty * oth:(ty + 1) * oth,
                             tx * otw:(tx + 1) * otw])
     return out
@@ -247,9 +290,12 @@ def fused_restore(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
 def fused_scratch_bytes(input_shape: tuple[int, ...], itemsize: int,
                         block_size: int = DEFAULT_BLOCK_SIZE,
                         c_prime: int | None = None,
-                        spatial_tile: int = 0) -> int:
+                        spatial_tile: int = 0,
+                        pool: dict[str, Any] | None = None) -> int:
     """Peak scratch of :func:`fused_block`: one channel-block tile,
-    optionally further bounded by the spatial tile edge.
+    further bounded by the spatial tile edge where the kernel applies it
+    (:func:`spatially_tileable` for the site's ``pool``; otherwise the
+    tile spans the whole plane).
 
     Reported separately from internal-tensor memory (the paper's CUDA
     tiles live in shared memory, outside the DRAM tensor pool); exposed
@@ -258,16 +304,17 @@ def fused_scratch_bytes(input_shape: tuple[int, ...], itemsize: int,
     Beyond the returned array the kernels hold at most this tile + one
     resampled tile (pooled: the padded tile while it is reduced;
     upsampled: ``scale + scale²`` tiles) + one ``(N, R_out, tile)`` fconv
-    accumulator, all independent of ``C'`` (measured with ``tracemalloc``
-    in ``tests/test_kernels_fused.py``); an exact ``spatial_tile`` also
-    copies its rank-``R`` input region, which is strided.
+    accumulator + the rank-``R+1`` augmented input ``[x; 1]`` of the
+    region when there is a bias (without one, an exact ``spatial_tile``
+    still copies its strided rank-``R`` region), all independent of
+    ``C'`` (measured with ``tracemalloc`` in
+    ``tests/test_kernels_fused.py``).
     """
     n, _r, h, w = input_shape
     blk = max(1, int(block_size))
     if c_prime is not None:
         blk = min(blk, int(c_prime))
     th, tw = h, w
-    if spatial_tile and h % spatial_tile == 0 and w % spatial_tile == 0:
-        th = min(h, spatial_tile)
-        tw = min(w, spatial_tile)
+    if spatially_tileable(h, w, int(spatial_tile or 0), pool):
+        th = tw = int(spatial_tile)
     return blk * n * th * tw * itemsize

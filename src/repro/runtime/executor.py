@@ -77,22 +77,12 @@ class Schedule:
         self.steps = tuple(
             Step(index, node, frees_after[index],
                  reuses_input_buffer(node, frees_after[index]),
-                 _fused_scratch_bytes(node), node_flops(node),
+                 kernels.site_scratch_bytes(node), node_flops(node),
                  sum(v.nbytes for v in node.inputs) + node.output.nbytes
                  + node.param_bytes())
             for index, node in enumerate(graph.nodes))
         self.peak_scratch_bytes = max(
             (step.scratch_bytes for step in self.steps), default=0)
-
-
-def _fused_scratch_bytes(node: Node) -> int:
-    if node.op not in ("fused_block", "fused_restore"):
-        return 0
-    return kernels.fused_scratch_bytes(
-        node.input.shape, node.input.dtype.itemsize,
-        block_size=int(node.attrs.get("block_size", kernels.DEFAULT_BLOCK_SIZE)),
-        c_prime=node.params["w1"].shape[0],
-        spatial_tile=int(node.attrs.get("spatial_tile", 0) or 0))
 
 
 class RunObserver:

@@ -40,8 +40,10 @@ __all__ = ["TuneCache", "TuneRecord", "SiteRecord", "default_cache_dir",
 #: the fused kernels change enough that measured winners go stale
 #: (2: streaming batched-GEMM kernel; v1 picks were timed on the einsum one.
 #: 3: exhaustive sweep — records lose ``mode`` / ``budget``, the key loses the
-#: tuning mode and two ``FusionConfig`` fields).
-CACHE_VERSION = 3
+#: tuning mode and two ``FusionConfig`` fields.
+#: 4: the as-compiled baseline tile is slack-widened and the kernel lost its
+#: bias and scalar-relu passes, so v3 baselines and winners are both stale).
+CACHE_VERSION = 4
 
 
 def default_cache_dir() -> Path:

@@ -12,7 +12,9 @@ compiled tiles if it lost (measurement noise or per-site wins that do
 not compose), so accepting a tuning result can never make the model
 slower than the untuned fused path.  Peak internal-tensor bytes are
 unaffected by tile choices by construction (tiles are scratch, not
-internal tensors); the record stores the estimate as evidence.
+internal tensors); the record stores the estimate as evidence.  The
+scratch-counted peak is bounded only for the tiles as compiled
+(:func:`repro.core.fusion.widen_tiles`); a tuned tile may exceed it.
 
 Every trial and every selection is emitted through :mod:`repro.obs`
 (pass name ``"tune"``), so ``repro trace`` shows why each tile won.
@@ -32,7 +34,7 @@ from ..data.synthetic import random_inputs
 from ..decompose import DecompositionConfig, decompose_graph
 from ..ir.graph import Graph
 from ..ir.node import Node
-from ..kernels import DEFAULT_BLOCK_SIZE, fused_scratch_bytes, run_node
+from ..kernels import DEFAULT_BLOCK_SIZE, run_node, site_scratch_bytes
 from ..kernels.fused import spatially_tileable
 from ..obs import get_tracer
 from ..runtime import InferenceSession
@@ -196,9 +198,7 @@ def _tune_site(node: Node, config: TuneConfig, tracer) -> SiteRecord:
         size=value.shape).astype(value.dtype.np)
 
     def scratch(tile: tuple[int, int]) -> int:
-        return fused_scratch_bytes(
-            value.shape, value.dtype.itemsize, block_size=tile[0],
-            c_prime=node.params["w1"].shape[0], spatial_tile=tile[1])
+        return site_scratch_bytes(node, *tile)
 
     seconds: dict[tuple[int, int], float] = {}
     with tracer.span("tune.site", category="tuner", site=node.name,

@@ -1,6 +1,7 @@
 """CLI commands run in-process."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,17 @@ class TestTuneCLI:
                      "--repeats", "1", "--force",
                      "--cache-dir", str(tuned_cache)]) == 0
         assert "tune cache miss" in capsys.readouterr().out
+
+    def test_tune_says_how_close_the_compiled_tiles_are(self, capsys,
+                                                        tuned_cache):
+        # a cache hit prints the stored record: same table, same line
+        assert main(["tune", "alexnet", "--batch", "1", "--hw", "16",
+                     "--repeats", "1", "--cache-dir", str(tuned_cache)]) == 0
+        out = capsys.readouterr().out
+        (line,) = re.findall(r"compiled tile within 5 % of the best at "
+                             r"(\d+) of (\d+) sites", out)
+        near, sites = map(int, line)
+        assert 0 <= near <= sites == 5
 
     def test_run_tuned_uses_cached_plan(self, capsys, tuned_cache):
         assert main(["run", "alexnet", "--batch", "1", "--hw", "16",

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import (FusionConfig, assert_equivalent,
-                        estimate_peak_internal, fuse_activation_layers)
+from repro.core import (FusionConfig, TeMCOConfig, assert_equivalent,
+                        estimate_peak_internal, fuse_activation_layers,
+                        optimize, widen_tiles)
+from repro.core.liveness import simulate
 from repro.decompose import DecompositionConfig, decompose_graph
 from repro.ir import GraphBuilder
+from repro.kernels import DEFAULT_BLOCK_SIZE, site_scratch_bytes
+from repro.obs import Tracer, use_tracer
 from repro.runtime import execute
 
 from _graph_fixtures import make_chain_graph, random_input
@@ -150,3 +154,94 @@ class TestScratchReporting:
         default = execute(g, inp).memory
         honest = execute(g, inp, count_fused_scratch=True).memory
         assert honest.peak_internal_bytes >= default.peak_internal_bytes
+
+
+def _sites(graph):
+    return [(i, n) for i, n in enumerate(graph.nodes)
+            if n.op in ("fused_block", "fused_restore")]
+
+
+def _tiles(graph):
+    return [(n.attrs["block_size"], n.attrs["spatial_tile"])
+            for _i, n in _sites(graph)]
+
+
+class TestSlackWidening:
+    """`widen_tiles`: default tiles grow only into memory the graph already
+    owns; whatever tile the caller configured is compiled as given."""
+
+    @pytest.fixture(scope="class")
+    def decomposed(self):
+        # two 64-channel sites: the first sets the scratch-counted peak at
+        # block 32 (no slack), the second has room for its whole C'
+        return decompose_graph(make_chain_graph(channels=32, hw=16),
+                               DecompositionConfig(seed=0))
+
+    @staticmethod
+    def _scratch_counted_peak(graph):
+        return execute(graph, random_input(graph),
+                       count_fused_scratch=True).memory.peak_internal_bytes
+
+    def test_default_compile_widens_within_the_scratch_counted_peak(
+            self, decomposed):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            derived, report = optimize(decomposed)
+        narrow, _ = optimize(decomposed, TeMCOConfig(
+            fusion=FusionConfig(block_size=DEFAULT_BLOCK_SIZE)))
+        assert _tiles(narrow) == [(DEFAULT_BLOCK_SIZE, 0)] * 2
+        assert _tiles(derived) == [(DEFAULT_BLOCK_SIZE, 0), (64, 0)]
+        assert report.fusion.widened == 1
+        budget = self._scratch_counted_peak(narrow)
+        assert self._scratch_counted_peak(derived) == budget
+        assert estimate_peak_internal(derived) == \
+            estimate_peak_internal(narrow)
+        live = simulate(derived).live
+        for index, node in _sites(derived):
+            assert live[index] + site_scratch_bytes(node) <= budget
+        events = {d.subject: d for d in tracer.decisions
+                  if d.pass_name == "fusion" and d.verdict in ("widen", "keep")}
+        (first_i, first), (second_i, second) = _sites(derived)
+        assert (events[first.name].verdict, events[first.name].reason) == \
+            ("keep", "no_slack")
+        assert events[first.name].quantities == {
+            "live_bytes": live[first_i], "budget_bytes": budget,
+            "block_size": DEFAULT_BLOCK_SIZE}
+        assert (events[second.name].verdict, events[second.name].reason) == \
+            ("widen", "slack")
+        assert events[second.name].quantities == {
+            "live_bytes": live[second_i], "budget_bytes": budget,
+            "block_size_before": DEFAULT_BLOCK_SIZE, "block_size": 64}
+        assert_equivalent(decomposed, derived, random_input(decomposed))
+
+    @pytest.mark.parametrize(("fusion", "tiles"), [
+        (FusionConfig(block_size=8), [(8, 0), (8, 0)]),
+        (FusionConfig(block_size=DEFAULT_BLOCK_SIZE),
+         [(DEFAULT_BLOCK_SIZE, 0)] * 2),
+        (FusionConfig(spatial_tile=8), [(DEFAULT_BLOCK_SIZE, 8)] * 2),
+        (FusionConfig(site_overrides={"c2.lconv": (4, 0)}),
+         [(DEFAULT_BLOCK_SIZE, 0), (4, 0)]),
+        (FusionConfig(site_overrides={"c1.lconv": (4, 8)}),
+         [(4, 8), (64, 0)]),
+    ], ids=["block_size", "block_size_at_the_default", "spatial_tile",
+            "override_of_the_wide_site", "override_elsewhere"])
+    def test_a_configured_tile_is_compiled_exactly_as_given(
+            self, decomposed, fusion, tiles):
+        optimized, report = optimize(decomposed, TeMCOConfig(fusion=fusion))
+        assert _tiles(optimized) == tiles
+        assert report.fusion.widened == sum(
+            tile == (64, 0) for tile in tiles)
+
+    def test_blocks_split_evenly_at_the_fewest_count_that_fits(self):
+        # C' = 128 with room for 53 channels: three blocks of 44, not 52+52+24
+        decomposed = decompose_graph(make_chain_graph(channels=64, hw=16),
+                                     DecompositionConfig(seed=0))
+        optimized, _ = optimize(decomposed)
+        assert _tiles(optimized) == [(44, 0), (128, 0)]
+
+    def test_fusing_outside_the_pipeline_leaves_the_default(self, decomposed):
+        graph = decomposed.clone()
+        fuse_activation_layers(graph)
+        assert _tiles(graph) == [(DEFAULT_BLOCK_SIZE, 0)] * 2
+        assert widen_tiles(graph) == 1  # the pass is callable on its own
+        assert _tiles(graph) == [(DEFAULT_BLOCK_SIZE, 0), (64, 0)]

@@ -97,6 +97,59 @@ class TestFusedBlock:
         np.testing.assert_allclose(got, want, atol=1e-9)
 
 
+class TestBiasInTheGemm:
+    """The bias is the last column of ``[w1 | b1]`` against ``[x; 1]``: one
+    more product inside the restore GEMM instead of a pass over the tile."""
+
+    C_PRIME = 24
+
+    @pytest.mark.parametrize("block", [1, 5, C_PRIME - 1, C_PRIME])
+    @pytest.mark.parametrize("bias", [True, False], ids=["b1", "no_b1"])
+    @pytest.mark.parametrize("variant", ["plain", "maxpool", "spatial_tile"])
+    def test_fused_equals_unfused(self, rng, variant, bias, block):
+        x = rng.normal(size=(2, 4, 8, 8))
+        w1 = rng.normal(size=(self.C_PRIME, 4))
+        b1 = rng.normal(size=self.C_PRIME) if bias else None
+        w2, b2 = rng.normal(size=(5, self.C_PRIME)), rng.normal(size=5)
+        kwargs = VARIANTS[variant]
+        reference = {k: v for k, v in kwargs.items() if k != "spatial_tile"}
+        np.testing.assert_allclose(
+            fused_block(x, w1, b1, w2, b2, act="relu", block_size=block,
+                        **kwargs),
+            reference_chain(x, w1, b1, w2, b2, act="relu", **reference),
+            atol=1e-10)
+        np.testing.assert_allclose(
+            fused_restore(x, w1, b1, act="relu", block_size=block, **kwargs),
+            reference_chain(x, w1, b1, None, None, act="relu", **reference),
+            atol=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_per_sample_independent_without_a_bias_too(self, rng, n):
+        x = _f32(rng, n, 5, 8, 8)
+        w1, w2 = _f32(rng, 40, 5), _f32(rng, 7, 40)
+        whole = fused_block(x, w1, None, w2, None, act="relu", block_size=16)
+        restored = fused_restore(x, w1, None, act="relu", block_size=16)
+        for i in range(n):
+            assert whole[i:i + 1].tobytes() == fused_block(
+                x[i:i + 1], w1, None, w2, None, act="relu",
+                block_size=16).tobytes()
+            assert restored[i:i + 1].tobytes() == fused_restore(
+                x[i:i + 1], w1, None, act="relu", block_size=16).tobytes()
+
+    def test_weight_is_packed_once_and_dropped_with_its_arrays(self, rng):
+        from repro.kernels import fused
+        x = _f32(rng, 2, 3, 4, 4)
+        w1, b1 = _f32(rng, 6, 3), _f32(rng, 6)
+        key = (id(w1), id(b1))
+        fused_restore(x, w1, b1, act="relu")
+        packed = fused._augmented[key]
+        np.testing.assert_array_equal(packed, np.column_stack([w1, b1]))
+        fused_restore(x, w1, b1, act="relu")
+        assert fused._augmented[key] is packed
+        del b1
+        assert key not in fused._augmented
+
+
 class TestFusedRestore:
     @pytest.mark.parametrize("act", ["relu", "silu"])
     def test_matches_reference(self, rng, act):
@@ -123,6 +176,22 @@ class TestFusedRestore:
 
 
 class TestScratchAccounting:
+    def test_a_spatial_tile_the_kernel_refuses_is_not_counted(self):
+        # regression: the report checked divisibility only, while the
+        # kernel also refuses overlapping / padded pooling and then holds
+        # a whole-plane tile (32,768 B reported for 131,072 B held)
+        shape = (4, 19, 16, 16)
+        whole = fused_scratch_bytes(shape, 4, block_size=32, c_prime=192)
+        assert whole == 32 * 4 * 16 * 16 * 4
+        assert fused_scratch_bytes(shape, 4, block_size=32, c_prime=192,
+                                   spatial_tile=8,
+                                   pool=MAXPOOL_3S2P1) == whole
+        assert fused_scratch_bytes(shape, 4, block_size=32, c_prime=192,
+                                   spatial_tile=8,
+                                   pool=AVGPOOL_2) == whole // 4
+        assert fused_scratch_bytes(shape, 4, block_size=32, c_prime=192,
+                                   spatial_tile=8) == whole // 4
+
     def test_scratch_scales_with_block(self):
         shape = (4, 8, 10, 10)
         small = fused_scratch_bytes(shape, 4, block_size=4)
@@ -199,11 +268,14 @@ def _traced_peak(fn):
 class TestScratchMeasured:
     """`fused_scratch_bytes` against what the kernels really hold: beyond
     the returned array, at most the tile + one resample call on that tile
-    + one fconv accumulator (`fused_block`) — whatever ``C'`` is."""
+    + one fconv accumulator (`fused_block`) + the rank-``R+1`` augmented
+    input that carries the bias into the restore GEMM — whatever ``C'``
+    is."""
 
     N, R, HW, BLOCK, R_OUT = 2, 8, 64, 16, 8  # tile 512 KiB, accumulator 256 KiB
-    #: NumPy's own fixed-size ufunc buffers (8192 elements each: one for the
-    #: broadcast bias add, two for ``+=`` into a strided region) + views
+    ACT = "relu"
+    #: NumPy's own fixed-size ufunc buffers (8192 elements each: two for
+    #: ``+=`` into a strided region) + views
     SLACK = 72 * 1024
 
     def _transient(self, rng, c_prime, fconv, **variant):
@@ -212,18 +284,24 @@ class TestScratchMeasured:
         if fconv:
             w2, b2 = _f32(rng, self.R_OUT, c_prime), _f32(rng, self.R_OUT)
             out, peak = _traced_peak(lambda: fused_block(
-                x, w1, b1, w2, b2, act="relu", block_size=self.BLOCK,
+                x, w1, b1, w2, b2, act=self.ACT, block_size=self.BLOCK,
                 **variant))
         else:
             out, peak = _traced_peak(lambda: fused_restore(
-                x, w1, b1, act="relu", block_size=self.BLOCK, **variant))
+                x, w1, b1, act=self.ACT, block_size=self.BLOCK, **variant))
         return peak - out.nbytes, out
+
+    def _input_and_mask(self, edge):
+        """``[x; 1]`` of one region (the bias rides in the restore GEMM)
+        and leaky relu's one temporary, the tile's boolean ``x < 0``."""
+        mask = self.N * self.BLOCK * edge * edge * (self.ACT == "leaky_relu")
+        return self.N * (self.R + 1) * edge * edge * 4 + mask
 
     def _bound(self, rng, out, fconv, pool=None, upsample=0, spatial_tile=0):
         edge = spatial_tile or self.HW
         scratch = fused_scratch_bytes((self.N, self.R, self.HW, self.HW), 4,
                                       block_size=self.BLOCK,
-                                      spatial_tile=spatial_tile)
+                                      spatial_tile=spatial_tile, pool=pool)
         assert scratch == self.N * self.BLOCK * edge * edge * 4
         tile = _f32(rng, self.N, self.BLOCK, edge, edge)
         resample = 0
@@ -236,9 +314,8 @@ class TestScratchMeasured:
                 lambda: upsample_nearest(tile, upsample))[1]
         share = (edge * edge) / (self.HW * self.HW)  # of the output, per tile
         accumulator = int(out.nbytes * share) if fconv else 0
-        # an exact spatial tile is a strided region: its rank-R input is copied
-        region = self.N * self.R * edge * edge * 4 if spatial_tile else 0
-        return scratch + resample + accumulator + region + self.SLACK
+        return (scratch + resample + accumulator + self._input_and_mask(edge)
+                + self.SLACK)
 
     @pytest.mark.parametrize("fconv", [True, False],
                              ids=["fused_block", "fused_restore"])
@@ -256,4 +333,11 @@ class TestScratchMeasured:
     def test_plain_restore_needs_no_tile(self, rng):
         # nothing to resample: each block lands in its slice of the output
         transient, _ = self._transient(rng, 512, fconv=False)
-        assert transient <= self.SLACK
+        assert transient <= self._input_and_mask(self.HW) + self.SLACK
+
+
+class TestScratchMeasuredLeakyRelu(TestScratchMeasured):
+    """The same bounds under leaky relu, whose ``out=`` form may hold the
+    tile's boolean mask but nothing tile-sized in the tile's dtype."""
+
+    ACT = "leaky_relu"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.ir import GraphBuilder
 from repro.ir.ops import ACTIVATION_OPS
+from repro.kernels import activation as activation_module
 from repro.kernels import (avgpool2d, batchnorm2d, get_activation,
                            global_avgpool, linear, maxpool2d, pad2d, relu,
                            run_node, sigmoid, silu, softmax, sliding_windows,
@@ -124,6 +125,96 @@ class TestPooling:
     def test_upsample_scale_one_is_identity(self, rng):
         x = rng.normal(size=(1, 2, 3, 3))
         assert upsample_nearest(x, 1) is x
+
+
+def _f32_bits(*patterns):
+    return np.array(patterns, dtype=np.uint32).view(np.float32)
+
+
+#: quiet NaNs of both signs (payloads kept apart), signed zeros and
+#: infinities, the largest finite magnitudes, denormals
+SPECIALS = np.concatenate([
+    _f32_bits(0x7FC00001, 0xFFC00002),
+    np.array([0.0, -0.0, np.inf, -np.inf, 3e38, -3e38, 1e-45, -1e-45, 1.0,
+              -1.0], dtype=np.float32)])
+
+#: name -> view of a ``(3, 40, 6, 8)`` array; with the slab threshold
+#: lowered to 1 every one of them reaches the path its shape selects
+RELU_VIEWS = {
+    "whole": lambda a: a,
+    "channel_slice": lambda a: a[:, 3:7],
+    "one_sample": lambda a: a[1:2],
+    "spatial_slice": lambda a: a[..., ::2],
+    "batch_strided": lambda a: a[::2],
+    "transposed": lambda a: a.T,
+    "flat": lambda a: a.reshape(-1),
+    "flat_strided": lambda a: a.reshape(-1)[::3],
+    "scalar": lambda a: a[0, 0, 0, 0],
+    "empty": lambda a: a[:0],
+}
+
+
+class TestReluBitwise:
+    """`relu` is `np.maximum(x, 0)` bit for bit on every layout, whichever
+    of its two loops (zeros-row SIMD, scalar operand) the view selects."""
+
+    @pytest.fixture(params=[1, None], ids=["every_size", "default_cutoff"])
+    def simd_min(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(activation_module, "_SIMD_MIN", request.param)
+
+    @staticmethod
+    def _data(rng, dtype):
+        a = rng.normal(size=(3, 40, 6, 8)).astype(dtype)
+        with np.errstate(over="ignore"):  # 3e38 is inf in float16
+            a.reshape(-1)[:SPECIALS.size] = SPECIALS.astype(dtype)
+        rng.shuffle(a.reshape(-1))
+        return a
+
+    @pytest.mark.usefixtures("simd_min")
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.float16])
+    @pytest.mark.parametrize("view", sorted(RELU_VIEWS))
+    def test_equals_maximum_on_every_layout(self, rng, view, dtype):
+        x = RELU_VIEWS[view](self._data(rng, dtype))
+        want = np.maximum(x, 0)
+        got = relu(x)
+        assert np.shape(got) == np.shape(want) and got.dtype == want.dtype
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        if np.ndim(x) == 0:
+            return
+        other = np.full(x.shape, 7, dtype=dtype)
+        assert relu(x, out=other) is other
+        assert other.tobytes() == want.tobytes()
+        own = self._data(rng, dtype)  # in place through the same view
+        kept = own.copy()
+        target = RELU_VIEWS[view](own)
+        want_own = np.maximum(target, 0)
+        assert relu(target, out=target) is target
+        assert target.tobytes() == want_own.tobytes()
+        untouched = np.ones(own.shape, dtype=bool)
+        RELU_VIEWS[view](untouched)[...] = False
+        assert own[untouched].tobytes() == kept[untouched].tobytes()
+
+    def test_a_slab_longer_than_the_zeros_row(self, rng, monkeypatch):
+        monkeypatch.setattr(activation_module, "_ZEROS_ROW", 100)
+        monkeypatch.setattr(activation_module, "_zeros", {})
+        x = self._data(rng, np.float32)[:, 3:7]  # 192-element slabs
+        want = np.maximum(x, 0)
+        assert relu(x).tobytes() == want.tobytes()
+        assert relu(x, out=x).tobytes() == want.tobytes()
+
+    def test_mismatched_out_and_other_dtypes_take_numpy_semantics(self, rng):
+        x = self._data(rng, np.float32)
+        wide = np.empty(x.shape, dtype=np.float64)
+        assert relu(x, out=wide) is wide
+        assert wide.tobytes() == np.maximum(x, 0).astype(np.float64).tobytes()
+        ints = rng.integers(-5, 5, size=(4, 2048), dtype=np.int32)
+        assert relu(ints).dtype == np.int32
+        np.testing.assert_array_equal(relu(ints), np.maximum(ints, 0))
+        np.testing.assert_array_equal(relu([-1.0, 2.0]), [0.0, 2.0])
+
+    def test_one_implementation_serves_op_and_fused_kernels(self):
+        assert get_activation("relu") is relu
 
 
 class TestActivations:

@@ -7,12 +7,15 @@ end on real measured runs (not estimates):
     measured max-live <= arena plan lower bound <= arena total bytes
     optimized measured peak < original measured peak
     measured peak == the number committed in PINNED_PEAK_BYTES
+    scratch-counted peak == PINNED_SCRATCH_PEAK_BYTES >= live + tile, per site
 """
 
 import pytest
 
 from repro.bench import build_variants, variant_names_for
 from repro.core import estimate_peak_internal
+from repro.core.liveness import simulate
+from repro.kernels import site_scratch_bytes
 from repro.runtime import InferenceSession, plan_arena
 from repro.runtime.executor import execute
 
@@ -30,6 +33,19 @@ PINNED_PEAK_BYTES = {
                  "skip_opt": 262144, "skip_opt_fusion": 98304},
     "unet_small": {"original": 786432, "decomposed": 786432,
                    "skip_opt": 786432, "skip_opt_fusion": 81920},
+}
+
+#: the same runs with every fused tile charged as transient scratch
+#: (``count_fused_scratch=True``), taken at PR 20 when every site ran at
+#: block 32.  The gated ``peak_bytes`` never counted scratch; this is the
+#: budget ``core.fusion.widen_tiles`` sizes the compiled tiles under, so
+#: a wider default tile must not move it either.
+PINNED_SCRATCH_PEAK_BYTES = {
+    "alexnet": {"original": 262144, "decomposed": 262144, "fusion": 80896},
+    "resnet18": {"original": 262144, "decomposed": 262144,
+                 "skip_opt": 262144, "skip_opt_fusion": 110592},
+    "unet_small": {"original": 786432, "decomposed": 786432,
+                   "skip_opt": 786432, "skip_opt_fusion": 344064},
 }
 
 
@@ -66,6 +82,21 @@ class TestPinnedPeaks:
                 inputs).memory.peak_internal_bytes
             for name in variant_names_for(variants.model)}
         assert measured == PINNED_PEAK_BYTES[variants.model]
+
+    def test_every_variant_measures_its_committed_scratch_counted_peak(
+            self, variants):
+        inputs = variants.input_batch()
+        pinned = PINNED_SCRATCH_PEAK_BYTES[variants.model]
+        measured = {
+            name: execute(variants.graphs[name], inputs,
+                          count_fused_scratch=True).memory.peak_internal_bytes
+            for name in variant_names_for(variants.model)}
+        assert measured == pinned
+        for name, graph in variants.graphs.items():
+            live = simulate(graph).live
+            for index, node in enumerate(graph.nodes):
+                assert live[index] + site_scratch_bytes(node) <= pinned[name], \
+                    (variants.model, name, node.name)
 
 
 class TestOptimizedStrictlyLower:
