@@ -110,19 +110,23 @@ def fuse_activation_layers(graph: Graph,
     stats = FusionStats()
     tracer = get_tracer()
     with tracer.span("fusion", category="compiler", graph=graph.name):
+        # a chain lies wholly behind its lconv, so fusing one leaves the
+        # schedule before it as it was: the scan goes on from the fused
+        # node (``_fuse`` keeps the consumer map current), and a last
+        # pass that fuses nothing confirms the fixed point
         changed = True
         while changed:
             changed = False
             consumers = graph.consumer_map()
-            for node in list(graph.nodes):
-                if not _ops.is_lconv(node):
-                    continue
-                chain = _match_chain(graph, node, consumers, config)
-                if chain is None:
-                    continue
-                _fuse(graph, chain, config, stats)
-                changed = True
-                break  # consumer map is stale; rescan
+            index = 0
+            while index < len(graph.nodes):
+                node = graph.nodes[index]
+                chain = (_match_chain(graph, node, consumers, config)
+                         if _ops.is_lconv(node) else None)
+                if chain is not None:
+                    _fuse(graph, chain, config, stats, consumers)
+                    changed = True
+                index += 1  # past the fused node, which took the lconv's place
         if tracer.enabled:
             # the lconvs left standing are the patterns fusion skipped
             for node in graph.nodes:
@@ -195,7 +199,9 @@ def _match_chain(graph: Graph, lconv: Node, consumers: dict,
 
 
 def _fuse(graph: Graph, chain: _Chain, config: FusionConfig,
-          stats: FusionStats) -> None:
+          stats: FusionStats, consumers: dict) -> None:
+    """Collapse ``chain`` into one fused node at the lconv's position,
+    leaving ``consumers`` what ``graph.consumer_map()`` would now give."""
     lconv, fconv = chain.lconv, chain.fconv
     w1 = lconv.params["weight"]
     params: dict[str, np.ndarray] = {
@@ -254,9 +260,17 @@ def _fuse(graph: Graph, chain: _Chain, config: FusionConfig,
             f"fusion shape mismatch: {fused.output.shape} vs {final.output.shape}")
     graph.insert_before(lconv, [fused])
     graph.replace_uses(final.output, fused.output)
+    # every chain node is unary and every value inside the chain had the
+    # next chain node as its only consumer: the fused node replaces the
+    # lconv under its input and inherits the consumers of the chain's end
+    users = consumers[lconv.inputs[0]]
+    users[users.index(lconv)] = fused
+    if final.output in consumers:
+        consumers[fused.output] = consumers.pop(final.output)
     for dead in (chain.fconv, chain.resample, chain.act, chain.lconv):
         if dead is not None:
             graph.remove_node(dead)
+            consumers.pop(dead.output, None)
     stats.fused += 1
     stats.details.append(fused.name)
     get_tracer().decision(

@@ -7,8 +7,8 @@ that turns convolutions into fconv→core(s)→lconv sequences.
 """
 
 from .cp import CPFactors, cp_decompose
-from .linalg import (fold, khatri_rao, mode_dot, multi_mode_dot,
-                     relative_error, truncated_svd, unfold)
+from .linalg import (fold, leading_subspace, mode_dot, multi_mode_dot,
+                     relative_error, unfold)
 from .rank import RankPlan, plan_ranks, plan_ranks_energy, rank_by_energy
 from .rewrite import (DecompositionConfig, DecompositionRecord,
                       decompose_graph, decomposition_records)
@@ -34,7 +34,6 @@ __all__ = [
     "fold",
     "mode_dot",
     "multi_mode_dot",
-    "truncated_svd",
-    "khatri_rao",
+    "leading_subspace",
     "relative_error",
 ]

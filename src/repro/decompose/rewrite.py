@@ -27,6 +27,7 @@ from ..ir import ops as _ops
 from ..ir.emit import make_node
 from ..ir.graph import Graph
 from ..ir.node import Node
+from ..obs import get_tracer
 from .cp import cp_decompose
 from .rank import RankPlan, plan_ranks, plan_ranks_energy
 from .tt import tt_decompose
@@ -111,14 +112,19 @@ def decompose_graph(graph: Graph, config: DecompositionConfig | None = None) -> 
     """Return a decomposed copy of ``graph`` (the input is not mutated)."""
     config = config or DecompositionConfig()
     out = graph.clone(f"{graph.name}.{config.method}")
-    for node in list(out.nodes):
-        if _eligible(node, config):
+    sites = [node for node in out.nodes if _eligible(node, config)]
+    with get_tracer().span("decompose", category="compiler", graph=graph.name,
+                           method=config.method, ratio=config.ratio,
+                           sites=len(sites)):
+        for node in sites:
             _replace_conv(out, node, config)
-    out.validate()
+        out.validate()
     return out
 
 
 def _replace_conv(graph: Graph, node: Node, config: DecompositionConfig) -> None:
+    tracer = get_tracer()
+    start_us = tracer.now_us()
     weight = node.params["weight"]
     bias = node.params.get("bias")
     cout, cin, kh, kw = weight.shape
@@ -213,6 +219,11 @@ def _replace_conv(graph: Graph, node: Node, config: DecompositionConfig) -> None
         graph.add_node(new, index=index + offset)
     graph.replace_uses(node.output, new_nodes[-1].output)
     graph.remove_node(node)
+    # ranks: the reduced channel widths along the sequence, in data order
+    tracer.decision("decompose", node.name, "factorise", config.method,
+                    ranks=[n.output.shape[1] for n in new_nodes[:-1]],
+                    fit_error=float(fit),
+                    ms=(tracer.now_us() - start_us) / 1e3)
 
 
 def _make_lconv(graph: Graph, x, u_out: np.ndarray, bias, base_name: str,

@@ -1,7 +1,10 @@
 """Tensor-Train decomposition of convolution kernels.
 
 The kernel is permuted to ``(Cin, Kh, Kw, Cout)`` and factorized by
-TT-SVD (Oseledets) into four cores with ranks ``(r1, r2, r3)``:
+TT-SVD (Oseledets) into four cores with ranks ``(r1, r2, r3)``; each of
+the three steps takes its left basis ``U`` from the unfolding's small
+Gram matrix (:func:`~repro.decompose.linalg.leading_subspace`) and
+carries ``U.T @ M`` — which *is* ``diag(s) @ Vt`` — into the next:
 
 .. math::
    W_{c,h,w,o} \\approx \\sum_{i,j,k} G1_{c,i}\\, G2_{i,h,j}\\,
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import relative_error, truncated_svd
+from .linalg import leading_subspace, relative_error
 
 __all__ = ["TTFactors", "tt_decompose"]
 
@@ -67,22 +70,21 @@ def tt_decompose(weight: np.ndarray, ranks: tuple[int, int, int]) -> TTFactors:
     work = weight.transpose(1, 2, 3, 0).astype(np.float64, copy=False)
 
     m = work.reshape(cin, kh * kw * cout)
-    u1, s1, vt1 = truncated_svd(m, r1)
-    g1 = u1                                            # (Cin, r1)
-    rest = (s1[:, None] * vt1)                         # (r1, Kh*Kw*Cout)
+    g1 = leading_subspace(m, r1)                       # (Cin, r1)
     r1 = g1.shape[1]
+    rest = g1.T @ m                                    # (r1, Kh*Kw*Cout)
 
     m = rest.reshape(r1 * kh, kw * cout)
-    u2, s2, vt2 = truncated_svd(m, r2)
+    u2 = leading_subspace(m, r2)
     r2 = u2.shape[1]
     g2 = u2.reshape(r1, kh, r2)
-    rest = (s2[:, None] * vt2)                         # (r2, Kw*Cout)
+    rest = u2.T @ m                                    # (r2, Kw*Cout)
 
     m = rest.reshape(r2 * kw, cout)
-    u3, s3, vt3 = truncated_svd(m, r3)
+    u3 = leading_subspace(m, r3)
     r3 = u3.shape[1]
     g3 = u3.reshape(r2, kw, r3)
-    g4 = (s3[:, None] * vt3)                           # (r3, Cout)
+    g4 = u3.T @ m                                      # (r3, Cout)
 
     dtype = weight.dtype
     return TTFactors(g1=g1.astype(dtype), g2=g2.astype(dtype),

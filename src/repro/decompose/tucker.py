@@ -15,8 +15,12 @@ with ``U_out ∈ R^{Cout×R_out}``, ``U_in ∈ R^{Cin×R_in}`` and core
 - **lconv**: 1×1 conv ``R_out→Cout`` with weight ``U_out`` and the
   original bias.
 
-Initialized by HOSVD (truncated SVDs of the two mode unfoldings) and
-refined with a few HOOI alternating passes.
+Initialized by HOSVD (the leading left singular vectors of the two mode
+unfoldings) and refined with a few HOOI alternating passes.  Every one
+of those solves wants only the leading ``R`` columns of ``U``, so each
+goes through :func:`~repro.decompose.linalg.leading_subspace`: the
+``C x C`` Gram matrix of the unfolding, not an SVD of the ``C x C*k*k``
+unfolding itself.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import mode_dot, relative_error, truncated_svd, unfold
+from .linalg import leading_subspace, mode_dot, relative_error, unfold
 
 __all__ = ["Tucker2Factors", "tucker2_decompose"]
 
@@ -69,9 +73,9 @@ def tucker2_decompose(weight: np.ndarray, rank_out: int, rank_in: int,
         Target channel ranks (clamped to the actual dims).
     hooi_iters:
         Alternating refinement sweeps after the HOSVD init.  Each sweep
-        re-solves one factor against the other via a truncated SVD of
-        the projected unfolding — cheap (the unfoldings are small) and
-        measurably tightens the fit at low ranks.
+        re-solves one factor against the other from the leading
+        subspace of the projected unfolding — cheap (the unfoldings are
+        small) and measurably tightens the fit at low ranks.
     """
     if weight.ndim != 4:
         raise ValueError(f"expected 4D conv kernel, got shape {weight.shape}")
@@ -81,15 +85,15 @@ def tucker2_decompose(weight: np.ndarray, rank_out: int, rank_in: int,
     work = weight.astype(np.float64, copy=False)
 
     # HOSVD init: leading left singular vectors of each mode unfolding
-    u_out, _, _ = truncated_svd(unfold(work, 0), rank_out)
-    u_in, _, _ = truncated_svd(unfold(work, 1), rank_in)
+    u_out = leading_subspace(unfold(work, 0), rank_out)
+    u_in = leading_subspace(unfold(work, 1), rank_in)
 
     # HOOI refinement (orthogonal factors: projection is the transpose)
     for _ in range(max(0, hooi_iters)):
         projected = mode_dot(work, u_in.T, 1)           # fix U_in, solve U_out
-        u_out, _, _ = truncated_svd(unfold(projected, 0), rank_out)
+        u_out = leading_subspace(unfold(projected, 0), rank_out)
         projected = mode_dot(work, u_out.T, 0)          # fix U_out, solve U_in
-        u_in, _, _ = truncated_svd(unfold(projected, 1), rank_in)
+        u_in = leading_subspace(unfold(projected, 1), rank_in)
 
     core = mode_dot(mode_dot(work, u_out.T, 0), u_in.T, 1)
     dtype = weight.dtype

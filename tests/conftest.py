@@ -17,9 +17,10 @@ def decomposed():
     zoo (or extra) model, decomposed.
 
     Factorising the convolutions is nearly all a model test costs
-    (``resnet34``: build 1 s, decompose 26 s, optimize + two runs
-    < 0.1 s) and depends on no test, so each combination is factorised
-    once per session; every caller gets its own ``clone()``.
+    (``resnet34``: build 0.6 s, decompose 7 s on two BLAS threads — 3.7 s
+    on one — optimize + two runs < 0.1 s) and depends on no test, so
+    each combination is factorised once per session; every caller gets
+    its own ``clone()``.
     """
     from repro.decompose import DecompositionConfig, decompose_graph
     from repro.models import EXTRA_MODELS, build_extra, build_model

@@ -1,5 +1,7 @@
 """Activation layer fusion (paper §3.2)."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,9 @@ from repro.core import (FusionConfig, TeMCOConfig, assert_equivalent,
                         optimize, widen_tiles)
 from repro.core.liveness import simulate
 from repro.decompose import DecompositionConfig, decompose_graph
-from repro.ir import GraphBuilder
+from repro.ir import GraphBuilder, graph_fingerprint
 from repro.kernels import DEFAULT_BLOCK_SIZE, site_scratch_bytes
+from repro.models import build_model, model_names
 from repro.obs import Tracer, use_tracer
 from repro.runtime import execute
 
@@ -245,3 +248,76 @@ class TestSlackWidening:
         assert _tiles(graph) == [(DEFAULT_BLOCK_SIZE, 0)] * 2
         assert widen_tiles(graph) == 1  # the pass is callable on its own
         assert _tiles(graph) == [(DEFAULT_BLOCK_SIZE, 0), (64, 0)]
+
+
+def _fuse_restarting(graph, config=None):
+    """The scan ``fuse_activation_layers`` made before it learnt to go on
+    from the fused node: back to node 0, on a rebuilt consumer map, after
+    every fused site.  The reference for *which* sites fuse, in which
+    order."""
+    from repro.core import fusion
+    from repro.ir import ops
+    from repro.obs import get_tracer
+
+    config = config or FusionConfig()
+    stats = fusion.FusionStats()
+    tracer = get_tracer()
+    with tracer.span("fusion", category="compiler", graph=graph.name):
+        changed = True
+        while changed:
+            changed = False
+            consumers = graph.consumer_map()
+            for node in list(graph.nodes):
+                chain = (fusion._match_chain(graph, node, consumers, config)
+                         if ops.is_lconv(node) else None)
+                if chain is not None:
+                    fusion._fuse(graph, chain, config, stats, consumers)
+                    # what it maintains is what a rebuild gives
+                    assert consumers == graph.consumer_map()
+                    changed = True
+                    break
+        for node in graph.nodes:
+            if ops.is_lconv(node):
+                tracer.decision("fusion", node.name, "skip", "no_fusable_chain",
+                                restored_bytes=node.output.nbytes)
+    return stats
+
+
+@functools.lru_cache(maxsize=None)
+def _zoo_model(name):
+    return build_model(name, batch=1, hw=32)
+
+
+class TestScanOrder:
+    """Fusing a site leaves everything scheduled before it untouched, so
+    the forward scan must take the decisions the restarting scan took —
+    on every graph a compile hands to fusion, not only the one it keeps."""
+
+    @pytest.mark.parametrize("method", ["tucker", "cp", "tt"])
+    @pytest.mark.parametrize("model", model_names())
+    def test_same_graph_log_and_stats_on_the_zoo(self, model, method,
+                                                 monkeypatch):
+        fused = []
+
+        def both_scans(graph, config=None):
+            runs = []
+            for fuse, target in ((_fuse_restarting, graph.clone()),
+                                 (fuse_activation_layers, graph)):
+                tracer = Tracer()
+                with use_tracer(tracer):
+                    stats = fuse(target, config)
+                runs.append((graph_fingerprint(target), stats,
+                             [(d.subject, d.verdict, d.reason, d.quantities)
+                              for d in tracer.decisions]))
+            assert runs[0] == runs[1]
+            fused.append(stats.fused)
+            return stats
+
+        monkeypatch.setattr("repro.core.pipeline.fuse_activation_layers",
+                            both_scans)
+        # which chains fuse depends on shapes and ranks, not on factor
+        # values: one ALS sweep and no HOOI keep 36 compiles cheap
+        optimize(decompose_graph(
+            _zoo_model(model),
+            DecompositionConfig(method=method, hooi_iters=0, cp_iters=1)))
+        assert sum(fused) > 0

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.decompose import (fold, khatri_rao, mode_dot, multi_mode_dot,
-                             relative_error, truncated_svd, unfold)
+from repro.decompose import (fold, leading_subspace, mode_dot, multi_mode_dot,
+                             relative_error, unfold)
 
 
 @pytest.fixture
@@ -53,42 +53,41 @@ class TestModeDot:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-class TestTruncatedSVD:
+class TestLeadingSubspace:
     def test_full_rank_reconstructs(self, rng):
         m = rng.normal(size=(6, 9))
-        u, s, vt = truncated_svd(m, 6)
-        np.testing.assert_allclose(u @ np.diag(s) @ vt, m, atol=1e-10)
+        u = leading_subspace(m, 6)
+        np.testing.assert_allclose(u @ (u.T @ m), m, atol=1e-10)
 
     def test_rank_clamped(self, rng):
-        m = rng.normal(size=(4, 3))
-        u, s, vt = truncated_svd(m, 100)
-        assert u.shape == (4, 3) and s.shape == (3,)
+        # to the unfolding's smaller side, as a thin SVD's U is
+        assert leading_subspace(rng.normal(size=(4, 3)), 100).shape == (4, 3)
+        assert leading_subspace(rng.normal(size=(3, 7)), 100).shape == (3, 3)
 
     def test_truncation_is_best_approximation(self, rng):
-        # Eckart–Young: rank-k SVD error equals the tail singular values
+        # Eckart–Young: rank-k projection error equals the tail singular values
         m = rng.normal(size=(8, 8))
-        _, s_full, _ = truncated_svd(m, 8)
-        u, s, vt = truncated_svd(m, 3)
-        err = np.linalg.norm(m - u @ np.diag(s) @ vt)
+        s_full = np.linalg.svd(m, compute_uv=False)
+        u = leading_subspace(m, 3)
+        err = np.linalg.norm(m - u @ (u.T @ m))
         np.testing.assert_allclose(err, np.linalg.norm(s_full[3:]), atol=1e-8)
+
+    @pytest.mark.parametrize("shape", [(6, 40), (40, 6)])
+    def test_columns_are_the_left_singular_vectors(self, rng, shape):
+        # orthonormal, strongest first, and ``U.T @ M`` is ``diag(s) @ Vt``
+        m = rng.normal(size=shape)
+        u_ref, s, vt = np.linalg.svd(m, full_matrices=False)
+        u = leading_subspace(m, 4)
+        np.testing.assert_allclose(u.T @ u, np.eye(4), atol=1e-12)
+        np.testing.assert_allclose(u @ u.T, u_ref[:, :4] @ u_ref[:, :4].T,
+                                   atol=1e-10)
+        signs = np.sign(np.sum(u * u_ref[:, :4], axis=0))
+        np.testing.assert_allclose(signs[:, None] * (u.T @ m),
+                                   s[:4, None] * vt[:4], atol=1e-10)
 
     def test_bad_rank_rejected(self, rng):
         with pytest.raises(ValueError, match="rank"):
-            truncated_svd(rng.normal(size=(3, 3)), 0)
-
-
-class TestKhatriRao:
-    def test_columnwise_kronecker(self, rng):
-        a = rng.normal(size=(3, 4))
-        b = rng.normal(size=(2, 4))
-        kr = khatri_rao(a, b)
-        assert kr.shape == (6, 4)
-        for r in range(4):
-            np.testing.assert_allclose(kr[:, r], np.kron(a[:, r], b[:, r]))
-
-    def test_rank_mismatch_raises(self, rng):
-        with pytest.raises(ValueError, match="rank mismatch"):
-            khatri_rao(rng.normal(size=(3, 4)), rng.normal(size=(2, 5)))
+            leading_subspace(rng.normal(size=(3, 3)), 0)
 
 
 class TestRelativeError:

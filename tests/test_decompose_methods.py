@@ -83,6 +83,22 @@ class TestCP:
         with pytest.raises(ValueError, match="4D"):
             cp_decompose(np.zeros((2, 2)), 1)
 
+    def test_zero_kernel_gives_zero_factors(self):
+        # was ``LinAlgError: Singular matrix`` from the second mode's
+        # solve; Tucker and TT have always returned zero factors
+        zero = np.zeros((16, 8, 3, 3), np.float32)
+        f = cp_decompose(zero, 2)
+        assert all(np.isfinite(x).all() for x in (f.a, f.b, f.c, f.d))
+        assert not f.reconstruct().any() and f.error(zero) == 0.0
+
+    def test_zero_column_does_not_poison_the_rest(self):
+        # one dead output channel and one dead input channel
+        k = np.random.default_rng(6).normal(size=(12, 10, 3, 3))
+        k[3] = 0.0
+        k[:, 7] = 0.0
+        f = cp_decompose(k, 4, max_iters=20)
+        assert np.isfinite(f.reconstruct()).all() and f.error(k) < 1.0
+
 
 class TestTT:
     def test_full_rank_is_exact(self, kernel):

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core import assert_equivalent, optimize
 from repro.decompose import (DecompositionConfig, decompose_graph,
                              decomposition_records)
 from repro.ir import GraphBuilder, ops
 from repro.kernels import conv2d
+from repro.models import build_model
+from repro.obs import Tracer, use_tracer
 from repro.runtime import execute
 
 from _graph_fixtures import make_chain_graph, make_skip_graph, random_input
@@ -132,6 +135,44 @@ class TestRewriteSemantics:
         out = execute(dg, zero).output()
         np.testing.assert_allclose(out, bias[None, :, None, None]
                                    * np.ones_like(out), atol=1e-5)
+
+    @pytest.mark.parametrize("method", ["tucker", "cp", "tt"])
+    def test_a_zeroed_conv_still_compiles(self, method):
+        """A pruned / zero-initialised conv (CP-ALS used to abort the
+        whole compile on it with ``LinAlgError: Singular matrix``)."""
+        g = build_model("unet_small", batch=1, hw=16)
+        victim = next(n for n in g.nodes if n.op == "conv2d"
+                      and n.params["weight"].shape[2:] == (3, 3)
+                      and n.params["weight"].shape[1] >= 16)
+        victim.params["weight"] = np.zeros_like(victim.params["weight"])
+        dg = decompose_graph(g, DecompositionConfig(method=method, cp_iters=5))
+        lconv = dg.find_node(f"{victim.name}.lconv")
+        assert lconv.attrs["fit_error"] == 0.0
+        optimized, _ = optimize(dg)
+        report = assert_equivalent(dg, optimized, random_input(g))
+        assert np.isfinite(report.output_scale)
+
+
+class TestTracing:
+    @pytest.mark.parametrize("method", ["tucker", "cp", "tt"])
+    def test_one_span_and_one_decision_per_site(self, method):
+        g = build_model("unet_small", batch=1, hw=16)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            dg = decompose_graph(g, DecompositionConfig(method=method))
+        lconvs = [n for n in dg.nodes if ops.is_lconv(n)]
+        (span,) = [s for s in tracer.spans if s.name == "decompose"]
+        assert span.category == "compiler"
+        assert span.args == {"graph": g.name, "method": method, "ratio": 0.1,
+                             "sites": len(lconvs)}
+        sites = tracer.decisions_for("decompose", "factorise", method)
+        assert [f"{d.subject}.lconv" for d in sites] == [n.name for n in lconvs]
+        for d, lconv in zip(sites, lconvs):
+            assert d.quantities["fit_error"] == lconv.attrs["fit_error"]
+            assert d.quantities["ranks"][-1] == lconv.params["weight"].shape[1]
+        # the sites are the span: what is left is the loop and validate()
+        total_ms = sum(d.quantities["ms"] for d in sites)
+        assert 0.9 * span.duration_us / 1e3 <= total_ms <= span.duration_us / 1e3
 
 
 class TestRecords:
