@@ -37,7 +37,7 @@ from .ir import DType, Graph, GraphBuilder, Node, Value, format_graph
 from .models import MODEL_ZOO, build_model, model_names
 from .obs import (NoopTracer, Tracer, configure_logging, get_tracer,
                   use_tracer, write_chrome_trace)
-from .runtime import InferenceSession, MemoryProfile, ParallelRunner, execute
+from .runtime import InferenceSession, MemoryProfile, execute
 from .tune import TuneCache, TuneConfig, cached_overrides, tune_model
 
 from ._version import __version__
@@ -63,7 +63,6 @@ __all__ = [
     "model_names",
     "InferenceSession",
     "MemoryProfile",
-    "ParallelRunner",
     "execute",
     "Tracer",
     "NoopTracer",

@@ -115,6 +115,7 @@ from .models import EXTRA_MODELS, MODEL_ZOO, build_extra, build_model
 from .obs import (FleetView, SLOMonitor, Tracer, configure_logging,
                   parse_slos, profile_tracer, render_dashboard, use_tracer,
                   write_collapsed_stacks, write_diag_bundle, write_trace)
+from .obs.fleetview import INTERVAL_S
 from .plan import (BudgetSyntaxError, InfeasibleBudget, PlanCostModel,
                    format_bytes, parse_budget, plan_memory)
 from .runtime import (InferenceSession, metrics_markdown, plan_arena,
@@ -484,6 +485,15 @@ def _wait_for_stop(stop: threading.Event, duration: float | None) -> None:
             return
 
 
+def _attach_view(backend: Servable) -> FleetView:
+    """Put a fleet view on ``backend`` — what lights up ``GET /fleetz``,
+    ``repro top``, the loadgen anomaly flags and ``repro diag``.  It
+    only reads the backend, so serving behaviour is unchanged; the
+    caller starts and stops its sampler."""
+    backend.view = FleetView(backend)
+    return backend.view
+
+
 def _serve_until_stopped(backend: Servable, args, banner: str) -> int:
     """Serve ``backend`` over HTTP until ``--duration`` runs out or a
     SIGTERM/SIGINT arrives, then drain and print the run's metrics.
@@ -494,11 +504,8 @@ def _serve_until_stopped(backend: Servable, args, banner: str) -> int:
     previous = _trap_signals(stop)
     try:
         with backend:
-            # the fleet view powers GET /fleetz and `repro top`; it only
-            # reads the backend, so serving behaviour is unchanged
-            backend.view = FleetView(backend)
-            with backend.view, serve_http(backend, host=args.host,
-                                          port=args.port) as frontend:
+            with _attach_view(backend), serve_http(
+                    backend, host=args.host, port=args.port) as frontend:
                 host, port = frontend.address
                 print(banner.replace("{url}", f"http://{host}:{port}"))
                 print("endpoints: POST /infer, GET /healthz, GET /stats, "
@@ -572,16 +579,14 @@ def _cmd_loadgen(args) -> int:
     anomalies: list[dict] = []
     with backend:
         if detect:
-            # scrape fast so the rolling store sees the run as it
-            # happens — the detectors need in-flight history, not just
-            # the end-of-run totals
-            backend.view = FleetView(backend, interval_s=0.2).start()
+            # sample while the run happens — the detectors need
+            # in-flight history, not just the end-of-run totals
+            view = _attach_view(backend).start()
         report = run_loadgen(backend, config)
         if detect:
-            view = backend.view
-            view.scraper.scrape_once()  # final sample + detector pass
+            view.sample()  # final sample + detector pass
             view.stop()
-            anomalies = [a.to_dict() for a in view.monitor.findings()]
+            anomalies = [a.to_dict() for a in view.findings()]
         stats = backend.stats()
         if args.metrics_out:
             Path(args.metrics_out).write_text(backend.metrics_text())
@@ -655,7 +660,7 @@ def _cmd_diag(args) -> int:
 
     Builds the requested backend (single server, or a fleet with
     ``--replicas``), drives a little traffic under a tracer so the
-    rolling store / histograms / stitched trace have content, then
+    view's history / histograms / stitched trace have content, then
     tars up the whole observability surface via
     :func:`repro.obs.write_diag_bundle`.
     """
@@ -666,9 +671,8 @@ def _cmd_diag(args) -> int:
                                  args.replicas or None)
         inputs = random_inputs(backend.graph, args.seed)
         with backend:
-            view = backend.view = FleetView(backend, interval_s=0.1)
-            with view:
-                # two waves with a gap so the scraper catches the
+            with _attach_view(backend) as view:
+                # two waves with a gap so the sampler catches the
                 # counters mid-climb (a flat series rates as 0)
                 per_wave = max(1, args.requests // 2)
                 for wave in range(2):
@@ -676,7 +680,7 @@ def _cmd_diag(args) -> int:
                                for _ in range(per_wave)]
                     for f in futures:
                         f.result()
-                    time.sleep(2.5 * view.interval_s)
+                    time.sleep(2.5 * INTERVAL_S)
                 members = write_diag_bundle(
                     args.output, view=view,
                     config={"command": "diag", "model": args.model,

@@ -12,12 +12,12 @@ The subsystem has three moving parts:
 - :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) — counters and
   gauges summarized as Markdown by
   :func:`repro.runtime.report.metrics_markdown`.
-- the fleet observability plane — :class:`TimeSeriesStore` /
-  :class:`MetricsScraper` (:mod:`repro.obs.timeseries`) keep rolling
-  metric history, :class:`AnomalyMonitor` (:mod:`repro.obs.anomaly`)
-  watches it, :class:`FleetView` (:mod:`repro.obs.fleetview`) merges
-  per-replica registries/traces, and :func:`write_diag_bundle`
-  (:mod:`repro.obs.diag`) snapshots everything into one tarball.
+- the fleet observability plane — :class:`FleetView`
+  (:mod:`repro.obs.fleetview`) keeps a rolling history of a serving
+  backend's stats, runs the anomaly detectors over it and merges
+  per-replica registries/traces; :func:`render_dashboard` formats its
+  document and :func:`write_diag_bundle` (:mod:`repro.obs.diag`)
+  snapshots everything into one tarball.
   See ``docs/fleet_observability.md``.
 
 Quick use::
@@ -33,38 +33,26 @@ Quick use::
 See ``docs/observability.md`` for the event taxonomy.
 """
 
-from .anomaly import (Anomaly, AnomalyMonitor, DropSpikeDetector,
-                      LatencyRegressionDetector, MemoryDriftDetector,
-                      ReplicaOutlierDetector, default_detectors)
 from .dashboard import render_dashboard
 from .diag import write_diag_bundle
 from .events import (AsyncEvent, CounterSample, DecisionEvent, FlowEvent,
                      InstantEvent, SpanRecord)
 from .export import (chrome_trace_events, jsonl_records, to_chrome_trace,
                      write_chrome_trace, write_jsonl, write_trace)
-from .fleetview import FleetView
+from .fleetview import Anomaly, FleetView
 from .metrics import Histogram, MetricsRegistry
 from .profile import (OpStat, ProfileReport, collapsed_stacks, profile_spans,
                       profile_tracer, write_collapsed_stacks)
 from .prometheus import prometheus_metric_name, prometheus_text
 from .slo import (SLObjective, SLOMonitor, SLOStatus, evaluate_histogram,
                   parse_slo, parse_slos)
-from .timeseries import MetricsScraper, TimeSeriesStore
 from .tracer import (NOOP_TRACER, NoopTracer, TaggedTracer, Tracer,
                      configure_logging, get_tracer, new_trace_id, set_tracer,
                      use_tracer)
 
 __all__ = [
     "Anomaly",
-    "AnomalyMonitor",
-    "DropSpikeDetector",
     "FleetView",
-    "LatencyRegressionDetector",
-    "MemoryDriftDetector",
-    "MetricsScraper",
-    "ReplicaOutlierDetector",
-    "TimeSeriesStore",
-    "default_detectors",
     "render_dashboard",
     "write_diag_bundle",
     "SpanRecord",

@@ -12,7 +12,7 @@ member                    contents
 ``fleetz.json``           the merged fleet doc (``GET /fleetz`` body)
 ``trace.json``            stitched multi-replica Chrome trace (when
                           the backend ran with a recording tracer)
-``timeseries.json``       full rolling time-series dump
+``timeseries.json``       the view's whole sample history, per series
 ``metrics.prom``          merged Prometheus exposition (fleet
                           aggregates + ``replica``-labeled families)
 ``slo.json``              SLO statuses (empty list without a monitor)
@@ -25,7 +25,7 @@ member                    contents
 
 Everything is produced in memory (``tarfile`` over ``BytesIO``
 members) — capturing a bundle never perturbs the serving path beyond
-one metrics scrape.
+one sample of the backend's stats.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def write_diag_bundle(path: str | Path, *, view, config: dict | None = None,
                                    default=str)
 
     add_json("fleetz.json", doc)
-    add_json("timeseries.json", view.store.to_dict())
+    add_json("timeseries.json", view.timeseries())
     add_json("slo.json", doc.get("slo", []))
     add_json("anomalies.json", doc.get("anomalies", []))
     members["metrics.prom"] = prometheus_text(view.merged_registry(),

@@ -5,7 +5,7 @@ Five record kinds cover the whole taxonomy:
 - :class:`SpanRecord` — a timed region (pipeline stage, one node's
   kernel, an inference).  Spans nest; ``depth`` is the nesting level at
   which the span ran.  ``tid`` selects the timeline row the span
-  renders on (serve workers and parallel shards each get their own).
+  renders on (each serve worker gets its own).
 - :class:`InstantEvent` — a point-in-time marker (allocator alloc/free,
   arena plan summary).
 - :class:`CounterSample` — one sample of a counter track (the

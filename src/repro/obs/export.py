@@ -21,8 +21,8 @@ consumed by Perfetto (https://ui.perfetto.dev) and ``chrome://tracing``:
 - process/thread names are set with metadata events (``ph: "M"``):
   the main row, plus one labeled row per tid the tracer named with
   :meth:`~repro.obs.Tracer.name_thread` or that any span landed on
-  (serve workers, parallel shards) — so the trace shows
-  ``worker-0`` / ``shard-1`` lanes instead of raw tids.
+  (serve workers) — so the trace shows ``worker-0`` / ``worker-1``
+  lanes instead of raw tids.
 
 ``write_jsonl`` dumps the same records as one self-describing JSON
 object per line (``{"type": "span", ...}``), the grep-friendly form.

@@ -19,8 +19,8 @@ time and the data movement go:
   of speedscope's "import" box.
 
 Everything works on any tracer — an offline ``repro profile`` run, a
-serve-session trace, a merged :class:`~repro.runtime.parallel.ParallelRunner`
-trace — because attribution keys off span args, not call sites.
+serve-session trace — because attribution keys off span args, not call
+sites.
 """
 
 from __future__ import annotations

@@ -15,9 +15,8 @@ compiler passes and the executor pick it up without every call site
 having to thread a parameter through.  :func:`set_tracer` installs a
 *process-wide* default; :func:`use_tracer` pushes onto a
 *thread-local* stack, so concurrent workers (the
-:mod:`repro.serve` server threads, a
-:class:`~repro.runtime.parallel.ParallelRunner` fan-out) can each
-scope their own tracer without clobbering each other.
+:mod:`repro.serve` server threads) can each scope their own tracer
+without clobbering each other.
 """
 
 from __future__ import annotations
@@ -43,9 +42,8 @@ def new_trace_id() -> str:
 
     Assigned once at admission (:meth:`repro.serve.InferenceServer.submit`)
     and stamped onto every span the request touches — queue wait, the
-    micro-batch that served it, per-op executor spans, cross-process
-    shards — so one grep (or one Perfetto query) reconstructs the
-    request's full waterfall.
+    micro-batch that served it, per-op executor spans — so one grep
+    (or one Perfetto query) reconstructs the request's full waterfall.
     """
     return uuid.uuid4().hex[:16]
 
@@ -129,9 +127,6 @@ class Tracer(NoopTracer):
         super().__init__()
         self._clock = clock
         self._epoch = clock()
-        #: wall-clock time at the epoch, the cross-process alignment
-        #: anchor :meth:`absorb` shifts foreign timestamps with
-        self.epoch_wall = time.time()
         self._depth = 0
         self.spans: list[SpanRecord] = []
         self.instants: list[InstantEvent] = []
@@ -229,58 +224,8 @@ class Tracer(NoopTracer):
             category=category, args={}))
 
     def name_thread(self, tid: int, name: str) -> None:
-        """Label a Chrome-trace timeline row (serve worker, shard)."""
+        """Label a Chrome-trace timeline row (a serve worker)."""
         self.thread_names[tid] = name
-
-    # -- cross-process propagation ------------------------------------------
-
-    def export_records(self) -> dict[str, Any]:
-        """This tracer's records as plain picklable data.
-
-        The wire form a :class:`~repro.runtime.parallel.ParallelRunner`
-        worker ships its shard trace back to the parent in; the parent
-        merges it with :meth:`absorb`.
-        """
-        return {
-            "epoch_wall": self.epoch_wall,
-            "spans": [{"name": s.name, "category": s.category,
-                       "start_us": s.start_us, "duration_us": s.duration_us,
-                       "depth": s.depth, "args": dict(s.args)}
-                      for s in self.spans],
-            "instants": [{"name": i.name, "category": i.category,
-                          "ts_us": i.ts_us, "args": dict(i.args)}
-                         for i in self.instants],
-            "counters": [{"track": c.track, "ts_us": c.ts_us,
-                          "values": dict(c.values)}
-                         for c in self.counters],
-        }
-
-    def absorb(self, records: dict[str, Any], *, tid: int = 0,
-               **tags: Any) -> int:
-        """Merge a foreign tracer's :meth:`export_records` dump.
-
-        Timestamps are shifted into this tracer's timeline using the
-        wall-clock anchor both tracers captured at construction, spans
-        land on row ``tid``, and ``tags`` (a ``trace_id``, a shard
-        index) are stamped onto every absorbed record.  Returns the
-        number of spans absorbed.
-        """
-        offset_us = (records["epoch_wall"] - self.epoch_wall) * 1e6
-        for s in records.get("spans", ()):
-            self.spans.append(SpanRecord(
-                name=s["name"], category=s["category"],
-                start_us=s["start_us"] + offset_us,
-                duration_us=s["duration_us"], depth=s["depth"], tid=tid,
-                args={**s["args"], **tags}))
-        for i in records.get("instants", ()):
-            self.instants.append(InstantEvent(
-                name=i["name"], category=i["category"],
-                ts_us=i["ts_us"] + offset_us, args={**i["args"], **tags}))
-        for c in records.get("counters", ()):
-            self.counters.append(CounterSample(
-                track=c["track"], ts_us=c["ts_us"] + offset_us,
-                values=dict(c["values"])))
-        return len(records.get("spans", ()))
 
     # -- queries ------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Execution runtime: allocator, executor, sessions, parallel engine."""
+"""Execution runtime: allocator, executor, sessions."""
 
 from .allocator import AllocationError, TensorAllocator
 from .arena import ArenaPlan, ArenaSlot, plan_arena
@@ -6,7 +6,6 @@ from .engine import InferenceSession, TimingResult
 from .executor import ExecutionResult, execute
 from .ledger import AllocationLedger, LedgerEvent, TensorLifetime
 from .memory_profile import MemoryEvent, MemoryProfile, PlanStats
-from .parallel import ParallelRunner, shard_batch
 from .planned import PlanEnforcer
 from .report import metrics_markdown, profile_markdown, timeline_csv
 
@@ -27,8 +26,6 @@ __all__ = [
     "MemoryProfile",
     "PlanStats",
     "PlanEnforcer",
-    "ParallelRunner",
-    "shard_batch",
     "timeline_csv",
     "metrics_markdown",
     "profile_markdown",

@@ -1,14 +1,19 @@
 """FleetView: merged snapshots, fleet doc, stitched traces, /fleetz."""
 
 import json
+import re
 import urllib.error
 import urllib.request
+from collections import Counter
 
 import numpy as np
+import pytest
 
 from repro.fleet import FaultPolicy, RouterConfig
-from repro.obs import FleetView, Tracer, render_dashboard, use_tracer
-from repro.serve import InferenceServer, ServerConfig, serve_http
+from repro.obs import (FleetView, Tracer, fleetview, prometheus_text,
+                       render_dashboard, to_chrome_trace, use_tracer)
+from repro.serve import (InferenceServer, ServeError, ServerConfig,
+                         serve_http)
 
 from _graph_fixtures import make_chain_graph
 from test_fleet_router import _fleet, _payload
@@ -58,13 +63,14 @@ class TestMergedRegistry:
                           for r in (0, 1))
             assert total == labeled == 4
 
-    def test_attaching_a_view_never_changes_outputs(self):
+    def test_attaching_a_view_never_changes_outputs(self, monkeypatch):
+        monkeypatch.setattr(fleetview, "INTERVAL_S", 0.02)
         g = make_chain_graph(batch=4)
         payloads = [_payload(g, seed=i) for i in range(5)]
         with InferenceServer(g, ServerConfig(max_wait_s=0.0)) as single:
             expected = [single.infer(p, timeout=30.0) for p in payloads]
         with _fleet(replicas=2, graph=g) as fleet:
-            with FleetView(fleet, interval_s=0.02):
+            with FleetView(fleet):
                 for payload, reference in zip(payloads, expected):
                     outputs = fleet.infer(payload, timeout=30.0)
                     for name in outputs:
@@ -107,8 +113,95 @@ class TestFleetDoc:
             assert all(r["measured_peak_bytes"] > 0 for r in served)
 
 
+def _prom_samples(text: str) -> dict[tuple[str, frozenset], float]:
+    """A Prometheus exposition as ``{(metric, labels): value}``."""
+    samples = {}
+    for line in text.splitlines():
+        if line and not line.startswith("#"):
+            metric, _, labels, value = re.fullmatch(
+                r"(\w+)(\{(.*)\})? (\S+)", line).groups()
+            pairs = re.findall(r'(\w+)="((?:[^"\\]|\\.)*)"', labels or "")
+            samples[metric, frozenset(pairs)] = float(value)
+    return samples
+
+
+class TestFleetzAgreesWithMetrics:
+    """ROADMAP aim 4: the operator document and the Prometheus
+    exposition are two renderings of the same state."""
+
+    @pytest.fixture()
+    def quiesced(self):
+        with _fleet(replicas=2, host_budget="400%") as fleet:
+            _drive(fleet, 8)
+            # two requests shed inside replica 1: per-replica drops
+            shedding = fleet.pool.replicas[1].server
+            for _ in range(2):
+                with pytest.raises(ServeError):
+                    shedding.submit(_payload(fleet.graph),
+                                    deadline_s=1e-9).result(timeout=10.0)
+            yield fleet
+
+    def test_every_replica_field_equals_its_labelled_family(self, quiesced):
+        view = FleetView(quiesced)
+        doc = view.fleet_doc()
+        prom = _prom_samples(prometheus_text(view.merged_registry()))
+
+        def family(metric, absent=None, **labels):
+            return prom.get((f"repro_{metric}", frozenset(labels.items())),
+                            absent)
+
+        assert doc["fleet"]["completed"] == 8 \
+            == family("fleet_completed_total")
+        assert sum(r["completed"] for r in doc["replicas"]) >= 8
+        for replica in doc["replicas"]:
+            rid = str(replica["id"])
+            # a counter exists from its first increment: an idle
+            # replica has no family yet
+            assert replica["completed"] == family("serve_completed_total",
+                                                  0.0, replica=rid)
+            for key, quantile in (("p50", "0.5"), ("p95", "0.95"),
+                                  ("p99", "0.99")):
+                assert replica["latency_ms"][key] == family(
+                    "serve_latency_ms", 0.0, replica=rid, quantile=quantile)
+            assert replica["queue_depth"] == family("serve_queue_depth",
+                                                    replica=rid)
+            assert replica["measured_peak_bytes"] == family(
+                "serve_measured_peak_bytes", 0.0, replica=rid)
+            assert replica["planned_peak_bytes"] == family(
+                "plan_planned_peak_bytes", replica=rid) > 0
+            assert replica["budget_bytes"] == family("plan_budget_bytes",
+                                                     replica=rid) > 0
+            # the exposition keeps one label per family, so a replica's
+            # drop reasons render as reason="<reason>.replica.<id>"
+            dropped = sum(
+                value for (metric, labels), value in prom.items()
+                if metric == "repro_serve_dropped_total"
+                and dict(labels)["reason"].endswith(f".replica.{rid}"))
+            assert sum(replica["drops"].values()) == dropped
+        assert [r["drops"] for r in doc["replicas"]] \
+            == [{}, {"deadline_expired": 2}]
+
+    def test_one_document_is_one_stats_call_per_server(self, quiesced):
+        calls = Counter()
+
+        def counting(name, stats):
+            def wrapper():
+                calls[name] += 1
+                return stats()
+            return wrapper
+
+        quiesced.stats = counting("router", quiesced.stats)
+        for replica in quiesced.pool.replicas:
+            replica.server.stats = counting(replica.id, replica.server.stats)
+        FleetView(quiesced).fleet_doc()
+        assert calls == {"router": 1, 0: 1, 1: 1}
+
+
 class TestStitchedTrace:
-    def test_replica_rows_and_cross_replica_flows(self):
+    @pytest.fixture(scope="class")
+    def hedged(self):
+        """``(stitched, own)``: the view's trace and the backend's own
+        export of a 2-replica run whose slow replica forces hedges."""
         tracer = Tracer()
         fault = FaultPolicy(replica=0, kind="slow", after=1, slow_s=0.25)
         config = RouterConfig(hedge_delay_s=0.02, attempt_timeout_s=10.0)
@@ -116,8 +209,45 @@ class TestStitchedTrace:
             fleet = _fleet(replicas=2, fault=fault, router=config)
         with fleet:
             _drive(fleet, 6)
-            view = FleetView(fleet)
-            trace = view.stitched_trace()
+        tracer.decision("test_pass", "value", "accept")
+        # the closed fleet records nothing more: both exports see the
+        # same tracer state
+        return FleetView(fleet).stitched_trace(), to_chrome_trace(tracer)
+
+    def test_carries_every_event_kind_of_the_backend_trace(self, hedged):
+        stitched, own = hedged
+
+        def kinds(trace):
+            return Counter((e["ph"], e["name"]) for e in trace["traceEvents"]
+                           if e["ph"] != "M"
+                           and e["name"] != "fleet.cross_replica")
+
+        assert kinds(stitched) == kinds(own)
+        present = {(e["ph"], e["name"]) for e in stitched["traceEvents"]}
+        # request waterfall lanes, the fan-in / routing arrows, decisions
+        assert {("b", "request"), ("b", "queue_wait"), ("b", "execute"),
+                ("e", "request"), ("s", "serve.request"),
+                ("f", "serve.request"), ("s", "fleet.request"),
+                ("f", "fleet.request"), ("C", "memory"),
+                ("i", "test_pass:value")} <= present
+        assert stitched["otherData"] == own["otherData"]
+
+    def test_spans_and_flow_endpoints_sit_on_their_replica_row(self, hedged):
+        stitched, _ = hedged
+        events = stitched["traceEvents"]
+        rows = {e["tid"]: e["args"]["name"] for e in events
+                if e["name"] == "thread_name"}
+        assert rows[0] == "fleet"
+        moved = [e for e in events if e["ph"] in ("X", "s", "f")
+                 and e["name"] != "fleet.cross_replica"]
+        assert {e["name"] for e in moved} >= {"serve.batch", "serve.request"}
+        for event in moved:
+            replica = event["args"].get("replica")
+            assert rows[event["tid"]] == (
+                "fleet" if replica is None else f"replica-{replica}")
+
+    def test_replica_rows_and_cross_replica_flows(self, hedged):
+        trace, _ = hedged
         assert trace is not None
         events = trace["traceEvents"]
         rows = {e["args"]["name"] for e in events

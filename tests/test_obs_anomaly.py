@@ -1,222 +1,195 @@
-"""Anomaly detectors + monitor over a synthetic time-series store."""
+"""The fleet view's anomaly detectors and findings bookkeeping, driven
+through ``FleetView.sample()`` over a stub backend on a fake clock."""
 
-from repro.obs import (AnomalyMonitor, DropSpikeDetector,
-                       LatencyRegressionDetector, MemoryDriftDetector,
-                       MetricsRegistry, ReplicaOutlierDetector,
-                       TimeSeriesStore, default_detectors)
-from repro.obs.anomaly import replica_series
+from repro.obs import Tracer, fleetview
 
-from test_obs_timeseries import FakeClock
+from _stub_backend import StubFleet
 
 
-def _store(clock=None) -> TimeSeriesStore:
-    return TimeSeriesStore(256, clock=clock or FakeClock())
+def _outlier_fleet(**kwargs) -> StubFleet:
+    """Replica 0 at 150 ms against a 10 ms peer: one replica-outlier."""
+    fleet = StubFleet(**kwargs)
+    fleet.feed(0.0, {"fleet.attempt_ms.replica.0.p95": 150.0,
+                     "fleet.attempt_ms.replica.1.p95": 10.0})
+    return fleet
 
 
 class TestReplicaSeries:
     def test_both_naming_shapes_resolve(self):
-        store = _store()
         # router-side flattened histogram shape
-        store.record("fleet.attempt_ms.replica.0.p95", 1.0)
-        # replica-suffixed server stat shape
-        store.record("serve.latency_ms.p95.replica.1", 1.0)
-        assert replica_series(store, "fleet.attempt_ms", "p95") == {
-            "0": "fleet.attempt_ms.replica.0.p95"}
-        assert replica_series(store, "serve.latency_ms", "p95") == {
-            "1": "serve.latency_ms.p95.replica.1"}
+        router_side = StubFleet()
+        router_side.feed(0.0, {"fleet.attempt_ms.replica.0.p95": 150.0,
+                               "fleet.attempt_ms.replica.1.p95": 10.0})
+        # replica-server stat carrying the view's suffix
+        suffixed = StubFleet()
+        suffixed.feed(0.0, {"serve.latency_ms.p95.replica.0": 10.0,
+                            "serve.latency_ms.p95.replica.1": 150.0})
+        assert [f.subject for f in router_side.view.findings()] \
+            == ["replica.0"]
+        assert [f.subject for f in suffixed.view.findings()] == ["replica.1"]
 
     def test_other_stats_not_matched(self):
-        store = _store()
-        store.record("fleet.attempt_ms.replica.0.p50", 1.0)
-        assert replica_series(store, "fleet.attempt_ms", "p95") == {}
+        fleet = StubFleet()
+        fleet.feed(0.0, {"fleet.attempt_ms.replica.0.p50": 150.0,
+                         "fleet.attempt_ms.replica.1.p50": 10.0,
+                         "serve.latency_ms.p50.replica.0": 150.0,
+                         "serve.latency_ms.p50.replica.1": 10.0})
+        assert fleet.view.findings() == []
 
 
 class TestLatencyRegression:
-    def _fill(self, store, clock, baseline_ms, recent_ms):
+    def _fill(self, baseline_ms, recent_ms) -> StubFleet:
         # 30 s of baseline then 5 s of recent, one sample per second
+        fleet = StubFleet()
         for i in range(30):
-            store.record("serve.latency_ms.p95", baseline_ms, t=float(i))
+            fleet.feed(float(i), {"serve.latency_ms.p95": baseline_ms})
         for i in range(30, 36):
-            store.record("serve.latency_ms.p95", recent_ms, t=float(i))
-        clock.t = 35.0
+            fleet.feed(float(i), {"serve.latency_ms.p95": recent_ms})
+        return fleet
 
     def test_regression_fires(self):
-        clock = FakeClock()
-        store = _store(clock)
-        self._fill(store, clock, baseline_ms=10.0, recent_ms=50.0)
-        findings = LatencyRegressionDetector().check(store)
-        assert len(findings) == 1
-        f = findings[0]
+        fleet = self._fill(baseline_ms=10.0, recent_ms=50.0)
+        (f,) = fleet.view.findings()
         assert f.kind == "latency-regression"
         assert f.subject == "serve.latency_ms.p95"
         assert f.value > f.threshold
 
     def test_steady_latency_is_quiet(self):
-        clock = FakeClock()
-        store = _store(clock)
-        self._fill(store, clock, baseline_ms=10.0, recent_ms=11.0)
-        assert LatencyRegressionDetector().check(store) == []
+        assert self._fill(baseline_ms=10.0, recent_ms=11.0).kinds() == []
 
     def test_min_ms_floor_suppresses_fast_model_noise(self):
-        clock = FakeClock()
-        store = _store(clock)
         # 5x regression, but both sides under the 5 ms floor
-        self._fill(store, clock, baseline_ms=0.5, recent_ms=2.5)
-        assert LatencyRegressionDetector().check(store) == []
+        assert self._fill(baseline_ms=0.5, recent_ms=2.5).kinds() == []
 
     def test_needs_enough_history(self):
-        clock = FakeClock()
-        store = _store(clock)
-        store.record("serve.latency_ms.p95", 100.0, t=0.0)
-        store.record("serve.latency_ms.p95", 100.0, t=1.0)
-        clock.t = 1.0
-        assert LatencyRegressionDetector().check(store) == []
+        fleet = StubFleet()
+        fleet.feed(0.0, {"serve.latency_ms.p95": 100.0})
+        fleet.feed(1.0, {"serve.latency_ms.p95": 100.0})
+        assert fleet.kinds() == []
 
 
 class TestMemoryDrift:
     def test_watermark_breach_is_critical(self):
-        store = _store()
-        store.record("serve.measured_peak_bytes", 95.0)
-        store.record("plan.budget_bytes", 100.0)
-        findings = MemoryDriftDetector().check(store)
-        assert [f.severity for f in findings] == ["critical"]
-        assert findings[0].kind == "memory-drift"
+        fleet = StubFleet()
+        fleet.feed(0.0, {"serve.measured_peak_bytes": 95.0,
+                         "plan.budget_bytes": 100.0})
+        (f,) = fleet.view.findings()
+        assert (f.kind, f.severity) == ("memory-drift", "critical")
 
     def test_plan_divergence_is_warning(self):
-        store = _store()
-        store.record("serve.measured_peak_bytes", 120.0)
-        store.record("plan.planned_peak_bytes", 100.0)
-        findings = MemoryDriftDetector().check(store)
-        assert [f.severity for f in findings] == ["warning"]
+        fleet = StubFleet()
+        fleet.feed(0.0, {"serve.measured_peak_bytes": 120.0,
+                         "plan.planned_peak_bytes": 100.0})
+        assert [f.severity for f in fleet.view.findings()] == ["warning"]
 
     def test_within_plan_is_quiet(self):
-        store = _store()
-        store.record("serve.measured_peak_bytes", 100.0)
-        store.record("plan.planned_peak_bytes", 100.0)
-        store.record("plan.budget_bytes", 200.0)
-        assert MemoryDriftDetector().check(store) == []
+        fleet = StubFleet()
+        fleet.feed(0.0, {"serve.measured_peak_bytes": 100.0,
+                         "plan.planned_peak_bytes": 100.0,
+                         "plan.budget_bytes": 200.0})
+        assert fleet.kinds() == []
 
     def test_per_replica_suffix_tracked_separately(self):
-        store = _store()
-        store.record("serve.measured_peak_bytes.replica.1", 99.0)
-        store.record("plan.budget_bytes.replica.1", 100.0)
-        findings = MemoryDriftDetector().check(store)
-        assert [f.subject for f in findings] == ["replica.1"]
+        fleet = StubFleet()
+        fleet.feed(0.0, {"serve.measured_peak_bytes.replica.0": 50.0,
+                         "plan.budget_bytes.replica.0": 100.0,
+                         "serve.measured_peak_bytes.replica.1": 99.0,
+                         "plan.budget_bytes.replica.1": 100.0})
+        assert [f.subject for f in fleet.view.findings()] == ["replica.1"]
 
 
 class TestDropSpike:
     def test_burst_fires(self):
-        clock = FakeClock()
-        store = _store(clock)
-        store.record("serve.dropped.reason.overload", 0.0, t=0.0)
-        store.record("serve.dropped.reason.overload", 5.0, t=2.0)
-        clock.t = 2.0
-        findings = DropSpikeDetector().check(store)
-        assert len(findings) == 1
-        assert findings[0].kind == "drop-spike"
-        assert findings[0].value == 5.0
+        fleet = StubFleet()
+        fleet.feed(0.0, {"serve.dropped.reason.overload": 0.0})
+        fleet.feed(2.0, {"serve.dropped.reason.overload": 5.0})
+        (f,) = fleet.view.findings()
+        assert f.kind == "drop-spike"
+        assert f.value == 5.0
 
     def test_slow_trickle_is_quiet(self):
-        clock = FakeClock()
-        store = _store(clock)
-        store.record("serve.dropped.reason.deadline", 0.0, t=0.0)
-        store.record("serve.dropped.reason.deadline", 2.0, t=2.0)
-        clock.t = 2.0
-        assert DropSpikeDetector().check(store) == []
+        fleet = StubFleet()
+        fleet.feed(0.0, {"serve.dropped.reason.deadline": 0.0})
+        fleet.feed(2.0, {"serve.dropped.reason.deadline": 2.0})
+        assert fleet.kinds() == []
+
+    def test_counter_reset_is_not_a_burst(self):
+        # a replica restart: the counter falls, the growth clamps to 0
+        fleet = StubFleet()
+        fleet.feed(0.0, {"serve.dropped.reason.overload": 100.0})
+        fleet.feed(1.0, {"serve.dropped.reason.overload": 3.0})
+        assert fleet.kinds() == []
 
 
 class TestReplicaOutlier:
     def test_slow_replica_flagged_against_peer_median(self):
-        store = _store()
-        store.record("fleet.attempt_ms.replica.0.p95", 150.0)
-        store.record("fleet.attempt_ms.replica.1.p95", 10.0)
-        store.record("fleet.attempt_ms.replica.2.p95", 12.0)
-        findings = ReplicaOutlierDetector().check(store)
-        assert [f.subject for f in findings] == ["replica.0"]
-        assert findings[0].kind == "replica-outlier"
+        fleet = StubFleet()
+        fleet.feed(0.0, {"fleet.attempt_ms.replica.0.p95": 150.0,
+                         "fleet.attempt_ms.replica.1.p95": 10.0,
+                         "fleet.attempt_ms.replica.2.p95": 12.0})
+        (f,) = fleet.view.findings()
+        assert (f.kind, f.subject) == ("replica-outlier", "replica.0")
 
     def test_two_replica_fleet_judges_against_the_healthy_peer(self):
         # with 2 replicas a self-including median would be dragged up
         # by the sick replica itself and never fire
-        store = _store()
-        store.record("fleet.attempt_ms.replica.0.p95", 150.0)
-        store.record("fleet.attempt_ms.replica.1.p95", 10.0)
-        findings = ReplicaOutlierDetector().check(store)
+        findings = _outlier_fleet().view.findings()
         assert [f.subject for f in findings] == ["replica.0"]
 
     def test_single_replica_never_fires(self):
-        store = _store()
-        store.record("fleet.attempt_ms.replica.0.p95", 500.0)
-        assert ReplicaOutlierDetector().check(store) == []
+        fleet = StubFleet()
+        fleet.feed(0.0, {"fleet.attempt_ms.replica.0.p95": 500.0})
+        assert fleet.kinds() == []
 
     def test_balanced_fleet_is_quiet(self):
-        store = _store()
-        for rid in range(3):
-            store.record(f"fleet.attempt_ms.replica.{rid}.p95", 10.0 + rid)
-        assert ReplicaOutlierDetector().check(store) == []
+        fleet = StubFleet()
+        fleet.feed(0.0, {f"fleet.attempt_ms.replica.{rid}.p95": 10.0 + rid
+                         for rid in range(3)})
+        assert fleet.kinds() == []
 
     def test_flagged_once_across_bases(self):
-        store = _store()
-        store.record("fleet.attempt_ms.replica.0.p95", 150.0)
-        store.record("fleet.attempt_ms.replica.1.p95", 10.0)
-        store.record("serve.latency_ms.p95.replica.0", 150.0)
-        store.record("serve.latency_ms.p95.replica.1", 10.0)
-        findings = ReplicaOutlierDetector().check(store)
-        assert [f.subject for f in findings] == ["replica.0"]
+        fleet = StubFleet()
+        fleet.feed(0.0, {"fleet.attempt_ms.replica.0.p95": 150.0,
+                         "fleet.attempt_ms.replica.1.p95": 10.0,
+                         "serve.latency_ms.p95.replica.0": 150.0,
+                         "serve.latency_ms.p95.replica.1": 10.0})
+        assert [f.subject for f in fleet.view.findings()] == ["replica.0"]
+        assert fleet.backend.metrics.get("anomaly.kind.replica-outlier") == 1
 
 
 class TestMonitor:
     def test_counters_and_dedup(self):
-        store = _store()
-        store.record("fleet.attempt_ms.replica.0.p95", 150.0)
-        store.record("fleet.attempt_ms.replica.1.p95", 10.0)
-        registry = MetricsRegistry()
-        monitor = AnomalyMonitor(store, [ReplicaOutlierDetector()],
-                                 registry=registry)
-        first = monitor.check()
-        second = monitor.check()
-        assert len(first) == len(second) == 1
-        # same (kind, subject, severity) → counted once, kept once
+        fleet = _outlier_fleet()
+        fleet.feed(1.0, {"fleet.attempt_ms.replica.0.p95": 160.0})
+        # same (kind, subject, severity) → counted once, kept once,
+        # with the latest numbers
+        registry = fleet.backend.metrics
         assert registry.get("anomaly.kind.replica-outlier") == 1
-        assert len(monitor.findings()) == 1
-        assert monitor.checks == 2
+        (f,) = fleet.view.findings()
+        assert (f.value, f.at) == (160.0, 1.0)
+        assert fleet.view.scrapes == 2
 
-    def test_detector_exceptions_counted_not_raised(self):
-        class Broken:
-            def check(self, store):
-                raise RuntimeError("detector bug")
+    def test_detector_exceptions_counted_not_raised(self, monkeypatch):
+        def broken(history, now):
+            raise RuntimeError("detector bug")
 
-        registry = MetricsRegistry()
-        monitor = AnomalyMonitor(_store(), [Broken()], registry=registry)
-        assert monitor.check() == []
-        assert registry.get("anomaly.detector_errors") == 1
+        monkeypatch.setattr(fleetview, "DETECTORS",
+                            (broken,) + fleetview.DETECTORS)
+        fleet = _outlier_fleet()  # feed() asserts the sample succeeded
+        assert fleet.backend.metrics.get("anomaly.detector_errors") == 1
+        assert fleet.view.scrape_errors == 1
+        # the detectors after the broken one still ran
+        assert fleet.kinds() == ["replica-outlier"]
 
     def test_tracer_instant_on_fresh_finding(self):
-        from repro.obs import Tracer
-
-        store = _store()
-        store.record("fleet.attempt_ms.replica.0.p95", 150.0)
-        store.record("fleet.attempt_ms.replica.1.p95", 10.0)
         tracer = Tracer()
-        monitor = AnomalyMonitor(store, [ReplicaOutlierDetector()],
-                                 tracer=tracer)
-        monitor.check()
-        monitor.check()  # repeat firing emits no second instant
+        fleet = _outlier_fleet(tracer=tracer)
+        fleet.feed(1.0, {})  # repeat firing emits no second instant
         anomalies = [i for i in tracer.instants if i.name == "anomaly"]
         assert len(anomalies) == 1
         assert anomalies[0].args["kind"] == "replica-outlier"
 
-    def test_default_detector_set(self):
-        kinds = {type(d).__name__ for d in default_detectors()}
-        assert kinds == {"LatencyRegressionDetector", "MemoryDriftDetector",
-                         "DropSpikeDetector", "ReplicaOutlierDetector"}
-
     def test_finding_to_dict_is_json_shaped(self):
-        store = _store()
-        store.record("fleet.attempt_ms.replica.0.p95", 150.0)
-        store.record("fleet.attempt_ms.replica.1.p95", 10.0)
-        monitor = AnomalyMonitor(store, [ReplicaOutlierDetector()])
-        monitor.check()
-        doc = monitor.findings()[0].to_dict()
+        doc = _outlier_fleet().view.findings()[0].to_dict()
         assert set(doc) == {"kind", "severity", "subject", "message",
                             "value", "threshold", "at"}

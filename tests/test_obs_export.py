@@ -142,30 +142,6 @@ class TestFlowAndAsyncExport:
                    for r in records if r["type"] in ("flow", "async"))
 
 
-class TestAbsorb:
-    def test_absorb_shifts_tags_and_rows(self):
-        worker = Tracer()
-        worker.complete("node", 5.0, 10.0, category="conv2d", op="conv2d")
-        worker.instant("mark", category="test")
-        worker.counter("memory", live_bytes=64)
-        records = worker.export_records()
-
-        parent = Tracer()
-        # pin the anchors: the worker's epoch is 2 s after the parent's
-        records["epoch_wall"] = parent.epoch_wall + 2.0
-        count = parent.absorb(records, tid=1000, trace_id="t1", shard=0)
-        assert count == 1
-        (span,) = parent.spans
-        assert span.tid == 1000
-        assert span.start_us == pytest.approx(5.0 + 2e6)
-        assert span.args["trace_id"] == "t1" and span.args["shard"] == 0
-        assert span.args["op"] == "conv2d"
-        (inst,) = parent.instants
-        assert inst.args["trace_id"] == "t1"
-        (sample,) = parent.counters
-        assert sample.values == {"live_bytes": 64}
-
-
 class TestMemoryCounterTrack:
     def test_counter_track_matches_memory_profile(self, traced):
         tracer, result = traced

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import Histogram, MetricsRegistry, MetricsScraper, TimeSeriesStore
+from repro.obs import FleetView, Histogram, MetricsRegistry, fleetview
 
 
 class TestHistogram:
@@ -328,13 +328,17 @@ class TestThreadSafety:
         assert final["max"] == per_thread * writers - 1
         assert snapshots, "readers must have run concurrently"
 
-    def test_scraper_snapshots_while_workers_observe(self):
-        """The fleet-view path: a MetricsScraper thread snapshotting
-        the registry into a TimeSeriesStore while worker threads
-        observe()/gauge()/inc() — no tearing, no lost counts, and the
-        store only ever sees monotone counter values."""
+    def test_scraper_snapshots_while_workers_observe(self, monkeypatch):
+        """The fleet-view path: the sampler thread snapshotting the
+        registry into the view's history while worker threads
+        observe()/gauge()/inc() and a reader takes fleet documents —
+        no tearing, no lost counts, and the history only ever sees
+        monotone counter values."""
+        from _stub_backend import StubBackend
+
         m = MetricsRegistry()
-        store = TimeSeriesStore(4096)
+        view = FleetView(StubBackend(m.snapshot))
+        monkeypatch.setattr(fleetview, "INTERVAL_S", 0.001)
         per_thread, writers = 1_000, 4
 
         def write(worker: int):
@@ -345,18 +349,21 @@ class TestThreadSafety:
 
         threads = [threading.Thread(target=write, args=(w,))
                    for w in range(writers)]
-        with MetricsScraper(m.snapshot, store, interval_s=0.001) as scraper:
+        with view:
             for t in threads:
                 t.start()
+            while any(t.is_alive() for t in threads):
+                view.fleet_doc()  # a second sampler: the /fleetz handler
             for t in threads:
-                t.join()
-            scraper.scrape_once()  # deterministic final sample
-        assert scraper.errors == 0
-        completed = [v for _, v in store.series("serve.completed")]
+                t.join(timeout=30.0)
+            assert view.sample()  # deterministic final sample
+        assert view.scrape_errors == 0
+        series = view.timeseries()["series"]
+        completed = [v for _, v in series["serve.completed"]]
         assert completed[-1] == per_thread * writers
         # a counter snapshot can never go backwards
         assert all(a <= b for a, b in zip(completed, completed[1:]))
-        for _, p50 in store.series("serve.latency_ms.p50"):
+        for _, p50 in series["serve.latency_ms.p50"]:
             assert 0.0 <= p50 <= per_thread - 1
 
     def test_concurrent_labeled_merges(self):

@@ -1,180 +1,158 @@
-"""TimeSeriesStore windowed queries + MetricsScraper behaviour."""
+"""The fleet view's sample history: bound, windowed rates, the
+``timeseries.json`` dump, and the background sampler."""
+
+import threading
+import time
 
 import pytest
 
-from repro.obs import MetricsScraper, TimeSeriesStore
+from repro.obs import FleetView, fleetview
+
+from _stub_backend import StubBackend, StubFleet
 
 
-class FakeClock:
-    """Deterministic injectable clock: tests advance it explicitly."""
-
-    def __init__(self, t: float = 0.0) -> None:
-        self.t = t
-
-    def __call__(self) -> float:
-        return self.t
-
-    def advance(self, dt: float) -> float:
-        self.t += dt
-        return self.t
+def _qps(fleet: StubFleet) -> float:
+    """The doc's ``serve.completed`` rate; taking the document adds one
+    sample of the stub's current stats at the current fake time."""
+    return fleet.view.fleet_doc()["fleet"]["qps"]
 
 
 class TestStore:
-    def test_record_and_series_roundtrip(self):
-        clock = FakeClock()
-        store = TimeSeriesStore(8, clock=clock)
-        store.record("a", 1.0)
-        clock.advance(1.0)
-        store.record("a", 2.0)
-        assert store.series("a") == [(0.0, 1.0), (1.0, 2.0)]
-        assert store.latest("a") == 2.0
-        assert store.latest("missing", default=-1.0) == -1.0
-
     def test_ring_buffer_evicts_oldest(self):
-        clock = FakeClock()
-        store = TimeSeriesStore(4, clock=clock)
-        for i in range(10):
-            store.record("a", float(i), t=float(i))
-        points = store.series("a")
-        assert len(points) == 4
-        assert points[0] == (6.0, 6.0) and points[-1] == (9.0, 9.0)
+        fleet = StubFleet()
+        extra = 10
+        for i in range(fleetview.HISTORY_SAMPLES + extra):
+            fleet.feed(float(i), {"a": float(i)})
+        points = fleet.view.timeseries()["series"]["a"]
+        assert len(points) == fleetview.HISTORY_SAMPLES
+        assert points[0] == [float(extra), float(extra)]
+        assert points[-1][0] == float(fleetview.HISTORY_SAMPLES + extra - 1)
 
     def test_ingest_stamps_one_instant(self):
-        clock = FakeClock(5.0)
-        store = TimeSeriesStore(8, clock=clock)
-        store.ingest({"a": 1.0, "b": 2.0})
-        assert store.series("a") == [(5.0, 1.0)]
-        assert store.series("b") == [(5.0, 2.0)]
-
-    def test_names_sorted_and_prefixed(self):
-        store = TimeSeriesStore(8, clock=FakeClock())
-        for name in ("serve.b", "fleet.a", "serve.a"):
-            store.record(name, 0.0)
-        assert store.names() == ["fleet.a", "serve.a", "serve.b"]
-        assert store.names("serve.") == ["serve.a", "serve.b"]
+        fleet = StubFleet()
+        fleet.feed(5.0, {"a": 1.0, "b": 2.0})
+        series = fleet.view.timeseries()["series"]
+        assert series == {"a": [[5.0, 1.0]], "b": [[5.0, 2.0]]}
 
     def test_window_filters_by_time(self):
-        clock = FakeClock()
-        store = TimeSeriesStore(32, clock=clock)
-        for i in range(10):
-            store.record("a", float(i), t=float(i))
-        clock.t = 9.0
-        assert [v for _, v in store.window("a", 3.0)] == [6.0, 7.0, 8.0, 9.0]
+        fleet = StubFleet()
+        fleet.feed(0.0, {"serve.completed": 0.0})
+        fleet.feed(1.0, {"serve.completed": 100.0})
+        fleet.feed(7.0, {"serve.completed": 100.0})
+        fleet.feed(8.0, {"serve.completed": 102.0})
+        fleet.clock.t = 9.0
+        fleet.backend.values["serve.completed"] = 104.0
+        # only t = 7, 8, 9 are inside the 5 s window: the early burst
+        # of 100 is not in the rate
+        assert _qps(fleet) == pytest.approx(2.0)
 
     def test_rate_over_window(self):
-        clock = FakeClock()
-        store = TimeSeriesStore(32, clock=clock)
+        fleet = StubFleet()
         # a counter climbing 2/s for 5 seconds
-        for i in range(6):
-            store.record("completed", 2.0 * i, t=float(i))
-        clock.t = 5.0
-        assert store.rate("completed", 5.0) == pytest.approx(2.0)
+        for i in range(5):
+            fleet.feed(float(i), {"serve.completed": 2.0 * i})
+        fleet.clock.t = 5.0
+        fleet.backend.values["serve.completed"] = 10.0
+        assert _qps(fleet) == pytest.approx(2.0)
 
     def test_rate_needs_two_samples_and_clamps_resets(self):
-        clock = FakeClock()
-        store = TimeSeriesStore(8, clock=clock)
-        assert store.rate("a", 5.0) == 0.0
-        store.record("a", 100.0, t=0.0)
-        clock.t = 1.0
-        assert store.rate("a", 5.0) == 0.0  # one sample
+        fleet = StubFleet({"serve.completed": 100.0})
+        assert _qps(fleet) == 0.0  # the document's own sample is the first
         # counter reset (replica restart): never a negative rate
-        store.record("a", 3.0, t=1.0)
-        assert store.rate("a", 5.0) == 0.0
+        fleet.clock.t = 1.0
+        fleet.backend.values["serve.completed"] = 3.0
+        assert _qps(fleet) == 0.0
 
     def test_flat_series_rates_as_zero(self):
-        clock = FakeClock()
-        store = TimeSeriesStore(8, clock=clock)
+        fleet = StubFleet()
         for i in range(4):
-            store.record("a", 7.0, t=float(i))
-        clock.t = 3.0
-        assert store.rate("a", 10.0) == 0.0
+            fleet.feed(float(i), {"serve.completed": 7.0})
+        assert _qps(fleet) == 0.0
 
     def test_delta_over_window(self):
-        clock = FakeClock()
-        store = TimeSeriesStore(8, clock=clock)
-        store.record("drops", 1.0, t=0.0)
-        store.record("drops", 6.0, t=2.0)
-        clock.t = 2.0
-        assert store.delta("drops", 5.0) == pytest.approx(5.0)
-        assert store.delta("drops", 0.5) == 0.0  # only one sample inside
-
-    def test_percentile_and_mean(self):
-        clock = FakeClock()
-        store = TimeSeriesStore(256, clock=clock)
-        for i in range(101):
-            store.record("lat", float(i), t=float(i))
-        clock.t = 100.0
-        assert store.percentile("lat", 0.5) == pytest.approx(50.0)
-        assert store.percentile("lat", 0.95) == pytest.approx(95.0)
-        assert store.mean("lat") == pytest.approx(50.0)
-        # windowed variants see only the tail
-        assert store.percentile("lat", 0.0, seconds=10.0) == 90.0
-        assert store.mean("lat", seconds=10.0) == pytest.approx(95.0)
-
-    def test_percentile_validates_q(self):
-        store = TimeSeriesStore(8, clock=FakeClock())
-        with pytest.raises(ValueError, match="quantile"):
-            store.percentile("a", 1.5)
-
-    def test_bad_max_samples_rejected(self):
-        with pytest.raises(ValueError, match="max_samples"):
-            TimeSeriesStore(1)
+        # 4 failures in all, but only 2 of them in the last 5 s: under
+        # the drop-spike threshold of 3
+        fleet = StubFleet()
+        fleet.feed(0.0, {"fleet.failed": 0.0})
+        fleet.feed(8.0, {"fleet.failed": 2.0})
+        fleet.feed(12.0, {"fleet.failed": 4.0})
+        assert fleet.kinds() == []
+        fleet.feed(13.0, {"fleet.failed": 5.0})
+        (f,) = fleet.view.findings()
+        assert (f.kind, f.value) == ("drop-spike", 3.0)
 
     def test_to_dict_is_json_shaped(self):
-        clock = FakeClock(2.0)
-        store = TimeSeriesStore(8, clock=clock)
-        store.record("a", 1.5)
-        doc = store.to_dict()
-        assert doc["max_samples"] == 8
-        assert doc["series"] == {"a": [[2.0, 1.5]]}
+        fleet = StubFleet()
+        fleet.feed(2.0, {"b": 1.5, "a": 4})
+        fleet.clock.t = 3.0
+        doc = fleet.view.timeseries()
+        assert doc == {"max_samples": fleetview.HISTORY_SAMPLES,
+                       "captured_at": 3.0,
+                       "series": {"a": [[2.0, 4.0]], "b": [[2.0, 1.5]]}}
+        assert list(doc["series"]) == ["a", "b"]  # name-sorted
 
 
 class TestScraper:
     def test_scrape_once_ingests_and_counts(self):
-        store = TimeSeriesStore(8, clock=FakeClock())
-        scraper = MetricsScraper(lambda: {"a": 1.0}, store)
-        assert scraper.scrape_once()
-        assert scraper.scrapes == 1 and scraper.errors == 0
-        assert store.latest("a") == 1.0
+        view = FleetView(StubBackend({"a": 1.0}))
+        assert view.sample()
+        assert view.scrapes == 1 and view.scrape_errors == 0
+        assert [v for _, v in view.timeseries()["series"]["a"]] == [1.0]
 
     def test_source_errors_counted_not_raised(self):
-        store = TimeSeriesStore(8, clock=FakeClock())
-
         def dying():
             raise RuntimeError("replica went away")
 
-        scraper = MetricsScraper(dying, store)
-        assert not scraper.scrape_once()
-        assert scraper.errors == 1 and scraper.scrapes == 0
+        view = FleetView(StubBackend(dying))
+        assert not view.sample()
+        assert view.scrape_errors == 1 and view.scrapes == 0
 
-    def test_hook_runs_after_ingest_and_errors_counted(self):
-        store = TimeSeriesStore(8, clock=FakeClock())
+    def test_hook_runs_after_ingest_and_errors_counted(self, monkeypatch):
         seen: list[float] = []
-        scraper = MetricsScraper(
-            lambda: {"a": 42.0}, store,
-            hook=lambda: seen.append(store.latest("a")))
-        scraper.scrape_once()
-        assert seen == [42.0]  # the hook observes the fresh sample
 
-        def bad_hook():
+        def watching(history, now):
+            seen.append(history[-1][1]["a"])
+            return []
+
+        monkeypatch.setattr(fleetview, "DETECTORS", (watching,))
+        view = FleetView(StubBackend({"a": 42.0}))
+        view.sample()
+        assert seen == [42.0]  # the detectors observe the fresh sample
+
+        def bad(history, now):
             raise RuntimeError("detector bug")
 
-        scraper.hook = bad_hook
-        assert scraper.scrape_once()  # the scrape itself still succeeds
-        assert scraper.errors == 1
+        monkeypatch.setattr(fleetview, "DETECTORS", (bad,))
+        assert view.sample()  # the sample itself still succeeds
+        assert view.scrapes == 2 and view.scrape_errors == 1
 
-    def test_background_thread_scrapes_repeatedly(self):
-        import time
+    def test_background_thread_scrapes_repeatedly(self, monkeypatch):
+        monkeypatch.setattr(fleetview, "INTERVAL_S", 0.01)
 
-        store = TimeSeriesStore(64)
-        with MetricsScraper(lambda: {"a": 1.0}, store,
-                            interval_s=0.01) as scraper:
+        def flaky(history, now):  # a raising detector kills nothing
+            raise RuntimeError("detector bug")
+
+        monkeypatch.setattr(fleetview, "DETECTORS", (flaky,))
+        with FleetView(StubBackend({"a": 1.0})) as view:
             deadline = time.monotonic() + 5.0
-            while scraper.scrapes < 3 and time.monotonic() < deadline:
+            while view.scrapes < 3 and time.monotonic() < deadline:
                 time.sleep(0.01)
-        assert scraper.scrapes >= 3
-        assert len(store.series("a")) >= 3
+        assert view.scrapes >= 3
+        assert view.scrape_errors == view.scrapes
+        assert len(view.timeseries()["series"]["a"]) >= 3
 
-    def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError, match="interval_s"):
-            MetricsScraper(dict, TimeSeriesStore(8), interval_s=0.0)
+    def test_stop_joins_the_sampler_without_waiting_out_the_interval(self):
+        before = set(threading.enumerate())
+        view = FleetView(StubBackend({"a": 1.0})).start()
+        (sampler,) = set(threading.enumerate()) - before
+        assert view.start() is view  # idempotent: still one thread
+        assert len(set(threading.enumerate()) - before) == 1
+        while view.scrapes < 1:  # now it sleeps on the interval
+            time.sleep(0.001)
+        started = time.monotonic()
+        view.stop()
+        assert time.monotonic() - started < fleetview.INTERVAL_S / 2
+        assert not sampler.is_alive()
+        with view:
+            pass
+        assert set(threading.enumerate()) <= before

@@ -11,7 +11,7 @@ from repro import DecompositionConfig, decompose_graph, kernels, optimize
 from repro.core import estimate_peak_internal
 from repro.ir import graph_fingerprint
 from repro.models import MODEL_ZOO, build_model
-from repro.obs import MemoryDriftDetector, TimeSeriesStore
+from repro.obs.fleetview import memory_drift
 from repro.plan import plan_memory
 from repro.runtime import InferenceSession
 from repro.serve import InferenceServer, ServerConfig
@@ -239,12 +239,13 @@ class TestBucketsUnderABudget:
                     (n,) + graph.inputs[0].shape[1:]).astype(np.float32),
                     timeout=10.0)
             stats = server.stats()
-        store = TimeSeriesStore(16)
-        for key in ("serve.measured_peak_bytes", "plan.planned_peak_bytes"):
-            store.record(key, stats[key])
+        # the planned-peak rule alone: this plan fills its budget, which
+        # the watermark rule flags whatever the bucket
+        snapshot = {key: stats[key] for key in ("serve.measured_peak_bytes",
+                                                "plan.planned_peak_bytes")}
         assert stats["serve.measured_peak_bytes"] \
             <= stats["plan.planned_peak_bytes"] <= plan.budget_bytes
-        assert MemoryDriftDetector().check(store) == []
+        assert memory_drift([(0.0, snapshot)], 0.0) == []
 
     def test_a_bucket_the_budget_cannot_hold_is_refused(self, planned,
                                                         monkeypatch):
