@@ -13,7 +13,9 @@ A from-scratch NumPy stack:
 - :mod:`repro.data` — synthetic datasets + metrics,
 - :mod:`repro.bench` — drivers regenerating the paper's figures,
 - :mod:`repro.tune` — fused-kernel tile autotuning with a persistent
-  compiled-plan cache.
+  compiled-plan cache,
+- :mod:`repro.cli` — the ``python -m repro`` commands, one module per
+  subsystem (``compile`` / ``observe`` / ``serving``).
 
 Quickstart::
 

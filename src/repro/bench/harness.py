@@ -16,7 +16,6 @@ import contextlib
 import functools
 import os
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -27,11 +26,9 @@ from ..data.synthetic import random_inputs
 from ..decompose import DecompositionConfig, decompose_graph
 from ..ir.graph import Graph
 from ..models import MODEL_ZOO, build_model
-from ..obs import Tracer, use_tracer, write_trace
 
 __all__ = ["VariantSet", "build_variants", "variant_names_for", "format_table",
-           "bar_chart", "geomean", "fast_mode", "trace_figures",
-           "use_tuned_fusion", "MIB"]
+           "bar_chart", "geomean", "fast_mode", "use_tuned_fusion", "MIB"]
 
 MIB = 1024 * 1024
 
@@ -57,28 +54,6 @@ PAPER_LABELS = {
 def fast_mode() -> bool:
     """Honour ``REPRO_BENCH_FAST=1`` to shrink benchmark workloads."""
     return os.environ.get("REPRO_BENCH_FAST", "0") not in ("0", "")
-
-
-@contextlib.contextmanager
-def trace_figures(path: str | Path | None):
-    """Trace a figure run end to end and dump the trace on exit.
-
-    Installs a fresh :class:`repro.obs.Tracer` as the ambient tracer
-    for the ``with`` body — every compile decision and executor span of
-    the figure run lands in it — then writes ``path`` (Chrome trace
-    JSON, or JSONL when the suffix is ``.jsonl``).  A falsy ``path``
-    makes the whole thing a no-op, so callers can thread an optional
-    CLI flag straight through.  Note: ``build_variants`` caches, so a
-    model compiled by an earlier figure run contributes no compile
-    spans the second time.
-    """
-    if not path:
-        yield None
-        return
-    tracer = Tracer()
-    with use_tracer(tracer):
-        yield tracer
-    write_trace(tracer, path)
 
 
 #: ambient tuned-tile lookup installed by :func:`use_tuned_fusion`;

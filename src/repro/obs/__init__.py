@@ -44,8 +44,7 @@ from .metrics import Histogram, MetricsRegistry
 from .profile import (OpStat, ProfileReport, collapsed_stacks, profile_spans,
                       profile_tracer, write_collapsed_stacks)
 from .prometheus import prometheus_metric_name, prometheus_text
-from .slo import (SLObjective, SLOMonitor, SLOStatus, evaluate_histogram,
-                  parse_slo, parse_slos)
+from .slo import SLObjective, SLOMonitor, SLOStatus, parse_slo, parse_slos
 from .tracer import (NOOP_TRACER, NoopTracer, TaggedTracer, Tracer,
                      configure_logging, get_tracer, new_trace_id, set_tracer,
                      use_tracer)
@@ -72,7 +71,6 @@ __all__ = [
     "SLObjective",
     "SLOMonitor",
     "SLOStatus",
-    "evaluate_histogram",
     "parse_slo",
     "parse_slos",
     "prometheus_text",

@@ -85,19 +85,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def fraction_below(self, threshold: float) -> float:
-        """Estimated fraction of observations ``<= threshold``.
-
-        Computed over the reservoir (exact below ``max_samples``
-        observations); the SLO monitor uses it to turn a latency
-        histogram into a compliance ratio.  An empty histogram reports
-        1.0 — no observations, no violations.
-        """
-        if not self._samples:
-            return 1.0
-        below = sum(1 for v in self._samples if v <= threshold)
-        return below / len(self._samples)
-
     def quantile(self, q: float) -> float:
         """Linearly interpolated quantile over the reservoir, ``q`` in
         [0, 1].  Well-defined on every series: an empty histogram

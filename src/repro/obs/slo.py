@@ -22,15 +22,8 @@ rely on.
 ``good_ratio`` / ``events`` gauges into a
 :class:`~repro.obs.MetricsRegistry`, so the serving frontend's
 ``GET /metrics`` exposes them to Prometheus with zero extra wiring,
-and the loadgen report can gate CI on them (``repro loadgen
---slo-p95-ms ... --slo-availability ...`` exits non-zero on
-violation).
-
-Histograms complement this: :meth:`Histogram.fraction_below
-<repro.obs.metrics.Histogram.fraction_below>` turns an existing
-cumulative latency histogram into a compliance ratio for offline
-evaluation (:func:`evaluate_histogram`), while the monitor proper
-works on the rolling event window.
+and the loadgen report can gate CI on them (``repro loadgen --slo
+SPEC`` exits non-zero on violation).
 """
 
 from __future__ import annotations
@@ -41,10 +34,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .metrics import Histogram, MetricsRegistry
+from .metrics import MetricsRegistry
 
 __all__ = ["SLObjective", "SLOStatus", "SLOMonitor", "parse_slo",
-           "evaluate_histogram"]
+           "parse_slos"]
 
 
 @dataclass(frozen=True)
@@ -198,9 +191,6 @@ class SLOMonitor:
                                       good=good))
         return statuses
 
-    def violated(self, now: float | None = None) -> list[SLOStatus]:
-        return [s for s in self.evaluate(now) if not s.healthy]
-
     def export_gauges(self, registry: MetricsRegistry, *,
                       prefix: str = "slo") -> list[SLOStatus]:
         """Publish every objective's instantaneous state as gauges.
@@ -221,28 +211,6 @@ class SLOMonitor:
             registry.gauge(f"{base}.healthy", 1.0 if status.healthy else 0.0)
             registry.gauge(f"{base}.target", status.objective.target)
         return statuses
-
-
-def evaluate_histogram(objective: SLObjective, histogram: Histogram,
-                       *, failures: int = 0) -> SLOStatus:
-    """Offline evaluation of a latency objective against an existing
-    cumulative latency histogram (values in **milliseconds**, as
-    ``serve.latency_ms`` records them).
-
-    ``failures`` adds requests that never reached the histogram (shed /
-    rejected / errored) to the denominator as bad events.  Useful for
-    one-shot reports where no rolling monitor ran; the compliance
-    fraction comes from the histogram's reservoir via
-    :meth:`~repro.obs.metrics.Histogram.fraction_below`.
-    """
-    completed = histogram.count
-    total = completed + failures
-    if objective.latency_threshold_ms is None:
-        good = completed
-    else:
-        good = round(completed
-                     * histogram.fraction_below(objective.latency_threshold_ms))
-    return SLOStatus(objective=objective, events=total, good=min(good, total))
 
 
 def parse_slo(spec: str) -> SLObjective:
@@ -294,6 +262,3 @@ def parse_slos(specs: Iterable[str]) -> list[SLObjective]:
         objective = parse_slo(spec)
         seen[objective.name] = objective
     return list(seen.values())
-
-
-__all__.append("parse_slos")

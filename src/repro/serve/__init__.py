@@ -45,7 +45,7 @@ from .loadgen import (LoadgenConfig, LoadgenReport, request_inputs,
                       run_loadgen)
 from .servable import (DeadlineExceeded, Overloaded, Servable, ServeError,
                        ServeFuture, ServerClosed, ServerDraining)
-from .server import InferenceServer, ServerConfig, resolve_plan
+from .server import InferenceServer, ServerConfig
 
 __all__ = [
     "Segment",
@@ -66,7 +66,6 @@ __all__ = [
     "Servable",
     "ServerConfig",
     "InferenceServer",
-    "resolve_plan",
     "LoadgenConfig",
     "LoadgenReport",
     "request_inputs",

@@ -39,10 +39,10 @@
   and failures as bad events); :meth:`stats` re-exports burn-rate
   gauges so ``GET /metrics`` exposes them.
 
-The server serves whatever graph it is given; pair it with
-:func:`resolve_plan` to load the autotuned compiled plan from the
-:mod:`repro.tune` cache at startup so every request reuses the tuned
-tiles.
+The server serves whatever graph it is given; ``repro serve --tuned``
+hands it the autotuned compiled plan from the :mod:`repro.tune` cache
+(:func:`repro.tune.load_cached_plan`) so every request reuses the
+tuned tiles.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from .servable import (DeadlineExceeded, Overloaded, Servable, ServeError,
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["ServerConfig", "InferenceServer", "resolve_plan"]
+__all__ = ["ServerConfig", "InferenceServer"]
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,6 @@ class ServerConfig:
     num_workers: int = 1
     #: admission bound, in requests; the backpressure knob
     max_queue: int = 64
-    #: samples per micro-batch; None = the graph's static batch
-    max_batch: int | None = None
     #: upper bound on how long a worker holds a batch open for
     #: co-riders; the hold lasts only while another worker is running
     #: a batch, so it needs ``num_workers >= 2`` to ever start
@@ -92,8 +90,6 @@ class ServerConfig:
             raise ValueError(f"num_workers must be >= 1, got {self.num_workers}")
         if self.max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
-        if self.max_batch is not None and self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.max_wait_s < 0:
             raise ValueError(f"max_wait_s must be >= 0, got {self.max_wait_s}")
 
@@ -150,7 +146,6 @@ class InferenceServer(Servable):
             self.metrics.gauge("plan.planned_peak_bytes", float(max(
                 bucket.memory_plan.planned_peak_bytes
                 for bucket in self.buckets.offered.values())))
-        self.max_batch = self.config.max_batch or self.graph_batch
         self._not_empty = threading.Condition(self._lock)
         self._queue: deque[_Request] = deque()
         #: batches some worker has taken and not finished running; what
@@ -192,7 +187,7 @@ class InferenceServer(Servable):
             self._workers.append(worker)
         logger.info("serving %s: %d worker(s), batch %d, %s, queue bound "
                     "%d, max wait %.1f ms, batching %s", self.graph.name,
-                    self.config.num_workers, self.max_batch,
+                    self.config.num_workers, self.graph_batch,
                     self.buckets.describe(),
                     self.config.max_queue, self.config.max_wait_s * 1e3,
                     "on" if self.config.batching else "off")
@@ -317,7 +312,7 @@ class InferenceServer(Servable):
     def _fill_batch_locked(self, expired: list[_Request]
                            ) -> list[_Request] | None:
         """Wait for the first live request and take what else is
-        queued, up to ``max_batch`` samples; with batching off, a single
+        queued, up to ``graph_batch`` samples; with batching off, a single
         request.  With the queue drained, hold the batch open — for at
         most ``max_wait_s`` — only while another worker is running a
         batch (a batch held open like this one does not count): the
@@ -338,7 +333,7 @@ class InferenceServer(Servable):
         total = first.samples
         if self.config.batching:
             wait_until = time.monotonic() + self.config.max_wait_s
-            while total < self.max_batch and not self._closed:
+            while total < self.graph_batch and not self._closed:
                 request = self._pop_live_locked(expired)
                 if request is not None:
                     taken.append(request)
@@ -499,29 +494,3 @@ class InferenceServer(Servable):
             tracer.async_slice("batching", request.id, dequeued, exec_start,
                                **base)
         tracer.async_slice("execute", request.id, exec_start, done_us, **base)
-
-
-def resolve_plan(graph: Graph, *, tuned: bool = False, cache_dir=None,
-                 method: str = "tucker", ratio: float = 0.1,
-                 seed: int = 0) -> tuple[Graph, bool]:
-    """The servable plan for ``graph``: the autotuned compiled plan
-    from the :mod:`repro.tune` cache when ``tuned`` and the cache
-    hits, else ``graph`` itself.  Returns ``(plan, cache_hit)``.
-    """
-    if not tuned:
-        return graph, False
-    from ..decompose import DecompositionConfig
-    from ..tune import TuneCache, load_cached_plan
-
-    cached = load_cached_plan(
-        graph, cache=TuneCache(cache_dir),
-        decomposition=DecompositionConfig(method=method, ratio=ratio,
-                                          seed=seed))
-    if cached is None:
-        logger.warning("tune cache miss for %s: serving the raw graph "
-                       "(run `repro tune %s` first)", graph.name, graph.name)
-        return graph, False
-    plan, record = cached
-    logger.info("serving cached compiled plan for %s (key %s, %d tuned "
-                "sites)", graph.name, record.key, len(record.sites))
-    return plan, True

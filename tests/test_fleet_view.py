@@ -9,11 +9,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.fleet import FaultPolicy, RouterConfig
-from repro.obs import (FleetView, Tracer, fleetview, prometheus_text,
+from repro.fleet import (FaultPolicy, PoolConfig, ReplicaPool, Router,
+                         RouterConfig)
+from repro.obs import (FleetView, SLOMonitor, Tracer, fleetview, parse_slos,
+                       prometheus_metric_name, prometheus_text,
                        render_dashboard, to_chrome_trace, use_tracer)
-from repro.serve import (InferenceServer, ServeError, ServerConfig,
-                         serve_http)
+from repro.serve import (InferenceServer, LoadgenConfig, ServeError,
+                         ServerConfig, run_loadgen, serve_http)
 
 from _graph_fixtures import make_chain_graph
 from test_fleet_router import _fleet, _payload
@@ -294,3 +296,64 @@ class TestFleetzEndpoint:
                 status, doc = self._get(frontend.address[1], "/fleetz")
         assert status == 404
         assert "fleet view" in doc["error"]
+
+
+class TestEverySLOViewAgrees:
+    """ROADMAP aim 4, for the SLO surface: ``GET /slo``, the ``slo.*``
+    gauges on ``GET /metrics``, the ``slo`` section of ``GET /fleetz``
+    and ``LoadgenReport.slo`` are four renderings of one monitor."""
+
+    SPECS = ["availability:0.9", "availability:0.5:5",
+             "latency:10000:0.5",  # every served request is inside 10 s
+             "latency:0.000001:0.5:30"]  # ... and none inside a nanosecond
+    FIELDS = ("burn_rate", "good_ratio", "events", "healthy")
+
+    def _check(self, build):
+        now = [0.0]
+        monitor = SLOMonitor(parse_slos(self.SPECS), clock=lambda: now[0])
+        # scripted outcomes on the injected clock: the first four have
+        # aged out of the 5 s window (not the 30 / 60 s ones) by t = 20
+        for latency_s, ok in [(None, False), (0.004, True), (30.0, True),
+                              (None, False)]:
+            monitor.record(latency_s, ok=ok)
+        now[0] = 20.0
+        monitor.record(0.002)
+        monitor.record(ok=False)
+        with build(monitor) as backend:
+            backend.view = FleetView(backend)
+            report = run_loadgen(backend, LoadgenConfig(requests=6,
+                                                        concurrency=2))
+            with serve_http(backend, port=0) as frontend:
+                bodies = {}
+                for path in ("/slo", "/fleetz", "/metrics"):
+                    with urllib.request.urlopen(
+                            f"http://127.0.0.1:{frontend.address[1]}{path}",
+                            timeout=10.0) as resp:
+                        bodies[path] = resp.read()
+        assert report.errors == 0 and report.completed == 6
+        assert len(report.slo) == len(self.SPECS)
+        prom = _prom_samples(bodies["/metrics"].decode())
+        views = {path: {s["name"]: s for s in json.loads(bodies[path])["slo"]}
+                 for path in ("/slo", "/fleetz")}
+        for want in report.slo:
+            name = want["name"]
+            for field in self.FIELDS:
+                assert views["/slo"][name][field] == want[field]
+                assert views["/fleetz"][name][field] == want[field]
+                gauge = prometheus_metric_name(f"slo.{name}.{field}")
+                assert prom[gauge, frozenset()] == float(want[field])
+        by_name = {s["name"]: s for s in report.slo}
+        # the script and the run both show: 6 scripted + 6 served events
+        assert by_name["availability_90"]["events"] == 12
+        assert by_name["availability_50"]["events"] == 8  # 4 aged out
+        assert by_name["latency_10000ms_50"]["good_ratio"] == 8 / 12  # 30 s is late
+        assert not by_name["latency_1e-06ms_50"]["healthy"]
+
+    def test_on_one_server(self):
+        self._check(lambda slo: InferenceServer(
+            make_chain_graph(batch=4), ServerConfig(max_wait_s=0.0), slo=slo))
+
+    def test_on_a_two_replica_fleet(self):
+        self._check(lambda slo: Router(ReplicaPool(
+            make_chain_graph(batch=4), PoolConfig(
+                replicas=2, server=ServerConfig(max_wait_s=0.0))), slo=slo))

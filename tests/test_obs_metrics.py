@@ -72,17 +72,6 @@ class TestHistogram:
         assert set(snap) == {"count", "sum", "mean", "min", "max",
                              "p50", "p95", "p99"}
 
-    def test_fraction_below(self):
-        h = Histogram()
-        for v in range(1, 11):  # 1..10
-            h.observe(float(v))
-        assert h.fraction_below(10.0) == 1.0  # inclusive threshold
-        assert h.fraction_below(5.0) == pytest.approx(0.5)
-        assert h.fraction_below(0.5) == 0.0
-
-    def test_fraction_below_empty_is_vacuously_one(self):
-        assert Histogram().fraction_below(1.0) == 1.0
-
 
 class TestRegistryHistograms:
     def test_observe_creates_and_accumulates(self):

@@ -1,8 +1,4 @@
-"""repro.tune.site_candidates: the grid the tuner enumerates per site.
-
-(The analytic cost model this file was named after is gone; the three
-candidate-grid tests keep their ids.)
-"""
+"""repro.tune.site_candidates: the grid the tuner enumerates per site."""
 
 import pytest
 
