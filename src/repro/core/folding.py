@@ -13,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..ir.graph import Graph
+from ..ir.node import Node
+from ..ir.rewrite import Splice, rewrite
 
 __all__ = ["fold_batchnorm"]
 
@@ -24,28 +26,15 @@ def fold_batchnorm(graph: Graph) -> int:
     of folds.  Batchnorms not preceded by a conv are left in the graph
     (the executor runs them directly).
     """
-    folded = 0
-    changed = True
-    while changed:
-        changed = False
-        consumers = graph.consumer_map()
-        for node in list(graph.nodes):
-            if node.op != "batchnorm2d":
-                continue
-            producer = graph.producer_of(node.inputs[0])
-            if producer is None or producer.op != "conv2d":
-                continue
-            if len(consumers.get(producer.output, ())) != 1:
-                continue
-            _fold_pair(graph, producer, node)
-            folded += 1
-            changed = True
-            break
-    graph.validate()
-    return folded
+    return rewrite(graph, lambda node: node.op == "batchnorm2d", _fold)
 
 
-def _fold_pair(graph: Graph, conv, bn) -> None:
+def _fold(graph: Graph, bn: Node, consumers: dict) -> Splice | None:
+    """Rescale the conv under ``bn`` in place; the batchnorm's uses then
+    read the conv."""
+    conv = graph.producer_of(bn.inputs[0])
+    if conv is None or conv.op != "conv2d" or len(consumers[conv.output]) != 1:
+        return None
     gamma = bn.params["gamma"].astype(np.float64)
     beta = bn.params["beta"].astype(np.float64)
     mean = bn.params["mean"].astype(np.float64)
@@ -62,5 +51,6 @@ def _fold_pair(graph: Graph, conv, bn) -> None:
 
     conv.params["weight"] = new_weight
     conv.params["bias"] = new_bias
-    graph.replace_uses(bn.output, conv.output)
-    graph.remove_node(bn)
+    return Splice([], bn.output, conv.output, "fold", bn.name, "apply",
+                  "sole_consumer_of_conv",
+                  {"conv": conv.name, "channels": int(weight.shape[0])})

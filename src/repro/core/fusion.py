@@ -10,13 +10,13 @@ the fused node consumes one reduced tensor and produces the next.
 Also fuses the degenerate ``lconv → activation → fconv`` chains created
 by the layer transformations (merged block-diagonal lconvs, copied
 restore chains) — the paper's "restorations of skip connections can
-also be hidden in the fused layers".
+also be hidden in the fused layers".  The pass is a rule on
+:func:`repro.ir.rewrite.rewrite`, anchored at each chain's lconv.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,11 +24,10 @@ from ..ir import ops as _ops
 from ..ir.emit import make_node
 from ..ir.graph import Graph
 from ..ir.node import Node
+from ..ir.rewrite import Splice, rewrite
 from ..kernels import DEFAULT_BLOCK_SIZE, site_scratch_bytes
 from ..obs import get_tracer
 from .liveness import simulate
-
-logger = logging.getLogger(__name__)
 
 __all__ = ["FusionConfig", "FusionStats", "fuse_activation_layers",
            "widen_tiles", "MAX_BLOCK_SIZE"]
@@ -100,7 +99,6 @@ class FusionStats:
     epilogues: int = 0
     #: sites :func:`widen_tiles` gave a wider block than ``DEFAULT_BLOCK_SIZE``
     widened: int = 0
-    details: list[str] = field(default_factory=list)
 
 
 def fuse_activation_layers(graph: Graph,
@@ -110,23 +108,9 @@ def fuse_activation_layers(graph: Graph,
     stats = FusionStats()
     tracer = get_tracer()
     with tracer.span("fusion", category="compiler", graph=graph.name):
-        # a chain lies wholly behind its lconv, so fusing one leaves the
-        # schedule before it as it was: the scan goes on from the fused
-        # node (``_fuse`` keeps the consumer map current), and a last
-        # pass that fuses nothing confirms the fixed point
-        changed = True
-        while changed:
-            changed = False
-            consumers = graph.consumer_map()
-            index = 0
-            while index < len(graph.nodes):
-                node = graph.nodes[index]
-                chain = (_match_chain(graph, node, consumers, config)
-                         if _ops.is_lconv(node) else None)
-                if chain is not None:
-                    _fuse(graph, chain, config, stats, consumers)
-                    changed = True
-                index += 1  # past the fused node, which took the lconv's place
+        stats.fused = rewrite(
+            graph, _ops.is_lconv,
+            lambda g, lconv, consumers: _fuse(g, lconv, consumers, config, stats))
         if tracer.enabled:
             # the lconvs left standing are the patterns fusion skipped
             for node in graph.nodes:
@@ -134,7 +118,6 @@ def fuse_activation_layers(graph: Graph,
                     tracer.decision("fusion", node.name, "skip",
                                     "no_fusable_chain",
                                     restored_bytes=node.output.nbytes)
-        graph.validate()
     return stats
 
 
@@ -198,11 +181,13 @@ def _match_chain(graph: Graph, lconv: Node, consumers: dict,
     return _Chain(lconv=lconv, act=act, resample=resample, fconv=cursor)
 
 
-def _fuse(graph: Graph, chain: _Chain, config: FusionConfig,
-          stats: FusionStats, consumers: dict) -> None:
-    """Collapse ``chain`` into one fused node at the lconv's position,
-    leaving ``consumers`` what ``graph.consumer_map()`` would now give."""
-    lconv, fconv = chain.lconv, chain.fconv
+def _fuse(graph: Graph, lconv: Node, consumers: dict, config: FusionConfig,
+          stats: FusionStats) -> Splice | None:
+    """The fused node replacing the chain ``lconv`` anchors, if any."""
+    chain = _match_chain(graph, lconv, consumers, config)
+    if chain is None:
+        return None
+    fconv = chain.fconv
     w1 = lconv.params["weight"]
     params: dict[str, np.ndarray] = {
         "w1": np.ascontiguousarray(w1[:, :, 0, 0]),
@@ -227,9 +212,8 @@ def _fuse(graph: Graph, chain: _Chain, config: FusionConfig,
         "act_params": act_params or None,
         "block_size": block_size,
         "spatial_tile": spatial_tile,
-        "fused_from": [lconv.name, *( [chain.act.name] if chain.act else []),
-                       *( [chain.resample.name] if chain.resample else []),
-                       *( [fconv.name] if fconv is not None else [])],
+        "fused_from": [n.name for n in (lconv, chain.act, chain.resample, fconv)
+                       if n is not None],
     }
     if chain.resample is not None:
         if chain.resample.op in _ops.POOL_OPS:
@@ -258,30 +242,13 @@ def _fuse(graph: Graph, chain: _Chain, config: FusionConfig,
     if fused.output.shape != final.output.shape:  # pragma: no cover - defensive
         raise AssertionError(
             f"fusion shape mismatch: {fused.output.shape} vs {final.output.shape}")
-    graph.insert_before(lconv, [fused])
-    graph.replace_uses(final.output, fused.output)
-    # every chain node is unary and every value inside the chain had the
-    # next chain node as its only consumer: the fused node replaces the
-    # lconv under its input and inherits the consumers of the chain's end
-    users = consumers[lconv.inputs[0]]
-    users[users.index(lconv)] = fused
-    if final.output in consumers:
-        consumers[fused.output] = consumers.pop(final.output)
-    for dead in (chain.fconv, chain.resample, chain.act, chain.lconv):
-        if dead is not None:
-            graph.remove_node(dead)
-            consumers.pop(dead.output, None)
-    stats.fused += 1
-    stats.details.append(fused.name)
-    get_tracer().decision(
-        "fusion", fused.name,
-        "fuse", "restore_epilogue" if fconv is None else "lconv_act_fconv",
-        chain_nodes=len(attrs["fused_from"]),
-        reduced_bytes=lconv.inputs[0].nbytes,
-        restored_bytes=lconv.output.nbytes,
-        block_size=block_size,
-        spatial_tile=spatial_tile)
-    logger.debug("fusion: %s collapses %s", fused.name, attrs["fused_from"])
+    return Splice(
+        [fused], final.output, fused.output, "fusion", fused.name, "fuse",
+        "restore_epilogue" if fconv is None else "lconv_act_fconv",
+        {"chain_nodes": len(attrs["fused_from"]),
+         "reduced_bytes": lconv.inputs[0].nbytes,
+         "restored_bytes": lconv.output.nbytes,
+         "block_size": block_size, "spatial_tile": spatial_tile})
 
 
 def widen_tiles(graph: Graph, config: FusionConfig | None = None) -> int:

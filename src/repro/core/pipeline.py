@@ -157,15 +157,8 @@ class TeMCOCompiler:
             if (self.config.enable_skip_opt
                     and report.skip_opt is not None
                     and report.skip_opt.optimized > 0):
-                no_skip = TeMCOConfig(
-                    enable_skip_opt=False,
-                    enable_transforms=self.config.enable_transforms,
-                    enable_fusion=self.config.enable_fusion,
-                    enable_scheduling=self.config.enable_scheduling,
-                    concat_strategy=self.config.concat_strategy,
-                    skip_opt=self.config.skip_opt,
-                    fusion=self.config.fusion)
-                alt, alt_report = self._run_once(graph, no_skip)
+                alt, alt_report = self._run_once(
+                    graph, replace(self.config, enable_skip_opt=False))
                 if alt_report.peak_after < report.peak_after:
                     tracer.decision(
                         "pipeline", graph.name, "fallback", "no_skip_better",
@@ -179,12 +172,9 @@ class TeMCOCompiler:
                     and (self.config.enable_skip_opt or self.config.enable_transforms)
                     and self.config.enable_fusion):
                 # last-resort guard: fusion alone only ever removes tensors
-                fusion_only = TeMCOConfig(
-                    enable_skip_opt=False, enable_transforms=False,
-                    enable_fusion=True,
-                    enable_scheduling=self.config.enable_scheduling,
-                    concat_strategy="none", fusion=self.config.fusion)
-                alt, alt_report = self._run_once(graph, fusion_only)
+                alt, alt_report = self._run_once(graph, replace(
+                    self.config, enable_skip_opt=False, enable_transforms=False,
+                    concat_strategy="none"))
                 if alt_report.peak_after < report.peak_after:
                     tracer.decision(
                         "pipeline", graph.name, "fallback", "fusion_only_better",
@@ -193,7 +183,7 @@ class TeMCOCompiler:
                     logger.info("pipeline: %s fell back to fusion-only "
                                 "(peak %d B < %d B)", graph.name,
                                 alt_report.peak_after, report.peak_after)
-                    return alt, alt_report
+                    optimized, report = alt, alt_report
             tracer.metrics.gauge("pipeline.peak_before_bytes", report.peak_before)
             tracer.metrics.gauge("pipeline.peak_after_bytes", report.peak_after)
             tracer.metrics.gauge("pipeline.peak_reduction", report.peak_reduction)

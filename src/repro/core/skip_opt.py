@@ -29,7 +29,7 @@ guaranteed wins.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..ir import ops as _ops
 from ..ir.graph import Graph
@@ -99,7 +99,6 @@ class SkipOptStats:
     rejected_global: int = 0
     copies_inserted: int = 0
     nodes_copied: int = 0
-    details: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -228,9 +227,6 @@ def _passes_overhead(skip: SkipConnection, plan: RestorePlan,
     total_copy_flops = plan.flops * copies
     if total_copy_flops > config.compute_slack * plan.orig_flops:
         stats.rejected_compute += 1
-        stats.details.append(
-            f"{skip.value.name}: rejected (copy flops {total_copy_flops:,} > "
-            f"threshold {plan.orig_flops:,})")
         tracer.decision("skip_opt", skip.value.name, "reject",
                         "compute_overhead", copy_flops=total_copy_flops,
                         threshold_flops=config.compute_slack * plan.orig_flops,
@@ -241,9 +237,6 @@ def _passes_overhead(skip: SkipConnection, plan: RestorePlan,
     freed = skip.value.nbytes + sum(r.nbytes for r in plan.reduced)
     if plan.peak > config.memory_slack * freed:
         stats.rejected_memory += 1
-        stats.details.append(
-            f"{skip.value.name}: rejected (chain peak {plan.peak:,} B > "
-            f"{config.memory_slack}x freed {freed:,} B)")
         tracer.decision("skip_opt", skip.value.name, "reject",
                         "memory_overhead", chain_peak_bytes=plan.peak,
                         freed_bytes=freed, memory_slack=config.memory_slack)
@@ -274,8 +267,6 @@ def optimize_skip_connections(graph: Graph,
                 plan = find_reduced(graph, skip.producer, config.max_chain_nodes)
                 if plan is None:
                     stats.rejected_no_chain += 1
-                    stats.details.append(
-                        f"{skip.value.name}: no reduced restore chain")
                     tracer.decision("skip_opt", skip.value.name, "reject",
                                     "no_chain", skip_bytes=skip.value.nbytes,
                                     far_uses=len(skip.far_uses))
@@ -291,9 +282,6 @@ def optimize_skip_connections(graph: Graph,
                     if new_peak >= baseline_peak and new_peak > 0:
                         _rollback(graph, skip, inserted)
                         stats.rejected_global += 1
-                        stats.details.append(
-                            f"{skip.value.name}: rolled back (peak {new_peak:,} B "
-                            f">= baseline {baseline_peak:,} B)")
                         tracer.decision("skip_opt", skip.value.name, "reject",
                                         "global_peak", new_peak_bytes=new_peak,
                                         baseline_peak_bytes=baseline_peak)

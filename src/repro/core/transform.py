@@ -21,12 +21,17 @@ skip-connection *join* points:
   because nearest-neighbour upsampling replicates elements, which
   commutes with any element-wise op and with 1×1 convolutions; it moves
   the upsample onto the *reduced* tensor so the join becomes mergeable.
+- :func:`push_act_through_concat` normalizes DenseNet's composite
+  function: ``conv1×1 ∘ act ∘ concat`` ⇒ ``conv1×1 ∘ concat ∘ act``
+  per branch, exposing the join to the concat split.
+
+Each is a rule on :func:`repro.ir.rewrite.rewrite`, which does the
+splicing, the clean-up and the decision log for all of them.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +39,8 @@ from ..ir import ops as _ops
 from ..ir.emit import make_node
 from ..ir.graph import Graph
 from ..ir.node import Node
-from ..obs import get_tracer
-
-logger = logging.getLogger(__name__)
+from ..ir.rewrite import Splice, rewrite
+from ..ir.value import Value
 
 __all__ = ["TransformStats", "merge_lconv_concat", "merge_lconv_add",
            "split_concat_fconv", "commute_upsample_lconv",
@@ -50,7 +54,6 @@ class TransformStats:
     split_concats: int = 0
     commuted_upsamples: int = 0
     pushed_acts: int = 0
-    details: list[str] = field(default_factory=list)
 
     def total(self) -> int:
         return (self.merged_concats + self.merged_adds + self.split_concats
@@ -83,6 +86,16 @@ def _branch_chain(graph: Graph, consumers: dict, value,
     if not _ops.is_lconv(producer):
         return None
     return act, producer
+
+
+def _is_channel_concat(node: Node) -> bool:
+    return node.op == "concat" and int(node.attrs.get("axis", 1)) == 1
+
+
+def _moved_act(graph: Graph, act: Node, x: Value, name: str) -> Node:
+    """``act`` rebuilt on ``x``: the same op with the same attrs (a
+    ``leaky_relu``'s slope, an ``elu``'s alpha)."""
+    return make_node(graph, act.op, [x], attrs=dict(act.attrs), name=name)
 
 
 def _merged_lconv_params(lconvs: list[Node | int], layout: str) -> dict[str, np.ndarray]:
@@ -146,6 +159,18 @@ def _merged_attrs(lconvs: list[Node | int]) -> dict:
     }
 
 
+def _merged_lconv(graph: Graph, join: Node, reduced: list[Value],
+                  lconvs: list[Node | int], layout: str) -> list[Node]:
+    """``concat(reduced) → merged lconv``, the nodes replacing ``join``."""
+    cat_reduced = make_node(graph, "concat", reduced, attrs={"axis": 1},
+                            name=f"{join.name}.reduced")
+    merged = make_node(graph, "conv2d", [cat_reduced.output],
+                       attrs=_merged_attrs(lconvs),
+                       params=_merged_lconv_params(lconvs, layout),
+                       name=f"{join.name}.merged_lconv")
+    return [cat_reduced, merged]
+
+
 # ---------------------------------------------------------------------------
 # concat merge (Fig. 9b -> 9a)
 # ---------------------------------------------------------------------------
@@ -153,81 +178,42 @@ def _merged_attrs(lconvs: list[Node | int]) -> dict:
 def merge_lconv_concat(graph: Graph, stats: TransformStats | None = None) -> TransformStats:
     """Merge every eligible channel-concat of restore chains."""
     stats = stats or TransformStats()
-    changed = True
-    while changed:
-        changed = False
-        consumers = graph.consumer_map()
-        for node in list(graph.nodes):
-            if node.op != "concat" or int(node.attrs.get("axis", 1)) != 1:
-                continue
-            if _try_merge_concat(graph, node, consumers, stats):
-                changed = True
-                break
-    graph.validate()
+    stats.merged_concats += rewrite(graph, _is_channel_concat, _merge_concat)
     return stats
 
 
-def _try_merge_concat(graph: Graph, concat: Node, consumers: dict,
-                      stats: TransformStats) -> bool:
+def _merge_concat(graph: Graph, concat: Node, consumers: dict) -> Splice | None:
     # classify branches: restore chains ([act ∘] lconv) or passthroughs
     # (anything else — kept as an identity block in the merged weight)
-    chains: list[tuple[Node | None, Node] | None] = []
-    num_lconv = 0
-    for v in concat.inputs:
-        chain = _branch_chain(graph, consumers, v, allow_act=True)
-        chains.append(chain)
-        if chain is not None:
-            num_lconv += 1
-    if num_lconv == 0:
-        return False
-    acts = {chain[0].op if chain[0] is not None else None
-            for chain in chains if chain is not None}
-    if len(acts) != 1:
-        return False  # paper: applicable when the sequences share the activation
-    act_kind = acts.pop()
-    has_passthrough = any(chain is None for chain in chains)
-    if has_passthrough and act_kind is not None:
+    chains = [_branch_chain(graph, consumers, v, allow_act=True)
+              for v in concat.inputs]
+    acts = [chain[0] for chain in chains if chain is not None]
+    if not acts:
+        return None
+    # paper: applicable when the sequences share the activation — its
+    # attrs included, or one slope would stand in for another
+    kinds = [None if act is None else (act.op, act.attrs) for act in acts]
+    if any(kind != kinds[0] for kind in kinds):
+        return None
+    act = acts[0]
+    if act is not None and len(acts) < len(chains):
         # a passthrough branch cannot be routed below a shared activation
-        return False
-    lconvs: list[Node | int] = []
-    reduced = []
-    for v, chain in zip(concat.inputs, chains):
-        if chain is None:
-            lconvs.append(v.shape[1])
-            reduced.append(v)
-        else:
-            lconvs.append(chain[1])
-            reduced.append(chain[1].inputs[0])
-
-    cat_reduced = make_node(graph, "concat", reduced, attrs={"axis": 1},
-                            name=f"{concat.name}.reduced")
-    merged = make_node(graph, "conv2d", [cat_reduced.output],
-                       attrs=_merged_attrs(lconvs),
-                       params=_merged_lconv_params(lconvs, "block_diag"),
-                       name=f"{concat.name}.merged_lconv")
-    new_nodes = [cat_reduced, merged]
-    final = merged
-    if act_kind is not None:
-        act_node = make_node(graph, act_kind, [merged.output],
-                             name=f"{concat.name}.merged_{act_kind}")
-        new_nodes.append(act_node)
-        final = act_node
-    graph.insert_before(concat, new_nodes)
-    graph.replace_uses(concat.output, final.output)
-    graph.remove_node(concat)
-    graph.dead_code_eliminate()
-    stats.merged_concats += 1
-    stats.details.append(f"concat {concat.name} -> merged lconv over "
-                         f"{len(lconvs)} reduced branches")
-    get_tracer().decision(
+        return None
+    lconvs = [v.shape[1] if chain is None else chain[1]
+              for v, chain in zip(concat.inputs, chains)]
+    reduced = [v if chain is None else chain[1].inputs[0]
+               for v, chain in zip(concat.inputs, chains)]
+    new_nodes = _merged_lconv(graph, concat, reduced, lconvs, "block_diag")
+    if act is not None:
+        new_nodes.append(_moved_act(graph, act, new_nodes[-1].output,
+                                    f"{concat.name}.merged_{act.op}"))
+    return Splice(
+        new_nodes, concat.output, new_nodes[-1].output,
         "transform.merge_concat", concat.name, "apply", "all_branches_restorable",
-        branches=len(lconvs),
-        passthrough_branches=sum(1 for c in chains if c is None),
-        merged_weight_bytes=merged.params["weight"].nbytes,
-        concat_bytes=concat.output.nbytes)
-    logger.debug("transform: merged concat %s over %d branches",
-                 concat.name, len(lconvs))
-    return True
+        {"branches": len(lconvs),
+         "passthrough_branches": len(chains) - len(acts),
+         "merged_weight_bytes": new_nodes[1].params["weight"].nbytes,
+         "concat_bytes": concat.output.nbytes})
 
 
 # ---------------------------------------------------------------------------
@@ -237,50 +223,27 @@ def _try_merge_concat(graph: Graph, concat: Node, consumers: dict,
 def merge_lconv_add(graph: Graph, stats: TransformStats | None = None) -> TransformStats:
     """Merge every add whose operands are all restore convolutions."""
     stats = stats or TransformStats()
-    changed = True
-    while changed:
-        changed = False
-        consumers = graph.consumer_map()
-        for node in list(graph.nodes):
-            if node.op != "add":
-                continue
-            chains = []
-            for v in node.inputs:
-                chain = _branch_chain(graph, consumers, v, allow_act=False)
-                if chain is None:
-                    chains = None
-                    break
-                chains.append(chain)
-            if not chains:
-                continue
-            lconvs = [c[1] for c in chains]
-            if len({n.params["weight"].shape[0] for n in lconvs}) != 1:
-                continue
-            reduced = [n.inputs[0] for n in lconvs]
-            cat_reduced = make_node(graph, "concat", reduced, attrs={"axis": 1},
-                                    name=f"{node.name}.reduced")
-            merged = make_node(graph, "conv2d", [cat_reduced.output],
-                               attrs=_merged_attrs(lconvs),
-                               params=_merged_lconv_params(lconvs, "horizontal"),
-                               name=f"{node.name}.merged_lconv")
-            graph.insert_before(node, [cat_reduced, merged])
-            graph.replace_uses(node.output, merged.output)
-            graph.remove_node(node)
-            graph.dead_code_eliminate()
-            stats.merged_adds += 1
-            stats.details.append(f"add {node.name} -> merged lconv over "
-                                 f"{len(lconvs)} reduced branches")
-            get_tracer().decision(
-                "transform.merge_add", node.name, "apply",
-                "all_operands_restorable", branches=len(lconvs),
-                merged_weight_bytes=merged.params["weight"].nbytes,
-                add_bytes=node.output.nbytes)
-            logger.debug("transform: merged add %s over %d branches",
-                         node.name, len(lconvs))
-            changed = True
-            break
-    graph.validate()
+    stats.merged_adds += rewrite(graph, lambda node: node.op == "add",
+                                 _merge_add)
     return stats
+
+
+def _merge_add(graph: Graph, add: Node, consumers: dict) -> Splice | None:
+    chains = [_branch_chain(graph, consumers, v, allow_act=False)
+              for v in add.inputs]
+    if any(chain is None for chain in chains):
+        return None
+    lconvs = [lconv for _act, lconv in chains]
+    if len({n.params["weight"].shape[0] for n in lconvs}) != 1:
+        return None
+    new_nodes = _merged_lconv(graph, add, [n.inputs[0] for n in lconvs],
+                              lconvs, "horizontal")
+    return Splice(
+        new_nodes, add.output, new_nodes[-1].output,
+        "transform.merge_add", add.name, "apply", "all_operands_restorable",
+        {"branches": len(lconvs),
+         "merged_weight_bytes": new_nodes[1].params["weight"].nbytes,
+         "add_bytes": add.output.nbytes})
 
 
 # ---------------------------------------------------------------------------
@@ -290,74 +253,59 @@ def merge_lconv_add(graph: Graph, stats: TransformStats | None = None) -> Transf
 def split_concat_fconv(graph: Graph, stats: TransformStats | None = None) -> TransformStats:
     """Split ``concat → 1×1 conv`` into per-branch convs + add."""
     stats = stats or TransformStats()
-    changed = True
-    while changed:
-        changed = False
-        consumers = graph.consumer_map()
-        for node in list(graph.nodes):
-            if node.op != "concat" or int(node.attrs.get("axis", 1)) != 1:
-                continue
-            users = consumers.get(node.output, [])
-            if len(users) != 1 or not _ops.is_pointwise_conv(users[0]):
-                continue
-            fconv = users[0]
-            if "merged_from" in fconv.attrs:
-                continue  # never split a merged lconv back apart
-            # the split pays off only when per-branch fusion can consume
-            # it: require at least one branch to end in a restore chain
-            # (otherwise it just multiplies full-size branch outputs)
-            if not any(_branch_chain(graph, consumers, v, allow_act=True)
-                       for v in node.inputs):
-                continue
-            weight = fconv.params["weight"]
-            # interleave branch convs with a chain of binary adds so at
-            # most one branch result and the running accumulator are live
-            # at a time (an n-ary add would hold every branch at once and
-            # inflate the peak the split is meant to shrink)
-            new_nodes: list[Node] = []
-            acc = None
-            offset = 0
-            for i, v in enumerate(node.inputs):
-                c = v.shape[1]
-                params = {"weight": weight[:, offset:offset + c].copy()}
-                if i == 0 and "bias" in fconv.params:
-                    params["bias"] = fconv.params["bias"]
-                attrs = {"stride": [1, 1], "padding": [0, 0], "groups": 1,
-                         "split_from": fconv.name}
-                if fconv.attrs.get("role"):
-                    attrs["role"] = fconv.attrs["role"]
-                if "orig_flops" in fconv.attrs:
-                    attrs["orig_flops"] = int(fconv.attrs["orig_flops"])
-                branch = make_node(graph, "conv2d", [v], attrs=attrs, params=params,
-                                   name=f"{fconv.name}.branch{i}")
-                new_nodes.append(branch)
-                if acc is None:
-                    acc = branch.output
-                else:
-                    add = make_node(graph, "add", [acc, branch.output],
-                                    name=f"{fconv.name}.acc{i}")
-                    new_nodes.append(add)
-                    acc = add.output
-                offset += c
-            graph.insert_before(node, new_nodes)
-            graph.replace_uses(fconv.output, acc)
-            graph.remove_node(fconv)
-            graph.remove_node(node)
-            graph.dead_code_eliminate()
-            stats.split_concats += 1
-            stats.details.append(f"concat {node.name} + fconv {fconv.name} -> "
-                                 f"{len(node.inputs)} branch convs + add chain")
-            get_tracer().decision(
-                "transform.split_concat", node.name, "apply",
-                "restorable_branch_present", branches=len(node.inputs),
-                fconv=fconv.name, fconv_weight_bytes=weight.nbytes,
-                concat_bytes=node.output.nbytes)
-            logger.debug("transform: split concat %s + fconv %s into %d branches",
-                         node.name, fconv.name, len(node.inputs))
-            changed = True
-            break
-    graph.validate()
+    stats.split_concats += rewrite(graph, _is_channel_concat, _split_concat)
     return stats
+
+
+def _split_concat(graph: Graph, concat: Node, consumers: dict) -> Splice | None:
+    users = consumers.get(concat.output, [])
+    if len(users) != 1 or not _ops.is_pointwise_conv(users[0]):
+        return None
+    fconv = users[0]
+    if "merged_from" in fconv.attrs:
+        return None  # never split a merged lconv back apart
+    # the split pays off only when per-branch fusion can consume
+    # it: require at least one branch to end in a restore chain
+    # (otherwise it just multiplies full-size branch outputs)
+    if not any(_branch_chain(graph, consumers, v, allow_act=True)
+               for v in concat.inputs):
+        return None
+    weight = fconv.params["weight"]
+    # interleave branch convs with a chain of binary adds so at
+    # most one branch result and the running accumulator are live
+    # at a time (an n-ary add would hold every branch at once and
+    # inflate the peak the split is meant to shrink)
+    new_nodes: list[Node] = []
+    acc = None
+    offset = 0
+    for i, v in enumerate(concat.inputs):
+        c = v.shape[1]
+        params = {"weight": weight[:, offset:offset + c].copy()}
+        if i == 0 and "bias" in fconv.params:
+            params["bias"] = fconv.params["bias"]
+        attrs = {"stride": [1, 1], "padding": [0, 0], "groups": 1,
+                 "split_from": fconv.name}
+        if fconv.attrs.get("role"):
+            attrs["role"] = fconv.attrs["role"]
+        if "orig_flops" in fconv.attrs:
+            attrs["orig_flops"] = int(fconv.attrs["orig_flops"])
+        branch = make_node(graph, "conv2d", [v], attrs=attrs, params=params,
+                           name=f"{fconv.name}.branch{i}")
+        new_nodes.append(branch)
+        if acc is None:
+            acc = branch.output
+        else:
+            add = make_node(graph, "add", [acc, branch.output],
+                            name=f"{fconv.name}.acc{i}")
+            new_nodes.append(add)
+            acc = add.output
+        offset += c
+    return Splice(
+        new_nodes, fconv.output, acc,
+        "transform.split_concat", concat.name, "apply", "restorable_branch_present",
+        {"branches": len(concat.inputs), "fconv": fconv.name,
+         "fconv_weight_bytes": weight.nbytes,
+         "concat_bytes": concat.output.nbytes})
 
 
 # ---------------------------------------------------------------------------
@@ -376,48 +324,28 @@ def push_act_through_concat(graph: Graph, stats: TransformStats | None = None) -
     it would just duplicate work.
     """
     stats = stats or TransformStats()
-    changed = True
-    while changed:
-        changed = False
-        consumers = graph.consumer_map()
-        for node in list(graph.nodes):
-            if node.op != "concat" or int(node.attrs.get("axis", 1)) != 1:
-                continue
-            users = consumers.get(node.output, [])
-            if len(users) != 1 or users[0].op not in _ops.ACTIVATION_OPS:
-                continue
-            act = users[0]
-            act_users = consumers.get(act.output, [])
-            if len(act_users) != 1 or not _ops.is_pointwise_conv(act_users[0]):
-                continue
-            if any(id(v) in {id(o) for o in graph.outputs}
-                   for v in (node.output, act.output)):
-                continue
-            branch_acts = []
-            for i, v in enumerate(node.inputs):
-                branch = make_node(graph, act.op, [v],
-                                   name=f"{act.name}.branch{i}")
-                branch_acts.append(branch)
-            new_concat = make_node(graph, "concat",
-                                   [n.output for n in branch_acts],
-                                   attrs={"axis": 1},
-                                   name=f"{node.name}.pushed")
-            graph.insert_before(node, branch_acts + [new_concat])
-            graph.replace_uses(act.output, new_concat.output)
-            graph.remove_node(act)
-            graph.remove_node(node)
-            graph.dead_code_eliminate()
-            stats.pushed_acts += 1
-            stats.details.append(f"{act.op} pushed through concat {node.name}")
-            get_tracer().decision(
-                "transform.push_act", node.name, "apply", "act_distributes",
-                act=act.op, branches=len(node.inputs))
-            logger.debug("transform: pushed %s through concat %s",
-                         act.op, node.name)
-            changed = True
-            break
-    graph.validate()
+    stats.pushed_acts += rewrite(graph, _is_channel_concat, _push_act)
     return stats
+
+
+def _push_act(graph: Graph, concat: Node, consumers: dict) -> Splice | None:
+    users = consumers.get(concat.output, [])
+    if len(users) != 1 or users[0].op not in _ops.ACTIVATION_OPS:
+        return None
+    act = users[0]
+    act_users = consumers.get(act.output, [])
+    if len(act_users) != 1 or not _ops.is_pointwise_conv(act_users[0]):
+        return None
+    if any(v is out for out in graph.outputs for v in (concat.output, act.output)):
+        return None
+    branch_acts = [_moved_act(graph, act, v, f"{act.name}.branch{i}")
+                   for i, v in enumerate(concat.inputs)]
+    new_concat = make_node(graph, "concat", [n.output for n in branch_acts],
+                           attrs={"axis": 1}, name=f"{concat.name}.pushed")
+    return Splice(
+        [*branch_acts, new_concat], act.output, new_concat.output,
+        "transform.push_act", concat.name, "apply", "act_distributes",
+        {"act": act.op, "branches": len(concat.inputs)})
 
 
 # ---------------------------------------------------------------------------
@@ -433,54 +361,31 @@ def commute_upsample_lconv(graph: Graph, stats: TransformStats | None = None) ->
     exposes the branch to the concat merge.
     """
     stats = stats or TransformStats()
-    changed = True
-    while changed:
-        changed = False
-        consumers = graph.consumer_map()
-        for node in list(graph.nodes):
-            if node.op != "upsample_nearest":
-                continue
-            chain = _branch_chain(graph, consumers, node.inputs[0], allow_act=True)
-            if chain is None:
-                continue
-            act, lconv = chain
-            scale = int(node.attrs.get("scale", 2))
-            up_reduced = make_node(graph, "upsample_nearest", [lconv.inputs[0]],
-                                   attrs={"scale": scale},
-                                   name=f"{node.name}.on_reduced")
-            new_lconv = lconv.clone(name=graph.namer.fresh(lconv.name),
-                                    inputs=[up_reduced.output],
-                                    output=_fresh_like(graph, lconv, up_reduced))
-            new_nodes = [up_reduced, new_lconv]
-            final = new_lconv
-            if act is not None:
-                act_node = make_node(graph, act.op, [new_lconv.output],
-                                     name=graph.namer.fresh(act.name))
-                new_nodes.append(act_node)
-                final = act_node
-            graph.insert_before(node, new_nodes)
-            graph.replace_uses(node.output, final.output)
-            graph.remove_node(node)
-            graph.dead_code_eliminate()
-            stats.commuted_upsamples += 1
-            stats.details.append(f"upsample {node.name} moved onto reduced tensor")
-            get_tracer().decision(
-                "transform.commute_upsample", node.name, "apply",
-                "upsample_commutes_with_lconv",
-                reduced_bytes=lconv.inputs[0].nbytes,
-                restored_bytes=node.output.nbytes)
-            logger.debug("transform: commuted upsample %s onto reduced tensor",
-                         node.name)
-            changed = True
-            break
-    graph.validate()
+    stats.commuted_upsamples += rewrite(
+        graph, lambda node: node.op == "upsample_nearest", _commute_upsample)
     return stats
 
 
-def _fresh_like(graph: Graph, template: Node, input_node: Node):
-    from ..ir.value import Value
-
-    n, _c, h, w = input_node.output.shape
-    cout = template.params["weight"].shape[0]
-    return Value(graph.namer.fresh(template.output.name),
-                 (n, cout, h, w), template.output.dtype)
+def _commute_upsample(graph: Graph, up: Node, consumers: dict) -> Splice | None:
+    chain = _branch_chain(graph, consumers, up.inputs[0], allow_act=True)
+    if chain is None:
+        return None
+    act, lconv = chain
+    up_reduced = make_node(graph, "upsample_nearest", [lconv.inputs[0]],
+                           attrs={"scale": int(up.attrs.get("scale", 2))},
+                           name=f"{up.name}.on_reduced")
+    n, _c, h, w = up_reduced.output.shape
+    new_lconv = lconv.clone(
+        name=graph.namer.fresh(lconv.name), inputs=[up_reduced.output],
+        output=lconv.output.with_shape((n, lconv.output.shape[1], h, w),
+                                       graph.namer.fresh(lconv.output.name)))
+    new_nodes = [up_reduced, new_lconv]
+    if act is not None:
+        new_nodes.append(_moved_act(graph, act, new_lconv.output,
+                                    graph.namer.fresh(act.name)))
+    return Splice(
+        new_nodes, up.output, new_nodes[-1].output,
+        "transform.commute_upsample", up.name, "apply",
+        "upsample_commutes_with_lconv",
+        {"reduced_bytes": lconv.inputs[0].nbytes,
+         "restored_bytes": up.output.nbytes})

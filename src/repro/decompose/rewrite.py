@@ -19,14 +19,13 @@ Metadata left for the optimizer:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from ..ir import ops as _ops
 from ..ir.emit import make_node
 from ..ir.graph import Graph
 from ..ir.node import Node
+from ..ir.rewrite import Splice, rewrite
 from ..obs import get_tracer
 from .cp import cp_decompose
 from .rank import RankPlan, plan_ranks, plan_ranks_energy
@@ -112,21 +111,19 @@ def decompose_graph(graph: Graph, config: DecompositionConfig | None = None) -> 
     """Return a decomposed copy of ``graph`` (the input is not mutated)."""
     config = config or DecompositionConfig()
     out = graph.clone(f"{graph.name}.{config.method}")
-    sites = [node for node in out.nodes if _eligible(node, config)]
     with get_tracer().span("decompose", category="compiler", graph=graph.name,
                            method=config.method, ratio=config.ratio,
-                           sites=len(sites)):
-        for node in sites:
-            _replace_conv(out, node, config)
-        out.validate()
+                           sites=sum(_eligible(n, config) for n in out.nodes)):
+        rewrite(out, lambda node: _eligible(node, config),
+                lambda g, node, _consumers: _replace_conv(g, node, config))
     return out
 
 
-def _replace_conv(graph: Graph, node: Node, config: DecompositionConfig) -> None:
+def _replace_conv(graph: Graph, node: Node, config: DecompositionConfig) -> Splice:
+    """The factorised sequence ``fconv → core(s) → lconv`` for ``node``."""
     tracer = get_tracer()
     start_us = tracer.now_us()
     weight = node.params["weight"]
-    bias = node.params.get("bias")
     cout, cin, kh, kw = weight.shape
     sh, sw = node.attrs.get("stride", [1, 1])
     ph, pw = node.attrs.get("padding", [0, 0])
@@ -134,110 +131,56 @@ def _replace_conv(graph: Graph, node: Node, config: DecompositionConfig) -> None
         plan = plan_ranks_energy(weight, config.energy)
     else:
         plan = plan_ranks(cin, cout, config.ratio)
-    orig_flops = _ops.node_flops(node)
-    x = node.inputs[0]
-    common = {"decomposed_from": node.name, "orig_flops": orig_flops}
 
+    # per method: the fconv's and the lconv's (out, in) matrices and the
+    # cores between them as (name suffix, weight, stride, padding, groups)
     if config.method == "tucker":
         factors = tucker2_decompose(weight, plan.rank_out, plan.rank_in,
                                     hooi_iters=config.hooi_iters)
-        fit = factors.error(weight)
-        fconv = make_node(
-            graph, "conv2d", [x],
-            attrs={"stride": [1, 1], "padding": [0, 0], "groups": 1,
-                   "role": "fconv", **common},
-            params={"weight": factors.u_in.T.reshape(plan.rank_in, cin, 1, 1).copy()},
-            name=f"{node.name}.fconv")
-        core = make_node(
-            graph, "conv2d", [fconv.output],
-            attrs={"stride": [sh, sw], "padding": [ph, pw], "groups": 1,
-                   "role": "core", **common},
-            params={"weight": factors.core.copy()},
-            name=f"{node.name}.core")
-        lconv = _make_lconv(graph, core.output, factors.u_out, bias, node.name,
-                            common, fit)
-        new_nodes = [fconv, core, lconv]
-
+        first, last = factors.u_in.T, factors.u_out
+        cores = [("core", factors.core, [sh, sw], [ph, pw], 1)]
     elif config.method == "cp":
         factors = cp_decompose(weight, plan.cp_rank, max_iters=config.cp_iters,
                                seed=config.seed)
-        fit = factors.error(weight)
         r = factors.rank
-        fconv = make_node(
-            graph, "conv2d", [x],
-            attrs={"stride": [1, 1], "padding": [0, 0], "groups": 1,
-                   "role": "fconv", **common},
-            params={"weight": factors.b.T.reshape(r, cin, 1, 1).copy()},
-            name=f"{node.name}.fconv")
-        # depthwise vertical: weight (R, 1, Kh, 1) from C (Kh, R)
-        conv_h = make_node(
-            graph, "conv2d", [fconv.output],
-            attrs={"stride": [sh, 1], "padding": [ph, 0], "groups": r,
-                   "role": "core", **common},
-            params={"weight": factors.c.T.reshape(r, 1, kh, 1).copy()},
-            name=f"{node.name}.dw_h")
-        conv_w = make_node(
-            graph, "conv2d", [conv_h.output],
-            attrs={"stride": [1, sw], "padding": [0, pw], "groups": r,
-                   "role": "core", **common},
-            params={"weight": factors.d.T.reshape(r, 1, 1, kw).copy()},
-            name=f"{node.name}.dw_w")
-        lconv = _make_lconv(graph, conv_w.output, factors.a, bias, node.name,
-                            common, fit)
-        new_nodes = [fconv, conv_h, conv_w, lconv]
-
+        first, last = factors.b.T, factors.a
+        # depthwise vertical (R, 1, Kh, 1) from C (Kh, R), then horizontal
+        cores = [("dw_h", factors.c.T.reshape(r, 1, kh, 1), [sh, 1], [ph, 0], r),
+                 ("dw_w", factors.d.T.reshape(r, 1, 1, kw), [1, sw], [0, pw], r)]
     else:  # tt
         factors = tt_decompose(weight, (plan.rank_in, plan.tt_mid, plan.rank_out))
-        fit = factors.error(weight)
         r1, r2, r3 = factors.ranks
-        fconv = make_node(
-            graph, "conv2d", [x],
-            attrs={"stride": [1, 1], "padding": [0, 0], "groups": 1,
-                   "role": "fconv", **common},
-            params={"weight": factors.g1.T.reshape(r1, cin, 1, 1).copy()},
-            name=f"{node.name}.fconv")
-        # vertical core: out r2, in r1, kernel (Kh, 1); g2 is (r1, Kh, r2)
-        conv_h = make_node(
-            graph, "conv2d", [fconv.output],
-            attrs={"stride": [sh, 1], "padding": [ph, 0], "groups": 1,
-                   "role": "core", **common},
-            params={"weight": factors.g2.transpose(2, 0, 1).reshape(r2, r1, kh, 1).copy()},
-            name=f"{node.name}.core_h")
+        first, last = factors.g1.T, factors.g4.T
+        # vertical core: out r2, in r1, kernel (Kh, 1); g2 is (r1, Kh, r2);
         # horizontal core: out r3, in r2, kernel (1, Kw); g3 is (r2, Kw, r3)
-        conv_w = make_node(
-            graph, "conv2d", [conv_h.output],
-            attrs={"stride": [1, sw], "padding": [0, pw], "groups": 1,
-                   "role": "core", **common},
-            params={"weight": factors.g3.transpose(2, 0, 1).reshape(r3, r2, 1, kw).copy()},
-            name=f"{node.name}.core_w")
-        lconv = _make_lconv(graph, conv_w.output, factors.g4.T, bias, node.name,
-                            common, fit)
-        new_nodes = [fconv, conv_h, conv_w, lconv]
+        cores = [("core_h", factors.g2.transpose(2, 0, 1).reshape(r2, r1, kh, 1),
+                  [sh, 1], [ph, 0], 1),
+                 ("core_w", factors.g3.transpose(2, 0, 1).reshape(r3, r2, 1, kw),
+                  [1, sw], [0, pw], 1)]
+    fit = float(factors.error(weight))
 
-    index = graph.index_of(node)
-    for offset, new in enumerate(new_nodes):
-        graph.add_node(new, index=index + offset)
-    graph.replace_uses(node.output, new_nodes[-1].output)
-    graph.remove_node(node)
+    common = {"decomposed_from": node.name, "orig_flops": _ops.node_flops(node)}
+    sequence = [("fconv", first[:, :, None, None], [1, 1], [0, 0], 1), *cores,
+                ("lconv", last[:, :, None, None], [1, 1], [0, 0], 1)]
+    new_nodes: list[Node] = []
+    x = node.inputs[0]
+    for suffix, w, stride, padding, groups in sequence:
+        role = suffix if suffix in ("fconv", "lconv") else "core"
+        attrs = {"stride": stride, "padding": padding, "groups": groups,
+                 "role": role}
+        params = {"weight": w.copy()}
+        if role == "lconv":  # the original bias rides on the restore conv
+            attrs["fit_error"] = fit
+            if "bias" in node.params:
+                params["bias"] = node.params["bias"]
+        new_nodes.append(make_node(graph, "conv2d", [x], attrs={**attrs, **common},
+                                   params=params, name=f"{node.name}.{suffix}"))
+        x = new_nodes[-1].output
     # ranks: the reduced channel widths along the sequence, in data order
-    tracer.decision("decompose", node.name, "factorise", config.method,
-                    ranks=[n.output.shape[1] for n in new_nodes[:-1]],
-                    fit_error=float(fit),
-                    ms=(tracer.now_us() - start_us) / 1e3)
-
-
-def _make_lconv(graph: Graph, x, u_out: np.ndarray, bias, base_name: str,
-                common: dict, fit: float) -> Node:
-    """Final 1×1 restore conv: weight ``(Cout, R_out, 1, 1)`` + original bias."""
-    cout, rank = u_out.shape
-    params = {"weight": u_out.reshape(cout, rank, 1, 1).copy()}
-    if bias is not None:
-        params["bias"] = bias
-    return make_node(
-        graph, "conv2d", [x],
-        attrs={"stride": [1, 1], "padding": [0, 0], "groups": 1,
-               "role": "lconv", "fit_error": float(fit), **common},
-        params=params, name=f"{base_name}.lconv")
+    return Splice(new_nodes, node.output, x, "decompose", node.name,
+                  "factorise", config.method,
+                  {"ranks": [n.output.shape[1] for n in new_nodes[:-1]],
+                   "fit_error": fit, "ms": (tracer.now_us() - start_us) / 1e3})
 
 
 def decomposition_records(graph: Graph) -> list[DecompositionRecord]:

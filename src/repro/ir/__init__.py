@@ -7,6 +7,8 @@ Public surface:
 - :mod:`repro.ir.ops` — the op registry (shape inference, validation,
   FLOP counting) plus the ``is_lconv``/``is_fconv`` structural
   predicates used by TeMCO's passes,
+- :mod:`repro.ir.rewrite` — the splice driver every pass that swaps a
+  subgraph runs on (imported from there, like :mod:`repro.ir.emit`),
 - :func:`format_graph` — readable dumps,
 - :func:`save_graph` / :func:`load_graph` — persistence.
 """

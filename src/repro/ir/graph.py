@@ -128,9 +128,6 @@ class Graph:
     def num_params(self) -> int:
         return sum(node.param_elements() for node in self.nodes)
 
-    def total_flops(self) -> int:
-        return sum(_ops.node_flops(node) for node in self.nodes)
-
     # ------------------------------------------------------------------
     # rewriting utilities
     # ------------------------------------------------------------------

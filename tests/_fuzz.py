@@ -1,11 +1,12 @@
 """Random CNN generator for differential property testing.
 
 Generates structurally diverse, always-valid inference graphs: chains
-with random activations, pools, skip connections joined by add/concat,
-and occasional upsampling — the full surface TeMCO's passes pattern-
-match on — plus, on request, the strays real exported graphs carry:
-graph inputs nothing reads and branches nothing consumes.
-Deterministic given the seed.
+with random activations (``leaky_relu`` / ``elu`` with drawn slopes and
+alphas), pools, skip connections joined by add/concat, DenseNet
+composite blocks and U-Net decoder upsampling — the full surface
+TeMCO's passes pattern-match on — plus, on request, the strays real
+exported graphs carry: graph inputs nothing reads and branches nothing
+consumes.  Deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -18,6 +19,18 @@ ACTS = ("relu", "silu", "sigmoid", "tanh", "leaky_relu", "elu",
         "hardswish", "gelu")
 
 
+def _activation(b: GraphBuilder, rng: np.random.Generator):
+    """One drawn activation, with a drawn parameter where it takes one."""
+    kind = str(rng.choice(ACTS))
+    if kind == "leaky_relu":
+        slope = round(float(rng.uniform(0.05, 0.5)), 2)
+        return lambda h: b.leaky_relu(h, negative_slope=slope)
+    if kind == "elu":
+        alpha = round(float(rng.uniform(0.3, 2.0)), 2)
+        return lambda h: b.elu(h, alpha=alpha)
+    return getattr(b, kind)
+
+
 def random_cnn(seed: int, *, max_blocks: int = 5, hw: int = 16,
                batch: int = 1, base_channels: int = 8,
                strays: bool = False, long_skip: bool = False) -> Graph:
@@ -25,8 +38,9 @@ def random_cnn(seed: int, *, max_blocks: int = 5, hw: int = 16,
 
     Structure: a stem conv, then up to ``max_blocks`` blocks, each
     randomly one of {plain conv+act, conv+act+pool, residual add,
-    branch+concat}; spatial dims shrink only via pools so adds/concats
-    always align.
+    branch+concat, DenseNet composite (``concat → act → 1×1``), U-Net
+    decoder (``act(1×1) → upsample``, only below the input size)};
+    spatial dims change only block-wide, so adds/concats always align.
 
     ``strays`` adds up to two unused graph inputs (bound before and/or
     after ``x``, one of them larger than any activation) and a dead-end
@@ -45,13 +59,13 @@ def random_cnn(seed: int, *, max_blocks: int = 5, hw: int = 16,
         b.input("unused_small", (batch, 1, 2, 2))
     channels = base_channels * int(rng.integers(1, 3))
     h = b.conv2d(x, channels, 3, padding=1, name="stem")
-    h = stem = getattr(b, str(rng.choice(ACTS)))(h)
+    h = stem = _activation(b, rng)(h)
 
     cur_hw = hw
     num_blocks = int(rng.integers(1, max_blocks + 1))
     for i in range(num_blocks):
-        kind = int(rng.integers(0, 4))
-        act = str(rng.choice(ACTS))
+        kind = int(rng.integers(0, 6))
+        act = _activation(b, rng)
         if strays and stray_rng.integers(0, 2):
             dead = b.conv2d(h, base_channels, 1, name=f"b{i}.dead")
             if stray_rng.integers(0, 2):
@@ -59,24 +73,35 @@ def random_cnn(seed: int, *, max_blocks: int = 5, hw: int = 16,
         if kind == 0:  # plain conv + act
             channels = base_channels * int(rng.integers(1, 5))
             h = b.conv2d(h, channels, 3, padding=1, name=f"b{i}.conv")
-            h = getattr(b, act)(h)
+            h = act(h)
         elif kind == 1 and cur_hw >= 8:  # conv + act + pool
             channels = base_channels * int(rng.integers(1, 5))
             h = b.conv2d(h, channels, 3, padding=1, name=f"b{i}.conv")
-            h = getattr(b, act)(h)
+            h = act(h)
             h = b.maxpool2d(h, 2) if rng.integers(0, 2) else b.avgpool2d(h, 2)
             cur_hw //= 2
         elif kind == 2:  # residual add (same width)
             skip = h
             h = b.conv2d(h, channels, 3, padding=1, name=f"b{i}.c1")
-            h = getattr(b, act)(h)
+            h = act(h)
             h = b.conv2d(h, channels, 3, padding=1, name=f"b{i}.c2")
-            h = getattr(b, act)(b.add(h, skip))
+            h = act(b.add(h, skip))
+        elif kind == 4:  # DenseNet composite: concat -> act -> 1x1
+            new = act(b.conv2d(h, base_channels, 3, padding=1,
+                               name=f"b{i}.dense"))
+            channels = base_channels * int(rng.integers(1, 5))
+            h = b.conv2d(act(b.concat(h, new, name=f"b{i}.dcat")), channels, 1,
+                         name=f"b{i}.bottleneck")
+        elif kind == 5 and cur_hw < hw:  # U-Net decoder: act(1x1) -> upsample
+            channels = h.shape[1] + base_channels  # widening: an lconv
+            h = act(b.conv2d(h, channels, 1, name=f"b{i}.up"))
+            h = b.upsample_nearest(h, 2)
+            cur_hw *= 2
         else:  # two branches joined by concat
             left = b.conv2d(h, base_channels, 3, padding=1, name=f"b{i}.l")
-            left = getattr(b, act)(left)
+            left = act(left)
             right = b.conv2d(h, base_channels, 1, name=f"b{i}.r")
-            right = getattr(b, act)(right)
+            right = act(right)
             h = b.concat(left, right, name=f"b{i}.cat")
             channels = h.shape[1]
             if rng.integers(0, 2):

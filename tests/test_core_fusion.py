@@ -1,7 +1,5 @@
 """Activation layer fusion (paper §3.2)."""
 
-import functools
-
 import numpy as np
 import pytest
 
@@ -12,11 +10,13 @@ from repro.core.liveness import simulate
 from repro.decompose import DecompositionConfig, decompose_graph
 from repro.ir import GraphBuilder, graph_fingerprint
 from repro.kernels import DEFAULT_BLOCK_SIZE, site_scratch_bytes
-from repro.models import build_model, model_names
+from repro.models import EXTRA_MODELS, build_extra, build_model, model_names
 from repro.obs import Tracer, use_tracer
 from repro.runtime import execute
 
 from _graph_fixtures import make_chain_graph, random_input
+from _rewrite_oracle import rewrite_checked, rewrite_restarting, use_scan
+from _zoo_compiles import cheap, memoise_factor_solves, zoo_model
 
 
 def _decomposed_chain(**kwargs):
@@ -250,74 +250,50 @@ class TestSlackWidening:
         assert _tiles(graph) == [(DEFAULT_BLOCK_SIZE, 0), (64, 0)]
 
 
-def _fuse_restarting(graph, config=None):
-    """The scan ``fuse_activation_layers`` made before it learnt to go on
-    from the fused node: back to node 0, on a rebuilt consumer map, after
-    every fused site.  The reference for *which* sites fuse, in which
-    order."""
-    from repro.core import fusion
-    from repro.ir import ops
-    from repro.obs import get_tracer
-
-    config = config or FusionConfig()
-    stats = fusion.FusionStats()
-    tracer = get_tracer()
-    with tracer.span("fusion", category="compiler", graph=graph.name):
-        changed = True
-        while changed:
-            changed = False
-            consumers = graph.consumer_map()
-            for node in list(graph.nodes):
-                chain = (fusion._match_chain(graph, node, consumers, config)
-                         if ops.is_lconv(node) else None)
-                if chain is not None:
-                    fusion._fuse(graph, chain, config, stats, consumers)
-                    # what it maintains is what a rebuild gives
-                    assert consumers == graph.consumer_map()
-                    changed = True
-                    break
-        for node in graph.nodes:
-            if ops.is_lconv(node):
-                tracer.decision("fusion", node.name, "skip", "no_fusable_chain",
-                                restored_bytes=node.output.nbytes)
-    return stats
-
-
-@functools.lru_cache(maxsize=None)
-def _zoo_model(name):
-    return build_model(name, batch=1, hw=32)
+def _compile(model, method, scan, monkeypatch):
+    """Decompose and optimize the cached ``model`` with every splicing
+    pass on ``scan``: the graphs, the decision log and the report."""
+    use_scan(monkeypatch, scan)
+    tracer = Tracer()
+    with use_tracer(tracer):
+        decomposed = decompose_graph(zoo_model(model), cheap(method))
+        optimized, report = optimize(decomposed)
+    log = [(d.pass_name, d.subject, d.verdict, d.reason,
+            {k: v for k, v in d.quantities.items() if k != "ms"})
+           for d in tracer.decisions]
+    return (graph_fingerprint(decomposed), graph_fingerprint(optimized),
+            [n.name for n in optimized.nodes], log, report)
 
 
 class TestScanOrder:
-    """Fusing a site leaves everything scheduled before it untouched, so
-    the forward scan must take the decisions the restarting scan took —
-    on every graph a compile hands to fusion, not only the one it keeps."""
+    """A rule's splice leaves everything scheduled before it untouched,
+    so the driver's forward scan must take the decisions the restarting
+    reference scan takes — for every rule, on every graph a zoo compile
+    hands to any pass, not only the one it keeps."""
 
     @pytest.mark.parametrize("method", ["tucker", "cp", "tt"])
     @pytest.mark.parametrize("model", model_names())
     def test_same_graph_log_and_stats_on_the_zoo(self, model, method,
                                                  monkeypatch):
-        fused = []
+        memoise_factor_solves(monkeypatch)
+        zoo_model(model)  # built on the driver, once, outside both runs
+        restarting, driver = (_compile(model, method, scan, monkeypatch)
+                              for scan in (rewrite_restarting, rewrite_checked))
+        assert driver == restarting
+        assert driver[-1].fusion.fused > 0
 
-        def both_scans(graph, config=None):
-            runs = []
-            for fuse, target in ((_fuse_restarting, graph.clone()),
-                                 (fuse_activation_layers, graph)):
-                tracer = Tracer()
-                with use_tracer(tracer):
-                    stats = fuse(target, config)
-                runs.append((graph_fingerprint(target), stats,
-                             [(d.subject, d.verdict, d.reason, d.quantities)
-                              for d in tracer.decisions]))
-            assert runs[0] == runs[1]
-            fused.append(stats.fused)
-            return stats
-
-        monkeypatch.setattr("repro.core.pipeline.fuse_activation_layers",
-                            both_scans)
-        # which chains fuse depends on shapes and ranks, not on factor
-        # values: one ALS sweep and no HOOI keep 36 compiles cheap
-        optimize(decompose_graph(
-            _zoo_model(model),
-            DecompositionConfig(method=method, hooi_iters=0, cp_iters=1)))
-        assert sum(fused) > 0
+    @pytest.mark.parametrize("model", ["resnet18", "densenet",
+                                       "resnet_bottleneck"])
+    def test_same_folds_on_the_batchnorm_models(self, model, monkeypatch):
+        build = build_extra if model in EXTRA_MODELS else build_model
+        runs = []
+        for scan in (rewrite_restarting, rewrite_checked):
+            use_scan(monkeypatch, scan)
+            tracer = Tracer()
+            with use_tracer(tracer):
+                graph = build(model, batch=1, hw=32)
+            runs.append((graph_fingerprint(graph),
+                         [n.name for n in graph.nodes],
+                         [(d.subject, d.quantities) for d in tracer.decisions]))
+        assert runs[0] == runs[1]
+        assert runs[0][2] and not any(n.op == "batchnorm2d" for n in graph.nodes)
