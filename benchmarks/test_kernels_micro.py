@@ -4,13 +4,17 @@ Times the individual compute kernels that every experiment is built
 from, at shapes representative of the zoo, including the central
 comparison: separate lconv/act/fconv layers vs the fused tiled kernel
 (the source of Figure 11's overhead).
+
+Every kernel is bound before the clock starts, as a session binds it
+(:func:`repro.kernels.bind`): what is timed is the per-call work, not
+the one-off set-up such as packing ``[w1 | b1]``.
 """
 
 import numpy as np
 import pytest
 
-from repro.kernels import (conv2d, fused_block, fused_restore,
-                           get_activation, maxpool2d, pointwise_conv, relu)
+from repro.kernels import (bind_conv2d, bind_fused, bind_pool2d,
+                           get_activation, relu)
 
 RNG = np.random.default_rng(0)
 
@@ -19,31 +23,40 @@ def _data(shape):
     return RNG.normal(size=shape).astype(np.float32)
 
 
+def _conv(x, w, b=None, stride=(1, 1), padding=(0, 0), groups=1,
+          dilation=(1, 1)):
+    return bind_conv2d(x.shape, w, b, stride, padding, groups, dilation)
+
+
+def _pointwise(x, w2d, b=None):
+    return bind_conv2d(x.shape, w2d[:, :, None, None], b)
+
+
 class TestConvKernels:
     def test_conv3x3_64ch(self, benchmark):
         x = _data((4, 64, 32, 32))
         w = _data((64, 64, 3, 3))
-        benchmark(conv2d, x, w, None, (1, 1), (1, 1))
+        benchmark(_conv(x, w, None, (1, 1), (1, 1)), x)
 
     def test_conv3x3_strided(self, benchmark):
         x = _data((4, 64, 32, 32))
         w = _data((128, 64, 3, 3))
-        benchmark(conv2d, x, w, None, (2, 2), (1, 1))
+        benchmark(_conv(x, w, None, (2, 2), (1, 1)), x)
 
     def test_pointwise_256to26(self, benchmark):
         # the fconv of a ratio-0.1 decomposed 256-channel conv
         x = _data((4, 256, 16, 16))
         w = _data((26, 256))
-        benchmark(pointwise_conv, x, w)
+        benchmark(_pointwise(x, w), x)
 
     def test_depthwise(self, benchmark):
         x = _data((4, 64, 32, 32))
         w = _data((64, 1, 3, 3))
-        benchmark(conv2d, x, w, None, (1, 1), (1, 1), 64)
+        benchmark(_conv(x, w, None, (1, 1), (1, 1), 64), x)
 
     def test_maxpool(self, benchmark):
         x = _data((4, 64, 32, 32))
-        benchmark(maxpool2d, x, (2, 2))
+        benchmark(bind_pool2d("max", x.shape, (2, 2)), x)
 
 
 class TestFusedVsSeparate:
@@ -59,10 +72,11 @@ class TestFusedVsSeparate:
         x = _data((4, self.C_IN, self.HW, self.HW))
         w1, b1, w2, b2 = self._weights()
         relu = get_activation("relu")
+        lconv = _pointwise(x, w1, b1)
+        fconv = _pointwise(_data((4, self.C_PRIME, self.HW, self.HW)), w2, b2)
 
         def run():
-            full = pointwise_conv(x, w1, b1)
-            return pointwise_conv(relu(full), w2, b2)
+            return fconv(relu(lconv(x)))
 
         benchmark(run)
 
@@ -70,12 +84,14 @@ class TestFusedVsSeparate:
     def test_fused_kernel(self, benchmark, block):
         x = _data((4, self.C_IN, self.HW, self.HW))
         w1, b1, w2, b2 = self._weights()
-        benchmark(fused_block, x, w1, b1, w2, b2, "relu", None, 0, block)
+        benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu", None, 0, block),
+                  x)
 
     def test_fused_with_spatial_tiling(self, benchmark):
         x = _data((4, self.C_IN, self.HW, self.HW))
         w1, b1, w2, b2 = self._weights()
-        benchmark(fused_block, x, w1, b1, w2, b2, "relu", None, 0, 32, 8)
+        benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu", None, 0, 32, 8),
+                  x)
 
 
 MAXPOOL_3S2P1 = {"kind": "max", "kernel": (3, 3), "stride": (2, 2),
@@ -92,21 +108,23 @@ class TestHotSites:
     def test_fused_restore_fractalnet(self, benchmark, batch):
         # (N,2,32,32) -> 16 channels + relu: 131 calls per fractalnet run
         x, w1, b1 = _data((batch, 2, 32, 32)), _data((16, 2)), _data(16)
-        benchmark(fused_restore, x, w1, b1, "relu", None, 0, 16)
+        benchmark(bind_fused(x.shape, w1, b1, None, None, "relu", None, 0,
+                             16), x)
 
     def test_fused_block_pooled_alexnet(self, benchmark, batch):
         # (N,19,8,8) -> 192 -> 19 around a 3x3/s2/p1 max pool
         x = _data((batch, 19, 8, 8))
         w1, b1 = _data((192, 19)), _data(192)
         w2, b2 = _data((19, 192)), _data(19)
-        benchmark(fused_block, x, w1, b1, w2, b2, "relu", MAXPOOL_3S2P1)
+        benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu", MAXPOOL_3S2P1),
+                  x)
 
     def test_fused_block_densenet(self, benchmark, batch):
         # (N,64,4,4) -> 176 -> 88: tiny tiles, dispatch-bound
         x = _data((batch, 64, 4, 4))
         w1, b1 = _data((176, 64)), _data(176)
         w2, b2 = _data((88, 176)), _data(88)
-        benchmark(fused_block, x, w1, b1, w2, b2, "relu")
+        benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu"), x)
 
     def test_relu_standalone(self, benchmark, batch):
         # the decomposed graphs' relu after a restored (N,16,32,32): the
@@ -116,34 +134,34 @@ class TestHotSites:
 
     def test_maxpool_overlapping_padded(self, benchmark, batch):
         x = _data((batch, 64, 16, 16))
-        benchmark(maxpool2d, x, (3, 3), (2, 2), (1, 1))
+        benchmark(bind_pool2d("max", x.shape, (3, 3), (2, 2), (1, 1)), x)
 
     def test_conv_core_fractalnet(self, benchmark, batch):
         # 2 -> 2 channels, 3x3 @ 32x32: 63 calls per fractalnet run
         x, w, b = _data((batch, 2, 32, 32)), _data((2, 2, 3, 3)), _data(2)
-        benchmark(conv2d, x, w, b, (1, 1), (1, 1))
+        benchmark(_conv(x, w, b, (1, 1), (1, 1)), x)
 
     def test_conv_core_unet(self, benchmark, batch):
         # the widest decoder core: 19 -> 6 channels, 3x3 @ 8x8
         x, w, b = _data((batch, 19, 8, 8)), _data((6, 19, 3, 3)), _data(6)
-        benchmark(conv2d, x, w, b, (1, 1), (1, 1))
+        benchmark(_conv(x, w, b, (1, 1), (1, 1)), x)
 
     def test_conv_dilated_wavenet2d(self, benchmark, batch):
         # 24 -> 24, dilation 8 (padded input 48x48): 2 calls per run
         x, w, b = _data((batch, 24, 32, 32)), _data((24, 24, 3, 3)), _data(24)
-        benchmark(conv2d, x, w, b, (1, 1), (8, 8), 1, (8, 8))
+        benchmark(_conv(x, w, b, (1, 1), (8, 8), 1, (8, 8)), x)
 
     def test_conv_stem_densenet(self, benchmark, batch):
         # Tucker core of the 7x7/s2/p3 stem: 1 -> 3, 49 taps of 16x16
         x, w = _data((batch, 1, 32, 32)), _data((3, 1, 7, 7))
-        benchmark(conv2d, x, w, None, (2, 2), (3, 3))
+        benchmark(_conv(x, w, None, (2, 2), (3, 3)), x)
 
     def test_conv_cp_depthwise(self, benchmark, batch):
         # CP's vertical spatial factor: one 3x1 filter per rank channel
         x, w = _data((batch, 4, 32, 32)), _data((4, 1, 3, 1))
-        benchmark(conv2d, x, w, None, (1, 1), (1, 0), 4)
+        benchmark(_conv(x, w, None, (1, 1), (1, 0), 4), x)
 
     def test_conv_tt_horizontal(self, benchmark, batch):
         # TT's 1x5 core carrying the alexnet stem's horizontal stride
         x, w = _data((batch, 4, 16, 32)), _data((6, 4, 1, 5))
-        benchmark(conv2d, x, w, None, (1, 2), (0, 2))
+        benchmark(_conv(x, w, None, (1, 2), (0, 2)), x)

@@ -16,6 +16,12 @@ Two code paths:
   the GEMMs run per sample, so ``conv2d(x)[i]`` is bitwise
   ``conv2d(x[i:i+1])``.
 
+:func:`bind_conv2d` makes every decision the weight and the input's
+channel and spatial size fix — the path, the output size, the tap
+slices, the ``(groups, C_out/g, depth)`` weight view — once, and returns
+the ``x -> y`` kernel; :func:`conv2d` binds for the shape it is given
+and calls.
+
 `conv_transpose2d` is lowered to a stride-1 convolution of the
 zero-stuffed input with the spatially flipped, transposed kernel —
 the textbook equivalence, kept simple because transposed convs are a
@@ -24,12 +30,33 @@ tiny fraction of UNet runtime.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from ..ir.ops import conv_output_hw
 from .im2col import pad2d, pair
 
-__all__ = ["conv2d", "pointwise_conv", "conv_transpose2d"]
+__all__ = ["bind_conv2d", "conv2d", "pointwise_conv",
+           "bind_conv_transpose2d", "conv_transpose2d"]
+
+
+def _bind_pointwise(weight2d: np.ndarray, bias: np.ndarray | None
+                    ) -> Callable[[np.ndarray], np.ndarray]:
+    cout, cin = weight2d.shape
+    bias4 = None if bias is None else bias[None, :, None, None]
+
+    def pointwise(x: np.ndarray) -> np.ndarray:
+        n, _c, h, w = x.shape
+        # np.tensordot(weight2d, x, axes=([1], [1])) without its per-call
+        # axis bookkeeping: the same transpose, reshape and one GEMM
+        out = np.dot(weight2d, x.transpose(1, 0, 2, 3).reshape(cin, -1))
+        out = out.reshape(cout, n, h, w).transpose(1, 0, 2, 3)
+        if bias4 is not None:
+            out = out + bias4
+        return np.ascontiguousarray(out)
+
+    return pointwise
 
 
 def pointwise_conv(x: np.ndarray, weight2d: np.ndarray,
@@ -39,74 +66,107 @@ def pointwise_conv(x: np.ndarray, weight2d: np.ndarray,
     ``weight2d`` has shape ``(C_out, C_in)``.
 
     A sample's output depends on that sample only, but its bits are
-    *not* promised across batch sizes: ``tensordot`` folds the batch
-    into the GEMM's ``N``, and BLAS's rounding order follows the GEMM's
-    shape.  The serving probe
+    *not* promised across batch sizes: the GEMM (``tensordot``'s) folds
+    the batch into its ``N``, and BLAS's rounding order follows the
+    GEMM's shape.  The serving probe
     (:func:`repro.serve.batcher.probe_buckets`) decides per shape
     whether a smaller batch may stand in for a larger one.
     """
-    out = np.tensordot(weight2d, x, axes=([1], [1]))  # (Cout, N, H, W)
-    out = np.moveaxis(out, 0, 1)
-    if bias is not None:
-        out = out + bias[None, :, None, None]
-    return np.ascontiguousarray(out)
+    return _bind_pointwise(weight2d, bias)(x)
+
+
+def bind_conv2d(x_shape: tuple[int, ...], weight: np.ndarray,
+                bias: np.ndarray | None = None, stride=(1, 1),
+                padding=(0, 0), groups: int = 1,
+                dilation=(1, 1)) -> Callable[[np.ndarray], np.ndarray]:
+    """The convolution kernel for inputs of shape ``x_shape`` (any
+    batch).  ``weight``: ``(C_out, C_in/groups, KH, KW)``."""
+    cout, cin_g, kh, kw = weight.shape
+    sh, sw = pair(stride)
+    _n, c, h, w = x_shape
+    if c != groups * cin_g or cout % groups:
+        raise ValueError(f"input {tuple(x_shape)} and weight {weight.shape} "
+                         f"do not form a convolution with groups={groups}")
+    if groups == 1 and kh == 1 and kw == 1 and (sh, sw) == (1, 1) \
+            and pair(padding) == (0, 0):
+        return _bind_pointwise(weight.reshape(cout, cin_g), bias)
+
+    dh, dw = pair(dilation)
+    oh, ow = conv_output_hw(h, w, (kh, kw), stride, padding, dilation)
+    padding = pair(padding)
+    taps = tuple((i * kw + j,
+                  (slice(None), slice(None),
+                   slice(i * dh, i * dh + sh * (oh - 1) + 1, sh),
+                   slice(j * dw, j * dw + sw * (ow - 1) + 1, sw)))
+                 for i in range(kh) for j in range(kw))
+    depth = cin_g * kh * kw
+    grouped = weight.reshape(groups, cout // groups, depth)
+    bias4 = None if bias is None else bias[None, :, None, None]
+
+    def conv(x: np.ndarray) -> np.ndarray:
+        n = x.shape[0]
+        xp = pad2d(x, padding)
+        dtype = np.promote_types(x.dtype, weight.dtype)
+        cols = np.empty((n, c, kh * kw, oh, ow), dtype=dtype)
+        for tap, window in taps:
+            cols[:, :, tap] = xp[window]
+        out = np.empty((n, cout, oh, ow), dtype=dtype)
+        np.matmul(grouped, cols.reshape(n, groups, depth, oh * ow),
+                  out=out.reshape(n, groups, cout // groups, oh * ow))
+        if bias4 is not None:
+            out += bias4
+        return out
+
+    return conv
 
 
 def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None,
            stride=(1, 1), padding=(0, 0), groups: int = 1,
            dilation=(1, 1)) -> np.ndarray:
     """General 2D convolution. ``weight``: ``(C_out, C_in/groups, KH, KW)``."""
-    cout, cin_g, kh, kw = weight.shape
-    sh, sw = pair(stride)
-    n, c, h, w = x.shape
-    if c != groups * cin_g or cout % groups:
-        raise ValueError(f"input {x.shape} and weight {weight.shape} do not "
-                         f"form a convolution with groups={groups}")
-    if groups == 1 and kh == 1 and kw == 1 and (sh, sw) == (1, 1) \
-            and pair(padding) == (0, 0):
-        return pointwise_conv(x, weight.reshape(cout, cin_g), bias)
+    return bind_conv2d(x.shape, weight, bias, stride, padding, groups,
+                       dilation)(x)
 
-    dh, dw = pair(dilation)
-    oh, ow = conv_output_hw(h, w, (kh, kw), stride, padding, dilation)
-    xp = pad2d(x, padding)
-    dtype = np.result_type(x, weight)
-    cols = np.empty((n, c, kh * kw, oh, ow), dtype=dtype)
-    for i in range(kh):
-        rows = slice(i * dh, i * dh + sh * (oh - 1) + 1, sh)
-        for j in range(kw):
-            cols[:, :, i * kw + j] = xp[:, :, rows,
-                                        j * dw:j * dw + sw * (ow - 1) + 1:sw]
-    out = np.empty((n, cout, oh, ow), dtype=dtype)
-    depth = cin_g * kh * kw
-    np.matmul(weight.reshape(groups, cout // groups, depth),
-              cols.reshape(n, groups, depth, oh * ow),
-              out=out.reshape(n, groups, cout // groups, oh * ow))
-    if bias is not None:
-        out += bias[None, :, None, None]
-    return out
+
+def bind_conv_transpose2d(x_shape: tuple[int, ...], weight: np.ndarray,
+                          bias: np.ndarray | None = None, stride=(1, 1),
+                          padding=(0, 0), output_padding=(0, 0)
+                          ) -> Callable[[np.ndarray], np.ndarray]:
+    """The transposed-convolution kernel for inputs of shape ``x_shape``
+    (any batch).  ``weight``: ``(C_in, C_out, KH, KW)``."""
+    cin, _cout, kh, kw = weight.shape
+    sh, sw = pair(stride)
+    ph, pw = pair(padding)
+    oph, opw = pair(output_padding)
+    n, c, h, w = x_shape
+    if c != cin:
+        raise ValueError(f"input channels {c} != weight in-channels {cin}")
+
+    # equivalent direct conv: flipped kernel, swapped in/out channels,
+    # full padding reduced by the requested padding
+    flipped = np.ascontiguousarray(
+        weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))  # (Cout, Cin, KH, KW)
+    pad_h, pad_w = kh - 1 - ph, kw - 1 - pw
+    if pad_h < 0 or pad_w < 0:
+        raise ValueError("padding larger than kernel-1 is not supported")
+    # zero-stuff the input by the stride, straight into its padded buffer
+    hs, ws = (h - 1) * sh + 1, (w - 1) * sw + 1
+    stuffed_hw = (hs + 2 * pad_h + oph, ws + 2 * pad_w + opw)
+    holes = (slice(None), slice(None), slice(pad_h, pad_h + hs, sh),
+             slice(pad_w, pad_w + ws, sw))
+    conv = bind_conv2d((n, c) + stuffed_hw, flipped, bias)
+
+    def conv_transpose(x: np.ndarray) -> np.ndarray:
+        stuffed = np.zeros(x.shape[:2] + stuffed_hw, dtype=x.dtype)
+        stuffed[holes] = x
+        return conv(stuffed)
+
+    return conv_transpose
 
 
 def conv_transpose2d(x: np.ndarray, weight: np.ndarray,
                      bias: np.ndarray | None = None, stride=(1, 1),
                      padding=(0, 0), output_padding=(0, 0)) -> np.ndarray:
     """Transposed convolution. ``weight``: ``(C_in, C_out, KH, KW)``."""
-    cin, cout, kh, kw = weight.shape
-    sh, sw = pair(stride)
-    ph, pw = pair(padding)
-    oph, opw = pair(output_padding)
-    n, c, h, w = x.shape
-    if c != cin:
-        raise ValueError(f"input channels {c} != weight in-channels {cin}")
-
-    # equivalent direct conv: flipped kernel, swapped in/out channels,
-    # full padding reduced by the requested padding
-    wk = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)  # (Cout, Cin, KH, KW)
-    pad_h, pad_w = kh - 1 - ph, kw - 1 - pw
-    if pad_h < 0 or pad_w < 0:
-        raise ValueError("padding larger than kernel-1 is not supported")
-    # zero-stuff the input by the stride, straight into its padded buffer
-    hs, ws = (h - 1) * sh + 1, (w - 1) * sw + 1
-    stuffed = np.zeros((n, c, hs + 2 * pad_h + oph, ws + 2 * pad_w + opw),
-                       dtype=x.dtype)
-    stuffed[:, :, pad_h:pad_h + hs:sh, pad_w:pad_w + ws:sw] = x
-    return conv2d(stuffed, wk, bias)
+    return bind_conv_transpose2d(x.shape, weight, bias, stride, padding,
+                                 output_padding)(x)

@@ -17,6 +17,15 @@ separately up to float reassociation, which the equivalence checker
 bounds (same contractions and activation order; the GEMMs run per sample
 and the fconv sums over C' block by block).
 
+Like Listing 1, which is compiled once for a static shape, the kernel is
+*bound* once (:func:`bind_fused`): the activation callable with its
+attrs, the clamped block size and each block's weight slices, whether
+the spatial tile is exact and the regions it cuts, the resampling
+kernel, and the packed ``[w1 | b1]`` restore matrix are all resolved
+before the first call.  The bound ``x -> y`` closure holds no per-call
+state, so several threads may run it at once.  :func:`fused_block` and
+:func:`fused_restore` bind for the shape they are given and call.
+
 One tile buffer is allocated per call and reused by every block, and a
 block touches it twice before the fconv GEMM reads it — the restore GEMM
 writes it, the activation rewrites it in place:
@@ -24,9 +33,9 @@ writes it, the activation rewrites it in place:
 * step 1 is a batched ``np.matmul([w1 | b1][c0:c1], [x; 1], out=tile)``
   (one GEMM per sample, so no sample's result depends on its batch
   neighbours).  The bias is the last column of the restore matrix —
-  packed once per weight pair, on its first call — against a row of
-  ones appended to the rank-``R`` input (one ``(N, R+1, h·w)`` copy per
-  call or spatial tile), so there is no ``tile += b1`` pass;
+  packed when the kernel is bound — against a row of ones appended to
+  the rank-``R`` input (one ``(N, R+1, h·w)`` copy per call or spatial
+  tile), so there is no ``tile += b1`` pass;
 * step 2 runs the activation in place (``relu`` against a row of zeros,
   the array-operand form NumPy vectorises: see :mod:`.activation`);
 * step 4 is a batched GEMM into one reused accumulator that is added
@@ -49,117 +58,38 @@ over C' that accumulates across blocks.
 
 from __future__ import annotations
 
-import weakref
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from ..ir.ops import conv_output_hw
 from .activation import get_activation
-from .pool import avgpool2d, maxpool2d, upsample_nearest
+from .pool import bind_pool2d, upsample_nearest
 
-__all__ = ["fused_block", "fused_restore", "fused_scratch_bytes",
-           "spatially_tileable", "DEFAULT_BLOCK_SIZE"]
+__all__ = ["bind_fused", "fused_block", "fused_restore",
+           "fused_scratch_bytes", "spatially_tileable", "DEFAULT_BLOCK_SIZE"]
 
 #: Default number of restored channels processed per tile.
 DEFAULT_BLOCK_SIZE = 32
 
 
-def _resample(tile: np.ndarray, pool: dict[str, Any] | None,
-              upsample: int) -> np.ndarray:
-    """Apply the optional pooling / nearest-upsample step to a tile."""
+def _bind_resample(tile_shape: tuple[int, ...], pool: dict[str, Any] | None,
+                   upsample: int):
+    """The optional pooling / nearest-upsample step for tiles of
+    ``tile_shape`` and the ``(h, w)`` it leaves them at; ``None`` for no
+    step."""
+    h, w = tile_shape[-2:]
     if pool is not None:
         stride = pool.get("stride", pool["kernel"])
         padding = pool.get("padding", 0)
-        if pool["kind"] == "max":
-            return maxpool2d(tile, pool["kernel"], stride, padding)
-        return avgpool2d(tile, pool["kernel"], stride, padding)
+        return (bind_pool2d(pool["kind"], tile_shape, pool["kernel"], stride,
+                            padding),
+                conv_output_hw(h, w, pool["kernel"], stride, padding))
     if upsample:
-        return upsample_nearest(tile, int(upsample))
-    return tile
-
-
-def _resampled_hw(h: int, w: int, pool: dict[str, Any] | None,
-                  upsample: int) -> tuple[int, int]:
-    """Spatial size of an ``h x w`` tile after :func:`_resample`."""
-    if pool is not None:
-        return conv_output_hw(h, w, pool["kernel"],
-                              pool.get("stride", pool["kernel"]),
-                              pool.get("padding", 0))
-    scale = int(upsample) or 1
-    return h * scale, w * scale
-
-
-#: ``[w1 | b1]`` of every live ``(w1, b1)`` pair: packed on a pair's
-#: first call (a session's warm-up run) and dropped with either array
-_augmented: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _augmented_weight(w1: np.ndarray, b1: np.ndarray) -> np.ndarray:
-    """The ``(C', R+1)`` restore matrix with the bias as its last column.
-
-    A fused node's weights are constants of the compiled graph, so the
-    packed copy is keyed by the arrays' identity and never re-read.
-    """
-    key = (id(w1), id(b1))
-    packed = _augmented.get(key)
-    if packed is None:
-        packed = _augmented[key] = np.concatenate((w1, b1[:, None]), axis=1)
-        for array in (w1, b1):  # an id is reused only after its array died
-            weakref.finalize(array, _augmented.pop, key, None)
-    return packed
-
-
-def _fused_core(x_region: np.ndarray, w1: np.ndarray,
-                w2: np.ndarray | None, act_fn,
-                pool: dict[str, Any] | None, upsample: int,
-                block_size: int, out: np.ndarray) -> None:
-    """Channel-blocked lconv→act→resample[→fconv] over one spatial region,
-    streamed through one reusable tile into ``out``, that region's output.
-    ``w1`` has ``R + 1`` columns when it carries the bias."""
-    n, r_in, h, w = x_region.shape
-    c_prime = w1.shape[0]
-    if w1.shape[1] == r_in:
-        # a view, except for a spatial tile of a larger input (rank-R, tile-sized copy)
-        x_flat = x_region.reshape(n, r_in, h * w)
-    else:
-        # [w1 | b1] @ [x; 1]: the bias is added inside the restore GEMM
-        x_aug = np.empty((n, r_in + 1, h, w), dtype=x_region.dtype)
-        x_aug[:, :r_in] = x_region
-        x_aug[:, r_in] = 1
-        x_flat = x_aug.reshape(n, r_in + 1, h * w)
-    # a restore with nothing to resample lands straight in its output slice
-    direct = (w2 is None and pool is None and not upsample
-              and out.flags.c_contiguous)
-    if not direct:
-        scratch = np.empty((n, block_size, h * w),
-                           dtype=np.result_type(x_region, w1))
-    if w2 is not None:
-        acc = np.empty((n, out.shape[1], out.shape[2] * out.shape[3]),
-                       dtype=out.dtype)
-        acc_nchw = acc.reshape(out.shape)
-    for c0 in range(0, c_prime, block_size):
-        c1 = min(c0 + block_size, c_prime)
-        tile = (out[:, c0:c1].reshape(n, c1 - c0, h * w) if direct
-                else scratch[:, :c1 - c0])
-        # (1) restore a channel block, one GEMM per sample: (N, blk, h*w)
-        np.matmul(w1[c0:c1], x_flat, out=tile)
-        # (2) activation, in place
-        if act_fn is not None:
-            act_fn(tile, out=tile)
-        if direct:
-            continue
-        # (3) optional spatial resampling per block
-        tile = _resample(tile.reshape(n, c1 - c0, h, w), pool, upsample)
-        if w2 is None:  # restore epilogue: write the block through
-            out[:, c0:c1] = tile
-        else:
-            # (4) accumulate into the reduced output
-            np.matmul(w2[:, c0:c1], tile.reshape(n, c1 - c0, -1), out=acc)
-            if c0 == 0:
-                out[...] = acc_nchw
-            else:
-                out += acc_nchw
+        scale = int(upsample)
+        return (lambda tile: upsample_nearest(tile, scale),
+                (h * scale, w * scale))
+    return None, (h, w)
 
 
 def spatially_tileable(h: int, w: int, spatial_tile: int,
@@ -180,6 +110,113 @@ def spatially_tileable(h: int, w: int, spatial_tile: int,
         if spatial_tile % sh or spatial_tile % sw:
             return False
     return True
+
+
+def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
+               b1: np.ndarray | None, w2: np.ndarray | None = None,
+               b2: np.ndarray | None = None, act: str | None = None,
+               pool: dict[str, Any] | None = None, upsample: int = 0,
+               block_size: int = DEFAULT_BLOCK_SIZE, spatial_tile: int = 0,
+               act_params: dict[str, Any] | None = None
+               ) -> Callable[[np.ndarray], np.ndarray]:
+    """The fused kernel for inputs of shape ``x_shape`` (any batch):
+    :func:`fused_block` with a reduce matrix ``w2``, :func:`fused_restore`
+    without one (then ``b2`` is ignored).  See those for the parameters."""
+    name = "fused_restore" if w2 is None else "fused_block"
+    if pool is not None and upsample:
+        raise ValueError(f"{name} cannot both pool and upsample")
+    _n, r_in, h, w = x_shape
+    c_prime, r_in_w = w1.shape
+    if r_in_w != r_in:
+        raise ValueError(f"w1 in-channels {r_in_w} != input channels {r_in}")
+    if w2 is not None and w2.shape[1] != c_prime:
+        raise ValueError(f"w2 in-channels {w2.shape[1]} != w1 out-channels "
+                         f"{c_prime}")
+    act_fn = get_activation(act, **(act_params or {})) if act is not None else None
+    block = min(max(1, int(block_size)), c_prime)
+    # the output's dtype: a block promotes over both weights, a restore
+    # keeps its input's
+    weights_dtype = None if w2 is None else np.result_type(w1, w2)
+    restore = w1 if b1 is None else np.concatenate((w1, b1[:, None]), axis=1)
+    th, tw = h, w
+    if spatially_tileable(h, w, int(spatial_tile or 0), pool):
+        th = tw = int(spatial_tile)
+    resample, (oth, otw) = _bind_resample((th, tw), pool, upsample)
+    out_chw = (c_prime if w2 is None else w2.shape[0],
+               h // th * oth, w // tw * otw)
+    everything = (slice(None), slice(None))
+    regions = tuple(
+        (everything + (slice(ty * th, (ty + 1) * th),
+                       slice(tx * tw, (tx + 1) * tw)),
+         everything + (slice(ty * oth, (ty + 1) * oth),
+                       slice(tx * otw, (tx + 1) * otw)))
+        for ty in range(h // th) for tx in range(w // tw))
+    blocks = tuple((c0, min(c0 + block, c_prime),
+                    restore[c0:c0 + block],
+                    None if w2 is None else w2[:, c0:c0 + block])
+                   for c0 in range(0, c_prime, block))
+    # a restore with nothing to resample lands straight in its output slice
+    may_write_through = w2 is None and resample is None
+    b2_nchw = None if w2 is None or b2 is None else b2[None, :, None, None]
+    hw = th * tw
+
+    def core(x_region: np.ndarray, out: np.ndarray) -> None:
+        """Channel-blocked lconv→act→resample[→fconv] over one spatial
+        region, streamed through one reusable tile into ``out``, that
+        region's output."""
+        n = x_region.shape[0]
+        if b1 is None:
+            # a view, except for a spatial tile of a larger input (rank-R, tile-sized copy)
+            x_flat = x_region.reshape(n, r_in, hw)
+        else:
+            # [w1 | b1] @ [x; 1]: the bias is added inside the restore GEMM
+            x_aug = np.empty((n, r_in + 1, th, tw), dtype=x_region.dtype)
+            x_aug[:, :r_in] = x_region
+            x_aug[:, r_in] = 1
+            x_flat = x_aug.reshape(n, r_in + 1, hw)
+        direct = may_write_through and out.flags.c_contiguous
+        if not direct:
+            scratch = np.empty((n, block, hw), dtype=np.promote_types(
+                x_region.dtype, restore.dtype))
+        if w2 is not None:
+            acc = np.empty((n, out.shape[1], out.shape[2] * out.shape[3]),
+                           dtype=out.dtype)
+            acc_nchw = acc.reshape(out.shape)
+        for c0, c1, restore_block, reduce_block in blocks:
+            tile = (out[:, c0:c1].reshape(n, c1 - c0, hw) if direct
+                    else scratch[:, :c1 - c0])
+            # (1) restore a channel block, one GEMM per sample: (N, blk, h*w)
+            np.matmul(restore_block, x_flat, out=tile)
+            # (2) activation, in place
+            if act_fn is not None:
+                act_fn(tile, out=tile)
+            if direct:
+                continue
+            # (3) optional spatial resampling per block
+            tile = tile.reshape(n, c1 - c0, th, tw)
+            if resample is not None:
+                tile = resample(tile)
+            if w2 is None:  # restore epilogue: write the block through
+                out[:, c0:c1] = tile
+            else:
+                # (4) accumulate into the reduced output
+                np.matmul(reduce_block, tile.reshape(n, c1 - c0, -1), out=acc)
+                if c0 == 0:
+                    out[...] = acc_nchw
+                else:
+                    out += acc_nchw
+
+    def fused(x: np.ndarray) -> np.ndarray:
+        dtype = (x.dtype if weights_dtype is None
+                 else np.promote_types(x.dtype, weights_dtype))
+        out = np.empty((x.shape[0],) + out_chw, dtype=dtype)
+        for x_region, out_region in regions:
+            core(x[x_region], out[out_region])
+        if b2_nchw is not None:
+            out += b2_nchw
+        return out
+
+    return fused
 
 
 def fused_block(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
@@ -217,45 +254,8 @@ def fused_block(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
         blocking.  Scratch memory with both blockings is
         ``block_size · spatial_tile² · N`` elements.
     """
-    if pool is not None and upsample:
-        raise ValueError("fused_block cannot both pool and upsample")
-    _n, r_in, _h, _w = x.shape
-    c_prime, r_in_w = w1.shape
-    if r_in_w != r_in:
-        raise ValueError(f"w1 in-channels {r_in_w} != input channels {r_in}")
-    _r_out, c_prime_w = w2.shape
-    if c_prime_w != c_prime:
-        raise ValueError(f"w2 in-channels {c_prime_w} != w1 out-channels {c_prime}")
-    act_fn = get_activation(act, **(act_params or {})) if act is not None else None
-    out = _tiled(x, w1, b1, w2, act_fn, pool, upsample, block_size,
-                 spatial_tile, np.result_type(x, w1, w2))
-    if b2 is not None:
-        out += b2[None, :, None, None]
-    return out
-
-
-def _tiled(x, w1, b1, w2, act_fn, pool, upsample, block_size, spatial_tile,
-           dtype):
-    """Run the core over each exact spatial tile (the whole input when
-    tiling is off or inexact), each writing its own region of the output."""
-    n, _r, h, w = x.shape
-    c_prime = w1.shape[0]
-    block_size = min(max(1, int(block_size)), c_prime)
-    if b1 is not None:
-        w1 = _augmented_weight(w1, b1)
-    th, tw = h, w
-    if spatially_tileable(h, w, int(spatial_tile or 0), pool):
-        th = tw = int(spatial_tile)
-    oth, otw = _resampled_hw(th, tw, pool, upsample)
-    out = np.empty((n, c_prime if w2 is None else w2.shape[0],
-                    h // th * oth, w // tw * otw), dtype=dtype)
-    for ty in range(h // th):
-        for tx in range(w // tw):
-            _fused_core(x[:, :, ty * th:(ty + 1) * th, tx * tw:(tx + 1) * tw],
-                        w1, w2, act_fn, pool, upsample, block_size,
-                        out[:, :, ty * oth:(ty + 1) * oth,
-                            tx * otw:(tx + 1) * otw])
-    return out
+    return bind_fused(x.shape, w1, b1, w2, b2, act, pool, upsample,
+                      block_size, spatial_tile, act_params)(x)
 
 
 def fused_restore(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
@@ -276,15 +276,8 @@ def fused_restore(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
     written out before the next block is touched.  This is Listing 1
     without the trailing fconv contraction.
     """
-    if pool is not None and upsample:
-        raise ValueError("fused_restore cannot both pool and upsample")
-    _n, r_in, _h, _w = x.shape
-    _c_prime, r_in_w = w1.shape
-    if r_in_w != r_in:
-        raise ValueError(f"w1 in-channels {r_in_w} != input channels {r_in}")
-    act_fn = get_activation(act, **(act_params or {})) if act is not None else None
-    return _tiled(x, w1, b1, None, act_fn, pool, upsample, block_size,
-                  spatial_tile, x.dtype)
+    return bind_fused(x.shape, w1, b1, None, None, act, pool, upsample,
+                      block_size, spatial_tile, act_params)(x)
 
 
 def fused_scratch_bytes(input_shape: tuple[int, ...], itemsize: int,

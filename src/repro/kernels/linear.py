@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
-__all__ = ["linear", "batchnorm2d"]
+__all__ = ["linear", "bind_batchnorm2d", "batchnorm2d"]
 
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
@@ -22,9 +24,18 @@ def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) ->
     return out
 
 
+def bind_batchnorm2d(gamma: np.ndarray, beta: np.ndarray, mean: np.ndarray,
+                     var: np.ndarray, eps: float = 1e-5
+                     ) -> Callable[[np.ndarray], np.ndarray]:
+    """Inference-mode batch normalization with its running statistics
+    folded into one per-channel scale and shift, once."""
+    scale = gamma / np.sqrt(var + eps)
+    shift = beta - mean * scale
+    scale, shift = scale[None, :, None, None], shift[None, :, None, None]
+    return lambda x: x * scale + shift
+
+
 def batchnorm2d(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                 mean: np.ndarray, var: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     """Inference-mode batch normalization with running statistics."""
-    scale = gamma / np.sqrt(var + eps)
-    shift = beta - mean * scale
-    return x * scale[None, :, None, None] + shift[None, :, None, None]
+    return bind_batchnorm2d(gamma, beta, mean, var, eps)(x)

@@ -49,13 +49,17 @@ class TensorAllocator:
     sinks: list[Callable[[str, str, int, int], None]] = field(
         default_factory=list, repr=False, compare=False)
 
-    def alloc(self, value: Value, action: str = "alloc") -> None:
+    def alloc(self, value: Value, action: str = "alloc",
+              nbytes: int | None = None) -> None:
         """Charge ``value``.  ``action`` is the event's tag: ``"alloc"``,
         or how a memory plan brought the tensor back — ``"prefetch"``
-        (staged from the spill store) or ``"remat"`` (recomputed)."""
+        (staged from the spill store) or ``"remat"`` (recomputed).
+        ``nbytes`` is ``value.nbytes``, passed by a caller that has it
+        precomputed."""
         if value.name in self._live:
             raise AllocationError(f"value {value.name!r} allocated twice")
-        nbytes = value.nbytes
+        if nbytes is None:
+            nbytes = value.nbytes
         self._live[value.name] = nbytes
         self.current_bytes += nbytes
         self.total_allocated_bytes += nbytes

@@ -66,10 +66,13 @@ class InferenceSession:
     """Run a (possibly TeMCO-optimized) model graph.
 
     The graph is frozen at construction: its run
-    :class:`~repro.runtime.executor.Schedule` (free lists, weight
-    bytes, fused-tile scratch) is built from it once and reused by
-    every inference, so mutate a graph before handing it to a session,
-    never after.
+    :class:`~repro.runtime.executor.Schedule` (free lists, byte sizes,
+    fused-tile scratch and every node's kernel, bound with its attrs,
+    geometry and packed weights) is built from it once and reused by
+    every inference, so mutate a graph — its ``params`` included —
+    before handing it to a session, never after.  Nothing of a run is
+    kept in the schedule: several threads (the serving workers) may run
+    one session at once.
 
     Parameters
     ----------

@@ -7,7 +7,10 @@ policy the paper's Eq. 3/4 peak analysis models and the free lists
 :func:`repro.core.liveness.simulate` predicts with.  Graph inputs are
 live from the start; graph outputs stay live to the end.
 
-The loop itself only runs kernels, keeps the byte account and samples,
+The loop itself only calls each step's bound kernel (every node is
+bound once, when the :class:`Schedule` is built — the loop never looks a
+kernel up or reads a node's attrs), checks its output shape, keeps the
+byte account from the step's precomputed sizes and samples,
 per node, the live internal bytes *during* that node's execution
 (inputs + output + long-lived tensors) into the
 :class:`~repro.runtime.memory_profile.MemoryProfile` timeline the
@@ -45,6 +48,10 @@ class Step(NamedTuple):
 
     index: int
     node: Node
+    #: the node's kernel, bound once (:func:`repro.kernels.bind`)
+    kernel: kernels.Kernel
+    #: bytes of the node's output, what the allocator charges for it
+    out_bytes: int
     #: values freed right after the node, in the executor's order
     dying: tuple[Value, ...]
     #: the in-place rule applies (:func:`reuses_input_buffer`): under
@@ -64,8 +71,11 @@ class Schedule:
     """Everything about running ``graph`` that no input can change.
 
     Built once per :class:`~repro.runtime.engine.InferenceSession`
-    (:func:`execute` builds a throw-away one when handed a bare graph),
-    so the graph must not be mutated afterwards.
+    (:func:`execute` builds a throw-away one when handed a bare graph):
+    free lists, byte sizes and every node's bound kernel, which keeps
+    what it derived from the node's attrs and ``params``.  Neither the
+    graph nor its weights may be mutated afterwards.  The schedule holds
+    no per-run state, so several threads may run it at once.
     """
 
     def __init__(self, graph: Graph) -> None:
@@ -75,7 +85,8 @@ class Schedule:
         self.unused_inputs = frees_after[-1]
         self.weight_bytes = graph.weight_bytes()
         self.steps = tuple(
-            Step(index, node, frees_after[index],
+            Step(index, node, kernels.bind(node), node.output.nbytes,
+                 frees_after[index],
                  reuses_input_buffer(node, frees_after[index]),
                  kernels.site_scratch_bytes(node), node_flops(node),
                  sum(v.nbytes for v in node.inputs) + node.output.nbytes
@@ -83,6 +94,8 @@ class Schedule:
             for index, node in enumerate(graph.nodes))
         self.peak_scratch_bytes = max(
             (step.scratch_bytes for step in self.steps), default=0)
+        #: node name -> bound kernel, for the plan's remat replays
+        self.kernels = {step.node.name: step.kernel for step in self.steps}
 
 
 class RunObserver:
@@ -153,7 +166,7 @@ class _TraceObserver(RunObserver):
             self._overwrite = None
             self.tracer.instant("reuse", category="allocator",
                                 value=step.node.output.name, source=name,
-                                bytes=step.node.output.nbytes)
+                                bytes=step.out_bytes)
 
     def before_node(self, step):
         if self.inplace_activations and step.overwrites_input:
@@ -276,7 +289,7 @@ def execute(graph: Graph | Schedule, inputs: dict[str, np.ndarray], *,
                 f"but graph {graph.name!r} has {len(graph.nodes)}")
         from .planned import PlanEnforcer
         observers.append(PlanEnforcer(plan, allocator, env, spill_store,
-                                      tracer))
+                                      tracer, schedule.kernels))
 
     try:
         # bind and account graph inputs
@@ -303,8 +316,10 @@ def execute(graph: Graph | Schedule, inputs: dict[str, np.ndarray], *,
                 observer.before_node(step)
             in_arrays = [env[v.name] for v in node.inputs]
             start_us = now_us()
-            out_array = kernels.run_node(node, in_arrays)
+            out_array = step.kernel(in_arrays)
             end_us = now_us()
+            if out_array.shape != node.output.shape:
+                raise kernels.output_shape_error(node, out_array)
 
             # in-place elementwise: release the dying input before
             # charging the output, so the pair never coexists in the
@@ -314,7 +329,7 @@ def execute(graph: Graph | Schedule, inputs: dict[str, np.ndarray], *,
                 v, dying = dying[0], dying[1:]  # a unary op: its input leads
                 allocator.free(v)
                 del env[v.name]
-            allocator.alloc(node.output)
+            allocator.alloc(node.output, nbytes=step.out_bytes)
             env[node.output.name] = out_array
             if count_fused_scratch:
                 allocator.charge_scratch(step.scratch_bytes)

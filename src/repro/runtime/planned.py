@@ -7,7 +7,8 @@ budgeted run, acting at the node boundaries:
 - ``after_node(i)``   — spill writes and remat drops scheduled after
   node ``i``'s frees (``-1``: right after input binding);
 - ``before_node(step)`` — prefetch charges issued for the node, arrays
-  bound for its consumers, remat chains replayed for it;
+  bound for its consumers, remat chains replayed for it (through the
+  kernels the run's :class:`~repro.runtime.executor.Schedule` bound);
 - ``node_done(...)``  — the ``plan`` counter sample (planned vs live);
 - ``finish(profile)`` — restore graph outputs spilled past their last
   use, hand ``plan_stats`` to the profile, emit the ``plan.*`` metrics;
@@ -32,10 +33,11 @@ async prefetch is retried once synchronously and only then surfaces a
 from __future__ import annotations
 
 import logging
+from typing import Mapping
 
 import numpy as np
 
-from .. import kernels
+from ..kernels import Kernel
 from ..plan.planner import MemoryPlan, RematAction, SpillAction
 from ..plan.store import PrefetchWorker, SpillStore, SpillStoreError
 from .allocator import TensorAllocator
@@ -52,11 +54,14 @@ class PlanEnforcer(RunObserver):
 
     def __init__(self, plan: MemoryPlan, allocator: TensorAllocator,
                  env: dict[str, np.ndarray], store: SpillStore | None,
-                 tracer) -> None:
+                 tracer, kernels: Mapping[str, Kernel]) -> None:
         self.plan = plan
         self.allocator = allocator
         self.env = env
         self.tracer = tracer
+        #: node name -> the run's bound kernel (the schedule's): a remat
+        #: chain replays graph nodes
+        self.kernels = kernels
         self.stats = PlanStats(budget_bytes=plan.budget_bytes,
                                planned_peak_bytes=plan.planned_peak_bytes)
         self._at = plan.buckets
@@ -176,7 +181,7 @@ class PlanEnforcer(RunObserver):
         target = a.value.name
         for cnode in a.chain:
             in_arrays = [self.env[v.name] for v in cnode.inputs]
-            out_array = kernels.run_node(cnode, in_arrays)
+            out_array = self.kernels[cnode.name](in_arrays)
             self.allocator.alloc(
                 cnode.output,
                 action="remat" if cnode.output.name == target else "alloc")

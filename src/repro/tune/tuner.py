@@ -34,7 +34,7 @@ from ..data.synthetic import random_inputs
 from ..decompose import DecompositionConfig, decompose_graph
 from ..ir.graph import Graph
 from ..ir.node import Node
-from ..kernels import DEFAULT_BLOCK_SIZE, run_node, site_scratch_bytes
+from ..kernels import DEFAULT_BLOCK_SIZE, bind, site_scratch_bytes
 from ..kernels.fused import spatially_tileable
 from ..obs import get_tracer
 from ..runtime import InferenceSession
@@ -142,13 +142,15 @@ def site_candidates(node: Node,
 
 def _site_seconds(node: Node, x: np.ndarray, block_size: int,
                   spatial_tile: int, repeats: int) -> float:
-    """Best of ``repeats`` timed kernel calls after one warm-up."""
+    """Best of ``repeats`` timed kernel calls after one warm-up; the
+    kernel is bound, as a session binds it, before the clock starts."""
     trial = node.clone(node.name, node.inputs, node.output)
     trial.attrs.update(block_size=block_size, spatial_tile=spatial_tile)
+    kernel = bind(trial)
     best = float("inf")
     for rep in range(repeats + 1):
         start = time.perf_counter()
-        run_node(trial, [x])
+        kernel([x])
         elapsed = time.perf_counter() - start
         if rep > 0:  # the first call is the warm-up
             best = min(best, elapsed)

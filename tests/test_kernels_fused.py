@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import (avgpool2d, fused_block, fused_restore,
+from repro.kernels import (avgpool2d, bind_fused, fused_block, fused_restore,
                            fused_scratch_bytes, get_activation, maxpool2d,
                            pointwise_conv, upsample_nearest)
 
@@ -136,18 +136,26 @@ class TestBiasInTheGemm:
             assert restored[i:i + 1].tobytes() == fused_restore(
                 x[i:i + 1], w1, None, act="relu", block_size=16).tobytes()
 
-    def test_weight_is_packed_once_and_dropped_with_its_arrays(self, rng):
-        from repro.kernels import fused
+    def test_weight_is_packed_once_when_bound(self, rng, monkeypatch):
         x = _f32(rng, 2, 3, 4, 4)
         w1, b1 = _f32(rng, 6, 3), _f32(rng, 6)
-        key = (id(w1), id(b1))
-        fused_restore(x, w1, b1, act="relu")
-        packed = fused._augmented[key]
-        np.testing.assert_array_equal(packed, np.column_stack([w1, b1]))
-        fused_restore(x, w1, b1, act="relu")
-        assert fused._augmented[key] is packed
-        del b1
-        assert key not in fused._augmented
+        packs = []
+        concatenate = np.concatenate
+
+        def counting(arrays, *args, **kwargs):
+            packs.append(len(arrays))
+            return concatenate(arrays, *args, **kwargs)
+
+        monkeypatch.setattr(np, "concatenate", counting)
+        kernel = bind_fused(x.shape, w1, b1, act="relu")
+        assert packs == [2]
+        first = kernel(x)
+        assert kernel(x).tobytes() == first.tobytes()
+        assert packs == [2]  # calls only compute
+        assert first.tobytes() == fused_restore(x, w1, b1, act="relu").tobytes()
+        np.testing.assert_allclose(
+            first, reference_chain(x, w1, b1, None, None, act="relu"),
+            rtol=1e-5, atol=1e-6)
 
 
 class TestFusedRestore:
@@ -266,11 +274,12 @@ def _traced_peak(fn):
 
 
 class TestScratchMeasured:
-    """`fused_scratch_bytes` against what the kernels really hold: beyond
-    the returned array, at most the tile + one resample call on that tile
-    + one fconv accumulator (`fused_block`) + the rank-``R+1`` augmented
-    input that carries the bias into the restore GEMM — whatever ``C'``
-    is."""
+    """`fused_scratch_bytes` against what a bound kernel really holds per
+    call: beyond the returned array, at most the tile + one resample call
+    on that tile + one fconv accumulator (`fused_block`) + the
+    rank-``R+1`` augmented input that carries the bias into the restore
+    GEMM — whatever ``C'`` is.  The packed ``[w1 | b1]`` is made when the
+    kernel is bound and lives with the weights, as a session holds it."""
 
     N, R, HW, BLOCK, R_OUT = 2, 8, 64, 16, 8  # tile 512 KiB, accumulator 256 KiB
     ACT = "relu"
@@ -281,14 +290,12 @@ class TestScratchMeasured:
     def _transient(self, rng, c_prime, fconv, **variant):
         x = _f32(rng, self.N, self.R, self.HW, self.HW)
         w1, b1 = _f32(rng, c_prime, self.R), _f32(rng, c_prime)
+        w2 = b2 = None
         if fconv:
             w2, b2 = _f32(rng, self.R_OUT, c_prime), _f32(rng, self.R_OUT)
-            out, peak = _traced_peak(lambda: fused_block(
-                x, w1, b1, w2, b2, act=self.ACT, block_size=self.BLOCK,
-                **variant))
-        else:
-            out, peak = _traced_peak(lambda: fused_restore(
-                x, w1, b1, act=self.ACT, block_size=self.BLOCK, **variant))
+        kernel = bind_fused(x.shape, w1, b1, w2, b2, act=self.ACT,
+                            block_size=self.BLOCK, **variant)
+        out, peak = _traced_peak(lambda: kernel(x))
         return peak - out.nbytes, out
 
     def _input_and_mask(self, edge):

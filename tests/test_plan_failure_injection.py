@@ -170,14 +170,16 @@ class TestAbandonedRun:
         # the node a prefetch is issued at: the worker thread is up and
         # the tensor is still parked in the store
         doomed = graph.nodes[plan.spills[0].prefetch_issue]
-        run_node = kernels.run_node
+        binder = kernels.BINDERS[doomed.op]
 
-        def kernel_raises(node, in_arrays):
-            if node is doomed:
-                raise ZeroDivisionError("injected kernel failure")
-            return run_node(node, in_arrays)
+        def kernel_raises(in_arrays):
+            raise ZeroDivisionError("injected kernel failure")
 
-        monkeypatch.setattr(kernels, "run_node", kernel_raises)
+        def bind_doomed(node):
+            return kernel_raises if node is doomed else binder(node)
+
+        # the run's schedule binds every node before the first one runs
+        monkeypatch.setitem(kernels.BINDERS, doomed.op, bind_doomed)
         store = SpillStore(directory=tmp_path)
         with pytest.raises(ZeroDivisionError, match="injected"):
             execute(graph, inputs, plan=plan, spill_store=store)

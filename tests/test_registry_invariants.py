@@ -11,18 +11,20 @@ import numpy as np
 import pytest
 
 from repro.ir import ops
-from repro.kernels import KERNELS
+from repro.kernels import BINDERS
 from repro.train.gradients import BACKWARD
 
 
 class TestOpKernelParity:
+    """The binder table covers exactly the registered ops."""
+
     def test_every_registered_op_has_a_kernel(self):
-        missing = set(ops.REGISTRY) - set(KERNELS)
-        assert not missing, f"ops without kernels: {sorted(missing)}"
+        missing = set(ops.REGISTRY) - set(BINDERS)
+        assert not missing, f"ops without kernel binders: {sorted(missing)}"
 
     def test_every_kernel_has_a_registered_op(self):
-        missing = set(KERNELS) - set(ops.REGISTRY)
-        assert not missing, f"kernels without op specs: {sorted(missing)}"
+        missing = set(BINDERS) - set(ops.REGISTRY)
+        assert not missing, f"kernel binders without op specs: {sorted(missing)}"
 
     def test_every_op_has_backward_or_explicit_exclusion(self):
         # ops must either be trainable or raise UntrainableOpError via
@@ -34,7 +36,7 @@ class TestOpKernelParity:
         from repro.kernels import get_activation
         for name in ops.ACTIVATION_OPS:
             assert name in ops.REGISTRY
-            assert name in KERNELS
+            assert name in BINDERS
             get_activation(name)  # must exist in the kernel activation table
 
     def test_inplace_capable_ops_are_unary(self):
@@ -43,7 +45,7 @@ class TestOpKernelParity:
         from repro.ir import Node, Value
         x = Value("x", (1, 2, 4, 4))
         for name in ops.UNARY_ELEMENTWISE_OPS:
-            assert name in ops.REGISTRY and name in KERNELS
+            assert name in ops.REGISTRY and name in BINDERS
             with pytest.raises(ValueError):
                 ops.validate_node(Node("n", name, [x, x], x.with_shape(x.shape, "y")))
 

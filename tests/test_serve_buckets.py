@@ -130,13 +130,17 @@ class TestProbe:
         """A kernel that rounds differently at one sample, by one ulp,
         loses bucket 1 — and only it."""
         g = make_chain_graph(batch=BATCH)
-        real = kernels.KERNELS["maxpool2d"]
+        real = kernels.BINDERS["maxpool2d"]
 
-        def off_by_an_ulp(node, inputs):
-            out = real(node, inputs)
-            return np.nextafter(out, np.inf) if len(out) == 1 else out
+        def off_by_an_ulp(node):
+            kernel = real(node)
 
-        monkeypatch.setitem(kernels.KERNELS, "maxpool2d", off_by_an_ulp)
+            def run(inputs):
+                out = kernel(inputs)
+                return np.nextafter(out, np.inf) if len(out) == 1 else out
+            return run
+
+        monkeypatch.setitem(kernels.BINDERS, "maxpool2d", off_by_an_ulp)
         buckets = derive_buckets(g)
         pool = next(n.name for n in g.nodes if n.op == "maxpool2d")
         assert buckets.sizes == [2, 4]
