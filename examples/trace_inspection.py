@@ -9,7 +9,7 @@ Shows the observability layer end to end without leaving Python:
 2. query the structured pass-decision log (why each skip connection
    was accepted or rejected, what fusion did),
 3. rank the slowest compiler/executor spans,
-4. check the memory counter track against the executor's profile,
+4. check the memory counter track against the simulated schedule,
 5. dump Chrome-trace + JSONL artifacts for Perfetto / grep.
 
 Run:  python examples/trace_inspection.py
@@ -20,6 +20,7 @@ import numpy as np
 from repro import (DecompositionConfig, InferenceSession, Tracer,
                    build_model, decompose_graph, optimize, use_tracer,
                    write_chrome_trace)
+from repro.core import simulate
 from repro.obs import write_jsonl
 from repro.runtime import metrics_markdown
 
@@ -65,13 +66,12 @@ def main() -> None:
         print(f"  {span.duration_us / 1e3:8.2f} ms  "
               f"{'  ' * span.depth}{span.name} [{span.category}]")
 
-    print("\n=== 4. memory counter track vs executor profile ===")
+    print("\n=== 4. memory counter track vs the simulated schedule ===")
     live = tracer.counter_series("memory", "live_bytes")
-    profile = result.memory
-    assert live == [e.live_bytes for e in profile.events]
-    assert max(live) == profile.peak_internal_bytes
+    assert live == list(simulate(optimized).live)
+    assert max(live) == result.memory.peak_internal_bytes
     print(f"  {len(live)} samples, peak {max(live) / MIB:.2f} MiB "
-          "— matches MemoryProfile exactly")
+          "— matches simulate() exactly")
 
     print("\n=== 5. metrics + artifacts ===")
     print(metrics_markdown(tracer.metrics))

@@ -46,11 +46,11 @@ def main() -> None:
 
     print("\nmemory timeline (decomposed):")
     dec_profile = execute(decomposed, inputs).memory
-    print(ascii_timeline(dec_profile.timeline()[::4],
+    print(ascii_timeline(list(enumerate(dec_profile.events))[::4],
                          peak=dec_profile.peak_internal_bytes))
     print("\nmemory timeline (TeMCO):")
     opt_result = execute(optimized, inputs)
-    print(ascii_timeline(opt_result.memory.timeline()[::4],
+    print(ascii_timeline(list(enumerate(opt_result.memory.events))[::4],
                          peak=dec_profile.peak_internal_bytes))
 
     dec_mask = execute(decomposed, inputs).output()

@@ -63,7 +63,8 @@ def figure4(model: str = "unet", batch: int = 4, hw: int | None = None,
     for variant in ("original", "decomposed"):
         graph = vs.graphs[variant]
         profile = execute(graph, inputs).memory
-        timelines[variant] = [(i, b / MIB) for i, b in profile.timeline()]
+        timelines[variant] = [(i, b / MIB)
+                              for i, b in enumerate(profile.events)]
         peaks[variant] = profile.peak_internal_bytes / MIB
         if variant == "decomposed":
             skips = find_skip_connections(graph, distance_threshold)

@@ -82,8 +82,8 @@ def _cmd_export(args) -> int:
         inputs = random_inputs(graph, args.seed)
         profile = InferenceSession(graph).run(inputs).memory
         Path(args.output).write_text(
-            timeline_csv(profile) if args.what == "timeline"
-            else profile_markdown(profile, title=graph.name))
+            timeline_csv(profile, graph) if args.what == "timeline"
+            else profile_markdown(profile, graph, title=graph.name))
     print(f"wrote {args.what} for {graph.name!r} to {args.output}")
     return 0
 

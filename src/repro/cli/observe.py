@@ -4,17 +4,17 @@ trace MODEL|FILE.npz
     Decompose + optimize + run one inference with full tracing; write a
     Chrome trace (Perfetto / ``chrome://tracing``) carrying the
     compiler's decision log, per-node executor spans and the live-bytes
-    counter track.  Exits non-zero if that track and the executor
-    profile disagree.
+    counter track.  Exits non-zero if that track and the simulated
+    schedule (``simulate(graph).live``) disagree.
 profile MODEL|FILE.npz
     Run a few traced inferences and rank op types and layers by self
     time, with bytes moved, analytic FLOPs, arithmetic intensity and
     fused scratch per row.
 memcheck [MODEL ...]
     Memory conformance audit: run each zoo model (original *and*
-    TeMCO-optimized) with the allocation ledger on and cross-check
-    measured peak vs the liveness prediction, the arena plan and the
-    ledger's replay; with ``--budget BYTES``, audit a planned + enforced
+    TeMCO-optimized) with the allocation ledger on and compare it,
+    event for event, with the events ``simulate`` predicts, then check
+    the arena plan; with ``--budget BYTES``, audit a planned + enforced
     run instead.  Exits non-zero on any mismatch.  See
     ``docs/memory_auditing.md``.
 
@@ -32,7 +32,7 @@ from pathlib import Path
 from ..bench import (PAPER_LABELS, figure4, figure10, figure11, figure12,
                      format_table, internal_reduction_geomean, overhead_ratios,
                      use_tuned_fusion)
-from ..core import estimate_peak_internal
+from ..core import estimate_peak_internal, simulate
 from ..data import random_inputs
 from ..models import MODEL_ZOO, build_model
 from ..obs import get_tracer, profile_tracer, write_collapsed_stacks
@@ -52,14 +52,14 @@ def _cmd_trace(args) -> int:
     profile = InferenceSession(target, tracer=tracer).run(
         random_inputs(target, args.seed)).memory
     series = tracer.counter_series("memory", "live_bytes")
-    ok = (series == [e.live_bytes for e in profile.events]
-          and max(series, default=0) == profile.peak_internal_bytes)
+    ok = series == list(simulate(target).live)
     verdicts = dict(Counter(d.verdict for d in tracer.decisions))
     print(f"traced {graph.name}: {len(tracer.spans)} spans, "
           f"{len(tracer.decisions)} decision events {verdicts}, "
           f"{len(tracer.counters)} memory samples")
     print(f"memory counter track {'matches' if ok else 'DOES NOT match'} the "
-          f"executor profile (peak {profile.peak_internal_bytes / MIB:.2f} MiB)")
+          f"simulated schedule (peak {profile.peak_internal_bytes / MIB:.2f} "
+          f"MiB)")
     print()
     print(metrics_markdown(tracer.metrics,
                            title=f"{graph.name} session metrics"))
@@ -165,7 +165,7 @@ def _cmd_memcheck(args) -> int:
               f"({format_bytes(ba.spilled_bytes)} spilled)", ba.findings)
              for ba in audits],
             f"{len(audits)} budgeted run(s) — measured peak within budget, "
-            f"bitwise-identical outputs, ledger consistent")
+            f"bitwise-identical outputs, ledger == simulated events")
     audits = audit_zoo(models, batch=args.batch, hw=args.hw,
                        ratio=args.ratio, method=args.method, seed=args.seed,
                        tolerance=args.tolerance)
@@ -182,8 +182,8 @@ def _cmd_memcheck(args) -> int:
         [(f"peak reduction {ma.reduction_pct:.1f}% "
           f"(measured, {ma.optimized.variant})", ma.all_findings())
          for ma in audits],
-        f"{len(audits)} model(s), both variants each — measured == "
-        f"predicted, ledger consistent, arenas hold")
+        f"{len(audits)} model(s), both variants each — ledger == "
+        f"simulated events, arenas hold")
 
 
 def _cmd_selfcheck(args) -> int:

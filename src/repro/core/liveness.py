@@ -10,13 +10,16 @@ definition because a distant layer still needs them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 from ..ir.graph import Graph
 from ..ir.node import Node
 from ..ir.ops import UNARY_ELEMENTWISE_OPS
 from ..ir.value import Value
 
-__all__ = ["LiveInterval", "analyze_liveness", "MemorySchedule", "simulate",
+__all__ = ["LiveInterval", "analyze_liveness", "LedgerEvent", "MemorySchedule",
+           "simulate",
            "free_schedule", "reuses_input_buffer",
            "estimate_peak_internal", "estimate_peak_floor",
            "SkipConnection", "find_skip_connections"]
@@ -60,6 +63,23 @@ def analyze_liveness(graph: Graph) -> dict[Value, LiveInterval]:
     return {v: LiveInterval(v, begin[v], max(end[v], begin[v])) for v in begin}
 
 
+class LedgerEvent(NamedTuple):
+    """One allocator event — what :func:`simulate` predicts and what a
+    run with ``record_ledger=True`` records, tuple for tuple."""
+
+    #: schedule index the event fires at (-1 while binding graph inputs)
+    node_index: int
+    #: ``alloc`` / ``free`` / ``scratch``, or a memory plan's ``spill``
+    #: (free-like) / ``prefetch`` / ``remat`` (alloc-like)
+    action: str
+    #: the tensor's name (``"<scratch>"`` for a scratch charge)
+    value: str
+    nbytes: int
+    #: live total *after* the event; for ``scratch``, the transient
+    #: ``live + scratch`` peak candidate (scratch never stays resident)
+    live_bytes: int
+
+
 @dataclass(frozen=True)
 class MemorySchedule:
     """The executor's alloc/free order, replayed statically.
@@ -68,9 +88,11 @@ class MemorySchedule:
     nodes, ``-1`` is the input-binding phase.
     """
 
+    #: every allocator event of the run, in order — the ledger a run
+    #: with ``record_ledger=True`` must record, event for event
+    events: list[LedgerEvent]
     #: live bytes sampled at each node after its output is charged and
-    #: before anything is freed — the executor's
-    #: :class:`~repro.runtime.memory_profile.MemoryEvent` ``live_bytes``
+    #: before anything is freed — the executor's ``MemoryProfile.events``
     live: tuple[int, ...]
     #: peak over the whole run, input binding, prefetch charges and
     #: remat transients included — what the allocator measures
@@ -119,14 +141,17 @@ def reuses_input_buffer(node: Node, dying: tuple[Value, ...]) -> bool:
 
 def simulate(graph: Graph, *, order: list[Node] | None = None, actions=None,
              inplace_activations: bool = False) -> MemorySchedule:
-    """Replay the executor's allocation schedule without running it.
+    """Predict the allocator's events without running the graph.
 
     This is the generalized Eq. 3/4 of the paper evaluated over the
-    whole graph, mirroring :func:`repro.runtime.executor.execute` event
-    for event: inputs are charged one by one (an unused one is freed at
-    once), each node charges its output, is sampled, then frees what
-    :func:`free_schedule` says dies there.  Every static peak or
-    live-byte figure in the package is read off the result.
+    whole graph, as the list of events
+    :func:`repro.runtime.executor.execute` makes the allocator emit:
+    inputs are charged one by one (an unused one is freed at once); at
+    each node the plan's prefetch charges, each remat chain (its allocs,
+    then the frees of its intermediates), the node's output, then what
+    :func:`free_schedule` says dies there, then the plan's spills and
+    drops.  The live samples and peaks are folds of that one pass, and
+    every static peak or live-byte figure in the package is read off it.
 
     ``order`` evaluates a candidate schedule (a permutation of
     ``graph.nodes``) without mutating the graph.  ``actions`` are a
@@ -143,46 +168,56 @@ def simulate(graph: Graph, *, order: list[Node] | None = None, actions=None,
     spill_at, issue_at, drop_at, remat_at = (
         (actions.spill_at, actions.issue_at, actions.drop_at, actions.remat_at)
         if actions is not None else (empty,) * 4)
+    events: list[LedgerEvent] = []
+    live = 0
 
-    def released(index: int) -> int:
-        """Bytes the plan evicts at the boundary after ``index``."""
-        return (sum(a.nbytes for a in spill_at.get(index, ()))
-                + sum(a.nbytes for a in drop_at.get(index, ())))
+    def emit(index: int, action: str, v: Value, sign: int = 1) -> None:
+        nonlocal live
+        nbytes = v.nbytes
+        live += sign * nbytes
+        events.append(LedgerEvent(index, action, v.name, nbytes, live))
 
-    live = peak = 0
-    peak_index = -1
-    for v in graph.inputs:                 # ledger position -1
-        live += v.nbytes
-        peak = max(peak, live)
+    def evict(index: int) -> None:
+        """The plan's spills and drops at the boundary after ``index``."""
+        for a in spill_at.get(index, ()):
+            emit(index, "spill", a.value, -1)
+        for a in drop_at.get(index, ()):
+            emit(index, "free", a.value, -1)
+
+    for v in graph.inputs:
+        emit(-1, "alloc", v)
         if v in frees_after[-1]:
-            live -= v.nbytes
-    live -= released(-1)
-    bind_peak = peak
+            emit(-1, "free", v, -1)
+    evict(-1)
+    bind_peak = max((e.live_bytes for e in events), default=0)
 
     samples: list[int] = []
     for index, node in enumerate(nodes):
-        # node boundary, before the kernel: prefetch charges, then each
-        # remat chain's intermediates pile up until its target is bound
-        live += sum(a.nbytes for a in issue_at.get(index, ()))
-        high = live
+        for a in issue_at.get(index, ()):
+            emit(index, "prefetch", a.value)
         for a in remat_at.get(index, ()):
-            high = max(high, live + a.transient_bytes)
-            live += a.nbytes
-        # the node itself
+            target = a.value.name
+            for cnode in a.chain:
+                action = "remat" if cnode.output.name == target else "alloc"
+                emit(index, action, cnode.output)
+            for cnode in a.chain:
+                if cnode.output.name != target:
+                    emit(index, "free", cnode.output, -1)
         dying = frees_after[index]
-        reused = (node.inputs[0].nbytes
-                  if inplace_activations and reuses_input_buffer(node, dying)
-                  else 0)
-        live += node.output.nbytes - reused
+        if inplace_activations and reuses_input_buffer(node, dying):
+            emit(index, "free", dying[0], -1)
+            dying = dying[1:]
+        emit(index, "alloc", node.output)
         samples.append(live)
-        if max(high, live) > peak:
-            peak = max(high, live)
-            peak_index = index
-        live -= sum(v.nbytes for v in dying) - reused
-        live -= released(index)            # boundary after the frees
-    return MemorySchedule(live=tuple(samples), peak_bytes=peak,
-                          peak_index=peak_index, bind_peak_bytes=bind_peak,
-                          frees_after=frees_after)
+        for v in dying:
+            emit(index, "free", v, -1)
+        evict(index)
+    top = max(events, key=attrgetter("live_bytes"), default=None)
+    return MemorySchedule(
+        events=events, live=tuple(samples),
+        peak_bytes=top.live_bytes if top else 0,
+        peak_index=top.node_index if top else -1,
+        bind_peak_bytes=bind_peak, frees_after=frees_after)
 
 
 def estimate_peak_internal(graph: Graph, *,

@@ -2,27 +2,26 @@
 
 TeMCO's value proposition is a *memory* claim, so this module holds the
 runtime to the bar the deployment-arena literature (Pisarchyk & Lee
-2020; Occamy, DAC'23) uses for memory planners: the statically
-*predicted* peak and the dynamically *measured* peak must agree, and
-the measurement itself must be verifiable.
+2020; Occamy, DAC'23) uses for memory planners: what the static model
+*predicts* and what the allocator *measures* must agree.
 
-:func:`audit_graph` runs one inference with the allocation ledger on
-and holds that one measurement against one prediction, the schedule
-:func:`repro.core.liveness.simulate` replays (the general-graph form of
-the paper's Eq. 3/4):
+There is one prediction and one measurement, and both are the same
+list of :class:`~repro.core.liveness.LedgerEvent` tuples:
+:func:`repro.core.liveness.simulate` (the general-graph form of the
+paper's Eq. 3/4) predicts the allocator's events, and a run with the
+ledger on records them.  :func:`audit_graph` makes one comparison,
+event by event — action, tensor, bytes, node and running live total —
+and names the first event where they part (``event_mismatch``).  A
+wrong total, a wrong size, a missing, extra or reordered free and a
+free of the wrong tensor all surface there.  What the event order
+cannot say is checked against the arena plan:
 
-1. **ledger self-consistency** — the event log replays from zero to
-   exactly the claimed totals (a corrupted or fabricated ledger fails),
-2. **peak** — the allocator's peak equals the predicted peak within
-   ``tolerance``, and is reached at the predicted schedule index,
-3. **timeline** — every per-node live-byte sample equals the predicted
-   one within ``tolerance``,
-4. **arena size** — the measured max-live never exceeds the planned
-   arena's total bytes, nor the plan's aligned lower bound,
-5. **arena overlap** — with every slot's planned live interval replaced
-   by the ledger's *measured* ``alloc_index..free_index``, no two
-   tensors that were live together share arena bytes (what running the
-   graph inside the arena would prove, without a second executor).
+- **arena size** — the measured max-live never exceeds the planned
+  arena's total bytes, nor the plan's aligned lower bound,
+- **arena overlap** — with every slot's planned live interval replaced
+  by the ledger's *measured* ``alloc_index..free_index``, no two
+  tensors that were live together share arena bytes (what running the
+  graph inside the arena would prove, without a second executor).
 
 Every violation is a typed :class:`AuditFinding`; a graph *passes*
 when no error-severity finding was raised.  :func:`audit_model` audits
@@ -39,10 +38,12 @@ the planned occupancy render side by side in Perfetto.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import zip_longest
+from typing import NamedTuple
 
 import numpy as np
 
-from ..core.liveness import simulate
+from ..core.liveness import LedgerEvent, simulate
 from ..data.synthetic import random_inputs
 from ..ir.graph import Graph
 from ..runtime.allocator import AllocationError
@@ -52,10 +53,11 @@ from ..runtime.memory_profile import MemoryProfile
 from .tracer import get_tracer
 
 __all__ = ["AuditFinding", "GraphAudit", "ModelAudit", "BudgetAudit",
-           "audit_graph", "audit_model", "audit_zoo", "audit_budgeted",
-           "ledger_findings", "DEFAULT_TOLERANCE"]
+           "TensorLifetime", "lifetimes", "event_findings", "audit_graph",
+           "audit_model", "audit_zoo", "audit_budgeted", "DEFAULT_TOLERANCE"]
 
-#: default relative tolerance for measured-vs-predicted peak agreement.
+#: default relative tolerance of a measured ``live_bytes`` against the
+#: predicted one.
 #: The refcounting executor implements exactly the liveness model, so
 #: the documented contract is bit-exact agreement; the knob exists for
 #: future backends whose allocation order may be timing-dependent.
@@ -68,12 +70,11 @@ MIB = 1024 * 1024
 class AuditFinding:
     """One typed mismatch diagnostic.
 
-    ``kind`` is machine-readable: ``ledger_inconsistent``,
-    ``peak_mismatch``, ``arena_overflow``, ``arena_lower_bound``,
-    ``arena_overlap``, ``profile_mismatch``, ``no_reduction``, and —
-    from the budgeted audit (:func:`audit_budgeted`) —
-    ``infeasible_budget``,
-    ``budget_exceeded``, ``plan_mismatch``, ``output_divergence``.
+    ``kind`` is machine-readable: ``event_mismatch``,
+    ``arena_overflow``, ``arena_lower_bound``, ``arena_overlap``,
+    ``no_reduction``, and — from the budgeted audit
+    (:func:`audit_budgeted`) — ``infeasible_budget``,
+    ``budget_exceeded``, ``output_divergence``.
     ``severity`` is ``error`` (fails the audit) or ``warning``
     (reported only).
     """
@@ -165,24 +166,72 @@ class ModelAudit:
                 "findings": [vars(f) for f in self.findings]}
 
 
-def ledger_findings(ledger, *, expected_peak: int | None = None,
-                    keep: set[str] = frozenset(),
-                    subject: str = "") -> list[AuditFinding]:
-    """Wrap :meth:`AllocationLedger.verify` problems as typed findings."""
-    return [AuditFinding(kind="ledger_inconsistent", severity="error",
-                         subject=subject, message=problem)
-            for problem in ledger.verify(expected_peak=expected_peak,
-                                         keep=keep)]
+class TensorLifetime(NamedTuple):
+    """One residency of a tensor: the span from the event that made it
+    resident to the one that released it."""
+
+    value: str
+    alloc_index: int
+    #: None = still live at the end of the run (a graph output)
+    free_index: int | None
+
+
+def lifetimes(events: list[LedgerEvent]) -> list[TensorLifetime]:
+    """The residencies in ``events``, in allocation order; a tensor a
+    plan brings back (``prefetch`` / ``remat``) opens a fresh one."""
+    out: list[TensorLifetime] = []
+    open_at: dict[str, int] = {}
+    for e in events:
+        if e.action in ("alloc", "prefetch", "remat"):
+            open_at[e.value] = len(out)
+            out.append(TensorLifetime(e.value, e.node_index, None))
+        elif e.action in ("free", "spill") and e.value in open_at:
+            slot = open_at.pop(e.value)
+            out[slot] = out[slot]._replace(free_index=e.node_index)
+    return out
+
+
+def _describe(event: LedgerEvent | None) -> str:
+    if event is None:
+        return "no event"
+    return (f"{event.action} {event.value!r} {event.nbytes} B "
+            f"-> {event.live_bytes} live B")
+
+
+def event_findings(graph: Graph, predicted: list[LedgerEvent],
+                   measured: list[LedgerEvent], *,
+                   tolerance: float = DEFAULT_TOLERANCE,
+                   subject: str = "") -> list[AuditFinding]:
+    """The first event where ``measured`` leaves ``predicted``, as one
+    ``event_mismatch`` finding (none when the lists agree).  Node,
+    action, tensor and bytes must match exactly; ``live_bytes`` within
+    ``tolerance`` (relative).  Later events inherit the first
+    divergence, so only that one is reported."""
+    for i, (want, got) in enumerate(zip_longest(predicted, measured)):
+        if (want is not None and got is not None and want[:4] == got[:4]
+                and abs(got.live_bytes - want.live_bytes)
+                <= tolerance * want.live_bytes):
+            continue
+        index = (want or got).node_index
+        where = (graph.nodes[index].name if 0 <= index < len(graph.nodes)
+                 else "input binding" if index == -1 else f"index {index}")
+        return [AuditFinding(
+            kind="event_mismatch", severity="error", subject=subject,
+            message=(f"event {i} (node {index}, {where}): predicted "
+                     f"{_describe(want)}, measured {_describe(got)}"),
+            measured=got.live_bytes if got else None,
+            expected=want.live_bytes if want else None)]
+    return []
 
 
 def audit_graph(graph: Graph, inputs: dict[str, np.ndarray] | None = None, *,
                 tolerance: float = DEFAULT_TOLERANCE, model: str = "",
                 variant: str = "", seed: int = 0) -> GraphAudit:
-    """Execute ``graph`` with the ledger on and check the measurement
-    against the simulated schedule (see the module docstring for the
-    five checks).  ``tolerance`` is the allowed relative deviation of a
-    measured byte count from its prediction (0.0 = bit-exact, the
-    default)."""
+    """Execute ``graph`` with the ledger on and check it against the
+    events :func:`~repro.core.liveness.simulate` predicts, then against
+    the arena plan (see the module docstring).  ``tolerance`` is the
+    allowed relative deviation of a measured ``live_bytes`` from its
+    prediction (0.0 = bit-exact, the default)."""
     if inputs is None:
         inputs = random_inputs(graph, seed)
     tracer = get_tracer()
@@ -193,49 +242,15 @@ def audit_graph(graph: Graph, inputs: dict[str, np.ndarray] | None = None, *,
         plan = plan_arena(graph)
     profile = result.memory
     ledger = profile.ledger
-    assert ledger is not None
     subject = graph.name or model
-
-    findings: list[AuditFinding] = []
-
-    # 1. ledger self-consistency (replay must reproduce every claimed
-    #    total and the allocator's peak)
-    findings += ledger_findings(
-        ledger, expected_peak=profile.peak_internal_bytes,
-        keep={v.name for v in graph.outputs}, subject=subject)
-
-    def deviates(got: int, want: int) -> bool:
-        return abs(got - want) > tolerance * want
-
-    # 2. the peak, and where in the schedule it is first reached
     schedule = simulate(graph)
+    findings = event_findings(graph, schedule.events, ledger,
+                              tolerance=tolerance, subject=subject)
+
+    # measured max-live must fit the planned arena
     measured = profile.peak_internal_bytes
-    predicted = schedule.peak_bytes
-    peak_at = next((e.node_index for e in ledger.events
-                    if e.live_bytes == measured), -1)
-    if deviates(measured, predicted) or (
-            not tolerance and peak_at != schedule.peak_index):
-        findings.append(AuditFinding(
-            kind="peak_mismatch", severity="error", subject=subject,
-            message=(f"measured peak {measured} B at schedule index "
-                     f"{peak_at} disagrees with the simulated peak "
-                     f"{predicted} B at index {schedule.peak_index} "
-                     f"(tolerance {tolerance:.2%})"),
-            measured=measured, expected=predicted))
-
-    # 3. the per-node timeline, sample by sample
-    timeline = [e.live_bytes for e in profile.events]
-    for index, (got, want) in enumerate(zip(timeline, schedule.live)):
-        if deviates(got, want):
-            findings.append(AuditFinding(
-                kind="profile_mismatch", severity="error", subject=subject,
-                message=(f"node {index} ({graph.nodes[index].name}) measured "
-                         f"{got} live B but the simulation gives {want} B"),
-                measured=got, expected=want))
-            break  # later samples inherit the first divergence
-
-    # 4. measured max-live must fit the planned arena
-    max_live = ledger.max_live_bytes
+    max_live = max((e.live_bytes for e in ledger if e.action != "scratch"),
+                   default=0)
     if max_live > plan.arena_bytes:
         findings.append(AuditFinding(
             kind="arena_overflow", severity="error", subject=subject,
@@ -251,12 +266,12 @@ def audit_graph(graph: Graph, inputs: dict[str, np.ndarray] | None = None, *,
                      f"measurement disagree about liveness"),
             measured=measured, expected=plan.peak_lower_bound))
 
-    # 5. tensors measured live together must not share arena bytes
+    # tensors measured live together must not share arena bytes
     last = len(graph.nodes) - 1
-    lifetimes = {life.value: life for life in ledger.lifetimes()}
+    spans = {life.value: life for life in lifetimes(ledger)}
     measured_slots = []
     for slot in plan.slots:
-        life = lifetimes[slot.value_name]
+        life = spans[slot.value_name]
         measured_slots.append(replace(
             slot, begin=life.alloc_index,
             # never freed = a graph output, live to the end
@@ -268,6 +283,7 @@ def audit_graph(graph: Graph, inputs: dict[str, np.ndarray] | None = None, *,
             kind="arena_overlap", severity="error", subject=subject,
             message=f"under the measured lifetimes: {exc}"))
 
+    predicted = schedule.peak_bytes
     if tracer.enabled:
         _emit_arena_track(tracer, plan, span_base)
         tracer.instant(
@@ -281,7 +297,7 @@ def audit_graph(graph: Graph, inputs: dict[str, np.ndarray] | None = None, *,
         measured_peak_bytes=measured, predicted_peak_bytes=predicted,
         arena_bytes=plan.arena_bytes,
         arena_lower_bound_bytes=plan.peak_lower_bound,
-        ledger_events=len(ledger.events),
+        ledger_events=len(ledger),
         num_allocations=profile.num_allocations,
         findings=findings)
 
@@ -317,10 +333,11 @@ class BudgetAudit:
     """Conformance verdict for one budget-enforced run of one graph.
 
     The budgeted run must honour four claims at once: the plan is
-    feasible, the *measured* ledger peak stays at or under the budget,
-    the measured peak lands exactly on the planner's simulated peak
-    (the byte-exact contract of :func:`repro.core.liveness.simulate`), and
-    the outputs are bitwise identical to an unplanned run.
+    feasible, the *measured* peak stays at or under the budget, the
+    ledger is the event list :func:`repro.core.liveness.simulate`
+    predicts for the plan (the byte-exact contract the planner prices
+    against), and the outputs are bitwise identical to an unplanned
+    run.
     """
 
     model: str
@@ -367,14 +384,13 @@ def audit_budgeted(graph: Graph, budget_bytes: int,
     1. **feasibility** — an infeasible budget is the typed
        ``infeasible_budget`` finding (with the planner's residual),
        not an exception,
-    2. **budget** — the measured ledger peak is ≤ ``budget_bytes``
+    2. **budget** — the measured peak is ≤ ``budget_bytes``
        (``budget_exceeded``),
-    3. **plan conformance** — the measured peak equals the plan's
-       simulated peak bit-for-bit (``plan_mismatch``),
+    3. **plan conformance** — the spill/prefetch/remat-tagged ledger is
+       the event list ``simulate(graph, actions=plan.buckets)``
+       predicts, event for event (``event_mismatch``),
     4. **semantics** — every output is bitwise identical to the
-       unplanned run (``output_divergence``),
-    5. **ledger self-consistency** — the spill/remat-tagged event log
-       replays cleanly (``ledger_inconsistent``).
+       unplanned run (``output_divergence``).
     """
     from ..plan import InfeasibleBudget, plan_memory
 
@@ -413,22 +429,15 @@ def audit_budgeted(graph: Graph, budget_bytes: int,
             message=(f"measured peak {measured} B exceeds the enforced "
                      f"budget of {budget_bytes} B"),
             measured=measured, expected=budget_bytes))
-    if measured != mplan.planned_peak_bytes:
-        findings.append(AuditFinding(
-            kind="plan_mismatch", severity="error", subject=subject,
-            message=(f"measured peak {measured} B disagrees with the "
-                     f"plan's simulated peak {mplan.planned_peak_bytes} B — "
-                     f"the enforcer and the simulation diverged"),
-            measured=measured, expected=mplan.planned_peak_bytes))
+    findings += event_findings(
+        graph, simulate(graph, actions=mplan.buckets).events,
+        profile.ledger, subject=subject)
     for name, array in reference.outputs.items():
         if not np.array_equal(array, result.outputs[name]):
             findings.append(AuditFinding(
                 kind="output_divergence", severity="error", subject=subject,
                 message=(f"output {name!r} of the budgeted run is not "
                          f"bitwise identical to the unplanned run")))
-    findings += ledger_findings(
-        profile.ledger, expected_peak=measured,
-        keep={v.name for v in graph.outputs}, subject=subject)
 
     if tracer.enabled:
         tracer.instant(

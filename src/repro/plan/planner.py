@@ -27,11 +27,10 @@ holds.  When no candidate relieves a still-over-budget peak the typed
 :class:`InfeasibleBudget` reports the residual bytes.
 
 The simulation is the contract: :func:`repro.core.liveness.simulate`
-replicates the executor's event order exactly (input binding, prefetch
-charges, remat transients, output allocation, last-use frees,
-spills/drops), so the planned peak and the measured ledger peak of an
-enforced run agree bit-for-bit — `repro memcheck --budget` cross-checks
-exactly that.
+predicts the allocator's events exactly (input binding, prefetch
+charges, remat chains, output allocation, last-use frees,
+spills/drops), so the ledger of an enforced run is the predicted event
+list, event for event — `repro memcheck --budget` checks exactly that.
 """
 
 from __future__ import annotations
@@ -250,7 +249,7 @@ class MemoryPlan:
     #: predicted peak of the enforced plan — what the ledger must measure
     planned_peak_bytes: int
     #: predicted live bytes sampled at each node (pre-free, matching
-    #: the executor's :class:`~repro.runtime.memory_profile.MemoryEvent`)
+    #: the executor's ``MemoryProfile.events``)
     planned_live: tuple[int, ...]
     actions: tuple[PlanAction, ...]
     cost_model: PlanCostModel

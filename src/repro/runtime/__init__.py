@@ -4,8 +4,8 @@ from .allocator import AllocationError, TensorAllocator
 from .arena import ArenaPlan, ArenaSlot, plan_arena
 from .engine import InferenceSession, TimingResult
 from .executor import ExecutionResult, execute
-from .ledger import AllocationLedger, LedgerEvent, TensorLifetime
-from .memory_profile import MemoryEvent, MemoryProfile, PlanStats
+from ..core.liveness import LedgerEvent
+from .memory_profile import MemoryProfile, PlanStats
 from .planned import PlanEnforcer
 from .report import metrics_markdown, profile_markdown, timeline_csv
 
@@ -19,10 +19,7 @@ __all__ = [
     "TimingResult",
     "ExecutionResult",
     "execute",
-    "AllocationLedger",
     "LedgerEvent",
-    "TensorLifetime",
-    "MemoryEvent",
     "MemoryProfile",
     "PlanStats",
     "PlanEnforcer",

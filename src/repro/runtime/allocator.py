@@ -11,9 +11,11 @@ peak is skip connections).
 
 Every event — a charge (``alloc``, or a plan's ``prefetch`` / ``remat``),
 a release (``free``, or a plan's ``spill``) and a transient ``scratch``
-charge — leaves through one emit path to the subscribed ``sinks``; the
-allocation ledger and the tracer's allocator instants are two such
-sinks, so they cannot disagree about what happened.
+charge — leaves through one emit path as one
+:class:`~repro.core.liveness.LedgerEvent`, the tuple
+:func:`~repro.core.liveness.simulate` predicts, to the subscribed
+``sinks``; the allocation ledger and the tracer's allocator instants
+are two such sinks, so they cannot disagree about what happened.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ..core.liveness import LedgerEvent
 from ..ir.value import Value
 
 __all__ = ["TensorAllocator", "AllocationError"]
@@ -43,10 +46,13 @@ class TensorAllocator:
     #: cumulative bytes ever allocated (allocation traffic)
     total_allocated_bytes: int = 0
     num_allocations: int = 0
-    #: ``(action, name, nbytes, live_after)`` callables told of every
-    #: event, in order — the ledger's ``record`` and the tracer's
-    #: allocator instants subscribe here
-    sinks: list[Callable[[str, str, int, int], None]] = field(
+    #: schedule index stamped on every event; the executor sets it once
+    #: per step (-1 while graph inputs are bound)
+    node_index: int = -1
+    #: callables told of every :class:`LedgerEvent`, in order — the
+    #: ledger's ``append`` and the tracer's allocator instants subscribe
+    #: here; with none subscribed no event is built
+    sinks: list[Callable[[LedgerEvent], None]] = field(
         default_factory=list, repr=False, compare=False)
 
     def alloc(self, value: Value, action: str = "alloc",
@@ -96,8 +102,11 @@ class TensorAllocator:
 
     def _emit(self, action: str, name: str, nbytes: int,
               live_after: int) -> None:
-        for sink in self.sinks:
-            sink(action, name, nbytes, live_after)
+        if self.sinks:
+            event = LedgerEvent(self.node_index, action, name, nbytes,
+                                live_after)
+            for sink in self.sinks:
+                sink(event)
 
     def assert_empty(self, keep: set[str] = frozenset()) -> None:
         """Check everything except ``keep`` has been freed (leak check)."""

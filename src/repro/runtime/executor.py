@@ -14,10 +14,12 @@ byte account from the step's precomputed sizes and samples,
 per node, the live internal bytes *during* that node's execution
 (inputs + output + long-lived tensors) into the
 :class:`~repro.runtime.memory_profile.MemoryProfile` timeline the
-Figure-4/10 benchmarks report.  Everything else a run can be asked for
-is a :class:`RunObserver` attached for that run, in this order: the
-finite check, the ledger's schedule position, the tracer (node spans,
-the ``memory`` counter, ``executor.*`` metrics) and the memory plan's
+Figure-4/10 benchmarks report.  It stamps each step's index on the
+allocator, so every allocator event — the ledger's and the tracer's
+allocator instants — names the node it fired at.  Everything else a
+run can be asked for is a :class:`RunObserver` attached for that run,
+in this order: the finite check, the tracer (node spans, the ``memory``
+counter, ``executor.*`` metrics) and the memory plan's
 :class:`~repro.runtime.planned.PlanEnforcer`.  Every observer is closed
 when the run ends, whether it returned or raised.
 """
@@ -30,15 +32,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .. import kernels
-from ..core.liveness import free_schedule, reuses_input_buffer
+from ..core.liveness import LedgerEvent, free_schedule, reuses_input_buffer
 from ..ir.graph import Graph
 from ..ir.node import Node
 from ..ir.ops import node_flops
 from ..ir.value import Value
 from ..obs import NOOP_TRACER, get_tracer
 from .allocator import TensorAllocator
-from .ledger import AllocationLedger
-from .memory_profile import MemoryEvent, MemoryProfile
+from .memory_profile import MemoryProfile
 
 __all__ = ["execute", "ExecutionResult"]
 
@@ -130,16 +131,6 @@ class _FiniteCheck(RunObserver):
                 f"non-finite value(s) at schedule index {step.index}")
 
 
-class _LedgerPosition(RunObserver):
-    """Attributes the ledger's events to the node being run."""
-
-    def __init__(self, ledger: AllocationLedger) -> None:
-        self.ledger = ledger
-
-    def before_node(self, step):
-        self.ledger.position(step.index, step.node.name)
-
-
 class _TraceObserver(RunObserver):
     """Node spans, the ``memory`` counter track, allocator instants and
     the ``executor.*`` metrics of one traced run."""
@@ -152,21 +143,22 @@ class _TraceObserver(RunObserver):
         self._overwrite: Step | None = None
         allocator.sinks.append(self.allocator_event)
 
-    def allocator_event(self, action: str, name: str, nbytes: int,
-                        live_bytes: int) -> None:
-        if action == "scratch":  # belongs to no tensor
-            self.tracer.instant(action, category="allocator",
-                                bytes=nbytes, live_bytes=live_bytes)
+    def allocator_event(self, event: LedgerEvent) -> None:
+        if event.action == "scratch":  # belongs to no tensor
+            self.tracer.instant("scratch", category="allocator",
+                                bytes=event.nbytes,
+                                live_bytes=event.live_bytes)
             return
-        self.tracer.instant(action, category="allocator", value=name,
-                            bytes=nbytes, live_bytes=live_bytes)
+        self.tracer.instant(event.action, category="allocator",
+                            value=event.value, bytes=event.nbytes,
+                            live_bytes=event.live_bytes)
         step = self._overwrite
-        if step is not None and name == step.dying[0].name:
+        if step is not None and event.value == step.dying[0].name:
             # the in-place release: the output takes over this buffer
             self._overwrite = None
             self.tracer.instant("reuse", category="allocator",
-                                value=step.node.output.name, source=name,
-                                bytes=step.out_bytes)
+                                value=step.node.output.name,
+                                source=event.value, bytes=step.out_bytes)
 
     def before_node(self, step):
         if self.inplace_activations and step.overwrites_input:
@@ -222,11 +214,11 @@ def execute(graph: Graph | Schedule, inputs: dict[str, np.ndarray], *,
     Parameters
     ----------
     record_ledger:
-        Record every allocator event (tensor, bytes, owning node,
-        timestamp) into an
-        :class:`~repro.runtime.ledger.AllocationLedger`, attached to
-        the result as ``result.memory.ledger``.  The ledger is the
-        input of the conformance auditor (:mod:`repro.obs.audit`).
+        Record every allocator event as a
+        :class:`~repro.core.liveness.LedgerEvent` into the list
+        ``result.memory.ledger``.  The conformance auditor
+        (:mod:`repro.obs.audit`) holds it against the events
+        :func:`~repro.core.liveness.simulate` predicts.
     count_fused_scratch:
         If True, the fused kernels' channel-block tiles are charged to
         the allocator as transient scratch (the honest-accounting
@@ -271,9 +263,8 @@ def execute(graph: Graph | Schedule, inputs: dict[str, np.ndarray], *,
     if check_finite:
         observers.append(_FiniteCheck())
     if record_ledger:
-        profile.ledger = AllocationLedger()
-        allocator.sinks.append(profile.ledger.record)
-        observers.append(_LedgerPosition(profile.ledger))
+        profile.ledger = []
+        allocator.sinks.append(profile.ledger.append)
     if tracer.enabled:
         now_us = tracer.now_us
         observers.append(_TraceObserver(tracer, allocator,
@@ -312,6 +303,7 @@ def execute(graph: Graph | Schedule, inputs: dict[str, np.ndarray], *,
 
         for step in schedule.steps:
             node = step.node
+            allocator.node_index = step.index
             for observer in observers:
                 observer.before_node(step)
             in_arrays = [env[v.name] for v in node.inputs]
@@ -333,10 +325,7 @@ def execute(graph: Graph | Schedule, inputs: dict[str, np.ndarray], *,
             env[node.output.name] = out_array
             if count_fused_scratch:
                 allocator.charge_scratch(step.scratch_bytes)
-            profile.events.append(MemoryEvent(
-                index=step.index, node_name=node.name, op=node.op,
-                live_bytes=allocator.current_bytes,
-                scratch_bytes=step.scratch_bytes))
+            profile.events.append(allocator.current_bytes)
             for observer in observers:
                 observer.node_done(step, in_arrays, out_array, start_us,
                                    end_us)

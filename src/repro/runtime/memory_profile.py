@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ledger import AllocationLedger
+from ..core.liveness import LedgerEvent
 
-__all__ = ["MemoryEvent", "MemoryProfile", "PlanStats"]
+__all__ = ["MemoryProfile", "PlanStats"]
 
 
 @dataclass
@@ -51,27 +51,16 @@ class PlanStats:
         }
 
 
-@dataclass(frozen=True)
-class MemoryEvent:
-    """Live-byte snapshot taken while one node executes.
-
-    ``live_bytes`` includes the node's inputs (not yet freed), its
-    freshly allocated output, and any still-live long-range tensors —
-    i.e. the max-of-sums quantity in the paper's Eq. 3/4.
-    """
-
-    index: int
-    node_name: str
-    op: str
-    live_bytes: int
-    scratch_bytes: int = 0
-
-
 @dataclass
 class MemoryProfile:
     """Full memory account of one inference."""
 
-    events: list[MemoryEvent] = field(default_factory=list)
+    #: live internal bytes sampled at each node, once its output is
+    #: charged and before anything is freed — ``events[i]`` includes
+    #: node ``i``'s inputs, its output and every still-live long-range
+    #: tensor, the max-of-sums quantity of the paper's Eq. 3/4 and the
+    #: measured twin of :attr:`~repro.core.liveness.MemorySchedule.live`
+    events: list[int] = field(default_factory=list)
     peak_internal_bytes: int = 0
     weight_bytes: int = 0
     #: live set (value name -> bytes) captured at the peak event
@@ -81,9 +70,10 @@ class MemoryProfile:
     num_allocations: int = 0
     #: peak transient scratch of fused kernels (reported separately)
     peak_scratch_bytes: int = 0
-    #: full alloc/free event log, recorded when the executor ran with
-    #: ``record_ledger=True`` (see :mod:`repro.runtime.ledger`)
-    ledger: AllocationLedger | None = None
+    #: every allocator event, recorded when the executor ran with
+    #: ``record_ledger=True`` — what :func:`~repro.core.liveness.simulate`
+    #: predicts, event for event
+    ledger: list[LedgerEvent] | None = None
     #: spill/prefetch/remat accounting of the enforced memory plan, when
     #: the executor ran with ``plan=`` (see :mod:`repro.runtime.planned`)
     plan_stats: PlanStats | None = None
@@ -92,15 +82,6 @@ class MemoryProfile:
     def peak_total_bytes(self) -> int:
         """Weights + internal peak — the bar height in Figure 10."""
         return self.weight_bytes + self.peak_internal_bytes
-
-    def timeline(self) -> list[tuple[int, int]]:
-        """``(layer index, live internal bytes)`` series (Figure 4 x/y)."""
-        return [(e.index, e.live_bytes) for e in self.events]
-
-    def peak_event(self) -> MemoryEvent:
-        if not self.events:
-            raise ValueError("profile has no events")
-        return max(self.events, key=lambda e: e.live_bytes)
 
     def live_bytes_by_value(self, names: set[str]) -> int:
         """Bytes of the peak live set attributable to ``names``."""

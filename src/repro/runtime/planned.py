@@ -21,8 +21,8 @@ Within one boundary the actions run in the order
 priced them in.  Every byte movement goes through the
 :class:`~repro.runtime.allocator.TensorAllocator` with the tagged
 ``spill`` / ``prefetch`` / ``remat`` actions, so an enforced run's
-ledger replays to exactly the plan's predicted peak — the invariant
-`repro memcheck --budget` checks.
+ledger is exactly the event list ``simulate(graph, actions=plan.buckets)``
+predicts — the invariant `repro memcheck --budget` checks.
 
 Failure semantics: a failed spill write falls back to keep-resident
 (the request stays correct, the budget becomes best-effort); a failed

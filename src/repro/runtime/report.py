@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import io
 
+from ..ir.graph import Graph
+from ..kernels import site_scratch_bytes
 from ..obs.metrics import MetricsRegistry
 from .memory_profile import MemoryProfile
 
@@ -17,18 +19,21 @@ __all__ = ["timeline_csv", "profile_markdown", "metrics_markdown"]
 MIB = 1024 * 1024
 
 
-def timeline_csv(profile: MemoryProfile) -> str:
-    """Per-layer timeline as CSV: index, node, op, live bytes, scratch."""
+def timeline_csv(profile: MemoryProfile, graph: Graph) -> str:
+    """Per-layer timeline of a run of ``graph`` as CSV: index, node, op,
+    live bytes, scratch."""
     out = io.StringIO()
     out.write("index,node,op,live_bytes,scratch_bytes\n")
-    for e in profile.events:
-        out.write(f"{e.index},{e.node_name},{e.op},{e.live_bytes},"
-                  f"{e.scratch_bytes}\n")
+    for index, (node, live) in enumerate(zip(graph.nodes, profile.events)):
+        out.write(f"{index},{node.name},{node.op},{live},"
+                  f"{site_scratch_bytes(node)}\n")
     return out.getvalue()
 
 
-def profile_markdown(profile: MemoryProfile, title: str = "Memory profile") -> str:
-    """One profile as a Markdown section with the peak's composition."""
+def profile_markdown(profile: MemoryProfile, graph: Graph,
+                     title: str = "Memory profile") -> str:
+    """One profile of a run of ``graph`` as a Markdown section with the
+    peak's composition."""
     lines = [f"## {title}", "",
              f"- peak internal: **{profile.peak_internal_bytes / MIB:.2f} MiB**",
              f"- weights: {profile.weight_bytes / MIB:.2f} MiB",
@@ -36,8 +41,9 @@ def profile_markdown(profile: MemoryProfile, title: str = "Memory profile") -> s
              f"- allocations: {profile.num_allocations} "
              f"({profile.total_allocated_bytes / MIB:.2f} MiB traffic)", ""]
     if profile.events:
-        peak = profile.peak_event()
-        lines.append(f"Peak while executing `{peak.node_name}` ({peak.op}); "
+        live = profile.events
+        peak = graph.nodes[max(range(len(live)), key=live.__getitem__)]
+        lines.append(f"Peak while executing `{peak.name}` ({peak.op}); "
                      f"live set:")
         lines.append("")
         lines.append("| tensor | MiB |")

@@ -102,8 +102,7 @@ class TestOptimizePass:
         res = execute(g, random_input(g))
         # at the join, a reduced (core-output) tensor must be in the live set
         join_index = g.index_of(g.find_node("join"))
-        live_at_join = [e for e in res.memory.events if e.index == join_index]
-        assert live_at_join
+        assert res.memory.events[join_index] > 0
 
     def test_compute_guard_rejects_wide_fanout(self):
         # many far uses multiply the copy cost; a tight slack must reject

@@ -3,6 +3,7 @@
 The invariant chain the whole memory story rests on, checked end to
 end on real measured runs (not estimates):
 
+    measured ledger == the events simulate() predicts, event for event
     measured peak == static liveness prediction
     measured max-live <= arena plan lower bound <= arena total bytes
     optimized measured peak < original measured peak
@@ -13,9 +14,13 @@ end on real measured runs (not estimates):
 import pytest
 
 from repro.bench import build_variants, variant_names_for
-from repro.core import estimate_peak_internal
+from repro.core import estimate_peak_internal, optimize
 from repro.core.liveness import simulate
+from repro.data import random_inputs
+from repro.decompose import DecompositionConfig, decompose_graph
 from repro.kernels import site_scratch_bytes
+from repro.models import MODEL_ZOO, build_model
+from repro.plan import plan_memory
 from repro.runtime import InferenceSession, plan_arena
 from repro.runtime.executor import execute
 
@@ -54,6 +59,28 @@ def variants(request):
     return build_variants(request.param, batch=2, hw=32)
 
 
+class TestLedgerIsTheSimulation:
+    @pytest.mark.parametrize("model", sorted(MODEL_ZOO))
+    def test_every_zoo_model(self, model):
+        graph = build_model(model, batch=1, hw=32)
+        ledger = execute(graph, random_inputs(graph, 0),
+                         record_ledger=True).memory.ledger
+        assert ledger == simulate(graph).events
+
+    @pytest.mark.parametrize("model,share", [("wavenet2d", 0.8),
+                                             ("fractalnet", 0.9)])
+    def test_benchmark_budget_rows(self, model, share):
+        # the budgeted rows of the benchmark of record: batch 4, the
+        # Tucker 0.1 TeMCO graph planned to a share of its own peak
+        graph, _ = optimize(decompose_graph(
+            build_model(model, batch=4, hw=32), DecompositionConfig(ratio=0.1)))
+        plan = plan_memory(graph, int(share * estimate_peak_internal(graph)))
+        assert plan.spills or plan.remats
+        ledger = execute(graph, random_inputs(graph, 0), plan=plan,
+                         record_ledger=True).memory.ledger
+        assert ledger == simulate(graph, actions=plan.buckets).events
+
+
 class TestMeasuredVsArena:
     def test_measured_max_live_never_exceeds_arena(self, variants):
         inputs = variants.input_batch()
@@ -61,7 +88,7 @@ class TestMeasuredVsArena:
             graph = variants.graphs[name]
             result = execute(graph, inputs, record_ledger=True)
             plan = plan_arena(graph)
-            max_live = result.memory.ledger.max_live_bytes
+            max_live = max(e.live_bytes for e in result.memory.ledger)
             assert max_live <= plan.peak_lower_bound, (variants.model, name)
             assert plan.peak_lower_bound <= plan.arena_bytes
 

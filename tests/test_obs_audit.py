@@ -1,11 +1,18 @@
 """Conformance auditor: clean passes, injected faults, arena track."""
 
+import dataclasses
+
 import pytest
 
+from repro.bench import harness
+from repro.core import estimate_peak_internal, simulate
+from repro.models import build_model
 from repro.obs import Tracer, use_tracer
-from repro.obs.audit import (AuditFinding, audit_graph, audit_model,
-                             ledger_findings)
-from repro.runtime import AllocationLedger
+from repro.obs import audit as audit_module
+from repro.obs.audit import (AuditFinding, audit_budgeted, audit_graph,
+                             audit_model, event_findings)
+from repro.plan import SpillStoreError, plan_memory
+from repro.plan.store import SpillStore
 
 
 class TestAuditGraph:
@@ -47,33 +54,133 @@ class TestAuditModel:
                 < result.original.measured_peak_bytes)
         assert result.reduction_pct > 0.0
 
-    def test_no_reduction_cross_check_fires(self):
-        # equal peaks demote to a warning, not an error
+    def test_no_reduction_cross_check_fires(self, monkeypatch):
+        # the "best" variant is the original itself: equal peaks demote
+        # to a warning, not an error
+        monkeypatch.setattr(harness, "variant_names_for",
+                            lambda model: ["original"])
         result = audit_model("alexnet", batch=2, hw=32)
-        result.optimized.measured_peak_bytes = \
-            result.original.measured_peak_bytes
-        # re-derive the cross-check the way audit_model does
-        from repro.obs.audit import AuditFinding
-        findings = []
-        if (result.optimized.measured_peak_bytes
-                > result.original.measured_peak_bytes):
-            findings.append(AuditFinding("no_reduction", "error", "x", ""))
-        elif (result.optimized.measured_peak_bytes
-                == result.original.measured_peak_bytes):
-            findings.append(AuditFinding("no_reduction", "warning", "x", ""))
-        assert findings and findings[0].severity == "warning"
+        assert [(f.kind, f.severity) for f in result.findings] \
+            == [("no_reduction", "warning")]
+        assert result.passed
+
+    def test_raised_peak_is_a_no_reduction_error(self, monkeypatch):
+        # the variants swapped: the "optimized" graph is the original
+        real = harness.build_variants
+
+        def swapped(model, **kwargs):
+            vs = real(model, **kwargs)
+            best = harness.variant_names_for(model)[-1]
+            vs.graphs["original"], vs.graphs[best] = \
+                vs.graphs[best], vs.graphs["original"]
+            return vs
+
+        monkeypatch.setattr(harness, "build_variants", swapped)
+        result = audit_model("alexnet", batch=2, hw=32)
+        assert [(f.kind, f.severity) for f in result.findings] \
+            == [("no_reduction", "error")]
+        assert not result.passed
 
 
 class TestLedgerFindings:
     def test_corrupted_ledger_becomes_error_finding(self):
-        ledger = AllocationLedger()
-        ledger.record("alloc", "x", 100, 100)
-        ledger.record("alloc", "y", 50, 999)  # lies about the total
-        findings = ledger_findings(ledger, keep={"x", "y"}, subject="t")
-        assert findings
-        assert all(isinstance(f, AuditFinding) for f in findings)
-        assert all(f.kind == "ledger_inconsistent" for f in findings)
-        assert all(f.severity == "error" for f in findings)
+        graph = build_model("alexnet", batch=1, hw=32)
+        predicted = simulate(graph).events
+        ledger = list(predicted)
+        ledger[1] = ledger[1]._replace(live_bytes=999)  # lies about the total
+        [finding] = event_findings(graph, predicted, ledger, subject="t")
+        assert isinstance(finding, AuditFinding)
+        assert (finding.kind, finding.severity, finding.subject) \
+            == ("event_mismatch", "error", "t")
+        assert (finding.measured, finding.expected) \
+            == (999, predicted[1].live_bytes)
+        assert event_findings(graph, predicted, list(predicted)) == []
+
+    def test_tolerance_applies_to_live_bytes_only(self):
+        graph = build_model("alexnet", batch=1, hw=32)
+        predicted = simulate(graph).events
+        ledger = list(predicted)
+        ledger[1] = ledger[1]._replace(live_bytes=ledger[1].live_bytes + 1)
+        assert event_findings(graph, predicted, ledger, tolerance=0.5) == []
+        ledger[1] = ledger[1]._replace(value="other")
+        assert event_findings(graph, predicted, ledger, tolerance=0.5)
+
+
+class TestInjectedFaults:
+    """Every finding kind, fired by the real audit on an injected fault
+    (``arena_overlap`` is in ``test_runtime_arena.py``, the
+    ``event_mismatch`` tampers in ``test_runtime_ledger.py``)."""
+
+    @staticmethod
+    def _kinds(audit):
+        return [f.kind for f in audit.findings]
+
+    def _with_arena(self, monkeypatch, graph, **changes):
+        real = audit_module.plan_arena(graph)
+        monkeypatch.setattr(audit_module, "plan_arena",
+                            lambda g: dataclasses.replace(real, **changes))
+        return audit_graph(graph)
+
+    def test_arena_overflow(self, monkeypatch):
+        graph = build_model("alexnet", batch=1, hw=32)
+        peak = estimate_peak_internal(graph)
+        audit = self._with_arena(monkeypatch, graph, arena_bytes=peak - 1)
+        assert self._kinds(audit) == ["arena_overflow"]
+        assert audit.findings[0].measured == peak
+
+    def test_arena_lower_bound(self, monkeypatch):
+        graph = build_model("alexnet", batch=1, hw=32)
+        peak = estimate_peak_internal(graph)
+        audit = self._with_arena(monkeypatch, graph,
+                                 peak_lower_bound=peak - 1)
+        assert self._kinds(audit) == ["arena_lower_bound"]
+
+    @pytest.fixture
+    def wavenet(self):
+        graph = build_model("wavenet2d", batch=1, hw=16)
+        return graph, int(0.6 * estimate_peak_internal(graph))
+
+    def test_budget_exceeded(self, monkeypatch, wavenet):
+        # the enforcer runs a plan that never aimed at the budget
+        graph, budget = wavenet
+        monkeypatch.setattr("repro.plan.plan_memory",
+                            lambda g, b: plan_memory(g, None))
+        audit = audit_budgeted(graph, budget)
+        assert self._kinds(audit) == ["budget_exceeded"]
+
+    def test_output_divergence(self, monkeypatch, wavenet):
+        graph, budget = wavenet
+        real = audit_module.execute
+
+        def corrupted(graph, inputs, **kwargs):
+            result = real(graph, inputs, **kwargs)
+            if kwargs.get("plan") is not None:
+                for array in result.outputs.values():
+                    array.flat[0] += 1.0
+            return result
+
+        monkeypatch.setattr(audit_module, "execute", corrupted)
+        audit = audit_budgeted(graph, budget)
+        assert self._kinds(audit) == ["output_divergence"]
+
+    def test_failed_spill_is_an_event_mismatch(self, monkeypatch, wavenet):
+        # a spill write that fails keeps the tensor resident: the run
+        # stays correct but leaves the planned event list at that spill
+        graph, budget = wavenet
+
+        def broken(self, name, array):
+            raise SpillStoreError("disk full")
+
+        monkeypatch.setattr(SpillStore, "put", broken)
+        audit = audit_budgeted(graph, budget)
+        assert "event_mismatch" in self._kinds(audit)
+        [finding] = [f for f in audit.findings if f.kind == "event_mismatch"]
+        assert "predicted spill" in finding.message
+
+    def test_infeasible_budget(self, wavenet):
+        graph, _ = wavenet
+        audit = audit_budgeted(graph, 4096)
+        assert self._kinds(audit) == ["infeasible_budget"]
 
 
 class TestArenaTrack:

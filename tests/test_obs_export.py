@@ -149,7 +149,7 @@ class TestMemoryCounterTrack:
         samples = [e["args"]["live_bytes"] for e in events
                    if e["ph"] == "C" and e["name"] == "memory"]
         profile = result.memory
-        assert samples == [e.live_bytes for e in profile.events]
+        assert samples == profile.events
         assert max(samples) == profile.peak_internal_bytes
 
     def test_counter_samples_are_monotonic_in_time(self, traced):

@@ -219,8 +219,7 @@ class TestNoopOverhead:
         traced_tracer = Tracer()
         traced = execute(graph, inputs, tracer=traced_tracer)
         assert plain.memory.peak_internal_bytes == traced.memory.peak_internal_bytes
-        assert [e.live_bytes for e in plain.memory.events] == \
-            [e.live_bytes for e in traced.memory.events]
+        assert plain.memory.events == traced.memory.events
         for k, v in plain.outputs.items():
             assert (v == traced.outputs[k]).all()
         # the traced run recorded one span and one counter sample per node

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bench import build_variants, variant_names_for
-from repro.core import estimate_peak_internal
+from repro.core import estimate_peak_internal, simulate
 from repro.ir import GraphBuilder
 from repro.models import build_model
 from repro.obs.audit import BudgetAudit, audit_budgeted
@@ -58,10 +58,8 @@ class TestBudgetedZooRuns:
     def test_ledger_replays_clean_with_plan_events(self, budgeted_run):
         graph, _, _, plan, planned = budgeted_run
         ledger = planned.memory.ledger
-        outputs = {v.name for v in graph.outputs}
-        assert ledger.verify(expected_peak=plan.planned_peak_bytes,
-                             keep=outputs) == []
-        actions = {e.action for e in ledger.events}
+        assert ledger == simulate(graph, actions=plan.buckets).events
+        actions = {e.action for e in ledger}
         assert "spill" in actions and "prefetch" in actions
 
     def test_plan_stats_account_for_every_action(self, budgeted_run):
@@ -113,9 +111,8 @@ class TestRematEnforcement:
         assert planned.memory.plan_stats.remats == 1
         assert planned.memory.plan_stats.remat_flops == plan.remat_flops
         ledger = planned.memory.ledger
-        assert any(e.action == "remat" for e in ledger.events)
-        assert ledger.verify(expected_peak=plan.planned_peak_bytes,
-                             keep={"join.out"}) == []
+        assert any(e.action == "remat" for e in ledger)
+        assert ledger == simulate(graph, actions=plan.buckets).events
 
 
 class TestOptimizedVariantSweep:

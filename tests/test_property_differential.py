@@ -6,8 +6,9 @@ with itself:
 - every decomposition method lowers to a sequence matching its
   reconstructed kernel (semantics within float tolerance),
 - the full TeMCO pipeline preserves outputs and never raises the peak,
-- the one memory simulator predicts the executor's whole live-byte
-  timeline, unplanned (both accounting policies) and under a budget,
+- the one memory simulator predicts the allocator's whole event list
+  and live-byte timeline, unplanned (both accounting policies) and
+  under a budget,
 - serialization round-trips optimized graphs bit-exactly,
 - arena plans stay valid on optimized graphs.
 """
@@ -21,7 +22,7 @@ from repro.core import (compare_graphs, estimate_peak_floor, optimize,
                         simulate)
 from repro.decompose import DecompositionConfig, decompose_graph
 from repro.ir import graph_from_dict, graph_to_dict
-from repro.plan import InfeasibleBudget, plan_memory
+from repro.plan import InfeasibleBudget, PlanCostModel, plan_memory
 from repro.runtime import execute, plan_arena
 
 from _fuzz import random_cnn
@@ -55,10 +56,6 @@ def test_every_method_optimizable(seed, method):
     assert report.peak_after <= report.peak_before
 
 
-def _measured_timeline(memory):
-    return tuple(e.live_bytes for e in memory.events)
-
-
 def _decomposed_and_optimized(seed):
     """Both ends of the pipeline: ``optimize`` eliminates dead-end
     branches, so only the decomposed graph still carries them."""
@@ -78,13 +75,13 @@ def test_simulated_timeline_is_the_measured_one(inplace, seed):
         schedule = simulate(graph, inplace_activations=inplace)
         memory = execute(graph, random_input(graph, seed), record_ledger=True,
                          inplace_activations=inplace).memory
-        assert schedule.live == _measured_timeline(memory)
+        assert schedule.live == tuple(memory.events)
         assert schedule.peak_bytes == memory.peak_internal_bytes
         # unused inputs are freed as they are bound, so even with
         # strays the floor never exceeds the (default-policy) peak
         assert estimate_peak_floor(graph) <= simulate(graph).peak_bytes
         assert schedule.peak_index == next(
-            e.node_index for e in memory.ledger.events
+            e.node_index for e in memory.ledger
             if e.live_bytes == memory.peak_internal_bytes)
 
 
@@ -94,16 +91,45 @@ def test_planned_timeline_is_the_enforced_one(seed):
     """Under the tightest of a few budgets the planner can meet, the
     plan's simulated timeline is what the enforced run measures."""
     for graph in _decomposed_and_optimized(seed):
-        peak = simulate(graph).peak_bytes
-        for fraction in (0.8, 0.9, 0.97, 1.0):  # 1.0 is always feasible
-            try:
-                plan = plan_memory(graph, int(fraction * peak))
-                break
-            except InfeasibleBudget:
-                continue
+        plan = _tightest_plan(graph, (0.8, 0.9, 0.97, 1.0))
         memory = execute(graph, random_input(graph, seed), plan=plan).memory
-        assert plan.planned_live == _measured_timeline(memory)
+        assert plan.planned_live == tuple(memory.events)
         assert plan.planned_peak_bytes == memory.peak_internal_bytes
+
+
+def _tightest_plan(graph, fractions, cost_model=None):
+    """The plan for the smallest ``fractions`` of the peak the planner
+    meets (the last fraction, 1.0, always is)."""
+    peak = simulate(graph).peak_bytes
+    for fraction in fractions:
+        try:
+            return plan_memory(graph, int(fraction * peak),
+                               cost_model=cost_model)
+        except InfeasibleBudget:
+            continue
+    raise AssertionError("no fraction was feasible")
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10_000), remat=st.booleans())
+def test_ledger_is_the_simulated_event_list(seed, remat):
+    """Event for event — node, action, tensor, bytes and running total —
+    the run records what ``simulate`` predicts: under both accounting
+    policies, and enforcing the tightest feasible budget (remats priced
+    near free when ``remat``)."""
+    cost_model = PlanCostModel(recompute_flops_per_s=2e12) if remat else None
+    for graph in _decomposed_and_optimized(seed):
+        inputs = random_input(graph, seed)
+        for inplace in (False, True):
+            ledger = execute(graph, inputs, record_ledger=True,
+                             inplace_activations=inplace).memory.ledger
+            assert ledger == simulate(
+                graph, inplace_activations=inplace).events
+        plan = _tightest_plan(graph, (0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
+                              cost_model)
+        ledger = execute(graph, inputs, plan=plan,
+                         record_ledger=True).memory.ledger
+        assert ledger == simulate(graph, actions=plan.buckets).events
 
 
 @settings(max_examples=10, deadline=None)

@@ -43,22 +43,23 @@ class TestDot:
 
 
 class TestReports:
-    def _profile(self, factory=make_skip_graph):
+    def _run(self, factory=make_skip_graph):
         g = factory()
-        return execute(g, random_input(g)).memory
+        return g, execute(g, random_input(g)).memory
 
     def test_timeline_csv_parses(self):
-        profile = self._profile()
-        rows = list(csv.DictReader(io.StringIO(timeline_csv(profile))))
+        g, profile = self._run()
+        rows = list(csv.DictReader(io.StringIO(timeline_csv(profile, g))))
         assert len(rows) == len(profile.events)
+        assert [row["node"] for row in rows] == [n.name for n in g.nodes]
         assert int(rows[0]["live_bytes"]) > 0
 
     def test_profile_markdown_mentions_peak(self):
-        profile = self._profile()
-        md = profile_markdown(profile, title="T")
+        g, profile = self._run()
+        md = profile_markdown(profile, g, title="T")
         assert "## T" in md and "peak internal" in md
-        peak = profile.peak_event()
-        assert peak.node_name in md
+        peak = g.nodes[profile.events.index(max(profile.events))]
+        assert f"`{peak.name}` ({peak.op})" in md
 
     def test_metrics_markdown_table(self):
         registry = MetricsRegistry()

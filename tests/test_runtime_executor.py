@@ -67,7 +67,7 @@ class TestMemoryAccounting:
     def test_peak_event_consistent(self):
         g = make_skip_graph()
         profile = execute(g, random_input(g)).memory
-        assert profile.peak_event().live_bytes == profile.peak_internal_bytes
+        assert max(profile.events) == profile.peak_internal_bytes
 
     def test_weight_bytes_reported(self):
         g = make_chain_graph()
@@ -91,16 +91,17 @@ class TestMemoryAccounting:
         # the concat join must see both operands resident
         g = make_skip_graph()
         profile = execute(g, random_input(g)).memory
-        join_event = next(e for e in profile.events if e.node_name == "join")
         join_node = g.find_node("join")
+        live = profile.events[g.index_of(join_node)]
         operand_bytes = sum(v.nbytes for v in join_node.inputs)
-        assert join_event.live_bytes >= operand_bytes + join_node.output.nbytes
+        assert live >= operand_bytes + join_node.output.nbytes
 
     def test_timeline_monotone_indices(self):
         g = make_chain_graph()
-        profile = execute(g, random_input(g)).memory
-        indices = [i for i, _ in profile.timeline()]
+        ledger = execute(g, random_input(g), record_ledger=True).memory.ledger
+        indices = [e.node_index for e in ledger]
         assert indices == sorted(indices)
+        assert indices[0] == -1 and indices[-1] == len(g.nodes) - 1
 
 
 class TestInferenceSession:

@@ -51,18 +51,19 @@ class TestObserversAgree:
                      i.args["live_bytes"])
                     for i in tracer.instants if i.category == "allocator"]
         events = [(e.action, e.value, e.nbytes, e.live_bytes)
-                  for e in result.memory.ledger.events]
+                  for e in result.memory.ledger]
         assert instants == events
 
     def test_memory_counter_is_the_timeline_is_the_simulation(
             self, traced_run):
         graph, plan, tracer, result = traced_run
-        actions = bucket_actions(plan.actions) if plan else None
-        timeline = [live for _, live in result.memory.timeline()]
+        schedule = simulate(
+            graph, actions=bucket_actions(plan.actions) if plan else None)
+        timeline = result.memory.events
         assert tracer.counter_series("memory", "live_bytes") == timeline
-        assert timeline == list(simulate(graph, actions=actions).live)
-        assert result.memory.peak_internal_bytes \
-            == simulate(graph, actions=actions).peak_bytes
+        assert timeline == list(schedule.live)
+        assert result.memory.ledger == schedule.events
+        assert result.memory.peak_internal_bytes == schedule.peak_bytes
 
     def test_plan_counter_carries_the_planned_bytes(self, traced_run):
         _, plan, tracer, _ = traced_run
