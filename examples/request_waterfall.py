@@ -52,14 +52,15 @@ def main() -> None:
     print("=== 1. per-request waterfall (from the trace) ===")
     print(f"{'request':>8} {'trace_id':>17} {'queue_wait':>11} "
           f"{'batching':>9} {'execute':>8}")
-    boundaries = {(e.aid, e.name, e.phase): e.ts_us
-                  for e in tracer.async_events}
+    # async slice boundaries: ph "b" (begin) / "e" (end), keyed by id
+    boundaries = {(e["id"], e["name"], e["ph"]): e["ts"]
+                  for e in tracer.events if e["ph"] in ("b", "e")}
     for future in futures:
         rid = future.request_id
         segments = {}
         for seg in ("queue_wait", "batching", "execute"):
-            begin = boundaries.get((rid, seg, "begin"))
-            end = boundaries.get((rid, seg, "end"))
+            begin = boundaries.get((rid, seg, "b"))
+            end = boundaries.get((rid, seg, "e"))
             segments[seg] = (end - begin) if begin is not None else 0.0
         print(f"{rid:>8} {future.trace_id:>17} "
               f"{segments['queue_wait'] / 1e3:>9.2f}ms "
@@ -67,13 +68,13 @@ def main() -> None:
               f"{segments['execute'] / 1e3:>6.2f}ms")
 
     print("\n=== 2. fan-in: which batch served which requests ===")
-    for span in tracer.spans:
-        if span.name == "serve.batch":
-            print(f"  worker {span.args['worker_id']} "
-                  f"batch of {span.args['requests']} request(s) "
-                  f"{span.args['samples']} sample(s) "
-                  f"(padding {span.args['padding']}): "
-                  f"ids {span.args['request_ids']}")
+    for span in tracer.events:
+        if span["ph"] == "X" and span["name"] == "serve.batch":
+            args = span["args"]
+            print(f"  worker {args['worker_id']} "
+                  f"batch of {args['requests']} request(s) "
+                  f"{args['samples']} sample(s) "
+                  f"(padding {args['padding']}): ids {args['request_ids']}")
 
     print("\n=== 3. serving metrics ===")
     for key in sorted(stats):

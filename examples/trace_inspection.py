@@ -15,6 +15,8 @@ Shows the observability layer end to end without leaving Python:
 Run:  python examples/trace_inspection.py
 """
 
+from collections import Counter
+
 import numpy as np
 
 from repro import (DecompositionConfig, InferenceSession, Tracer,
@@ -46,25 +48,28 @@ def main() -> None:
         decisions = tracer.decisions_for(pass_name)
         print(f"{pass_name}: {len(decisions)} decisions")
         for d in decisions[:5]:
+            # a decision's args: its quantities, plus who decided what
+            args = dict(d["args"])
+            verdict, subject, reason = (args.pop(k) for k in
+                                        ("verdict", "subject", "reason"))
+            del args["pass_name"]
             qty = ", ".join(f"{k}={v:,}" if isinstance(v, int) else f"{k}={v}"
-                            for k, v in sorted(d.quantities.items()))
-            print(f"  {d.verdict:>6}  {d.subject:<28} {d.reason:<18} {qty}")
+                            for k, v in sorted(args.items()))
+            print(f"  {verdict:>6}  {subject:<28} {reason:<18} {qty}")
         if len(decisions) > 5:
             print(f"  ... and {len(decisions) - 5} more")
 
-    rejected = [d for d in tracer.decisions_for("skip_opt") if d.rejected]
+    rejected = [d["args"]["reason"] for d in tracer.decisions_for("skip_opt")
+                if d["args"]["verdict"] in ("reject", "skip")]
     if rejected:
         print("\nskip-opt rejections by reason:")
-        reasons = {}
-        for d in rejected:
-            reasons[d.reason] = reasons.get(d.reason, 0) + 1
-        for reason, count in sorted(reasons.items()):
+        for reason, count in sorted(Counter(rejected).items()):
             print(f"  {reason}: {count}")
 
     print("\n=== 3. slowest spans ===")
-    for span in sorted(tracer.spans, key=lambda s: -s.duration_us)[:8]:
-        print(f"  {span.duration_us / 1e3:8.2f} ms  "
-              f"{'  ' * span.depth}{span.name} [{span.category}]")
+    spans = [e for e in tracer.events if e["ph"] == "X"]
+    for span in sorted(spans, key=lambda s: -s["dur"])[:8]:
+        print(f"  {span['dur'] / 1e3:8.2f} ms  {span['name']} [{span['cat']}]")
 
     print("\n=== 4. memory counter track vs the simulated schedule ===")
     live = tracer.counter_series("memory", "live_bytes")

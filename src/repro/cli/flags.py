@@ -162,8 +162,10 @@ def fleet_flags(p):
 
 def _wrote_trace(tracer: Tracer, path: Path) -> None:
     # stderr: commands with --json keep stdout machine-parseable
-    print(f"wrote trace ({len(tracer.spans)} spans, "
-          f"{len(tracer.decisions)} decisions) to {path}", file=sys.stderr)
+    spans = sum(e["ph"] == "X" for e in tracer.events)
+    print(f"wrote trace ({spans} spans, "
+          f"{len(tracer.decisions_for())} decisions) to {path}",
+          file=sys.stderr)
 
 
 def _obs_wrap(fn, *, always: bool = False, wrote=_wrote_trace):

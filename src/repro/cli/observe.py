@@ -53,10 +53,12 @@ def _cmd_trace(args) -> int:
         random_inputs(target, args.seed)).memory
     series = tracer.counter_series("memory", "live_bytes")
     ok = series == list(simulate(target).live)
-    verdicts = dict(Counter(d.verdict for d in tracer.decisions))
-    print(f"traced {graph.name}: {len(tracer.spans)} spans, "
-          f"{len(tracer.decisions)} decision events {verdicts}, "
-          f"{len(tracer.counters)} memory samples")
+    decisions = tracer.decisions_for()
+    verdicts = dict(Counter(d["args"]["verdict"] for d in decisions))
+    phases = Counter(e["ph"] for e in tracer.events)
+    print(f"traced {graph.name}: {phases['X']} spans, "
+          f"{len(decisions)} decision events {verdicts}, "
+          f"{phases['C']} memory samples")
     print(f"memory counter track {'matches' if ok else 'DOES NOT match'} the "
           f"simulated schedule (peak {profile.peak_internal_bytes / MIB:.2f} "
           f"MiB)")

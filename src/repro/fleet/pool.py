@@ -44,7 +44,7 @@ from functools import cached_property
 
 from ..core import estimate_peak_internal
 from ..ir.graph import Graph
-from ..obs import MetricsRegistry, TaggedTracer, get_tracer
+from ..obs import MetricsRegistry, get_tracer
 from ..plan import MemoryPlan, parse_budget, plan_memory
 from ..serve.batcher import Buckets, derive_buckets
 from ..serve.servable import ServeError, ServeFuture, ServerClosed
@@ -319,11 +319,10 @@ class ReplicaPool:
         a new spec touch ``spec.buckets`` (a start-up probe: forward
         runs of the graph) *before* taking the lock, which leaves
         session building and thread spawning here."""
-        tracer = (TaggedTracer(self.tracer, replica=replica.id)
-                  if self.tracer.enabled else None)
         replica.server = InferenceServer(
             replica.spec.graph, replica.spec.server_config,
-            tracer=tracer, memory_plan=replica.spec.memory_plan,
+            tracer=self.tracer.tagged(replica=replica.id),
+            memory_plan=replica.spec.memory_plan,
             buckets=replica.spec.buckets).start()
         replica.state = ReplicaState.READY
         replica.clear_faults()

@@ -1,14 +1,18 @@
 """Observability: tracing, decision logging, metrics, trace export.
 
-The subsystem has three moving parts:
+The subsystem has four moving parts:
 
 - :class:`Tracer` / :class:`NoopTracer` (:mod:`repro.obs.tracer`) —
   nested spans, instant events, counter tracks, and the structured
   *decision event log* every compiler pass writes its accept/reject
-  verdicts to.  The no-op tracer is the ambient default, so tracing is
-  zero-cost unless explicitly installed with :func:`use_tracer`.
+  verdicts to, all kept in one list, ``Tracer.events``, as the Chrome
+  trace events they export as; ``tracer.tagged(...)`` is a view that
+  stamps fixed args onto every record.  The no-op tracer is the ambient
+  default, so tracing is zero-cost unless explicitly installed with
+  :func:`use_tracer`.
 - exporters (:mod:`repro.obs.export`) — Chrome trace-event JSON
-  (openable in Perfetto / ``chrome://tracing``) and a JSONL stream.
+  (openable in Perfetto / ``chrome://tracing``) and the same events as
+  a JSONL stream.
 - :class:`MetricsRegistry` (:mod:`repro.obs.metrics`) — counters and
   gauges summarized as Markdown by
   :func:`repro.runtime.report.metrics_markdown`.
@@ -35,31 +39,22 @@ See ``docs/observability.md`` for the event taxonomy.
 
 from .dashboard import render_dashboard
 from .diag import write_diag_bundle
-from .events import (AsyncEvent, CounterSample, DecisionEvent, FlowEvent,
-                     InstantEvent, SpanRecord)
-from .export import (chrome_trace_events, jsonl_records, to_chrome_trace,
-                     write_chrome_trace, write_jsonl, write_trace)
+from .export import (chrome_trace_events, to_chrome_trace, write_chrome_trace,
+                     write_jsonl, write_trace)
 from .fleetview import Anomaly, FleetView
 from .metrics import Histogram, MetricsRegistry
 from .profile import (OpStat, ProfileReport, collapsed_stacks, profile_spans,
                       profile_tracer, write_collapsed_stacks)
 from .prometheus import prometheus_metric_name, prometheus_text
 from .slo import SLObjective, SLOMonitor, SLOStatus, parse_slo, parse_slos
-from .tracer import (NOOP_TRACER, NoopTracer, TaggedTracer, Tracer,
-                     configure_logging, get_tracer, new_trace_id, set_tracer,
-                     use_tracer)
+from .tracer import (NOOP_TRACER, NoopTracer, Tracer, configure_logging,
+                     get_tracer, new_trace_id, set_tracer, use_tracer)
 
 __all__ = [
     "Anomaly",
     "FleetView",
     "render_dashboard",
     "write_diag_bundle",
-    "SpanRecord",
-    "InstantEvent",
-    "CounterSample",
-    "DecisionEvent",
-    "FlowEvent",
-    "AsyncEvent",
     "Histogram",
     "MetricsRegistry",
     "OpStat",
@@ -77,7 +72,6 @@ __all__ = [
     "prometheus_metric_name",
     "Tracer",
     "NoopTracer",
-    "TaggedTracer",
     "NOOP_TRACER",
     "get_tracer",
     "set_tracer",
@@ -87,7 +81,6 @@ __all__ = [
     "chrome_trace_events",
     "to_chrome_trace",
     "write_chrome_trace",
-    "jsonl_records",
     "write_jsonl",
     "write_trace",
 ]

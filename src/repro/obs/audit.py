@@ -235,7 +235,7 @@ def audit_graph(graph: Graph, inputs: dict[str, np.ndarray] | None = None, *,
     if inputs is None:
         inputs = random_inputs(graph, seed)
     tracer = get_tracer()
-    span_base = len(tracer.spans) if tracer.enabled else 0
+    event_base = len(tracer.events) if tracer.enabled else 0
 
     with tracer.span("audit", category="obs", graph=graph.name):
         result = execute(graph, inputs, record_ledger=True)
@@ -285,7 +285,7 @@ def audit_graph(graph: Graph, inputs: dict[str, np.ndarray] | None = None, *,
 
     predicted = schedule.peak_bytes
     if tracer.enabled:
-        _emit_arena_track(tracer, plan, span_base)
+        _emit_arena_track(tracer, plan, event_base)
         tracer.instant(
             "audit_verdict", category="obs", graph=subject,
             passed=not any(f.severity == "error" for f in findings),
@@ -302,20 +302,20 @@ def audit_graph(graph: Graph, inputs: dict[str, np.ndarray] | None = None, *,
         findings=findings)
 
 
-def _emit_arena_track(tracer, plan: ArenaPlan, span_base: int) -> None:
+def _emit_arena_track(tracer, plan: ArenaPlan, event_base: int) -> None:
     """Export the planned arena occupancy as the ``arena`` counter
     track, timestamped against the executor node spans recorded since
-    ``span_base`` so planned and measured curves align on the trace
-    timeline."""
+    event ``event_base`` so planned and measured curves align on the
+    trace timeline."""
     end_by_index: dict[int, float] = {}
     first_start = None
-    for span in tracer.spans[span_base:]:
-        index = span.args.get("index")
-        if index is None:
+    for span in tracer.events[event_base:]:
+        index = span["args"].get("index")
+        if span["ph"] != "X" or index is None:
             continue
-        end_by_index[int(index)] = span.end_us
-        if first_start is None or span.start_us < first_start:
-            first_start = span.start_us
+        end_by_index[int(index)] = span["ts"] + span["dur"]
+        if first_start is None or span["ts"] < first_start:
+            first_start = span["ts"]
     if not end_by_index:
         return
     for index, occupied in plan.occupancy_series():

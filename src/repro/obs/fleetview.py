@@ -533,9 +533,11 @@ class FleetView:
             return rows.setdefault(replica, len(rows))
 
         touches: dict[str, list[tuple[float, object]]] = {}
-        for event in events:
+        for i, event in enumerate(events):
             if event["ph"] in ("X", "s", "f"):
-                event["tid"] = row(event["args"].get("replica"))
+                # a moved copy: the exported events are the tracer's own
+                events[i] = {**event,
+                             "tid": row(event["args"].get("replica"))}
             elif event["ph"] == "i" and event["name"] in ("fleet.attempt",
                                                           "fleet.hedge"):
                 touches.setdefault(event["args"]["trace_id"], []).append(

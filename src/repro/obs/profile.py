@@ -1,8 +1,8 @@
 """Hot-path profiler: per-op and per-layer attribution from trace spans.
 
-The executor records one span per scheduled node, carrying the op
-type, the bytes it moved (inputs + output + params), its analytic FLOP
-count and any fused-kernel scratch (see
+The executor records one span (a ``ph: "X"`` event) per scheduled
+node, carrying the op type, the bytes it moved (inputs + output +
+params), its analytic FLOP count and any fused-kernel scratch (see
 :func:`repro.runtime.executor.execute`).  This module turns those raw
 spans into the attribution TeMCO's analysis is about — *where* the
 time and the data movement go:
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .events import SpanRecord
 from .tracer import Tracer
 
 __all__ = ["OpStat", "ProfileReport", "profile_spans", "profile_tracer",
@@ -100,37 +99,33 @@ class ProfileReport:
         return json.dumps(self.to_dict(), indent=1, sort_keys=True)
 
 
-def _is_node_span(span: SpanRecord) -> bool:
-    """Executor node spans are the ones stamped with an ``op`` arg."""
-    return "op" in span.args
-
-
-def profile_spans(spans: Iterable[SpanRecord], *, model: str = "",
+def profile_spans(events: Iterable[dict], *, model: str = "",
                   runs: int = 0) -> ProfileReport:
     """Aggregate executor node spans into per-op / per-layer stats.
 
-    Spans without an ``op`` arg (pipeline stages, serve batches) are
-    ignored; they are containers, not attributable work.  Rows come
-    back ranked by total self time, descending.
+    Only spans stamped with an ``op`` arg count: other events, and
+    spans without one (pipeline stages, serve batches), are containers,
+    not attributable work.  Rows come back ranked by total self time,
+    descending.
     """
     by_op: dict[str, OpStat] = {}
     by_node: dict[str, OpStat] = {}
     total_us = 0.0
-    for span in spans:
-        if not _is_node_span(span):
+    for span in events:
+        args = span["args"]
+        if span["ph"] != "X" or "op" not in args:
             continue
-        total_us += span.duration_us
-        for table, key in ((by_op, str(span.args["op"])),
-                           (by_node, span.name)):
+        total_us += span["dur"]
+        for table, key in ((by_op, str(args["op"])), (by_node, span["name"])):
             stat = table.get(key)
             if stat is None:
                 stat = table[key] = OpStat(key=key)
             stat.count += 1
-            stat.total_us += span.duration_us
-            stat.total_bytes += int(span.args.get("bytes", 0))
-            stat.flops += int(span.args.get("flops", 0))
+            stat.total_us += span["dur"]
+            stat.total_bytes += int(args.get("bytes", 0))
+            stat.flops += int(args.get("flops", 0))
             stat.scratch_bytes = max(stat.scratch_bytes,
-                                     int(span.args.get("scratch", 0)))
+                                     int(args.get("scratch", 0)))
     for table in (by_op, by_node):
         for stat in table.values():
             stat.share = stat.total_us / total_us if total_us else 0.0
@@ -143,7 +138,7 @@ def profile_spans(spans: Iterable[SpanRecord], *, model: str = "",
 def profile_tracer(tracer: Tracer, *, model: str = "") -> ProfileReport:
     """Profile every executor node span the tracer recorded."""
     runs = int(tracer.metrics.get("executor.runs", 0))
-    return profile_spans(tracer.spans, model=model, runs=runs)
+    return profile_spans(tracer.events, model=model, runs=runs)
 
 
 # ---------------------------------------------------------------------------
@@ -154,38 +149,39 @@ def collapsed_stacks(tracer: Tracer, *, root: str = "repro") -> list[str]:
     """The span forest as collapsed-stack lines, ``path self_us``.
 
     Nesting is reconstructed per timeline row (tid) by interval
-    containment — robust across spans recorded with
-    :meth:`~repro.obs.Tracer.complete` from concurrent workers, where
-    the recorded ``depth`` of one shared tracer is meaningless.  Each
+    containment, which also holds for spans recorded with
+    :meth:`~repro.obs.Tracer.complete` by concurrent workers.  Each
     span contributes its *self* time (duration minus contained
     children), so the flamegraph's widths add up to wall time per row.
     """
     weights: dict[str, float] = {}
-    by_tid: dict[int, list[SpanRecord]] = {}
-    for span in tracer.spans:
-        by_tid.setdefault(span.tid, []).append(span)
+    by_tid: dict[int, list[dict]] = {}
+    for event in tracer.events:
+        if event["ph"] == "X":
+            by_tid.setdefault(event["tid"], []).append(event)
 
     for spans in by_tid.values():
         # parents first: earlier start, then longer duration
-        spans.sort(key=lambda s: (s.start_us, -s.duration_us))
-        stack: list[tuple[SpanRecord, float]] = []  # (span, child time)
+        spans.sort(key=lambda s: (s["ts"], -s["dur"]))
+        stack: list[tuple[dict, float]] = []  # (span, child time)
 
         def pop_into(weights: dict[str, float], path: list[str]) -> None:
             span, child_us = stack.pop()
-            self_us = max(span.duration_us - child_us, 0.0)
-            line = ";".join(path + [span.name])
+            self_us = max(span["dur"] - child_us, 0.0)
+            line = ";".join(path + [span["name"]])
             weights[line] = weights.get(line, 0.0) + self_us
 
         for span in spans:
-            while stack and stack[-1][0].end_us <= span.start_us:
-                path = [root] + [s.name for s, _ in stack[:-1]]
+            while stack and (stack[-1][0]["ts"] + stack[-1][0]["dur"]
+                             <= span["ts"]):
+                path = [root] + [s["name"] for s, _ in stack[:-1]]
                 pop_into(weights, path)
             if stack:
                 top, child_us = stack[-1]
-                stack[-1] = (top, child_us + span.duration_us)
+                stack[-1] = (top, child_us + span["dur"])
             stack.append((span, 0.0))
         while stack:
-            path = [root] + [s.name for s, _ in stack[:-1]]
+            path = [root] + [s["name"] for s, _ in stack[:-1]]
             pop_into(weights, path)
 
     return [f"{path} {round(weight)}"

@@ -2,8 +2,9 @@
 
 Two implementations share one duck-typed API:
 
-- :class:`Tracer` — records everything into in-memory lists, ready for
-  the :mod:`repro.obs.export` emitters (Chrome trace JSON / JSONL).
+- :class:`Tracer` — appends every record to one list, ``events``, as
+  the Chrome trace event it is exported as (see
+  :mod:`repro.obs.export`); every reader filters that list.
 - :class:`NoopTracer` — the default.  ``enabled`` is ``False`` and
   every method is a no-op; hot paths guard on ``tracer.enabled`` so a
   disabled tracer costs one attribute read per node and allocates
@@ -21,6 +22,7 @@ without clobbering each other.
 
 from __future__ import annotations
 
+import copy
 import logging
 import threading
 import time
@@ -28,13 +30,14 @@ import uuid
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
-from .events import (AsyncEvent, CounterSample, DecisionEvent, FlowEvent,
-                     InstantEvent, SpanRecord)
 from .metrics import MetricsRegistry
 
-__all__ = ["Tracer", "NoopTracer", "TaggedTracer", "NOOP_TRACER",
+__all__ = ["Tracer", "NoopTracer", "NOOP_TRACER", "TRACE_PID",
            "get_tracer", "set_tracer", "use_tracer", "configure_logging",
            "new_trace_id"]
+
+#: pid of every recorded event (one process per tracer)
+TRACE_PID = 1
 
 
 def new_trace_id() -> str:
@@ -70,6 +73,9 @@ class NoopTracer:
 
     def __init__(self) -> None:
         self.metrics = MetricsRegistry()
+
+    def tagged(self, tid: int | None = None, **tags: Any) -> "NoopTracer":
+        return self
 
     def span(self, name: str, category: str = "", tid: int | None = None,
              **args) -> _NoopSpan:
@@ -112,7 +118,15 @@ NOOP_TRACER = NoopTracer()
 
 
 class Tracer(NoopTracer):
-    """Recording tracer: nested spans, instants, counters, decisions.
+    """Recording tracer: spans, instants, counters, decisions, flows and
+    async slices, each appended to ``events`` as its Chrome trace event.
+
+    Timestamps are microseconds since the tracer's epoch.  Spans
+    (``ph: "X"``) render on the row their ``tid`` selects; instants,
+    decisions and counter samples on row 0.  A decision is an instant
+    of category ``decision`` named ``pass:subject`` whose args are its
+    quantities plus ``pass_name``, ``subject``, ``verdict`` and
+    ``reason``.
 
     Parameters
     ----------
@@ -127,15 +141,34 @@ class Tracer(NoopTracer):
         super().__init__()
         self._clock = clock
         self._epoch = clock()
-        self._depth = 0
-        self.spans: list[SpanRecord] = []
-        self.instants: list[InstantEvent] = []
-        self.counters: list[CounterSample] = []
-        self.decisions: list[DecisionEvent] = []
-        self.flows: list[FlowEvent] = []
-        self.async_events: list[AsyncEvent] = []
+        #: every record, as the Chrome trace event it is exported as
+        self.events: list[dict] = []
         #: Chrome-trace row labels, tid -> name (see :meth:`name_thread`)
         self.thread_names: dict[int, str] = {}
+        #: stamped onto every record's args but counter samples
+        self.tags: dict[str, Any] = {}
+        #: the row of spans and flow endpoints recorded without a tid
+        self.tid = 0
+
+    def tagged(self, tid: int | None = None, **tags: Any) -> "Tracer":
+        """A view that records into the same ``events``, ``metrics`` and
+        ``thread_names`` and stamps ``tags`` onto every record.
+
+        The serving layer makes concurrent worker traces attributable
+        this way: each worker records through
+        ``tracer.tagged(tid=i + 1, worker_id=i)``, so its spans land on
+        its own labeled row and carry the worker that ran them.  Tags
+        win over colliding call-site args, so a worker cannot mislabel
+        itself; a view's own :meth:`tagged` merges further tags in.
+        Counter samples stay untagged: their values are numeric series,
+        and a constant ``worker_id`` series in the ``memory`` track would
+        corrupt the timeline.
+        """
+        view = copy.copy(self)
+        view.tags = {**self.tags, **tags}
+        if tid is not None:
+            view.tid = tid
+        return view
 
     # -- time ---------------------------------------------------------------
 
@@ -147,32 +180,33 @@ class Tracer(NoopTracer):
     @contextmanager
     def span(self, name: str, category: str = "", tid: int | None = None,
              **args) -> Iterator[None]:
-        """Timed nested region; the record is appended when it closes."""
+        """Timed nested region; the event is appended when it closes."""
         start = self.now_us()
-        depth = self._depth
-        self._depth += 1
         try:
             yield
         finally:
-            self._depth -= 1
-            self.spans.append(SpanRecord(
-                name=name, category=category, start_us=start,
-                duration_us=self.now_us() - start, depth=depth,
-                tid=tid or 0, args=args))
+            self.complete(name, start, self.now_us() - start, category, tid,
+                          **args)
 
     def complete(self, name: str, start_us: float, duration_us: float,
                  category: str = "", tid: int | None = None, **args) -> None:
         """Record an already-timed region (executor per-node fast path)."""
-        self.spans.append(SpanRecord(
-            name=name, category=category, start_us=start_us,
-            duration_us=duration_us, depth=self._depth, tid=tid or 0,
-            args=args))
+        if self.tags:
+            args.update(self.tags)
+        self.events.append({
+            "name": name, "cat": category or "span", "ph": "X",
+            "ts": start_us, "dur": duration_us, "pid": TRACE_PID,
+            "tid": self.tid if tid is None else tid, "args": args})
 
     # -- point events -------------------------------------------------------
 
     def instant(self, name: str, category: str = "", **args) -> None:
-        self.instants.append(InstantEvent(
-            name=name, category=category, ts_us=self.now_us(), args=args))
+        if self.tags:
+            args.update(self.tags)
+        self.events.append({
+            "name": name, "cat": category or "instant", "ph": "i",
+            "ts": self.now_us(), "pid": TRACE_PID, "tid": 0, "s": "t",
+            "args": args})
 
     def counter(self, track: str, ts_us: float | None = None,
                 **values) -> None:
@@ -180,15 +214,19 @@ class Tracer(NoopTracer):
         explicit timestamp instead of "now" — used by the conformance
         auditor to align the ``arena`` occupancy track with the
         already-recorded executor node spans."""
-        self.counters.append(CounterSample(
-            track=track, ts_us=self.now_us() if ts_us is None else ts_us,
-            values=values))
+        self.events.append({
+            "name": track, "cat": "counter", "ph": "C",
+            "ts": self.now_us() if ts_us is None else ts_us,
+            "pid": TRACE_PID, "tid": 0, "args": values})
 
     def decision(self, pass_name: str, subject: str, verdict: str,
                  reason: str = "", **quantities) -> None:
-        self.decisions.append(DecisionEvent(
-            pass_name=pass_name, subject=subject, verdict=verdict,
-            reason=reason, ts_us=self.now_us(), quantities=quantities))
+        self.events.append({
+            "name": f"{pass_name}:{subject}", "cat": "decision", "ph": "i",
+            "ts": self.now_us(), "pid": TRACE_PID, "tid": 0, "s": "t",
+            "args": {**quantities, **self.tags, "pass_name": pass_name,
+                     "subject": subject, "verdict": verdict,
+                     "reason": reason}})
         self.metrics.inc(f"{pass_name}.{verdict}")
 
     def flow(self, name: str, flow_id: int, phase: str,
@@ -196,32 +234,41 @@ class Tracer(NoopTracer):
              **args) -> None:
         """Record one endpoint of a cross-row arrow.
 
-        ``phase`` is ``"start"`` (source) or ``"finish"`` (destination);
-        both endpoints of one arrow share ``flow_id``.  Chrome binds
-        each endpoint to the span enclosing ``ts_us`` on row ``tid``.
+        ``phase`` is ``"start"`` (source, ``ph: "s"``) or ``"finish"``
+        (destination, ``ph: "f"``); both endpoints of one arrow share
+        ``flow_id``.  Chrome binds each endpoint to the span enclosing
+        ``ts_us`` on row ``tid`` (``bp: "e"``: the finish binds to its
+        enclosing span, not the next one).
         """
         if phase not in ("start", "finish"):
             raise ValueError(f"flow phase must be start/finish, got {phase!r}")
-        self.flows.append(FlowEvent(
-            name=name, flow_id=flow_id, phase=phase,
-            ts_us=self.now_us() if ts_us is None else ts_us,
-            tid=tid or 0, args=args))
+        if self.tags:
+            args.update(self.tags)
+        event = {"name": name, "cat": "flow",
+                 "ph": "s" if phase == "start" else "f", "id": flow_id,
+                 "ts": self.now_us() if ts_us is None else ts_us,
+                 "pid": TRACE_PID, "tid": self.tid if tid is None else tid,
+                 "args": args}
+        if phase == "finish":
+            event["bp"] = "e"
+        self.events.append(event)
 
     def async_slice(self, name: str, aid: int, start_us: float,
                     end_us: float, category: str = "", **args) -> None:
-        """Record one already-timed async slice (begin + end pair).
+        """Record one already-timed async slice (``ph: "b"`` + ``"e"``).
 
-        Slices sharing ``aid`` stack into one rendered lane; the
-        serving layer emits a request's whole waterfall (queue wait →
-        batching delay → execute → reply) as nested slices under its
-        request-id lane once the outcome is known.
+        Slices sharing ``aid`` stack into one rendered lane, independent
+        of any thread row; the serving layer emits a request's whole
+        waterfall (queue wait → batching delay → execute → reply) as
+        nested slices under its request-id lane once the outcome is
+        known.
         """
-        self.async_events.append(AsyncEvent(
-            name=name, aid=aid, phase="begin", ts_us=start_us,
-            category=category, args=args))
-        self.async_events.append(AsyncEvent(
-            name=name, aid=aid, phase="end", ts_us=end_us,
-            category=category, args={}))
+        if self.tags:
+            args.update(self.tags)
+        base = {"name": name, "cat": category or "async", "id": aid,
+                "pid": TRACE_PID, "tid": 0}
+        self.events.append({**base, "ph": "b", "ts": start_us, "args": args})
+        self.events.append({**base, "ph": "e", "ts": end_us, "args": {}})
 
     def name_thread(self, tid: int, name: str) -> None:
         """Label a Chrome-trace timeline row (a serve worker)."""
@@ -229,102 +276,20 @@ class Tracer(NoopTracer):
 
     # -- queries ------------------------------------------------------------
 
-    def decisions_for(self, pass_name: str,
+    def decisions_for(self, pass_name: str | None = None,
                       verdict: str | None = None,
-                      reason: str | None = None) -> list[DecisionEvent]:
-        """Filter the decision log (test/report convenience)."""
-        return [d for d in self.decisions
-                if d.pass_name == pass_name
-                and (verdict is None or d.verdict == verdict)
-                and (reason is None or d.reason == reason)]
+                      reason: str | None = None) -> list[dict]:
+        """The decision events, filtered by pass, verdict and reason."""
+        return [e for e in self.events
+                if e["cat"] == "decision" and e["ph"] == "i"
+                and (pass_name is None or e["args"]["pass_name"] == pass_name)
+                and (verdict is None or e["args"]["verdict"] == verdict)
+                and (reason is None or e["args"]["reason"] == reason)]
 
     def counter_series(self, track: str, key: str) -> list[float]:
         """One series of a counter track, in record order."""
-        return [s.values[key] for s in self.counters
-                if s.track == track and key in s.values]
-
-
-class TaggedTracer:
-    """Proxy that stamps fixed attributes onto every record.
-
-    Wraps any tracer and merges ``tags`` into the args of every span,
-    completed region, instant, and decision recorded through it.  The
-    serving layer uses this to make concurrent worker traces
-    attributable after they merge into one shared tracer: each worker's
-    session records through ``TaggedTracer(tracer, worker_id=i)``, so
-    every executor node span in the combined trace carries the worker
-    that ran it (and batch spans carry the ``request_id`` list).
-
-    Counter samples are forwarded *untagged* — their values are numeric
-    series, and injecting a constant ``worker_id`` series into the
-    ``memory`` track would corrupt the timeline rendering.
-
-    Explicit tags win over colliding call-site args so a worker cannot
-    accidentally mislabel itself.  A ``tid`` pins every span recorded
-    through the proxy onto one Chrome-trace row, which is how each
-    serve worker gets its own labeled timeline lane.
-    """
-
-    def __init__(self, inner: NoopTracer, tid: int | None = None,
-                 **tags: Any) -> None:
-        self._inner = inner
-        self.tid = tid
-        self.tags = tags
-
-    @property
-    def enabled(self) -> bool:
-        return self._inner.enabled
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        return self._inner.metrics
-
-    def tagged(self, **tags: Any) -> "TaggedTracer":
-        """A further-specialized proxy (same inner tracer, merged tags)."""
-        return TaggedTracer(self._inner, tid=self.tid,
-                            **{**self.tags, **tags})
-
-    def now_us(self) -> float:
-        return self._inner.now_us()
-
-    def span(self, name: str, category: str = "", tid: int | None = None,
-             **args):
-        return self._inner.span(name, category,
-                                tid=self.tid if tid is None else tid,
-                                **{**args, **self.tags})
-
-    def complete(self, name: str, start_us: float, duration_us: float,
-                 category: str = "", tid: int | None = None, **args) -> None:
-        self._inner.complete(name, start_us, duration_us, category,
-                             tid=self.tid if tid is None else tid,
-                             **{**args, **self.tags})
-
-    def instant(self, name: str, category: str = "", **args) -> None:
-        self._inner.instant(name, category, **{**args, **self.tags})
-
-    def counter(self, track: str, ts_us: float | None = None,
-                **values) -> None:
-        self._inner.counter(track, ts_us=ts_us, **values)
-
-    def decision(self, pass_name: str, subject: str, verdict: str,
-                 reason: str = "", **quantities) -> None:
-        self._inner.decision(pass_name, subject, verdict, reason,
-                             **{**quantities, **self.tags})
-
-    def flow(self, name: str, flow_id: int, phase: str,
-             ts_us: float | None = None, tid: int | None = None,
-             **args) -> None:
-        self._inner.flow(name, flow_id, phase, ts_us=ts_us,
-                         tid=self.tid if tid is None else tid,
-                         **{**args, **self.tags})
-
-    def async_slice(self, name: str, aid: int, start_us: float,
-                    end_us: float, category: str = "", **args) -> None:
-        self._inner.async_slice(name, aid, start_us, end_us, category,
-                                **{**args, **self.tags})
-
-    def name_thread(self, tid: int, name: str) -> None:
-        self._inner.name_thread(tid, name)
+        return [e["args"][key] for e in self.events
+                if e["ph"] == "C" and e["name"] == track and key in e["args"]]
 
 
 # ---------------------------------------------------------------------------

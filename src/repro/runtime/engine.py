@@ -108,8 +108,8 @@ class InferenceSession:
         """Run one inference.  A bare array is bound to the sole input.
 
         ``tracer`` overrides the session tracer for this call only —
-        the serving layer passes a per-batch
-        :class:`~repro.obs.TaggedTracer` so executor node spans carry
+        the serving layer passes a per-batch tagged view
+        (:meth:`~repro.obs.Tracer.tagged`) so executor node spans carry
         the trace ids of the requests coalesced into the batch.
         """
         if isinstance(inputs, np.ndarray):

@@ -56,8 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..ir.graph import Graph
-from ..obs import (MetricsRegistry, NOOP_TRACER, SLOMonitor, TaggedTracer,
-                   get_tracer)
+from ..obs import MetricsRegistry, SLOMonitor, get_tracer
 from ..runtime.engine import InferenceSession
 from .batcher import Buckets, assemble, derive_buckets, scatter
 from .servable import (DeadlineExceeded, Overloaded, Servable, ServeError,
@@ -154,20 +153,16 @@ class InferenceServer(Servable):
         self._workers: list[threading.Thread] = []
         # one warm session per worker and bucket: sessions keep per-run
         # mutable state (last_result), so they are per-thread, while the
-        # read-only graphs and their weights are shared.  When tracing,
-        # each worker records through a TaggedTracer stamping its
-        # worker_id and pinning its spans onto a dedicated, labeled
-        # Chrome-trace row (tid = worker index + 1; tid 0 stays the
-        # admission/main timeline), so the merged trace renders one
-        # lane per worker.
-        if self.tracer.enabled:
-            self._worker_tracers = [
-                TaggedTracer(self.tracer, tid=index + 1, worker_id=index)
-                for index in range(self.config.num_workers)]
-            for index in range(self.config.num_workers):
-                self.tracer.name_thread(index + 1, f"worker-{index}")
-        else:
-            self._worker_tracers = [NOOP_TRACER] * self.config.num_workers
+        # read-only graphs and their weights are shared.  Each worker
+        # records through a tagged view stamping its worker_id and
+        # pinning its spans onto a dedicated, labeled Chrome-trace row
+        # (tid = worker index + 1; tid 0 stays the admission/main
+        # timeline), so the merged trace renders one lane per worker.
+        self._worker_tracers = [
+            self.tracer.tagged(tid=index + 1, worker_id=index)
+            for index in range(self.config.num_workers)]
+        for index in range(self.config.num_workers):
+            self.tracer.name_thread(index + 1, f"worker-{index}")
         self._sessions = [
             {size: InferenceSession(bucket.graph,
                                     tracer=self._worker_tracers[index],
@@ -399,7 +394,7 @@ class InferenceServer(Servable):
         padding = sum(shard.padding for shard in shards)
         batch_start_us = tracer.now_us() if tracing else 0.0
         # the batch span carries the ids of every request it coalesced
-        # (and, via the TaggedTracer, the worker_id / worker row);
+        # (and, via the worker's tagged view, the worker_id / row);
         # every per-node executor span recorded by session.run nests
         # inside it and is tagged with the batch's trace ids
         with tracer.span("serve.batch", category="serve",
@@ -415,7 +410,7 @@ class InferenceServer(Servable):
                 for request in taken:
                     tracer.flow("serve.request", request.id, "finish",
                                 ts_us=fanin_us, trace_id=request.trace_id)
-            run_tracer = tracer.tagged(trace_ids=trace_ids) if tracing else None
+            run_tracer = tracer.tagged(trace_ids=trace_ids)
             for shard in shards:
                 size = shard.size
                 result = sessions[size].run(shard.inputs, tracer=run_tracer)

@@ -1,5 +1,6 @@
 """Zoo compiles shared by the tests that pin the compiler's fixed point
-(``test_compile_golden`` and ``test_core_fusion.TestScanOrder``).
+(``test_compile_golden`` and ``test_core_fusion.TestScanOrder``), and
+the decision log they compare.
 
 Factorising the convolutions is nearly all a zoo compile costs, and
 which rewrites fire depends on shapes and ranks, never on factor
@@ -20,6 +21,19 @@ _SOLVES = ("tucker2_decompose", "cp_decompose", "tt_decompose")
 #: (solve, id(weight), arguments) -> (weight, factors); holding the
 #: weight keeps its id from being reused by another array
 _FACTORS = {}
+
+
+#: the args every decision event carries next to its quantities
+_DECISION_FIELDS = ("pass_name", "subject", "verdict", "reason")
+
+
+def decision_log(tracer, drop=()):
+    """``[(pass_name, subject, verdict, reason, quantities)]`` of the
+    tracer's decision events, without the quantities named in ``drop``."""
+    return [(*(d["args"][k] for k in _DECISION_FIELDS),
+             {k: v for k, v in d["args"].items()
+              if k not in _DECISION_FIELDS and k not in drop})
+            for d in tracer.decisions_for()]
 
 
 @functools.lru_cache(maxsize=None)

@@ -259,7 +259,8 @@ class TestObservabilityCLI:
                      "--ratio", "0.25", "--trace", str(out)]) == 0
         records = [json.loads(line)
                    for line in out.read_text().splitlines()]
-        assert {"span", "decision", "counter"} <= {r["type"] for r in records}
+        assert {"X", "i", "C"} == {r["ph"] for r in records}
+        assert {"decision", "counter"} <= {r["cat"] for r in records}
 
     def test_optimize_with_trace_flag(self, capsys, tmp_path):
         out = tmp_path / "opt.trace.json"

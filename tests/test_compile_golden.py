@@ -32,7 +32,8 @@ from repro.ir import graph_fingerprint
 from repro.models import EXTRA_MODELS, model_names
 from repro.obs import Tracer, use_tracer
 
-from _zoo_compiles import cheap, memoise_factor_solves, zoo_model
+from _zoo_compiles import (cheap, decision_log, memoise_factor_solves,
+                           zoo_model)
 
 GOLDEN = Path(__file__).parent / "golden" / "compile_zoo.json"
 PERFBENCH_MODELS = ("alexnet", "densenet", "unet_small", "wavenet2d",
@@ -49,12 +50,6 @@ def _digest(obj) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _log(tracer, drop=()):
-    return [(d.pass_name, d.subject, d.verdict, d.reason,
-             {k: v for k, v in d.quantities.items() if k not in drop})
-            for d in tracer.decisions]
-
-
 def compile_records(model: str, method: str,
                     include_param_values: bool = False) -> dict[str, dict]:
     """``{"model/method/strategy": record}`` for one decomposition."""
@@ -65,7 +60,7 @@ def compile_records(model: str, method: str,
     decomposed_fp = graph_fingerprint(
         decomposed, include_param_values=include_param_values)
     # the fit error is a factor value, like the weights
-    decompose_log = _digest(_log(tracer, drop=(
+    decompose_log = _digest(decision_log(tracer, drop=(
         ("ms",) if include_param_values else ("ms", "fit_error"))))
     records = {}
     for strategy in STRATEGIES:
@@ -79,7 +74,7 @@ def compile_records(model: str, method: str,
             "optimized": graph_fingerprint(
                 optimized, include_param_values=include_param_values),
             "names": _digest([n.name for n in optimized.nodes]),
-            "optimize_log": _digest(_log(tracer)),
+            "optimize_log": _digest(decision_log(tracer)),
             "summary": _digest(report.summary()),
         }
     return records

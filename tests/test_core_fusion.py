@@ -16,7 +16,8 @@ from repro.runtime import execute
 
 from _graph_fixtures import make_chain_graph, random_input
 from _rewrite_oracle import rewrite_checked, rewrite_restarting, use_scan
-from _zoo_compiles import cheap, memoise_factor_solves, zoo_model
+from _zoo_compiles import (cheap, decision_log, memoise_factor_solves,
+                           zoo_model)
 
 
 def _decomposed_chain(**kwargs):
@@ -202,19 +203,17 @@ class TestSlackWidening:
         live = simulate(derived).live
         for index, node in _sites(derived):
             assert live[index] + site_scratch_bytes(node) <= budget
-        events = {d.subject: d for d in tracer.decisions
-                  if d.pass_name == "fusion" and d.verdict in ("widen", "keep")}
+        events = {subject: (verdict, reason, quantities)
+                  for pass_name, subject, verdict, reason, quantities
+                  in decision_log(tracer)
+                  if pass_name == "fusion" and verdict in ("widen", "keep")}
         (first_i, first), (second_i, second) = _sites(derived)
-        assert (events[first.name].verdict, events[first.name].reason) == \
-            ("keep", "no_slack")
-        assert events[first.name].quantities == {
+        assert events[first.name] == ("keep", "no_slack", {
             "live_bytes": live[first_i], "budget_bytes": budget,
-            "block_size": DEFAULT_BLOCK_SIZE}
-        assert (events[second.name].verdict, events[second.name].reason) == \
-            ("widen", "slack")
-        assert events[second.name].quantities == {
+            "block_size": DEFAULT_BLOCK_SIZE})
+        assert events[second.name] == ("widen", "slack", {
             "live_bytes": live[second_i], "budget_bytes": budget,
-            "block_size_before": DEFAULT_BLOCK_SIZE, "block_size": 64}
+            "block_size_before": DEFAULT_BLOCK_SIZE, "block_size": 64})
         assert_equivalent(decomposed, derived, random_input(decomposed))
 
     @pytest.mark.parametrize(("fusion", "tiles"), [
@@ -258,9 +257,7 @@ def _compile(model, method, scan, monkeypatch):
     with use_tracer(tracer):
         decomposed = decompose_graph(zoo_model(model), cheap(method))
         optimized, report = optimize(decomposed)
-    log = [(d.pass_name, d.subject, d.verdict, d.reason,
-            {k: v for k, v in d.quantities.items() if k != "ms"})
-           for d in tracer.decisions]
+    log = decision_log(tracer, drop=("ms",))
     return (graph_fingerprint(decomposed), graph_fingerprint(optimized),
             [n.name for n in optimized.nodes], log, report)
 
@@ -294,6 +291,7 @@ class TestScanOrder:
                 graph = build(model, batch=1, hw=32)
             runs.append((graph_fingerprint(graph),
                          [n.name for n in graph.nodes],
-                         [(d.subject, d.quantities) for d in tracer.decisions]))
+                         [(subject, quantities) for _, subject, _, _,
+                          quantities in decision_log(tracer)]))
         assert runs[0] == runs[1]
         assert runs[0][2] and not any(n.op == "batchnorm2d" for n in graph.nodes)

@@ -61,7 +61,8 @@ def test_the_fusion_only_fallback_sets_the_peak_gauges(monkeypatch):
     with use_tracer(tracer):
         optimized, report = TeMCOCompiler().run(_graph())
     assert optimized.name == "run2"
-    assert [(d.verdict, d.reason) for d in tracer.decisions] == [
+    assert [(d["args"]["verdict"], d["args"]["reason"])
+            for d in tracer.decisions_for()] == [
         ("fallback", "fusion_only_better")]
     gauges = tracer.metrics.gauges
     assert gauges["pipeline.peak_before_bytes"] == 100

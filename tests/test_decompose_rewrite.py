@@ -161,18 +161,21 @@ class TestTracing:
         with use_tracer(tracer):
             dg = decompose_graph(g, DecompositionConfig(method=method))
         lconvs = [n for n in dg.nodes if ops.is_lconv(n)]
-        (span,) = [s for s in tracer.spans if s.name == "decompose"]
-        assert span.category == "compiler"
-        assert span.args == {"graph": g.name, "method": method, "ratio": 0.1,
-                             "sites": len(lconvs)}
-        sites = tracer.decisions_for("decompose", "factorise", method)
-        assert [f"{d.subject}.lconv" for d in sites] == [n.name for n in lconvs]
+        (span,) = [s for s in tracer.events
+                   if s["ph"] == "X" and s["name"] == "decompose"]
+        assert span["cat"] == "compiler"
+        assert span["args"] == {"graph": g.name, "method": method,
+                                "ratio": 0.1, "sites": len(lconvs)}
+        sites = [d["args"] for d in
+                 tracer.decisions_for("decompose", "factorise", method)]
+        assert [f"{d['subject']}.lconv" for d in sites] == \
+            [n.name for n in lconvs]
         for d, lconv in zip(sites, lconvs):
-            assert d.quantities["fit_error"] == lconv.attrs["fit_error"]
-            assert d.quantities["ranks"][-1] == lconv.params["weight"].shape[1]
+            assert d["fit_error"] == lconv.attrs["fit_error"]
+            assert d["ranks"][-1] == lconv.params["weight"].shape[1]
         # the sites are the span: what is left is the loop and validate()
-        total_ms = sum(d.quantities["ms"] for d in sites)
-        assert 0.9 * span.duration_us / 1e3 <= total_ms <= span.duration_us / 1e3
+        total_ms = sum(d["ms"] for d in sites)
+        assert 0.9 * span["dur"] / 1e3 <= total_ms <= span["dur"] / 1e3
 
 
 class TestRecords:

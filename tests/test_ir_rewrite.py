@@ -133,9 +133,9 @@ class TestScan:
             assert rewrite(g, anchor, folding._fold) == 2
         assert visited == ["c1", "bn1", "c2", "bn2", "c1", "c2"]
         assert _names(g) == ["c1", "c2"] and g.outputs[0] is g.nodes[1].output
-        assert [(d.pass_name, d.subject, d.quantities["conv"])
-                for d in tracer.decisions] == [("fold", "bn1", "c1"),
-                                               ("fold", "bn2", "c2")]
+        assert [(d["args"]["pass_name"], d["args"]["subject"],
+                 d["args"]["conv"]) for d in tracer.decisions_for()] == [
+            ("fold", "bn1", "c1"), ("fold", "bn2", "c2")]
 
     def test_one_decision_per_splice_and_one_validation(self, monkeypatch):
         b = GraphBuilder("t")

@@ -185,9 +185,10 @@ class TestMonitor:
         tracer = Tracer()
         fleet = _outlier_fleet(tracer=tracer)
         fleet.feed(1.0, {})  # repeat firing emits no second instant
-        anomalies = [i for i in tracer.instants if i.name == "anomaly"]
+        anomalies = [i for i in tracer.events if i["name"] == "anomaly"]
         assert len(anomalies) == 1
-        assert anomalies[0].args["kind"] == "replica-outlier"
+        assert anomalies[0]["ph"] == "i"
+        assert anomalies[0]["args"]["kind"] == "replica-outlier"
 
     def test_finding_to_dict_is_json_shaped(self):
         doc = _outlier_fleet().view.findings()[0].to_dict()

@@ -191,17 +191,19 @@ class TestArenaTrack:
         with use_tracer(tracer):
             audit = audit_graph(graph, model="alexnet")
         assert audit.passed
-        arena_samples = [s for s in tracer.counters if s.track == "arena"]
+        arena_samples = [s for s in tracer.events
+                         if s["ph"] == "C" and s["name"] == "arena"]
         assert arena_samples, "audit under a tracer must emit the arena track"
-        occupied = [s.values["occupied_bytes"] for s in arena_samples]
+        occupied = tracer.counter_series("arena", "occupied_bytes")
         assert max(occupied) == audit.arena_lower_bound_bytes
-        assert all(s.values["arena_bytes"] == audit.arena_bytes
+        assert all(s["args"]["arena_bytes"] == audit.arena_bytes
                    for s in arena_samples)
         # samples are timestamped inside the recorded span window
-        span_end = max(s.start_us + s.duration_us for s in tracer.spans)
-        assert all(0 <= s.ts_us <= span_end for s in arena_samples)
-        verdicts = [i for i in tracer.instants if i.name == "audit_verdict"]
-        assert len(verdicts) == 1 and verdicts[0].args["passed"] is True
+        span_end = max(s["ts"] + s["dur"] for s in tracer.events
+                       if s["ph"] == "X")
+        assert all(0 <= s["ts"] <= span_end for s in arena_samples)
+        verdicts = [i for i in tracer.events if i["name"] == "audit_verdict"]
+        assert len(verdicts) == 1 and verdicts[0]["args"]["passed"] is True
 
     def test_no_tracer_no_track(self):
         from repro.models import build_model

@@ -1,6 +1,6 @@
 """Exporters and instrumentation: Chrome-trace schema, counter-track
-fidelity vs the executor's MemoryProfile, JSONL stream, and decision-log
-completeness against SkipOptStats."""
+fidelity vs the executor's MemoryProfile, JSONL stream (the same events,
+one per line), and decision-log completeness against SkipOptStats."""
 
 import json
 
@@ -8,8 +8,8 @@ import pytest
 
 from repro.core.skip_opt import SkipOptConfig, optimize_skip_connections
 from repro.decompose import DecompositionConfig, decompose_graph
-from repro.obs import (Tracer, jsonl_records, to_chrome_trace, use_tracer,
-                       write_chrome_trace, write_jsonl, write_trace)
+from repro.obs import (Tracer, to_chrome_trace, use_tracer, write_chrome_trace,
+                       write_jsonl, write_trace)
 from repro.obs.export import TRACE_PID
 from repro.runtime import InferenceSession
 
@@ -63,7 +63,7 @@ class TestChromeTraceSchema:
 
     def test_spans_cover_compiler_and_runtime(self, traced):
         tracer, _ = traced
-        names = {s.name for s in tracer.spans}
+        names = {e["name"] for e in tracer.events if e["ph"] == "X"}
         assert "skip_opt" in names
         assert "inference" in names
 
@@ -128,18 +128,17 @@ class TestFlowAndAsyncExport:
         assert begin["id"] == end["id"] == 7
         assert begin["args"]["outcome"] == "ok"
 
-    def test_jsonl_carries_flow_async_and_tid(self):
+    def test_jsonl_carries_flow_async_and_tid(self, tmp_path):
         tracer = Tracer()
         tracer.complete("batch", 0, 10, tid=2)
         tracer.flow("serve.request", 1, "start", ts_us=0.0)
         tracer.async_slice("request", 1, 0.0, 10.0)
-        records = list(jsonl_records(tracer))
-        kinds = {r["type"] for r in records}
-        assert {"span", "flow", "async"} <= kinds
-        (span,) = [r for r in records if r["type"] == "span"]
+        path = write_jsonl(tracer, tmp_path / "out.jsonl")
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert sorted(r["ph"] for r in records) == ["X", "b", "e", "s"]
+        (span,) = [r for r in records if r["ph"] == "X"]
         assert span["tid"] == 2
-        assert all(r["phase"] in ("start", "finish", "begin", "end")
-                   for r in records if r["type"] in ("flow", "async"))
+        assert all(r["id"] == 1 for r in records if r["ph"] in "sbe")
 
 
 class TestMemoryCounterTrack:
@@ -154,7 +153,8 @@ class TestMemoryCounterTrack:
 
     def test_counter_samples_are_monotonic_in_time(self, traced):
         tracer, _ = traced
-        ts = [c.ts_us for c in tracer.counters if c.track == "memory"]
+        ts = [e["ts"] for e in tracer.events
+              if e["ph"] == "C" and e["name"] == "memory"]
         assert ts == sorted(ts)
 
 
@@ -164,11 +164,16 @@ class TestJsonl:
         path = write_jsonl(tracer, tmp_path / "out.jsonl")
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert records
-        assert {r["type"] for r in records} <= \
-            {"span", "instant", "decision", "counter"}
-        stamps = [r.get("ts_us", r.get("start_us")) for r in records]
+        assert {r["ph"] for r in records} == {"X", "i", "C"}
+        assert {r["cat"] for r in records} >= {"decision", "counter"}
+        stamps = [r["ts"] for r in records]
         assert stamps == sorted(stamps)
-        assert records == list(jsonl_records(tracer))
+        # the Chrome trace's events, less its metadata rows
+        chrome = [e for e in to_chrome_trace(tracer)["traceEvents"]
+                  if e["ph"] != "M"]
+        key = lambda e: json.dumps(e, sort_keys=True)  # noqa: E731
+        assert sorted(records, key=key) == sorted(
+            json.loads(json.dumps(chrome)), key=key)
 
     def test_write_trace_routes_on_suffix(self, traced, tmp_path):
         tracer, _ = traced
@@ -176,7 +181,7 @@ class TestJsonl:
         jsonl = write_trace(tracer, tmp_path / "a.jsonl")
         assert "traceEvents" in json.loads(chrome.read_text())
         first = json.loads(jsonl.read_text().splitlines()[0])
-        assert "type" in first
+        assert "ph" in first and "traceEvents" not in first
 
 
 def _decomposed_skip_graph():
@@ -212,7 +217,7 @@ class TestDecisionLogCompleteness:
         _stats_match_decisions(tracer, stats)
         accept = tracer.decisions_for("skip_opt", verdict="accept")[0]
         for key in ("skip_bytes", "chain_peak_bytes", "copies", "copy_flops"):
-            assert accept.quantities[key] > 0
+            assert accept["args"][key] > 0
 
     def test_compute_rejections_are_logged(self):
         tracer = Tracer()
@@ -222,8 +227,8 @@ class TestDecisionLogCompleteness:
         assert stats.rejected_compute > 0
         _stats_match_decisions(tracer, stats)
         reject = tracer.decisions_for("skip_opt", reason="compute_overhead")[0]
-        assert reject.quantities["copy_flops"] > \
-            reject.quantities["threshold_flops"]
+        assert reject["args"]["copy_flops"] > \
+            reject["args"]["threshold_flops"]
 
     def test_memory_rejections_are_logged(self):
         tracer = Tracer()
@@ -234,8 +239,8 @@ class TestDecisionLogCompleteness:
         assert stats.rejected_memory > 0
         _stats_match_decisions(tracer, stats)
         reject = tracer.decisions_for("skip_opt", reason="memory_overhead")[0]
-        assert reject.quantities["chain_peak_bytes"] > 0
-        assert reject.quantities["freed_bytes"] > 0
+        assert reject["args"]["chain_peak_bytes"] > 0
+        assert reject["args"]["freed_bytes"] > 0
 
     def test_no_chain_rejections_are_logged(self):
         # undecomposed graph: the skip's producers are plain convs, not

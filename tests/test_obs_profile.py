@@ -1,4 +1,7 @@
-"""Hot-path profiler: span aggregation and flamegraph export."""
+"""Hot-path profiler: span aggregation and flamegraph export, and their
+accuracy against the wall-clock spans they attribute."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ class TestProfileSpans:
         _node_span(t, "c1", "conv2d", 0, 100, bytes=10, flops=400)
         _node_span(t, "c2", "conv2d", 100, 300, bytes=30, flops=600)
         _node_span(t, "r1", "relu", 400, 100, bytes=60, flops=0)
-        report = profile_spans(t.spans, model="m", runs=1)
+        report = profile_spans(t.events, model="m", runs=1)
         assert report.total_us == 500
         conv, relu = report.by_op
         assert conv.key == "conv2d" and conv.count == 2
@@ -35,7 +38,7 @@ class TestProfileSpans:
         with t.span("serve.batch", category="serve"):
             pass
         _node_span(t, "c1", "conv2d", 0, 50)
-        report = profile_spans(t.spans)
+        report = profile_spans(t.events)
         assert report.total_us == 50
         assert [s.key for s in report.by_op] == ["conv2d"]
 
@@ -43,13 +46,13 @@ class TestProfileSpans:
         t = Tracer()
         _node_span(t, "f1", "fused_block", 0, 10, scratch=100)
         _node_span(t, "f2", "fused_block", 10, 10, scratch=300)
-        (fused,) = profile_spans(t.spans).by_op
+        (fused,) = profile_spans(t.events).by_op
         assert fused.scratch_bytes == 300
 
     def test_gflops_per_s(self):
         t = Tracer()
         _node_span(t, "c1", "conv2d", 0, 1_000_000, flops=2_000_000_000)
-        (conv,) = profile_spans(t.spans).by_op
+        (conv,) = profile_spans(t.events).by_op
         assert conv.gflops_per_s == pytest.approx(2.0)
 
     def test_empty_trace(self):
@@ -62,7 +65,7 @@ class TestProfileSpans:
         import json
         t = Tracer()
         _node_span(t, "c1", "conv2d", 0, 50, bytes=8, flops=16)
-        doc = json.loads(profile_spans(t.spans, model="m").to_json())
+        doc = json.loads(profile_spans(t.events, model="m").to_json())
         assert doc["model"] == "m"
         assert doc["by_op"][0]["intensity"] == pytest.approx(2.0)
 
@@ -86,6 +89,53 @@ class TestProfileTracer:
         assert sum(s.share for s in report.by_op) == pytest.approx(1.0)
         # per-node table has one row per distinct layer, each run counted
         assert all(s.count == 2 for s in report.by_node)
+
+
+def _two_runs_on_two_rows():
+    """A fixed-clock tracer holding two runs of one session, the second
+    recorded through a view on row 1."""
+    graph = build_model("unet_small", batch=1, hw=16)
+    tracer = Tracer(clock=itertools.count().__next__)
+    x = np.random.default_rng(0).normal(
+        size=graph.inputs[0].shape).astype(np.float32)
+    session = InferenceSession(graph, tracer=tracer)
+    session.run(x)
+    session.run(x, tracer=tracer.tagged(tid=1))
+    return tracer
+
+
+class TestProfileAccuracy:
+    """Does the per-op sum match wall-clock time?"""
+
+    def test_node_spans_lie_inside_their_inference_span(self):
+        tracer = _two_runs_on_two_rows()
+        spans = [e for e in tracer.events if e["ph"] == "X"]
+        runs = [s for s in spans if s["name"] == "inference"]
+        assert len(runs) == 2
+        nodes = [s for s in spans if "op" in s["args"]]
+        assert nodes
+        for node in nodes:
+            (run,) = [r for r in runs if r["tid"] == node["tid"]]
+            assert run["ts"] <= node["ts"]
+            assert node["ts"] + node["dur"] <= run["ts"] + run["dur"]
+        report = profile_tracer(tracer)
+        assert report.runs == 2
+        assert 0 < report.total_us <= sum(r["dur"] for r in runs)
+
+    def test_flamegraph_widths_sum_to_top_level_time_per_row(self):
+        tracer = _two_runs_on_two_rows()
+        for tid in (0, 1):
+            row = Tracer()
+            row.events = [e for e in tracer.events
+                          if e["ph"] == "X" and e["tid"] == tid]
+            top_us, end = 0.0, None
+            for span in sorted(row.events, key=lambda s: (s["ts"], -s["dur"])):
+                if end is None or span["ts"] >= end:
+                    top_us += span["dur"]
+                    end = span["ts"] + span["dur"]
+            widths = [int(ln.rsplit(" ", 1)[1]) for ln in collapsed_stacks(row)]
+            assert top_us > 0
+            assert sum(widths) == top_us
 
 
 class TestCollapsedStacks:

@@ -1,10 +1,13 @@
 """Tracer core: spans, decisions, counters, metrics, ambient state,
 and the zero-cost guarantee of the no-op default."""
 
+import sys
+import threading
+
 import pytest
 
-from repro.obs import (NOOP_TRACER, MetricsRegistry, NoopTracer, TaggedTracer,
-                       Tracer, get_tracer, set_tracer, use_tracer)
+from repro.obs import (NOOP_TRACER, MetricsRegistry, NoopTracer, Tracer,
+                       get_tracer, set_tracer, use_tracer)
 from repro.runtime import execute
 
 from _graph_fixtures import make_chain_graph, random_input
@@ -24,7 +27,7 @@ class ManualClock:
 
 
 class TestSpans:
-    def test_nesting_depth_and_containment(self):
+    def test_nesting_and_containment(self):
         clock = ManualClock()
         t = Tracer(clock=clock)
         with t.span("outer"):
@@ -33,11 +36,11 @@ class TestSpans:
                 clock.advance(0.5)
             clock.advance(1.0)
         # inner closes first
-        inner, outer = t.spans
-        assert inner.name == "inner" and outer.name == "outer"
-        assert inner.depth == 1 and outer.depth == 0
-        assert outer.start_us <= inner.start_us
-        assert inner.end_us <= outer.end_us
+        inner, outer = t.events
+        assert inner["name"] == "inner" and outer["name"] == "outer"
+        assert inner["ph"] == outer["ph"] == "X"
+        assert outer["ts"] <= inner["ts"]
+        assert inner["ts"] + inner["dur"] <= outer["ts"] + outer["dur"]
 
     def test_timing_from_injected_clock(self):
         clock = ManualClock()
@@ -45,33 +48,25 @@ class TestSpans:
         clock.advance(2.0)
         with t.span("work"):
             clock.advance(3.0)
-        (span,) = t.spans
-        assert span.start_us == pytest.approx(2.0e6)
-        assert span.duration_us == pytest.approx(3.0e6)
+        (span,) = t.events
+        assert span["ts"] == pytest.approx(2.0e6)
+        assert span["dur"] == pytest.approx(3.0e6)
 
-    def test_span_depth_restored_after_exception(self):
+    def test_span_recorded_when_body_raises(self):
         t = Tracer()
         with pytest.raises(RuntimeError):
             with t.span("failing"):
                 raise RuntimeError("boom")
         with t.span("after"):
             pass
-        assert [s.depth for s in t.spans] == [0, 0]
-
-    def test_complete_records_at_current_depth(self):
-        t = Tracer()
-        with t.span("outer"):
-            t.complete("node", 10.0, 5.0, category="conv2d", index=3)
-        node = t.spans[0]
-        assert node.name == "node" and node.depth == 1
-        assert node.args["index"] == 3
+        assert [s["name"] for s in t.events] == ["failing", "after"]
 
     def test_span_carries_args(self):
         t = Tracer()
         with t.span("skip_opt", category="compiler", graph="g"):
             pass
-        assert t.spans[0].args == {"graph": "g"}
-        assert t.spans[0].category == "compiler"
+        assert t.events[0]["args"] == {"graph": "g"}
+        assert t.events[0]["cat"] == "compiler"
 
 
 class TestEventsAndMetrics:
@@ -82,10 +77,12 @@ class TestEventsAndMetrics:
                    copy_flops=100)
         t.decision("fusion", "f1", "fuse", "lconv_act_fconv")
         rejects = t.decisions_for("skip_opt", verdict="reject")
-        assert [d.subject for d in rejects] == ["v2"]
-        assert rejects[0].quantities["copy_flops"] == 100
-        assert rejects[0].rejected
-        assert not t.decisions_for("skip_opt", verdict="accept")[0].rejected
+        assert [d["args"]["subject"] for d in rejects] == ["v2"]
+        assert rejects[0]["args"] == {
+            "copy_flops": 100, "pass_name": "skip_opt", "subject": "v2",
+            "verdict": "reject", "reason": "compute_overhead"}
+        assert rejects[0]["name"] == "skip_opt:v2"
+        assert len(t.decisions_for()) == 3
         # decisions also feed the metrics registry
         assert t.metrics.get("skip_opt.accept") == 1
         assert t.metrics.get("skip_opt.reject") == 1
@@ -140,42 +137,92 @@ class TestAmbientTracer:
 
 
 class TestTaggedTracer:
+    """``tracer.tagged(...)``: a view stamping fixed args on records."""
+
     def test_tags_stamped_on_every_record_kind(self):
         inner = Tracer()
-        t = TaggedTracer(inner, worker_id=3)
+        t = inner.tagged(worker_id=3)
         with t.span("serve.batch", category="serve", request_ids=[1, 2]):
             pass
         t.complete("node", 0.0, 1.0, index=0)
         t.instant("serve.request_done", request_id=1)
         t.decision("fusion", "f", "fuse")
-        assert all(s.args["worker_id"] == 3 for s in inner.spans)
-        assert inner.spans[0].args["request_ids"] == [1, 2]
-        assert inner.instants[0].args == {"request_id": 1, "worker_id": 3}
-        assert inner.decisions[0].quantities["worker_id"] == 3
+        t.flow("serve.request", 1, "finish")
+        t.async_slice("request", 1, 0.0, 1.0)
+        spans = [e for e in inner.events if e["ph"] == "X"]
+        assert len(spans) == 2
+        assert all(s["args"]["worker_id"] == 3 for s in spans)
+        assert spans[0]["args"]["request_ids"] == [1, 2]
+        instant, decision = [e for e in inner.events if e["ph"] == "i"]
+        assert instant["args"] == {"request_id": 1, "worker_id": 3}
+        assert decision["args"]["worker_id"] == 3
+        for ph in ("f", "b"):
+            (event,) = [e for e in inner.events if e["ph"] == ph]
+            assert event["args"]["worker_id"] == 3
 
     def test_counters_forward_untagged(self):
         inner = Tracer()
-        TaggedTracer(inner, worker_id=3).counter("memory", live_bytes=10)
-        assert inner.counters[0].values == {"live_bytes": 10}
+        inner.tagged(worker_id=3).counter("memory", live_bytes=10)
+        assert inner.events[0]["args"] == {"live_bytes": 10}
 
     def test_explicit_tags_win_over_callsite_args(self):
         inner = Tracer()
-        t = TaggedTracer(inner, worker_id=3)
+        t = inner.tagged(worker_id=3)
         t.instant("i", worker_id=99)
-        assert inner.instants[0].args["worker_id"] == 3
+        assert inner.events[0]["args"]["worker_id"] == 3
 
     def test_tagged_returns_merged_proxy_on_same_inner(self):
         inner = Tracer()
-        t = TaggedTracer(inner, worker_id=1).tagged(request_id=7)
+        t = inner.tagged(worker_id=1).tagged(request_id=7)
         t.instant("i")
-        assert inner.instants[0].args == {"worker_id": 1, "request_id": 7}
+        assert inner.events[0]["args"] == {"worker_id": 1, "request_id": 7}
+        assert inner.tags == {}
+
+    def test_tid_pins_spans_and_flows_not_instants(self):
+        inner = Tracer()
+        t = inner.tagged(tid=2).tagged(request_id=7)
+        t.complete("node", 0.0, 1.0)
+        t.complete("elsewhere", 0.0, 1.0, tid=5)
+        t.flow("serve.request", 1, "start")
+        t.instant("i")
+        assert [e["tid"] for e in inner.events] == [2, 5, 2, 0]
+
+    def test_concurrent_views_lose_no_records(self):
+        # more threads than cores, switching as often as possible: every
+        # view appends to the one shared list
+        inner = Tracer()
+        views = [inner.tagged(tid=i + 1, worker_id=i) for i in range(6)]
+
+        def record(view):
+            for i in range(300):
+                with view.span("batch", index=i):
+                    view.complete("node", view.now_us(), 1.0, op="relu")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=record, args=(v,))
+                       for v in views]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(inner.events) == 6 * 300 * 2
+        assert all(e["tid"] == e["args"]["worker_id"] + 1
+                   for e in inner.events)
 
     def test_enabled_and_metrics_forward(self):
         inner = Tracer()
-        t = TaggedTracer(inner, worker_id=0)
+        inner.name_thread(1, "worker-0")
+        t = inner.tagged(worker_id=0)
+        t.name_thread(2, "worker-1")
         assert t.enabled is True
         assert t.metrics is inner.metrics
-        assert TaggedTracer(NOOP_TRACER, worker_id=0).enabled is False
+        assert inner.thread_names == {1: "worker-0", 2: "worker-1"}
+        assert NOOP_TRACER.tagged(worker_id=0) is NOOP_TRACER
 
 
 class _ExplodingDisabledTracer(NoopTracer):
@@ -223,6 +270,7 @@ class TestNoopOverhead:
         for k, v in plain.outputs.items():
             assert (v == traced.outputs[k]).all()
         # the traced run recorded one span and one counter sample per node
-        assert len(traced_tracer.spans) == len(graph.nodes)
-        assert len([c for c in traced_tracer.counters
-                    if c.track == "memory"]) == len(graph.nodes)
+        events = traced_tracer.events
+        assert sum(e["ph"] == "X" for e in events) == len(graph.nodes)
+        assert len(traced_tracer.counter_series("memory", "live_bytes")) \
+            == len(graph.nodes)

@@ -47,9 +47,9 @@ def traced_run(request, decomposed):
 class TestObserversAgree:
     def test_allocator_instants_are_the_ledger_events(self, traced_run):
         _, _, tracer, result = traced_run
-        instants = [(i.name, i.args["value"], i.args["bytes"],
-                     i.args["live_bytes"])
-                    for i in tracer.instants if i.category == "allocator"]
+        instants = [(i["name"], i["args"]["value"], i["args"]["bytes"],
+                     i["args"]["live_bytes"])
+                    for i in tracer.events if i["cat"] == "allocator"]
         events = [(e.action, e.value, e.nbytes, e.live_bytes)
                   for e in result.memory.ledger]
         assert instants == events
@@ -86,7 +86,11 @@ def test_trace_records_of_the_skip_graph():
     graph = make_skip_graph()
     tracer = Tracer()
     execute(graph, random_input(graph), tracer=tracer, record_ledger=True)
-    assert [(s.name, s.category, sorted(s.args)) for s in tracer.spans] == [
+    by_phase = {ph: [e for e in tracer.events if e["ph"] == ph]
+                for ph in ("X", "i", "C")}
+    assert sum(map(len, by_phase.values())) == len(tracer.events)
+    assert [(s["name"], s["cat"], sorted(s["args"]))
+            for s in by_phase["X"]] == [
         ("enc1", "conv2d", NODE_ARGS),
         ("relu_1", "relu", NODE_ARGS),
         ("maxpool2d_2", "maxpool2d", NODE_ARGS),
@@ -97,8 +101,8 @@ def test_trace_records_of_the_skip_graph():
         ("dec", "conv2d", NODE_ARGS),
         ("relu_5", "relu", NODE_ARGS),
     ]
-    assert [(i.name, i.category, i.args["value"], sorted(i.args))
-            for i in tracer.instants] == [
+    assert [(i["name"], i["cat"], i["args"]["value"], sorted(i["args"]))
+            for i in by_phase["i"]] == [
         ("alloc", "allocator", "x", ALLOCATOR_ARGS),
         ("alloc", "allocator", "enc1.out", ALLOCATOR_ARGS),
         ("free", "allocator", "x", ALLOCATOR_ARGS),
@@ -119,13 +123,13 @@ def test_trace_records_of_the_skip_graph():
         ("alloc", "allocator", "relu_5.out", ALLOCATOR_ARGS),
         ("free", "allocator", "dec.out", ALLOCATOR_ARGS),
     ]
-    assert [(c.track, sorted(c.values)) for c in tracer.counters] \
+    assert [(c["name"], sorted(c["args"])) for c in by_phase["C"]] \
         == [("memory", ["live_bytes", "scratch_bytes"])] * len(graph.nodes)
     assert sorted(tracer.metrics.snapshot()) == [
         "executor.allocation_traffic_bytes", "executor.nodes_executed",
         "executor.peak_internal_bytes", "executor.peak_scratch_bytes",
         "executor.runs"]
-    assert not tracer.decisions and not tracer.flows
+    assert not tracer.decisions_for()
 
 
 def test_schedule_is_built_once_per_session(decomposed, monkeypatch):
@@ -171,7 +175,8 @@ def test_schedule_is_built_once_per_session(decomposed, monkeypatch):
     assert calls == dict(built, bucket_actions=1)
     assert first.memory.peak_scratch_bytes > 0
     assert first.memory.events == second.memory.events
-    node_spans = [[(s.name, s.args) for s in tracer.spans
-                   if s.category == s.args.get("op")] for tracer in tracers]
+    node_spans = [[(s["name"], s["args"]) for s in tracer.events
+                   if s["ph"] == "X" and s["cat"] == s["args"].get("op")]
+                  for tracer in tracers]
     assert len(node_spans[0]) == len(graph.nodes)
     assert node_spans[0] == node_spans[1]

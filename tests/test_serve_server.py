@@ -220,18 +220,19 @@ class TestWorkerAttribution:
             futures = [server.submit(_sample(i)) for i in range(6)]
             for future in futures:
                 future.result(10.0)
-        batches = [s for s in tracer.spans if s.name == "serve.batch"]
+        spans = [e for e in tracer.events if e["ph"] == "X"]
+        batches = [s for s in spans if s["name"] == "serve.batch"]
         assert batches
-        served_ids = [i for s in batches for i in s.args["request_ids"]]
+        served_ids = [i for s in batches for i in s["args"]["request_ids"]]
         assert sorted(served_ids) == list(range(6))
-        assert all(s.args["worker_id"] in (0, 1) for s in batches)
+        assert all(s["args"]["worker_id"] in (0, 1) for s in batches)
         # every executor node span inherits its worker's tag
-        node_spans = [s for s in tracer.spans if "index" in s.args]
+        node_spans = [s for s in spans if "index" in s["args"]]
         assert node_spans
-        assert all(s.args["worker_id"] in (0, 1) for s in node_spans)
-        done = [i for i in tracer.instants if i.name == "serve.request_done"]
-        assert sorted(i.args["request_id"] for i in done) == list(range(6))
-        assert all("worker_id" in i.args for i in done)
+        assert all(s["args"]["worker_id"] in (0, 1) for s in node_spans)
+        done = [i for i in tracer.events if i["name"] == "serve.request_done"]
+        assert sorted(i["args"]["request_id"] for i in done) == list(range(6))
+        assert all("worker_id" in i["args"] for i in done)
 
     def test_untraced_server_records_nothing(self):
         from repro.obs import NOOP_TRACER

@@ -119,10 +119,10 @@ class TestExhaustiveSweep:
             mine = [(b, t) for name, b, t in calls if name == node.name]
             assert sorted(mine) == sorted(candidates)  # all, each once
             assert rec.trials == len(candidates)
-            trials = {(d.quantities["block_size"],
-                       d.quantities["spatial_tile"]): d.quantities["seconds"]
-                      for d in tracer.decisions
-                      if d.verdict == "trial" and d.subject == node.name}
+            trials = {(d["args"]["block_size"], d["args"]["spatial_tile"]):
+                      d["args"]["seconds"]
+                      for d in tracer.decisions_for(verdict="trial")
+                      if d["args"]["subject"] == node.name}
             assert len(trials) == len(candidates)
             best = min(trials, key=trials.get)
             assert (rec.block_size, rec.spatial_tile) == best
@@ -285,11 +285,11 @@ class TestTuneModel:
         with use_tracer(tracer):
             tune_model(graph, cache=cache, config=FAST)
             tune_model(graph, cache=cache, config=FAST)
-        verdicts = {d.verdict for d in tracer.decisions
-                    if d.pass_name == "tune"}
+        verdicts = {d["args"]["verdict"] for d in tracer.decisions_for("tune")}
         assert {"cache_miss", "trial", "select",
                 "cache_store", "cache_hit"} <= verdicts
-        assert any(s.name == "tune.site" for s in tracer.spans)
+        assert any(s["ph"] == "X" and s["name"] == "tune.site"
+                   for s in tracer.events)
 
 
 class TestLookupHooks:
@@ -331,7 +331,7 @@ class TestCompilerHook:
         with use_tracer(tracer):
             tuned, _report = optimize(decomposed, tuner=lambda g: overrides)
         assert all(n.attrs["block_size"] == 2 for n in collect_sites(tuned))
-        assert any(d.verdict == "tuned_fusion" for d in tracer.decisions)
+        assert tracer.decisions_for(verdict="tuned_fusion")
 
     def test_none_and_empty_tuner_results_are_noops(self):
         graph = make_chain_graph()
