@@ -12,7 +12,6 @@ from .budget import BudgetSyntaxError, format_bytes, parse_budget
 from .planner import (ActionBuckets, InfeasibleBudget, KeepAction, MemoryPlan,
                       PlanAction, PlanCostModel, RematAction, SpillAction,
                       bucket_actions, plan_memory)
-from .store import PrefetchWorker, SpillStore, SpillStoreError
 
 __all__ = [
     "BudgetSyntaxError",
@@ -28,7 +27,4 @@ __all__ = [
     "plan_memory",
     "ActionBuckets",
     "bucket_actions",
-    "SpillStore",
-    "SpillStoreError",
-    "PrefetchWorker",
 ]

@@ -9,10 +9,9 @@ overhead vs. resident bytes) past compile-time graph rewriting:
 
 - **keep** — leave a long-lived tensor resident (the default; recorded
   explicitly for the tensors that still make up the planned peak);
-- **spill** — park a cold tensor in a host-side
-  :class:`~repro.plan.store.SpillStore` after its last touch before a
-  liveness gap, and prefetch it back (double-buffered, one node of
-  lead) ahead of the next consumer;
+- **spill** — park a cold tensor on the host side of the device pool
+  after its last touch before a liveness gap, and prefetch it back
+  (double-buffered, one node of lead) ahead of the next consumer;
 - **remat** — drop the tensor and re-execute its recorded producing
   subgraph right before the next consumer, exactly the restore-chain
   recomputation of the paper's skip-connection optimization, but chosen
@@ -115,12 +114,11 @@ class KeepAction:
 class SpillAction:
     """Park ``value`` host-side across a liveness gap.
 
-    The executor writes the tensor to the spill store after node
-    ``spill_after`` (``-1`` = right after input binding), re-charges its
-    bytes and issues the asynchronous fetch before node
-    ``prefetch_issue``, and binds the fetched array before node
-    ``next_use`` (``next_use == num_nodes`` means the tensor is a graph
-    output restored at the end of the run).
+    The executor parks the tensor host-side after node ``spill_after``
+    (``-1`` = right after input binding), re-charges its bytes before
+    node ``prefetch_issue``, when the modelled fetch starts, and binds
+    the array again before node ``next_use`` (``next_use == num_nodes``
+    means the tensor is a graph output restored at the end of the run).
     """
 
     value: Value

@@ -59,7 +59,7 @@ class TensorAllocator:
               nbytes: int | None = None) -> None:
         """Charge ``value``.  ``action`` is the event's tag: ``"alloc"``,
         or how a memory plan brought the tensor back — ``"prefetch"``
-        (staged from the spill store) or ``"remat"`` (recomputed).
+        (staged back from the host side) or ``"remat"`` (recomputed).
         ``nbytes`` is ``value.nbytes``, passed by a caller that has it
         precomputed."""
         if value.name in self._live:

@@ -1,9 +1,10 @@
 """High-level inference session.
 
 :class:`InferenceSession` is the user-facing entry point: it owns a
-validated graph, runs single inferences, repeated timed inferences
-(Figure 11's end-to-end timing protocol: warmup + median of repeats),
-and exposes the memory profile of the last run.
+validated graph, runs single inferences and repeated timed inferences
+(Figure 11's end-to-end timing protocol: warmup + median of repeats).
+Each run returns its own memory profile; the session keeps nothing of
+it.
 """
 
 from __future__ import annotations
@@ -88,20 +89,15 @@ class InferenceSession:
         of this session: spills, prefetches and remats keep the
         measured peak at the plan's predicted peak (see
         :mod:`repro.runtime.planned`).
-    spill_store:
-        Backing :class:`~repro.plan.SpillStore` for the plan's spill
-        actions; per-run in-memory stores are created when omitted.
     """
 
-    def __init__(self, graph: Graph, *, tracer=None, memory_plan=None,
-                 spill_store=None) -> None:
+    def __init__(self, graph: Graph, *, tracer=None,
+                 memory_plan=None) -> None:
         graph.validate()
         self.graph = graph
         self.tracer = tracer
         self.memory_plan = memory_plan
-        self.spill_store = spill_store
         self._schedule = Schedule(graph)
-        self.last_result: ExecutionResult | None = None
 
     def run(self, inputs: dict[str, np.ndarray] | np.ndarray, *,
             record_ledger: bool = False, tracer=None) -> ExecutionResult:
@@ -123,10 +119,7 @@ class InferenceSession:
                          graph=self.graph.name):
             result = execute(self._schedule, inputs,
                              record_ledger=record_ledger,
-                             plan=self.memory_plan,
-                             spill_store=self.spill_store,
-                             tracer=tracer)
-        self.last_result = result
+                             plan=self.memory_plan, tracer=tracer)
         logger.debug("inference on %s: %s", self.graph.name,
                      result.memory.summary())
         return result

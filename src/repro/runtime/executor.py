@@ -20,8 +20,8 @@ allocator instants — names the node it fired at.  Everything else a
 run can be asked for is a :class:`RunObserver` attached for that run,
 in this order: the finite check, the tracer (node spans, the ``memory``
 counter, ``executor.*`` metrics) and the memory plan's
-:class:`~repro.runtime.planned.PlanEnforcer`.  Every observer is closed
-when the run ends, whether it returned or raised.
+:class:`~repro.runtime.planned.PlanEnforcer`.  Observers are built per
+run and hold nothing past it.
 """
 
 from __future__ import annotations
@@ -118,9 +118,6 @@ class RunObserver:
     def finish(self, profile: MemoryProfile) -> None:
         """The last node is done and ``profile`` holds the run's totals."""
 
-    def close(self) -> None:
-        """The run is over (it may have raised): release resources."""
-
 
 class _FiniteCheck(RunObserver):
     def node_done(self, step, in_arrays, out_array, start_us, end_us):
@@ -206,7 +203,6 @@ def execute(graph: Graph | Schedule, inputs: dict[str, np.ndarray], *,
             inplace_activations: bool = False,
             check_finite: bool = False,
             plan=None,
-            spill_store=None,
             tracer=None) -> ExecutionResult:
     """Run ``graph`` (or its prebuilt :class:`Schedule`) on ``inputs``
     (name -> array); only graph outputs may remain live at the end.
@@ -240,9 +236,6 @@ def execute(graph: Graph | Schedule, inputs: dict[str, np.ndarray], *,
         measured peak at the plan's predicted peak while outputs stay
         bitwise-identical.  Incompatible with ``inplace_activations``
         (the plan was simulated against the default accounting).
-    spill_store:
-        The :class:`~repro.plan.SpillStore` backing the plan's spill
-        actions; a fresh in-memory store is created when omitted.
     tracer:
         An :class:`repro.obs.Tracer` to record per-node spans, the
         ``memory`` counter track, and allocator alloc/free events into.
@@ -279,74 +272,69 @@ def execute(graph: Graph | Schedule, inputs: dict[str, np.ndarray], *,
                 f"plan for {plan.graph_name!r} covers {plan.num_nodes} nodes "
                 f"but graph {graph.name!r} has {len(graph.nodes)}")
         from .planned import PlanEnforcer
-        observers.append(PlanEnforcer(plan, allocator, env, spill_store,
-                                      tracer, schedule.kernels))
+        observers.append(PlanEnforcer(plan, allocator, env, tracer,
+                                      schedule.kernels))
 
-    try:
-        # bind and account graph inputs
-        for v in graph.inputs:
-            try:
-                arr = inputs[v.name]
-            except KeyError as exc:
-                raise KeyError(f"missing input {v.name!r}; graph inputs: "
-                               f"{[i.name for i in graph.inputs]}") from exc
-            if tuple(arr.shape) != v.shape:
-                raise ValueError(f"input {v.name!r} has shape {arr.shape}, expected {v.shape}")
-            env[v.name] = np.asarray(arr, dtype=v.dtype.np)
-            allocator.alloc(v)
-            if v in schedule.unused_inputs:
-                # freed at once (still counted as allocated once)
-                allocator.free(v)
-                del env[v.name]
+    # bind and account graph inputs
+    for v in graph.inputs:
+        try:
+            arr = inputs[v.name]
+        except KeyError as exc:
+            raise KeyError(f"missing input {v.name!r}; graph inputs: "
+                           f"{[i.name for i in graph.inputs]}") from exc
+        if tuple(arr.shape) != v.shape:
+            raise ValueError(f"input {v.name!r} has shape {arr.shape}, expected {v.shape}")
+        env[v.name] = np.asarray(arr, dtype=v.dtype.np)
+        allocator.alloc(v)
+        if v in schedule.unused_inputs:
+            # freed at once (still counted as allocated once)
+            allocator.free(v)
+            del env[v.name]
+    for observer in observers:
+        observer.after_node(-1)
+
+    for step in schedule.steps:
+        node = step.node
+        allocator.node_index = step.index
         for observer in observers:
-            observer.after_node(-1)
+            observer.before_node(step)
+        in_arrays = [env[v.name] for v in node.inputs]
+        start_us = now_us()
+        out_array = step.kernel(in_arrays)
+        end_us = now_us()
+        if out_array.shape != node.output.shape:
+            raise kernels.output_shape_error(node, out_array)
 
-        for step in schedule.steps:
-            node = step.node
-            allocator.node_index = step.index
-            for observer in observers:
-                observer.before_node(step)
-            in_arrays = [env[v.name] for v in node.inputs]
-            start_us = now_us()
-            out_array = step.kernel(in_arrays)
-            end_us = now_us()
-            if out_array.shape != node.output.shape:
-                raise kernels.output_shape_error(node, out_array)
-
-            # in-place elementwise: release the dying input before
-            # charging the output, so the pair never coexists in the
-            # accounting
-            dying = step.dying
-            if inplace_activations and step.overwrites_input:
-                v, dying = dying[0], dying[1:]  # a unary op: its input leads
-                allocator.free(v)
-                del env[v.name]
-            allocator.alloc(node.output, nbytes=step.out_bytes)
-            env[node.output.name] = out_array
-            if count_fused_scratch:
-                allocator.charge_scratch(step.scratch_bytes)
-            profile.events.append(allocator.current_bytes)
-            for observer in observers:
-                observer.node_done(step, in_arrays, out_array, start_us,
-                                   end_us)
-
-            # inputs whose last use just ran, and a dead-end output (no
-            # consumers, not a graph output) as soon as its layer finishes
-            for v in dying:
-                allocator.free(v)
-                del env[v.name]
-            for observer in observers:
-                observer.after_node(step.index)
-
-        profile.peak_internal_bytes = allocator.peak_bytes
-        profile.peak_live_set = allocator.peak_live_set
-        profile.total_allocated_bytes = allocator.total_allocated_bytes
-        profile.num_allocations = allocator.num_allocations
+        # in-place elementwise: release the dying input before
+        # charging the output, so the pair never coexists in the
+        # accounting
+        dying = step.dying
+        if inplace_activations and step.overwrites_input:
+            v, dying = dying[0], dying[1:]  # a unary op: its input leads
+            allocator.free(v)
+            del env[v.name]
+        allocator.alloc(node.output, nbytes=step.out_bytes)
+        env[node.output.name] = out_array
+        if count_fused_scratch:
+            allocator.charge_scratch(step.scratch_bytes)
+        profile.events.append(allocator.current_bytes)
         for observer in observers:
-            observer.finish(profile)
-    finally:
+            observer.node_done(step, in_arrays, out_array, start_us, end_us)
+
+        # inputs whose last use just ran, and a dead-end output (no
+        # consumers, not a graph output) as soon as its layer finishes
+        for v in dying:
+            allocator.free(v)
+            del env[v.name]
         for observer in observers:
-            observer.close()
+            observer.after_node(step.index)
+
+    profile.peak_internal_bytes = allocator.peak_bytes
+    profile.peak_live_set = allocator.peak_live_set
+    profile.total_allocated_bytes = allocator.total_allocated_bytes
+    profile.num_allocations = allocator.num_allocations
+    for observer in observers:
+        observer.finish(profile)
     allocator.assert_empty(keep={v.name for v in graph.outputs})
     return ExecutionResult(
         outputs={v.name: env[v.name] for v in graph.outputs}, memory=profile)

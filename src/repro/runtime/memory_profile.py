@@ -31,10 +31,6 @@ class PlanStats:
     prefetched_bytes: int = 0
     remats: int = 0
     remat_flops: int = 0
-    #: spill writes that failed and fell back to keep-resident
-    spill_failures: int = 0
-    #: async prefetches that needed the synchronous retry
-    fetch_retries: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -46,8 +42,6 @@ class PlanStats:
             "prefetched_bytes": self.prefetched_bytes,
             "remats": self.remats,
             "remat_flops": self.remat_flops,
-            "spill_failures": self.spill_failures,
-            "fetch_retries": self.fetch_retries,
         }
 
 

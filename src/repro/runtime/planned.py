@@ -11,10 +11,12 @@ budgeted run, acting at the node boundaries:
   kernels the run's :class:`~repro.runtime.executor.Schedule` bound);
 - ``node_done(...)``  — the ``plan`` counter sample (planned vs live);
 - ``finish(profile)`` — restore graph outputs spilled past their last
-  use, hand ``plan_stats`` to the profile, emit the ``plan.*`` metrics;
-- ``close()``         — stop the prefetch worker and clear the spill
-  store; the executor calls it when the run ends *or raises*, so an
-  abandoned run leaves neither a thread nor spilled tensors behind.
+  use, hand ``plan_stats`` to the profile, emit the ``plan.*`` metrics.
+
+A spilled array is parked in a dict the enforcer owns, the simulated
+analogue of pinned host RAM; the enforcer is built per run, so a run
+shares no spill state with any other and an abandoned run's spilled
+arrays go with it.
 
 Within one boundary the actions run in the order
 :func:`~repro.plan.bucket_actions` fixes — the same order the planner
@@ -23,28 +25,19 @@ priced them in.  Every byte movement goes through the
 ``spill`` / ``prefetch`` / ``remat`` actions, so an enforced run's
 ledger is exactly the event list ``simulate(graph, actions=plan.buckets)``
 predicts — the invariant `repro memcheck --budget` checks.
-
-Failure semantics: a failed spill write falls back to keep-resident
-(the request stays correct, the budget becomes best-effort); a failed
-async prefetch is retried once synchronously and only then surfaces a
-:class:`~repro.plan.store.SpillStoreError`.
 """
 
 from __future__ import annotations
 
-import logging
 from typing import Mapping
 
 import numpy as np
 
 from ..kernels import Kernel
 from ..plan.planner import MemoryPlan, RematAction, SpillAction
-from ..plan.store import PrefetchWorker, SpillStore, SpillStoreError
 from .allocator import TensorAllocator
 from .executor import RunObserver
 from .memory_profile import PlanStats
-
-logger = logging.getLogger(__name__)
 
 __all__ = ["PlanEnforcer"]
 
@@ -53,8 +46,8 @@ class PlanEnforcer(RunObserver):
     """Applies one plan's actions to one running inference."""
 
     def __init__(self, plan: MemoryPlan, allocator: TensorAllocator,
-                 env: dict[str, np.ndarray], store: SpillStore | None,
-                 tracer, kernels: Mapping[str, Kernel]) -> None:
+                 env: dict[str, np.ndarray], tracer,
+                 kernels: Mapping[str, Kernel]) -> None:
         self.plan = plan
         self.allocator = allocator
         self.env = env
@@ -65,12 +58,8 @@ class PlanEnforcer(RunObserver):
         self.stats = PlanStats(budget_bytes=plan.budget_bytes,
                                planned_peak_bytes=plan.planned_peak_bytes)
         self._at = plan.buckets
-        needs_store = bool(self._at.spill_at)
-        self.store = store if store is not None else (
-            SpillStore() if needs_store else None)
-        self._worker = PrefetchWorker(self.store) if needs_store else None
-        #: values whose spill write failed — kept resident instead
-        self._failed: set[str] = set()
+        #: value name -> array spilled out of ``env``, until it is bound
+        self.spilled: dict[str, np.ndarray] = {}
 
     # -- boundary hooks (called by the executor) ------------------------
 
@@ -108,71 +97,36 @@ class PlanEnforcer(RunObserver):
             metrics.gauge("plan.planned_peak_bytes",
                           self.plan.planned_peak_bytes)
 
-    def close(self) -> None:
-        if self._worker is not None:
-            self._worker.close()
-        if self.store is not None:
-            self.store.clear()
-
     # -- the actions -----------------------------------------------------
 
     def _spill(self, a: SpillAction) -> None:
         name = a.value.name
-        array = self.env[name]
         start = self.tracer.now_us()
-        try:
-            self.store.put(name, array)
-        except SpillStoreError as exc:
-            # graceful fallback: keep the tensor resident; the matching
-            # prefetch is skipped and the request stays correct
-            self._failed.add(name)
-            self.stats.spill_failures += 1
-            logger.warning("spill of %s failed, keeping resident: %s",
-                           name, exc)
-            self.tracer.instant("plan.spill_failed", category="plan",
-                                value=name, bytes=a.nbytes, error=str(exc))
-            self.tracer.metrics.inc("plan.spill_failures")
-            return
+        self.spilled[name] = self.env.pop(name)
         self.tracer.complete("plan.spill", start,
                              self.tracer.now_us() - start, category="plan",
                              value=name, bytes=a.nbytes,
                              spill_after=a.spill_after, next_use=a.next_use)
         self.allocator.free(a.value, action="spill")
-        del self.env[name]
         self.stats.spills += 1
         self.stats.spilled_bytes += a.nbytes
 
     def _issue(self, a: SpillAction) -> None:
-        name = a.value.name
-        if name in self._failed:
-            return  # never left residence
         # the bytes are charged when the transfer starts, not when it
         # lands — the conservative double-buffer accounting the planner
         # simulates
         self.allocator.alloc(a.value, action="prefetch")
-        self._worker.issue(name)
 
     def _bind(self, a: SpillAction) -> None:
         name = a.value.name
-        if name in self._failed:
-            return
         start = self.tracer.now_us()
-        try:
-            array = self._worker.wait(name)
-        except SpillStoreError:
-            # one synchronous retry covers transient I/O; a second
-            # failure means the data is gone and must surface
-            self.stats.fetch_retries += 1
-            self.tracer.metrics.inc("plan.fetch_retries")
-            array = self.store.fetch(name)
+        self.env[name] = self.spilled.pop(name)
         # the span duration is the prefetch *stall*: zero when the
         # transfer fully overlapped the preceding node's compute
         self.tracer.complete("plan.prefetch", start,
                              self.tracer.now_us() - start, category="plan",
                              value=name, bytes=a.nbytes,
                              issued_at=a.prefetch_issue)
-        self.env[name] = array
-        self.store.discard(name)
         self.stats.prefetches += 1
         self.stats.prefetched_bytes += a.nbytes
 

@@ -111,7 +111,8 @@ class _Request:
 
 
 class InferenceServer(Servable):
-    """Serve a compiled graph from a pool of warm sessions.
+    """Serve a compiled graph from one warm session per batch bucket,
+    shared by a pool of worker threads.
 
     Use as a context manager, or call :meth:`start` / :meth:`close`::
 
@@ -125,11 +126,12 @@ class InferenceServer(Servable):
                  tracer=None, slo: SLOMonitor | None = None,
                  memory_plan=None, buckets: Buckets | None = None) -> None:
         graph.validate()
-        #: ``memory_plan`` is enforced on every static batch each worker
+        #: ``memory_plan`` is enforced on every static batch a bucket's
         #: session runs (a smaller bucket runs under its own plan for
-        #: the same budget); each run opens its own spill store, so
-        #: workers never share spill state.  ``buckets`` lets a pool
-        #: hand every replica the one set it derived for their spec.
+        #: the same budget); each run parks its spilled tensors in its
+        #: own enforcer, so workers never share spill state.  ``buckets``
+        #: lets a pool hand every replica the one set it derived for
+        #: their spec.
         super().__init__(
             graph, metrics=metrics or MetricsRegistry(),
             tracer=tracer if tracer is not None else get_tracer(),
@@ -151,24 +153,22 @@ class InferenceServer(Servable):
         #: a worker with a drained queue holds its batch open against
         self._running = 0
         self._workers: list[threading.Thread] = []
-        # one warm session per worker and bucket: sessions keep per-run
-        # mutable state (last_result), so they are per-thread, while the
-        # read-only graphs and their weights are shared.  Each worker
-        # records through a tagged view stamping its worker_id and
-        # pinning its spans onto a dedicated, labeled Chrome-trace row
-        # (tid = worker index + 1; tid 0 stays the admission/main
-        # timeline), so the merged trace renders one lane per worker.
+        # each worker records through a tagged view stamping its
+        # worker_id and pinning its spans onto a dedicated, labeled
+        # Chrome-trace row (tid = worker index + 1; tid 0 stays the
+        # admission/main timeline), so the merged trace renders one lane
+        # per worker.
         self._worker_tracers = [
             self.tracer.tagged(tid=index + 1, worker_id=index)
             for index in range(self.config.num_workers)]
         for index in range(self.config.num_workers):
             self.tracer.name_thread(index + 1, f"worker-{index}")
-        self._sessions = [
-            {size: InferenceSession(bucket.graph,
-                                    tracer=self._worker_tracers[index],
-                                    memory_plan=bucket.memory_plan)
-             for size, bucket in self.buckets.offered.items()}
-            for index in range(self.config.num_workers)]
+        # one warm session per bucket, run by every worker: a session
+        # holds no per-run state, and each run passes its worker's view
+        self._sessions = {
+            size: InferenceSession(bucket.graph,
+                                   memory_plan=bucket.memory_plan)
+            for size, bucket in self.buckets.offered.items()}
 
     # -- the Servable hooks ---------------------------------------------
 
@@ -176,7 +176,7 @@ class InferenceServer(Servable):
         for index in range(self.config.num_workers):
             worker = threading.Thread(
                 target=self._worker_loop,
-                args=(index, self._sessions[index]),
+                args=(index,),
                 name=f"repro-serve-{index}", daemon=True)
             worker.start()
             self._workers.append(worker)
@@ -354,14 +354,13 @@ class InferenceServer(Servable):
             if taken is None or taken:
                 return taken
 
-    def _worker_loop(self, index: int,
-                     sessions: dict[int, InferenceSession]) -> None:
+    def _worker_loop(self, index: int) -> None:
         while True:
             taken = self._take_batch()
             if taken is None:
                 return
             try:
-                self._run_batch(index, sessions, taken)
+                self._run_batch(index, taken)
             except BaseException as exc:  # noqa: BLE001 — fail the batch, not the server
                 logger.exception("serve worker failed on a batch")
                 for request in taken:
@@ -377,8 +376,7 @@ class InferenceServer(Servable):
                     # has nobody left to wait for
                     self._not_empty.notify_all()
 
-    def _run_batch(self, index: int, sessions: dict[int, InferenceSession],
-                   taken: list[_Request]) -> None:
+    def _run_batch(self, index: int, taken: list[_Request]) -> None:
         tracer = self._worker_tracers[index]
         tracing = self.tracer.enabled
         shards = assemble(self.buckets,
@@ -413,7 +411,8 @@ class InferenceServer(Servable):
             run_tracer = tracer.tagged(trace_ids=trace_ids)
             for shard in shards:
                 size = shard.size
-                result = sessions[size].run(shard.inputs, tracer=run_tracer)
+                result = self._sessions[size].run(shard.inputs,
+                                                  tracer=run_tracer)
                 outputs = result.outputs
                 self.metrics.inc("serve.batches")
                 self.metrics.inc(f"serve.bucket_runs.size.{size}")
@@ -466,10 +465,6 @@ class InferenceServer(Servable):
         self.metrics.inc("plan.spilled_bytes", stats.spilled_bytes)
         self.metrics.inc("plan.prefetched_bytes", stats.prefetched_bytes)
         self.metrics.inc("plan.remat", stats.remats)
-        if stats.spill_failures:
-            self.metrics.inc("plan.spill_failures", stats.spill_failures)
-        if stats.fetch_retries:
-            self.metrics.inc("plan.fetch_retries", stats.fetch_retries)
 
     def _record_waterfall(self, tracer, request: _Request,
                           batch_start_us: float, latency: float) -> None:

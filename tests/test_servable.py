@@ -53,9 +53,8 @@ def hold_runs(backend) -> threading.Event:
     servers = ([backend] if isinstance(backend, InferenceServer)
                else [replica.server for replica in backend.pool.replicas])
     for server in servers:
-        for sessions in server._sessions:
-            for session in sessions.values():
-                session.run = gated(session.run)
+        for session in server._sessions.values():
+            session.run = gated(session.run)
     return gate
 
 
