@@ -32,8 +32,8 @@ Quickstart::
     print(result.memory.summary())
 """
 
-from .core import (TeMCOCompiler, TeMCOConfig, assert_equivalent,
-                   compare_graphs, estimate_peak_internal, optimize)
+from .core import (TeMCOConfig, assert_equivalent, compare_graphs,
+                   estimate_peak_internal, optimize)
 from .decompose import DecompositionConfig, decompose_graph
 from .ir import DType, Graph, GraphBuilder, Node, Value, format_graph
 from .models import MODEL_ZOO, build_model, model_names
@@ -54,7 +54,6 @@ __all__ = [
     "format_graph",
     "DecompositionConfig",
     "decompose_graph",
-    "TeMCOCompiler",
     "TeMCOConfig",
     "optimize",
     "assert_equivalent",

@@ -68,15 +68,15 @@ def figure4(model: str = "unet", batch: int = 4, hw: int | None = None,
         peaks[variant] = profile.peak_internal_bytes / MIB
         if variant == "decomposed":
             skips = find_skip_connections(graph, distance_threshold)
-            skip_names = {s.value.name for s in skips}
+            skip_values = {s.value.name for s in skips}
             if profile.peak_internal_bytes:
-                skip_share_at_peak = (profile.live_bytes_by_value(skip_names)
+                skip_share_at_peak = (profile.live_bytes_by_value(skip_values)
                                       / profile.peak_internal_bytes)
             # residency share over the whole timeline (exact: the static
             # liveness model equals the executor's accounting)
             intervals = analyze_liveness(graph)
             skip_ivs = [iv for v, iv in intervals.items()
-                        if v.name in skip_names]
+                        if v.name in skip_values]
             max_skip_resident = 0
             for index in range(len(graph.nodes)):
                 total = sum(iv.value.nbytes for iv in intervals.values()

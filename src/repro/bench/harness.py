@@ -20,8 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..core import (FusionConfig, SkipOptConfig, TeMCOConfig,
-                    estimate_peak_internal, optimize)
+from ..core import TeMCOConfig, estimate_peak_internal, optimize
 from ..data.synthetic import random_inputs
 from ..decompose import DecompositionConfig, decompose_graph
 from ..ir.graph import Graph

@@ -25,11 +25,12 @@ tune MODEL|FILE.npz
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from ..bench import format_table
-from ..core import (TeMCOConfig, estimate_peak_floor, estimate_peak_internal,
-                    optimize)
+from ..core import (FusionConfig, TeMCOConfig, estimate_peak_floor,
+                    estimate_peak_internal, optimize)
 from ..data import random_inputs
 from ..decompose import DecompositionConfig, decompose_graph
 from ..ir import format_graph, save_dot, save_graph, summarize_graph
@@ -94,7 +95,6 @@ def _cmd_optimize(args) -> int:
         method=args.method, ratio=args.ratio, seed=args.seed,
         rank_policy=args.rank_policy, energy=args.energy)
     temco = TeMCOConfig(concat_strategy=args.concat_strategy)
-    tuner = None
     if args.tuned:
         overrides, status = tuned_overrides(
             graph, args, decomposition, temco, tune_on_miss=not args.no_tune)
@@ -104,9 +104,9 @@ def _cmd_optimize(args) -> int:
             print("tune cache miss (--no-tune): using default tiles; "
                   f"run `repro tune {args.model}` to populate the cache")
         if overrides:
-            tuner = lambda _g: overrides  # noqa: E731
+            temco = replace(temco, fusion=FusionConfig(site_overrides=overrides))
     decomposed = decompose_graph(graph, decomposition)
-    optimized, report = optimize(decomposed, temco, tuner=tuner)
+    optimized, report = optimize(decomposed, temco)
     print(f"original:  {summarize_graph(graph)}")
     print(f"decomposed: {summarize_graph(decomposed)}")
     print(f"optimized:  {summarize_graph(optimized)}")

@@ -23,7 +23,7 @@ from .memory_model import (ConvPairSpec, eq1_weight_elems_original,
                            eq2_weight_elems_decomposed,
                            eq3_peak_internal_original,
                            eq4_peak_internal_decomposed, fused_peak_internal)
-from .pipeline import OptimizationReport, TeMCOCompiler, TeMCOConfig, optimize
+from .pipeline import OptimizationReport, TeMCOConfig, optimize
 from .scheduling import ScheduleStats, greedy_order, reschedule
 from .skip_opt import (RestorePlan, SkipOptConfig, SkipOptStats, find_reduced,
                        optimize_skip_connections)
@@ -65,7 +65,6 @@ __all__ = [
     "greedy_order",
     "reschedule",
     "TeMCOConfig",
-    "TeMCOCompiler",
     "OptimizationReport",
     "optimize",
     "EquivalenceReport",

@@ -47,37 +47,21 @@ class FusionConfig:
         default ``None`` derives it per site: ``DEFAULT_BLOCK_SIZE``,
         widened by the pipeline's :func:`widen_tiles` into memory the
         graph already owns.  A number is compiled exactly as given.
-    require_activation:
-        If False, also fuse bare ``lconv → fconv`` pairs (no activation
-        in between); semantically those could be folded into one matmul,
-        but fusing keeps weight memory unchanged.
-    allow_epilogue:
-        Also fuse ``lconv → act [→ pool]`` chains that do *not* end in
-        an fconv (the restored tensor feeds a multi-consumer join and
-        must be materialized) into a streaming ``fused_restore`` kernel
-        that skips the intermediate full tensors.  Extension beyond the
-        paper's lconv-act-fconv definition — see DESIGN.md.
     site_overrides:
         Optional per-site ``(block_size, spatial_tile)`` pairs keyed by
         the *lconv* node name anchoring each fused chain — the handle
         the :mod:`repro.tune` autotuner uses to install its measured
-        tile choices.  Sites without an entry use the global knobs.
+        tile choices (a spatial tile is Listing 1's 3D blocking; 0 =
+        channel blocking only).  Sites without an entry use
+        ``block_size`` and channel blocking.
     """
 
     block_size: int | None = None
-    #: optional spatial tile edge for the generated fused kernels
-    #: (Listing 1's 3D blocking); 0 = channel blocking only
-    spatial_tile: int = 0
-    require_activation: bool = False
-    allow_epilogue: bool = True
     site_overrides: dict[str, tuple[int, int]] | None = None
 
     def __post_init__(self) -> None:
         if self.block_size is not None and self.block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {self.block_size}")
-        if self.spatial_tile < 0:
-            raise ValueError(
-                f"spatial_tile must be >= 0, got {self.spatial_tile}")
         for site, (blk, tile) in (self.site_overrides or {}).items():
             if blk < 1 or tile < 0:
                 raise ValueError(
@@ -88,7 +72,7 @@ class FusionConfig:
         if self.site_overrides and lconv_name in self.site_overrides:
             blk, tile = self.site_overrides[lconv_name]
             return int(blk), int(tile)
-        return self.block_size or DEFAULT_BLOCK_SIZE, self.spatial_tile
+        return self.block_size or DEFAULT_BLOCK_SIZE, 0
 
 
 @dataclass
@@ -134,13 +118,12 @@ def _single_consumer(consumers: dict, node: Node) -> Node | None:
     return users[0] if len(users) == 1 else None
 
 
-def _match_chain(graph: Graph, lconv: Node, consumers: dict,
-                 config: FusionConfig) -> _Chain | None:
+def _match_chain(graph: Graph, lconv: Node, consumers: dict) -> _Chain | None:
     out_ids = {id(v) for v in graph.outputs}
 
     def epilogue(act: Node | None, resample: Node | None) -> _Chain | None:
         """Fall back to a restore epilogue covering the chain so far."""
-        if not config.allow_epilogue or (act is None and resample is None):
+        if act is None and resample is None:
             return None
         # every *intermediate* value must be single-consumer & not an output
         intermediates = [lconv] + ([act] if act is not None and resample is not None else [])
@@ -158,8 +141,6 @@ def _match_chain(graph: Graph, lconv: Node, consumers: dict,
         cursor = _single_consumer(consumers, act)
         if cursor is None:
             return epilogue(act, None)
-    elif config.require_activation:
-        return None
     resample: Node | None = None
     # a pool (``lconv-relu-pool-fconv`` in Listing 1) or a nearest
     # upsample (UNet decoder after the upsample-commute transformation)
@@ -184,7 +165,7 @@ def _match_chain(graph: Graph, lconv: Node, consumers: dict,
 def _fuse(graph: Graph, lconv: Node, consumers: dict, config: FusionConfig,
           stats: FusionStats) -> Splice | None:
     """The fused node replacing the chain ``lconv`` anchors, if any."""
-    chain = _match_chain(graph, lconv, consumers, config)
+    chain = _match_chain(graph, lconv, consumers)
     if chain is None:
         return None
     fconv = chain.fconv
@@ -264,14 +245,13 @@ def widen_tiles(graph: Graph, config: FusionConfig | None = None) -> int:
     bytes, split evenly (384 channels in two blocks run 192 + 192, not
     256 + 128): no peak, counted either way, moves.  Run on the final
     schedule (``live`` is per node index).  Sites with a
-    ``site_overrides`` entry, and every site when ``block_size`` or
-    ``spatial_tile`` is configured, keep their tile.  Returns the number
-    of sites widened.
+    ``site_overrides`` entry, and every site when ``block_size`` is
+    configured, keep their tile.  Returns the number of sites widened.
     """
     config = config or FusionConfig()
     sites = [(index, node) for index, node in enumerate(graph.nodes)
              if node.op in ("fused_block", "fused_restore")]
-    if not sites or config.block_size is not None or config.spatial_tile:
+    if not sites or config.block_size is not None:
         return 0
     tracer = get_tracer()
     schedule = simulate(graph)

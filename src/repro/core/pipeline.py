@@ -7,15 +7,15 @@ Stage order follows the paper: *skip connection optimization* first
 (collapsing every exposed pattern into a tiled fused kernel), and a
 final dead-code sweep.
 
-Use :func:`optimize` for the one-call API, or :class:`TeMCOCompiler`
-to run/inspect individual stages.
+:func:`optimize` is the whole API; each stage is also callable on its
+own (``optimize_skip_connections``, the transforms,
+``fuse_activation_layers``, ``reschedule``).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 from ..ir.graph import Graph
 from ..obs import get_tracer
@@ -23,12 +23,12 @@ from .fusion import (FusionConfig, FusionStats, fuse_activation_layers,
                      widen_tiles)
 from .liveness import estimate_peak_internal
 from .scheduling import ScheduleStats, reschedule
-from .skip_opt import SkipOptConfig, SkipOptStats, optimize_skip_connections
+from .skip_opt import SkipOptStats, optimize_skip_connections
 from .transform import (TransformStats, commute_upsample_lconv,
                         merge_lconv_add, merge_lconv_concat,
                         push_act_through_concat, split_concat_fconv)
 
-__all__ = ["TeMCOConfig", "OptimizationReport", "TeMCOCompiler", "optimize"]
+__all__ = ["TeMCOConfig", "OptimizationReport", "optimize"]
 
 logger = logging.getLogger(__name__)
 
@@ -52,7 +52,6 @@ class TeMCOConfig:
     #: peak-guarded so enabling it can never hurt
     enable_scheduling: bool = True
     concat_strategy: str = "merge"
-    skip_opt: SkipOptConfig = field(default_factory=SkipOptConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
 
     def __post_init__(self) -> None:
@@ -108,138 +107,102 @@ class OptimizationReport:
         return "\n".join(lines)
 
 
-class TeMCOCompiler:
-    """Stage-by-stage driver over a working copy of the input graph.
-
-    Parameters
-    ----------
-    tuner:
-        Optional hook the fusion stage consults for measured tile
-        choices: a callable ``(graph) -> {lconv_name: (block_size,
-        spatial_tile)} | None`` (typically
-        :func:`repro.tune.cached_overrides` curried over a cache).
-        Returned overrides are merged over ``config.fusion``'s own.
-    """
-
-    def __init__(self, config: TeMCOConfig | None = None, *,
-                 tuner: Callable[[Graph], dict | None] | None = None) -> None:
-        self.config = config or TeMCOConfig()
-        self.tuner = tuner
-
-    def _fusion_config(self, graph: Graph, config: TeMCOConfig) -> FusionConfig:
-        """The fusion knobs for this run, tuned if the tuner has data."""
-        if self.tuner is None:
-            return config.fusion
-        overrides = self.tuner(graph)
-        if not overrides:
-            return config.fusion
-        merged = dict(config.fusion.site_overrides or {})
-        merged.update(overrides)
-        get_tracer().decision("pipeline", graph.name, "tuned_fusion",
-                              "tuner_overrides", sites=len(overrides))
-        logger.info("pipeline: %s fusing with %d tuned site overrides",
-                    graph.name, len(overrides))
-        return replace(config.fusion, site_overrides=merged)
-
-    def run(self, graph: Graph) -> tuple[Graph, OptimizationReport]:
-        """Optimize a (typically decomposed) graph; the input is untouched.
-
-        Skip-connection rewrites only pay off once the transform/fusion
-        stages collapse the copied restore chains, so the per-rewrite
-        guard is local (Algorithm 1's ``Overhead``); as a global
-        safety net, if the fully optimized graph's estimated peak ends
-        up worse than running the pipeline *without* skip-opt, the
-        compiler falls back to the latter.
-        """
-        tracer = get_tracer()
-        with tracer.span("pipeline", category="compiler", graph=graph.name):
-            optimized, report = self._run_once(graph, self.config)
-            if (self.config.enable_skip_opt
-                    and report.skip_opt is not None
-                    and report.skip_opt.optimized > 0):
-                alt, alt_report = self._run_once(
-                    graph, replace(self.config, enable_skip_opt=False))
-                if alt_report.peak_after < report.peak_after:
-                    tracer.decision(
-                        "pipeline", graph.name, "fallback", "no_skip_better",
-                        with_skip_peak_bytes=report.peak_after,
-                        without_skip_peak_bytes=alt_report.peak_after)
-                    logger.info("pipeline: %s kept the no-skip-opt variant "
-                                "(peak %d B < %d B)", graph.name,
-                                alt_report.peak_after, report.peak_after)
-                    optimized, report = alt, alt_report
-            if (report.peak_after > report.peak_before
-                    and (self.config.enable_skip_opt or self.config.enable_transforms)
-                    and self.config.enable_fusion):
-                # last-resort guard: fusion alone only ever removes tensors
-                alt, alt_report = self._run_once(graph, replace(
-                    self.config, enable_skip_opt=False, enable_transforms=False,
-                    concat_strategy="none"))
-                if alt_report.peak_after < report.peak_after:
-                    tracer.decision(
-                        "pipeline", graph.name, "fallback", "fusion_only_better",
-                        full_pipeline_peak_bytes=report.peak_after,
-                        fusion_only_peak_bytes=alt_report.peak_after)
-                    logger.info("pipeline: %s fell back to fusion-only "
-                                "(peak %d B < %d B)", graph.name,
-                                alt_report.peak_after, report.peak_after)
-                    optimized, report = alt, alt_report
-            tracer.metrics.gauge("pipeline.peak_before_bytes", report.peak_before)
-            tracer.metrics.gauge("pipeline.peak_after_bytes", report.peak_after)
-            tracer.metrics.gauge("pipeline.peak_reduction", report.peak_reduction)
-        return optimized, report
-
-    def _run_once(self, graph: Graph,
-                  config: TeMCOConfig) -> tuple[Graph, OptimizationReport]:
-        tracer = get_tracer()
-        work = graph.clone(f"{graph.name}.temco")
-        report = OptimizationReport(
-            peak_before=estimate_peak_internal(work),
-            weight_bytes_before=work.weight_bytes())
-
-        if config.enable_skip_opt:
-            report.skip_opt = optimize_skip_connections(work, config.skip_opt)
-
-        if config.enable_transforms:
-            tstats = TransformStats()
-            with tracer.span("transforms", category="compiler",
-                             graph=work.name,
-                             concat_strategy=config.concat_strategy):
-                commute_upsample_lconv(work, tstats)
-                if config.concat_strategy == "merge":
-                    # merge the all-restore-chain concats (Fig. 9a), then fall
-                    # back to splitting the remaining mixed concats (Fig. 9c)
-                    merge_lconv_concat(work, tstats)
-                    merge_lconv_add(work, tstats)
-                    push_act_through_concat(work, tstats)
-                    split_concat_fconv(work, tstats)
-                elif config.concat_strategy == "split":
-                    merge_lconv_add(work, tstats)
-                    push_act_through_concat(work, tstats)
-                    split_concat_fconv(work, tstats)
-            report.transforms = tstats
-
-        if config.enable_fusion:
-            fusion = self._fusion_config(work, config)
-            report.fusion = fuse_activation_layers(work, fusion)
-
-        if config.enable_scheduling:
-            report.schedule = reschedule(work)
-
-        work.dead_code_eliminate()
-        work.validate()
-        if config.enable_fusion:
-            # tiles are sized against the live bytes of the final schedule
-            report.fusion.widened = widen_tiles(work, fusion)
-        report.peak_after = estimate_peak_internal(work)
-        report.weight_bytes_after = work.weight_bytes()
-        logger.debug("pipeline: %s peak %d B -> %d B", work.name,
-                     report.peak_before, report.peak_after)
-        return work, report
-
-
-def optimize(graph: Graph, config: TeMCOConfig | None = None, *,
-             tuner: Callable[[Graph], dict | None] | None = None,
+def optimize(graph: Graph, config: TeMCOConfig | None = None
              ) -> tuple[Graph, OptimizationReport]:
-    """One-call TeMCO: returns ``(optimized graph, report)``."""
-    return TeMCOCompiler(config, tuner=tuner).run(graph)
+    """One-call TeMCO: returns ``(optimized graph, report)``; the input
+    (typically a decomposed graph) is untouched.
+
+    Skip-connection rewrites only pay off once the transform/fusion
+    stages collapse the copied restore chains, so the per-rewrite
+    guard is local (Algorithm 1's ``Overhead``); as a global
+    safety net, if the fully optimized graph's estimated peak ends
+    up worse than running the pipeline *without* skip-opt, the
+    compiler falls back to the latter.
+    """
+    config = config or TeMCOConfig()
+    tracer = get_tracer()
+    with tracer.span("pipeline", category="compiler", graph=graph.name):
+        optimized, report = _compile_once(graph, config)
+        if (config.enable_skip_opt
+                and report.skip_opt is not None
+                and report.skip_opt.optimized > 0):
+            alt, alt_report = _compile_once(
+                graph, replace(config, enable_skip_opt=False))
+            if alt_report.peak_after < report.peak_after:
+                tracer.decision(
+                    "pipeline", graph.name, "fallback", "no_skip_better",
+                    with_skip_peak_bytes=report.peak_after,
+                    without_skip_peak_bytes=alt_report.peak_after)
+                logger.info("pipeline: %s kept the no-skip-opt variant "
+                            "(peak %d B < %d B)", graph.name,
+                            alt_report.peak_after, report.peak_after)
+                optimized, report = alt, alt_report
+        if (report.peak_after > report.peak_before
+                and (config.enable_skip_opt or config.enable_transforms)
+                and config.enable_fusion):
+            # last-resort guard: fusion alone only ever removes tensors
+            alt, alt_report = _compile_once(graph, replace(
+                config, enable_skip_opt=False, enable_transforms=False,
+                concat_strategy="none"))
+            if alt_report.peak_after < report.peak_after:
+                tracer.decision(
+                    "pipeline", graph.name, "fallback", "fusion_only_better",
+                    full_pipeline_peak_bytes=report.peak_after,
+                    fusion_only_peak_bytes=alt_report.peak_after)
+                logger.info("pipeline: %s fell back to fusion-only "
+                            "(peak %d B < %d B)", graph.name,
+                            alt_report.peak_after, report.peak_after)
+                optimized, report = alt, alt_report
+        tracer.metrics.gauge("pipeline.peak_before_bytes", report.peak_before)
+        tracer.metrics.gauge("pipeline.peak_after_bytes", report.peak_after)
+        tracer.metrics.gauge("pipeline.peak_reduction", report.peak_reduction)
+    return optimized, report
+
+
+def _compile_once(graph: Graph,
+                  config: TeMCOConfig) -> tuple[Graph, OptimizationReport]:
+    """One pass of every enabled stage over a working copy of ``graph``."""
+    tracer = get_tracer()
+    work = graph.clone(f"{graph.name}.temco")
+    report = OptimizationReport(
+        peak_before=estimate_peak_internal(work),
+        weight_bytes_before=work.weight_bytes())
+
+    if config.enable_skip_opt:
+        report.skip_opt = optimize_skip_connections(work)
+
+    if config.enable_transforms:
+        tstats = TransformStats()
+        with tracer.span("transforms", category="compiler",
+                         graph=work.name,
+                         concat_strategy=config.concat_strategy):
+            commute_upsample_lconv(work, tstats)
+            if config.concat_strategy == "merge":
+                # merge the all-restore-chain concats (Fig. 9a), then fall
+                # back to splitting the remaining mixed concats (Fig. 9c)
+                merge_lconv_concat(work, tstats)
+                merge_lconv_add(work, tstats)
+                push_act_through_concat(work, tstats)
+                split_concat_fconv(work, tstats)
+            elif config.concat_strategy == "split":
+                merge_lconv_add(work, tstats)
+                push_act_through_concat(work, tstats)
+                split_concat_fconv(work, tstats)
+        report.transforms = tstats
+
+    if config.enable_fusion:
+        report.fusion = fuse_activation_layers(work, config.fusion)
+
+    if config.enable_scheduling:
+        report.schedule = reschedule(work)
+
+    work.dead_code_eliminate()
+    work.validate()
+    if config.enable_fusion:
+        # tiles are sized against the live bytes of the final schedule
+        report.fusion.widened = widen_tiles(work, config.fusion)
+    report.peak_after = estimate_peak_internal(work)
+    report.weight_bytes_after = work.weight_bytes()
+    logger.debug("pipeline: %s peak %d B -> %d B", work.name,
+                 report.peak_before, report.peak_after)
+    return work, report

@@ -49,6 +49,14 @@ TRAVERSABLE_OPS = frozenset(
     + ("add", "concat", "maxpool2d", "avgpool2d", "upsample_nearest",
        "batchnorm2d", "identity", "dropout"))
 
+#: The local guard ``l.peak <= m``; we take ``m`` to be ``MEMORY_SLACK ×``
+#: (bytes of the skip tensor + bytes of the reduced tensors kept alive),
+#: rejecting chains whose transient peak dwarfs the memory they free.
+MEMORY_SLACK = 4.0
+#: Algorithm 2's recursion bails out beyond this many chain nodes (deep
+#: ResNet-style chains; the overhead check would reject them anyway).
+MAX_CHAIN_NODES = 48
+
 
 @dataclass(frozen=True)
 class SkipOptConfig:
@@ -61,15 +69,6 @@ class SkipOptConfig:
         Multiplier on the paper's ``COMPUTE_THRESHOLD`` (the FLOPs of
         the corresponding original, non-decomposed layers).  1.0
         reproduces the paper's setting.
-    memory_slack:
-        The local guard ``l.peak <= m``; we take ``m`` to be
-        ``memory_slack ×`` (bytes of the skip tensor + bytes of the
-        reduced tensors kept alive), rejecting chains whose transient
-        peak dwarfs the memory they free.
-    max_chain_nodes:
-        Bail out of Algorithm 2's recursion beyond this many chain
-        nodes (deep ResNet-style chains; the overhead check would
-        reject them anyway).
     global_check:
         After the local guards accept, tentatively apply the rewrite
         and keep it only if the statically estimated schedule peak does
@@ -82,8 +81,6 @@ class SkipOptConfig:
 
     distance_threshold: int = 4
     compute_slack: float = 1.0
-    memory_slack: float = 4.0
-    max_chain_nodes: int = 48
     global_check: bool = False
 
 
@@ -119,14 +116,13 @@ class RestorePlan:
     orig_flops: int
 
 
-def find_reduced(graph: Graph, node: Node,
-                 max_nodes: int = 48) -> RestorePlan | None:
+def find_reduced(graph: Graph, node: Node) -> RestorePlan | None:
     """Algorithm 2 ``FindReduced``: restore chain ending at ``node``.
 
     Returns ``None`` when some branch of the predecessor walk does not
     terminate at an ``lconv`` through traversable ops — then the tensor
     cannot be recomputed from reduced tensors and the skip connection
-    is left alone.
+    is left alone — or when the chain outgrows :data:`MAX_CHAIN_NODES`.
     """
     seen: dict[int, RestorePlan] = {}
 
@@ -187,7 +183,7 @@ def find_reduced(graph: Graph, node: Node,
         seen[id(n)] = plan
         return plan
 
-    return visit(node, [max_nodes])
+    return visit(node, [MAX_CHAIN_NODES])
 
 
 def _order_by_compare(plans: list[RestorePlan]) -> list[RestorePlan]:
@@ -235,13 +231,13 @@ def _passes_overhead(skip: SkipConnection, plan: RestorePlan,
                      skip.value.name, total_copy_flops, plan.orig_flops)
         return False
     freed = skip.value.nbytes + sum(r.nbytes for r in plan.reduced)
-    if plan.peak > config.memory_slack * freed:
+    if plan.peak > MEMORY_SLACK * freed:
         stats.rejected_memory += 1
         tracer.decision("skip_opt", skip.value.name, "reject",
                         "memory_overhead", chain_peak_bytes=plan.peak,
-                        freed_bytes=freed, memory_slack=config.memory_slack)
+                        freed_bytes=freed, memory_slack=MEMORY_SLACK)
         logger.debug("skip_opt: %s rejected (chain peak %d B > %.1fx freed %d B)",
-                     skip.value.name, plan.peak, config.memory_slack, freed)
+                     skip.value.name, plan.peak, MEMORY_SLACK, freed)
         return False
     return True
 
@@ -264,7 +260,7 @@ def optimize_skip_connections(graph: Graph,
                              category="compiler",
                              skip_bytes=skip.value.nbytes,
                              far_uses=len(skip.far_uses)):
-                plan = find_reduced(graph, skip.producer, config.max_chain_nodes)
+                plan = find_reduced(graph, skip.producer)
                 if plan is None:
                     stats.rejected_no_chain += 1
                     tracer.decision("skip_opt", skip.value.name, "reject",

@@ -37,7 +37,7 @@ the rolling-reload sequence, and ``repro fleet`` / ``repro loadgen
 from .faults import FAULT_KINDS, FaultPolicy
 from .pool import (PoolConfig, Replica, ReplicaPool, ReplicaSpec,
                    ReplicaState, split_host_budget)
-from .router import FleetFuture, Router, RouterConfig
+from .router import FleetFuture, Router
 
 __all__ = [
     "FAULT_KINDS",
@@ -49,6 +49,5 @@ __all__ = [
     "ReplicaPool",
     "split_host_budget",
     "FleetFuture",
-    "RouterConfig",
     "Router",
 ]

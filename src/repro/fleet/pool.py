@@ -13,12 +13,11 @@ The pool owns replica *lifecycle*, not routing (that's
 
 - **liveness/readiness** — a background health loop polls each
   replica's :meth:`~repro.serve.InferenceServer.healthy` (the same
-  predicate ``GET /healthz`` serves) every
-  ``PoolConfig.health_interval_s``,
+  predicate ``GET /healthz`` serves) every :data:`HEALTH_INTERVAL_S`,
 - **outlier ejection** — a replica that fails consecutive requests
   (router-reported) or goes unhealthy is ejected: taken out of the
   routable set and scheduled for re-admission after an exponential
-  backoff (``readmit_backoff_s * 2^(ejections-1)``, capped),
+  backoff (``READMIT_BACKOFF_S * 2^(ejections-1)``, capped),
 - **re-admission** — an ejected replica is *restarted* (a fresh
   server built from its spec) once its backoff expires, so a crashed
   process costs capacity temporarily, not permanently,
@@ -55,6 +54,14 @@ logger = logging.getLogger(__name__)
 
 __all__ = ["ReplicaState", "ReplicaSpec", "Replica", "PoolConfig",
            "ReplicaPool", "split_host_budget"]
+
+#: consecutive router-reported failures before ejection
+EJECT_AFTER_FAILURES = 3
+#: first re-admission backoff; doubles per ejection up to the max
+READMIT_BACKOFF_S = 0.25
+READMIT_BACKOFF_MAX_S = 5.0
+#: period of the health loop's readiness poll
+HEALTH_INTERVAL_S = 0.05
 
 
 class ReplicaState:
@@ -208,32 +215,18 @@ def split_host_budget(graph: Graph, host_budget: str | int,
 
 @dataclass(frozen=True)
 class PoolConfig:
-    """Replica-count, budget and health-policy knobs of one pool."""
+    """Replica-count and budget knobs of one pool."""
 
     replicas: int = 2
     #: shared host budget (parse_budget grammar) split evenly across
     #: replicas; None serves unplanned
     host_budget: str | None = None
-    #: consecutive router-reported failures before ejection
-    eject_after_failures: int = 3
-    #: first re-admission backoff; doubles per ejection
-    readmit_backoff_s: float = 0.25
-    readmit_backoff_max_s: float = 5.0
-    health_interval_s: float = 0.05
     #: per-replica server knobs
     server: ServerConfig = field(default_factory=ServerConfig)
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
-        if self.eject_after_failures < 1:
-            raise ValueError("eject_after_failures must be >= 1, got "
-                             f"{self.eject_after_failures}")
-        if self.readmit_backoff_s <= 0 or self.readmit_backoff_max_s <= 0:
-            raise ValueError("re-admission backoffs must be > 0")
-        if self.health_interval_s <= 0:
-            raise ValueError("health_interval_s must be > 0, got "
-                             f"{self.health_interval_s}")
 
 
 class ReplicaPool:
@@ -362,7 +355,7 @@ class ReplicaPool:
             replica.consecutive_failures += 1
             if (replica.state == ReplicaState.READY
                     and replica.consecutive_failures
-                    >= self.config.eject_after_failures):
+                    >= EJECT_AFTER_FAILURES):
                 self._eject(replica, reason)
 
     # -- ejection / re-admission ---------------------------------------
@@ -375,9 +368,8 @@ class ReplicaPool:
     def _eject(self, replica: Replica, reason: str) -> None:
         replica.state = ReplicaState.EJECTED
         replica.ejections += 1
-        backoff = min(
-            self.config.readmit_backoff_s * 2 ** (replica.ejections - 1),
-            self.config.readmit_backoff_max_s)
+        backoff = min(READMIT_BACKOFF_S * 2 ** (replica.ejections - 1),
+                      READMIT_BACKOFF_MAX_S)
         replica.readmit_at = time.monotonic() + backoff
         self.metrics.inc(f"fleet.ejections.reason.{reason}")
         self._gauge_up(replica)
@@ -395,7 +387,7 @@ class ReplicaPool:
                     replica.id, replica.generation)
 
     def _health_loop(self) -> None:
-        while not self._health_stop.wait(self.config.health_interval_s):
+        while not self._health_stop.wait(HEALTH_INTERVAL_S):
             with self._lock:
                 if self._closed:
                     return

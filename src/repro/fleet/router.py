@@ -22,7 +22,7 @@ sets it) or the next timer is due — hedge, deadline, attempt timeout:
   would likely bust the deadline,
 - **bounded retry with backoff** — a failed attempt (replica crashed,
   draining, queue full, worker error) is retried on a sibling up to
-  ``RouterConfig.max_attempts`` times with doubling backoff; replica
+  :data:`MAX_ATTEMPTS` times with doubling backoff; replica
   failures also feed the pool's outlier ejection.  A crashed replica
   therefore costs the client *latency*, never an error, as long as a
   sibling is up,
@@ -47,7 +47,6 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from dataclasses import dataclass
 
 from ..obs import SLOMonitor
 from ..serve.servable import (DeadlineExceeded, Overloaded, Servable,
@@ -57,12 +56,23 @@ from .pool import Replica, ReplicaPool, ReplicaSpec
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["FleetFuture", "RouterConfig", "Router"]
+__all__ = ["FleetFuture", "Router"]
 
-#: clamp floor for the deadline-aware hedge delay
-HEDGE_MIN_DELAY_S = 0.002
+#: total submission attempts per request (primary + retries); hedges
+#: don't consume attempts
+MAX_ATTEMPTS = 4
+#: backoff before a retry; doubles per retry, capped at
+#: :data:`RETRY_BACKOFF_MAX_S`
+RETRY_BACKOFF_S = 0.005
 #: ceiling of the doubling retry backoff
 RETRY_BACKOFF_MAX_S = 0.1
+#: hedge delay without a deadline (and the clamp ceiling with one)
+HEDGE_DELAY_S = 0.05
+#: clamp floor for the deadline-aware hedge delay
+HEDGE_MIN_DELAY_S = 0.002
+#: per-attempt cap: an attempt silent this long is abandoned as stalled
+#: and retried (rescues black-holed replicas)
+ATTEMPT_TIMEOUT_S = 10.0
 
 
 class FleetFuture(ServeFuture):
@@ -79,39 +89,6 @@ class FleetFuture(ServeFuture):
         self.attempts = 0
         #: id of the replica whose response won, or None on failure
         self.served_by: int | None = None
-
-
-@dataclass(frozen=True)
-class RouterConfig:
-    """Retry / hedging knobs of the fleet router."""
-
-    #: total submission attempts per request (primary + retries);
-    #: hedges don't consume attempts
-    max_attempts: int = 4
-    #: backoff before a retry; doubles per retry, capped at
-    #: :data:`RETRY_BACKOFF_MAX_S`
-    retry_backoff_s: float = 0.005
-    #: hedging on/off
-    hedge: bool = True
-    #: hedge delay without a deadline (and the clamp ceiling with one)
-    hedge_delay_s: float = 0.05
-    #: per-attempt cap: an attempt silent this long is abandoned as
-    #: stalled and retried (rescues black-holed replicas)
-    attempt_timeout_s: float = 10.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(
-                f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be >= 0, got "
-                             f"{self.retry_backoff_s}")
-        if self.hedge_delay_s <= 0:
-            raise ValueError(
-                f"hedge_delay_s must be > 0, got {self.hedge_delay_s}")
-        if self.attempt_timeout_s <= 0:
-            raise ValueError("attempt_timeout_s must be > 0, got "
-                             f"{self.attempt_timeout_s}")
 
 
 def _failure_reason(error: BaseException | None) -> str:
@@ -162,13 +139,11 @@ class Router(Servable):
     family = "fleet"
     _noun = "fleet router"
 
-    def __init__(self, pool: ReplicaPool, config: RouterConfig | None = None,
-                 *, slo: SLOMonitor | None = None,
+    def __init__(self, pool: ReplicaPool, *, slo: SLOMonitor | None = None,
                  fault: FaultPolicy | None = None) -> None:
         super().__init__(pool.graph, metrics=pool.metrics, tracer=pool.tracer,
                          slo=slo, memory_plan=pool.memory_plan)
         self.pool = pool
-        self.config = config or RouterConfig()
         self.fault = fault
         self._fault_fired = False
 
@@ -254,12 +229,11 @@ class Router(Servable):
                 f"fleet orchestration failed: {exc!r}"))
 
     def _route(self, routed: _Routed) -> None:
-        config = self.config
         future = routed.future
         reasons: list[str] = []
         last_error: BaseException | None = None
-        backoff = config.retry_backoff_s
-        for attempt_index in range(config.max_attempts):
+        backoff = RETRY_BACKOFF_S
+        for attempt_index in range(MAX_ATTEMPTS):
             if (routed.deadline_at is not None
                     and time.monotonic() > routed.deadline_at):
                 self._finish_error(future, DeadlineExceeded(
@@ -301,7 +275,7 @@ class Router(Servable):
         # attempts exhausted: surface the last typed error
         final = last_error or ServeError(
             f"request {future.request_id} failed after "
-            f"{config.max_attempts} attempt(s)")
+            f"{MAX_ATTEMPTS} attempt(s)")
         if all(r in ("no_ready_replica", "overloaded") for r in reasons) \
                 and not isinstance(final, Overloaded):
             final = Overloaded(str(final))
@@ -341,12 +315,10 @@ class Router(Servable):
         hedge) responds, every attempt failed, the deadline passed, or
         everything stalled.  Returns ``(resolved, last_error,
         reason)``."""
-        config = self.config
         future = routed.future
         pending = [primary]
-        #: None once the hedge is launched (or hedging is off)
-        hedge_at = (time.monotonic() + self._hedge_delay(routed.deadline_at)
-                    if config.hedge else None)
+        #: None once the hedge is launched
+        hedge_at = time.monotonic() + self._hedge_delay(routed.deadline_at)
         last_error: BaseException | None = None
         reason = "stalled"
         while True:
@@ -388,7 +360,7 @@ class Router(Servable):
                     if hedge is not None:
                         pending.append(hedge)
             stalled_at = (max(a.started_at for a in pending)
-                          + config.attempt_timeout_s)
+                          + ATTEMPT_TIMEOUT_S)
             if now >= stalled_at:
                 self._abandon(pending)
                 for attempt in pending:
@@ -396,7 +368,7 @@ class Router(Servable):
                     routed.failed.add(attempt.replica.id)
                 return False, ServeError(
                     f"request {future.request_id}: all attempts stalled "
-                    f"past {config.attempt_timeout_s} s"), "stalled"
+                    f"past {ATTEMPT_TIMEOUT_S} s"), "stalled"
             due = min(t for t in (stalled_at, hedge_at, routed.deadline_at)
                       if t is not None)
             routed.wake.wait(max(0.0, due - now))
@@ -468,13 +440,12 @@ class Router(Servable):
     def _hedge_delay(self, deadline_at: float | None) -> float:
         """How long to give the primary before hedging.  With a
         deadline: the slack left after a p95-projected wait, clamped;
-        without: the fixed configured delay."""
+        without: the fixed :data:`HEDGE_DELAY_S`."""
         if deadline_at is None:
-            return self.config.hedge_delay_s
+            return HEDGE_DELAY_S
         remaining = deadline_at - time.monotonic()
         p95_s = self.metrics.quantiles("fleet.latency_ms").get("p95", 0.0) / 1e3
-        return min(max(remaining - p95_s, HEDGE_MIN_DELAY_S),
-                   self.config.hedge_delay_s)
+        return min(max(remaining - p95_s, HEDGE_MIN_DELAY_S), HEDGE_DELAY_S)
 
     def _maybe_fire_fault(self, replica: Replica) -> None:
         fault = self.fault

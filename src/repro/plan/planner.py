@@ -54,6 +54,11 @@ __all__ = ["PlanCostModel", "KeepAction", "SpillAction", "RematAction",
 #: sustain on one BLAS thread, perfbench's per-layer
 #: ``kernels.gflops_per_s`` on ``graph_b4`` (conv 7.3, fused 7.1).
 KERNEL_FLOPS_PER_S = 7e9
+#: nodes of lead between issuing a prefetch and needing the tensor
+#: (1 = the transfer overlaps the preceding node's compute)
+PREFETCH_LEAD = 1
+#: longest producing subgraph a remat action may re-execute
+MAX_CHAIN_LEN = 8
 
 
 @dataclass(frozen=True)
@@ -70,11 +75,6 @@ class PlanCostModel:
     spill_bandwidth_bytes_per_s: float = 12e9
     #: sustained rate assumed for rematerialization compute
     recompute_flops_per_s: float = KERNEL_FLOPS_PER_S
-    #: nodes of lead between issuing a prefetch and needing the tensor
-    #: (1 = the transfer overlaps the preceding node's compute)
-    prefetch_lead: int = 1
-    #: longest producing subgraph a remat action may re-execute
-    max_chain_len: int = 8
 
     def spill_seconds(self, nbytes: int) -> float:
         return 2.0 * nbytes / self.spill_bandwidth_bytes_per_s
@@ -86,8 +86,8 @@ class PlanCostModel:
         return {
             "spill_bandwidth_bytes_per_s": self.spill_bandwidth_bytes_per_s,
             "recompute_flops_per_s": self.recompute_flops_per_s,
-            "prefetch_lead": self.prefetch_lead,
-            "max_chain_len": self.max_chain_len,
+            "prefetch_lead": PREFETCH_LEAD,
+            "max_chain_len": MAX_CHAIN_LEN,
         }
 
 
@@ -340,8 +340,7 @@ def _resident_at(value: Value, index: int,
 
 def _collect_chain(graph: Graph, value: Value, at_index: int,
                    intervals: dict[Value, LiveInterval],
-                   actions: dict[str, PlanAction],
-                   max_len: int) -> tuple[Node, ...] | None:
+                   actions: dict[str, PlanAction]) -> tuple[Node, ...] | None:
     """The producing subgraph that recomputes ``value`` at ``at_index``
     from tensors resident there, or None when no bounded chain exists."""
     producer = graph.producer_of(value)
@@ -353,7 +352,7 @@ def _collect_chain(graph: Graph, value: Value, at_index: int,
     while stack:
         node = stack.pop()
         chain.append(node)
-        if len(chain) > max_len:
+        if len(chain) > MAX_CHAIN_LEN:
             return None
         for u in node.inputs:
             if u.name in seen or _resident_at(u, at_index, intervals, actions):
@@ -368,8 +367,7 @@ def _collect_chain(graph: Graph, value: Value, at_index: int,
 
 
 def _revalidate_chains(graph: Graph, intervals: dict[Value, LiveInterval],
-                       actions: dict[str, PlanAction],
-                       cm: PlanCostModel) -> bool:
+                       actions: dict[str, PlanAction]) -> bool:
     """Re-collect every remat chain under the current action set.
 
     A chain is valid only while its frontier inputs stay resident at the
@@ -383,7 +381,7 @@ def _revalidate_chains(graph: Graph, intervals: dict[Value, LiveInterval],
         if not isinstance(a, RematAction):
             continue
         chain = _collect_chain(graph, a.value, a.remat_before, intervals,
-                               actions, cm.max_chain_len)
+                               actions)
         if chain is None:
             return False
         if chain != a.chain:
@@ -398,7 +396,6 @@ def _revalidate_chains(graph: Graph, intervals: dict[Value, LiveInterval],
 def _candidates(graph: Graph, intervals: dict[Value, LiveInterval],
                 uses_by_name: dict[str, list[int]],
                 actions: dict[str, PlanAction], peak_index: int,
-                cm: PlanCostModel,
                 rejected: set[tuple[str, str]]) -> list[PlanAction]:
     """Actions that could relieve the peak at ``peak_index``: tensors
     live across that node but neither defined nor consumed by it."""
@@ -419,13 +416,12 @@ def _candidates(graph: Graph, intervals: dict[Value, LiveInterval],
         later = [u for u in uses if u > peak_index]
         nxt = later[0] if later else num_nodes  # num_nodes = restore at end
         if (name, "spill") not in rejected:
-            issue = max(prev + 1, nxt - cm.prefetch_lead)
+            issue = max(prev + 1, nxt - PREFETCH_LEAD)
             if issue > peak_index:
                 out.append(SpillAction(value=v, spill_after=prev,
                                        prefetch_issue=issue, next_use=nxt))
         if (name, "remat") not in rejected and iv.begin >= 0 and nxt < num_nodes:
-            chain = _collect_chain(graph, v, nxt, intervals, actions,
-                                   cm.max_chain_len)
+            chain = _collect_chain(graph, v, nxt, intervals, actions)
             if chain is not None:
                 out.append(RematAction(
                     value=v, drop_after=prev, remat_before=nxt, chain=chain,
@@ -470,14 +466,14 @@ def plan_memory(graph: Graph, budget_bytes: int | None = None, *,
     baseline_peak = schedule.peak_bytes
     while budget_bytes is not None and schedule.peak_bytes > budget_bytes:
         cands = _candidates(graph, intervals, uses_by_name, actions,
-                            schedule.peak_index, cm, rejected)
+                            schedule.peak_index, rejected)
         if not cands:
             raise InfeasibleBudget(graph.name, budget_bytes,
                                    schedule.peak_bytes)
         best = min(cands, key=score)
         actions[best.value.name] = best
         revert = True  # unless the step keeps every restore chain valid
-        if _revalidate_chains(graph, intervals, actions, cm):
+        if _revalidate_chains(graph, intervals, actions):
             trial = simulate(graph, actions=bucket_actions(actions.values()))
             # no local relief (e.g. the remat transient re-creates the
             # peak); a same-height peak at a *different* index is kept —
@@ -487,7 +483,7 @@ def plan_memory(graph: Graph, budget_bytes: int | None = None, *,
                 and trial.peak_index == schedule.peak_index)
         if revert:
             del actions[best.value.name]
-            _revalidate_chains(graph, intervals, actions, cm)
+            _revalidate_chains(graph, intervals, actions)
             rejected.add((best.value.name, best.kind))
         else:
             schedule = trial

@@ -40,6 +40,9 @@ from .servable import (DeadlineExceeded, Overloaded, Servable, ServeError,
 
 __all__ = ["LoadgenConfig", "LoadgenReport", "request_inputs", "run_loadgen"]
 
+#: per-request result wait; generous, loadgen must never hang
+RESULT_TIMEOUT_S = 60.0
+
 
 @dataclass(frozen=True)
 class LoadgenConfig:
@@ -54,8 +57,6 @@ class LoadgenConfig:
     #: samples per request (1 = the single-sample serving path)
     samples: int = 1
     deadline_s: float | None = None
-    #: per-request result wait; generous, loadgen must never hang
-    timeout_s: float = 60.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -166,10 +167,10 @@ class _Tally:
                 self.latencies.append(latency_s)
 
 
-def _settle(future: ServeFuture, tally: _Tally, timeout: float) -> None:
+def _settle(future: ServeFuture, tally: _Tally) -> None:
     """Wait out one submission and tally its outcome."""
     try:
-        future.result(timeout)
+        future.result(RESULT_TIMEOUT_S)
     except Overloaded:
         # refused at admission, or (a fleet router) reported through
         # the future once retries ran out; a typed rejection either way
@@ -218,7 +219,7 @@ def run_loadgen(server: Servable,
                     i = next(counter, None)
                 if i is None:
                     return
-                _settle(submit(i), tally, config.timeout_s)
+                _settle(submit(i), tally)
 
         clients = [threading.Thread(target=client, name=f"loadgen-{i}")
                    for i in range(config.concurrency)]
@@ -238,7 +239,7 @@ def run_loadgen(server: Servable,
                 time.sleep(delay)
             submissions.append(submit(i))
         for item in submissions:
-            _settle(item, tally, config.timeout_s)
+            _settle(item, tally)
 
     duration = time.perf_counter() - start
     slo_statuses = ([status.to_dict() for status in server.slo.evaluate()]

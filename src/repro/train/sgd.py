@@ -19,21 +19,21 @@ from .autodiff import backward, forward_with_tape
 __all__ = ["SGDConfig", "TrainResult", "train", "train_classifier",
            "train_segmenter"]
 
+#: velocity decay of the momentum update
+MOMENTUM = 0.9
+#: per-parameter gradient norm ceiling; larger gradients are rescaled
+GRAD_CLIP = 5.0
+
 
 @dataclass(frozen=True)
 class SGDConfig:
-    """Plain SGD with momentum and weight decay."""
+    """Plain SGD with :data:`MOMENTUM` and :data:`GRAD_CLIP`."""
 
     learning_rate: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    grad_clip: float | None = 5.0
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
 
 
 @dataclass
@@ -77,15 +77,12 @@ def train(graph: Graph, batches, loss_fn: Callable, *,
             node = graph.find_node(node_name)
             for pname, g in param_grads.items():
                 g = g.astype(np.float64)
-                if config.grad_clip is not None:
-                    norm = float(np.linalg.norm(g))
-                    if norm > config.grad_clip:
-                        g = g * (config.grad_clip / norm)
-                if config.weight_decay:
-                    g = g + config.weight_decay * node.params[pname]
+                norm = float(np.linalg.norm(g))
+                if norm > GRAD_CLIP:
+                    g = g * (GRAD_CLIP / norm)
                 key = (node_name, pname)
                 v = velocity.get(key)
-                v = g if v is None else config.momentum * v + g
+                v = g if v is None else MOMENTUM * v + g
                 velocity[key] = v
                 node.params[pname] = (node.params[pname]
                                       - config.learning_rate * v).astype(

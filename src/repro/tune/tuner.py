@@ -48,9 +48,9 @@ __all__ = ["TuneConfig", "TuneResult", "collect_sites", "site_candidates",
 
 #: Channel-block widths tried at every site (clamped to its C').
 DEFAULT_BLOCK_SIZES = (4, 8, 16, 32, 64, 128, 256)
-#: Spatial tile edges tried (0 = channel blocking only); a tile
-#: survives only where the kernel would actually apply it exactly.
-DEFAULT_SPATIAL_TILES = (0, 8, 16, 32)
+#: Spatial tile edges tried at every site (0 = channel blocking only); a
+#: tile survives only where the kernel would actually apply it exactly.
+SPATIAL_TILES = (0, 8, 16, 32)
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,6 @@ class TuneConfig:
     #: (least-noise estimator)
     repeats: int = 2
     block_sizes: tuple[int, ...] = DEFAULT_BLOCK_SIZES
-    spatial_tiles: tuple[int, ...] = DEFAULT_SPATIAL_TILES
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -118,7 +117,6 @@ def apply_overrides(graph: Graph,
 
 def site_candidates(node: Node,
                     block_sizes: tuple[int, ...] = DEFAULT_BLOCK_SIZES,
-                    spatial_tiles: tuple[int, ...] = DEFAULT_SPATIAL_TILES,
                     ) -> list[tuple[int, int]]:
     """Valid, deduplicated ``(block_size, spatial_tile)`` pairs of a site.
 
@@ -130,7 +128,7 @@ def site_candidates(node: Node,
     _n, _r, h, w = node.inputs[0].shape
     c_prime = int(node.params["w1"].shape[0])
     blocks = sorted({min(max(1, int(b)), c_prime) for b in block_sizes})
-    tiles = [0] + sorted({int(t) for t in spatial_tiles if t > 0
+    tiles = [0] + sorted({int(t) for t in SPATIAL_TILES if t > 0
                           and spatially_tileable(h, w, t,
                                                  node.attrs.get("pool"))})
     return [(b, t) for t in tiles for b in blocks]
@@ -191,8 +189,7 @@ def _tune_site(node: Node, config: TuneConfig, tracer) -> SiteRecord:
     """Time every candidate of one site; the fastest wins, a tie goes
     to the tile the graph was compiled with."""
     compiled = _compiled_tile(node)
-    candidates = site_candidates(node, config.block_sizes,
-                                 config.spatial_tiles)
+    candidates = site_candidates(node, config.block_sizes)
     if compiled not in candidates:  # always price the baseline
         candidates.insert(0, compiled)
     value = node.inputs[0]
@@ -244,14 +241,12 @@ def _cache_extra(decomposition: DecompositionConfig, temco: TeMCOConfig,
     fusion-only and full-pipeline variants alike.  (The cached *plan*
     is always the full default pipeline's output.)
     """
-    fusion = temco.fusion
     return {
         "decomposition": asdict(decomposition),
         "concat_strategy": temco.concat_strategy,
         "block_sizes": list(config.block_sizes),
-        "spatial_tiles": list(config.spatial_tiles),
-        "fusion_defaults": [fusion.block_size, fusion.spatial_tile,
-                            fusion.require_activation, fusion.allow_epilogue],
+        "spatial_tiles": list(SPATIAL_TILES),
+        "fusion_block_size": temco.fusion.block_size,
     }
 
 
@@ -359,8 +354,9 @@ def cached_overrides(original: Graph, *,
                      ) -> dict[str, tuple[int, int]] | None:
     """Look up tuned site overrides without tuning; None on a miss.
 
-    This is the compiler-side hook: ``TeMCOCompiler`` can consult it to
-    fuse with tuned tiles while recompiling from source.
+    Passed as ``FusionConfig(site_overrides=...)``, it makes
+    :func:`repro.core.optimize` fuse with tuned tiles while recompiling
+    from source.
     """
     cache = cache or TuneCache()
     record = cache.load(cache.key_for(

@@ -37,7 +37,7 @@ class TestPatternMatching:
     def test_full_tensors_eliminated(self):
         g = _decomposed_chain()
         peak_before = estimate_peak_internal(g)
-        fuse_activation_layers(g, FusionConfig(allow_epilogue=False))
+        fuse_activation_layers(g)
         assert estimate_peak_internal(g) < peak_before
         # the c1 lconv's full-size restored output no longer exists
         assert all("c1.lconv" not in n.name or n.op == "fused_block"
@@ -56,8 +56,11 @@ class TestPatternMatching:
         act = b.relu(up)
         down = b.conv2d(act, 4, 1, name="down")  # fconv
         g = b.finish(b.add(act, act), down)      # act has 2 consumers
-        stats = fuse_activation_layers(g, FusionConfig(allow_epilogue=False))
-        assert stats.fused == 0
+        stats = fuse_activation_layers(g)
+        # no lconv-act-fconv kernel: the chain ends at the shared act,
+        # which a restore epilogue materializes for both consumers
+        assert stats.fused == stats.epilogues == 1
+        assert not any(n.op == "fused_block" for n in g.nodes)
 
     def test_graph_output_blocks_fusion(self):
         b = GraphBuilder("t", seed=0)
@@ -87,14 +90,6 @@ class TestPatternMatching:
         down = b.conv2d(up, 4, 1, name="down")
         g = b.finish(down)
         assert fuse_activation_layers(g).fused == 1
-        g2 = GraphBuilder("t2", seed=0)
-        x = g2.input("x", (1, 4, 8, 8))
-        up = g2.conv2d(x, 32, 1, name="up")
-        down = g2.conv2d(up, 4, 1, name="down")
-        graph2 = g2.finish(down)
-        stats = fuse_activation_layers(graph2,
-                                       FusionConfig(require_activation=True))
-        assert stats.fused == 0
 
     def test_block_size_recorded(self):
         g = _decomposed_chain()
@@ -137,11 +132,6 @@ class TestEpilogueFusion:
         for va, vb in zip(before.outputs, g.outputs):
             np.testing.assert_allclose(a.outputs[va.name], b_.outputs[vb.name],
                                        atol=1e-5)
-
-    def test_epilogue_disabled(self):
-        g = self._stem_graph()
-        stats = fuse_activation_layers(g, FusionConfig(allow_epilogue=False))
-        assert stats.fused == 0
 
 
 class TestScratchReporting:
@@ -220,7 +210,9 @@ class TestSlackWidening:
         (FusionConfig(block_size=8), [(8, 0), (8, 0)]),
         (FusionConfig(block_size=DEFAULT_BLOCK_SIZE),
          [(DEFAULT_BLOCK_SIZE, 0)] * 2),
-        (FusionConfig(spatial_tile=8), [(DEFAULT_BLOCK_SIZE, 8)] * 2),
+        (FusionConfig(site_overrides={"c1.lconv": (DEFAULT_BLOCK_SIZE, 8),
+                                      "c2.lconv": (DEFAULT_BLOCK_SIZE, 8)}),
+         [(DEFAULT_BLOCK_SIZE, 8)] * 2),
         (FusionConfig(site_overrides={"c2.lconv": (4, 0)}),
          [(DEFAULT_BLOCK_SIZE, 0), (4, 0)]),
         (FusionConfig(site_overrides={"c1.lconv": (4, 8)}),

@@ -7,7 +7,7 @@ from repro.core import (ConvPairSpec, eq1_weight_elems_original,
                         eq2_weight_elems_decomposed,
                         eq3_peak_internal_original,
                         eq4_peak_internal_decomposed, fused_peak_internal)
-from repro.core.fusion import FusionConfig, fuse_activation_layers
+from repro.core.fusion import fuse_activation_layers
 from repro.decompose import DecompositionConfig, decompose_graph
 from repro.ir import GraphBuilder
 from repro.runtime import execute
@@ -114,7 +114,7 @@ class TestPeakEquations:
             c3=fconvs[1].params["weight"].shape[0],
             c4=lconvs[1].params["weight"].shape[1],
             batch=spec.batch)
-        fuse_activation_layers(dg, FusionConfig(allow_epilogue=False))
+        fuse_activation_layers(dg)
         rng = np.random.default_rng(0)
         inp = {"x": rng.normal(size=dg.inputs[0].shape).astype(np.float32)}
         measured = execute(dg, inp).memory.peak_internal_bytes

@@ -1,4 +1,4 @@
-"""``TeMCOCompiler.run``'s two fallbacks: each is the caller's config
+"""``optimize``'s two fallbacks: each is the caller's config
 with only the disabled stages changed, and whichever graph wins, the
 peak gauges describe it."""
 
@@ -6,8 +6,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import (FusionConfig, OptimizationReport, SkipOptConfig,
-                        SkipOptStats, TeMCOCompiler, TeMCOConfig)
+from repro.core import (FusionConfig, OptimizationReport, SkipOptStats,
+                        TeMCOConfig, optimize, pipeline)
 from repro.ir import GraphBuilder
 from repro.obs import Tracer, use_tracer
 
@@ -18,22 +18,22 @@ def _graph():
 
 
 def _fake_runs(monkeypatch, reports):
-    """``_run_once`` returning ``reports`` in turn; the configs it got."""
+    """``_compile_once`` returning ``reports`` in turn; the configs it got."""
     configs = []
 
-    def run_once(self, graph, config):
+    def compile_once(graph, config):
         configs.append(config)
         return graph.clone(f"run{len(configs)}"), reports[len(configs) - 1]
 
-    monkeypatch.setattr(TeMCOCompiler, "_run_once", run_once)
+    monkeypatch.setattr(pipeline, "_compile_once", compile_once)
     return configs
 
 
 @pytest.mark.parametrize("config", [
     TeMCOConfig(),
     TeMCOConfig(enable_scheduling=False, concat_strategy="split",
-                skip_opt=SkipOptConfig(distance_threshold=7),
-                fusion=FusionConfig(block_size=8, spatial_tile=4)),
+                fusion=FusionConfig(block_size=8,
+                                    site_overrides={"c1.lconv": (8, 4)})),
 ])
 def test_fallback_configs_change_only_the_disabled_stages(monkeypatch, config):
     configs = _fake_runs(monkeypatch, [
@@ -42,7 +42,7 @@ def test_fallback_configs_change_only_the_disabled_stages(monkeypatch, config):
         OptimizationReport(peak_before=10, peak_after=20),
         OptimizationReport(peak_before=10, peak_after=5),
     ])
-    optimized, report = TeMCOCompiler(config).run(_graph())
+    optimized, report = optimize(_graph(), config)
     assert configs == [
         config,
         replace(config, enable_skip_opt=False),
@@ -59,7 +59,7 @@ def test_the_fusion_only_fallback_sets_the_peak_gauges(monkeypatch):
     ])
     tracer = Tracer()
     with use_tracer(tracer):
-        optimized, report = TeMCOCompiler().run(_graph())
+        optimized, report = optimize(_graph())
     assert optimized.name == "run2"
     assert [(d["args"]["verdict"], d["args"]["reason"])
             for d in tracer.decisions_for()] == [

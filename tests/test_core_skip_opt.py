@@ -5,12 +5,15 @@ import pytest
 
 from repro.core import (SkipOptConfig, assert_equivalent,
                         estimate_peak_internal, find_reduced,
-                        find_skip_connections, optimize_skip_connections)
+                        find_skip_connections, optimize_skip_connections,
+                        skip_opt)
 from repro.decompose import DecompositionConfig, decompose_graph
 from repro.ir import GraphBuilder, ops
+from repro.obs import Tracer, use_tracer
 from repro.runtime import execute
 
 from _graph_fixtures import make_residual_graph, make_skip_graph, random_input
+from _zoo_compiles import cheap, zoo_model
 
 
 def _decomposed_skip_graph(ratio=0.25, **kwargs):
@@ -51,12 +54,14 @@ class TestFindReduced:
         g = b.finish(h)
         assert find_reduced(g, g.nodes[-1]) is None
 
-    def test_budget_bails_on_deep_chains(self):
+    def test_budget_bails_on_deep_chains(self, monkeypatch):
         g = decompose_graph(make_residual_graph(blocks=4),
                             DecompositionConfig(ratio=0.25))
         skips = find_skip_connections(g, 4)
         deep = max(skips, key=lambda s: s.interval.begin)
-        assert find_reduced(g, deep.producer, max_nodes=2) is None
+        assert find_reduced(g, deep.producer) is not None
+        monkeypatch.setattr(skip_opt, "MAX_CHAIN_NODES", 2)
+        assert find_reduced(g, deep.producer) is None
 
     def test_multi_branch_add_chain(self):
         g = decompose_graph(make_residual_graph(blocks=1),
@@ -122,12 +127,32 @@ class TestOptimizePass:
         assert stats.optimized == 0
         assert stats.rejected_compute >= 1
 
-    def test_memory_guard_rejects(self):
-        g = _decomposed_skip_graph()
-        stats = optimize_skip_connections(
-            g, SkipOptConfig(distance_threshold=4, memory_slack=1e-9))
-        assert stats.optimized == 0
+    def test_memory_guard_rejects(self, monkeypatch):
+        # one of the zoo compiles' memory_overhead rejections: the
+        # bottleneck ResNet's stem pool, whose restore chain peaks at
+        # 65536 B to free 11264 B, 5.8x and so past MEMORY_SLACK = 4
+        def run():
+            g = decompose_graph(zoo_model("resnet_bottleneck"),
+                                cheap("tucker"))
+            tracer = Tracer()
+            with use_tracer(tracer):
+                stats = optimize_skip_connections(g)
+            return stats, tracer.decisions_for("skip_opt",
+                                               reason="memory_overhead")
+
+        stats, rejects = run()
         assert stats.rejected_memory == 1
+        [reject] = rejects
+        assert reject["args"]["subject"] == "maxpool2d_3.out"
+        assert {k: reject["args"][k] for k in (
+            "chain_peak_bytes", "freed_bytes", "memory_slack")} == {
+            "chain_peak_bytes": 65536, "freed_bytes": 11264,
+            "memory_slack": 4.0}
+        # the guard alone stops it: past 5.8x the same site goes through
+        monkeypatch.setattr(skip_opt, "MEMORY_SLACK", 6.0)
+        relaxed, rejects = run()
+        assert relaxed.rejected_memory == 0 and not rejects
+        assert relaxed.optimized == stats.optimized + 1
 
     def test_global_check_rolls_back_useless_rewrites(self):
         # without downstream fusion, rewriting this graph does not reduce
@@ -162,8 +187,7 @@ class TestOptimizePass:
         dg = decompose_graph(g, DecompositionConfig(ratio=0.25))
         before = dg.clone("before")
         stats = optimize_skip_connections(
-            dg, SkipOptConfig(distance_threshold=4, compute_slack=10.0,
-                              memory_slack=10.0))
+            dg, SkipOptConfig(distance_threshold=4, compute_slack=10.0))
         assert stats.optimized >= 1
         assert stats.copies_inserted >= 2
         assert_equivalent(before, dg, random_input(dg), rtol=1e-3)

@@ -90,7 +90,7 @@ def check_cp(weight, rank, monkeypatch, *, max_iters=40, tol=1e-7):
 def zoo_kernels(model):
     graph = build_model(model, batch=1, hw=32)
     return [node.params["weight"] for node in graph.nodes
-            if _eligible(node, DecompositionConfig())]
+            if _eligible(node)]
 
 
 #: ``tol`` the CP comparison runs at.  No zoo site stops before the 40

@@ -59,19 +59,12 @@ class TestRewriteStructure:
             assert dg.outputs[0].shape == g.outputs[0].shape
             dg.validate()
 
-    def test_skip_names_respected(self):
-        g = decompose_graph(make_chain_graph(),
-                            DecompositionConfig(ratio=0.25, skip_names=("c1",)))
-        assert any(n.name == "c1" for n in g.nodes)
-        assert not any(n.attrs.get("decomposed_from") == "c1" for n in g.nodes)
-
     def test_small_convs_left_alone(self):
         b = GraphBuilder("t", seed=0)
         x = b.input("x", (1, 4, 8, 8))
-        h = b.conv2d(x, 8, 3, padding=1, name="tiny")   # cout < min_out_channels
+        h = b.conv2d(x, 8, 3, padding=1, name="tiny")   # cout < MIN_OUT_CHANNELS
         g = b.finish(h)
-        dg = decompose_graph(g, DecompositionConfig(ratio=0.5,
-                                                    min_out_channels=16))
+        dg = decompose_graph(g, DecompositionConfig(ratio=0.5))
         assert any(n.name == "tiny" for n in dg.nodes)
 
     def test_pointwise_convs_left_alone(self):

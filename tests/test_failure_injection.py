@@ -67,7 +67,7 @@ class TestDegenerateInputs:
     def test_decompose_graph_without_eligible_convs(self):
         b = GraphBuilder("tiny", seed=0)
         x = b.input("x", (1, 2, 8, 8))
-        g = b.finish(b.conv2d(x, 4, 3, padding=1))  # below min_out_channels
+        g = b.finish(b.conv2d(x, 4, 3, padding=1))  # below MIN_OUT_CHANNELS
         dg = decompose_graph(g)
         assert [n.op for n in dg.nodes] == [n.op for n in g.nodes]
 

@@ -63,10 +63,7 @@ class TestHostBudget:
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("kwargs", [
-        {"replicas": 0}, {"eject_after_failures": 0},
-        {"readmit_backoff_s": 0.0}, {"health_interval_s": 0.0},
-    ])
+    @pytest.mark.parametrize("kwargs", [{"replicas": 0}])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             PoolConfig(**kwargs)
@@ -103,9 +100,9 @@ class TestLifecycle:
 
 
 class TestEjection:
-    def test_failure_streak_ejects(self):
-        with _pool(replicas=2, eject_after_failures=3,
-                   readmit_backoff_s=30.0) as pool:
+    def test_failure_streak_ejects(self, fleet_timing):
+        fleet_timing(EJECT_AFTER_FAILURES=3, READMIT_BACKOFF_S=30.0)
+        with _pool(replicas=2) as pool:
             replica = pool.replicas[0]
             for _ in range(2):
                 pool.record_failure(replica, "worker_error")
@@ -116,17 +113,18 @@ class TestEjection:
                 "fleet.ejections.reason.worker_error") == 1
             assert pool.metrics.get("fleet.replica_up.replica.0") == 0.0
 
-    def test_success_resets_the_streak(self):
-        with _pool(replicas=2, eject_after_failures=2) as pool:
+    def test_success_resets_the_streak(self, fleet_timing):
+        fleet_timing(EJECT_AFTER_FAILURES=2)
+        with _pool(replicas=2) as pool:
             replica = pool.replicas[0]
             pool.record_failure(replica, "worker_error")
             pool.record_success(replica)
             pool.record_failure(replica, "worker_error")
             assert replica.state == ReplicaState.READY
 
-    def test_backoff_doubles_per_ejection_and_caps(self):
-        with _pool(replicas=1, readmit_backoff_s=0.25,
-                   readmit_backoff_max_s=0.6) as pool:
+    def test_backoff_doubles_per_ejection_and_caps(self, fleet_timing):
+        fleet_timing(READMIT_BACKOFF_S=0.25, READMIT_BACKOFF_MAX_S=0.6)
+        with _pool(replicas=1) as pool:
             replica = pool.replicas[0]
             for expected in (0.25, 0.5, 0.6, 0.6):
                 replica.state = ReplicaState.READY
@@ -135,9 +133,8 @@ class TestEjection:
                 assert replica.readmit_at - before == \
                     pytest.approx(expected, abs=0.05)
 
-    def test_crashed_replica_is_ejected_then_readmitted(self):
-        with _pool(replicas=2, health_interval_s=0.01,
-                   readmit_backoff_s=0.05) as pool:
+    def test_crashed_replica_is_ejected_then_readmitted(self, fleet_timing):
+        with _pool(replicas=2) as pool:
             replica = pool.replicas[0]
             replica.server.close()  # crash
             _wait(lambda: replica.ejections >= 1)

@@ -5,16 +5,19 @@ import time
 
 import numpy as np
 
+import pytest
+
 from repro.fleet import PoolConfig, ReplicaPool, ReplicaSpec, Router
 from repro.serve import ServerConfig
 
 from _graph_fixtures import make_chain_graph
 
+pytestmark = pytest.mark.usefixtures("fleet_timing")
+
 
 def _fleet(replicas=3, **pool_kwargs):
     graph = make_chain_graph(batch=4)
     pool_kwargs.setdefault("server", ServerConfig(max_wait_s=0.0))
-    pool_kwargs.setdefault("health_interval_s", 0.01)
     pool = ReplicaPool(graph, PoolConfig(replicas=replicas, **pool_kwargs))
     return Router(pool)
 

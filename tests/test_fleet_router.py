@@ -10,22 +10,21 @@ import time
 import numpy as np
 import pytest
 
-from repro.fleet import (FaultPolicy, PoolConfig, ReplicaPool, Router,
-                         RouterConfig)
+from repro.fleet import FaultPolicy, PoolConfig, ReplicaPool, Router
 from repro.serve import (DeadlineExceeded, InferenceServer, LoadgenConfig,
                          Overloaded, ServeError, ServerConfig, run_loadgen)
 
 from _graph_fixtures import make_chain_graph
-from test_servable import serving_threads, wait_until
+from test_servable import NO_HEDGE_S, serving_threads, wait_until
+
+pytestmark = pytest.mark.usefixtures("fleet_timing")
 
 
-def _fleet(replicas=2, *, graph=None, fault=None, router=None, **pool_kwargs):
+def _fleet(replicas=2, *, graph=None, fault=None, **pool_kwargs):
     graph = graph or make_chain_graph(batch=4)
     pool_kwargs.setdefault("server", ServerConfig(max_wait_s=0.0))
-    pool_kwargs.setdefault("health_interval_s", 0.01)
-    pool_kwargs.setdefault("readmit_backoff_s", 0.05)
     pool = ReplicaPool(graph, PoolConfig(replicas=replicas, **pool_kwargs))
-    return Router(pool, router, fault=fault)
+    return Router(pool, fault=fault)
 
 
 def _payload(graph, seed=0, samples=1):
@@ -48,12 +47,12 @@ class TestRouting:
                 for name in outputs:
                     assert np.array_equal(outputs[name], reference[name])
 
-    def test_requests_spread_across_replicas(self):
+    def test_requests_spread_across_replicas(self, fleet_timing):
         # slow every replica so outstanding counts stay visible, and
         # submit each request once the previous one has picked, so each
         # picks against settled counts
-        config = RouterConfig(hedge=False)
-        with _fleet(replicas=3, router=config) as fleet:
+        fleet_timing(HEDGE_DELAY_S=NO_HEDGE_S)
+        with _fleet(replicas=3) as fleet:
             for replica in fleet.pool.replicas:
                 fleet.pool.apply_fault(replica, FaultPolicy(
                     replica=replica.id, kind="slow", after=1, slow_s=0.3))
@@ -101,19 +100,19 @@ class TestFailover:
             assert replica.ready and replica.generation == 1
             assert fleet.metrics.get("fleet.readmissions") >= 1
 
-    def test_stalled_replica_rescued_by_hedge(self):
+    def test_stalled_replica_rescued_by_hedge(self, fleet_timing):
         fault = FaultPolicy(replica=0, kind="stall", after=1)
-        config = RouterConfig(hedge_delay_s=0.02, attempt_timeout_s=2.0)
-        with _fleet(replicas=2, fault=fault, router=config) as fleet:
+        fleet_timing(HEDGE_DELAY_S=0.02, ATTEMPT_TIMEOUT_S=2.0)
+        with _fleet(replicas=2, fault=fault) as fleet:
             outputs = fleet.infer(_payload(fleet.graph), timeout=10.0)
             assert outputs
             assert fleet.metrics.get("fleet.hedges") >= 1
             assert fleet.metrics.get("fleet.hedge_wins") >= 1
 
-    def test_slow_replica_hedged_around(self):
+    def test_slow_replica_hedged_around(self, fleet_timing):
         fault = FaultPolicy(replica=0, kind="slow", after=1, slow_s=0.2)
-        config = RouterConfig(hedge_delay_s=0.02, attempt_timeout_s=5.0)
-        with _fleet(replicas=2, fault=fault, router=config) as fleet:
+        fleet_timing(HEDGE_DELAY_S=0.02, ATTEMPT_TIMEOUT_S=5.0)
+        with _fleet(replicas=2, fault=fault) as fleet:
             start = time.monotonic()
             for i in range(4):
                 fleet.infer(_payload(fleet.graph, seed=i), timeout=10.0)
@@ -122,11 +121,10 @@ class TestFailover:
             assert time.monotonic() - start < 0.8
             assert fleet.metrics.get("fleet.faults.reason.slow") == 1
 
-    def test_no_ready_replica_surfaces_overloaded(self):
-        config = RouterConfig(max_attempts=2, retry_backoff_s=0.005,
-                              hedge=False)
-        with _fleet(replicas=1, readmit_backoff_s=30.0,
-                    router=config) as fleet:
+    def test_no_ready_replica_surfaces_overloaded(self, fleet_timing):
+        fleet_timing(MAX_ATTEMPTS=2, RETRY_BACKOFF_S=0.005,
+                     HEDGE_DELAY_S=NO_HEDGE_S, READMIT_BACKOFF_S=30.0)
+        with _fleet(replicas=1) as fleet:
             fleet.pool.eject(fleet.pool.replicas[0], "test")
             future = fleet.submit(_payload(fleet.graph))
             with pytest.raises(Overloaded):
@@ -135,21 +133,20 @@ class TestFailover:
             assert fleet.metrics.get(
                 "fleet.retries.reason.no_ready_replica") >= 1
 
-    def test_deadline_expires_as_typed_error(self):
-        config = RouterConfig(max_attempts=8, retry_backoff_s=0.05,
-                              hedge=False)
-        with _fleet(replicas=1, readmit_backoff_s=30.0,
-                    router=config) as fleet:
+    def test_deadline_expires_as_typed_error(self, fleet_timing):
+        fleet_timing(MAX_ATTEMPTS=8, RETRY_BACKOFF_S=0.05,
+                     HEDGE_DELAY_S=NO_HEDGE_S, READMIT_BACKOFF_S=30.0)
+        with _fleet(replicas=1) as fleet:
             fleet.pool.eject(fleet.pool.replicas[0], "test")
             future = fleet.submit(_payload(fleet.graph), deadline_s=0.02)
             with pytest.raises(DeadlineExceeded):
                 future.result(10.0)
 
-    def test_loadgen_over_fleet_counts_overload_as_rejected(self):
-        config = RouterConfig(max_attempts=2, retry_backoff_s=0.005,
-                              hedge=False)
-        with _fleet(replicas=1, readmit_backoff_s=30.0,
-                    router=config) as fleet:
+    def test_loadgen_over_fleet_counts_overload_as_rejected(self,
+                                                            fleet_timing):
+        fleet_timing(MAX_ATTEMPTS=2, RETRY_BACKOFF_S=0.005,
+                     HEDGE_DELAY_S=NO_HEDGE_S, READMIT_BACKOFF_S=30.0)
+        with _fleet(replicas=1) as fleet:
             fleet.pool.eject(fleet.pool.replicas[0], "test")
             report = run_loadgen(fleet, LoadgenConfig(requests=4,
                                                       concurrency=2))
@@ -165,13 +162,13 @@ class TestNoHelperThreads:
         return wait_until(lambda: all(r.outstanding == 0
                                       for r in fleet.pool.replicas))
 
-    def test_hedge_loser_settles_from_its_callback(self):
+    def test_hedge_loser_settles_from_its_callback(self, fleet_timing):
         before = set(threading.enumerate())
         # replica 0 answers 100 ms late, so the hedge (due at 10 ms) is
         # always launched and the first attempt always loses
         fault = FaultPolicy(replica=0, kind="slow", after=1, slow_s=0.1)
-        config = RouterConfig(hedge_delay_s=0.01)
-        with _fleet(replicas=2, fault=fault, router=config) as fleet:
+        fleet_timing(HEDGE_DELAY_S=0.01)
+        with _fleet(replicas=2, fault=fault) as fleet:
             future = fleet.submit(_payload(fleet.graph))
             assert future.result(10.0) and future.attempts == 2
             assert fleet.metrics.get("fleet.hedges") == 1
@@ -179,11 +176,12 @@ class TestNoHelperThreads:
         assert wait_until(lambda: not serving_threads(before)), \
             serving_threads(before)
 
-    def test_black_holed_attempt_settles_when_the_fleet_closes(self):
+    def test_black_holed_attempt_settles_when_the_fleet_closes(
+            self, fleet_timing):
         before = set(threading.enumerate())
         fault = FaultPolicy(replica=0, kind="stall", after=1)
-        config = RouterConfig(hedge_delay_s=0.02, attempt_timeout_s=30.0)
-        with _fleet(replicas=2, fault=fault, router=config) as fleet:
+        fleet_timing(HEDGE_DELAY_S=0.02, ATTEMPT_TIMEOUT_S=30.0)
+        with _fleet(replicas=2, fault=fault) as fleet:
             assert fleet.infer(_payload(fleet.graph), timeout=10.0)
             stalled = fleet.pool.replicas[0]
             assert stalled.outstanding == 1  # swallowed, never answered
@@ -191,11 +189,12 @@ class TestNoHelperThreads:
         assert wait_until(lambda: not serving_threads(before)), \
             serving_threads(before)
 
-    def test_close_wakes_a_request_stuck_on_a_stalled_replica(self):
+    def test_close_wakes_a_request_stuck_on_a_stalled_replica(
+            self, fleet_timing):
         before = set(threading.enumerate())
         fault = FaultPolicy(replica=0, kind="stall", after=1)
-        config = RouterConfig(hedge=False, attempt_timeout_s=30.0)
-        fleet = _fleet(replicas=1, fault=fault, router=config).start()
+        fleet_timing(HEDGE_DELAY_S=NO_HEDGE_S, ATTEMPT_TIMEOUT_S=30.0)
+        fleet = _fleet(replicas=1, fault=fault).start()
         future = fleet.submit(_payload(fleet.graph))
         assert wait_until(lambda: fleet.pool.replicas[0].outstanding == 1)
         start = time.monotonic()
@@ -206,11 +205,11 @@ class TestNoHelperThreads:
         assert wait_until(lambda: not serving_threads(before)), \
             serving_threads(before)
 
-    def test_slow_fault_relays_without_a_blocked_thread(self):
+    def test_slow_fault_relays_without_a_blocked_thread(self, fleet_timing):
         before = set(threading.enumerate())
         fault = FaultPolicy(replica=0, kind="slow", after=1, slow_s=0.1)
-        config = RouterConfig(hedge=False)
-        with _fleet(replicas=1, fault=fault, router=config) as fleet:
+        fleet_timing(HEDGE_DELAY_S=NO_HEDGE_S)
+        with _fleet(replicas=1, fault=fault) as fleet:
             future = fleet.submit(_payload(fleet.graph))
             outputs = future.result(10.0)
             assert outputs and future.latency_s >= 0.1

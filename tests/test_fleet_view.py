@@ -9,8 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.fleet import (FaultPolicy, PoolConfig, ReplicaPool, Router,
-                         RouterConfig)
+from repro.fleet import FaultPolicy, PoolConfig, ReplicaPool, Router
 from repro.obs import (FleetView, SLOMonitor, Tracer, fleetview, parse_slos,
                        prometheus_metric_name, prometheus_text,
                        render_dashboard, to_chrome_trace, use_tracer)
@@ -19,6 +18,8 @@ from repro.serve import (InferenceServer, LoadgenConfig, ServeError,
 
 from _graph_fixtures import make_chain_graph
 from test_fleet_router import _fleet, _payload
+
+pytestmark = pytest.mark.usefixtures("fleet_timing")
 
 
 def _drive(backend, n=6, seed0=0):
@@ -200,15 +201,15 @@ class TestFleetzAgreesWithMetrics:
 
 
 class TestStitchedTrace:
-    @pytest.fixture(scope="class")
-    def hedged(self):
+    @pytest.fixture
+    def hedged(self, fleet_timing):
         """``(stitched, own)``: the view's trace and the backend's own
         export of a 2-replica run whose slow replica forces hedges."""
         tracer = Tracer()
         fault = FaultPolicy(replica=0, kind="slow", after=1, slow_s=0.25)
-        config = RouterConfig(hedge_delay_s=0.02, attempt_timeout_s=10.0)
+        fleet_timing(HEDGE_DELAY_S=0.02)
         with use_tracer(tracer):
-            fleet = _fleet(replicas=2, fault=fault, router=config)
+            fleet = _fleet(replicas=2, fault=fault)
         with fleet:
             _drive(fleet, 6)
         tracer.decision("test_pass", "value", "accept")

@@ -54,18 +54,17 @@ class TestFusionConfigValidation:
             FusionConfig(block_size=0)
 
     def test_rejects_negative_spatial_tile(self):
-        with pytest.raises(ValueError, match="spatial_tile"):
-            FusionConfig(spatial_tile=-1)
+        with pytest.raises(ValueError, match="override"):
+            FusionConfig(site_overrides={"c1": (4, -1)})
 
     def test_rejects_bad_override(self):
         with pytest.raises(ValueError, match="override"):
             FusionConfig(site_overrides={"c1": (0, 0)})
 
     def test_tile_for_falls_back_to_global(self):
-        cfg = FusionConfig(block_size=16, spatial_tile=8,
-                           site_overrides={"c1": (4, 0)})
-        assert cfg.tile_for("c1") == (4, 0)
-        assert cfg.tile_for("c2") == (16, 8)
+        cfg = FusionConfig(block_size=16, site_overrides={"c1": (4, 8)})
+        assert cfg.tile_for("c1") == (4, 8)
+        assert cfg.tile_for("c2") == (16, 0)
 
 
 class TestFusedNodeAttrs:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.fleet import PoolConfig, ReplicaPool, Router, RouterConfig
+from repro.fleet import PoolConfig, ReplicaPool, Router
 from repro.ir import GraphBuilder
 from repro.serve import (InferenceServer, ServeFuture, ServerClosed,
                          ServerConfig, ServerDraining)
@@ -20,6 +20,8 @@ from repro.serve import (InferenceServer, ServeFuture, ServerClosed,
 from _graph_fixtures import make_chain_graph, random_input
 
 SERVING_THREADS = ("repro-serve-", "repro-fleet-")
+#: a ``HEDGE_DELAY_S`` past every attempt in these tests: retries alone
+NO_HEDGE_S = 3600.0
 
 
 def serving_threads(before=()) -> list[str]:
@@ -70,18 +72,18 @@ def _sample(graph, seed=0):
 
 
 @pytest.fixture(params=["server", "fleet"])
-def make_servable(request):
+def make_servable(request, fleet_timing):
     """Factory for an unstarted backend of the parametrised kind;
     whatever it built is closed on teardown."""
     made = []
 
-    def make(graph=None, server=ServerConfig(max_wait_s=0.0), router=None):
+    def make(graph=None, server=ServerConfig(max_wait_s=0.0)):
         graph = graph or make_chain_graph(batch=4)
         if request.param == "server":
             backend = InferenceServer(graph, server)
         else:
             backend = Router(ReplicaPool(graph, PoolConfig(
-                replicas=2, server=server, health_interval_s=0.01)), router)
+                replicas=2, server=server)))
         made.append(backend)
         return backend
 
@@ -188,10 +190,12 @@ class TestDrain:
         with pytest.raises(ServerClosed):
             backend.submit(_sample(backend.graph))
 
-    def test_drain_is_woken_by_the_last_completion(self, make_servable):
+    def test_drain_is_woken_by_the_last_completion(self, make_servable,
+                                                   fleet_timing):
         # no hedging: a lapped hedge would still be running on its
         # replica after the last *request* settled, and drain waits it out
-        backend = make_servable(router=RouterConfig(hedge=False)).start()
+        fleet_timing(HEDGE_DELAY_S=NO_HEDGE_S)
+        backend = make_servable().start()
         gate = hold_runs(backend)
         settled_at = []
         for i in range(3):

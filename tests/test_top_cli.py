@@ -6,13 +6,15 @@ import tarfile
 import pytest
 
 from repro.cli import main
-from repro.fleet import RouterConfig  # noqa: F401 — fleet import sanity
+from repro.fleet import Router  # noqa: F401 — fleet import sanity
 from repro.ir import save_graph
 from repro.obs import FleetView
 from repro.serve import serve_http
 
 from _graph_fixtures import make_chain_graph
 from test_fleet_router import _fleet, _payload
+
+pytestmark = pytest.mark.usefixtures("fleet_timing")
 
 
 @pytest.fixture()

@@ -81,8 +81,6 @@ class TestSGD:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SGDConfig(learning_rate=0)
-        with pytest.raises(ValueError):
-            SGDConfig(momentum=1.0)
 
     def test_classifier_loss_decreases(self):
         g = tiny_classifier()
@@ -107,15 +105,6 @@ class TestSGD:
         g = tiny_segmenter()
         result = train_segmenter(g, steps=15, config=SGDConfig(learning_rate=0.2))
         assert result.improved()
-
-    def test_weight_decay_shrinks_weights(self):
-        g = tiny_classifier()
-        before = float(np.abs(g.find_node("c1").params["weight"]).sum())
-        train_classifier(g, steps=5, num_classes=4,
-                         config=SGDConfig(learning_rate=1e-6, weight_decay=0.5,
-                                          momentum=0.0))
-        after = float(np.abs(g.find_node("c1").params["weight"]).sum())
-        assert after < before
 
 
 class TestPaperWorkflow:

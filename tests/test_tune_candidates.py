@@ -5,6 +5,7 @@ import pytest
 from repro.core import optimize
 from repro.decompose import DecompositionConfig, decompose_graph
 from repro.tune import collect_sites, site_candidates
+from repro.tune import tuner
 from repro.tune.tuner import DEFAULT_BLOCK_SIZES
 
 from _graph_fixtures import make_chain_graph
@@ -33,9 +34,11 @@ class TestCandidates:
     def test_tile_zero_always_present(self, fused_sites):
         assert any(t == 0 for _b, t in site_candidates(fused_sites[0]))
 
-    def test_non_tileable_spatial_sizes_dropped(self, fused_sites):
+    def test_non_tileable_spatial_sizes_dropped(self, fused_sites,
+                                                monkeypatch):
         node = fused_sites[0]
         _n, _c, h, w = node.inputs[0].shape
         # a tile larger than the feature map can never apply exactly
-        cands = site_candidates(node, spatial_tiles=(0, max(h, w) * 2))
+        monkeypatch.setattr(tuner, "SPATIAL_TILES", (0, max(h, w) * 2))
+        cands = site_candidates(node)
         assert {t for _b, t in cands} == {0}

@@ -142,11 +142,12 @@ class TestExhaustiveSweep:
             assert (rec.block_size, rec.spatial_tile) == \
                 (node.attrs["block_size"], node.attrs["spatial_tile"])
 
-    def test_only_the_compiled_tile_is_a_noop(self, fake_timer):
+    def test_only_the_compiled_tile_is_a_noop(self, fake_timer, monkeypatch):
         _graph, optimized = optimized_chain()  # C' = 32: compiled (32, 0)
         calls = fake_timer(bowl)
+        monkeypatch.setattr(tuner_mod, "SPATIAL_TILES", (0,))
         result = tune_graph(optimized, TuneConfig(
-            repeats=1, block_sizes=(32,), spatial_tiles=(0,)))
+            repeats=1, block_sizes=(32,)))
         assert len(calls) == len(result.sites)
         assert all((s.block_size, s.spatial_tile, s.trials) == (32, 0, 1)
                    and s.seconds == s.baseline_seconds
@@ -327,18 +328,17 @@ class TestCompilerHook:
         plain, _report = optimize(decomposed)
         overrides = {n.attrs["fused_from"][0]: (2, 0)
                      for n in collect_sites(plain)}
-        tracer = Tracer()
-        with use_tracer(tracer):
-            tuned, _report = optimize(decomposed, tuner=lambda g: overrides)
+        tuned, _report = optimize(decomposed, TeMCOConfig(
+            fusion=FusionConfig(site_overrides=overrides)))
         assert all(n.attrs["block_size"] == 2 for n in collect_sites(tuned))
-        assert tracer.decisions_for(verdict="tuned_fusion")
 
     def test_none_and_empty_tuner_results_are_noops(self):
         graph = make_chain_graph()
         decomposed = decompose_graph(graph, DecompositionConfig(seed=0))
         plain, _report = optimize(decomposed)
         for result in (None, {}):
-            tuned, _report = optimize(decomposed, tuner=lambda g: result)
+            tuned, _report = optimize(decomposed, TeMCOConfig(
+                fusion=FusionConfig(site_overrides=result)))
             assert {(n.name, n.attrs["block_size"])
                     for n in collect_sites(tuned)} == \
                 {(n.name, n.attrs["block_size"])

@@ -22,7 +22,9 @@ SECTIONS = [
     ("fig4_vgg16", "E1 — Figure 4b: VGG-16 memory timeline"),
     ("fig10_peak_memory", "E2 — Figure 10: peak memory across variants"),
     ("fig10_geomean", "E6 — headline geomean reduction"),
-    ("fig11_inference_time", "E3 — Figure 11: end-to-end inference time"),
+    ("fig11_inference_time", "E3 — Figure 11: end-to-end inference time "
+     "(`benchmarks/` harness; the benchmark of record is perfbench's "
+     "`overhead_vs_decomposed`)"),
     ("fig12_accuracy", "E4 — Figure 12: accuracy preservation"),
     ("fig12_trained", "E4b — Figure 12 with trained weights"),
     ("pareto_tradeoff", "E7 — memory/time Pareto"),
