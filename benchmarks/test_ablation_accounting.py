@@ -1,21 +1,15 @@
-"""A5/A6 — ablations: accounting policy and deployment arena size.
+"""A5 — ablation: accounting policy.
 
-A5 (in-place policy): the paper's Eq. 3/4 count each activation's
-input+output pair; PyTorch's ``inplace=True`` ReLUs collapse it.  TeMCO's
-advantage must not be an artifact of the conservative policy — this
-bench re-measures Figure 10's comparison under in-place accounting.
-
-A6 (arena): deployment runtimes pre-plan one static arena from the
-liveness intervals (Pisarchyk & Lee 2020; Occamy DAC'23 — the paper's
-§5 related work).  TeMCO's live-set reduction must carry through to
-the arena bytes an embedded deployment would actually reserve.
+The paper's Eq. 3/4 count each activation's input+output pair;
+PyTorch's ``inplace=True`` ReLUs collapse it.  TeMCO's advantage must
+not be an artifact of the conservative policy — this bench re-measures
+Figure 10's comparison under in-place accounting.
 """
 
 import pytest
 
 from repro.bench import MIB, build_variants, fast_mode, format_table, variant_names_for
 from repro.core import estimate_peak_internal
-from repro.runtime import plan_arena
 
 from _bench_util import run_once
 
@@ -52,31 +46,3 @@ def test_inplace_policy_ablation(benchmark, report_sink):
         # TeMCO still wins under the in-place policy
         assert best < orig_inplace, model
 
-
-def test_arena_ablation(benchmark, report_sink):
-    def compute():
-        rows = []
-        for model in MODELS:
-            vs = build_variants(model, batch=BATCH)
-            for variant in variant_names_for(model):
-                g = vs.graphs[variant]
-                plan = plan_arena(g)
-                rows.append([model, variant, plan.arena_bytes / MIB,
-                             plan.fragmentation,
-                             estimate_peak_internal(g) / MIB])
-        return rows
-
-    rows = run_once(benchmark, compute)
-    report_sink("ablation_arena", format_table(
-        ["model", "variant", "arena MiB", "fragmentation", "live-peak MiB"],
-        rows, title="A6: static arena planning (batch 2)"))
-
-    by_model: dict[str, dict[str, float]] = {}
-    for model, variant, arena, frag, _live in rows:
-        by_model.setdefault(model, {})[variant] = arena
-        assert frag < 1.0  # greedy best-fit stays within 2x of optimal
-    for model, variants in by_model.items():
-        best = min(v for k, v in variants.items()
-                   if k not in ("original", "decomposed"))
-        # the live-set reduction carries to the deployment arena
-        assert best < variants["original"], model

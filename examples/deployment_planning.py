@@ -1,11 +1,11 @@
 #!/usr/bin/env python
-"""Deployment view: static arena planning + accounting policies.
+"""Deployment view: TeMCO's peak under both accounting policies.
 
-Deployment runtimes reserve one static arena sized by liveness-aware
-offset planning rather than malloc/free per tensor.  This example shows
-that TeMCO's live-set reductions carry through to the arena a real
-deployment would reserve, under both the paper's Eq. 3/4 accounting and
-the in-place-activation policy frameworks actually use.
+The paper's Eq. 3/4 count each activation's input + output pair; the
+frameworks a model is deployed on usually run activations in place
+(PyTorch's ``inplace=True``), which collapses that pair.  This example
+shows that TeMCO's live-set reduction is not an artifact of the
+conservative policy: it survives in-place accounting too.
 
 Run:  python examples/deployment_planning.py
 """
@@ -13,7 +13,6 @@ Run:  python examples/deployment_planning.py
 from repro import DecompositionConfig, build_model, decompose_graph, optimize
 from repro.bench import format_table
 from repro.core import estimate_peak_internal
-from repro.runtime import plan_arena
 
 MIB = 1024 * 1024
 
@@ -27,22 +26,18 @@ def main() -> None:
         for label, graph in (("original", original),
                              ("decomposed", decomposed),
                              ("TeMCO", optimized)):
-            plan = plan_arena(graph)
             rows.append([
                 model_name, label,
                 estimate_peak_internal(graph) / MIB,
                 estimate_peak_internal(graph, inplace_activations=True) / MIB,
-                plan.arena_bytes / MIB,
-                f"{plan.fragmentation:.1%}",
             ])
     print(format_table(
-        ["model", "variant", "live peak MiB", "live peak (inplace) MiB",
-         "arena MiB", "fragmentation"],
+        ["model", "variant", "live peak MiB", "live peak (inplace) MiB"],
         rows, title="deployment memory planning, batch 4"))
 
-    print("\nReading guide: the arena column is what an embedded runtime "
-          "would reserve;\nTeMCO's reduction survives both the in-place "
-          "policy and arena packing overhead.")
+    print("\nReading guide: the in-place column is what a framework running "
+          "activations in place\nwould hold; TeMCO's reduction survives "
+          "both policies.")
 
 
 if __name__ == "__main__":

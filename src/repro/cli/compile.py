@@ -37,8 +37,7 @@ from ..ir import format_graph, save_dot, save_graph, summarize_graph
 from ..models import EXTRA_MODELS, MODEL_ZOO
 from ..plan import (InfeasibleBudget, PlanCostModel, format_bytes,
                     parse_budget, plan_memory)
-from ..runtime import (InferenceSession, plan_arena, profile_markdown,
-                       timeline_csv)
+from ..runtime import InferenceSession, profile_markdown, timeline_csv
 from ..tune import TuneCache, TuneConfig, tune_model
 from .flags import (MIB, _budget_plan, _decomposition, _load_model, _obs_wrap,
                     _print_infeasible, _temco_target, budget_flag,
@@ -66,9 +65,6 @@ def _cmd_inspect(args) -> int:
     graph = _load_model(args)
     print(summarize_graph(graph))
     print(f"estimated peak internal: {estimate_peak_internal(graph) / MIB:.2f} MiB")
-    plan = plan_arena(graph)
-    print(f"static arena: {plan.arena_bytes / MIB:.2f} MiB "
-          f"(fragmentation {plan.fragmentation:.1%})")
     if args.ir:
         print()
         print(format_graph(graph))

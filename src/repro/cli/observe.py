@@ -13,10 +13,9 @@ profile MODEL|FILE.npz
 memcheck [MODEL ...]
     Memory conformance audit: run each zoo model (original *and*
     TeMCO-optimized) with the allocation ledger on and compare it,
-    event for event, with the events ``simulate`` predicts, then check
-    the arena plan; with ``--budget BYTES``, audit a planned + enforced
-    run instead.  Exits non-zero on any mismatch.  See
-    ``docs/memory_auditing.md``.
+    event for event, with the events ``simulate`` predicts; with
+    ``--budget BYTES``, audit a planned + enforced run instead.  Exits
+    non-zero on any mismatch.  See ``docs/memory_auditing.md``.
 
 ``selfcheck`` and ``bench`` are described by their ``--help``.
 """
@@ -175,17 +174,17 @@ def _cmd_memcheck(args) -> int:
         args, audits,
         f"memory conformance audit (batch {args.batch}, hw {args.hw}, "
         f"tolerance {args.tolerance:.2%})",
-        ["model", "variant", "measured B", "predicted B", "arena B",
-         "events", "verdict"],
+        ["model", "variant", "measured B", "predicted B", "events",
+         "verdict"],
         [[ma.model, ga.variant, ga.measured_peak_bytes,
-          ga.predicted_peak_bytes, ga.arena_bytes, ga.ledger_events,
+          ga.predicted_peak_bytes, ga.ledger_events,
           "ok" if ga.passed else "FAIL"]
          for ma in audits for ga in (ma.original, ma.optimized)],
         [(f"peak reduction {ma.reduction_pct:.1f}% "
           f"(measured, {ma.optimized.variant})", ma.all_findings())
          for ma in audits],
         f"{len(audits)} model(s), both variants each — ledger == "
-        f"simulated events, arenas hold")
+        f"simulated events")
 
 
 def _cmd_selfcheck(args) -> int:
@@ -276,7 +275,7 @@ def register(sub) -> None:
 
     p = sub.add_parser("memcheck", help="memory conformance audit: ledger "
                                         "replay, predicted-vs-measured peak, "
-                                        "arena bounds, per zoo model")
+                                        "per zoo model")
     p.add_argument("models", nargs="*", metavar="MODEL",
                    help="zoo models to audit (default: the whole zoo)")
     common(p, model=False, batch=2, hw=32,

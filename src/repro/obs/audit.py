@@ -1,9 +1,8 @@
 """Memory-conformance auditor: every claim about memory, checked.
 
 TeMCO's value proposition is a *memory* claim, so this module holds the
-runtime to the bar the deployment-arena literature (Pisarchyk & Lee
-2020; Occamy, DAC'23) uses for memory planners: what the static model
-*predicts* and what the allocator *measures* must agree.
+runtime to one bar: what the static model *predicts* and what the
+allocator *measures* must agree.
 
 There is one prediction and one measurement, and both are the same
 list of :class:`~repro.core.liveness.LedgerEvent` tuples:
@@ -13,48 +12,31 @@ ledger on records them.  :func:`audit_graph` makes one comparison,
 event by event — action, tensor, bytes, node and running live total —
 and names the first event where they part (``event_mismatch``).  A
 wrong total, a wrong size, a missing, extra or reordered free and a
-free of the wrong tensor all surface there.  What the event order
-cannot say is checked against the arena plan:
-
-- **arena size** — the measured max-live never exceeds the planned
-  arena's total bytes, nor the plan's aligned lower bound,
-- **arena overlap** — with every slot's planned live interval replaced
-  by the ledger's *measured* ``alloc_index..free_index``, no two
-  tensors that were live together share arena bytes (what running the
-  graph inside the arena would prove, without a second executor).
+free of the wrong tensor all surface there.
 
 Every violation is a typed :class:`AuditFinding`; a graph *passes*
 when no error-severity finding was raised.  :func:`audit_model` audits
 a zoo model's original **and** TeMCO-optimized graphs and additionally
 checks the optimization actually lowered the measured peak.  The CLI
 surface is ``repro memcheck`` (see ``docs/memory_auditing.md``).
-
-When a tracer is active, the audit also exports the planned **arena
-occupancy** as a Chrome-trace counter track (``arena``), timestamped
-against the executor's node spans so the measured ``memory`` track and
-the planned occupancy render side by side in Perfetto.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import NamedTuple
 
 import numpy as np
 
 from ..core.liveness import LedgerEvent, simulate
 from ..data.synthetic import random_inputs
 from ..ir.graph import Graph
-from ..runtime.allocator import AllocationError
-from ..runtime.arena import ArenaPlan, plan_arena
 from ..runtime.executor import execute
-from ..runtime.memory_profile import MemoryProfile
 from .tracer import get_tracer
 
 __all__ = ["AuditFinding", "GraphAudit", "ModelAudit", "BudgetAudit",
-           "TensorLifetime", "lifetimes", "event_findings", "audit_graph",
-           "audit_model", "audit_zoo", "audit_budgeted", "DEFAULT_TOLERANCE"]
+           "event_findings", "audit_graph", "audit_model", "audit_zoo",
+           "audit_budgeted", "DEFAULT_TOLERANCE"]
 
 #: default relative tolerance of a measured ``live_bytes`` against the
 #: predicted one.
@@ -63,15 +45,12 @@ __all__ = ["AuditFinding", "GraphAudit", "ModelAudit", "BudgetAudit",
 #: future backends whose allocation order may be timing-dependent.
 DEFAULT_TOLERANCE = 0.0
 
-MIB = 1024 * 1024
-
 
 @dataclass(frozen=True)
 class AuditFinding:
     """One typed mismatch diagnostic.
 
     ``kind`` is machine-readable: ``event_mismatch``,
-    ``arena_overflow``, ``arena_lower_bound``, ``arena_overlap``,
     ``no_reduction``, and — from the budgeted audit
     (:func:`audit_budgeted`) — ``infeasible_budget``,
     ``budget_exceeded``, ``output_divergence``.
@@ -96,8 +75,6 @@ class GraphAudit:
     graph_name: str
     measured_peak_bytes: int
     predicted_peak_bytes: int
-    arena_bytes: int
-    arena_lower_bound_bytes: int
     ledger_events: int
     num_allocations: int
     findings: list[AuditFinding] = field(default_factory=list)
@@ -124,8 +101,6 @@ class GraphAudit:
             "graph": self.graph_name,
             "measured_peak_bytes": self.measured_peak_bytes,
             "predicted_peak_bytes": self.predicted_peak_bytes,
-            "arena_bytes": self.arena_bytes,
-            "arena_lower_bound_bytes": self.arena_lower_bound_bytes,
             "ledger_events": self.ledger_events,
             "num_allocations": self.num_allocations,
             "passed": self.passed,
@@ -166,31 +141,6 @@ class ModelAudit:
                 "findings": [vars(f) for f in self.findings]}
 
 
-class TensorLifetime(NamedTuple):
-    """One residency of a tensor: the span from the event that made it
-    resident to the one that released it."""
-
-    value: str
-    alloc_index: int
-    #: None = still live at the end of the run (a graph output)
-    free_index: int | None
-
-
-def lifetimes(events: list[LedgerEvent]) -> list[TensorLifetime]:
-    """The residencies in ``events``, in allocation order; a tensor a
-    plan brings back (``prefetch`` / ``remat``) opens a fresh one."""
-    out: list[TensorLifetime] = []
-    open_at: dict[str, int] = {}
-    for e in events:
-        if e.action in ("alloc", "prefetch", "remat"):
-            open_at[e.value] = len(out)
-            out.append(TensorLifetime(e.value, e.node_index, None))
-        elif e.action in ("free", "spill") and e.value in open_at:
-            slot = open_at.pop(e.value)
-            out[slot] = out[slot]._replace(free_index=e.node_index)
-    return out
-
-
 def _describe(event: LedgerEvent | None) -> str:
     if event is None:
         return "no event"
@@ -228,18 +178,16 @@ def audit_graph(graph: Graph, inputs: dict[str, np.ndarray] | None = None, *,
                 tolerance: float = DEFAULT_TOLERANCE, model: str = "",
                 variant: str = "", seed: int = 0) -> GraphAudit:
     """Execute ``graph`` with the ledger on and check it against the
-    events :func:`~repro.core.liveness.simulate` predicts, then against
-    the arena plan (see the module docstring).  ``tolerance`` is the
-    allowed relative deviation of a measured ``live_bytes`` from its
-    prediction (0.0 = bit-exact, the default)."""
+    events :func:`~repro.core.liveness.simulate` predicts (see the
+    module docstring).  ``tolerance`` is the allowed relative deviation
+    of a measured ``live_bytes`` from its prediction (0.0 = bit-exact,
+    the default)."""
     if inputs is None:
         inputs = random_inputs(graph, seed)
     tracer = get_tracer()
-    event_base = len(tracer.events) if tracer.enabled else 0
 
     with tracer.span("audit", category="obs", graph=graph.name):
         result = execute(graph, inputs, record_ledger=True)
-        plan = plan_arena(graph)
     profile = result.memory
     ledger = profile.ledger
     subject = graph.name or model
@@ -247,85 +195,20 @@ def audit_graph(graph: Graph, inputs: dict[str, np.ndarray] | None = None, *,
     findings = event_findings(graph, schedule.events, ledger,
                               tolerance=tolerance, subject=subject)
 
-    # measured max-live must fit the planned arena
     measured = profile.peak_internal_bytes
-    max_live = max((e.live_bytes for e in ledger if e.action != "scratch"),
-                   default=0)
-    if max_live > plan.arena_bytes:
-        findings.append(AuditFinding(
-            kind="arena_overflow", severity="error", subject=subject,
-            message=(f"measured max-live {max_live} B exceeds the "
-                     f"planned arena of {plan.arena_bytes} B"),
-            measured=max_live, expected=plan.arena_bytes))
-    if measured > plan.peak_lower_bound:
-        findings.append(AuditFinding(
-            kind="arena_lower_bound", severity="error", subject=subject,
-            message=(f"measured peak {measured} B exceeds the arena "
-                     f"plan's aligned lower bound "
-                     f"{plan.peak_lower_bound} B — the plan and the "
-                     f"measurement disagree about liveness"),
-            measured=measured, expected=plan.peak_lower_bound))
-
-    # tensors measured live together must not share arena bytes
-    last = len(graph.nodes) - 1
-    spans = {life.value: life for life in lifetimes(ledger)}
-    measured_slots = []
-    for slot in plan.slots:
-        life = spans[slot.value_name]
-        measured_slots.append(replace(
-            slot, begin=life.alloc_index,
-            # never freed = a graph output, live to the end
-            end=last if life.free_index is None else life.free_index))
-    try:
-        ArenaPlan(slots=measured_slots).validate()
-    except AllocationError as exc:
-        findings.append(AuditFinding(
-            kind="arena_overlap", severity="error", subject=subject,
-            message=f"under the measured lifetimes: {exc}"))
-
     predicted = schedule.peak_bytes
     if tracer.enabled:
-        _emit_arena_track(tracer, plan, event_base)
         tracer.instant(
             "audit_verdict", category="obs", graph=subject,
-            passed=not any(f.severity == "error" for f in findings),
-            measured_peak_bytes=measured, predicted_peak_bytes=predicted,
-            arena_bytes=plan.arena_bytes, findings=len(findings))
+            passed=not findings, measured_peak_bytes=measured,
+            predicted_peak_bytes=predicted, findings=len(findings))
 
     return GraphAudit(
         model=model, variant=variant, graph_name=graph.name,
         measured_peak_bytes=measured, predicted_peak_bytes=predicted,
-        arena_bytes=plan.arena_bytes,
-        arena_lower_bound_bytes=plan.peak_lower_bound,
         ledger_events=len(ledger),
         num_allocations=profile.num_allocations,
         findings=findings)
-
-
-def _emit_arena_track(tracer, plan: ArenaPlan, event_base: int) -> None:
-    """Export the planned arena occupancy as the ``arena`` counter
-    track, timestamped against the executor node spans recorded since
-    event ``event_base`` so planned and measured curves align on the
-    trace timeline."""
-    end_by_index: dict[int, float] = {}
-    first_start = None
-    for span in tracer.events[event_base:]:
-        index = span["args"].get("index")
-        if span["ph"] != "X" or index is None:
-            continue
-        end_by_index[int(index)] = span["ts"] + span["dur"]
-        if first_start is None or span["ts"] < first_start:
-            first_start = span["ts"]
-    if not end_by_index:
-        return
-    for index, occupied in plan.occupancy_series():
-        ts = end_by_index.get(index)
-        if ts is None:  # index -1: graph inputs, before the first node
-            ts = (first_start or 0.0) if index < 0 else None
-        if ts is None:
-            continue
-        tracer.counter("arena", ts_us=ts, occupied_bytes=occupied,
-                       arena_bytes=plan.arena_bytes)
 
 
 @dataclass

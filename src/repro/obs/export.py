@@ -12,9 +12,7 @@ events, the format Perfetto (https://ui.perfetto.dev) and
   decision's ``args`` carry its verdict, reason and quantities,
 - counter samples are counter events (``ph: "C"``) — the ``memory``
   track renders the live/scratch-bytes timeline alongside the node
-  spans, and the ``arena`` track (emitted by the conformance auditor,
-  :mod:`repro.obs.audit`) renders the planned arena occupancy next to
-  it for a measured-vs-planned visual diff,
+  spans,
 - flows are ``ph: "s"`` / ``ph: "f"`` pairs — the arrows that render
   the micro-batcher's fan-in (one per coalesced request),
 - async slices are ``ph: "b"`` / ``ph: "e"`` pairs keyed by ``id`` —

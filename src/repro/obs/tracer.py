@@ -91,8 +91,7 @@ class NoopTracer:
     def instant(self, name: str, category: str = "", **args) -> None:
         return None
 
-    def counter(self, track: str, ts_us: float | None = None,
-                **values) -> None:
+    def counter(self, track: str, **values) -> None:
         return None
 
     def decision(self, pass_name: str, subject: str, verdict: str,
@@ -208,16 +207,11 @@ class Tracer(NoopTracer):
             "ts": self.now_us(), "pid": TRACE_PID, "tid": 0, "s": "t",
             "args": args})
 
-    def counter(self, track: str, ts_us: float | None = None,
-                **values) -> None:
-        """Sample a counter track.  ``ts_us`` places the sample at an
-        explicit timestamp instead of "now" — used by the conformance
-        auditor to align the ``arena`` occupancy track with the
-        already-recorded executor node spans."""
+    def counter(self, track: str, **values) -> None:
         self.events.append({
             "name": track, "cat": "counter", "ph": "C",
-            "ts": self.now_us() if ts_us is None else ts_us,
-            "pid": TRACE_PID, "tid": 0, "args": values})
+            "ts": self.now_us(), "pid": TRACE_PID, "tid": 0,
+            "args": values})
 
     def decision(self, pass_name: str, subject: str, verdict: str,
                  reason: str = "", **quantities) -> None:

@@ -1,7 +1,6 @@
 """Execution runtime: allocator, executor, sessions."""
 
 from .allocator import AllocationError, TensorAllocator
-from .arena import ArenaPlan, ArenaSlot, plan_arena
 from .engine import InferenceSession, TimingResult
 from .executor import ExecutionResult, execute
 from ..core.liveness import LedgerEvent
@@ -12,9 +11,6 @@ from .report import metrics_markdown, profile_markdown, timeline_csv
 __all__ = [
     "AllocationError",
     "TensorAllocator",
-    "ArenaPlan",
-    "ArenaSlot",
-    "plan_arena",
     "InferenceSession",
     "TimingResult",
     "ExecutionResult",

@@ -95,7 +95,7 @@ def _check_estimator_parity() -> str:
     return f"static estimate == measured ({measured} B)"
 
 
-def _check_arena() -> str:
+def _check_memory_audit() -> str:
     from .obs.audit import audit_graph
 
     g = _tiny_graph()
@@ -103,8 +103,7 @@ def _check_arena() -> str:
     inputs = {"x": rng.normal(size=(2, 12, 16, 16)).astype(np.float32)}
     audit = audit_graph(g, inputs)
     assert audit.passed, [f.message for f in audit.errors]
-    return (f"co-live tensors never share arena bytes "
-            f"({audit.arena_bytes / 1024:.0f} KiB arena)")
+    return f"ledger == simulated events, {audit.ledger_events} events"
 
 
 def _check_training() -> str:
@@ -127,7 +126,7 @@ CHECKS: list[tuple[str, Callable[[], str]]] = [
     ("decompositions", _check_decompositions),
     ("temco-equivalence", _check_optimizer_equivalence),
     ("estimator-parity", _check_estimator_parity),
-    ("arena-audit", _check_arena),
+    ("memory-audit", _check_memory_audit),
     ("training", _check_training),
 ]
 

@@ -18,7 +18,7 @@ class TestCLI:
     def test_inspect(self, capsys):
         assert main(["inspect", "unet_small", "--batch", "1", "--hw", "32"]) == 0
         out = capsys.readouterr().out
-        assert "peak internal" in out and "arena" in out
+        assert "peak internal" in out and "arena" not in out
 
     def test_inspect_with_ir(self, capsys):
         assert main(["inspect", "alexnet", "--batch", "1", "--hw", "32",
@@ -303,12 +303,14 @@ class TestMemcheckCLI:
         assert main(["memcheck", "nope"]) == 2
         assert "unknown zoo model" in capsys.readouterr().err
 
-    def test_memcheck_trace_carries_arena_track(self, capsys, tmp_path):
+    def test_memcheck_trace_carries_memory_track(self, capsys, tmp_path):
         out = tmp_path / "memcheck.trace.json"
         assert main(["memcheck", "alexnet", "--trace", str(out)]) == 0
         events = json.loads(out.read_text())["traceEvents"]
         tracks = {e["name"] for e in events if e.get("ph") == "C"}
-        assert {"memory", "arena"} <= tracks
+        assert tracks == {"memory"}
+        verdicts = [e for e in events if e["name"] == "audit_verdict"]
+        assert [v["args"]["passed"] for v in verdicts] == [True, True]
 
 
 class TestBenchCLI:

@@ -1,11 +1,11 @@
-"""MemoryProfile <-> arena consistency across the model zoo.
+"""MemoryProfile <-> static prediction consistency across the model zoo.
 
 The invariant chain the whole memory story rests on, checked end to
 end on real measured runs (not estimates):
 
     measured ledger == the events simulate() predicts, event for event
+    simulated residencies == analyze_liveness() intervals
     measured peak == static liveness prediction
-    measured max-live <= arena plan lower bound <= arena total bytes
     optimized measured peak < original measured peak
     measured peak == the number committed in PINNED_PEAK_BYTES
     scratch-counted peak == PINNED_SCRATCH_PEAK_BYTES >= live + tile, per site
@@ -14,15 +14,18 @@ end on real measured runs (not estimates):
 import pytest
 
 from repro.bench import build_variants, variant_names_for
-from repro.core import estimate_peak_internal, optimize
+from repro.core import analyze_liveness, estimate_peak_internal, optimize
 from repro.core.liveness import simulate
 from repro.data import random_inputs
 from repro.decompose import DecompositionConfig, decompose_graph
 from repro.kernels import site_scratch_bytes
-from repro.models import MODEL_ZOO, build_model
+from repro.models import EXTRA_MODELS, MODEL_ZOO, build_model
 from repro.plan import plan_memory
-from repro.runtime import InferenceSession, plan_arena
+from repro.runtime import InferenceSession
 from repro.runtime.executor import execute
+
+from _fuzz import random_cnn
+from _zoo_compiles import cheap, memoise_factor_solves, zoo_model
 
 #: one plain CNN, one residual-skip net, one concat-skip net
 MODELS = ("alexnet", "resnet18", "unet_small")
@@ -81,17 +84,53 @@ class TestLedgerIsTheSimulation:
         assert ledger == simulate(graph, actions=plan.buckets).events
 
 
-class TestMeasuredVsArena:
-    def test_measured_max_live_never_exceeds_arena(self, variants):
-        inputs = variants.input_batch()
-        for name in variant_names_for(variants.model):
-            graph = variants.graphs[name]
-            result = execute(graph, inputs, record_ledger=True)
-            plan = plan_arena(graph)
-            max_live = max(e.live_bytes for e in result.memory.ledger)
-            assert max_live <= plan.peak_lower_bound, (variants.model, name)
-            assert plan.peak_lower_bound <= plan.arena_bytes
+def _residencies(graph):
+    """``{value: (alloc index, free index)}`` read off the events
+    ``simulate`` predicts; a value never freed (a graph output) stays
+    resident to the last index."""
+    last = len(graph.nodes) - 1
+    events = simulate(graph).events
+    allocs = [e for e in events if e.action == "alloc" and e.nbytes > 0]
+    frees = {e.value: e.node_index for e in events if e.action == "free"}
+    spans = {e.value: (e.node_index, frees.get(e.value, last))
+             for e in allocs}
+    assert len(spans) == len(allocs), "a value was allocated twice"
+    return spans
 
+
+def _liveness(graph):
+    return {v.name: (iv.begin, iv.end)
+            for v, iv in analyze_liveness(graph).items() if v.nbytes > 0}
+
+
+def _three_variants(graph):
+    decomposed = decompose_graph(graph, cheap("tucker"))
+    return {"original": graph, "decomposed": decomposed,
+            "temco": optimize(decomposed)[0]}
+
+
+class TestResidencyIsLiveness:
+    """The intervals the planner and skip-opt read are the frees the
+    executor makes: every tensor the allocator holds is resident from
+    its ``analyze_liveness`` begin to its end, and nothing else is."""
+
+    @pytest.fixture(autouse=True)
+    def _factor_once(self, monkeypatch):
+        memoise_factor_solves(monkeypatch)
+
+    @pytest.mark.parametrize("model", sorted(MODEL_ZOO) + sorted(EXTRA_MODELS))
+    def test_every_zoo_model(self, model):
+        for variant, graph in _three_variants(zoo_model(model)).items():
+            assert _residencies(graph) == _liveness(graph), (model, variant)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_cnns(self, seed):
+        variants = _three_variants(random_cnn(seed, max_blocks=3, strays=True))
+        for variant, graph in variants.items():
+            assert _residencies(graph) == _liveness(graph), (seed, variant)
+
+
+class TestMeasuredVsPredicted:
     def test_measured_peak_equals_static_prediction(self, variants):
         inputs = variants.input_batch()
         for name in variant_names_for(variants.model):

@@ -1,6 +1,4 @@
-"""Conformance auditor: clean passes, injected faults, arena track."""
-
-import dataclasses
+"""Conformance auditor: clean passes, injected faults, trace verdicts."""
 
 import pytest
 
@@ -23,8 +21,6 @@ class TestAuditGraph:
         assert audit.passed, [f.message for f in audit.findings]
         assert audit.measured_peak_bytes == audit.predicted_peak_bytes
         assert audit.deviation_pct == 0.0
-        assert audit.measured_peak_bytes <= audit.arena_lower_bound_bytes
-        assert audit.arena_lower_bound_bytes <= audit.arena_bytes
         assert audit.ledger_events > 0
 
     def test_to_dict_round_trips_the_essentials(self):
@@ -108,32 +104,11 @@ class TestLedgerFindings:
 
 class TestInjectedFaults:
     """Every finding kind, fired by the real audit on an injected fault
-    (``arena_overlap`` is in ``test_runtime_arena.py``, the
-    ``event_mismatch`` tampers in ``test_runtime_ledger.py``)."""
+    (the ``event_mismatch`` tampers are in ``test_runtime_ledger.py``)."""
 
     @staticmethod
     def _kinds(audit):
         return [f.kind for f in audit.findings]
-
-    def _with_arena(self, monkeypatch, graph, **changes):
-        real = audit_module.plan_arena(graph)
-        monkeypatch.setattr(audit_module, "plan_arena",
-                            lambda g: dataclasses.replace(real, **changes))
-        return audit_graph(graph)
-
-    def test_arena_overflow(self, monkeypatch):
-        graph = build_model("alexnet", batch=1, hw=32)
-        peak = estimate_peak_internal(graph)
-        audit = self._with_arena(monkeypatch, graph, arena_bytes=peak - 1)
-        assert self._kinds(audit) == ["arena_overflow"]
-        assert audit.findings[0].measured == peak
-
-    def test_arena_lower_bound(self, monkeypatch):
-        graph = build_model("alexnet", batch=1, hw=32)
-        peak = estimate_peak_internal(graph)
-        audit = self._with_arena(monkeypatch, graph,
-                                 peak_lower_bound=peak - 1)
-        assert self._kinds(audit) == ["arena_lower_bound"]
 
     @pytest.fixture
     def wavenet(self):
@@ -202,27 +177,24 @@ class TestInjectedFaults:
         assert self._kinds(audit) == ["infeasible_budget"]
 
 
-class TestArenaTrack:
-    def test_audit_emits_aligned_arena_counter_track(self):
-        from repro.models import build_model
+class TestAuditTrace:
+    def test_audit_emits_one_verdict_next_to_the_memory_track(self):
         graph = build_model("alexnet", batch=2, hw=32)
         tracer = Tracer()
         with use_tracer(tracer):
             audit = audit_graph(graph, model="alexnet")
         assert audit.passed
-        arena_samples = [s for s in tracer.events
-                         if s["ph"] == "C" and s["name"] == "arena"]
-        assert arena_samples, "audit under a tracer must emit the arena track"
-        occupied = tracer.counter_series("arena", "occupied_bytes")
-        assert max(occupied) == audit.arena_lower_bound_bytes
-        assert all(s["args"]["arena_bytes"] == audit.arena_bytes
-                   for s in arena_samples)
-        # samples are timestamped inside the recorded span window
-        span_end = max(s["ts"] + s["dur"] for s in tracer.events
-                       if s["ph"] == "X")
-        assert all(0 <= s["ts"] <= span_end for s in arena_samples)
+        assert {s["name"] for s in tracer.events if s["ph"] == "C"} \
+            == {"memory"}
+        assert max(tracer.counter_series("memory", "live_bytes")) \
+            == audit.measured_peak_bytes
         verdicts = [i for i in tracer.events if i["name"] == "audit_verdict"]
-        assert len(verdicts) == 1 and verdicts[0]["args"]["passed"] is True
+        assert len(verdicts) == 1
+        assert verdicts[0]["args"] == {
+            "graph": graph.name, "passed": True,
+            "measured_peak_bytes": audit.measured_peak_bytes,
+            "predicted_peak_bytes": audit.predicted_peak_bytes,
+            "findings": 0}
 
     def test_no_tracer_no_track(self):
         from repro.models import build_model
@@ -237,7 +209,6 @@ class TestDeviationPct:
         ga = audit_zero.GraphAudit(
             model="m", variant="v", graph_name="g",
             measured_peak_bytes=0, predicted_peak_bytes=0,
-            arena_bytes=0, arena_lower_bound_bytes=0,
             ledger_events=0, num_allocations=0)
         assert ga.deviation_pct == 0.0
         assert ga.passed

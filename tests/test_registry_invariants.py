@@ -72,7 +72,7 @@ class TestPublicAPI:
 
     @pytest.mark.parametrize("module", [
         "repro.ir.graph", "repro.ir.ops", "repro.kernels.fused",
-        "repro.runtime.executor", "repro.runtime.arena",
+        "repro.runtime.executor",
         "repro.decompose.tucker", "repro.core.skip_opt", "repro.core.fusion",
         "repro.core.transform", "repro.core.pipeline", "repro.core.scheduling",
         "repro.train.autodiff", "repro.bench.figures",

@@ -9,8 +9,8 @@ from repro.core import simulate
 from repro.ir.value import Value
 from repro.models import build_model
 from repro.obs import audit as audit_module
-from repro.obs.audit import audit_graph, event_findings, lifetimes
-from repro.runtime import LedgerEvent, TensorAllocator, plan_arena
+from repro.obs.audit import audit_graph, event_findings
+from repro.runtime import LedgerEvent, TensorAllocator
 from repro.runtime import executor as executor_module
 from repro.runtime.executor import execute
 
@@ -94,33 +94,6 @@ class TestExecutorIntegration:
     def test_verify_clean_run(self, alexnet_run):
         graph, result = alexnet_run
         assert result.memory.ledger == simulate(graph).events
-
-    def test_lifetimes_cover_every_alloc(self, alexnet_run):
-        graph, result = alexnet_run
-        ledger = result.memory.ledger
-        spans = lifetimes(ledger)
-        allocs = [e for e in ledger if e.action == "alloc"]
-        assert len(spans) == len(allocs)
-        outputs = {v.name for v in graph.outputs}
-        for span in spans:
-            if span.value in outputs:
-                assert span.free_index is None
-            else:
-                assert span.free_index is not None
-                assert span.free_index >= span.alloc_index
-
-    def test_lifetimes_annotated_with_arena_offsets(self, alexnet_run):
-        # every arena slot's planned interval is the span the ledger
-        # measured for its tensor (what the audit's overlap check uses)
-        graph, result = alexnet_run
-        plan = plan_arena(graph)
-        spans = {span.value: span for span in lifetimes(result.memory.ledger)}
-        last = len(graph.nodes) - 1
-        assert plan.slots
-        for slot in plan.slots:
-            span = spans[slot.value_name]
-            end = last if span.free_index is None else span.free_index
-            assert (span.alloc_index, end) == (slot.begin, slot.end)
 
 
 def _audit_tampered(monkeypatch, graph, tamper):
@@ -225,8 +198,7 @@ class TestTamperDetection:
         # after node 6 the run frees add_7's output instead of the
         # same-sized conv output add_7 read, and the conv output a node
         # later: every total still adds up, each freed tensor is live
-        # when freed, and the arena's slots hold under the swapped
-        # lifetimes — only the tensor names tell
+        # when freed — only the tensor names tell
         graph = build_model("resnet18", batch=2, hw=32)
         frees = {e.value: i for i, e in enumerate(simulate(graph).events)
                  if e.action == "free"}

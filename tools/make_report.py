@@ -33,7 +33,6 @@ SECTIONS = [
     ("ablation_transform", "A3 — concat strategy"),
     ("ablation_tile_size", "A4 — fused-kernel tile size"),
     ("ablation_inplace", "A5 — accounting policy"),
-    ("ablation_arena", "A6 — static arena planning"),
     ("ablation_scheduling", "A7 — memory-aware scheduling"),
 ]
 
