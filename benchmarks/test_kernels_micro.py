@@ -96,6 +96,8 @@ class TestFusedVsSeparate:
 
 MAXPOOL_3S2P1 = {"kind": "max", "kernel": (3, 3), "stride": (2, 2),
                  "padding": (1, 1)}
+MAXPOOL_2 = {"kind": "max", "kernel": (2, 2), "stride": (2, 2),
+             "padding": (0, 0)}
 
 
 @pytest.mark.parametrize("batch", [4, 32])
@@ -118,6 +120,20 @@ class TestHotSites:
         w2, b2 = _data((19, 192)), _data(19)
         benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu", MAXPOOL_3S2P1),
                   x)
+
+    def test_fused_restore_pooled_densenet(self, benchmark, batch):
+        # the stem's restore epilogue: (N,3,16,16) -> 32 + relu, then a
+        # 3x3/s2/p1 max pool
+        x, w1, b1 = _data((batch, 3, 16, 16)), _data((32, 3)), _data(32)
+        benchmark(bind_fused(x.shape, w1, b1, None, None, "relu",
+                             MAXPOOL_3S2P1), x)
+
+    def test_fused_block_pooled_unet(self, benchmark, batch):
+        # (N,2,32,32) -> 16 -> 2 around an encoder's 2x2/s2 max pool
+        x = _data((batch, 2, 32, 32))
+        w1, b1 = _data((16, 2)), _data(16)
+        w2, b2 = _data((2, 16)), _data(2)
+        benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu", MAXPOOL_2), x)
 
     def test_fused_block_densenet(self, benchmark, batch):
         # (N,64,4,4) -> 176 -> 88: tiny tiles, dispatch-bound

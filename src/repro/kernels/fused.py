@@ -17,6 +17,17 @@ separately up to float reassociation, which the equivalence checker
 bounds (same contractions and activation order; the GEMMs run per sample
 and the fconv sums over C' block by block).
 
+The tile's layout is the kernel's own.  A site without a pool keeps it
+NCHW, ``(N, block, h·w)``, the layout its input and output already have.
+A site that pools keeps it channels-last, ``(N, h·w, block)``: a pooling
+tap then reduces contiguous runs of ``w·block`` (rows) or ``block``
+(columns) elements, where an NCHW tap reduces one 4–16-float image row
+per NumPy inner loop — ``32 · 96 · 4 = 12,288`` loops per tap for a
+96-channel block of alexnet's 8×8 site at batch 32.  The transposes cost
+no copy: BLAS reads the NCHW ``[x; 1]`` and the pooled tile through
+transposed views (a trans flag), so input and output stay NCHW.  Only
+the tile, which no other op sees, changes.
+
 Like Listing 1, which is compiled once for a static shape, the kernel is
 *bound* once (:func:`bind_fused`): the activation callable with its
 attrs, the clamped block size and each block's weight slices, whether
@@ -27,27 +38,35 @@ state, so several threads may run it at once.  :func:`fused_block` and
 :func:`fused_restore` bind for the shape they are given and call.
 
 One tile buffer is allocated per call and reused by every block, and a
-block touches it twice before the fconv GEMM reads it — the restore GEMM
-writes it, the activation rewrites it in place:
+block touches it twice before it is resampled or the fconv GEMM reads it
+— the restore GEMM writes it, the activation rewrites it in place:
 
 * step 1 is a batched ``np.matmul([w1 | b1][c0:c1], [x; 1], out=tile)``
   (one GEMM per sample, so no sample's result depends on its batch
-  neighbours).  The bias is the last column of the restore matrix —
-  packed when the kernel is bound — against a row of ones appended to
-  the rank-``R`` input (one ``(N, R+1, h·w)`` copy per call or spatial
-  tile), so there is no ``tile += b1`` pass;
+  neighbours); a channels-last tile is its transpose,
+  ``[x; 1]ᵀ @ [w1 | b1][c0:c1]ᵀ``, with each block's ``(R+1, block)``
+  slice packed when the kernel is bound.  The bias is the last column of
+  the restore matrix against a row of ones appended to the rank-``R``
+  input (one ``(N, R+1, h·w)`` copy per call or spatial tile), so there
+  is no ``tile += b1`` pass;
 * step 2 runs the activation in place (``relu`` against a row of zeros,
   the array-operand form NumPy vectorises: see :mod:`.activation`);
-* step 4 is a batched GEMM into one reused accumulator that is added
-  into the output; a restore with nothing to resample writes straight
-  into its output slice.
+* step 3 pools a channels-last tile with :func:`~.pool.bind_pool2d`
+  bound ``channels_last`` — its row pass into a temporary, its column
+  pass straight into a pooled buffer reused by every block (a block) or
+  into the block's slice of the NCHW output (a restore).  Upsampling
+  stays NCHW and makes new arrays;
+* step 4 is a batched GEMM: the first block's writes the output itself,
+  each later block's goes into one reused accumulator that is added into
+  the output; a restore with nothing to resample writes straight into
+  its output slice.
 
 Data-movement passes, not FLOPs, are what a block costs: on the
 ``(4, 2, 32, 32) -> 16`` restore the GEMM is 21 us where the bias add
-was 15 and the scalar-operand relu 40.  The pooling passes and ~10 NumPy
-calls of fixed dispatch per block remain, which is why the compiler
-hands out the fewest, widest blocks the graph's memory already pays for
-(:func:`repro.core.fusion.widen_tiles`).
+was 15 and the scalar-operand relu 40.  The ``kh + kw`` pooling taps
+and ~10 NumPy calls of fixed dispatch per block remain, which is why the
+compiler hands out the fewest, widest blocks the graph's memory already
+pays for (:func:`repro.core.fusion.widen_tiles`).
 
 Correctness constraint from the paper (§3.2): the activation is
 element-wise and the fconv needs *all* activated channels per output
@@ -73,17 +92,17 @@ __all__ = ["bind_fused", "fused_block", "fused_restore",
 DEFAULT_BLOCK_SIZE = 32
 
 
-def _bind_resample(tile_shape: tuple[int, ...], pool: dict[str, Any] | None,
+def _bind_resample(tile_hw: tuple[int, int], pool: dict[str, Any] | None,
                    upsample: int):
-    """The optional pooling / nearest-upsample step for tiles of
-    ``tile_shape`` and the ``(h, w)`` it leaves them at; ``None`` for no
-    step."""
-    h, w = tile_shape[-2:]
+    """The optional pooling step for channels-last tiles / nearest-upsample
+    step for NCHW tiles of spatial size ``tile_hw``, and the ``(h, w)`` it
+    leaves them at; ``None`` for no step."""
+    h, w = tile_hw
     if pool is not None:
         stride = pool.get("stride", pool["kernel"])
         padding = pool.get("padding", 0)
-        return (bind_pool2d(pool["kind"], tile_shape, pool["kernel"], stride,
-                            padding),
+        return (bind_pool2d(pool["kind"], (1, h, w, 1), pool["kernel"],
+                            stride, padding, channels_last=True),
                 conv_output_hw(h, w, pool["kernel"], stride, padding))
     if upsample:
         scale = int(upsample)
@@ -141,9 +160,12 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
     th, tw = h, w
     if spatially_tileable(h, w, int(spatial_tile or 0), pool):
         th = tw = int(spatial_tile)
+    # a pooled site's tile is channels-last, (N, h·w, blk): each pooling
+    # tap then reduces a contiguous w·blk or blk run, not one image row
+    channels_last = pool is not None
     resample, (oth, otw) = _bind_resample((th, tw), pool, upsample)
-    out_chw = (c_prime if w2 is None else w2.shape[0],
-               h // th * oth, w // tw * otw)
+    r_out = c_prime if w2 is None else w2.shape[0]
+    out_chw = (r_out, h // th * oth, w // tw * otw)
     everything = (slice(None), slice(None))
     regions = tuple(
         (everything + (slice(ty * th, (ty + 1) * th),
@@ -151,14 +173,17 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
          everything + (slice(ty * oth, (ty + 1) * oth),
                        slice(tx * otw, (tx + 1) * otw)))
         for ty in range(h // th) for tx in range(w // tw))
+    # the restore GEMM's right operand: [w1 | b1] against the NCHW
+    # [x; 1], or its transpose against [x; 1]ᵀ for a channels-last tile
     blocks = tuple((c0, min(c0 + block, c_prime),
-                    restore[c0:c0 + block],
+                    (np.ascontiguousarray(restore[c0:c0 + block].T)
+                     if channels_last else restore[c0:c0 + block]),
                     None if w2 is None else w2[:, c0:c0 + block])
                    for c0 in range(0, c_prime, block))
     # a restore with nothing to resample lands straight in its output slice
     may_write_through = w2 is None and resample is None
     b2_nchw = None if w2 is None or b2 is None else b2[None, :, None, None]
-    hw = th * tw
+    hw, ohw = th * tw, oth * otw
 
     def core(x_region: np.ndarray, out: np.ndarray) -> None:
         """Channel-blocked lconv→act→resample[→fconv] over one spatial
@@ -174,37 +199,63 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
             x_aug[:, :r_in] = x_region
             x_aug[:, r_in] = 1
             x_flat = x_aug.reshape(n, r_in + 1, hw)
+        if channels_last:  # BLAS reads the NCHW input with a trans flag
+            x_flat = x_flat.transpose(0, 2, 1)
         direct = may_write_through and out.flags.c_contiguous
+        dtype = np.promote_types(x_region.dtype, restore.dtype)
         if not direct:
-            scratch = np.empty((n, block, hw), dtype=np.promote_types(
-                x_region.dtype, restore.dtype))
+            scratch = np.empty(n * block * hw, dtype=dtype)
         if w2 is not None:
-            acc = np.empty((n, out.shape[1], out.shape[2] * out.shape[3]),
-                           dtype=out.dtype)
-            acc_nchw = acc.reshape(out.shape)
+            if channels_last:
+                pooled = np.empty(n * block * ohw, dtype=dtype)
+            # the first block's GEMM writes the output itself
+            into_out = out.flags.c_contiguous
+            if not into_out or len(blocks) > 1:
+                acc = np.empty((n, r_out, ohw), dtype=out.dtype)
         for c0, c1, restore_block, reduce_block in blocks:
-            tile = (out[:, c0:c1].reshape(n, c1 - c0, hw) if direct
-                    else scratch[:, :c1 - c0])
-            # (1) restore a channel block, one GEMM per sample: (N, blk, h*w)
-            np.matmul(restore_block, x_flat, out=tile)
+            width = c1 - c0
+            if direct:
+                tile = out[:, c0:c1].reshape(n, width, hw)
+            else:
+                tile = scratch[:n * width * hw].reshape(
+                    (n, hw, width) if channels_last else (n, width, hw))
+            # (1) restore a channel block, one GEMM per sample
+            if channels_last:
+                np.matmul(x_flat, restore_block, out=tile)
+            else:
+                np.matmul(restore_block, x_flat, out=tile)
             # (2) activation, in place
             if act_fn is not None:
                 act_fn(tile, out=tile)
             if direct:
                 continue
-            # (3) optional spatial resampling per block
-            tile = tile.reshape(n, c1 - c0, th, tw)
-            if resample is not None:
-                tile = resample(tile)
-            if w2 is None:  # restore epilogue: write the block through
-                out[:, c0:c1] = tile
+            # (3) optional spatial resampling per block.  A pool's column
+            # pass writes a restore's output slice, or the pooled tile the
+            # fconv GEMM then reads through an NCHW view
+            if channels_last:
+                tile = tile.reshape(n, th, tw, width)
+                if w2 is None:
+                    resample(tile, out=out[:, c0:c1].transpose(0, 2, 3, 1))
+                    continue
+                tile = resample(tile, out=pooled[:n * ohw * width].reshape(
+                    n, oth, otw, width)).transpose(0, 3, 1, 2)
             else:
-                # (4) accumulate into the reduced output
-                np.matmul(reduce_block, tile.reshape(n, c1 - c0, -1), out=acc)
-                if c0 == 0:
-                    out[...] = acc_nchw
-                else:
-                    out += acc_nchw
+                tile = tile.reshape(n, width, th, tw)
+                if resample is not None:
+                    tile = resample(tile)
+                if w2 is None:  # restore epilogue: write the block through
+                    out[:, c0:c1] = tile
+                    continue
+            tile = tile.reshape(n, width, ohw)
+            # (4) accumulate into the reduced output
+            if c0 == 0 and into_out:
+                np.matmul(reduce_block, tile, out=out.reshape(n, r_out, ohw))
+                continue
+            np.matmul(reduce_block, tile, out=acc)
+            if c0 == 0:
+                out[...] = acc.reshape(out.shape)
+            else:
+                out += acc.reshape(out.shape)
 
     def fused(x: np.ndarray) -> np.ndarray:
         dtype = (x.dtype if weights_dtype is None
@@ -295,13 +346,15 @@ def fused_scratch_bytes(input_shape: tuple[int, ...], itemsize: int,
     for the tile-size ablation benchmark.
 
     Beyond the returned array the kernels hold at most this tile + one
-    resampled tile (pooled: the padded tile while it is reduced;
-    upsampled: ``scale + scale²`` tiles) + one ``(N, R_out, tile)`` fconv
-    accumulator + the rank-``R+1`` augmented input ``[x; 1]`` of the
-    region when there is a bias (without one, an exact ``spatial_tile``
-    still copies its strided rank-``R`` region), all independent of
-    ``C'`` (measured with ``tracemalloc`` in
-    ``tests/test_kernels_fused.py``).
+    resample call on it (pooled: the row-reduced tile, and for a block
+    the pooled tile the column pass writes and the fconv GEMM reads — a
+    restore's column pass writes its output slice, no padded copy either
+    way; upsampled: ``scale + scale²`` tiles) + one ``(N, R_out, tile)``
+    fconv accumulator, which only blocks after the first add into the
+    output + the rank-``R+1`` augmented input ``[x; 1]`` of the region
+    when there is a bias (without one, an exact ``spatial_tile`` still
+    copies its strided rank-``R`` region), all independent of ``C'``
+    (measured with ``tracemalloc`` in ``tests/test_kernels_fused.py``).
     """
     n, _r, h, w = input_shape
     blk = max(1, int(block_size))

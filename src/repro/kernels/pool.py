@@ -1,10 +1,24 @@
-"""Pooling kernels (NCHW): tap-wise reductions over strided slices, rows
-then columns (max and sum are separable), never the 6-D window view.
+"""Pooling kernels: tap-wise reductions over strided slices, rows then
+columns (max and sum are separable), never the 6-D window view.
 
-:func:`bind_pool2d` resolves a window's geometry — output size, padding
-and the tap slices of both passes — for one input height and width, and
-returns the ``x -> pooled`` kernel; :func:`maxpool2d` and
-:func:`avgpool2d` bind for the shape they are given and call.
+:func:`bind_pool2d` resolves a window's geometry — output size and the
+tap slices of both passes — for one input height and width, and returns
+the ``x -> pooled`` kernel; :func:`maxpool2d` and :func:`avgpool2d` bind
+for the shape they are given and call.
+
+The spatial axes are ``(2, 3)`` of an NCHW tensor, or ``(1, 2)`` of an
+``(N, H, W, C)`` one when the kernel is bound ``channels_last``: the
+fused kernels' private tile layout (:mod:`.fused`), where each tap
+combines contiguous runs of ``W·C`` (rows) or ``C`` (columns) elements
+instead of one short image row per NumPy inner loop.
+
+Padding is never materialised.  Each tap is clipped to the outputs whose
+window cell it reads inside the input; the outputs the first tap misses
+start at the pad value (the dtype's lowest for max, so it never wins;
+zero for average, count_include_pad semantics), and later taps combine
+into their clipped range in tap order.  A sum therefore adds the input's
+cells in the order a tap loop over a zero-padded copy does, less its
+additions of zero.
 """
 
 from __future__ import annotations
@@ -27,41 +41,75 @@ def _lowest(dtype: np.dtype):
     return np.iinfo(dtype).min
 
 
-def bind_pool2d(kind: str, x_shape: tuple[int, ...], kernel, stride=None,
-                padding=(0, 0)) -> Callable[[np.ndarray], np.ndarray]:
-    """The ``"max"`` or ``"avg"`` pooling kernel for inputs of spatial
-    size ``x_shape[-2:]`` (any batch and channel count); ``ValueError``
-    when the window does not fit.
+def _clipped_taps(size: int, out_size: int, kernel: int, stride: int,
+                  padding: int, axis: int):
+    """One pass's taps along ``axis``: per tap, the ``(source, destination)``
+    index tuples of the outputs whose window cell lies inside the input
+    (destination ``None``: every output), plus the destination ranges the
+    first tap leaves to the pad value."""
+    lead = (slice(None),) * axis
+    taps = []
+    first = (0, 0)  # the outputs the first tap covers
+    for i in range(kernel):
+        # output o reads input row o * stride + i - padding
+        lo = max(0, -((i - padding) // stride))
+        hi = min(out_size, (size - 1 - i + padding) // stride + 1)
+        if lo >= hi:
+            continue
+        if not taps:
+            first = (lo, hi)
+        start = lo * stride + i - padding
+        taps.append((lead + (slice(start, start + stride * (hi - lo - 1) + 1,
+                                   stride),),
+                     None if hi - lo == out_size else lead + (slice(lo, hi),)))
+    unfilled = tuple(lead + (gap,) for gap in
+                     (slice(0, first[0]), slice(first[1], out_size))
+                     if gap.start < gap.stop)
+    return tuple(taps), unfilled
 
-    The kernel reduces into a fresh C-contiguous array.  Padded cells
-    are ``-inf``-like for max (they never win) and zero for average
+
+def bind_pool2d(kind: str, x_shape: tuple[int, ...], kernel, stride=None,
+                padding=(0, 0), channels_last: bool = False
+                ) -> Callable[..., np.ndarray]:
+    """The ``"max"`` or ``"avg"`` pooling kernel for inputs of shape
+    ``x_shape`` — NCHW, or ``(N, H, W, C)`` when ``channels_last`` (any
+    batch and channel count); ``ValueError`` when the window does not fit.
+
+    The kernel ``pool(x, out=None)`` reduces into ``out`` when given (the
+    pooled shape and ``x``'s dtype, any strides) and otherwise into a
+    fresh C-contiguous array, and returns it.  Padded cells are
+    ``-inf``-like for max (they never win) and zero for average
     (count_include_pad semantics, matching the common framework default).
     """
     if stride is None:
         stride = kernel
     (kh, kw), (sh, sw), (ph, pw) = pair(kernel), pair(stride), pair(padding)
-    h, w = x_shape[-2:]
+    row_axis, col_axis = (1, 2) if channels_last else (2, 3)
+    h, w = x_shape[row_axis], x_shape[col_axis]
     oh, ow = conv_output_hw(h, w, kernel, stride, padding)
-    everything = (slice(None),) * 2
-    row_taps = tuple(everything + (slice(i, i + sh * (oh - 1) + 1, sh),)
-                     for i in range(kh))
-    col_taps = tuple(everything + (slice(None), slice(i, i + sw * (ow - 1) + 1, sw))
-                     for i in range(kw))
+    passes = ((row_axis, oh, *_clipped_taps(h, oh, kh, sh, ph, row_axis)),
+              (col_axis, ow, *_clipped_taps(w, ow, kw, sw, pw, col_axis)))
     combine = np.maximum if kind == "max" else np.add
     window = kh * kw
 
-    def pool(x: np.ndarray) -> np.ndarray:
-        if ph or pw:  # np.pad costs more than the whole reduction of a fused tile
-            fill = _lowest(x.dtype) if kind == "max" else 0
-            padded = np.full(x.shape[:2] + (h + 2 * ph, w + 2 * pw), fill,
-                             dtype=x.dtype)
-            padded[:, :, ph:ph + h, pw:pw + w] = x
-            x = padded
-        for taps in (row_taps, col_taps):
-            out = x[taps[0]].copy(order="C")
-            for tap in taps[1:]:
-                combine(out, x[tap], out=out)
-            x = out
+    def pool(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        for axis, size, taps, unfilled in passes:
+            dst = out if axis == col_axis else None
+            if dst is None and not unfilled:  # the first tap covers it all
+                dst = x[taps[0][0]].copy()
+            else:
+                if dst is None:
+                    shape = x.shape[:axis] + (size,) + x.shape[axis + 1:]
+                    dst = np.empty(shape, dtype=x.dtype)
+                for gap in unfilled:
+                    dst[gap] = _lowest(x.dtype) if kind == "max" else 0
+                if taps:
+                    src, into = taps[0]
+                    dst[... if into is None else into] = x[src]
+            for src, into in taps[1:]:
+                part = dst if into is None else dst[into]
+                combine(part, x[src], out=part)
+            x = dst
         if kind == "max":
             return x
         # what ``mean(dtype=x.dtype)`` does with its sum, integer dtypes included

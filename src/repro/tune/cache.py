@@ -42,8 +42,10 @@ __all__ = ["TuneCache", "TuneRecord", "SiteRecord", "default_cache_dir",
 #: 3: exhaustive sweep — records lose ``mode`` / ``budget``, the key loses the
 #: tuning mode and two ``FusionConfig`` fields.
 #: 4: the as-compiled baseline tile is slack-widened and the kernel lost its
-#: bias and scalar-relu passes, so v3 baselines and winners are both stale).
-CACHE_VERSION = 4
+#: bias and scalar-relu passes, so v3 baselines and winners are both stale.
+#: 5: pooled sites stream a channels-last tile and run 2.5–4.6x faster, so
+#: v4 winners at those sites were timed on a different kernel).
+CACHE_VERSION = 5
 
 
 def default_cache_dir() -> Path:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _pool_geometry import pool_geometry
 from repro.kernels import (avgpool2d, bind_fused, fused_block, fused_restore,
                            fused_scratch_bytes, get_activation, maxpool2d,
                            pointwise_conv, upsample_nearest)
@@ -181,6 +182,48 @@ class TestFusedRestore:
         got = fused_restore(x, w1, None, act="tanh", upsample=3, block_size=2)
         want = reference_chain(x, w1, None, None, None, act="tanh", upsample=3)
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+
+class TestPooledSweep:
+    """A pooled site streams a channels-last tile; over every window
+    geometry it must still equal the layers run separately, and a
+    sample's answer must not depend on its batch neighbours."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(geometry=pool_geometry(), seed=st.integers(0, 10_000),
+           n=st.sampled_from([1, 2, 4, 32]), r_in=st.integers(1, 4),
+           block=st.integers(2, 8), blocks=st.integers(1, 3),
+           spare=st.integers(1, 7), bias=st.booleans(),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_equals_separate_layers_and_is_batch_invariant(
+            self, geometry, seed, n, r_in, block, blocks, spare, bias,
+            dtype):
+        pool, (h, w), spatial_tile = geometry
+        c_prime = block * blocks + min(spare, block - 1)  # block ∤ C'
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape, fan_in=1):
+            # unit-variance layer outputs, as an initialised network has
+            return (rng.normal(size=shape) / np.sqrt(fan_in)).astype(dtype)
+
+        x = draw(n, r_in, h, w)
+        w1, w2 = draw(c_prime, r_in, fan_in=r_in), draw(3, c_prime,
+                                                         fan_in=c_prime)
+        b1, b2 = (draw(c_prime), draw(3)) if bias else (None, None)
+        tol = (dict(atol=1e-10) if dtype == np.float64
+               else dict(rtol=1e-5, atol=1e-6))
+        for w2_, b2_ in ((w2, b2), (None, None)):
+            kernel = bind_fused(x.shape, w1, b1, w2_, b2_, act="relu",
+                                pool=pool, block_size=block,
+                                spatial_tile=spatial_tile)
+            got = kernel(x)
+            assert got.dtype == dtype
+            np.testing.assert_allclose(
+                got, reference_chain(x, w1, b1, w2_, b2_, act="relu",
+                                     pool=pool), **tol)
+            for i in range(n):
+                assert got[i:i + 1].tobytes() == kernel(
+                    x[i:i + 1]).tobytes(), (i, w2_ is None)
 
 
 class TestScratchAccounting:

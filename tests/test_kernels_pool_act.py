@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _pool_geometry import pool_geometry
 from repro.ir import GraphBuilder
 from repro.ir.ops import ACTIVATION_OPS
 from repro.kernels import activation as activation_module
-from repro.kernels import (avgpool2d, batchnorm2d, get_activation,
-                           global_avgpool, linear, maxpool2d, pad2d, relu,
-                           run_node, sigmoid, silu, softmax, sliding_windows,
-                           tanh, upsample_nearest)
+from repro.kernels import (avgpool2d, batchnorm2d, bind_pool2d,
+                           get_activation, global_avgpool, linear, maxpool2d,
+                           pad2d, relu, run_node, sigmoid, silu, softmax,
+                           sliding_windows, tanh, upsample_nearest)
 
 
 @pytest.fixture
@@ -62,6 +63,20 @@ class TestPooling:
         """The 6-D window view the kernels reduced before the tap loop."""
         return sliding_windows(pad2d(x, padding, value=fill), kernel, stride)
 
+    @staticmethod
+    def _padded_tap_sum(x, kernel, stride, padding):
+        """The window sums of the tap loop over a zero-padded copy that the
+        clipped taps replaced: rows then columns, taps in window order."""
+        x = pad2d(x, padding)
+        for axis, k, s in zip((2, 3), kernel, stride):
+            size = (x.shape[axis] - k) // s + 1
+            taps = [np.take(x, range(i, i + s * size, s), axis=axis)
+                    for i in range(k)]
+            x = taps[0]
+            for tap in taps[1:]:
+                x = x + tap
+        return x
+
     @pytest.mark.parametrize("kernel,stride,padding", GEOMETRIES)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int32])
     def test_maxpool_equals_windowed_reference(self, rng, kernel, stride,
@@ -89,6 +104,40 @@ class TestPooling:
         assert got.dtype == dtype and got.flags.c_contiguous
         eps = np.finfo(dtype).eps
         np.testing.assert_allclose(got, want, rtol=8 * eps, atol=8 * eps)
+
+    @settings(max_examples=100, deadline=None)
+    @given(geometry=pool_geometry(), seed=st.integers(0, 10_000),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_pinned_over_the_window_sweep(self, geometry, seed, dtype):
+        # the clipped taps against the padded 6-D window view; the
+        # channels-last kernel (the fused tiles') against the NCHW one
+        pool, hw, _tile = geometry
+        kernel, stride, padding = (pool["kernel"], pool["stride"],
+                                   pool["padding"])
+        x = np.random.default_rng(seed).normal(size=(2, 3) + hw).astype(dtype)
+        got = maxpool2d(x, kernel, stride, padding)
+        want = self._windows(x, kernel, stride, padding, -np.inf).max(
+            axis=(4, 5))
+        assert got.tobytes() == want.tobytes()
+        mean = avgpool2d(x, kernel, stride, padding)
+        want = self._windows(x, kernel, stride, padding, 0.0).mean(
+            axis=(4, 5))
+        np.testing.assert_allclose(mean, want, rtol=1e-6,
+                                   atol=1e-6 * np.abs(want).max())
+        # the same sums in the same order as over a padded copy
+        np.testing.assert_array_equal(
+            mean, self._padded_tap_sum(x, kernel, stride, padding)
+            / (kernel[0] * kernel[1]))
+        nhwc = x.transpose(0, 2, 3, 1)
+        for kind, nchw in (("max", got), ("avg", mean)):
+            last = bind_pool2d(kind, nhwc.shape, kernel, stride, padding,
+                               channels_last=True)
+            assert last(nhwc).transpose(0, 3, 1, 2).tobytes() == nchw.tobytes()
+            # into a strided destination, as a fused restore writes its
+            # pooled block straight into its slice of the NCHW output
+            out = np.empty(nchw.shape, dtype)
+            last(nhwc, out=out.transpose(0, 2, 3, 1))
+            assert out.tobytes() == nchw.tobytes()
 
     def test_avgpool_integer_dtype_truncates_like_mean(self):
         x = np.arange(2 * 16, dtype=np.int32).reshape(1, 2, 4, 4)
