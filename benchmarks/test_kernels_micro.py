@@ -162,8 +162,20 @@ class TestHotSites:
         x, w, b = _data((batch, 19, 8, 8)), _data((6, 19, 3, 3)), _data(6)
         benchmark(_conv(x, w, b, (1, 1), (1, 1)), x)
 
+    def test_conv_core_densenet_tiny(self, benchmark, batch):
+        # 6 -> 2 channels, 3x3 @ 4x4: 8 of densenet's 18 6 -> 2 cores
+        # (the rest run at 2x2 and 8x8), dispatch-bound
+        x, w, b = _data((batch, 6, 4, 4)), _data((2, 6, 3, 3)), _data(2)
+        benchmark(_conv(x, w, b, (1, 1), (1, 1)), x)
+
+    def test_conv_alexnet_5x5(self, benchmark, batch):
+        # alexnet's second core: 6 -> 19 channels, 5x5 @ 8x8
+        x, w, b = _data((batch, 6, 8, 8)), _data((19, 6, 5, 5)), _data(19)
+        benchmark(_conv(x, w, b, (1, 1), (2, 2)), x)
+
     def test_conv_dilated_wavenet2d(self, benchmark, batch):
-        # 24 -> 24, dilation 8 (padded input 48x48): 2 calls per run
+        # 24 -> 24, 3x3 dilation 8, 'same' padding 8 @ 32x32: 2 calls per
+        # run
         x, w, b = _data((batch, 24, 32, 32)), _data((24, 24, 3, 3)), _data(24)
         benchmark(_conv(x, w, b, (1, 1), (8, 8), 1, (8, 8)), x)
 

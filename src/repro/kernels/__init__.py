@@ -3,9 +3,9 @@
 ``BINDERS`` maps op kind -> binder ``(node) -> kernel``, and a kernel is
 ``(inputs: list[ndarray]) -> ndarray``.  A binder resolves everything the
 node's static input shape, attrs and weights fix — a conv's path,
-geometry, tap slices and weight views, a batchnorm's scale and shift,
-an activation with its attrs, a pool's window, a fused kernel's tiles
-and packed ``[w1 | b1]`` — so a call only computes.  :func:`bind` looks
+geometry, im2col view strides and weight views, a batchnorm's scale and
+shift, an activation with its attrs, a pool's window, a fused kernel's
+tiles and packed ``[w1 | b1]`` — so a call only computes.  :func:`bind` looks
 the binder up; a :class:`~repro.runtime.executor.Schedule` binds every
 node of its graph once, when a session is built.  :func:`run_node` binds
 and runs one node, for callers that hold no session.

@@ -1,10 +1,10 @@
 """Padding and sliding-window views for convolution and pooling.
 
 ``sliding_windows`` uses ``numpy.lib.stride_tricks.as_strided`` to
-expose all windows as a zero-copy 6D view.  The forward kernels do not
-use it (a consumer that contracts the view copies it first, and then
-transposes the result: `kernels.conv` copies the taps itself, straight
-into the layout its GEMM wants); `repro.train.gradients` does.
+expose all windows as a zero-copy 6D view; `repro.train.gradients`
+uses it.  The forward conv builds its own view, tap-major
+``(N, C, KH, KW, OH, OW)`` — the layout its GEMM wants — and copies it
+into its column buffer in one call (`repro.kernels.conv`).
 """
 
 from __future__ import annotations

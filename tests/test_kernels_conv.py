@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ir.ops import conv_output_hw
 from repro.kernels import conv2d, conv_transpose2d, pad2d, pointwise_conv
 
 from test_kernels_fused import _traced_peak
@@ -36,6 +37,34 @@ def naive_conv2d(x, w, b=None, stride=(1, 1), padding=(0, 0), groups=1,
                         patch = xp[ni, src, oy * sh:oy * sh + eff_kh:dh,
                                    ox * sw:ox * sw + eff_kw:dw]
                         out[ni, oc, oy, ox] += (patch * w[oc, ic]).sum()
+    if b is not None:
+        out += b[None, :, None, None]
+    return out
+
+
+def _tap_loop_conv2d(x, w, b=None, stride=(1, 1), padding=(0, 0), groups=1,
+                     dilation=(1, 1)):
+    """im2col by one window copy per tap, then ``conv2d``'s batched GEMM:
+    the same column buffer and the same GEMMs, so ``conv2d`` must match
+    it bit for bit."""
+    n, c, h, wd = x.shape
+    cout, cin_g, kh, kw = w.shape
+    sh, sw = stride
+    dh, dw = dilation
+    oh, ow = conv_output_hw(h, wd, (kh, kw), stride, padding, dilation)
+    xp = pad2d(x, padding)
+    dtype = np.promote_types(x.dtype, w.dtype)
+    cols = np.empty((n, c, kh * kw, oh, ow), dtype=dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i * kw + j] = xp[:, :,
+                                        i * dh:i * dh + sh * (oh - 1) + 1:sh,
+                                        j * dw:j * dw + sw * (ow - 1) + 1:sw]
+    depth = cin_g * kh * kw
+    out = np.empty((n, cout, oh, ow), dtype=dtype)
+    np.matmul(w.reshape(groups, cout // groups, depth),
+              cols.reshape(n, groups, depth, oh * ow),
+              out=out.reshape(n, groups, cout // groups, oh * ow))
     if b is not None:
         out += b[None, :, None, None]
     return out
@@ -115,6 +144,13 @@ CLASSES = {
     "kx1": ((6, 9, 8), (5, 6, 5, 1), (2, 1), (2, 0), 1, (1, 1)),
     "5x5/s2": ((3, 11, 11), (4, 3, 5, 5), (2, 2), (2, 2), 1, (1, 1)),
     "7x7/s2/p3": ((3, 12, 12), (4, 3, 7, 7), (2, 2), (3, 3), 1, (1, 1)),
+    # stride 1 and output rows as wide as the input's: the flat path
+    "same3x3": ((4, 7, 12), (6, 4, 3, 3), (1, 1), (1, 1), 1, (1, 1)),
+    # a shift of +-3 columns wraps whole 3-wide rows
+    "dilated_same": ((3, 8, 3), (4, 3, 3, 3), (1, 1), (2, 3), 1, (2, 3)),
+    "1x3_p01": ((4, 6, 7), (5, 4, 1, 3), (1, 1), (0, 1), 1, (1, 1)),
+    "3x1_p10": ((4, 7, 6), (5, 4, 3, 1), (1, 1), (1, 0), 1, (1, 1)),
+    "3x1_unpadded": ((4, 7, 6), (5, 4, 3, 1), (1, 1), (0, 0), 1, (1, 1)),
 }
 
 
@@ -133,6 +169,41 @@ def _case(rng, name, n=2, dtype=np.float64):
     x = rng.normal(size=(n, *chw)).astype(dtype)
     w = rng.normal(size=wshape).astype(dtype)
     b = rng.normal(size=wshape[0]).astype(dtype)
+    return x, w, b, dict(stride=stride, padding=padding, groups=groups,
+                         dilation=dilation)
+
+
+#: the spatial path's geometry, layout and dtype draws (see `_drawn_case`)
+SPATIAL_DRAWS = dict(
+    n=st.integers(1, 2), cg=st.integers(1, 3), og=st.integers(1, 3),
+    groups=st.sampled_from([1, 2, "depthwise"]),
+    kernel=st.sampled_from([(3, 3), (1, 3), (3, 1), (1, 5), (5, 1), (2, 3),
+                            (5, 5), (7, 7), (1, 1)]),
+    stride=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    padding=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    dilation=st.tuples(st.integers(1, 3), st.integers(1, 2)),
+    layout=st.sampled_from(["c", "fortran", "sliced"]),
+    dtype=st.sampled_from([np.float64, np.float32]),
+    bias=st.booleans(), seed=st.integers(0, 10_000))
+
+
+def _drawn_case(n, cg, og, groups, kernel, stride, padding, dilation,
+                layout, dtype, bias, seed):
+    rng = np.random.default_rng(seed)
+    if groups == "depthwise":  # with channel multiplier ``og``
+        groups, cg = cg + 1, 1
+    c, cout = groups * cg, groups * og
+    kh, kw = kernel
+    # the smallest input the dilated kernel fits in, plus a margin
+    h = max(1, dilation[0] * (kh - 1) + 1 - 2 * padding[0]) + 3
+    wd = max(1, dilation[1] * (kw - 1) + 1 - 2 * padding[1]) + 2
+    x = rng.normal(size=(n, c, h, wd)).astype(dtype)
+    if layout == "fortran":
+        x = np.asfortranarray(x)
+    elif layout == "sliced":
+        x = np.repeat(x, 2, axis=3)[..., ::2]
+    w = rng.normal(size=(cout, cg, kh, kw)).astype(dtype)
+    b = rng.normal(size=cout).astype(dtype) if bias else None
     return x, w, b, dict(stride=stride, padding=padding, groups=groups,
                          dilation=dilation)
 
@@ -186,39 +257,34 @@ class TestSpatialPath:
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(1, 2), cg=st.integers(1, 3), og=st.integers(1, 3),
-           groups=st.sampled_from([1, 2, "depthwise"]),
-           kernel=st.sampled_from([(3, 3), (1, 3), (3, 1), (1, 5), (5, 1),
-                                   (2, 3), (5, 5), (7, 7), (1, 1)]),
-           stride=st.tuples(st.integers(1, 3), st.integers(1, 3)),
-           padding=st.tuples(st.integers(0, 3), st.integers(0, 3)),
-           dilation=st.tuples(st.integers(1, 3), st.integers(1, 2)),
-           layout=st.sampled_from(["c", "fortran", "sliced"]),
-           dtype=st.sampled_from([np.float64, np.float32]),
-           bias=st.booleans(), seed=st.integers(0, 10_000))
-    def test_property_matches_reference(self, n, cg, og, groups, kernel,
-                                        stride, padding, dilation, layout,
-                                        dtype, bias, seed):
-        rng = np.random.default_rng(seed)
-        if groups == "depthwise":  # with channel multiplier ``og``
-            groups, cg = cg + 1, 1
-        c, cout = groups * cg, groups * og
-        kh, kw = kernel
-        # the smallest input the dilated kernel fits in, plus a margin
-        h = max(1, dilation[0] * (kh - 1) + 1 - 2 * padding[0]) + 3
-        wd = max(1, dilation[1] * (kw - 1) + 1 - 2 * padding[1]) + 2
-        x = rng.normal(size=(n, c, h, wd)).astype(dtype)
-        if layout == "fortran":
-            x = np.asfortranarray(x)
-        elif layout == "sliced":
-            x = np.repeat(x, 2, axis=3)[..., ::2]
-        w = rng.normal(size=(cout, cg, kh, kw)).astype(dtype)
-        b = rng.normal(size=cout).astype(dtype) if bias else None
-        kwargs = dict(stride=stride, padding=padding, groups=groups,
-                      dilation=dilation)
+    @given(**SPATIAL_DRAWS)
+    def test_property_matches_reference(self, **draws):
+        x, w, b, kwargs = _drawn_case(**draws)
         got = conv2d(x, w, b, **kwargs)
-        assert got.dtype == dtype
+        assert got.dtype == x.dtype
         _assert_matches_reference(got, naive_conv2d(x, w, b, **kwargs))
+
+    @settings(max_examples=100, deadline=None)
+    @given(**SPATIAL_DRAWS,
+           pad=st.sampled_from(["drawn", "asymmetric", "over", "same"]),
+           extra=st.integers(0, 1), same_dilation=st.integers(1, 3))
+    def test_property_bitwise_equals_tap_loop(self, pad, extra,
+                                              same_dilation, **draws):
+        (kh, kw), (ph, pw) = draws["kernel"], draws["padding"]
+        dh, dw = draws["dilation"]
+        if pad == "asymmetric":
+            draws["padding"] = (ph, ph + 1 + extra)
+        elif pad == "over":  # past the dilated kernel's reach
+            draws["padding"] = (ph, (kw - 1) * dw + 1 + extra)
+        elif pad == "same":
+            draws.update(stride=(1, 1), dilation=(dh, same_dilation),
+                         padding=(dh * (kh - 1) // 2,
+                                  same_dilation * (kw - 1) // 2))
+        x, w, b, kwargs = _drawn_case(**draws)
+        got = conv2d(x, w, b, **kwargs)
+        want = _tap_loop_conv2d(x, w, b, **kwargs)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), kwargs
 
 
 class TestShapeValidation:
@@ -255,10 +321,12 @@ class TestShapeValidation:
 
 
 class TestScratchMeasured:
-    """Beyond the array it returns, ``conv2d`` holds one padded input and
-    one column buffer — no output-sized temporary (the bias lands in
-    place, the GEMM writes NCHW directly), so the transient does not grow
-    with ``C_out``."""
+    """Beyond the array it returns, ``conv2d`` holds one copy of the input
+    — the ``pad2d`` copy, or on the flat path the vertically padded planes
+    with their ``pw`` margins, which is never larger — and one column
+    buffer; an unpadded C-contiguous input is not copied at all.  There is
+    no output-sized temporary (the bias lands in place, the GEMM writes
+    NCHW directly), so the transient does not grow with ``C_out``."""
 
     N, C, HW = 2, 8, 48
     #: NumPy's fixed-size ufunc buffer for the broadcast bias add + views
@@ -271,6 +339,8 @@ class TestScratchMeasured:
         "5x5/s2": ((5, 5), (2, 2), (2, 2), 1, (1, 1)),
         "grouped": ((3, 3), (1, 1), (1, 1), 2, (1, 1)),
         "depthwise": ((3, 1), (1, 1), (1, 0), 8, (1, 1)),
+        "same1x3": ((1, 3), (1, 1), (0, 1), 1, (1, 1)),
+        "dilated_same": ((3, 3), (1, 1), (2, 3), 1, (2, 3)),
     }
 
     def _transient(self, rng, cout, name):
@@ -294,12 +364,13 @@ class TestScratchMeasured:
         assert abs(wide - narrow) <= self.SLACK, (narrow, wide)
         assert wide <= bound + self.SLACK, (name, wide, bound)
 
-    def test_unpadded_input_is_not_copied(self, rng):
+    @pytest.mark.parametrize("kh,kw", [(3, 3), (3, 1)], ids=["3x3", "3x1"])
+    def test_unpadded_input_is_not_copied(self, rng, kh, kw):
         x = rng.normal(size=(self.N, self.C, self.HW, self.HW)).astype(
             np.float32)
-        w = rng.normal(size=(8, self.C, 3, 3)).astype(np.float32)
+        w = rng.normal(size=(8, self.C, kh, kw)).astype(np.float32)
         out, peak = _traced_peak(lambda: conv2d(x, w, None))
-        cols = self.N * self.C * 9 * out.shape[2] * out.shape[3] * 4
+        cols = self.N * self.C * kh * kw * out.shape[2] * out.shape[3] * 4
         assert peak - out.nbytes <= cols + self.SLACK
 
 
