@@ -142,6 +142,15 @@ class TestHotSites:
         w2, b2 = _data((88, 176)), _data(88)
         benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu"), x)
 
+    def test_fused_block_unet_wide(self, benchmark, batch):
+        # (N,5,32,32) -> 48 -> 4 in blocks of 32: unet_small/cp's widest
+        # tile, 4 MiB at batch 32, which runs in sample groups
+        x = _data((batch, 5, 32, 32))
+        w1, b1 = _data((48, 5)), _data(48)
+        w2, b2 = _data((4, 48)), _data(4)
+        benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu", None, 0, 32),
+                  x)
+
     def test_relu_standalone(self, benchmark, batch):
         # the decomposed graphs' relu after a restored (N,16,32,32): the
         # array-operand SIMD path, allocation of the result included

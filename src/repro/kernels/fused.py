@@ -17,6 +17,18 @@ separately up to float reassociation, which the equivalence checker
 bounds (same contractions and activation order; the GEMMs run per sample
 and the fconv sums over C' block by block).
 
+Listing 1's tile lives in shared memory; ours should live in L2.  A
+batch whose whole-batch tile outgrows :data:`TILE_BYTES` (a quarter of a
+2 MiB L2) therefore runs in balanced *sample groups*, each with its own
+``[x; 1]``, tile, pooled buffer and accumulator sized to the group, so
+the tile the restore GEMM writes is still cached when the activation
+rewrites it and the pool or fconv GEMM reads it (unet_small/cp's
+``(32, 5, 32, 32) -> 48 -> 4`` site holds 4 MiB at once otherwise).
+Every GEMM already runs per sample, and every block and accumulation
+keeps its order, so a grouped call is bitwise the one-group call; a
+tile of at most ``TILE_BYTES`` runs as one group.  The sample-group loop
+wraps the spatial-region loop.
+
 The tile's layout is the kernel's own.  A site without a pool keeps it
 NCHW, ``(N, block, h·w)``, the layout its input and output already have.
 A site that pools keeps it channels-last, ``(N, h·w, block)``: a pooling
@@ -37,9 +49,10 @@ before the first call.  The bound ``x -> y`` closure holds no per-call
 state, so several threads may run it at once.  :func:`fused_block` and
 :func:`fused_restore` bind for the shape they are given and call.
 
-One tile buffer is allocated per call and reused by every block, and a
-block touches it twice before it is resampled or the fconv GEMM reads it
-— the restore GEMM writes it, the activation rewrites it in place:
+One tile buffer is allocated per sample group and reused by every
+block, and a block touches it twice before it is resampled or the fconv
+GEMM reads it — the restore GEMM writes it, the activation rewrites it
+in place:
 
 * step 1 is a batched ``np.matmul([w1 | b1][c0:c1], [x; 1], out=tile)``
   (one GEMM per sample, so no sample's result depends on its batch
@@ -47,8 +60,8 @@ block touches it twice before it is resampled or the fconv GEMM reads it
   ``[x; 1]ᵀ @ [w1 | b1][c0:c1]ᵀ``, with each block's ``(R+1, block)``
   slice packed when the kernel is bound.  The bias is the last column of
   the restore matrix against a row of ones appended to the rank-``R``
-  input (one ``(N, R+1, h·w)`` copy per call or spatial tile), so there
-  is no ``tile += b1`` pass;
+  input (one ``(N, R+1, h·w)`` copy per sample group and spatial tile),
+  so there is no ``tile += b1`` pass;
 * step 2 runs the activation in place (``relu`` against a row of zeros,
   the array-operand form NumPy vectorises: see :mod:`.activation`);
 * step 3 pools a channels-last tile with :func:`~.pool.bind_pool2d`
@@ -90,6 +103,18 @@ __all__ = ["bind_fused", "fused_block", "fused_restore",
 
 #: Default number of restored channels processed per tile.
 DEFAULT_BLOCK_SIZE = 32
+#: The most tile one sample group may hold: a quarter of a 2 MiB L2, so
+#: the tile the restore GEMM writes is still cached when the activation
+#: rewrites it and the pool or fconv GEMM reads it.  Read at call time.
+TILE_BYTES = 1 << 19
+
+
+def _group_size(n: int, sample_tile_bytes: int) -> int:
+    """Samples per group of a batch of ``n >= 1``: the fewest balanced
+    groups whose tiles fit in :data:`TILE_BYTES` (the last group may be
+    smaller)."""
+    groups = -(-n * sample_tile_bytes // TILE_BYTES)
+    return -(-n // groups)
 
 
 def _bind_resample(tile_hw: tuple[int, int], pool: dict[str, Any] | None,
@@ -184,6 +209,8 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
     may_write_through = w2 is None and resample is None
     b2_nchw = None if w2 is None or b2 is None else b2[None, :, None, None]
     hw, ohw = th * tw, oth * otw
+    # one sample's share of the tile, in elements
+    tile_elems, restore_itemsize = block * hw, restore.itemsize
 
     def core(x_region: np.ndarray, out: np.ndarray) -> None:
         """Channel-blocked lconv→act→resample[→fconv] over one spatial
@@ -258,11 +285,23 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
                 out += acc.reshape(out.shape)
 
     def fused(x: np.ndarray) -> np.ndarray:
+        n = x.shape[0]
         dtype = (x.dtype if weights_dtype is None
                  else np.promote_types(x.dtype, weights_dtype))
-        out = np.empty((x.shape[0],) + out_chw, dtype=dtype)
-        for x_region, out_region in regions:
-            core(x[x_region], out[out_region])
+        out = np.empty((n,) + out_chw, dtype=dtype)
+        # the tile's itemsize: the wider of the input's and the weights'
+        itemsize = x.itemsize
+        sample_bytes = tile_elems * (itemsize if itemsize > restore_itemsize
+                                     else restore_itemsize)
+        if n * sample_bytes <= TILE_BYTES:
+            for x_region, out_region in regions:
+                core(x[x_region], out[out_region])
+        else:  # balanced sample groups, each with a tile that fits
+            size = _group_size(n, sample_bytes)
+            for s0 in range(0, n, size):
+                x_group, out_group = x[s0:s0 + size], out[s0:s0 + size]
+                for x_region, out_region in regions:
+                    core(x_group[x_region], out_group[out_region])
         if b2_nchw is not None:
             out += b2_nchw
         return out
@@ -302,8 +341,9 @@ def fused_block(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
         (C', H, W)); applied only when exact — the input must tile
         evenly and any pooling must be non-overlapping and unpadded —
         otherwise the kernel silently falls back to channel-only
-        blocking.  Scratch memory with both blockings is
-        ``block_size · spatial_tile² · N`` elements.
+        blocking.  Scratch memory with both blockings is at most
+        ``block_size · spatial_tile² · N`` elements (``N`` a sample
+        group's size where the batch runs in groups).
     """
     return bind_fused(x.shape, w1, b1, w2, b2, act, pool, upsample,
                       block_size, spatial_tile, act_params)(x)
@@ -336,10 +376,15 @@ def fused_scratch_bytes(input_shape: tuple[int, ...], itemsize: int,
                         c_prime: int | None = None,
                         spatial_tile: int = 0,
                         pool: dict[str, Any] | None = None) -> int:
-    """Peak scratch of :func:`fused_block`: one channel-block tile,
-    further bounded by the spatial tile edge where the kernel applies it
-    (:func:`spatially_tileable` for the site's ``pool``; otherwise the
-    tile spans the whole plane).
+    """Peak scratch of :func:`fused_block`: one whole-batch channel-block
+    tile, further bounded by the spatial tile edge where the kernel
+    applies it (:func:`spatially_tileable` for the site's ``pool``;
+    otherwise the tile spans the whole plane).  The kernel holds at most
+    this much: a batch whose tile outgrows :data:`TILE_BYTES` runs in
+    sample groups that each hold a group-sized tile.  The figure stays
+    the whole-batch one because :func:`repro.core.fusion.widen_tiles`
+    budgets block widths with it, and a grouped figure would change
+    compiles.
 
     Reported separately from internal-tensor memory (the paper's CUDA
     tiles live in shared memory, outside the DRAM tensor pool); exposed
@@ -354,7 +399,8 @@ def fused_scratch_bytes(input_shape: tuple[int, ...], itemsize: int,
     output + the rank-``R+1`` augmented input ``[x; 1]`` of the region
     when there is a bias (without one, an exact ``spatial_tile`` still
     copies its strided rank-``R`` region), all independent of ``C'``
-    (measured with ``tracemalloc`` in ``tests/test_kernels_fused.py``).
+    (measured with ``tracemalloc`` in ``tests/test_kernels_fused.py``),
+    each for one sample group where the batch is grouped.
     """
     n, _r, h, w = input_shape
     blk = max(1, int(block_size))

@@ -120,8 +120,9 @@ class InferenceSession:
             result = execute(self._schedule, inputs,
                              record_ledger=record_ledger,
                              plan=self.memory_plan, tracer=tracer)
-        logger.debug("inference on %s: %s", self.graph.name,
-                     result.memory.summary())
+        if logger.isEnabledFor(logging.DEBUG):  # summary() is not free
+            logger.debug("inference on %s: %s", self.graph.name,
+                         result.memory.summary())
         return result
 
     def time_inference(self, inputs: dict[str, np.ndarray] | np.ndarray,

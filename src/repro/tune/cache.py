@@ -44,8 +44,11 @@ __all__ = ["TuneCache", "TuneRecord", "SiteRecord", "default_cache_dir",
 #: 4: the as-compiled baseline tile is slack-widened and the kernel lost its
 #: bias and scalar-relu passes, so v3 baselines and winners are both stale.
 #: 5: pooled sites stream a channels-last tile and run 2.5–4.6x faster, so
-#: v4 winners at those sites were timed on a different kernel).
-CACHE_VERSION = 5
+#: v4 winners at those sites were timed on a different kernel.
+#: 6: fused kernels run the batch in sample groups whose tile fits in L2,
+#: so at batch 32 a wide tile no longer pays for L3 traffic and v5 winners
+#: at those sites were timed on a different kernel).
+CACHE_VERSION = 6
 
 
 def default_cache_dir() -> Path:

@@ -11,6 +11,7 @@ from _pool_geometry import pool_geometry
 from repro.kernels import (avgpool2d, bind_fused, fused_block, fused_restore,
                            fused_scratch_bytes, get_activation, maxpool2d,
                            pointwise_conv, upsample_nearest)
+from repro.kernels import fused as fused_module
 
 
 @pytest.fixture
@@ -305,6 +306,59 @@ class TestPerSampleIndependence:
             assert whole[i:i + 1].tobytes() == alone.tobytes(), (variant, i)
 
 
+class TestSampleGroups:
+    """A batch whose tile outgrows ``TILE_BYTES`` runs in balanced sample
+    groups.  Every per-sample GEMM, block and accumulation keeps its
+    order, so a grouped call is bitwise the one-group call."""
+
+    #: (bias, act): with a bias ``[x; 1]`` is a per-group copy, without
+    #: one a whole-plane input is read in place
+    SITES = {"b1_relu": (True, "relu"), "no_b1_silu": (False, "silu")}
+
+    @pytest.mark.parametrize("n, sample_bytes, size", [
+        (32, 1 << 17, 4),       # unet_small/cp at batch 32: 8 groups of 4
+        (4, 1 << 17, 4),        # a whole-batch tile of TILE_BYTES: one group
+        (9, 1 << 16, 5),        # 2 groups, the last smaller
+        (10, 1 << 16, 5),
+        (7, 1 << 19, 1),        # a sample per group
+        (3, 1 << 21, 1),        # a sample's tile alone outgrows the budget
+        (1, 1, 1),
+    ])
+    def test_group_size(self, n, sample_bytes, size):
+        assert fused_module._group_size(n, sample_bytes) == size
+
+    @pytest.mark.parametrize("groups", ["one_sample", "two", "three"])
+    @pytest.mark.parametrize("fconv", [True, False],
+                             ids=["fused_block", "fused_restore"])
+    @pytest.mark.parametrize("site", sorted(SITES))
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("n", [*range(1, 10), 32])
+    def test_grouped_is_bitwise_one_group_and_batch_invariant(
+            self, rng, monkeypatch, n, variant, site, fconv, groups):
+        bias, act = self.SITES[site]
+        x = _f32(rng, n, 5, 8, 8)
+        w1, b1 = _f32(rng, 40, 5), _f32(rng, 40) if bias else None
+        w2, b2 = (_f32(rng, 7, 40), _f32(rng, 7)) if fconv else (None, None)
+        kernel = bind_fused(x.shape, w1, b1, w2, b2, act=act, block_size=16,
+                            **VARIANTS[variant])
+        one_group = kernel(x)
+        # the default constant runs these small tiles as one group
+        sample = fused_scratch_bytes((1,) + x.shape[1:], 4, block_size=16,
+                                     c_prime=40,
+                                     spatial_tile=VARIANTS[variant].get(
+                                         "spatial_tile", 0),
+                                     pool=VARIANTS[variant].get("pool"))
+        assert fused_module._group_size(n, sample) == n
+        count = {"one_sample": n, "two": 2, "three": 3}[groups]
+        monkeypatch.setattr(fused_module, "TILE_BYTES",
+                            -(-n * sample // count))
+        grouped = kernel(x)
+        assert grouped.tobytes() == one_group.tobytes()
+        for i in range(n):
+            assert grouped[i:i + 1].tobytes() == kernel(
+                x[i:i + 1]).tobytes(), i
+
+
 def _traced_peak(fn):
     """(result, peak bytes allocated while ``fn`` ran, result included)."""
     fn()  # first-call caches (ufunc loops, BLAS buffers) are not scratch
@@ -379,6 +433,29 @@ class TestScratchMeasured:
         wide, _ = self._transient(rng, 512, fconv, **kwargs)
         assert abs(wide - narrow) <= self.SLACK, (narrow, wide)
         assert wide <= self._bound(rng, out, fconv, **kwargs), (variant, wide)
+
+    @pytest.mark.parametrize("fconv", [True, False],
+                             ids=["fused_block", "fused_restore"])
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    def test_batch_32_holds_one_sample_group(self, rng, fconv, variant):
+        # the whole-batch tile is 16 x TILE_BYTES (4x with a spatial
+        # tile); the kernel holds what one group of samples needs
+        kwargs = dict(VARIANTS[variant])
+        if kwargs.get("spatial_tile"):
+            kwargs["spatial_tile"] = 32
+        # `_transient` and `_bound` read the batch from self.N: measure
+        # at batch 32, bound by one group
+        self.N = 32
+        transient, out = self._transient(rng, 2 * self.BLOCK, fconv,
+                                         **kwargs)
+        sample = fused_scratch_bytes(
+            (1, self.R, self.HW, self.HW), 4, block_size=self.BLOCK,
+            spatial_tile=kwargs.get("spatial_tile", 0),
+            pool=kwargs.get("pool"))
+        self.N = fused_module._group_size(32, sample)
+        assert self.N < 32
+        assert transient <= self._bound(rng, out[:self.N], fconv,
+                                        **kwargs), (variant, transient)
 
     def test_plain_restore_needs_no_tile(self, rng):
         # nothing to resample: each block lands in its slice of the output
