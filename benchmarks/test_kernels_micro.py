@@ -32,6 +32,16 @@ def _pointwise(x, w2d, b=None):
     return bind_conv2d(x.shape, w2d[:, :, None, None], b)
 
 
+def _merged_w1(layers, growth=16, rank=2):
+    """A DenseNet merged lconv's restored blocks: ``layers`` restore
+    chains of ``rank -> growth`` channels, block-diagonal."""
+    w1 = np.zeros((layers * growth, layers * rank), dtype=np.float32)
+    for j in range(layers):
+        w1[j * growth:(j + 1) * growth, j * rank:(j + 1) * rank] = _data(
+            (growth, rank))
+    return w1
+
+
 class TestConvKernels:
     def test_conv3x3_64ch(self, benchmark):
         x = _data((4, 64, 32, 32))
@@ -136,11 +146,22 @@ class TestHotSites:
         benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu", MAXPOOL_2), x)
 
     def test_fused_block_densenet(self, benchmark, batch):
-        # (N,64,4,4) -> 176 -> 88: tiny tiles, dispatch-bound
+        # concat_66: (N,64,4,4) -> 176 -> 88 in one block, tiny tiles,
+        # dispatch-bound; 48 pass-through rows, 128 restored from 16
         x = _data((batch, 64, 4, 4))
-        w1, b1 = _data((176, 64)), _data(176)
+        w1, b1 = _merged_w1(8), _data(128)
         w2, b2 = _data((88, 176)), _data(88)
-        benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu"), x)
+        benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu", None, 0, 176,
+                             passthrough=[(0, 0, 48)]), x)
+
+    def test_fused_block_densenet_hottest(self, benchmark, batch):
+        # concat_18, the hottest merged site at batch 32: (N,38,8,8) -> 80
+        # -> 64 in blocks of 32; 32 pass-through rows, 48 restored from 6
+        x = _data((batch, 38, 8, 8))
+        w1, b1 = _merged_w1(3), _data(48)
+        w2, b2 = _data((64, 80)), _data(64)
+        benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu", None, 0, 32,
+                             passthrough=[(0, 0, 32)]), x)
 
     def test_fused_block_unet_wide(self, benchmark, batch):
         # (N,5,32,32) -> 48 -> 4 in blocks of 32: unet_small/cp's widest

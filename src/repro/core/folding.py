@@ -35,6 +35,8 @@ def _fold(graph: Graph, bn: Node, consumers: dict) -> Splice | None:
     conv = graph.producer_of(bn.inputs[0])
     if conv is None or conv.op != "conv2d" or len(consumers[conv.output]) != 1:
         return None
+    if conv.attrs.get("passthrough"):
+        return None  # a pass-through run has no weight to rescale
     gamma = bn.params["gamma"].astype(np.float64)
     beta = bn.params["beta"].astype(np.float64)
     mean = bn.params["mean"].astype(np.float64)

@@ -8,10 +8,11 @@ tensors (``Output1``/``Input2`` in Figure 3b) disappear from the graph:
 the fused node consumes one reduced tensor and produces the next.
 
 Also fuses the degenerate ``lconv → activation → fconv`` chains created
-by the layer transformations (merged block-diagonal lconvs, copied
-restore chains) — the paper's "restorations of skip connections can
-also be hidden in the fused layers".  The pass is a rule on
-:func:`repro.ir.rewrite.rewrite`, anchored at each chain's lconv.
+by the layer transformations (merged block-diagonal lconvs, whose
+pass-through runs the fused node carries, and copied restore chains) —
+the paper's "restorations of skip connections can also be hidden in the
+fused layers".  The pass is a rule on :func:`repro.ir.rewrite.rewrite`,
+anchored at each chain's lconv.
 """
 
 from __future__ import annotations
@@ -187,7 +188,7 @@ def _fuse(graph: Graph, lconv: Node, consumers: dict, config: FusionConfig,
     # clamp to the restored channel count: an oversized block runs as a
     # single full-width tile, so the attrs must say so too — otherwise
     # fused_scratch_bytes would report scratch the kernel never uses
-    block_size = min(max(1, block_size), int(params["w1"].shape[0]))
+    block_size = min(max(1, block_size), int(lconv.output.shape[1]))
     attrs: dict = {
         "act": chain.act.op if chain.act is not None else None,
         "act_params": act_params or None,
@@ -196,6 +197,8 @@ def _fuse(graph: Graph, lconv: Node, consumers: dict, config: FusionConfig,
         "fused_from": [n.name for n in (lconv, chain.act, chain.resample, fconv)
                        if n is not None],
     }
+    if lconv.attrs.get("passthrough"):
+        attrs["passthrough"] = [list(run) for run in lconv.attrs["passthrough"]]
     if chain.resample is not None:
         if chain.resample.op in _ops.POOL_OPS:
             attrs["pool"] = {
@@ -264,7 +267,7 @@ def widen_tiles(graph: Graph, config: FusionConfig | None = None) -> int:
         if site in (config.site_overrides or {}):
             continue
         current = int(node.attrs.get("block_size", DEFAULT_BLOCK_SIZE))
-        c_prime = int(node.params["w1"].shape[0])
+        c_prime = _ops.tile_channels(node)
         fits = (budget - live[index]) // site_scratch_bytes(node, 1, 0)
         widest = min(c_prime, MAX_BLOCK_SIZE, fits)
         blocks = -(-c_prime // max(widest, 1))

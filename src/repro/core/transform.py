@@ -6,8 +6,12 @@ skip-connection *join* points:
 - :func:`merge_lconv_concat` (Fig. 9b → 9a): a concat whose branches
   all end in ``[act ∘] lconv`` becomes ``[act ∘] merged-lconv ∘ concat``
   over the branches' *reduced* tensors, with the merged lconv's weight
-  laid out block-diagonally (zero padding off the diagonal).  One
-  lconv-act-fconv chain remains, fusable into a single kernel.
+  laid out block-diagonally (zero padding off the diagonal).  Without a
+  shared activation, branches that are not restore chains join too: each
+  is a ``passthrough`` run of channels the merged lconv carries from its
+  input, not a row or column of the weight (a pure data-movement branch
+  is a view of the input, not computed data).  One lconv-act-fconv chain
+  remains, fusable into a single kernel.
 - :func:`merge_lconv_add` (Fig. 9c → 9a): an add whose operands all end
   in ``lconv`` becomes ``merged-lconv ∘ concat`` with the weights
   concatenated horizontally (``[W_a | W_b]``) and biases summed.
@@ -98,76 +102,83 @@ def _moved_act(graph: Graph, act: Node, x: Value, name: str) -> Node:
     return make_node(graph, act.op, [x], attrs=dict(act.attrs), name=name)
 
 
-def _merged_lconv_params(lconvs: list[Node | int], layout: str) -> dict[str, np.ndarray]:
-    """Build the merged restore weight.
+def _block_diag_params(branches: list[Node | int]
+                       ) -> tuple[dict[str, np.ndarray], list[list[int]]]:
+    """The concat merge's weight and pass-through runs.
 
-    ``layout="block_diag"`` (concat merge): output channels stack and
-    each branch reads only its own reduced channels — zeros elsewhere.
-    An ``int`` entry denotes a passthrough branch of that many channels
-    whose diagonal block is the identity (the branch tensor is carried
-    through the merged lconv unchanged).
-    ``layout="horizontal"`` (add merge): output channels are shared;
-    weights sit side by side and biases sum.
+    Output channels stack and each restore chain reads only its own
+    reduced channels: the weight is block-diagonal over the restored
+    branches, zeros elsewhere.  An ``int`` entry is a pass-through branch
+    of that many channels; it becomes an ``[out_row, in_col, width]`` run
+    of the merged lconv, and no row or column of the weight.  A branch
+    that is itself a merged lconv brings its runs along.  The bias covers
+    the restored rows.
     """
-    weights = [np.eye(n, dtype=None) if isinstance(n, int)
-               else n.params["weight"][:, :, 0, 0] for n in lconvs]
-    dtype = next(w.dtype for n, w in zip(lconvs, weights) if not isinstance(n, int))
-    weights = [w.astype(dtype) for w in weights]
-    if layout == "block_diag":
-        total_out = sum(w.shape[0] for w in weights)
-        total_in = sum(w.shape[1] for w in weights)
-        merged = np.zeros((total_out, total_in), dtype=dtype)
-        ro = ri = 0
-        for w in weights:
-            merged[ro:ro + w.shape[0], ri:ri + w.shape[1]] = w
-            ro += w.shape[0]
-            ri += w.shape[1]
-        biases = [None if isinstance(n, int) else n.params.get("bias")
-                  for n in lconvs]
-        if any(b is not None for b in biases):
-            bias = np.concatenate([
-                b if b is not None else np.zeros(w.shape[0], dtype=dtype)
-                for b, w in zip(biases, weights)])
-        else:
-            bias = None
-    else:  # horizontal
-        out = {w.shape[0] for w in weights}
-        if len(out) != 1:
-            raise ValueError(f"add-merge needs equal output channels, got {out}")
-        merged = np.concatenate(weights, axis=1)
-        biases = [n.params.get("bias") for n in lconvs]
-        if any(b is not None for b in biases):
-            bias = np.zeros(weights[0].shape[0], dtype=dtype)
-            for b in biases:
-                if b is not None:
-                    bias = bias + b
-        else:
-            bias = None
-    params = {"weight": merged[:, :, None, None].copy()}
-    if bias is not None:
+    lconvs = [n for n in branches if not isinstance(n, int)]
+    dtype = lconvs[0].params["weight"].dtype
+    weights = [n.params["weight"][:, :, 0, 0].astype(dtype) for n in lconvs]
+    merged = np.zeros((sum(w.shape[0] for w in weights),
+                       sum(w.shape[1] for w in weights)), dtype=dtype)
+    runs: list[list[int]] = []
+    out = col = 0  # where the branch starts in the merged output / input
+    ro = ri = 0    # where its restored block starts in the weight
+    blocks = iter(weights)
+    for branch in branches:
+        if isinstance(branch, int):
+            runs.append([out, col, branch])
+            out += branch
+            col += branch
+            continue
+        w = next(blocks)
+        merged[ro:ro + w.shape[0], ri:ri + w.shape[1]] = w
+        ro += w.shape[0]
+        ri += w.shape[1]
+        carried = _ops.passthrough_runs(branch)
+        runs += [[out + o, col + i, k] for o, i, k in carried]
+        width = sum(k for _o, _i, k in carried)
+        out += w.shape[0] + width
+        col += w.shape[1] + width
+    params = {"weight": merged[:, :, None, None]}
+    biases = [n.params.get("bias") for n in lconvs]
+    if any(b is not None for b in biases):
+        params["bias"] = np.concatenate([
+            np.zeros(w.shape[0], dtype=dtype) if b is None else b.astype(dtype)
+            for b, w in zip(biases, weights)])
+    return params, runs
+
+
+def _horizontal_params(lconvs: list[Node]) -> dict[str, np.ndarray]:
+    """The add merge's weight: output channels are shared, weights sit
+    side by side (``[W_a | W_b]``) and biases sum."""
+    dtype = lconvs[0].params["weight"].dtype
+    weights = [n.params["weight"][:, :, 0, 0].astype(dtype) for n in lconvs]
+    params = {"weight": np.concatenate(weights, axis=1)[:, :, None, None]}
+    biases = [n.params.get("bias") for n in lconvs]
+    if any(b is not None for b in biases):
+        bias = np.zeros(weights[0].shape[0], dtype=dtype)
+        for b in biases:
+            if b is not None:
+                bias = bias + b
         params["bias"] = np.asarray(bias, dtype=dtype)
     return params
 
 
-def _merged_attrs(lconvs: list[Node | int]) -> dict:
-    nodes = [n for n in lconvs if not isinstance(n, int)]
-    return {
-        "stride": [1, 1], "padding": [0, 0], "groups": 1, "role": "lconv",
-        "merged_from": [n.name for n in nodes],
-        "orig_flops": sum(int(n.attrs.get("orig_flops", _ops.node_flops(n)))
-                          for n in nodes),
-    }
-
-
 def _merged_lconv(graph: Graph, join: Node, reduced: list[Value],
-                  lconvs: list[Node | int], layout: str) -> list[Node]:
+                  lconvs: list[Node], params: dict[str, np.ndarray],
+                  runs: list[list[int]] = ()) -> list[Node]:
     """``concat(reduced) → merged lconv``, the nodes replacing ``join``."""
     cat_reduced = make_node(graph, "concat", reduced, attrs={"axis": 1},
                             name=f"{join.name}.reduced")
-    merged = make_node(graph, "conv2d", [cat_reduced.output],
-                       attrs=_merged_attrs(lconvs),
-                       params=_merged_lconv_params(lconvs, layout),
-                       name=f"{join.name}.merged_lconv")
+    attrs = {
+        "stride": [1, 1], "padding": [0, 0], "groups": 1, "role": "lconv",
+        "merged_from": [n.name for n in lconvs],
+        "orig_flops": sum(int(n.attrs.get("orig_flops", _ops.node_flops(n)))
+                          for n in lconvs),
+    }
+    if runs:
+        attrs["passthrough"] = runs
+    merged = make_node(graph, "conv2d", [cat_reduced.output], attrs=attrs,
+                       params=params, name=f"{join.name}.merged_lconv")
     return [cat_reduced, merged]
 
 
@@ -184,7 +195,7 @@ def merge_lconv_concat(graph: Graph, stats: TransformStats | None = None) -> Tra
 
 def _merge_concat(graph: Graph, concat: Node, consumers: dict) -> Splice | None:
     # classify branches: restore chains ([act ∘] lconv) or passthroughs
-    # (anything else — kept as an identity block in the merged weight)
+    # (anything else — carried as a run of the merged lconv's channels)
     chains = [_branch_chain(graph, consumers, v, allow_act=True)
               for v in concat.inputs]
     acts = [chain[0] for chain in chains if chain is not None]
@@ -199,18 +210,21 @@ def _merge_concat(graph: Graph, concat: Node, consumers: dict) -> Splice | None:
     if act is not None and len(acts) < len(chains):
         # a passthrough branch cannot be routed below a shared activation
         return None
-    lconvs = [v.shape[1] if chain is None else chain[1]
-              for v, chain in zip(concat.inputs, chains)]
+    branches = [v.shape[1] if chain is None else chain[1]
+                for v, chain in zip(concat.inputs, chains)]
     reduced = [v if chain is None else chain[1].inputs[0]
                for v, chain in zip(concat.inputs, chains)]
-    new_nodes = _merged_lconv(graph, concat, reduced, lconvs, "block_diag")
+    params, runs = _block_diag_params(branches)
+    new_nodes = _merged_lconv(graph, concat, reduced,
+                              [chain[1] for chain in chains if chain is not None],
+                              params, runs)
     if act is not None:
         new_nodes.append(_moved_act(graph, act, new_nodes[-1].output,
                                     f"{concat.name}.merged_{act.op}"))
     return Splice(
         new_nodes, concat.output, new_nodes[-1].output,
         "transform.merge_concat", concat.name, "apply", "all_branches_restorable",
-        {"branches": len(lconvs),
+        {"branches": len(branches),
          "passthrough_branches": len(chains) - len(acts),
          "merged_weight_bytes": new_nodes[1].params["weight"].nbytes,
          "concat_bytes": concat.output.nbytes})
@@ -234,10 +248,12 @@ def _merge_add(graph: Graph, add: Node, consumers: dict) -> Splice | None:
     if any(chain is None for chain in chains):
         return None
     lconvs = [lconv for _act, lconv in chains]
+    if any(_ops.passthrough_runs(n) for n in lconvs):
+        return None  # [W_a | W_b] has no place for a run
     if len({n.params["weight"].shape[0] for n in lconvs}) != 1:
         return None
     new_nodes = _merged_lconv(graph, add, [n.inputs[0] for n in lconvs],
-                              lconvs, "horizontal")
+                              lconvs, _horizontal_params(lconvs))
     return Splice(
         new_nodes, add.output, new_nodes[-1].output,
         "transform.merge_add", add.name, "apply", "all_operands_restorable",

@@ -22,6 +22,13 @@ The decomposition-specific convolution *roles* are plain attrs:
 
 TeMCO's ``IsLConv`` check (Algorithm 2) is structural and does not need
 the attr, but the attr makes printed graphs and tests readable.
+
+A merged lconv (Fig. 9a) and the fused node it anchors may carry a
+``passthrough`` attr: ``[[out_row, in_col, width], ...]`` runs of output
+channels that are input channels carried through unchanged (activated,
+in a fused node).  The weight (``weight`` / ``w1``) then maps, in order,
+the output rows outside the runs to the input columns outside them, and
+the bias covers those restored rows only.
 """
 
 from __future__ import annotations
@@ -47,6 +54,8 @@ __all__ = [
     "ACTIVATION_OPS",
     "UNARY_ELEMENTWISE_OPS",
     "POOL_OPS",
+    "passthrough_runs",
+    "tile_channels",
 ]
 
 #: Element-wise activation op kinds that activation-layer fusion can absorb.
@@ -155,6 +164,43 @@ def _nchw(node: Node, value: Value) -> tuple[int, int, int, int]:
     return value.shape  # type: ignore[return-value]
 
 
+def passthrough_runs(node: Node) -> tuple[tuple[int, int, int], ...]:
+    """A merged lconv's (or its fused node's) ``(out_row, in_col, width)``
+    pass-through runs, in output order; empty for every other node."""
+    return tuple((int(o), int(i), int(k))
+                 for o, i, k in node.attrs.get("passthrough") or ())
+
+
+def _passthrough_width(node: Node) -> int:
+    runs = node.attrs.get("passthrough")  # read on every shape inference
+    return sum(int(run[2]) for run in runs) if runs else 0
+
+
+def _carried(width: int) -> str:
+    """The pass-through term of a channel-count error message."""
+    return f" + {width} pass-through" if width else ""
+
+
+def tile_channels(node: Node) -> int:
+    """``C'`` of a fused node: the rows of its tile, ``w1``'s restored
+    rows plus its pass-through rows."""
+    return int(node.params["w1"].shape[0]) + _passthrough_width(node)
+
+
+def _validate_passthrough(node: Node, rows: int, cols: int) -> None:
+    """Runs lie inside the ``rows x cols`` merged matrix, in increasing
+    order along both axes, without overlap."""
+    out_end = in_end = 0
+    for out_row, in_col, width in passthrough_runs(node):
+        _require(width > 0 and out_row >= out_end and in_col >= in_end, node,
+                 f"pass-through run {[out_row, in_col, width]} is empty, "
+                 f"overlaps or is out of order")
+        out_end, in_end = out_row + width, in_col + width
+    _require(out_end <= rows and in_end <= cols, node,
+             f"pass-through runs end at row {out_end} / column {in_end}, "
+             f"past {rows} x {cols}")
+
+
 # ---------------------------------------------------------------------------
 # convolutions
 # ---------------------------------------------------------------------------
@@ -164,11 +210,13 @@ def _conv2d_infer(node: Node):
     weight = node.params["weight"]
     cout, cin_g, kh, kw = weight.shape
     groups = int(node.attrs.get("groups", 1))
-    _require(c == cin_g * groups, node,
-             f"input channels {c} != weight in-channels {cin_g} * groups {groups}")
+    carried = _passthrough_width(node)
+    _require(c == cin_g * groups + carried, node,
+             f"input channels {c} != weight in-channels {cin_g} * groups {groups}"
+             f"{_carried(carried)}")
     oh, ow = conv_output_hw(h, w, (kh, kw), node.attrs.get("stride", 1),
                             node.attrs.get("padding", 0), node.attrs.get("dilation", 1))
-    return (n, cout, oh, ow), node.input.dtype
+    return (n, cout + carried, oh, ow), node.input.dtype
 
 
 def _conv2d_validate(node: Node) -> None:
@@ -183,9 +231,16 @@ def _conv2d_validate(node: Node) -> None:
     if bias is not None:
         _require(bias.shape == (weight.shape[0],), node,
                  f"bias shape {bias.shape} != ({weight.shape[0]},)")
+    if node.attrs.get("passthrough"):
+        _require(weight.shape[2:] == (1, 1) and groups == 1, node,
+                 "pass-through runs need an ungrouped 1x1 conv")
+        carried = _passthrough_width(node)
+        _validate_passthrough(node, weight.shape[0] + carried,
+                              weight.shape[1] + carried)
 
 
 def _conv2d_flops(node: Node) -> int:
+    """Pass-through rows are a copy: no FLOPs."""
     weight = node.params["weight"]
     cout, cin_g, kh, kw = weight.shape
     n, _, oh, ow = node.output.shape
@@ -400,12 +455,15 @@ register("batchnorm2d", _batchnorm_infer, _batchnorm_validate,
 
 def _fused_block_infer(node: Node):
     n, c, h, w = _nchw(node, node.input)
-    w1 = node.params["w1"]  # (C', R_in) lconv restore matrix
+    w1 = node.params["w1"]  # (C', R_in) lconv restore matrix, restored rows
     w2 = node.params["w2"]  # (R_out, C') fconv reduce matrix
-    _require(w1.shape[1] == c, node,
-             f"fused block input channels {c} != w1 in-channels {w1.shape[1]}")
-    _require(w2.shape[1] == w1.shape[0], node,
-             f"w2 in-channels {w2.shape[1]} != w1 out-channels {w1.shape[0]}")
+    carried = _passthrough_width(node)
+    _require(w1.shape[1] + carried == c, node,
+             f"fused block input channels {c} != w1 in-channels {w1.shape[1]}"
+             f"{_carried(carried)}")
+    _require(w2.shape[1] == w1.shape[0] + carried, node,
+             f"w2 in-channels {w2.shape[1]} != w1 out-channels {w1.shape[0]}"
+             f"{_carried(carried)}")
     oh, ow = h, w
     pool = node.attrs.get("pool")
     if pool is not None:
@@ -430,14 +488,24 @@ def _fused_block_validate(node: Node) -> None:
         _require("kernel" in pool, node, "pool config missing 'kernel'")
     _require(not (pool is not None and node.attrs.get("upsample")), node,
              "fused_block cannot both pool and upsample")
+    _validate_fused_passthrough(node)
+
+
+def _validate_fused_passthrough(node: Node) -> None:
+    if node.attrs.get("passthrough"):
+        w1, carried = node.params["w1"], _passthrough_width(node)
+        _validate_passthrough(node, w1.shape[0] + carried,
+                              w1.shape[1] + carried)
 
 
 def _fused_block_flops(node: Node) -> int:
+    """The restored block's GEMM, one activation op per tile element
+    (restored or passed through) and the fconv GEMM."""
     w1 = node.params["w1"]
     w2 = node.params["w2"]
     n, _, h, w = node.input.shape
-    cprime = w1.shape[0]
-    lconv = 2 * n * h * w * cprime * w1.shape[1]
+    cprime = tile_channels(node)
+    lconv = 2 * n * h * w * w1.shape[0] * w1.shape[1]
     # fconv runs at the post-pool/upsample resolution
     _, _, oh, ow = node.output.shape
     fconv = 2 * n * oh * ow * w2.shape[0] * cprime
@@ -450,9 +518,11 @@ register("fused_block", _fused_block_infer, _fused_block_validate, _fused_block_
 
 def _fused_restore_infer(node: Node):
     n, c, h, w = _nchw(node, node.input)
-    w1 = node.params["w1"]  # (C', R_in) lconv restore matrix
-    _require(w1.shape[1] == c, node,
-             f"fused restore input channels {c} != w1 in-channels {w1.shape[1]}")
+    w1 = node.params["w1"]  # (C', R_in) lconv restore matrix, restored rows
+    carried = _passthrough_width(node)
+    _require(w1.shape[1] + carried == c, node,
+             f"fused restore input channels {c} != w1 in-channels {w1.shape[1]}"
+             f"{_carried(carried)}")
     oh, ow = h, w
     pool = node.attrs.get("pool")
     if pool is not None:
@@ -461,7 +531,7 @@ def _fused_restore_infer(node: Node):
     scale = int(node.attrs.get("upsample", 0) or 0)
     if scale:
         oh, ow = oh * scale, ow * scale
-    return (n, w1.shape[0], oh, ow), node.input.dtype
+    return (n, w1.shape[0] + carried, oh, ow), node.input.dtype
 
 
 def _fused_restore_validate(node: Node) -> None:
@@ -477,12 +547,14 @@ def _fused_restore_validate(node: Node) -> None:
              "fused_restore cannot both pool and upsample")
     _require(act is not None or pool is not None or node.attrs.get("upsample"),
              node, "fused_restore must absorb at least one layer beyond the lconv")
+    _validate_fused_passthrough(node)
 
 
 def _fused_restore_flops(node: Node) -> int:
     w1 = node.params["w1"]
     n, _, h, w = node.input.shape
-    return 2 * n * h * w * w1.shape[0] * w1.shape[1] + n * h * w * w1.shape[0]
+    return (2 * n * h * w * w1.shape[0] * w1.shape[1]
+            + n * h * w * tile_channels(node))
 
 
 register("fused_restore", _fused_restore_infer, _fused_restore_validate,

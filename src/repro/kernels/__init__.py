@@ -5,7 +5,9 @@
 node's static input shape, attrs and weights fix — a conv's path,
 geometry, im2col view strides and weight views, a batchnorm's scale and
 shift, an activation with its attrs, a pool's window, a fused kernel's
-tiles and packed ``[w1 | b1]`` — so a call only computes.  :func:`bind` looks
+tiles and packed ``[w1 | b1]`` — so a call only computes.  A merged
+lconv with pass-through runs that stays unfused runs the fused kernel's
+restore, one block written straight into its output.  :func:`bind` looks
 the binder up; a :class:`~repro.runtime.executor.Schedule` binds every
 node of its graph once, when a session is built.  :func:`run_node` binds
 and runs one node, for callers that hold no session.
@@ -25,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from ..ir.node import Node
-from ..ir.ops import ACTIVATION_OPS
+from ..ir.ops import ACTIVATION_OPS, passthrough_runs, tile_channels
 from .activation import (elu, gelu, get_activation, hardswish,
                          leaky_relu, relu, sigmoid, silu, softmax, tanh)
 from .conv import (bind_conv2d, bind_conv_transpose2d, conv2d,
@@ -91,6 +93,14 @@ def _unary(fn: Callable[[np.ndarray], np.ndarray]) -> Kernel:
 
 def _bind_conv2d(node: Node) -> Kernel:
     attrs = node.attrs
+    if attrs.get("passthrough"):
+        # a merged lconv left unfused: the fused kernel's restore, one
+        # block written straight into the output
+        weight = node.params["weight"]
+        return _unary(bind_fused(
+            node.inputs[0].shape, weight[:, :, 0, 0], node.params.get("bias"),
+            block_size=node.output.shape[1],
+            passthrough=passthrough_runs(node)))
     return _unary(bind_conv2d(
         node.inputs[0].shape, node.params["weight"], node.params.get("bias"),
         stride=attrs.get("stride", (1, 1)),
@@ -173,7 +183,7 @@ def _bind_fused(node: Node) -> Kernel:
         upsample=int(attrs.get("upsample", 0) or 0),
         block_size=int(attrs.get("block_size", DEFAULT_BLOCK_SIZE)),
         spatial_tile=int(attrs.get("spatial_tile", 0) or 0),
-        act_params=attrs.get("act_params")))
+        act_params=attrs.get("act_params"), passthrough=passthrough_runs(node)))
 
 
 def site_scratch_bytes(node: Node, block_size: int | None = None,
@@ -188,7 +198,7 @@ def site_scratch_bytes(node: Node, block_size: int | None = None,
         spatial_tile = node.attrs.get("spatial_tile", 0) or 0
     return fused_scratch_bytes(
         node.input.shape, node.input.dtype.itemsize,
-        block_size=int(block_size), c_prime=node.params["w1"].shape[0],
+        block_size=int(block_size), c_prime=tile_channels(node),
         spatial_tile=int(spatial_tile), pool=node.attrs.get("pool"))
 
 

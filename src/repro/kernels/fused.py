@@ -81,6 +81,17 @@ and ~10 NumPy calls of fixed dispatch per block remain, which is why the
 compiler hands out the fewest, widest blocks the graph's memory already
 pays for (:func:`repro.core.fusion.widen_tiles`).
 
+A merged lconv's ``passthrough`` runs (Fig. 9a's concat branches that
+are not restore chains) are tile rows read from ``x``: each block fills
+a pass-through run with one activation pass straight from the input
+channels it carries (a copy without an activation), and each run of
+restored rows with one GEMM against ``[w1 | b1]``'s rows, ``w1`` holding
+only the restored rows and columns and ``[x; 1]`` augmenting only the
+restored channels.  The restored branches stay one compact
+block-diagonal GEMM rather than one per branch, whose dispatch cost
+2-5x at batch 4 on DenseNet's 3-8 branch sites.  A site without runs has
+one restored run per block: the kernel as it was, bit for bit.
+
 Correctness constraint from the paper (§3.2): the activation is
 element-wise and the fconv needs *all* activated channels per output
 element, so the sequence cannot be reordered — but it *can* be blocked
@@ -156,13 +167,45 @@ def spatially_tileable(h: int, w: int, spatial_tile: int,
     return True
 
 
+def _row_pieces(c_prime: int, runs: tuple[tuple[int, int, int], ...]):
+    """The tile's rows ``[0, C')`` in order, as ``(start, stop, in_col,
+    w1_row)``: a pass-through run reads the input from channel ``in_col``
+    on (``w1_row`` is None), a restored run reads ``w1`` from row
+    ``w1_row`` on (``in_col`` is None)."""
+    pieces, row, w1_row = [], 0, 0
+    for out_row, in_col, width in runs:
+        if out_row > row:
+            pieces.append((row, out_row, None, w1_row))
+            w1_row += out_row - row
+        pieces.append((out_row, out_row + width, in_col, None))
+        row = out_row + width
+    if row < c_prime:
+        pieces.append((row, c_prime, None, w1_row))
+    return pieces
+
+
+def _restored_columns(r_in: int, runs: tuple[tuple[int, int, int], ...]):
+    """The input channels outside the pass-through runs, in order, as
+    index pairs ``(columns of [x; 1], channels of x)``: they are ``w1``'s
+    columns.  The second is None where the run is all of ``x``."""
+    columns, col, k = [], 0, 0
+    for _out_row, in_col, width in (*runs, (0, r_in, 0)):
+        if in_col > col:
+            columns.append(((slice(None), slice(k, k + in_col - col)),
+                            None if (col, in_col) == (0, r_in)
+                            else (slice(None), slice(col, in_col))))
+            k += in_col - col
+        col = in_col + width
+    return tuple(columns)
+
+
 def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
                b1: np.ndarray | None, w2: np.ndarray | None = None,
                b2: np.ndarray | None = None, act: str | None = None,
                pool: dict[str, Any] | None = None, upsample: int = 0,
                block_size: int = DEFAULT_BLOCK_SIZE, spatial_tile: int = 0,
-               act_params: dict[str, Any] | None = None
-               ) -> Callable[[np.ndarray], np.ndarray]:
+               act_params: dict[str, Any] | None = None,
+               passthrough=()) -> Callable[[np.ndarray], np.ndarray]:
     """The fused kernel for inputs of shape ``x_shape`` (any batch):
     :func:`fused_block` with a reduce matrix ``w2``, :func:`fused_restore`
     without one (then ``b2`` is ignored).  See those for the parameters."""
@@ -170,9 +213,14 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
     if pool is not None and upsample:
         raise ValueError(f"{name} cannot both pool and upsample")
     _n, r_in, h, w = x_shape
-    c_prime, r_in_w = w1.shape
-    if r_in_w != r_in:
-        raise ValueError(f"w1 in-channels {r_in_w} != input channels {r_in}")
+    runs = tuple((int(o), int(i), int(k)) for o, i, k in passthrough)
+    carried = sum(k for _o, _i, k in runs)
+    c_restored, r_restored = w1.shape
+    c_prime = c_restored + carried
+    if r_restored + carried != r_in:
+        raise ValueError(f"w1 in-channels {r_restored}"
+                         + (f" + {carried} pass-through" if carried else "")
+                         + f" != input channels {r_in}")
     if w2 is not None and w2.shape[1] != c_prime:
         raise ValueError(f"w2 in-channels {w2.shape[1]} != w1 out-channels "
                          f"{c_prime}")
@@ -198,13 +246,38 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
          everything + (slice(ty * oth, (ty + 1) * oth),
                        slice(tx * otw, (tx + 1) * otw)))
         for ty in range(h // th) for tx in range(w // tw))
-    # the restore GEMM's right operand: [w1 | b1] against the NCHW
-    # [x; 1], or its transpose against [x; 1]ᵀ for a channels-last tile
+    pieces = _row_pieces(c_prime, runs)
+    # the tile axis that holds a block's channels
+    rows_axis = (slice(None),) * (2 if channels_last else 1)
+
+    def steps(c0: int, c1: int):
+        """A block's runs: ``(rows, in_channels, None)`` for pass-through
+        rows, ``(rows, None, restore_rows)`` for restored rows.  ``rows``
+        indexes the tile (None: all of it); ``restore_rows`` is the restore
+        GEMM's right operand, ``[w1 | b1]``'s rows against the NCHW
+        ``[x; 1]``, or their transpose against ``[x; 1]ᵀ`` for a
+        channels-last tile."""
+        for start, stop, in_col, w1_row in pieces:
+            lo, hi = max(start, c0), min(stop, c1)
+            if lo >= hi:
+                continue
+            rows = (None if (lo, hi) == (c0, c1)
+                    else rows_axis + (slice(lo - c0, hi - c0),))
+            if in_col is not None:
+                col = in_col + lo - start
+                yield rows, (slice(None), slice(col, col + hi - lo)), None
+                continue
+            restore_rows = restore[w1_row + lo - start:w1_row + hi - start]
+            yield (rows, None, np.ascontiguousarray(restore_rows.T)
+                   if channels_last else restore_rows)
+
     blocks = tuple((c0, min(c0 + block, c_prime),
-                    (np.ascontiguousarray(restore[c0:c0 + block].T)
-                     if channels_last else restore[c0:c0 + block]),
+                    tuple(steps(c0, min(c0 + block, c_prime))),
                     None if w2 is None else w2[:, c0:c0 + block])
                    for c0 in range(0, c_prime, block))
+    columns = _restored_columns(r_in, runs)
+    # without a bias, one run of restored channels is read in place
+    x_in_place = b1 is None and len(columns) == 1
     # a restore with nothing to resample lands straight in its output slice
     may_write_through = w2 is None and resample is None
     b2_nchw = None if w2 is None or b2 is None else b2[None, :, None, None]
@@ -217,15 +290,20 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
         region, streamed through one reusable tile into ``out``, that
         region's output."""
         n = x_region.shape[0]
-        if b1 is None:
+        if x_in_place:
             # a view, except for a spatial tile of a larger input (rank-R, tile-sized copy)
-            x_flat = x_region.reshape(n, r_in, hw)
+            channels = columns[0][1]
+            x_flat = (x_region if channels is None else x_region[channels]
+                      ).reshape(n, r_restored, hw)
         else:
-            # [w1 | b1] @ [x; 1]: the bias is added inside the restore GEMM
-            x_aug = np.empty((n, r_in + 1, th, tw), dtype=x_region.dtype)
-            x_aug[:, :r_in] = x_region
-            x_aug[:, r_in] = 1
-            x_flat = x_aug.reshape(n, r_in + 1, hw)
+            # [w1 | b1] @ [x; 1] over the restored channels only: the bias
+            # is added inside the restore GEMM
+            x_aug = np.empty((n, restore.shape[1], th, tw), dtype=x_region.dtype)
+            for to, channels in columns:
+                x_aug[to] = x_region if channels is None else x_region[channels]
+            if b1 is not None:
+                x_aug[:, r_restored] = 1
+            x_flat = x_aug.reshape(n, restore.shape[1], hw)
         if channels_last:  # BLAS reads the NCHW input with a trans flag
             x_flat = x_flat.transpose(0, 2, 1)
         direct = may_write_through and out.flags.c_contiguous
@@ -239,21 +317,37 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
             into_out = out.flags.c_contiguous
             if not into_out or len(blocks) > 1:
                 acc = np.empty((n, r_out, ohw), dtype=out.dtype)
-        for c0, c1, restore_block, reduce_block in blocks:
+        for c0, c1, block_steps, reduce_block in blocks:
             width = c1 - c0
             if direct:
                 tile = out[:, c0:c1].reshape(n, width, hw)
             else:
                 tile = scratch[:n * width * hw].reshape(
                     (n, hw, width) if channels_last else (n, width, hw))
-            # (1) restore a channel block, one GEMM per sample
-            if channels_last:
-                np.matmul(x_flat, restore_block, out=tile)
-            else:
-                np.matmul(restore_block, x_flat, out=tile)
-            # (2) activation, in place
-            if act_fn is not None:
-                act_fn(tile, out=tile)
+            for rows, source, restore_rows in block_steps:
+                rows = tile if rows is None else tile[rows]
+                if source is None:
+                    # (1) restore the block's rows, one GEMM per sample
+                    if channels_last:
+                        np.matmul(x_flat, restore_rows, out=rows)
+                    else:
+                        np.matmul(restore_rows, x_flat, out=rows)
+                    # (2) activation, in place
+                    if act_fn is not None:
+                        act_fn(rows, out=rows)
+                    continue
+                # (1-2) pass-through rows: the activation, or a copy, of
+                # the input channels the run carries
+                src = x_region[source]
+                if channels_last:
+                    src = src.transpose(0, 2, 3, 1)
+                rows = rows.reshape(src.shape)
+                if act_fn is not None and src.dtype == dtype:
+                    act_fn(src, out=rows)
+                    continue
+                rows[...] = src
+                if act_fn is not None:
+                    act_fn(rows, out=rows)
             if direct:
                 continue
             # (3) optional spatial resampling per block.  A pool's column
@@ -315,13 +409,15 @@ def fused_block(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
                 upsample: int = 0,
                 block_size: int = DEFAULT_BLOCK_SIZE,
                 spatial_tile: int = 0,
-                act_params: dict[str, Any] | None = None) -> np.ndarray:
+                act_params: dict[str, Any] | None = None,
+                passthrough=()) -> np.ndarray:
     """Run the fused sequence on ``x`` of shape ``(N, R_in, H, W)``.
 
     Parameters
     ----------
     w1:
-        lconv restore matrix, shape ``(C', R_in)``.
+        lconv restore matrix, shape ``(C', R_in)`` — without pass-through
+        runs; with them, the restored rows only (below).
     w2:
         fconv reduce matrix, shape ``(R_out, C')``.
     act:
@@ -344,9 +440,15 @@ def fused_block(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
         blocking.  Scratch memory with both blockings is at most
         ``block_size · spatial_tile² · N`` elements (``N`` a sample
         group's size where the batch runs in groups).
+    passthrough:
+        A merged lconv's ``(out_row, in_col, width)`` runs: tile rows
+        ``out_row:out_row+width`` are input channels ``in_col:in_col+width``
+        carried through (activated, as every tile row is).  ``w1`` then
+        maps, in order, the rows outside the runs to the input channels
+        outside them, and ``b1`` covers those rows only.
     """
     return bind_fused(x.shape, w1, b1, w2, b2, act, pool, upsample,
-                      block_size, spatial_tile, act_params)(x)
+                      block_size, spatial_tile, act_params, passthrough)(x)
 
 
 def fused_restore(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
@@ -354,7 +456,8 @@ def fused_restore(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
                   upsample: int = 0,
                   block_size: int = DEFAULT_BLOCK_SIZE,
                   spatial_tile: int = 0,
-                  act_params: dict[str, Any] | None = None) -> np.ndarray:
+                  act_params: dict[str, Any] | None = None,
+                  passthrough=()) -> np.ndarray:
     """Restore-epilogue kernel: ``lconv → act [→ pool | upsample]`` streamed
     through channel-block tiles, materializing only the *final* tensor.
 
@@ -365,10 +468,11 @@ def fused_restore(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
     activation's input+output pair (Eq. 3's ``2·C'H'W'`` term) never
     coexists — each channel block is restored, activated, pooled and
     written out before the next block is touched.  This is Listing 1
-    without the trailing fconv contraction.
+    without the trailing fconv contraction; the parameters are
+    :func:`fused_block`'s.
     """
     return bind_fused(x.shape, w1, b1, None, None, act, pool, upsample,
-                      block_size, spatial_tile, act_params)(x)
+                      block_size, spatial_tile, act_params, passthrough)(x)
 
 
 def fused_scratch_bytes(input_shape: tuple[int, ...], itemsize: int,

@@ -92,6 +92,10 @@ def _bw_conv2d(node: Node, inputs, output, grad_y):
     if tuple(pair(node.attrs.get("dilation", (1, 1)))) != (1, 1):
         raise UntrainableOpError(
             f"dilated convolutions are inference-only (node {node.name!r})")
+    if node.attrs.get("passthrough"):
+        raise UntrainableOpError(
+            f"a merged lconv's pass-through runs are inference-only "
+            f"(node {node.name!r})")
     stride = node.attrs.get("stride", (1, 1))
     padding = node.attrs.get("padding", (0, 0))
     groups = int(node.attrs.get("groups", 1))

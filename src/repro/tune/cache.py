@@ -47,8 +47,12 @@ __all__ = ["TuneCache", "TuneRecord", "SiteRecord", "default_cache_dir",
 #: v4 winners at those sites were timed on a different kernel.
 #: 6: fused kernels run the batch in sample groups whose tile fits in L2,
 #: so at batch 32 a wide tile no longer pays for L3 traffic and v5 winners
-#: at those sites were timed on a different kernel).
-CACHE_VERSION = 6
+#: at those sites were timed on a different kernel.
+#: 7: a merged lconv keeps its pass-through branches as runs of input
+#: channels, not identity blocks, so cached plans hold dense merged weights
+#: the compiler no longer builds and v6 winners at the merged sites were
+#: timed on the identity GEMM).
+CACHE_VERSION = 7
 
 
 def default_cache_dir() -> Path:

@@ -34,6 +34,7 @@ from ..data.synthetic import random_inputs
 from ..decompose import DecompositionConfig, decompose_graph
 from ..ir.graph import Graph
 from ..ir.node import Node
+from ..ir.ops import tile_channels
 from ..kernels import DEFAULT_BLOCK_SIZE, bind, site_scratch_bytes
 from ..kernels.fused import spatially_tileable
 from ..obs import get_tracer
@@ -109,7 +110,7 @@ def apply_overrides(graph: Graph,
             continue
         block, tile = overrides[key]
         node.attrs["block_size"] = min(max(1, int(block)),
-                                       int(node.params["w1"].shape[0]))
+                                       tile_channels(node))
         node.attrs["spatial_tile"] = int(tile)
         patched += 1
     return patched
@@ -126,7 +127,7 @@ def site_candidates(node: Node,
     back to channel-only blocking.
     """
     _n, _r, h, w = node.inputs[0].shape
-    c_prime = int(node.params["w1"].shape[0])
+    c_prime = tile_channels(node)
     blocks = sorted({min(max(1, int(b)), c_prime) for b in block_sizes})
     tiles = [0] + sorted({int(t) for t in SPATIAL_TILES if t > 0
                           and spatially_tileable(h, w, t,

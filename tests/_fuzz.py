@@ -38,7 +38,8 @@ def random_cnn(seed: int, *, max_blocks: int = 5, hw: int = 16,
 
     Structure: a stem conv, then up to ``max_blocks`` blocks, each
     randomly one of {plain conv+act, conv+act+pool, residual add,
-    branch+concat, DenseNet composite (``concat → act → 1×1``), U-Net
+    branch+concat, DenseNet composite (``concat → act → 1×1``, the new
+    features activated or not, joined first or second), U-Net
     decoder (``act(1×1) → upsample``, only below the input size)};
     spatial dims change only block-wide, so adds/concats always align.
 
@@ -51,6 +52,7 @@ def random_cnn(seed: int, *, max_blocks: int = 5, hw: int = 16,
     """
     rng = np.random.default_rng(seed)
     stray_rng = np.random.default_rng([seed, 1])  # leaves ``rng`` alone
+    dense_rng = np.random.default_rng([seed, 2])  # so does the composite's layout
     b = GraphBuilder(f"fuzz{seed}", seed=seed)
     if strays and stray_rng.integers(0, 2):
         b.input("unused_big", (batch, 64, hw, hw))
@@ -87,11 +89,18 @@ def random_cnn(seed: int, *, max_blocks: int = 5, hw: int = 16,
             h = b.conv2d(h, channels, 3, padding=1, name=f"b{i}.c2")
             h = act(b.add(h, skip))
         elif kind == 4:  # DenseNet composite: concat -> act -> 1x1
-            new = act(b.conv2d(h, base_channels, 3, padding=1,
-                               name=f"b{i}.dense"))
+            # a growth of 16 is wide enough to decompose into a restore
+            growth = base_channels * int(dense_rng.integers(1, 3))
+            new = b.conv2d(h, growth, 3, padding=1, name=f"b{i}.dense")
+            # DenseNet-BC joins the conv output unactivated, which makes
+            # ``h`` a pass-through branch of the merged lconv — leading,
+            # or second, as in ``concat(new, h)``
+            if dense_rng.integers(0, 2):
+                new = act(new)
+            joined = (new, h) if dense_rng.integers(0, 2) else (h, new)
             channels = base_channels * int(rng.integers(1, 5))
-            h = b.conv2d(act(b.concat(h, new, name=f"b{i}.dcat")), channels, 1,
-                         name=f"b{i}.bottleneck")
+            h = b.conv2d(act(b.concat(*joined, name=f"b{i}.dcat")), channels,
+                         1, name=f"b{i}.bottleneck")
         elif kind == 5 and cur_hw < hw:  # U-Net decoder: act(1x1) -> upsample
             channels = h.shape[1] + base_channels  # widening: an lconv
             h = act(b.conv2d(h, channels, 1, name=f"b{i}.up"))

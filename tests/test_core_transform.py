@@ -56,12 +56,18 @@ class TestMergeConcat:
         g = b.finish(out)
         assert merge_lconv_concat(g).merged_concats == 0
 
-    def test_passthrough_branch_gets_identity_block(self):
+    @pytest.mark.parametrize("order", ["leading", "trailing", "between"])
+    def test_passthrough_branch_is_a_run(self, order):
+        """A pass-through branch is a run of carried channels: the merged
+        weight holds only the restored blocks, with no identity rows."""
         b = GraphBuilder("t", seed=1)
         x = b.input("x", (1, 6, 8, 8))
         plain = b.maxpool2d(x, 1)            # not a restore chain
-        l2 = b.conv2d(x, 16, 1, name="lconv_b")
-        cat = b.concat(plain, l2, name="join")
+        la = b.conv2d(x, 16, 1, name="lconv_a")
+        lb = b.conv2d(x, 12, 1, name="lconv_b")
+        branches = {"leading": (plain, la, lb), "trailing": (la, lb, plain),
+                    "between": (la, plain, lb)}[order]
+        cat = b.concat(*branches, name="join")
         out = b.conv2d(cat, 4, 1, name="after")
         g = b.finish(out)
         before = g.clone("before")
@@ -69,8 +75,40 @@ class TestMergeConcat:
         assert stats.merged_concats == 1
         merged = next(n for n in g.nodes if "merged_from" in n.attrs)
         w = merged.params["weight"][:, :, 0, 0]
-        np.testing.assert_array_equal(w[:6, :6], np.eye(6, dtype=w.dtype))
+        assert w.shape == (16 + 12, 6 + 6)
+        assert not (np.count_nonzero(w, axis=1) == 1).any()
+        start = {"leading": 0, "trailing": 28, "between": 16}[order]
+        col = {"leading": 0, "trailing": 12, "between": 6}[order]
+        assert ops.passthrough_runs(merged) == ((start, col, 6),)
+        assert merged.output.shape == (1, 34, 8, 8)
         assert_equivalent(before, g, random_input(g), rtol=1e-4)
+
+    def test_nested_merge_carries_inner_runs(self):
+        """A merged lconv that is a branch of another concat brings its
+        runs along, shifted to where it lands."""
+        b = GraphBuilder("t", seed=3)
+        x = b.input("x", (2, 6, 8, 8))
+        inner = b.concat(b.maxpool2d(x, 1), b.conv2d(x, 16, 1), name="inner")
+        inner_cat = b.conv2d(x, 20, 1)
+        outer = b.concat(inner_cat, inner, name="outer")
+        out = b.conv2d(outer, 4, 1, name="after")
+        g = b.finish(out)
+        before = g.clone("before")
+        assert merge_lconv_concat(g).merged_concats == 2
+        runs = [ops.passthrough_runs(n) for n in g.nodes if "merged_from" in n.attrs]
+        assert runs == [((20, 6, 6),)]
+        assert_equivalent(before, g, random_input(g), rtol=1e-4)
+
+    def test_batchnorm_does_not_fold_into_runs(self):
+        """A batchnorm after a merged lconv would rescale its pass-through
+        rows too, which have no weight to fold into."""
+        from repro.core import fold_batchnorm
+        b = GraphBuilder("t", seed=2)
+        x = b.input("x", (1, 6, 4, 4))
+        cat = b.concat(b.maxpool2d(x, 1), b.conv2d(x, 16, 1))
+        g = b.finish(b.batchnorm2d(cat))
+        merge_lconv_concat(g)
+        assert fold_batchnorm(g) == 0
 
     def test_passthrough_with_act_blocks_merge(self):
         b = GraphBuilder("t", seed=0)
@@ -102,6 +140,19 @@ class TestMergeAdd:
         assert stats.merged_adds == 1
         merged = next(n for n in g.nodes if "merged_from" in n.attrs)
         assert merged.params["weight"].shape[:2] == (24, 12)
+        assert_equivalent(before, g, random_input(g), rtol=1e-4)
+
+    def test_operands_with_runs_block(self):
+        """``[W_a | W_b]`` has no place for a pass-through run: two merged
+        lconvs with runs of equal width are left to the add."""
+        b = GraphBuilder("t", seed=2)
+        x = b.input("x", (1, 6, 4, 4))
+        m1 = b.concat(b.maxpool2d(x, 1), b.conv2d(x, 16, 1))
+        m2 = b.concat(b.avgpool2d(x, 1), b.conv2d(x, 16, 1))
+        g = b.finish(b.add(m1, m2))
+        before = g.clone("before")
+        assert merge_lconv_concat(g).merged_concats == 2
+        assert merge_lconv_add(g).merged_adds == 0
         assert_equivalent(before, g, random_input(g), rtol=1e-4)
 
     def test_biases_summed(self):

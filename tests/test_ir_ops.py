@@ -153,6 +153,57 @@ class TestFusedOps:
                       params={"w1": np.zeros((32, 4), np.float32)})
 
 
+class TestPassThroughRuns:
+    """A merged lconv's runs widen its output and input by their widths;
+    runs that leave the merged matrix, overlap or run backwards are
+    refused (a graph loaded from a file is outside input)."""
+
+    def _merged(self, runs, op="conv2d"):
+        """24 restored rows from 4 of the input's 10 channels."""
+        g, x = _graph_with_input((2, 10, 4, 4))
+        attrs, params = {"passthrough": runs}, {}
+        if op == "conv2d":
+            params["weight"] = np.zeros((24, 4, 1, 1), np.float32)
+        else:
+            attrs["act"] = "relu"
+            params["w1"] = np.zeros((24, 4), np.float32)
+        if op == "fused_block":
+            params["w2"] = np.zeros((3, 30), np.float32)
+        return make_node(g, op, [x], attrs=attrs, params=params)
+
+    @pytest.mark.parametrize("op", ["conv2d", "fused_block", "fused_restore"])
+    def test_shapes_and_flops_count_the_runs(self, op):
+        node = self._merged([[0, 0, 2], [10, 4, 4]], op=op)
+        assert ops.passthrough_runs(node) == ((0, 0, 2), (10, 4, 4))
+        assert node.output.shape[1] == (3 if op == "fused_block" else 30)
+        restore = 2 * 2 * 16 * 24 * 4  # the restored rows' GEMM only
+        if op == "conv2d":
+            assert ops.node_flops(node) == restore
+        else:
+            assert ops.tile_channels(node) == 30
+            act = 2 * 16 * 30  # one op per tile element, runs included
+            fconv = 2 * 2 * 16 * 3 * 30 if op == "fused_block" else 0
+            assert ops.node_flops(node) == restore + act + fconv
+
+    @pytest.mark.parametrize("runs, match", [
+        ([[0, 0, 3]], "input channels"),            # widths disagree with x
+        ([[0, 0, 6], [4, 6, 0]], "pass-through"),   # overlap and empty
+        ([[10, 4, 4], [0, 0, 2]], "out of order"),
+        ([[0, 6, 2], [10, 0, 4]], "out of order"),
+    ])
+    def test_malformed_runs_rejected(self, runs, match):
+        with pytest.raises(ValueError, match=match):
+            self._merged(runs)
+
+    def test_runs_past_the_matrix_rejected(self):
+        g, x = _graph_with_input((2, 10, 4, 4))
+        node = make_node(g, "conv2d", [x], attrs={"passthrough": [[0, 0, 6]]},
+                         params={"weight": np.zeros((24, 4, 1, 1), np.float32)})
+        node.attrs["passthrough"] = [[26, 4, 6]]
+        with pytest.raises(ValueError, match="past"):
+            ops.validate_node(node)
+
+
 class TestStructuralPredicates:
     def test_is_lconv_and_fconv(self):
         b = GraphBuilder("t", seed=0)

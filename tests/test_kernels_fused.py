@@ -359,6 +359,113 @@ class TestSampleGroups:
                 x[i:i + 1]).tobytes(), i
 
 
+def _dense_merged(w1, b1, runs, c_prime, r_in):
+    """The dense block-diagonal matrix a merged lconv with pass-through
+    ``runs`` stands for: ``w1`` over the rows and columns outside the
+    runs, an identity block on each run.  Only this test's reference."""
+    dense = np.zeros((c_prime, r_in), dtype=w1.dtype)
+    rows = np.ones(c_prime, bool)
+    cols = np.ones(r_in, bool)
+    for out_row, in_col, width in runs:
+        dense[out_row + np.arange(width), in_col + np.arange(width)] = 1
+        rows[out_row:out_row + width] = False
+        cols[in_col:in_col + width] = False
+    dense[np.ix_(rows, cols)] = w1
+    bias = None
+    if b1 is not None:
+        bias = np.zeros(c_prime, dtype=b1.dtype)
+        bias[rows] = b1
+    return dense, bias
+
+
+@st.composite
+def _merged_site(draw):
+    """Branches in any order — pass-through runs leading, trailing or
+    between restored ones — as ``(runs, restored rows, restored columns,
+    C', R_in)``."""
+    branches = draw(st.lists(
+        st.tuples(st.booleans(), st.integers(1, 5), st.integers(1, 3)),
+        min_size=1, max_size=4))
+    if all(passed for passed, _w, _r in branches):
+        branches.append((False, 4, 2))
+    runs, rows, cols = [], 0, 0
+    c_prime = r_in = 0
+    for passed, width, rank in branches:
+        if passed:
+            runs.append((c_prime, r_in, width))
+            c_prime, r_in = c_prime + width, r_in + width
+        else:  # a restore chain: ``rank`` reduced channels to more rows
+            rows, cols = rows + rank + width, cols + rank
+            c_prime, r_in = c_prime + rank + width, r_in + rank
+    return tuple(runs), rows, cols, c_prime, r_in
+
+
+class TestPassThroughRuns:
+    """A merged lconv's pass-through runs are read from the input into
+    the tile (activated, or copied): over any run layout, block width,
+    resampling, activation and dtype the kernels equal the layers run
+    separately on the dense block-diagonal matrix with identity blocks,
+    and a sample's answer stays bitwise its own in any sample grouping."""
+
+    UNPOOLED = ("plain", "upsample", "spatial_tile", "spatial_tile+upsample")
+
+    @settings(max_examples=150, deadline=None)
+    @given(site=_merged_site(), seed=st.integers(0, 10_000),
+           block=st.integers(1, 12), bias=st.booleans(),
+           act=st.sampled_from([None, "relu", "leaky_relu"]),
+           pooled=st.one_of(st.none(), pool_geometry()),
+           unpooled=st.sampled_from(UNPOOLED),
+           n=st.sampled_from([*range(1, 10), 32]),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    def test_equals_dense_identity_blocks_and_is_batch_invariant(
+            self, site, seed, block, bias, act, pooled, unpooled, n, dtype):
+        runs, rows, cols, c_prime, r_in = site
+        if pooled is None:
+            variant, (h, w) = dict(VARIANTS[unpooled]), (8, 8)
+        else:
+            pool, (h, w), spatial_tile = pooled
+            variant = {"pool": pool, "spatial_tile": spatial_tile}
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape, fan_in=1):
+            return (rng.normal(size=shape) / np.sqrt(fan_in)).astype(dtype)
+
+        x = draw(n, r_in, h, w)
+        w1, b1 = draw(rows, cols, fan_in=cols), draw(rows) if bias else None
+        w2, b2 = draw(3, c_prime, fan_in=c_prime), draw(3)
+        dense, dense_b1 = _dense_merged(w1, b1, runs, c_prime, r_in)
+        tol = (dict(atol=1e-10) if dtype == np.float64
+               else dict(rtol=1e-5, atol=1e-6))
+        for w2_, b2_ in ((w2, b2), (None, None)):
+            kernel = bind_fused(x.shape, w1, b1, w2_, b2_, act=act,
+                                block_size=block, passthrough=runs, **variant)
+            got = kernel(x)
+            assert got.dtype == dtype
+            np.testing.assert_allclose(
+                got, reference_chain(x, dense, dense_b1, w2_, b2_, act=act,
+                                     pool=variant.get("pool"),
+                                     upsample=variant.get("upsample", 0)),
+                **tol)
+            sample = fused_scratch_bytes(
+                (1,) + x.shape[1:], x.itemsize, block_size=block,
+                c_prime=c_prime, spatial_tile=variant.get("spatial_tile", 0),
+                pool=variant.get("pool"))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fused_module, "TILE_BYTES",
+                              -(-n * sample // min(n, 3)))
+                grouped = kernel(x)
+                alone = [kernel(x[i:i + 1]) for i in range(n)]
+            assert grouped.tobytes() == got.tobytes()
+            for i in range(n):
+                assert got[i:i + 1].tobytes() == alone[i].tobytes(), i
+
+    def test_runs_must_match_the_input(self, rng):
+        x = _f32(rng, 2, 6, 4, 4)
+        with pytest.raises(ValueError, match="pass-through"):
+            fused_restore(x, _f32(rng, 8, 4), None, act="relu",
+                          passthrough=[(0, 0, 3)])
+
+
 def _traced_peak(fn):
     """(result, peak bytes allocated while ``fn`` ran, result included)."""
     fn()  # first-call caches (ufunc loops, BLAS buffers) are not scratch

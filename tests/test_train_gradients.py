@@ -162,6 +162,17 @@ class TestBackwardAPI:
         with pytest.raises(UntrainableOpError, match="decomposed model"):
             backward(tape, {out: np.ones_like(tape.env[out])})
 
+    def test_merged_lconv_with_runs_is_untrainable(self):
+        from repro.core import merge_lconv_concat
+        b = GraphBuilder("t", seed=0)
+        x = b.input("x", (1, 3, 4, 4))
+        g = b.finish(b.concat(b.maxpool2d(x, 1), b.conv2d(x, 8, 1)))
+        merge_lconv_concat(g)
+        tape = forward_with_tape(g, random_input(g))
+        out = g.outputs[0].name
+        with pytest.raises(UntrainableOpError, match="pass-through"):
+            backward(tape, {out: np.ones_like(tape.env[out])})
+
     def test_input_gradients_returned(self):
         b = GraphBuilder("t", seed=0)
         x = b.input("x", (1, 2, 3, 3))
