@@ -118,10 +118,23 @@ class TestHotSites:
     perfbench run."""
 
     def test_fused_restore_fractalnet(self, benchmark, batch):
-        # (N,2,32,32) -> 16 channels + relu: 131 calls per fractalnet run
+        # (N,2,32,32) -> 16 channels + relu: 6 calls per fractalnet run,
+        # the terms of the join that feeds the head; every other join is
+        # summed inside the fused block below
         x, w1, b1 = _data((batch, 2, 32, 32)), _data((16, 2)), _data(16)
         benchmark(bind_fused(x.shape, w1, b1, None, None, "relu", None, 0,
                              16), x)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_fused_block_fractalnet_join(self, benchmark, batch, k):
+        # a sum of k activated restores feeding a 1x1 conv, merged:
+        # (N,2k,32,32) -> block-diagonal 16k -> 2, the 1x1 weight
+        # repeated k times; 16 / 8 calls per fractalnet run at k = 2 / 4
+        x = _data((batch, 2 * k, 32, 32))
+        w1, b1 = _merged_w1(k), _data(16 * k)
+        w2 = np.concatenate([_data((2, 16))] * k, axis=1)
+        benchmark(bind_fused(x.shape, w1, b1, w2, _data(2), "relu", None, 0,
+                             32), x)
 
     def test_fused_block_pooled_alexnet(self, benchmark, batch):
         # (N,19,8,8) -> 192 -> 19 around a 3x3/s2/p1 max pool

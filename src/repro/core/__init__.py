@@ -28,8 +28,8 @@ from .scheduling import ScheduleStats, greedy_order, reschedule
 from .skip_opt import (RestorePlan, SkipOptConfig, SkipOptStats, find_reduced,
                        optimize_skip_connections)
 from .transform import (TransformStats, commute_upsample_lconv, merge_lconv_add,
-                        merge_lconv_concat, push_act_through_concat,
-                        split_concat_fconv)
+                        merge_lconv_concat, merge_sum_fconv,
+                        push_act_through_concat, split_concat_fconv)
 
 __all__ = [
     "LiveInterval",
@@ -59,6 +59,7 @@ __all__ = [
     "commute_upsample_lconv",
     "merge_lconv_add",
     "merge_lconv_concat",
+    "merge_sum_fconv",
     "push_act_through_concat",
     "split_concat_fconv",
     "ScheduleStats",

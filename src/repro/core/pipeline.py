@@ -26,7 +26,8 @@ from .scheduling import ScheduleStats, reschedule
 from .skip_opt import SkipOptStats, optimize_skip_connections
 from .transform import (TransformStats, commute_upsample_lconv,
                         merge_lconv_add, merge_lconv_concat,
-                        push_act_through_concat, split_concat_fconv)
+                        merge_sum_fconv, push_act_through_concat,
+                        split_concat_fconv)
 
 __all__ = ["TeMCOConfig", "OptimizationReport", "optimize"]
 
@@ -39,7 +40,8 @@ class TeMCOConfig:
 
     ``concat_strategy`` selects Figure 9's path for concat joins:
     ``"merge"`` builds the block-diagonal merged lconv (one fused kernel
-    per join — the paper's default for DenseNet/UNet), ``"split"``
+    per join — the paper's default for DenseNet/UNet; a sum join of
+    activated restores merges into the 1×1 conv it feeds), ``"split"``
     produces per-branch convolutions plus add (more kernels, no weight
     growth), ``"none"`` leaves concats alone.
     """
@@ -182,6 +184,7 @@ def _compile_once(graph: Graph,
                 # back to splitting the remaining mixed concats (Fig. 9c)
                 merge_lconv_concat(work, tstats)
                 merge_lconv_add(work, tstats)
+                merge_sum_fconv(work, tstats)
                 push_act_through_concat(work, tstats)
                 split_concat_fconv(work, tstats)
             elif config.concat_strategy == "split":

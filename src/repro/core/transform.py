@@ -1,6 +1,6 @@
 """Layer transformations around concat/add joins (paper §3.3, Figure 9).
 
-Three rewrites extend the reach of activation layer fusion to the
+Four rewrites extend the reach of activation layer fusion to the
 skip-connection *join* points:
 
 - :func:`merge_lconv_concat` (Fig. 9b → 9a): a concat whose branches
@@ -15,6 +15,13 @@ skip-connection *join* points:
 - :func:`merge_lconv_add` (Fig. 9c → 9a): an add whose operands all end
   in ``lconv`` becomes ``merged-lconv ∘ concat`` with the weights
   concatenated horizontally (``[W_a | W_b]``) and biases summed.
+- :func:`merge_sum_fconv` (Fig. 9c → 9a across an activation): a 1×1
+  conv ``F`` reading a sum of ``act ∘ lconv`` chains (FractalNet's
+  joins) becomes ``F' ∘ act ∘ merged-lconv ∘ concat(reduced)``.  The
+  activation does not distribute over the sum, so the merged lconv is
+  block-diagonal, as for a concat, and the add moves into the 1×1 conv's
+  contraction instead: ``F·Σtⱼ = [F | … | F]·concat(tⱼ)``.  One
+  lconv-act-fconv chain remains, fusable into a single kernel.
 - :func:`split_concat_fconv` (Fig. 9b → 9c): a concat directly feeding
   a 1×1 convolution is split into per-branch 1×1 convolutions (weight
   column slices) followed by an add — the alternative strategy that
@@ -47,7 +54,7 @@ from ..ir.rewrite import Splice, rewrite
 from ..ir.value import Value
 
 __all__ = ["TransformStats", "merge_lconv_concat", "merge_lconv_add",
-           "split_concat_fconv", "commute_upsample_lconv",
+           "merge_sum_fconv", "split_concat_fconv", "commute_upsample_lconv",
            "push_act_through_concat"]
 
 
@@ -259,6 +266,79 @@ def _merge_add(graph: Graph, add: Node, consumers: dict) -> Splice | None:
         "transform.merge_add", add.name, "apply", "all_operands_restorable",
         {"branches": len(lconvs),
          "merged_weight_bytes": new_nodes[1].params["weight"].nbytes,
+         "add_bytes": add.output.nbytes})
+
+
+# ---------------------------------------------------------------------------
+# sum merge into the consuming 1x1 conv (Fig. 9c -> 9a across an activation)
+# ---------------------------------------------------------------------------
+
+def merge_sum_fconv(graph: Graph, stats: TransformStats | None = None) -> TransformStats:
+    """Merge every 1×1 conv reading a sum of activated restore chains.
+
+    A sum merge is an add merge, so it counts in ``merged_adds``; the
+    decision log tells the two apart (``transform.merge_sum``).
+    """
+    stats = stats or TransformStats()
+    stats.merged_adds += rewrite(graph, _ops.is_pointwise_conv, _merge_sum)
+    return stats
+
+
+def _sum_leaves(graph: Graph, add: Node, consumers: dict) -> list[Value]:
+    """The operands of the add tree rooted at ``add``, flattened through
+    inner adds that feed only their parent and are not graph outputs."""
+    leaves = []
+    for v in add.inputs:
+        producer = graph.producer_of(v)
+        if (producer is not None and producer.op == "add"
+                and len(consumers.get(v, ())) == 1
+                and not any(v is out for out in graph.outputs)):
+            leaves += _sum_leaves(graph, producer, consumers)
+        else:
+            leaves.append(v)
+    return leaves
+
+
+def _merge_sum(graph: Graph, fconv: Node, consumers: dict) -> Splice | None:
+    if "merged_from" in fconv.attrs:
+        return None  # a merged lconv is no fconv to repeat
+    add = graph.producer_of(fconv.inputs[0])
+    if (add is None or add.op != "add"
+            or len(consumers.get(add.output, ())) != 1
+            or any(add.output is out for out in graph.outputs)):
+        return None
+    # every leaf must be a restore chain; single-consumer links make the
+    # chains distinct (``add(x, x)`` gives ``x`` two consumers)
+    chains = [_branch_chain(graph, consumers, v, allow_act=True)
+              for v in _sum_leaves(graph, add, consumers)]
+    if any(chain is None for chain in chains):
+        return None
+    # the activation is what keeps merge_lconv_add's [W_a | W_b] out;
+    # an activation-free sum is that rule's, with no zero padding
+    kinds = [None if act is None else (act.op, act.attrs) for act, _ in chains]
+    if kinds[0] is None or any(kind != kinds[0] for kind in kinds):
+        return None
+    lconvs = [lconv for _act, lconv in chains]
+    if any(_ops.passthrough_runs(n) for n in lconvs):
+        return None
+    params, _runs = _block_diag_params(lconvs)
+    new_nodes = _merged_lconv(graph, add, [n.inputs[0] for n in lconvs],
+                              lconvs, params)
+    act = _moved_act(graph, chains[0][0], new_nodes[-1].output,
+                     f"{add.name}.merged_{chains[0][0].op}")
+    weight = fconv.params["weight"]
+    fconv_params = {"weight": np.concatenate([weight] * len(lconvs), axis=1)}
+    if "bias" in fconv.params:
+        fconv_params["bias"] = fconv.params["bias"]
+    summed = make_node(graph, "conv2d", [act.output], attrs=dict(fconv.attrs),
+                       params=fconv_params, name=f"{fconv.name}.summed")
+    new_nodes += [act, summed]
+    return Splice(
+        new_nodes, fconv.output, summed.output,
+        "transform.merge_sum", add.name, "apply", "all_leaves_activated_restores",
+        {"branches": len(lconvs), "act": act.op, "fconv": fconv.name,
+         "merged_weight_bytes": new_nodes[1].params["weight"].nbytes,
+         "fconv_weight_bytes": summed.params["weight"].nbytes,
          "add_bytes": add.output.nbytes})
 
 

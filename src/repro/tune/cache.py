@@ -51,8 +51,12 @@ __all__ = ["TuneCache", "TuneRecord", "SiteRecord", "default_cache_dir",
 #: 7: a merged lconv keeps its pass-through branches as runs of input
 #: channels, not identity blocks, so cached plans hold dense merged weights
 #: the compiler no longer builds and v6 winners at the merged sites were
-#: timed on the identity GEMM).
-CACHE_VERSION = 7
+#: timed on the identity GEMM.
+#: 8: a 1×1 conv reading a sum of activated restores becomes one fused
+#: block over a block-diagonal merged lconv, and the key is the source
+#: graph's fingerprint, so a cached fractalnet plan would still serve the
+#: graph of restores, adds and unfused 1×1 convs).
+CACHE_VERSION = 8
 
 
 def default_cache_dir() -> Path:

@@ -3,10 +3,10 @@
 Generates structurally diverse, always-valid inference graphs: chains
 with random activations (``leaky_relu`` / ``elu`` with drawn slopes and
 alphas), pools, skip connections joined by add/concat, DenseNet
-composite blocks and U-Net decoder upsampling — the full surface
-TeMCO's passes pattern-match on — plus, on request, the strays real
-exported graphs carry: graph inputs nothing reads and branches nothing
-consumes.  Deterministic given the seed.
+composite blocks, FractalNet sum joins and U-Net decoder upsampling —
+the full surface TeMCO's passes pattern-match on — plus, on request, the
+strays real exported graphs carry: graph inputs nothing reads and
+branches nothing consumes.  Deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -31,6 +31,22 @@ def _activation(b: GraphBuilder, rng: np.random.Generator):
     return getattr(b, kind)
 
 
+def _fractal_join(b: GraphBuilder, rng: np.random.Generator, h, name: str):
+    """FractalNet's join: 2–4 branches ``act(conv3x3(h))`` sharing one
+    activation, summed by a randomly nested tree of binary adds, then a
+    1×1 conv — the pattern the sum merge rewrites."""
+    act = _activation(b, rng)
+    # 16 or 24 restored channels: wide enough to decompose into a restore
+    width = 8 * int(rng.integers(2, 4))
+    terms = [act(b.conv2d(h, width, 3, padding=1, name=f"{name}.col{j}"))
+             for j in range(int(rng.integers(2, 5)))]
+    while len(terms) > 1:
+        j = int(rng.integers(0, len(terms) - 1))
+        terms[j:j + 2] = [b.add(terms[j], terms[j + 1])]
+    return b.conv2d(terms[0], 8 * int(rng.integers(1, 3)), 1,
+                    name=f"{name}.mix")
+
+
 def random_cnn(seed: int, *, max_blocks: int = 5, hw: int = 16,
                batch: int = 1, base_channels: int = 8,
                strays: bool = False, long_skip: bool = False) -> Graph:
@@ -40,8 +56,10 @@ def random_cnn(seed: int, *, max_blocks: int = 5, hw: int = 16,
     randomly one of {plain conv+act, conv+act+pool, residual add,
     branch+concat, DenseNet composite (``concat → act → 1×1``, the new
     features activated or not, joined first or second), U-Net
-    decoder (``act(1×1) → upsample``, only below the input size)};
-    spatial dims change only block-wide, so adds/concats always align.
+    decoder (``act(1×1) → upsample``, only below the input size)},
+    each followed, one time in four, by a FractalNet sum join
+    (:func:`_fractal_join`); spatial dims change only block-wide, so
+    adds/concats always align.
 
     ``strays`` adds up to two unused graph inputs (bound before and/or
     after ``x``, one of them larger than any activation) and a dead-end
@@ -53,6 +71,7 @@ def random_cnn(seed: int, *, max_blocks: int = 5, hw: int = 16,
     rng = np.random.default_rng(seed)
     stray_rng = np.random.default_rng([seed, 1])  # leaves ``rng`` alone
     dense_rng = np.random.default_rng([seed, 2])  # so does the composite's layout
+    fractal_rng = np.random.default_rng([seed, 3])  # and the sum joins
     b = GraphBuilder(f"fuzz{seed}", seed=seed)
     if strays and stray_rng.integers(0, 2):
         b.input("unused_big", (batch, 64, hw, hw))
@@ -115,6 +134,9 @@ def random_cnn(seed: int, *, max_blocks: int = 5, hw: int = 16,
             channels = h.shape[1]
             if rng.integers(0, 2):
                 h = b.conv2d(h, channels, 1, name=f"b{i}.mix")
+        if fractal_rng.integers(0, 4) == 0:
+            h = _fractal_join(b, fractal_rng, h, f"b{i}.frac")
+            channels = h.shape[1]
     if long_skip:
         if cur_hw < hw:
             stem = b.avgpool2d(stem, hw // cur_hw)

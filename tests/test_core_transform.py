@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from repro.core import (assert_equivalent, commute_upsample_lconv,
-                        estimate_peak_internal, merge_lconv_add,
-                        merge_lconv_concat, push_act_through_concat,
-                        split_concat_fconv)
+                        estimate_peak_internal, fuse_activation_layers,
+                        merge_lconv_add, merge_lconv_concat, merge_sum_fconv,
+                        optimize, push_act_through_concat, split_concat_fconv)
+from repro.decompose import decompose_graph
 from repro.ir import GraphBuilder, ops
+from repro.models import build_model
+from repro.obs import Tracer, use_tracer
+from repro.plan import plan_memory
 from repro.runtime import execute
 
 from _graph_fixtures import random_input
+from _zoo_compiles import cheap
 
 
 def _two_branch_concat(act: bool = True, seed: int = 0):
@@ -171,6 +176,155 @@ class TestMergeAdd:
         l1 = b.conv2d(x, 24, 1)  # 24 -> 24: not channel-increasing
         g = b.finish(b.add(l1, x))
         assert merge_lconv_add(g).merged_adds == 0
+
+
+def _sum_join(b, ranks=(3, 4), act=None, nested=False):
+    """``Σ act(lconv_j(r_j))``: one graph input ``r_j`` of each rank,
+    restored to 16 channels; ``nested`` sums in binary adds, right to
+    left, as FractalNet's joins do."""
+    act = act or (lambda j, h: b.relu(h))
+    terms = [act(j, b.conv2d(b.input(f"r{j}", (2, r, 8, 8)), 16, 1,
+                             name=f"lconv{j}"))
+             for j, r in enumerate(ranks)]
+    if not nested:
+        return b.add(*terms, name="join")
+    acc = terms[-1]
+    for j in range(len(terms) - 2, -1, -1):
+        acc = b.add(terms[j], acc, name=f"join{j}")
+    return acc
+
+
+class TestMergeSum:
+    """``F·Σ act(lconv_j(r_j)) = [F | … | F]·act(blockdiag(lconv_j)·concat(r_j))``."""
+
+    @staticmethod
+    def _merge(g, ranks):
+        fconv = next(n for n in g.nodes if n.name == "after")
+        before = g.clone("before")
+        tracer = Tracer()
+        with use_tracer(tracer):
+            assert merge_sum_fconv(g).merged_adds == 1
+        assert_equivalent(before, g, random_input(g), rtol=1e-4)
+        assert [n.op for n in g.nodes] == ["concat", "conv2d", "relu", "conv2d"]
+        _cat, merged, _act, summed = g.nodes
+        w = merged.params["weight"][:, :, 0, 0]
+        assert w.shape == (16 * len(ranks), sum(ranks))
+        cols = np.cumsum((0,) + ranks)
+        for j in range(len(ranks)):
+            block = w[16 * j:16 * (j + 1)]
+            assert (block[:, :cols[j]] == 0).all()
+            assert (block[:, cols[j + 1]:] == 0).all()
+        np.testing.assert_array_equal(
+            summed.params["weight"],
+            np.concatenate([fconv.params["weight"]] * len(ranks), axis=1))
+        assert summed.params["bias"] is fconv.params["bias"]
+        [decision] = tracer.decisions_for("transform.merge_sum")
+        assert decision["args"]["branches"] == len(ranks)
+        # the chain left is one fused kernel
+        fuse_activation_layers(g)
+        assert [n.op for n in g.nodes] == ["concat", "fused_block"]
+        assert_equivalent(before, g, random_input(g), rtol=1e-4)
+
+    def test_two_chains(self):
+        b = GraphBuilder("t", seed=3)
+        g = b.finish(b.conv2d(_sum_join(b, (3, 4)), 5, 1, name="after"))
+        self._merge(g, (3, 4))
+
+    def test_nested_add_tree(self):
+        b = GraphBuilder("t", seed=4)
+        g = b.finish(b.conv2d(_sum_join(b, (2, 3, 4), nested=True), 5, 1,
+                              name="after"))
+        self._merge(g, (2, 3, 4))
+
+    def test_leaky_relu_keeps_its_slope(self):
+        b = GraphBuilder("t", seed=5)
+        join = _sum_join(b, act=lambda j, h: b.leaky_relu(h, negative_slope=0.3))
+        g = b.finish(b.conv2d(join, 5, 1, name="after"))
+        before = g.clone("before")
+        assert merge_sum_fconv(g).merged_adds == 1
+        [act] = [n for n in g.nodes if n.op == "leaky_relu"]
+        assert act.attrs == {"negative_slope": 0.3}
+        assert_equivalent(before, g, random_input(g), rtol=1e-4)
+
+    def test_refuses_an_inner_add_with_a_second_consumer(self):
+        b = GraphBuilder("t", seed=4)
+        outer = _sum_join(b, (2, 3, 4), nested=True)
+        inner = b.graph.producer_of(outer).inputs[1]
+        g = b.finish(b.conv2d(outer, 5, 1), b.maxpool2d(inner, 1))
+        assert merge_sum_fconv(g).merged_adds == 0
+
+    def test_refuses_a_sum_that_is_a_graph_output(self):
+        b = GraphBuilder("t", seed=3)
+        join = _sum_join(b)
+        g = b.finish(b.conv2d(join, 5, 1), join)
+        assert merge_sum_fconv(g).merged_adds == 0
+
+    def test_refuses_a_spatial_consumer(self):
+        b = GraphBuilder("t", seed=3)
+        g = b.finish(b.conv2d(_sum_join(b), 5, 3, padding=1))
+        assert merge_sum_fconv(g).merged_adds == 0
+
+    def test_refuses_mixed_activation_attrs(self):
+        b = GraphBuilder("t", seed=3)
+        slopes = (0.1, 0.2)
+        join = _sum_join(b, act=lambda j, h: b.leaky_relu(
+            h, negative_slope=slopes[j]))
+        g = b.finish(b.conv2d(join, 5, 1))
+        assert merge_sum_fconv(g).merged_adds == 0
+
+    def test_refuses_a_chain_summed_with_itself(self):
+        b = GraphBuilder("t", seed=3)
+        x = b.relu(b.conv2d(b.input("r", (2, 3, 8, 8)), 16, 1))
+        g = b.finish(b.conv2d(b.add(x, x), 5, 1))
+        assert merge_sum_fconv(g).merged_adds == 0
+
+    def test_refuses_a_leaf_that_is_not_a_restore_chain(self):
+        b = GraphBuilder("t", seed=3)
+        restored = b.relu(b.conv2d(b.input("r", (2, 3, 8, 8)), 16, 1))
+        spatial = b.relu(b.conv2d(b.input("x", (2, 3, 8, 8)), 16, 3,
+                                  padding=1))
+        g = b.finish(b.conv2d(b.add(restored, spatial), 5, 1))
+        assert merge_sum_fconv(g).merged_adds == 0
+
+    def test_activation_free_sum_keeps_the_horizontal_merge(self):
+        """Without an activation the sum is ``merge_lconv_add``'s:
+        ``[W_a | W_b]`` has no zero padding."""
+        b = GraphBuilder("t", seed=3)
+        g = b.finish(b.conv2d(_sum_join(b, act=lambda j, h: h), 5, 1))
+        lconvs = [n.params["weight"] for n in g.nodes
+                  if n.name.startswith("lconv")]
+        assert merge_sum_fconv(g).merged_adds == 0
+        assert merge_lconv_add(g).merged_adds == 1
+        merged = next(n for n in g.nodes if "merged_from" in n.attrs)
+        np.testing.assert_array_equal(merged.params["weight"],
+                                      np.concatenate(lconvs, axis=1))
+
+
+class TestFractalNetSums:
+    """The sum merge on the model whose joins it was written for: every
+    1×1 conv reading a join merges, the outputs stay the decomposed
+    model's, and the planned peak is the measured one, budgeted too."""
+
+    @pytest.mark.parametrize("batch", [1, 4, 32])
+    @pytest.mark.parametrize("method", ["tucker", "cp", "tt"])
+    def test_equivalent_and_peak_as_planned(self, method, batch):
+        # built at its batch: skip-opt's compute guard reads the
+        # ``orig_flops`` the decomposition recorded at the build's batch
+        graph = decompose_graph(build_model("fractalnet", batch=batch, hw=32),
+                                cheap(method))
+        optimized, report = optimize(graph)
+        # 16 + 12 + 8 + 5 joins of 2, 3, 4 and 5 chains feed a 1×1 conv
+        assert report.transforms.merged_adds == 41
+        inputs = random_input(graph)
+        assert_equivalent(graph, optimized, inputs)
+        run = execute(optimized, inputs)
+        assert run.memory.peak_internal_bytes == estimate_peak_internal(optimized)
+        plan = plan_memory(optimized,
+                           int(0.9 * estimate_peak_internal(optimized)))
+        assert plan.spills or plan.remats
+        budgeted = execute(optimized, inputs, plan=plan)
+        assert budgeted.memory.peak_internal_bytes == plan.planned_peak_bytes
+        np.testing.assert_array_equal(budgeted.output(), run.output())
 
 
 class TestSplitConcat:

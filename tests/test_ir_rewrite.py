@@ -5,8 +5,8 @@ import numpy as np
 
 from repro.core import (commute_upsample_lconv, folding,
                         fuse_activation_layers, merge_lconv_add,
-                        merge_lconv_concat, push_act_through_concat,
-                        split_concat_fconv)
+                        merge_lconv_concat, merge_sum_fconv,
+                        push_act_through_concat, split_concat_fconv)
 from repro.decompose import DecompositionConfig, decompose_graph
 from repro.ir import GraphBuilder
 from repro.ir.emit import make_node
@@ -77,8 +77,8 @@ class TestCascade:
         and dead-end branches leaves no dead node of its own: whatever a
         sweep would still remove was dead before the pass."""
         passes = (commute_upsample_lconv, merge_lconv_concat, merge_lconv_add,
-                  push_act_through_concat, split_concat_fconv,
-                  fuse_activation_layers)
+                  merge_sum_fconv, push_act_through_concat,
+                  split_concat_fconv, fuse_activation_layers)
         spliced = strayed = 0
         for seed in range(8):
             graph = decompose_graph(random_cnn(seed, strays=True),
