@@ -1,9 +1,9 @@
 """Benchmark harness: variant building, figure drivers, ablations."""
 
-from .ablation import (DecompositionPoint, StrategyPoint, ThresholdPoint,
-                       TilePoint, TunedTileChoice, ablate_concat_strategy,
-                       ablate_decomposition, ablate_thresholds,
-                       ablate_tile_size, tuned_tile_choices)
+from .ablation import (DecompositionPoint, ThresholdPoint, TilePoint,
+                       TunedTileChoice, ablate_decomposition,
+                       ablate_thresholds, ablate_tile_size,
+                       tuned_tile_choices)
 from .figures import (Figure4Result, Figure10Row, Figure11Row, Figure12Row,
                       figure4, figure10, figure11, figure12,
                       internal_reduction_geomean, overhead_ratios)
@@ -34,12 +34,10 @@ __all__ = [
     "overhead_ratios",
     "ablate_thresholds",
     "ablate_decomposition",
-    "ablate_concat_strategy",
     "ablate_tile_size",
     "tuned_tile_choices",
     "TunedTileChoice",
     "ThresholdPoint",
     "DecompositionPoint",
-    "StrategyPoint",
     "TilePoint",
 ]

@@ -4,8 +4,6 @@ A1 — skip-opt thresholds (DISTANCE_THRESHOLD / COMPUTE_THRESHOLD):
      how selectivity changes what gets optimized (§4.2's ResNet note).
 A2 — decomposition method/ratio: weight memory, fit error and peak
      internal memory across Tucker/CP/TT and rank ratios.
-A3 — concat strategy: merged block-diagonal lconv (Fig. 9a) vs
-     per-branch split (Fig. 9c) vs none.
 A4 — fused-kernel channel-block size: scratch bytes vs wall-clock.
 """
 
@@ -25,9 +23,8 @@ from ..runtime import InferenceSession
 from .harness import MIB
 
 __all__ = ["ThresholdPoint", "ablate_thresholds", "DecompositionPoint",
-           "ablate_decomposition", "StrategyPoint", "ablate_concat_strategy",
-           "TilePoint", "ablate_tile_size", "TunedTileChoice",
-           "tuned_tile_choices"]
+           "ablate_decomposition", "TilePoint", "ablate_tile_size",
+           "TunedTileChoice", "tuned_tile_choices"]
 
 
 # ---------------------------------------------------------------------------
@@ -100,39 +97,6 @@ def ablate_decomposition(model: str = "vgg16", batch: int = 2, hw: int = 32,
                 mean_fit_error=float(np.mean(errors)) if errors else float("nan"),
                 peak_decomposed_mib=report.peak_before / MIB,
                 peak_optimized_mib=report.peak_after / MIB))
-    return points
-
-
-# ---------------------------------------------------------------------------
-# A3: concat strategy
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StrategyPoint:
-    model: str
-    strategy: str
-    peak_mib: float
-    weight_mib: float
-    fused_kernels: int
-    node_count: int
-
-
-def ablate_concat_strategy(models: tuple[str, ...] = ("unet_small", "densenet"),
-                           batch: int = 2, seed: int = 0) -> list[StrategyPoint]:
-    """Merged lconv (Fig. 9a) vs split conv-add (Fig. 9c) vs no transform."""
-    points = []
-    for model in models:
-        original = build_model(model, batch=batch, seed=seed)
-        decomposed = decompose_graph(original, DecompositionConfig(seed=seed))
-        for strategy in ("merge", "split", "none"):
-            optimized, report = optimize(
-                decomposed, TeMCOConfig(concat_strategy=strategy))
-            points.append(StrategyPoint(
-                model=model, strategy=strategy,
-                peak_mib=report.peak_after / MIB,
-                weight_mib=report.weight_bytes_after / MIB,
-                fused_kernels=report.fusion.fused if report.fusion else 0,
-                node_count=len(optimized.nodes)))
     return points
 
 

@@ -90,7 +90,7 @@ def _cmd_optimize(args) -> int:
     decomposition = DecompositionConfig(
         method=args.method, ratio=args.ratio, seed=args.seed,
         rank_policy=args.rank_policy, energy=args.energy)
-    temco = TeMCOConfig(concat_strategy=args.concat_strategy)
+    temco = TeMCOConfig()
     if args.tuned:
         overrides, status = tuned_overrides(
             graph, args, decomposition, temco, tune_on_miss=not args.no_tune)
@@ -237,7 +237,6 @@ def _cmd_tune(args) -> int:
     cache = TuneCache(args.cache_dir)
     _plan, record, hit = tune_model(
         graph, cache=cache, decomposition=_decomposition(args),
-        temco=TeMCOConfig(concat_strategy=args.concat_strategy),
         config=TuneConfig(repeats=args.repeats, seed=args.seed),
         force=args.force)
     print(f"tune cache {'hit' if hit else 'miss'} for {graph.name} "
@@ -268,11 +267,6 @@ def _cmd_tune(args) -> int:
     return 0
 
 
-def _concat_strategy_flag(p):
-    p.add_argument("--concat-strategy", choices=("merge", "split", "none"),
-                   default="merge")
-
-
 def register(sub) -> None:
     sub.add_parser("models", help="list the benchmark zoo").set_defaults(
         fn=_cmd_models)
@@ -297,7 +291,6 @@ def register(sub) -> None:
                    default="ratio")
     p.add_argument("--energy", type=unit_fraction, default=0.9,
                    help="spectral-energy threshold for --rank-policy energy")
-    _concat_strategy_flag(p)
     tune_flags(p)
     p.add_argument("-o", "--output", type=Path, default=None)
     p.set_defaults(fn=_obs_wrap(_cmd_optimize))
@@ -342,7 +335,6 @@ def register(sub) -> None:
     p.add_argument("--repeats", type=positive_int, default=2,
                    help="timing repeats per trial (default 2)")
     decomposition_flags(p)
-    _concat_strategy_flag(p)
     p.add_argument("--force", action="store_true",
                    help="retune even on a cache hit")
     cache_dir_flag(p)

@@ -38,12 +38,10 @@ logger = logging.getLogger(__name__)
 class TeMCOConfig:
     """End-to-end optimization configuration.
 
-    ``concat_strategy`` selects Figure 9's path for concat joins:
-    ``"merge"`` builds the block-diagonal merged lconv (one fused kernel
-    per join — the paper's default for DenseNet/UNet; a sum join of
-    activated restores merges into the 1×1 conv it feeds), ``"split"``
-    produces per-branch convolutions plus add (more kernels, no weight
-    growth), ``"none"`` leaves concats alone.
+    The layer transformations run one fixed rule list (Figure 9a's
+    block-diagonal merges first, Figure 9c's split only for the
+    concats the merge refuses); ``enable_transforms`` switches them
+    all on or off.
     """
 
     enable_skip_opt: bool = True
@@ -53,12 +51,7 @@ class TeMCOConfig:
     #: paper defers to layer-scheduling work [19, 31, 50]); the pass is
     #: peak-guarded so enabling it can never hurt
     enable_scheduling: bool = True
-    concat_strategy: str = "merge"
     fusion: FusionConfig = field(default_factory=FusionConfig)
-
-    def __post_init__(self) -> None:
-        if self.concat_strategy not in ("merge", "split", "none"):
-            raise ValueError(f"bad concat_strategy {self.concat_strategy!r}")
 
 
 @dataclass
@@ -144,8 +137,7 @@ def optimize(graph: Graph, config: TeMCOConfig | None = None
                 and config.enable_fusion):
             # last-resort guard: fusion alone only ever removes tensors
             alt, alt_report = _compile_once(graph, replace(
-                config, enable_skip_opt=False, enable_transforms=False,
-                concat_strategy="none"))
+                config, enable_skip_opt=False, enable_transforms=False))
             if alt_report.peak_after < report.peak_after:
                 tracer.decision(
                     "pipeline", graph.name, "fallback", "fusion_only_better",
@@ -176,21 +168,15 @@ def _compile_once(graph: Graph,
     if config.enable_transforms:
         tstats = TransformStats()
         with tracer.span("transforms", category="compiler",
-                         graph=work.name,
-                         concat_strategy=config.concat_strategy):
+                         graph=work.name):
+            # merge the all-restore-chain joins (Fig. 9a), then fall back
+            # to splitting the concats the merge refused (Fig. 9c)
             commute_upsample_lconv(work, tstats)
-            if config.concat_strategy == "merge":
-                # merge the all-restore-chain concats (Fig. 9a), then fall
-                # back to splitting the remaining mixed concats (Fig. 9c)
-                merge_lconv_concat(work, tstats)
-                merge_lconv_add(work, tstats)
-                merge_sum_fconv(work, tstats)
-                push_act_through_concat(work, tstats)
-                split_concat_fconv(work, tstats)
-            elif config.concat_strategy == "split":
-                merge_lconv_add(work, tstats)
-                push_act_through_concat(work, tstats)
-                split_concat_fconv(work, tstats)
+            merge_lconv_concat(work, tstats)
+            merge_lconv_add(work, tstats)
+            merge_sum_fconv(work, tstats)
+            push_act_through_concat(work, tstats)
+            split_concat_fconv(work, tstats)
         report.transforms = tstats
 
     if config.enable_fusion:

@@ -24,16 +24,17 @@ skip-connection *join* points:
   lconv-act-fconv chain remains, fusable into a single kernel.
 - :func:`split_concat_fconv` (Fig. 9b → 9c): a concat directly feeding
   a 1×1 convolution is split into per-branch 1×1 convolutions (weight
-  column slices) followed by an add — the alternative strategy that
-  avoids the enlarged merged weights at the cost of more kernels.
+  column slices) followed by an add — the fallback for the concats the
+  merge refuses, so each restore-chain branch still fuses with its own
+  slice of the 1×1 conv.
 
 - :func:`commute_upsample_lconv` normalizes the UNet decoder:
   ``upsample ∘ act ∘ lconv`` ⇒ ``act ∘ lconv ∘ upsample`` — legal
   because nearest-neighbour upsampling replicates elements, which
   commutes with any element-wise op and with 1×1 convolutions; it moves
   the upsample onto the *reduced* tensor so the join becomes mergeable.
-- :func:`push_act_through_concat` normalizes DenseNet's composite
-  function: ``conv1×1 ∘ act ∘ concat`` ⇒ ``conv1×1 ∘ concat ∘ act``
+- :func:`push_act_through_concat` normalizes a refused concat behind an
+  activation: ``conv1×1 ∘ act ∘ concat`` ⇒ ``conv1×1 ∘ concat ∘ act``
   per branch, exposing the join to the concat split.
 
 Each is a rule on :func:`repro.ir.rewrite.rewrite`, which does the
@@ -412,12 +413,12 @@ def push_act_through_concat(graph: Graph, stats: TransformStats | None = None) -
     """Rewrite ``act(concat(xs)) → conv1×1`` to ``concat(act(xs)) → conv1×1``.
 
     Element-wise activations distribute over channel concatenation, so
-    the rewrite is exact.  It exposes DenseNet's composite function
-    (``concat → relu → 1×1 bottleneck``) to :func:`split_concat_fconv`,
-    whose per-branch convolutions then fuse with each branch's restore
-    chain.  Only fires when the concat's single consumer is an
-    activation whose single consumer is a 1×1 convolution — otherwise
-    it would just duplicate work.
+    the rewrite is exact.  It runs after the merges, on the concats they
+    refused, and hands a ``concat → act → 1×1`` join to
+    :func:`split_concat_fconv`, whose per-branch convolutions then fuse
+    with each branch's restore chain.  Only fires when the concat's
+    single consumer is an activation whose single consumer is a 1×1
+    convolution — otherwise it would just duplicate work.
     """
     stats = stats or TransformStats()
     stats.pushed_acts += rewrite(graph, _is_channel_concat, _push_act)

@@ -186,15 +186,21 @@ class Graph:
         arrays shared) whose inputs lead with ``n`` and whose node
         shapes are re-inferred in schedule order.  Nodes, attrs and
         schedule order are this graph's, so whatever was decided on it
-        (decomposition, fusion sites, tiles) carries over unchanged."""
+        (decomposition, fusion sites, tiles) carries over unchanged.
+        FLOPs scale with the batch, so a factor's ``orig_flops`` (its
+        original convolution's, which skip-opt's compute guard weighs
+        the restore copies against) is rescaled to ``n`` too."""
         if n < 1:
             raise ValueError(f"batch must be >= 1, got {n}")
         g = self.clone(name)
+        built = g.inputs[0].shape[0] if g.inputs else n
         for v in g.inputs:
             v.shape = (n,) + v.shape[1:]
         for node in g.nodes:
             shape, node.output.dtype = _ops.infer_output(node)
             node.output.shape = tuple(shape)
+            if "orig_flops" in node.attrs:
+                node.attrs["orig_flops"] = node.attrs["orig_flops"] * n // built
         g.validate()
         return g
 

@@ -244,7 +244,6 @@ def _cache_extra(decomposition: DecompositionConfig, temco: TeMCOConfig,
     """
     return {
         "decomposition": asdict(decomposition),
-        "concat_strategy": temco.concat_strategy,
         "block_sizes": list(config.block_sizes),
         "spatial_tiles": list(SPATIAL_TILES),
         "fusion_block_size": temco.fusion.block_size,

@@ -1,4 +1,4 @@
-"""The compiler's fixed point: 75 zoo compiles pinned by digest.
+"""The compiler's fixed point: 25 zoo compiles pinned by digest.
 
 ``tests/golden/compile_zoo.json`` holds, per compile, the structural
 fingerprints of the decomposed and the optimized graph and sha256
@@ -11,10 +11,9 @@ holds under any BLAS; what the weights compute is the equivalence
 tests' job.
 
 The compiles: the 12 zoo and 3 extra models with Tucker, the five
-perfbench models also with CP and TT, each under every
-``concat_strategy``, at batch 1, hw 32, decomposed the cheap way
-``_zoo_compiles`` describes.  Regenerate after a *deliberate* compiler
-change with::
+perfbench models also with CP and TT, at batch 1, hw 32, decomposed
+the cheap way ``_zoo_compiles`` describes.  Regenerate after a
+*deliberate* compiler change with::
 
     PYTHONPATH=src python tests/test_compile_golden.py > tests/golden/compile_zoo.json
 """
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core import TeMCOConfig, optimize
+from repro.core import optimize
 from repro.decompose import decompose_graph
 from repro.ir import graph_fingerprint
 from repro.models import EXTRA_MODELS, model_names
@@ -38,7 +37,6 @@ from _zoo_compiles import (cheap, decision_log, memoise_factor_solves,
 GOLDEN = Path(__file__).parent / "golden" / "compile_zoo.json"
 PERFBENCH_MODELS = ("alexnet", "densenet", "unet_small", "wavenet2d",
                     "fractalnet")
-STRATEGIES = ("merge", "split", "none")
 SITES = ([(m, "tucker") for m in (*model_names(), *sorted(EXTRA_MODELS))]
          + [(m, method) for m in PERFBENCH_MODELS for method in ("cp", "tt")])
 
@@ -52,7 +50,7 @@ def _digest(obj) -> str:
 
 def compile_records(model: str, method: str,
                     include_param_values: bool = False) -> dict[str, dict]:
-    """``{"model/method/strategy": record}`` for one decomposition."""
+    """``{"model/method": record}`` for one decomposition."""
     original = zoo_model(model)  # outside the tracer: no fold decisions
     tracer = Tracer()
     with use_tracer(tracer):
@@ -62,22 +60,18 @@ def compile_records(model: str, method: str,
     # the fit error is a factor value, like the weights
     decompose_log = _digest(decision_log(tracer, drop=(
         ("ms",) if include_param_values else ("ms", "fit_error"))))
-    records = {}
-    for strategy in STRATEGIES:
-        tracer = Tracer()
-        with use_tracer(tracer):
-            optimized, report = optimize(
-                decomposed, TeMCOConfig(concat_strategy=strategy))
-        records[f"{model}/{method}/{strategy}"] = {
-            "decomposed": decomposed_fp,
-            "decompose_log": decompose_log,
-            "optimized": graph_fingerprint(
-                optimized, include_param_values=include_param_values),
-            "names": _digest([n.name for n in optimized.nodes]),
-            "optimize_log": _digest(decision_log(tracer)),
-            "summary": _digest(report.summary()),
-        }
-    return records
+    tracer = Tracer()
+    with use_tracer(tracer):
+        optimized, report = optimize(decomposed)
+    return {f"{model}/{method}": {
+        "decomposed": decomposed_fp,
+        "decompose_log": decompose_log,
+        "optimized": graph_fingerprint(
+            optimized, include_param_values=include_param_values),
+        "names": _digest([n.name for n in optimized.nodes]),
+        "optimize_log": _digest(decision_log(tracer)),
+        "summary": _digest(report.summary()),
+    }}
 
 
 @pytest.fixture(scope="module")
@@ -85,8 +79,8 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-def test_the_golden_covers_75_compiles(golden):
-    assert len(SITES) * len(STRATEGIES) == len(golden) == 75
+def test_the_golden_covers_25_compiles(golden):
+    assert len(SITES) == len(golden) == 25
 
 
 @pytest.mark.parametrize(("model", "method"), SITES,

@@ -31,7 +31,7 @@ def _fake_runs(monkeypatch, reports):
 
 @pytest.mark.parametrize("config", [
     TeMCOConfig(),
-    TeMCOConfig(enable_scheduling=False, concat_strategy="split",
+    TeMCOConfig(enable_scheduling=False,
                 fusion=FusionConfig(block_size=8,
                                     site_overrides={"c1.lconv": (8, 4)})),
 ])
@@ -46,8 +46,7 @@ def test_fallback_configs_change_only_the_disabled_stages(monkeypatch, config):
     assert configs == [
         config,
         replace(config, enable_skip_opt=False),
-        replace(config, enable_skip_opt=False, enable_transforms=False,
-                concat_strategy="none"),
+        replace(config, enable_skip_opt=False, enable_transforms=False),
     ]
     assert optimized.name == "run3" and report.peak_after == 5
 

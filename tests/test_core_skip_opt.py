@@ -5,15 +5,16 @@ import pytest
 
 from repro.core import (SkipOptConfig, assert_equivalent,
                         estimate_peak_internal, find_reduced,
-                        find_skip_connections, optimize_skip_connections,
-                        skip_opt)
+                        find_skip_connections, optimize,
+                        optimize_skip_connections, skip_opt)
 from repro.decompose import DecompositionConfig, decompose_graph
 from repro.ir import GraphBuilder, ops
+from repro.models import build_model
 from repro.obs import Tracer, use_tracer
 from repro.runtime import execute
 
 from _graph_fixtures import make_residual_graph, make_skip_graph, random_input
-from _zoo_compiles import cheap, zoo_model
+from _zoo_compiles import cheap, decision_log, zoo_model
 
 
 def _decomposed_skip_graph(ratio=0.25, **kwargs):
@@ -126,6 +127,24 @@ class TestOptimizePass:
             dg, SkipOptConfig(distance_threshold=4, compute_slack=1e-9))
         assert stats.optimized == 0
         assert stats.rejected_compute >= 1
+
+    def test_rebatched_graph_decides_as_a_direct_build(self):
+        # the compute guard weighs copies against the original convs'
+        # FLOPs: after with_batch both sides must be taken at the new
+        # batch (fractalnet's wide fan-outs sit near the threshold)
+        def compile_log(graph):
+            tracer = Tracer()
+            with use_tracer(tracer):
+                _, report = optimize(graph)
+            return decision_log(tracer), report.skip_opt, report.transforms
+
+        def fractalnet(batch):
+            return decompose_graph(build_model("fractalnet", batch=batch,
+                                               hw=32), cheap("tucker"))
+
+        direct = compile_log(fractalnet(32))
+        assert compile_log(fractalnet(1).with_batch(32)) == direct
+        assert direct[1].optimized == direct[1].candidates == 47
 
     def test_memory_guard_rejects(self, monkeypatch):
         # one of the zoo compiles' memory_overhead rejections: the

@@ -7,15 +7,16 @@ from repro.core import (assert_equivalent, commute_upsample_lconv,
                         estimate_peak_internal, fuse_activation_layers,
                         merge_lconv_add, merge_lconv_concat, merge_sum_fconv,
                         optimize, push_act_through_concat, split_concat_fconv)
-from repro.decompose import decompose_graph
+from repro.decompose import DecompositionConfig, decompose_graph
 from repro.ir import GraphBuilder, ops
 from repro.models import build_model
 from repro.obs import Tracer, use_tracer
 from repro.plan import plan_memory
 from repro.runtime import execute
 
+from _fuzz import random_cnn
 from _graph_fixtures import random_input
-from _zoo_compiles import cheap
+from _zoo_compiles import cheap, zoo_model
 
 
 def _two_branch_concat(act: bool = True, seed: int = 0):
@@ -308,8 +309,6 @@ class TestFractalNetSums:
     @pytest.mark.parametrize("batch", [1, 4, 32])
     @pytest.mark.parametrize("method", ["tucker", "cp", "tt"])
     def test_equivalent_and_peak_as_planned(self, method, batch):
-        # built at its batch: skip-opt's compute guard reads the
-        # ``orig_flops`` the decomposition recorded at the build's batch
         graph = decompose_graph(build_model("fractalnet", batch=batch, hw=32),
                                 cheap(method))
         optimized, report = optimize(graph)
@@ -325,6 +324,25 @@ class TestFractalNetSums:
         budgeted = execute(optimized, inputs, plan=plan)
         assert budgeted.memory.peak_internal_bytes == plan.planned_peak_bytes
         np.testing.assert_array_equal(budgeted.output(), run.output())
+
+
+class TestFallbackRules:
+    """The split and the activation push run after the merges, on the
+    concats the merges refuse; both still fire in the default pipeline."""
+
+    def test_split_fires_on_unet_transpose(self):
+        graph = decompose_graph(zoo_model("unet_transpose"), cheap("tucker"))
+        optimized, report = optimize(graph)
+        assert report.transforms.split_concats == 3
+        assert report.transforms.merged_concats == 0
+        assert_equivalent(graph, optimized, random_input(graph))
+
+    def test_push_fires_on_a_random_cnn(self):
+        graph = decompose_graph(random_cnn(6),
+                                DecompositionConfig(ratio=0.25, hooi_iters=0))
+        optimized, report = optimize(graph)
+        assert report.transforms.pushed_acts == 2
+        assert_equivalent(graph, optimized, random_input(graph))
 
 
 class TestSplitConcat:

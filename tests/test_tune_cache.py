@@ -47,8 +47,8 @@ class TestKeying:
 
     def test_extra_settings_change_key(self, cache):
         graph = make_chain_graph()
-        assert (cache.key_for(graph, extra={"concat_strategy": "merge"})
-                != cache.key_for(graph, extra={"concat_strategy": "split"}))
+        assert (cache.key_for(graph, extra={"fusion_block_size": 32})
+                != cache.key_for(graph, extra={"fusion_block_size": 16}))
 
 
 class TestRoundtrip:

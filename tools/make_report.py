@@ -30,7 +30,6 @@ SECTIONS = [
     ("pareto_tradeoff", "E7 — memory/time Pareto"),
     ("ablation_thresholds", "A1 — skip-opt thresholds"),
     ("ablation_decomposition", "A2 — decomposition method/ratio"),
-    ("ablation_transform", "A3 — concat strategy"),
     ("ablation_tile_size", "A4 — fused-kernel tile size"),
     ("ablation_inplace", "A5 — accounting policy"),
     ("ablation_scheduling", "A7 — memory-aware scheduling"),
