@@ -97,12 +97,6 @@ class TestFusedVsSeparate:
         benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu", None, 0, block),
                   x)
 
-    def test_fused_with_spatial_tiling(self, benchmark):
-        x = _data((4, self.C_IN, self.HW, self.HW))
-        w1, b1, w2, b2 = self._weights()
-        benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu", None, 0, 32, 8),
-                  x)
-
 
 MAXPOOL_3S2P1 = {"kind": "max", "kernel": (3, 3), "stride": (2, 2),
                  "padding": (1, 1)}

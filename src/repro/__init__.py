@@ -12,8 +12,6 @@ A from-scratch NumPy stack:
 - :mod:`repro.models` — the 10-model benchmark zoo,
 - :mod:`repro.data` — synthetic datasets + metrics,
 - :mod:`repro.bench` — drivers regenerating the paper's figures,
-- :mod:`repro.tune` — fused-kernel tile autotuning with a persistent
-  compiled-plan cache,
 - :mod:`repro.cli` — the ``python -m repro`` commands, one module per
   subsystem (``compile`` / ``observe`` / ``serving``).
 
@@ -40,7 +38,6 @@ from .models import MODEL_ZOO, build_model, model_names
 from .obs import (NoopTracer, Tracer, configure_logging, get_tracer,
                   use_tracer, write_chrome_trace)
 from .runtime import InferenceSession, MemoryProfile, execute
-from .tune import TuneCache, TuneConfig, cached_overrides, tune_model
 
 from ._version import __version__
 
@@ -71,8 +68,4 @@ __all__ = [
     "use_tracer",
     "configure_logging",
     "write_chrome_trace",
-    "TuneCache",
-    "TuneConfig",
-    "tune_model",
-    "cached_overrides",
 ]

@@ -4,27 +4,32 @@ A1 — skip-opt thresholds (DISTANCE_THRESHOLD / COMPUTE_THRESHOLD):
      how selectivity changes what gets optimized (§4.2's ResNet note).
 A2 — decomposition method/ratio: weight memory, fit error and peak
      internal memory across Tucker/CP/TT and rank ratios.
-A4 — fused-kernel channel-block size: scratch bytes vs wall-clock.
+A4 — fused-kernel channel-block size: scratch bytes vs wall-clock, and
+     per fused site the compiled block against the fastest block that
+     fits the compiler's scratch budget.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import (FusionConfig, SkipOptConfig, TeMCOConfig,
-                    estimate_peak_internal, optimize)
+                    estimate_peak_internal, optimize, simulate)
 from ..core.skip_opt import optimize_skip_connections
 from ..data.synthetic import random_inputs
 from ..decompose import DecompositionConfig, decompose_graph, decomposition_records
+from ..ir.ops import tile_channels
+from ..kernels import DEFAULT_BLOCK_SIZE, bind, site_scratch_bytes
 from ..models import build_model
 from ..runtime import InferenceSession
 from .harness import MIB
 
 __all__ = ["ThresholdPoint", "ablate_thresholds", "DecompositionPoint",
            "ablate_decomposition", "TilePoint", "ablate_tile_size",
-           "TunedTileChoice", "tuned_tile_choices"]
+           "TileSiteChoice", "tile_site_choices", "PERFBENCH_COMPILES"]
 
 
 # ---------------------------------------------------------------------------
@@ -112,32 +117,70 @@ class TilePoint:
 
 
 @dataclass(frozen=True)
-class TunedTileChoice:
-    """What the autotuner picked for one fusion site."""
+class TileSiteChoice:
+    """One fused site: its compiled block and the fastest swept block,
+    among all of them and among those whose tile fits the budget of
+    :func:`~repro.core.fusion.widen_tiles` next to the site's live
+    bytes.  ``ms`` maps each swept block to its best time."""
 
+    compile: str
     site: str
-    block_size: int
-    spatial_tile: int
-    best_ms: float
-    default_ms: float
+    compiled: int
+    ms: dict[int, float]
+    feasible: tuple[int, ...]
+
+    def near(self, blocks) -> bool:
+        """Is the compiled block within 5 % of the best of ``blocks``?"""
+        return self.ms[self.compiled] <= 1.05 * min(self.ms[b] for b in blocks)
 
 
-def tuned_tile_choices(model: str = "vgg16", batch: int = 4, hw: int = 32,
-                       repeats: int = 1, seed: int = 0,
-                       ) -> list[TunedTileChoice]:
-    """The autotuner's per-site picks on the same fused graph the A4
-    sweep times — lets the ablation report show where the measured
-    optimum lands relative to the swept grid."""
-    from ..tune import TuneConfig, tune_graph
-    original = build_model(model, batch=batch, hw=hw, seed=seed)
-    decomposed = decompose_graph(original, DecompositionConfig(seed=seed))
-    optimized, _report = optimize(decomposed)
-    result = tune_graph(optimized, TuneConfig(repeats=repeats, seed=seed))
-    return [TunedTileChoice(site=s.site_key, block_size=s.block_size,
-                            spatial_tile=s.spatial_tile,
-                            best_ms=s.seconds * 1e3,
-                            default_ms=s.baseline_seconds * 1e3)
-            for s in result.sites]
+#: the perfbench graph workloads' ``(model, method, batch)`` compiles
+PERFBENCH_COMPILES = (
+    *((m, "tucker", 4) for m in ("alexnet", "densenet", "unet_small",
+                                 "wavenet2d", "fractalnet")),
+    ("alexnet", "tt", 32), ("densenet", "tucker", 32), ("unet_small", "cp", 32))
+
+
+def tile_site_choices(compiles=PERFBENCH_COMPILES, hw: int = 32,
+                      block_sizes: tuple[int, ...] = (4, 8, 16, 32, 64, 128, 256),
+                      repeats: int = 5, seed: int = 0) -> list[TileSiteChoice]:
+    """Time every fused site of each compile at each swept block (and
+    its compiled one); the budget is ``widen_tiles``' own, the
+    scratch-counted peak at ``DEFAULT_BLOCK_SIZE`` tiles."""
+    choices = []
+    rng = np.random.default_rng(seed)
+    for model, method, batch in compiles:
+        graph, _report = optimize(decompose_graph(
+            build_model(model, batch=batch, hw=hw, seed=seed),
+            DecompositionConfig(method=method, ratio=0.1, seed=seed)))
+        schedule = simulate(graph)
+        sites = [(i, node) for i, node in enumerate(graph.nodes)
+                 if node.op in ("fused_block", "fused_restore")]
+        budget = max([schedule.peak_bytes] + [
+            schedule.live[i] + site_scratch_bytes(node, DEFAULT_BLOCK_SIZE)
+            for i, node in sites])
+        for i, node in sites:
+            compiled = node.attrs["block_size"]
+            x = [rng.normal(size=node.input.shape).astype(node.input.dtype.np)]
+            ms = {}
+            for block in sorted({min(b, tile_channels(node))
+                                 for b in block_sizes} | {compiled}):
+                node.attrs["block_size"] = block
+                kernel = bind(node)
+                kernel(x)
+                ms[block] = 1e3 * min(_seconds(kernel, x) for _ in range(repeats))
+            node.attrs["block_size"] = compiled
+            feasible = tuple(b for b in ms if schedule.live[i]
+                             + site_scratch_bytes(node, b) <= budget)
+            choices.append(TileSiteChoice(
+                f"{model}/{method}/b{batch}", node.name, compiled, ms, feasible))
+    return choices
+
+
+def _seconds(kernel, x) -> float:
+    start = time.perf_counter()
+    kernel(x)
+    return time.perf_counter() - start
 
 
 def ablate_tile_size(model: str = "vgg16", batch: int = 4, hw: int = 32,

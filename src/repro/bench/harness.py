@@ -12,11 +12,9 @@ the same rows the paper's figures report:
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import os
-from dataclasses import dataclass, replace
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +25,7 @@ from ..ir.graph import Graph
 from ..models import MODEL_ZOO, build_model
 
 __all__ = ["VariantSet", "build_variants", "variant_names_for", "format_table",
-           "bar_chart", "geomean", "fast_mode", "use_tuned_fusion", "MIB"]
+           "bar_chart", "geomean", "fast_mode", "MIB"]
 
 MIB = 1024 * 1024
 
@@ -53,50 +51,6 @@ PAPER_LABELS = {
 def fast_mode() -> bool:
     """Honour ``REPRO_BENCH_FAST=1`` to shrink benchmark workloads."""
     return os.environ.get("REPRO_BENCH_FAST", "0") not in ("0", "")
-
-
-#: ambient tuned-tile lookup installed by :func:`use_tuned_fusion`;
-#: ``(original graph, variant TeMCOConfig) -> site overrides | None``
-_TUNED_LOOKUP: Callable[[Graph, TeMCOConfig],
-                        "dict[str, tuple[int, int]] | None"] | None = None
-
-
-@contextlib.contextmanager
-def use_tuned_fusion(lookup: Callable[[Graph, TeMCOConfig],
-                                      "dict[str, tuple[int, int]] | None"]):
-    """Make ``build_variants`` fuse with tuned tiles for the ``with`` body.
-
-    ``lookup`` is called once per fusing variant with the *original*
-    (undecomposed) graph and that variant's :class:`TeMCOConfig`;
-    returning a non-empty ``{lconv_name: (block_size, spatial_tile)}``
-    mapping merges it into the variant's ``FusionConfig.site_overrides``
-    (typically :func:`repro.tune.cached_overrides` curried over a
-    cache — a miss returns ``None`` and the variant builds untuned).
-    ``build_variants``' memo cache is cleared on entry and exit so
-    tuned and untuned builds never alias.
-    """
-    global _TUNED_LOOKUP
-    prev = _TUNED_LOOKUP
-    _TUNED_LOOKUP = lookup
-    _build_variants.cache_clear()
-    try:
-        yield
-    finally:
-        _TUNED_LOOKUP = prev
-        _build_variants.cache_clear()
-
-
-def _variant_config(original: Graph, config: TeMCOConfig) -> TeMCOConfig:
-    """Apply the ambient tuned-tile lookup (if any) to one variant."""
-    if _TUNED_LOOKUP is None or not config.enable_fusion:
-        return config
-    overrides = _TUNED_LOOKUP(original, config)
-    if not overrides:
-        return config
-    merged = dict(config.fusion.site_overrides or {})
-    merged.update(overrides)
-    return replace(config, fusion=replace(config.fusion,
-                                          site_overrides=merged))
 
 
 def variant_names_for(model: str) -> list[str]:
@@ -151,8 +105,7 @@ def _build_variants(model: str, batch: int, hw: int | None, ratio: float,
     for variant in variant_names_for(model):
         if variant in graphs:
             continue
-        config = _variant_config(original, _VARIANT_CONFIGS[variant])
-        optimized, _report = optimize(decomposed, config)
+        optimized, _report = optimize(decomposed, _VARIANT_CONFIGS[variant])
         graphs[variant] = optimized
     return VariantSet(model=model, batch=batch, hw=actual_hw, graphs=graphs)
 

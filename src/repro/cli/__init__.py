@@ -2,7 +2,7 @@
 
 One module per subsystem, each documenting and registering its own
 commands: :mod:`~repro.cli.compile` (models, inspect, export, optimize,
-run, plan, tune), :mod:`~repro.cli.observe` (trace, profile, memcheck,
+run, plan), :mod:`~repro.cli.observe` (trace, profile, memcheck,
 selfcheck, bench) and :mod:`~repro.cli.serving` (serve, fleet, loadgen,
 top, diag); :mod:`~repro.cli.flags` holds what they share.  Which graph
 each command operates on is tabulated in ``docs/usage.md``.

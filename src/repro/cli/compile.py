@@ -5,8 +5,7 @@ optimize MODEL|FILE.npz [-o OUT.npz]
     optionally save the optimized graph.
 run MODEL|FILE.npz
     Execute one inference on synthetic input; print the memory profile
-    and wall-clock time.  ``--tuned`` executes the autotuned compiled
-    plan (tuning first on a cache miss unless ``--no-tune``);
+    and wall-clock time.  A saved ``optimize -o`` graph runs as compiled;
     ``--budget BYTES`` plans a spill/prefetch/remat schedule and the
     runtime enforces it — outputs stay bitwise identical while the
     measured peak lands on the plan's simulated peak.
@@ -14,10 +13,6 @@ plan MODEL|FILE.npz [--budget BYTES] [--optimize]
     Compute (without enforcing) the budget-constrained memory plan;
     exits non-zero with the residual when the budget is infeasible.
     See ``docs/memory_planning.md``.
-tune MODEL|FILE.npz
-    Time every valid ``(block_size, spatial_tile)`` of every fused site,
-    keep the fastest, and persist tiles + compiled plan in the tuning
-    cache; a second invocation is a cache hit.  See ``docs/tuning.md``.
 
 ``models``, ``inspect`` and ``export`` are described by their ``--help``.
 """
@@ -25,12 +20,10 @@ tune MODEL|FILE.npz
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 from ..bench import format_table
-from ..core import (FusionConfig, TeMCOConfig, estimate_peak_floor,
-                    estimate_peak_internal, optimize)
+from ..core import estimate_peak_floor, estimate_peak_internal, optimize
 from ..data import random_inputs
 from ..decompose import DecompositionConfig, decompose_graph
 from ..ir import format_graph, save_dot, save_graph, summarize_graph
@@ -38,12 +31,10 @@ from ..models import EXTRA_MODELS, MODEL_ZOO
 from ..plan import (InfeasibleBudget, PlanCostModel, format_bytes,
                     parse_budget, plan_memory)
 from ..runtime import InferenceSession, profile_markdown, timeline_csv
-from ..tune import TuneCache, TuneConfig, tune_model
-from .flags import (MIB, _budget_plan, _decomposition, _load_model, _obs_wrap,
-                    _print_infeasible, _temco_target, budget_flag,
-                    cache_dir_flag, common, decomposition_flags, obs_flags,
-                    positive_float, positive_int, tune_flags, tuned_overrides,
-                    tuned_plan, unit_fraction)
+from .flags import (MIB, _budget_plan, _load_model, _obs_wrap,
+                    _print_infeasible, _temco_target, budget_flag, common,
+                    decomposition_flags, obs_flags, positive_float,
+                    positive_int, unit_fraction)
 
 
 def _cmd_models(args) -> int:
@@ -90,19 +81,8 @@ def _cmd_optimize(args) -> int:
     decomposition = DecompositionConfig(
         method=args.method, ratio=args.ratio, seed=args.seed,
         rank_policy=args.rank_policy, energy=args.energy)
-    temco = TeMCOConfig()
-    if args.tuned:
-        overrides, status = tuned_overrides(
-            graph, args, decomposition, temco, tune_on_miss=not args.no_tune)
-        if status == "hit":
-            print(f"tune cache hit: {len(overrides)} tuned fusion sites")
-        elif status == "miss":
-            print("tune cache miss (--no-tune): using default tiles; "
-                  f"run `repro tune {args.model}` to populate the cache")
-        if overrides:
-            temco = replace(temco, fusion=FusionConfig(site_overrides=overrides))
     decomposed = decompose_graph(graph, decomposition)
-    optimized, report = optimize(decomposed, temco)
+    optimized, report = optimize(decomposed)
     print(f"original:  {summarize_graph(graph)}")
     print(f"decomposed: {summarize_graph(decomposed)}")
     print(f"optimized:  {summarize_graph(optimized)}")
@@ -119,20 +99,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    graph = _load_model(args)
-    target = graph
-    if args.tuned:
-        target, record, status = tuned_plan(graph, args,
-                                            tune_on_miss=not args.no_tune)
-        if status == "hit":
-            print(f"tune cache hit: executing cached compiled plan "
-                  f"(key {record.key}, {len(record.sites)} tuned sites)")
-        elif status == "miss":
-            print(f"tune cache miss (--no-tune): running the raw model; "
-                  f"run `repro tune {args.model}` to populate the cache")
-        else:
-            print(f"tuned and cached {len(record.sites)} sites "
-                  f"(key {record.key}, {record.total_trials} trials)")
+    target = _load_model(args)
     memory_plan = None
     if args.budget:
         try:
@@ -232,41 +199,6 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _cmd_tune(args) -> int:
-    graph = _load_model(args)
-    cache = TuneCache(args.cache_dir)
-    _plan, record, hit = tune_model(
-        graph, cache=cache, decomposition=_decomposition(args),
-        config=TuneConfig(repeats=args.repeats, seed=args.seed),
-        force=args.force)
-    print(f"tune cache {'hit' if hit else 'miss'} for {graph.name} "
-          f"(key {record.key})")
-    if record.sites:
-        rows = [[s.site_key, s.block_size, s.spatial_tile,
-                 s.seconds * 1e3, s.baseline_seconds * 1e3, s.trials]
-                for s in record.sites]
-        print(format_table(
-            ["site", "block", "tile", "best ms", "default ms", "trials"],
-            rows, title=f"tuned tiles ({record.total_trials} trials)"))
-        near = sum(s.baseline_seconds <= 1.05 * s.seconds
-                   for s in record.sites)
-        print(f"compiled tile within 5 % of the best at {near} of "
-              f"{len(record.sites)} sites")
-    else:
-        print("no fusion sites to tune")
-    if record.tuned_seconds is not None and record.default_seconds is not None:
-        verdict = (" — fell back to the compiled tiles"
-                   if record.fell_back_to_default else "")
-        print(f"whole graph: tuned {record.tuned_seconds * 1e3:.2f} ms vs "
-              f"default {record.default_seconds * 1e3:.2f} ms{verdict}")
-    if record.peak_internal_bytes is not None:
-        print(f"peak internal: {record.peak_internal_bytes / MIB:.2f} MiB "
-              f"(tiles are scratch — unchanged by tuning)")
-    print(f"cache entry: {cache.record_path(record.key)}")
-    print(f"compiled plan: {cache.plan_path(record.key)}")
-    return 0
-
-
 def register(sub) -> None:
     sub.add_parser("models", help="list the benchmark zoo").set_defaults(
         fn=_cmd_models)
@@ -291,7 +223,6 @@ def register(sub) -> None:
                    default="ratio")
     p.add_argument("--energy", type=unit_fraction, default=0.9,
                    help="spectral-energy threshold for --rank-policy energy")
-    tune_flags(p)
     p.add_argument("-o", "--output", type=Path, default=None)
     p.set_defaults(fn=_obs_wrap(_cmd_optimize))
 
@@ -299,9 +230,7 @@ def register(sub) -> None:
     common(p)
     obs_flags(p)
     p.add_argument("--repeats", type=positive_int, default=3)
-    decomposition_flags(p, "for the --tuned plan lookup")
     budget_flag(p)
-    tune_flags(p)
     p.set_defaults(fn=_obs_wrap(_cmd_run))
 
     p = sub.add_parser("plan", help="budget-constrained memory plan: "
@@ -327,15 +256,3 @@ def register(sub) -> None:
     p.add_argument("--json", action="store_true",
                    help="print the full plan as JSON (for scripts/CI)")
     p.set_defaults(fn=_obs_wrap(_cmd_plan))
-
-    p = sub.add_parser("tune", help="autotune fused-kernel tiles and cache "
-                                    "the compiled plan")
-    common(p)
-    obs_flags(p)
-    p.add_argument("--repeats", type=positive_int, default=2,
-                   help="timing repeats per trial (default 2)")
-    decomposition_flags(p)
-    p.add_argument("--force", action="store_true",
-                   help="retune even on a cache hit")
-    cache_dir_flag(p)
-    p.set_defaults(fn=_obs_wrap(_cmd_tune))

@@ -1,9 +1,8 @@
 """What the command modules share: argparse value types, flag groups,
 the ``--trace`` / ``--log-level`` wrapper (:func:`_obs_wrap`) and the
 helpers that turn parsed flags into a graph — model loading,
-``--optimize`` (:func:`_temco_target`), ``--tuned`` / ``--no-tune`` /
-``--cache-dir`` (:func:`tuned_plan`, :func:`tuned_overrides`; see
-``docs/tuning.md``) and ``--budget`` (:func:`_budget_plan`).
+``--optimize`` (:func:`_temco_target`) and ``--budget``
+(:func:`_budget_plan`).
 """
 
 from __future__ import annotations
@@ -13,14 +12,12 @@ import math
 import sys
 from pathlib import Path
 
-from ..core import (TeMCOConfig, estimate_peak_floor, estimate_peak_internal,
-                    optimize)
+from ..core import estimate_peak_floor, estimate_peak_internal, optimize
 from ..decompose import DecompositionConfig, decompose_graph
 from ..ir import Graph, load_graph
 from ..models import EXTRA_MODELS, build_extra, build_model
 from ..obs import Tracer, configure_logging, use_tracer, write_trace
 from ..plan import InfeasibleBudget, format_bytes, parse_budget, plan_memory
-from ..tune import TuneCache, cached_overrides, load_cached_plan, tune_model
 
 MIB = 1024 * 1024
 
@@ -86,23 +83,6 @@ def decomposition_flags(p, purpose: str = ""):
                    help=text("ratio"))
 
 
-def cache_dir_flag(p):
-    p.add_argument("--cache-dir", type=Path, default=None, metavar="DIR",
-                   help="tuning cache directory (default "
-                        "$REPRO_TUNE_CACHE or ~/.cache/repro-tune)")
-
-
-def tune_flags(p, *, no_tune: bool = True):
-    p.add_argument("--tuned", action="store_true",
-                   help="use autotuned fused-kernel tiles from the "
-                        "tuning cache (see `repro tune`)")
-    if no_tune:
-        p.add_argument("--no-tune", action="store_true",
-                       help="with --tuned: never tune on a cache miss, "
-                            "fall back to default tiles")
-    cache_dir_flag(p)
-
-
 def address_flags(p, port_help: str):
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8100, help=port_help)
@@ -124,7 +104,6 @@ def serve_flags(p):
     p.add_argument("--no-batching", action="store_true",
                    help="serve one request per micro-batch (the "
                         "baseline dynamic batching is compared against)")
-    decomposition_flags(p, "for the --tuned plan lookup")
     budget_flag(p)
     p.add_argument("--slo", action="append", default=None, metavar="SPEC",
                    help="service-level objective, repeatable: "
@@ -203,56 +182,12 @@ def _load_model(args) -> Graph:
     return build(args.model, batch=args.batch, hw=args.hw, seed=args.seed)
 
 
-def _decomposition(args) -> DecompositionConfig:
-    return DecompositionConfig(method=args.method, ratio=args.ratio,
-                               seed=args.seed)
-
-
 def _temco_target(graph: Graph, args) -> Graph:
     """``graph`` decomposed (``--method`` / ``--ratio``) and
     TeMCO-optimized with the default configuration — what ``--optimize``
     selects and ``--no-optimize`` deselects."""
-    return optimize(decompose_graph(graph, _decomposition(args)))[0]
-
-
-#: printed by both lookups before the (slow) tuning run starts
-_TUNING_NOW = "tune cache miss: tuning now (use --no-tune to skip)"
-
-
-def tuned_plan(graph: Graph, args, *, tune_on_miss: bool):
-    """``--tuned``, compiled-plan flavour: ``(graph to execute, tune
-    record or None, "hit" | "miss" | "tuned")``.  A miss hands ``graph``
-    back unless ``tune_on_miss``, which tunes, compiles and caches."""
-    cache = TuneCache(args.cache_dir)
-    cached = load_cached_plan(graph, cache=cache,
-                              decomposition=_decomposition(args))
-    if cached is not None:
-        return (*cached, "hit")
-    if not tune_on_miss:
-        return graph, None, "miss"
-    print(_TUNING_NOW)
-    plan, record, _hit = tune_model(graph, cache=cache,
-                                    decomposition=_decomposition(args))
-    return plan, record, "tuned"
-
-
-def tuned_overrides(graph: Graph, args,
-                    decomposition: DecompositionConfig | None,
-                    temco: TeMCOConfig, *, tune_on_miss: bool):
-    """``--tuned``, site-override flavour: ``(fusion site overrides or
-    None, "hit" | "miss" | "tuned")`` for a compile from source with
-    ``decomposition`` (None: the default) and ``temco``."""
-    cache = TuneCache(args.cache_dir)
-    overrides = cached_overrides(graph, cache=cache,
-                                 decomposition=decomposition, temco=temco)
-    if overrides is not None:
-        return overrides, "hit"
-    if not tune_on_miss:
-        return None, "miss"
-    print(_TUNING_NOW)
-    _plan, record, _hit = tune_model(graph, cache=cache,
-                                     decomposition=decomposition, temco=temco)
-    return ({} if record.fell_back_to_default else record.overrides), "tuned"
+    return optimize(decompose_graph(graph, DecompositionConfig(
+        method=args.method, ratio=args.ratio, seed=args.seed)))[0]
 
 
 def _budget_plan(graph: Graph, budget_spec: str, *, file=None):

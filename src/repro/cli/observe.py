@@ -22,25 +22,22 @@ memcheck [MODEL ...]
 
 from __future__ import annotations
 
-import contextlib
 import json
 from collections import Counter
 import sys
 from pathlib import Path
 
 from ..bench import (PAPER_LABELS, figure4, figure10, figure11, figure12,
-                     format_table, internal_reduction_geomean, overhead_ratios,
-                     use_tuned_fusion)
+                     format_table, internal_reduction_geomean, overhead_ratios)
 from ..core import estimate_peak_internal, simulate
 from ..data import random_inputs
 from ..models import MODEL_ZOO, build_model
 from ..obs import get_tracer, profile_tracer, write_collapsed_stacks
 from ..plan import format_bytes, parse_budget
 from ..runtime import InferenceSession, metrics_markdown
-from ..tune import TuneCache
 from .flags import (MIB, _load_model, _obs_wrap, _temco_target, budget_flag,
                     common, decomposition_flags, non_negative_float, obs_flags,
-                    positive_int, tune_flags, tuned_overrides)
+                    positive_int)
 
 
 def _cmd_trace(args) -> int:
@@ -194,45 +191,37 @@ def _cmd_selfcheck(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    tuned_ctx = contextlib.nullcontext()
-    if args.tuned:
-        print(f"bench: consulting tune cache at {TuneCache(args.cache_dir).dir} "
-              f"(lookup only; run `repro tune MODEL` to populate)")
-        tuned_ctx = use_tuned_fusion(
-            lambda original, temco: tuned_overrides(
-                original, args, None, temco, tune_on_miss=False)[0])
     models = [args.model] if args.model else None
-    with tuned_ctx:
-        if args.figure == "fig4":
-            result = figure4(args.model or "unet", batch=args.batch)
-            rows = [[variant, i, mib] for variant, series in result.timelines.items()
-                    for i, mib in series]
-            print(format_table(["variant", "layer", "live MiB"], rows,
-                               title=f"Figure 4 ({result.model}), peaks: {result.peaks}"))
-        elif args.figure == "fig10":
-            rows = figure10(models=models, batch=args.batch)
-            print(format_table(
-                ["model", "variant", "weights MiB", "internal MiB"],
-                [[r.model, PAPER_LABELS[r.variant], r.weight_mib, r.internal_mib]
-                 for r in rows], title="Figure 10"))
-            print(f"geomean internal reduction: "
-                  f"{internal_reduction_geomean(rows):.1%} (paper: 75.7%)")
-        elif args.figure == "fig11":
-            rows = figure11(models=models, batches=(args.batch,), hw=args.hw,
-                            repeats=args.repeats)
-            print(format_table(
-                ["model", "variant", "batch", "time ms", "p50 ms", "p95 ms",
-                 "p99 ms"],
-                [[r.model, r.variant, r.batch, r.seconds * 1e3,
-                  r.p50_seconds * 1e3, r.p95_seconds * 1e3,
-                  r.p99_seconds * 1e3] for r in rows], title="Figure 11"))
-            print(f"overhead ratios: {overhead_ratios(rows)}")
-        else:
-            rows = figure12(models=models, batch=args.batch, hw=args.hw)
-            print(format_table(
-                ["model", "variant", "metric", "agreement"],
-                [[r.model, PAPER_LABELS[r.variant], r.metric,
-                  r.agreement_with_decomposed] for r in rows], title="Figure 12"))
+    if args.figure == "fig4":
+        result = figure4(args.model or "unet", batch=args.batch)
+        rows = [[variant, i, mib] for variant, series in result.timelines.items()
+                for i, mib in series]
+        print(format_table(["variant", "layer", "live MiB"], rows,
+                           title=f"Figure 4 ({result.model}), peaks: {result.peaks}"))
+    elif args.figure == "fig10":
+        rows = figure10(models=models, batch=args.batch)
+        print(format_table(
+            ["model", "variant", "weights MiB", "internal MiB"],
+            [[r.model, PAPER_LABELS[r.variant], r.weight_mib, r.internal_mib]
+             for r in rows], title="Figure 10"))
+        print(f"geomean internal reduction: "
+              f"{internal_reduction_geomean(rows):.1%} (paper: 75.7%)")
+    elif args.figure == "fig11":
+        rows = figure11(models=models, batches=(args.batch,), hw=args.hw,
+                        repeats=args.repeats)
+        print(format_table(
+            ["model", "variant", "batch", "time ms", "p50 ms", "p95 ms",
+             "p99 ms"],
+            [[r.model, r.variant, r.batch, r.seconds * 1e3,
+              r.p50_seconds * 1e3, r.p95_seconds * 1e3,
+              r.p99_seconds * 1e3] for r in rows], title="Figure 11"))
+        print(f"overhead ratios: {overhead_ratios(rows)}")
+    else:
+        rows = figure12(models=models, batch=args.batch, hw=args.hw)
+        print(format_table(
+            ["model", "variant", "metric", "agreement"],
+            [[r.model, PAPER_LABELS[r.variant], r.metric,
+              r.agreement_with_decomposed] for r in rows], title="Figure 12"))
     return 0
 
 
@@ -301,6 +290,5 @@ def register(sub) -> None:
     p.add_argument("--repeats", type=positive_int, default=2,
                    help="timing repeats per fig11 measurement (default 2)")
     obs_flags(p)
-    tune_flags(p, no_tune=False)
     p.set_defaults(fn=_obs_wrap(
         _cmd_bench, wrote=lambda _t, out: print(f"wrote trace to {out}")))

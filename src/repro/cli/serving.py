@@ -45,21 +45,7 @@ from ..serve import (InferenceServer, LoadgenConfig, Servable, ServerConfig,
 from .flags import (_budget_plan, _load_model, _obs_wrap, _print_infeasible,
                     address_flags, common, fleet_flags, frontend_flags,
                     non_negative_float, non_negative_int, obs_flags,
-                    positive_float, positive_int, serve_flags, tune_flags,
-                    tuned_plan)
-
-
-def _serve_plan(args) -> Graph:
-    """Build the model and swap in the tuned compiled plan if asked."""
-    graph = _load_model(args)
-    if not args.tuned:
-        return graph
-    plan, _record, status = tuned_plan(graph, args, tune_on_miss=False)
-    print("tune cache hit: serving the cached compiled plan"
-          if status == "hit"
-          else "tune cache miss: serving the raw graph "
-               f"(run `repro tune {args.model}` to populate the cache)")
-    return plan
+                    positive_float, positive_int, serve_flags)
 
 
 def _deadline_s(args) -> float | None:
@@ -181,7 +167,7 @@ def _serve_until_stopped(backend: Servable, args, banner: str) -> int:
 
 
 def _cmd_serve(args) -> int:
-    plan = _serve_plan(args)
+    plan = _load_model(args)
     server = _build_backend(plan, args, None)
     return _serve_until_stopped(
         server, args,
@@ -191,7 +177,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_fleet(args) -> int:
-    plan = _serve_plan(args)
+    plan = _load_model(args)
     router = _build_backend(plan, args, args.replicas)
     pool = router.pool
     banner = (f"fleet serving {plan.name!r} on {{url}} ({args.replicas} "
@@ -208,7 +194,7 @@ def _cmd_fleet(args) -> int:
 
 
 def _cmd_loadgen(args) -> int:
-    plan = _serve_plan(args)
+    plan = _load_model(args)
     config = LoadgenConfig(
         mode=args.mode, requests=args.requests, concurrency=args.concurrency,
         rate=args.rate, samples=args.samples, deadline_s=_deadline_s(args),
@@ -298,7 +284,7 @@ def _cmd_diag(args) -> int:
     tars up the whole observability surface via
     :func:`repro.obs.write_diag_bundle`.
     """
-    plan = _serve_plan(args)
+    plan = _load_model(args)
     with use_tracer(Tracer()):
         backend = _build_backend(plan, args, args.replicas or None)
         inputs = random_inputs(backend.graph, args.seed)
@@ -327,11 +313,10 @@ def _cmd_diag(args) -> int:
 
 
 def _backend_parser(sub, name: str, help: str):
-    """A command that builds a servable: model, serving and --tuned flags."""
+    """A command that builds a servable: model and serving flags."""
     p = sub.add_parser(name, help=help)
     common(p)
     serve_flags(p)
-    tune_flags(p, no_tune=False)
     return p
 
 

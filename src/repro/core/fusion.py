@@ -48,32 +48,13 @@ class FusionConfig:
         default ``None`` derives it per site: ``DEFAULT_BLOCK_SIZE``,
         widened by the pipeline's :func:`widen_tiles` into memory the
         graph already owns.  A number is compiled exactly as given.
-    site_overrides:
-        Optional per-site ``(block_size, spatial_tile)`` pairs keyed by
-        the *lconv* node name anchoring each fused chain — the handle
-        the :mod:`repro.tune` autotuner uses to install its measured
-        tile choices (a spatial tile is Listing 1's 3D blocking; 0 =
-        channel blocking only).  Sites without an entry use
-        ``block_size`` and channel blocking.
     """
 
     block_size: int | None = None
-    site_overrides: dict[str, tuple[int, int]] | None = None
 
     def __post_init__(self) -> None:
         if self.block_size is not None and self.block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {self.block_size}")
-        for site, (blk, tile) in (self.site_overrides or {}).items():
-            if blk < 1 or tile < 0:
-                raise ValueError(
-                    f"bad override for site {site!r}: ({blk}, {tile})")
-
-    def tile_for(self, lconv_name: str) -> tuple[int, int]:
-        """The ``(block_size, spatial_tile)`` pair for one fusion site."""
-        if self.site_overrides and lconv_name in self.site_overrides:
-            blk, tile = self.site_overrides[lconv_name]
-            return int(blk), int(tile)
-        return self.block_size or DEFAULT_BLOCK_SIZE, 0
 
 
 @dataclass
@@ -184,7 +165,7 @@ def _fuse(graph: Graph, lconv: Node, consumers: dict, config: FusionConfig,
     if chain.act is not None:
         act_params = {k: v for k, v in chain.act.attrs.items()
                       if k in ("negative_slope", "alpha")}
-    block_size, spatial_tile = config.tile_for(lconv.name)
+    block_size = config.block_size or DEFAULT_BLOCK_SIZE
     # clamp to the restored channel count: an oversized block runs as a
     # single full-width tile, so the attrs must say so too — otherwise
     # fused_scratch_bytes would report scratch the kernel never uses
@@ -193,7 +174,6 @@ def _fuse(graph: Graph, lconv: Node, consumers: dict, config: FusionConfig,
         "act": chain.act.op if chain.act is not None else None,
         "act_params": act_params or None,
         "block_size": block_size,
-        "spatial_tile": spatial_tile,
         "fused_from": [n.name for n in (lconv, chain.act, chain.resample, fconv)
                        if n is not None],
     }
@@ -232,7 +212,7 @@ def _fuse(graph: Graph, lconv: Node, consumers: dict, config: FusionConfig,
         {"chain_nodes": len(attrs["fused_from"]),
          "reduced_bytes": lconv.inputs[0].nbytes,
          "restored_bytes": lconv.output.nbytes,
-         "block_size": block_size, "spatial_tile": spatial_tile})
+         "block_size": block_size})
 
 
 def widen_tiles(graph: Graph, config: FusionConfig | None = None) -> int:
@@ -247,9 +227,9 @@ def widen_tiles(graph: Graph, config: FusionConfig | None = None) -> int:
     channels whose tile fits under it next to the site's own live
     bytes, split evenly (384 channels in two blocks run 192 + 192, not
     256 + 128): no peak, counted either way, moves.  Run on the final
-    schedule (``live`` is per node index).  Sites with a
-    ``site_overrides`` entry, and every site when ``block_size`` is
-    configured, keep their tile.  Returns the number of sites widened.
+    schedule (``live`` is per node index).  Every site keeps its tile
+    when ``block_size`` is configured.  Returns the number of sites
+    widened.
     """
     config = config or FusionConfig()
     sites = [(index, node) for index, node in enumerate(graph.nodes)
@@ -263,12 +243,9 @@ def widen_tiles(graph: Graph, config: FusionConfig | None = None) -> int:
                  max(live[i] + site_scratch_bytes(node) for i, node in sites))
     widened = 0
     for index, node in sites:
-        site = (node.attrs.get("fused_from") or [node.name])[0]
-        if site in (config.site_overrides or {}):
-            continue
         current = int(node.attrs.get("block_size", DEFAULT_BLOCK_SIZE))
         c_prime = _ops.tile_channels(node)
-        fits = (budget - live[index]) // site_scratch_bytes(node, 1, 0)
+        fits = (budget - live[index]) // site_scratch_bytes(node, 1)
         widest = min(c_prime, MAX_BLOCK_SIZE, fits)
         blocks = -(-c_prime // max(widest, 1))
         if widest > current and blocks < -(-c_prime // current):

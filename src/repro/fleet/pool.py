@@ -24,7 +24,7 @@ The pool owns replica *lifecycle*, not routing (that's
 - **drain / reload** — :meth:`drain_replica` stops routing to one
   replica and gracefully drains its in-flight work
   (:meth:`~repro.serve.InferenceServer.drain`); :meth:`reload_replica`
-  then swaps in a replacement spec (new graph / tuned plan / budget)
+  then swaps in a replacement spec (new graph / budget)
   — the router's rolling reload walks the pool one replica at a time
   so readiness never drops below ``K - 1``.
 

@@ -9,8 +9,7 @@ parallel inference workers without re-running the compiler.
 :func:`graph_fingerprint` hashes the *canonical* form of a graph:
 values and nodes are renumbered by definition order and attribute
 dicts are key-sorted, so two graphs that differ only in node/value
-names or in attr insertion order fingerprint identically.  The tuning
-cache (:mod:`repro.tune`) keys its entries on this digest.
+names or in attr insertion order fingerprint identically.
 """
 
 from __future__ import annotations

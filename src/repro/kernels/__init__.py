@@ -182,24 +182,19 @@ def _bind_fused(node: Node) -> Kernel:
         act=attrs.get("act"), pool=attrs.get("pool"),
         upsample=int(attrs.get("upsample", 0) or 0),
         block_size=int(attrs.get("block_size", DEFAULT_BLOCK_SIZE)),
-        spatial_tile=int(attrs.get("spatial_tile", 0) or 0),
         act_params=attrs.get("act_params"), passthrough=passthrough_runs(node)))
 
 
-def site_scratch_bytes(node: Node, block_size: int | None = None,
-                       spatial_tile: int | None = None) -> int:
-    """:func:`fused_scratch_bytes` of a fused node — at the tile its attrs
+def site_scratch_bytes(node: Node, block_size: int | None = None) -> int:
+    """:func:`fused_scratch_bytes` of a fused node — at the block its attrs
     carry, or at another one — and 0 for every other op."""
     if node.op not in ("fused_block", "fused_restore"):
         return 0
     if block_size is None:
         block_size = node.attrs.get("block_size", DEFAULT_BLOCK_SIZE)
-    if spatial_tile is None:
-        spatial_tile = node.attrs.get("spatial_tile", 0) or 0
     return fused_scratch_bytes(
         node.input.shape, node.input.dtype.itemsize,
-        block_size=int(block_size), c_prime=tile_channels(node),
-        spatial_tile=int(spatial_tile), pool=node.attrs.get("pool"))
+        block_size=int(block_size), c_prime=tile_channels(node))
 
 
 BINDERS: dict[str, Callable[[Node], Kernel]] = {

@@ -26,8 +26,11 @@ rewrites it and the pool or fconv GEMM reads it (unet_small/cp's
 ``(32, 5, 32, 32) -> 48 -> 4`` site holds 4 MiB at once otherwise).
 Every GEMM already runs per sample, and every block and accumulation
 keeps its order, so a grouped call is bitwise the one-group call; a
-tile of at most ``TILE_BYTES`` runs as one group.  The sample-group loop
-wraps the spatial-region loop.
+tile of at most ``TILE_BYTES`` runs as one group.
+
+Listing 1 also blocks the tile over (H, W); this kernel does not.  Every
+tile spans the whole plane, and the sample groups above bound it instead
+(``docs/algorithms.md`` says why).
 
 The tile's layout is the kernel's own.  A site without a pool keeps it
 NCHW, ``(N, block, h·w)``, the layout its input and output already have.
@@ -42,9 +45,8 @@ the tile, which no other op sees, changes.
 
 Like Listing 1, which is compiled once for a static shape, the kernel is
 *bound* once (:func:`bind_fused`): the activation callable with its
-attrs, the clamped block size and each block's weight slices, whether
-the spatial tile is exact and the regions it cuts, the resampling
-kernel, and the packed ``[w1 | b1]`` restore matrix are all resolved
+attrs, the clamped block size and each block's weight slices, the
+resampling kernel, and the packed ``[w1 | b1]`` restore matrix are all resolved
 before the first call.  The bound ``x -> y`` closure holds no per-call
 state, so several threads may run it at once.  :func:`fused_block` and
 :func:`fused_restore` bind for the shape they are given and call.
@@ -60,7 +62,7 @@ in place:
   ``[x; 1]ᵀ @ [w1 | b1][c0:c1]ᵀ``, with each block's ``(R+1, block)``
   slice packed when the kernel is bound.  The bias is the last column of
   the restore matrix against a row of ones appended to the rank-``R``
-  input (one ``(N, R+1, h·w)`` copy per sample group and spatial tile),
+  input (one ``(N, R+1, h·w)`` copy per sample group),
   so there is no ``tile += b1`` pass;
 * step 2 runs the activation in place (``relu`` against a row of zeros,
   the array-operand form NumPy vectorises: see :mod:`.activation`);
@@ -110,7 +112,7 @@ from .activation import get_activation
 from .pool import bind_pool2d, upsample_nearest
 
 __all__ = ["bind_fused", "fused_block", "fused_restore",
-           "fused_scratch_bytes", "spatially_tileable", "DEFAULT_BLOCK_SIZE"]
+           "fused_scratch_bytes", "DEFAULT_BLOCK_SIZE"]
 
 #: Default number of restored channels processed per tile.
 DEFAULT_BLOCK_SIZE = 32
@@ -145,26 +147,6 @@ def _bind_resample(tile_hw: tuple[int, int], pool: dict[str, Any] | None,
         return (lambda tile: upsample_nearest(tile, scale),
                 (h * scale, w * scale))
     return None, (h, w)
-
-
-def spatially_tileable(h: int, w: int, spatial_tile: int,
-                       pool: dict[str, Any] | None) -> bool:
-    """Spatial tiling is exact only when no window straddles a tile edge:
-    non-overlapping unpadded pooling whose stride divides the tile, and
-    tiles that divide the input."""
-    if spatial_tile <= 0 or (h <= spatial_tile and w <= spatial_tile):
-        return False
-    if h % spatial_tile or w % spatial_tile:
-        return False
-    if pool is not None:
-        kh, kw = pool["kernel"]
-        sh, sw = pool.get("stride", pool["kernel"])
-        ph, pw = pool.get("padding", (0, 0))
-        if (kh, kw) != (sh, sw) or (ph, pw) != (0, 0):
-            return False
-        if spatial_tile % sh or spatial_tile % sw:
-            return False
-    return True
 
 
 def _row_pieces(c_prime: int, runs: tuple[tuple[int, int, int], ...]):
@@ -203,7 +185,7 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
                b1: np.ndarray | None, w2: np.ndarray | None = None,
                b2: np.ndarray | None = None, act: str | None = None,
                pool: dict[str, Any] | None = None, upsample: int = 0,
-               block_size: int = DEFAULT_BLOCK_SIZE, spatial_tile: int = 0,
+               block_size: int = DEFAULT_BLOCK_SIZE,
                act_params: dict[str, Any] | None = None,
                passthrough=()) -> Callable[[np.ndarray], np.ndarray]:
     """The fused kernel for inputs of shape ``x_shape`` (any batch):
@@ -230,22 +212,11 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
     # keeps its input's
     weights_dtype = None if w2 is None else np.result_type(w1, w2)
     restore = w1 if b1 is None else np.concatenate((w1, b1[:, None]), axis=1)
-    th, tw = h, w
-    if spatially_tileable(h, w, int(spatial_tile or 0), pool):
-        th = tw = int(spatial_tile)
     # a pooled site's tile is channels-last, (N, h·w, blk): each pooling
     # tap then reduces a contiguous w·blk or blk run, not one image row
     channels_last = pool is not None
-    resample, (oth, otw) = _bind_resample((th, tw), pool, upsample)
+    resample, (oh, ow) = _bind_resample((h, w), pool, upsample)
     r_out = c_prime if w2 is None else w2.shape[0]
-    out_chw = (r_out, h // th * oth, w // tw * otw)
-    everything = (slice(None), slice(None))
-    regions = tuple(
-        (everything + (slice(ty * th, (ty + 1) * th),
-                       slice(tx * tw, (tx + 1) * tw)),
-         everything + (slice(ty * oth, (ty + 1) * oth),
-                       slice(tx * otw, (tx + 1) * otw)))
-        for ty in range(h // th) for tx in range(w // tw))
     pieces = _row_pieces(c_prime, runs)
     # the tile axis that holds a block's channels
     rows_axis = (slice(None),) * (2 if channels_last else 1)
@@ -281,33 +252,32 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
     # a restore with nothing to resample lands straight in its output slice
     may_write_through = w2 is None and resample is None
     b2_nchw = None if w2 is None or b2 is None else b2[None, :, None, None]
-    hw, ohw = th * tw, oth * otw
+    hw, ohw = h * w, oh * ow
     # one sample's share of the tile, in elements
     tile_elems, restore_itemsize = block * hw, restore.itemsize
 
-    def core(x_region: np.ndarray, out: np.ndarray) -> None:
-        """Channel-blocked lconv→act→resample[→fconv] over one spatial
-        region, streamed through one reusable tile into ``out``, that
-        region's output."""
-        n = x_region.shape[0]
-        if x_in_place:
-            # a view, except for a spatial tile of a larger input (rank-R, tile-sized copy)
+    def core(x: np.ndarray, out: np.ndarray) -> None:
+        """Channel-blocked lconv→act→resample[→fconv] over one sample
+        group, streamed through one reusable tile into ``out``, that
+        group's output."""
+        n = x.shape[0]
+        if x_in_place:  # a view
             channels = columns[0][1]
-            x_flat = (x_region if channels is None else x_region[channels]
+            x_flat = (x if channels is None else x[channels]
                       ).reshape(n, r_restored, hw)
         else:
             # [w1 | b1] @ [x; 1] over the restored channels only: the bias
             # is added inside the restore GEMM
-            x_aug = np.empty((n, restore.shape[1], th, tw), dtype=x_region.dtype)
+            x_aug = np.empty((n, restore.shape[1], h, w), dtype=x.dtype)
             for to, channels in columns:
-                x_aug[to] = x_region if channels is None else x_region[channels]
+                x_aug[to] = x if channels is None else x[channels]
             if b1 is not None:
                 x_aug[:, r_restored] = 1
             x_flat = x_aug.reshape(n, restore.shape[1], hw)
         if channels_last:  # BLAS reads the NCHW input with a trans flag
             x_flat = x_flat.transpose(0, 2, 1)
         direct = may_write_through and out.flags.c_contiguous
-        dtype = np.promote_types(x_region.dtype, restore.dtype)
+        dtype = np.promote_types(x.dtype, restore.dtype)
         if not direct:
             scratch = np.empty(n * block * hw, dtype=dtype)
         if w2 is not None:
@@ -338,7 +308,7 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
                     continue
                 # (1-2) pass-through rows: the activation, or a copy, of
                 # the input channels the run carries
-                src = x_region[source]
+                src = x[source]
                 if channels_last:
                     src = src.transpose(0, 2, 3, 1)
                 rows = rows.reshape(src.shape)
@@ -354,14 +324,14 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
             # pass writes a restore's output slice, or the pooled tile the
             # fconv GEMM then reads through an NCHW view
             if channels_last:
-                tile = tile.reshape(n, th, tw, width)
+                tile = tile.reshape(n, h, w, width)
                 if w2 is None:
                     resample(tile, out=out[:, c0:c1].transpose(0, 2, 3, 1))
                     continue
                 tile = resample(tile, out=pooled[:n * ohw * width].reshape(
-                    n, oth, otw, width)).transpose(0, 3, 1, 2)
+                    n, oh, ow, width)).transpose(0, 3, 1, 2)
             else:
-                tile = tile.reshape(n, width, th, tw)
+                tile = tile.reshape(n, width, h, w)
                 if resample is not None:
                     tile = resample(tile)
                 if w2 is None:  # restore epilogue: write the block through
@@ -382,20 +352,17 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
         n = x.shape[0]
         dtype = (x.dtype if weights_dtype is None
                  else np.promote_types(x.dtype, weights_dtype))
-        out = np.empty((n,) + out_chw, dtype=dtype)
+        out = np.empty((n, r_out, oh, ow), dtype=dtype)
         # the tile's itemsize: the wider of the input's and the weights'
         itemsize = x.itemsize
         sample_bytes = tile_elems * (itemsize if itemsize > restore_itemsize
                                      else restore_itemsize)
         if n * sample_bytes <= TILE_BYTES:
-            for x_region, out_region in regions:
-                core(x[x_region], out[out_region])
+            core(x, out)
         else:  # balanced sample groups, each with a tile that fits
             size = _group_size(n, sample_bytes)
             for s0 in range(0, n, size):
-                x_group, out_group = x[s0:s0 + size], out[s0:s0 + size]
-                for x_region, out_region in regions:
-                    core(x_group[x_region], out_group[out_region])
+                core(x[s0:s0 + size], out[s0:s0 + size])
         if b2_nchw is not None:
             out += b2_nchw
         return out
@@ -408,7 +375,6 @@ def fused_block(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
                 act: str | None = None, pool: dict[str, Any] | None = None,
                 upsample: int = 0,
                 block_size: int = DEFAULT_BLOCK_SIZE,
-                spatial_tile: int = 0,
                 act_params: dict[str, Any] | None = None,
                 passthrough=()) -> np.ndarray:
     """Run the fused sequence on ``x`` of shape ``(N, R_in, H, W)``.
@@ -432,14 +398,8 @@ def fused_block(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
         Restored channels per tile; clamped into ``[1, C']`` so an
         oversized block reports the same scratch it actually uses
         (one full-width tile) instead of a fictitious larger one.
-    spatial_tile:
-        Optional spatial tile edge (Listing 1's 3D blocking over
-        (C', H, W)); applied only when exact — the input must tile
-        evenly and any pooling must be non-overlapping and unpadded —
-        otherwise the kernel silently falls back to channel-only
-        blocking.  Scratch memory with both blockings is at most
-        ``block_size · spatial_tile² · N`` elements (``N`` a sample
-        group's size where the batch runs in groups).
+        Scratch memory is at most ``block_size · H · W · N`` elements
+        (``N`` a sample group's size where the batch runs in groups).
     passthrough:
         A merged lconv's ``(out_row, in_col, width)`` runs: tile rows
         ``out_row:out_row+width`` are input channels ``in_col:in_col+width``
@@ -448,14 +408,13 @@ def fused_block(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
         outside them, and ``b1`` covers those rows only.
     """
     return bind_fused(x.shape, w1, b1, w2, b2, act, pool, upsample,
-                      block_size, spatial_tile, act_params, passthrough)(x)
+                      block_size, act_params, passthrough)(x)
 
 
 def fused_restore(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
                   act: str | None = None, pool: dict[str, Any] | None = None,
                   upsample: int = 0,
                   block_size: int = DEFAULT_BLOCK_SIZE,
-                  spatial_tile: int = 0,
                   act_params: dict[str, Any] | None = None,
                   passthrough=()) -> np.ndarray:
     """Restore-epilogue kernel: ``lconv → act [→ pool | upsample]`` streamed
@@ -472,18 +431,14 @@ def fused_restore(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
     :func:`fused_block`'s.
     """
     return bind_fused(x.shape, w1, b1, None, None, act, pool, upsample,
-                      block_size, spatial_tile, act_params, passthrough)(x)
+                      block_size, act_params, passthrough)(x)
 
 
 def fused_scratch_bytes(input_shape: tuple[int, ...], itemsize: int,
                         block_size: int = DEFAULT_BLOCK_SIZE,
-                        c_prime: int | None = None,
-                        spatial_tile: int = 0,
-                        pool: dict[str, Any] | None = None) -> int:
+                        c_prime: int | None = None) -> int:
     """Peak scratch of :func:`fused_block`: one whole-batch channel-block
-    tile, further bounded by the spatial tile edge where the kernel
-    applies it (:func:`spatially_tileable` for the site's ``pool``;
-    otherwise the tile spans the whole plane).  The kernel holds at most
+    tile over the whole plane.  The kernel holds at most
     this much: a batch whose tile outgrows :data:`TILE_BYTES` runs in
     sample groups that each hold a group-sized tile.  The figure stays
     the whole-batch one because :func:`repro.core.fusion.widen_tiles`
@@ -500,9 +455,8 @@ def fused_scratch_bytes(input_shape: tuple[int, ...], itemsize: int,
     restore's column pass writes its output slice, no padded copy either
     way; upsampled: ``scale + scale²`` tiles) + one ``(N, R_out, tile)``
     fconv accumulator, which only blocks after the first add into the
-    output + the rank-``R+1`` augmented input ``[x; 1]`` of the region
-    when there is a bias (without one, an exact ``spatial_tile`` still
-    copies its strided rank-``R`` region), all independent of ``C'``
+    output + the rank-``R+1`` augmented input ``[x; 1]`` when there is a
+    bias, all independent of ``C'``
     (measured with ``tracemalloc`` in ``tests/test_kernels_fused.py``),
     each for one sample group where the batch is grouped.
     """
@@ -510,7 +464,4 @@ def fused_scratch_bytes(input_shape: tuple[int, ...], itemsize: int,
     blk = max(1, int(block_size))
     if c_prime is not None:
         blk = min(blk, int(c_prime))
-    th, tw = h, w
-    if spatially_tileable(h, w, int(spatial_tile or 0), pool):
-        th = tw = int(spatial_tile)
-    return blk * n * th * tw * itemsize
+    return blk * n * h * w * itemsize

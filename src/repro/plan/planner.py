@@ -50,9 +50,11 @@ __all__ = ["PlanCostModel", "KeepAction", "SpillAction", "RematAction",
            "InfeasibleBudget", "plan_memory"]
 
 
-#: What a remat chain runs at: the rate this runtime's NumPy kernels
-#: sustain on one BLAS thread, perfbench's per-layer
-#: ``kernels.gflops_per_s`` on ``graph_b4`` (conv 7.3, fused 7.1).
+#: What a remat chain runs at: one hand-set rate for every kernel.  The
+#: NumPy kernels' measured rates span 6.9-35.4 GFLOP/s by family and
+#: batch (perfbench's per-layer ``kernels.<family>``), so a per-family
+#: cost model measured from them is to replace it.  The value decides
+#: which actions the budget rows' plans take, so it stays until then.
 KERNEL_FLOPS_PER_S = 7e9
 #: nodes of lead between issuing a prefetch and needing the tensor
 #: (1 = the transfer overlaps the preceding node's compute)

@@ -39,10 +39,9 @@
   and failures as bad events); :meth:`stats` re-exports burn-rate
   gauges so ``GET /metrics`` exposes them.
 
-The server serves whatever graph it is given; ``repro serve --tuned``
-hands it the autotuned compiled plan from the :mod:`repro.tune` cache
-(:func:`repro.tune.load_cached_plan`) so every request reuses the
-tuned tiles.
+The server serves whatever graph it is given; ``repro serve plan.npz``
+hands it a graph ``repro optimize MODEL -o plan.npz`` compiled once, so
+every request runs the compiled tiles.
 """
 
 from __future__ import annotations

@@ -1,7 +1,6 @@
 """CLI commands run in-process."""
 
 import json
-import re
 
 import numpy as np
 import pytest
@@ -99,87 +98,6 @@ class TestCLI:
         assert "6/6 checks passed" in out
 
 
-@pytest.fixture(scope="module")
-def tuned_cache(tmp_path_factory):
-    """A tune cache populated once for alexnet @ batch 1, hw 16."""
-    cache_dir = tmp_path_factory.mktemp("tune-cache")
-    assert main(["tune", "alexnet", "--batch", "1", "--hw", "16",
-                 "--repeats", "1", "--cache-dir", str(cache_dir)]) == 0
-    return cache_dir
-
-
-class TestTuneCLI:
-    def test_tune_miss_then_hit(self, capsys, tmp_path):
-        args = ["tune", "alexnet", "--batch", "1", "--hw", "16",
-                "--repeats", "1", "--cache-dir", str(tmp_path)]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "tune cache miss" in out and "tuned tiles" in out
-        assert list(tmp_path.glob("*.json")) and \
-            list(tmp_path.glob("*.plan.npz"))
-        assert main(args) == 0
-        assert "tune cache hit" in capsys.readouterr().out
-
-    def test_tune_force_retunes(self, capsys, tuned_cache):
-        assert main(["tune", "alexnet", "--batch", "1", "--hw", "16",
-                     "--repeats", "1", "--force",
-                     "--cache-dir", str(tuned_cache)]) == 0
-        assert "tune cache miss" in capsys.readouterr().out
-
-    def test_tune_says_how_close_the_compiled_tiles_are(self, capsys,
-                                                        tuned_cache):
-        # a cache hit prints the stored record: same table, same line
-        assert main(["tune", "alexnet", "--batch", "1", "--hw", "16",
-                     "--repeats", "1", "--cache-dir", str(tuned_cache)]) == 0
-        out = capsys.readouterr().out
-        (line,) = re.findall(r"compiled tile within 5 % of the best at "
-                             r"(\d+) of (\d+) sites", out)
-        near, sites = map(int, line)
-        assert 0 <= near <= sites == 5
-
-    def test_run_tuned_uses_cached_plan(self, capsys, tuned_cache):
-        assert main(["run", "alexnet", "--batch", "1", "--hw", "16",
-                     "--repeats", "1", "--tuned",
-                     "--cache-dir", str(tuned_cache)]) == 0
-        out = capsys.readouterr().out
-        assert "tune cache hit: executing cached compiled plan" in out
-        assert "wall-clock" in out
-
-    def test_run_tuned_no_tune_on_empty_cache(self, capsys, tmp_path):
-        assert main(["run", "alexnet", "--batch", "1", "--hw", "16",
-                     "--repeats", "1", "--tuned", "--no-tune",
-                     "--cache-dir", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "tune cache miss (--no-tune)" in out
-        assert not list(tmp_path.glob("*.json"))  # lookup-only: no tuning
-
-    def test_optimize_tuned_applies_cached_tiles(self, capsys, tuned_cache):
-        assert main(["optimize", "alexnet", "--batch", "1", "--hw", "16",
-                     "--tuned", "--no-tune",
-                     "--cache-dir", str(tuned_cache)]) == 0
-        out = capsys.readouterr().out
-        assert "tune cache hit" in out and "reduction" in out
-
-    def test_bench_tuned_consults_cache(self, capsys, tuned_cache):
-        assert main(["bench", "fig10", "--model", "alexnet", "--batch", "1",
-                     "--tuned", "--cache-dir", str(tuned_cache)]) == 0
-        out = capsys.readouterr().out
-        assert "consulting tune cache" in out and "Fusion" in out
-
-    def test_tune_trace_carries_trial_decisions(self, capsys, tmp_path):
-        trace = tmp_path / "tune.trace.json"
-        assert main(["tune", "alexnet", "--batch", "1", "--hw", "16",
-                     "--repeats", "1", "--cache-dir", str(tmp_path / "cache"),
-                     "--trace", str(trace)]) == 0
-        doc = json.loads(trace.read_text())
-        marks = [e for e in doc["traceEvents"]
-                 if e.get("args", {}).get("pass_name") == "tune"]
-        verdicts = {e["args"]["verdict"] for e in marks}
-        assert {"trial", "select", "cache_store"} <= verdicts
-        assert any(e["name"] == "tune.site" for e in doc["traceEvents"]
-                   if e["ph"] == "X")
-
-
 class TestServeCLI:
     def test_loadgen_json_report(self, capsys):
         assert main(["loadgen", "unet_small", "--batch", "2", "--hw", "16",
@@ -213,12 +131,6 @@ class TestServeCLI:
                      "--no-batching", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["server"]["serve.batches"] == 4
-
-    def test_loadgen_tuned_empty_cache_reports_miss(self, capsys, tmp_path):
-        assert main(["loadgen", "unet_small", "--batch", "2", "--hw", "16",
-                     "--requests", "2", "--concurrency", "2", "--tuned",
-                     "--cache-dir", str(tmp_path)]) == 0
-        assert "tune cache miss" in capsys.readouterr().out
 
     def test_run_prints_latency_percentiles(self, capsys):
         assert main(["run", "alexnet", "--batch", "1", "--hw", "32",

@@ -55,27 +55,25 @@ def test_surface_matches_the_golden():
     golden = json.loads(GOLDEN.read_text())
     surface = json.loads(json.dumps(parser_surface()))  # tuples -> lists
     assert sorted(surface["commands"]) == sorted(golden["commands"])
-    assert len(surface["commands"]) == 17
+    assert len(surface["commands"]) == 16
     for name, command in golden["commands"].items():
         assert surface["commands"][name] == command, name
     assert surface == golden
 
 
-def test_importing_serve_does_not_import_the_tuner_or_the_bench_harness():
-    # ``--tuned`` is a CLI concern: the serving library takes a graph.
-    # The top-level package imports repro.tune for its own re-exports,
-    # so forget it first and see whether repro.serve brings it back.
+def test_importing_serve_does_not_import_the_bench_harness():
+    # the serving library takes a graph; building one is a CLI concern.
+    # Forget the harness first and see whether repro.serve brings it back.
     code = ("import sys, repro\n"
             "for m in [m for m in sys.modules if m.startswith("
-            "('repro.tune', 'repro.bench'))]: del sys.modules[m]\n"
+            "'repro.bench')]: del sys.modules[m]\n"
             "import repro.serve\n"
-            "print([m for m in ('repro.tune', 'repro.bench') "
-            "if m in sys.modules])")
+            "print('repro.bench' in sys.modules)")
     src = str(Path(repro.__file__).parents[1])  # works uninstalled too
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "False"
 
 
 BAD_VALUES = [  # (command line up to the flag, flag, rejected value)
@@ -83,7 +81,7 @@ BAD_VALUES = [  # (command line up to the flag, flag, rejected value)
     (["serve", "alexnet"], "--workers", "0"),  # was ServerConfig ValueError
     (["fleet", "alexnet"], "--replicas", "0"),  # was PoolConfig ValueError
     (["loadgen", "alexnet"], "--requests", "0"),  # was LoadgenConfig's
-    (["tune", "alexnet"], "--repeats", "0"),
+    (["bench", "fig10"], "--repeats", "0"),
     (["bench", "fig11"], "--repeats", "-1"),
     (["profile", "alexnet"], "--repeats", "0"),
     (["profile", "alexnet"], "--top", "0"),
@@ -114,7 +112,7 @@ BAD_VALUES = [  # (command line up to the flag, flag, rejected value)
     (["optimize", "alexnet"], "--energy", "1.5"),
     (["optimize", "alexnet"], "--ratio", "0"),
     (["trace", "alexnet"], "--ratio", "2"),
-    (["serve", "alexnet"], "--ratio", "abc"),
+    (["plan", "alexnet"], "--ratio", "abc"),
 ]
 
 

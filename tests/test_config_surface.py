@@ -1,6 +1,6 @@
 """Every settable knob is a contract: the config classes' fields.
 
-``tests/golden/config_surface.json`` records, for each of the ten config
+``tests/golden/config_surface.json`` records, for each of the nine config
 classes and for ``optimize()``, every field (parameter) as
 ``name=repr(default)`` in declaration order, and the value of each module
 constant that holds a value only tests change (through
@@ -22,12 +22,10 @@ from repro.fleet import PoolConfig
 from repro.plan import PlanCostModel
 from repro.serve import LoadgenConfig, ServerConfig
 from repro.train import SGDConfig
-from repro.tune import TuneConfig
 
 GOLDEN = Path(__file__).parent / "golden" / "config_surface.json"
 CONFIGS = (TeMCOConfig, SkipOptConfig, FusionConfig, DecompositionConfig,
-           TuneConfig, PlanCostModel, ServerConfig, PoolConfig,
-           LoadgenConfig, SGDConfig)
+           PlanCostModel, ServerConfig, PoolConfig, LoadgenConfig, SGDConfig)
 #: module -> its constants that only tests change
 CONSTANTS = {
     "repro.core.skip_opt": ("MEMORY_SLACK", "MAX_CHAIN_NODES"),
@@ -39,7 +37,6 @@ CONSTANTS = {
     "repro.plan.planner": ("PREFETCH_LEAD", "MAX_CHAIN_LEN"),
     "repro.serve.loadgen": ("RESULT_TIMEOUT_S",),
     "repro.train.sgd": ("MOMENTUM", "GRAD_CLIP"),
-    "repro.tune.tuner": ("SPATIAL_TILES",),
 }
 
 

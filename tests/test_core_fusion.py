@@ -156,8 +156,7 @@ def _sites(graph):
 
 
 def _tiles(graph):
-    return [(n.attrs["block_size"], n.attrs["spatial_tile"])
-            for _i, n in _sites(graph)]
+    return [n.attrs["block_size"] for _i, n in _sites(graph)]
 
 
 class TestSlackWidening:
@@ -183,8 +182,8 @@ class TestSlackWidening:
             derived, report = optimize(decomposed)
         narrow, _ = optimize(decomposed, TeMCOConfig(
             fusion=FusionConfig(block_size=DEFAULT_BLOCK_SIZE)))
-        assert _tiles(narrow) == [(DEFAULT_BLOCK_SIZE, 0)] * 2
-        assert _tiles(derived) == [(DEFAULT_BLOCK_SIZE, 0), (64, 0)]
+        assert _tiles(narrow) == [DEFAULT_BLOCK_SIZE] * 2
+        assert _tiles(derived) == [DEFAULT_BLOCK_SIZE, 64]
         assert report.fusion.widened == 1
         budget = self._scratch_counted_peak(narrow)
         assert self._scratch_counted_peak(derived) == budget
@@ -206,39 +205,28 @@ class TestSlackWidening:
             "block_size_before": DEFAULT_BLOCK_SIZE, "block_size": 64})
         assert_equivalent(decomposed, derived, random_input(decomposed))
 
-    @pytest.mark.parametrize(("fusion", "tiles"), [
-        (FusionConfig(block_size=8), [(8, 0), (8, 0)]),
-        (FusionConfig(block_size=DEFAULT_BLOCK_SIZE),
-         [(DEFAULT_BLOCK_SIZE, 0)] * 2),
-        (FusionConfig(site_overrides={"c1.lconv": (DEFAULT_BLOCK_SIZE, 8),
-                                      "c2.lconv": (DEFAULT_BLOCK_SIZE, 8)}),
-         [(DEFAULT_BLOCK_SIZE, 8)] * 2),
-        (FusionConfig(site_overrides={"c2.lconv": (4, 0)}),
-         [(DEFAULT_BLOCK_SIZE, 0), (4, 0)]),
-        (FusionConfig(site_overrides={"c1.lconv": (4, 8)}),
-         [(4, 8), (64, 0)]),
-    ], ids=["block_size", "block_size_at_the_default", "spatial_tile",
-            "override_of_the_wide_site", "override_elsewhere"])
+    @pytest.mark.parametrize("block", [8, DEFAULT_BLOCK_SIZE],
+                             ids=["block_size", "block_size_at_the_default"])
     def test_a_configured_tile_is_compiled_exactly_as_given(
-            self, decomposed, fusion, tiles):
-        optimized, report = optimize(decomposed, TeMCOConfig(fusion=fusion))
-        assert _tiles(optimized) == tiles
-        assert report.fusion.widened == sum(
-            tile == (64, 0) for tile in tiles)
+            self, decomposed, block):
+        optimized, report = optimize(decomposed, TeMCOConfig(
+            fusion=FusionConfig(block_size=block)))
+        assert _tiles(optimized) == [block] * 2
+        assert report.fusion.widened == 0
 
     def test_blocks_split_evenly_at_the_fewest_count_that_fits(self):
         # C' = 128 with room for 53 channels: three blocks of 44, not 52+52+24
         decomposed = decompose_graph(make_chain_graph(channels=64, hw=16),
                                      DecompositionConfig(seed=0))
         optimized, _ = optimize(decomposed)
-        assert _tiles(optimized) == [(44, 0), (128, 0)]
+        assert _tiles(optimized) == [44, 128]
 
     def test_fusing_outside_the_pipeline_leaves_the_default(self, decomposed):
         graph = decomposed.clone()
         fuse_activation_layers(graph)
-        assert _tiles(graph) == [(DEFAULT_BLOCK_SIZE, 0)] * 2
+        assert _tiles(graph) == [DEFAULT_BLOCK_SIZE] * 2
         assert widen_tiles(graph) == 1  # the pass is callable on its own
-        assert _tiles(graph) == [(DEFAULT_BLOCK_SIZE, 0), (64, 0)]
+        assert _tiles(graph) == [DEFAULT_BLOCK_SIZE, 64]
 
 
 def _compile(model, method, scan, monkeypatch):

@@ -32,8 +32,7 @@ def _fake_runs(monkeypatch, reports):
 @pytest.mark.parametrize("config", [
     TeMCOConfig(),
     TeMCOConfig(enable_scheduling=False,
-                fusion=FusionConfig(block_size=8,
-                                    site_overrides={"c1.lconv": (8, 4)})),
+                fusion=FusionConfig(block_size=8)),
 ])
 def test_fallback_configs_change_only_the_disabled_stages(monkeypatch, config):
     configs = _fake_runs(monkeypatch, [

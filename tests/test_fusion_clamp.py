@@ -53,19 +53,6 @@ class TestFusionConfigValidation:
         with pytest.raises(ValueError, match="block_size"):
             FusionConfig(block_size=0)
 
-    def test_rejects_negative_spatial_tile(self):
-        with pytest.raises(ValueError, match="override"):
-            FusionConfig(site_overrides={"c1": (4, -1)})
-
-    def test_rejects_bad_override(self):
-        with pytest.raises(ValueError, match="override"):
-            FusionConfig(site_overrides={"c1": (0, 0)})
-
-    def test_tile_for_falls_back_to_global(self):
-        cfg = FusionConfig(block_size=16, site_overrides={"c1": (4, 8)})
-        assert cfg.tile_for("c1") == (4, 8)
-        assert cfg.tile_for("c2") == (16, 0)
-
 
 class TestFusedNodeAttrs:
     def test_attrs_carry_clamped_block_size(self, decomposed):
@@ -87,19 +74,3 @@ class TestFusedNodeAttrs:
         scratch_big = InferenceSession(big).run(inputs).memory.peak_scratch_bytes
         scratch_full = InferenceSession(full).run(inputs).memory.peak_scratch_bytes
         assert scratch_big == scratch_full > 0
-
-    def test_site_overrides_reach_the_attrs(self, decomposed):
-        default, _ = optimize(decomposed, TeMCOConfig())
-        fused = [n for n in default.nodes if n.op == "fused_block"]
-        assert fused
-        site = fused[0].attrs["fused_from"][0]
-        tuned, _ = optimize(decomposed, TeMCOConfig(
-            fusion=FusionConfig(site_overrides={site: (4, 0)})))
-        target = [n for n in tuned.nodes
-                  if n.op == "fused_block" and n.attrs["fused_from"][0] == site]
-        assert target and target[0].attrs["block_size"] == 4
-        inputs = random_input(default)
-        np.testing.assert_allclose(
-            InferenceSession(tuned).run(inputs).output(),
-            InferenceSession(default).run(inputs).output(),
-            rtol=1e-4, atol=1e-4)

@@ -71,10 +71,8 @@ def _conv_cases():
 
 def _fused_cases():
     cases = {}
-    extras = dict(VARIANTS, **{"spatial_tile+maxpool": {
-        "spatial_tile": 4, "pool": VARIANTS["maxpool"]["pool"]}})
     biases = {"b1+b2": ("b1", "b2"), "b1": ("b1",), "b2": ("b2",), "none": ()}
-    for variant, extra in extras.items():
+    for variant, extra in VARIANTS.items():
         for label, keys in biases.items():
             cases[f"fused_block/{variant}/{label}"] = \
                 lambda dtype, extra=extra, keys=keys: _fused(
@@ -191,7 +189,6 @@ def _spelled_out(node, xs):
         return kernels.get_activation(op, **ACT_PARAMS.get(op, {}))(x)
     kwargs = dict(act=a.get("act"), pool=a.get("pool"),
                   upsample=a.get("upsample", 0), block_size=a["block_size"],
-                  spatial_tile=a.get("spatial_tile", 0),
                   act_params=a.get("act_params"))
     if op == "fused_block":
         return kernels.fused_block(x, p["w1"], p.get("b1"), p["w2"],

@@ -107,22 +107,21 @@ class TestBiasInTheGemm:
 
     @pytest.mark.parametrize("block", [1, 5, C_PRIME - 1, C_PRIME])
     @pytest.mark.parametrize("bias", [True, False], ids=["b1", "no_b1"])
-    @pytest.mark.parametrize("variant", ["plain", "maxpool", "spatial_tile"])
+    @pytest.mark.parametrize("variant", ["plain", "maxpool"])
     def test_fused_equals_unfused(self, rng, variant, bias, block):
         x = rng.normal(size=(2, 4, 8, 8))
         w1 = rng.normal(size=(self.C_PRIME, 4))
         b1 = rng.normal(size=self.C_PRIME) if bias else None
         w2, b2 = rng.normal(size=(5, self.C_PRIME)), rng.normal(size=5)
         kwargs = VARIANTS[variant]
-        reference = {k: v for k, v in kwargs.items() if k != "spatial_tile"}
         np.testing.assert_allclose(
             fused_block(x, w1, b1, w2, b2, act="relu", block_size=block,
                         **kwargs),
-            reference_chain(x, w1, b1, w2, b2, act="relu", **reference),
+            reference_chain(x, w1, b1, w2, b2, act="relu", **kwargs),
             atol=1e-10)
         np.testing.assert_allclose(
             fused_restore(x, w1, b1, act="relu", block_size=block, **kwargs),
-            reference_chain(x, w1, b1, None, None, act="relu", **reference),
+            reference_chain(x, w1, b1, None, None, act="relu", **kwargs),
             atol=1e-10)
 
     @pytest.mark.parametrize("n", [1, 3, 4])
@@ -199,7 +198,7 @@ class TestPooledSweep:
     def test_equals_separate_layers_and_is_batch_invariant(
             self, geometry, seed, n, r_in, block, blocks, spare, bias,
             dtype):
-        pool, (h, w), spatial_tile = geometry
+        pool, (h, w) = geometry
         c_prime = block * blocks + min(spare, block - 1)  # block ∤ C'
         rng = np.random.default_rng(seed)
 
@@ -215,8 +214,7 @@ class TestPooledSweep:
                else dict(rtol=1e-5, atol=1e-6))
         for w2_, b2_ in ((w2, b2), (None, None)):
             kernel = bind_fused(x.shape, w1, b1, w2_, b2_, act="relu",
-                                pool=pool, block_size=block,
-                                spatial_tile=spatial_tile)
+                                pool=pool, block_size=block)
             got = kernel(x)
             assert got.dtype == dtype
             np.testing.assert_allclose(
@@ -228,22 +226,6 @@ class TestPooledSweep:
 
 
 class TestScratchAccounting:
-    def test_a_spatial_tile_the_kernel_refuses_is_not_counted(self):
-        # regression: the report checked divisibility only, while the
-        # kernel also refuses overlapping / padded pooling and then holds
-        # a whole-plane tile (32,768 B reported for 131,072 B held)
-        shape = (4, 19, 16, 16)
-        whole = fused_scratch_bytes(shape, 4, block_size=32, c_prime=192)
-        assert whole == 32 * 4 * 16 * 16 * 4
-        assert fused_scratch_bytes(shape, 4, block_size=32, c_prime=192,
-                                   spatial_tile=8,
-                                   pool=MAXPOOL_3S2P1) == whole
-        assert fused_scratch_bytes(shape, 4, block_size=32, c_prime=192,
-                                   spatial_tile=8,
-                                   pool=AVGPOOL_2) == whole // 4
-        assert fused_scratch_bytes(shape, 4, block_size=32, c_prime=192,
-                                   spatial_tile=8) == whole // 4
-
     def test_scratch_scales_with_block(self):
         shape = (4, 8, 10, 10)
         small = fused_scratch_bytes(shape, 4, block_size=4)
@@ -261,15 +243,12 @@ MAXPOOL_3S2P1 = {"kind": "max", "kernel": (3, 3), "stride": (2, 2),
                  "padding": (1, 1)}
 AVGPOOL_2 = {"kind": "avg", "kernel": (2, 2), "stride": (2, 2),
              "padding": (0, 0)}
-#: the resampling / tiling forms a fused kernel runs in
+#: the resampling forms a fused kernel runs in
 VARIANTS = {
     "plain": {},
     "maxpool": {"pool": MAXPOOL_3S2P1},
     "avgpool": {"pool": AVGPOOL_2},
     "upsample": {"upsample": 2},
-    "spatial_tile": {"spatial_tile": 4},
-    "spatial_tile+avgpool": {"spatial_tile": 4, "pool": AVGPOOL_2},
-    "spatial_tile+upsample": {"spatial_tile": 4, "upsample": 2},
 }
 
 
@@ -344,10 +323,7 @@ class TestSampleGroups:
         one_group = kernel(x)
         # the default constant runs these small tiles as one group
         sample = fused_scratch_bytes((1,) + x.shape[1:], 4, block_size=16,
-                                     c_prime=40,
-                                     spatial_tile=VARIANTS[variant].get(
-                                         "spatial_tile", 0),
-                                     pool=VARIANTS[variant].get("pool"))
+                                     c_prime=40)
         assert fused_module._group_size(n, sample) == n
         count = {"one_sample": n, "two": 2, "three": 3}[groups]
         monkeypatch.setattr(fused_module, "TILE_BYTES",
@@ -407,7 +383,7 @@ class TestPassThroughRuns:
     separately on the dense block-diagonal matrix with identity blocks,
     and a sample's answer stays bitwise its own in any sample grouping."""
 
-    UNPOOLED = ("plain", "upsample", "spatial_tile", "spatial_tile+upsample")
+    UNPOOLED = ("plain", "upsample")
 
     @settings(max_examples=150, deadline=None)
     @given(site=_merged_site(), seed=st.integers(0, 10_000),
@@ -423,8 +399,8 @@ class TestPassThroughRuns:
         if pooled is None:
             variant, (h, w) = dict(VARIANTS[unpooled]), (8, 8)
         else:
-            pool, (h, w), spatial_tile = pooled
-            variant = {"pool": pool, "spatial_tile": spatial_tile}
+            pool, (h, w) = pooled
+            variant = {"pool": pool}
         rng = np.random.default_rng(seed)
 
         def draw(*shape, fan_in=1):
@@ -448,8 +424,7 @@ class TestPassThroughRuns:
                 **tol)
             sample = fused_scratch_bytes(
                 (1,) + x.shape[1:], x.itemsize, block_size=block,
-                c_prime=c_prime, spatial_tile=variant.get("spatial_tile", 0),
-                pool=variant.get("pool"))
+                c_prime=c_prime)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(fused_module, "TILE_BYTES",
                               -(-n * sample // min(n, 3)))
@@ -502,19 +477,18 @@ class TestScratchMeasured:
         out, peak = _traced_peak(lambda: kernel(x))
         return peak - out.nbytes, out
 
-    def _input_and_mask(self, edge):
-        """``[x; 1]`` of one region (the bias rides in the restore GEMM)
-        and leaky relu's one temporary, the tile's boolean ``x < 0``."""
-        mask = self.N * self.BLOCK * edge * edge * (self.ACT == "leaky_relu")
-        return self.N * (self.R + 1) * edge * edge * 4 + mask
+    def _input_and_mask(self):
+        """``[x; 1]`` (the bias rides in the restore GEMM) and leaky
+        relu's one temporary, the tile's boolean ``x < 0``."""
+        plane = self.HW * self.HW
+        mask = self.N * self.BLOCK * plane * (self.ACT == "leaky_relu")
+        return self.N * (self.R + 1) * plane * 4 + mask
 
-    def _bound(self, rng, out, fconv, pool=None, upsample=0, spatial_tile=0):
-        edge = spatial_tile or self.HW
+    def _bound(self, rng, out, fconv, pool=None, upsample=0):
         scratch = fused_scratch_bytes((self.N, self.R, self.HW, self.HW), 4,
-                                      block_size=self.BLOCK,
-                                      spatial_tile=spatial_tile, pool=pool)
-        assert scratch == self.N * self.BLOCK * edge * edge * 4
-        tile = _f32(rng, self.N, self.BLOCK, edge, edge)
+                                      block_size=self.BLOCK)
+        assert scratch == self.N * self.BLOCK * self.HW * self.HW * 4
+        tile = _f32(rng, self.N, self.BLOCK, self.HW, self.HW)
         resample = 0
         if pool is not None:
             fn = maxpool2d if pool["kind"] == "max" else avgpool2d
@@ -523,9 +497,8 @@ class TestScratchMeasured:
         elif upsample:
             resample = _traced_peak(
                 lambda: upsample_nearest(tile, upsample))[1]
-        share = (edge * edge) / (self.HW * self.HW)  # of the output, per tile
-        accumulator = int(out.nbytes * share) if fconv else 0
-        return (scratch + resample + accumulator + self._input_and_mask(edge)
+        accumulator = out.nbytes if fconv else 0
+        return (scratch + resample + accumulator + self._input_and_mask()
                 + self.SLACK)
 
     @pytest.mark.parametrize("fconv", [True, False],
@@ -533,9 +506,7 @@ class TestScratchMeasured:
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_transient_bounded_and_independent_of_cprime(self, rng, fconv,
                                                          variant):
-        kwargs = dict(VARIANTS[variant])
-        if kwargs.get("spatial_tile"):
-            kwargs["spatial_tile"] = 32
+        kwargs = VARIANTS[variant]
         narrow, out = self._transient(rng, 64, fconv, **kwargs)
         wide, _ = self._transient(rng, 512, fconv, **kwargs)
         assert abs(wide - narrow) <= self.SLACK, (narrow, wide)
@@ -545,20 +516,16 @@ class TestScratchMeasured:
                              ids=["fused_block", "fused_restore"])
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     def test_batch_32_holds_one_sample_group(self, rng, fconv, variant):
-        # the whole-batch tile is 16 x TILE_BYTES (4x with a spatial
-        # tile); the kernel holds what one group of samples needs
-        kwargs = dict(VARIANTS[variant])
-        if kwargs.get("spatial_tile"):
-            kwargs["spatial_tile"] = 32
+        # the whole-batch tile is 16 x TILE_BYTES; the kernel holds what
+        # one group of samples needs
+        kwargs = VARIANTS[variant]
         # `_transient` and `_bound` read the batch from self.N: measure
         # at batch 32, bound by one group
         self.N = 32
         transient, out = self._transient(rng, 2 * self.BLOCK, fconv,
                                          **kwargs)
         sample = fused_scratch_bytes(
-            (1, self.R, self.HW, self.HW), 4, block_size=self.BLOCK,
-            spatial_tile=kwargs.get("spatial_tile", 0),
-            pool=kwargs.get("pool"))
+            (1, self.R, self.HW, self.HW), 4, block_size=self.BLOCK)
         self.N = fused_module._group_size(32, sample)
         assert self.N < 32
         assert transient <= self._bound(rng, out[:self.N], fconv,
@@ -567,7 +534,7 @@ class TestScratchMeasured:
     def test_plain_restore_needs_no_tile(self, rng):
         # nothing to resample: each block lands in its slice of the output
         transient, _ = self._transient(rng, 512, fconv=False)
-        assert transient <= self._input_and_mask(self.HW) + self.SLACK
+        assert transient <= self._input_and_mask() + self.SLACK
 
 
 class TestScratchMeasuredLeakyRelu(TestScratchMeasured):

@@ -111,7 +111,7 @@ class TestPooling:
     def test_pinned_over_the_window_sweep(self, geometry, seed, dtype):
         # the clipped taps against the padded 6-D window view; the
         # channels-last kernel (the fused tiles') against the NCHW one
-        pool, hw, _tile = geometry
+        pool, hw = geometry
         kernel, stride, padding = (pool["kernel"], pool["stride"],
                                    pool["padding"])
         x = np.random.default_rng(seed).normal(size=(2, 3) + hw).astype(dtype)
