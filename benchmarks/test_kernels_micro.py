@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.kernels import (bind_conv2d, bind_fused, bind_pool2d,
-                           get_activation, relu)
+                           get_activation, relu, upsample_nearest)
 
 RNG = np.random.default_rng(0)
 
@@ -178,6 +178,34 @@ class TestHotSites:
         w2, b2 = _data((4, 48)), _data(4)
         benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu", None, 0, 32),
                   x)
+
+    def _unet_decoder(self, batch):
+        """unet_small/cp's first decoder site: a (N,2,32,32) skip and a
+        (N,3,16,16) deep branch at factor 2 restored block-diagonally to
+        16 + 32 channels, then 48 -> 4 in blocks of 32."""
+        skip, deep = _data((batch, 2, 32, 32)), _data((batch, 3, 16, 16))
+        w1 = np.zeros((48, 5), dtype=np.float32)
+        w1[:16, :2], w1[16:, 2:] = _data((16, 2)), _data((32, 3))
+        return skip, deep, (w1, _data(48), _data((4, 48)), _data(4), "relu",
+                            None, 0, 32)
+
+    def test_fused_block_unet_gathered(self, benchmark, batch):
+        # the kernel reads the skip and the deep branch in place,
+        # upsampling the latter into its [x; 1]
+        skip, deep, args = self._unet_decoder(batch)
+        kernel = bind_fused([skip.shape, deep.shape], *args, scales=(1, 2))
+        benchmark(kernel, skip, deep)
+
+    def test_fused_block_unet_concat_then_kernel(self, benchmark, batch):
+        # the same site before the gather: upsample, concat, kernel
+        skip, deep, args = self._unet_decoder(batch)
+        kernel = bind_fused((batch, 5, 32, 32), *args)
+
+        def run():
+            return kernel(np.concatenate(
+                (skip, upsample_nearest(deep, 2)), axis=1))
+
+        benchmark(run)
 
     def test_relu_standalone(self, benchmark, batch):
         # the decomposed graphs' relu after a restored (N,16,32,32): the

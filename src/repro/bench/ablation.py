@@ -161,7 +161,8 @@ def tile_site_choices(compiles=PERFBENCH_COMPILES, hw: int = 32,
             for i, node in sites])
         for i, node in sites:
             compiled = node.attrs["block_size"]
-            x = [rng.normal(size=node.input.shape).astype(node.input.dtype.np)]
+            x = [rng.normal(size=v.shape).astype(v.dtype.np)
+                 for v in node.inputs]
             ms = {}
             for block in sorted({min(b, tile_channels(node))
                                  for b in block_sizes} | {compiled}):

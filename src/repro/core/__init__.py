@@ -27,7 +27,8 @@ from .pipeline import OptimizationReport, TeMCOConfig, optimize
 from .scheduling import ScheduleStats, greedy_order, reschedule
 from .skip_opt import (RestorePlan, SkipOptConfig, SkipOptStats, find_reduced,
                        optimize_skip_connections)
-from .transform import (TransformStats, commute_upsample_lconv, merge_lconv_add,
+from .transform import (TransformStats, commute_upsample_lconv,
+                        gather_concat_inputs, merge_lconv_add,
                         merge_lconv_concat, merge_sum_fconv,
                         push_act_through_concat, split_concat_fconv)
 
@@ -57,6 +58,7 @@ __all__ = [
     "widen_tiles",
     "TransformStats",
     "commute_upsample_lconv",
+    "gather_concat_inputs",
     "merge_lconv_add",
     "merge_lconv_concat",
     "merge_sum_fconv",

@@ -4,8 +4,10 @@ Stage order follows the paper: *skip connection optimization* first
 (it creates the copied restore chains), then *layer transformations*
 (merging or splitting the concat/add joins so the chains expose
 ``lconv → act → fconv`` patterns), then *activation layer fusion*
-(collapsing every exposed pattern into a tiled fused kernel), and a
-final dead-code sweep.
+(collapsing every exposed pattern into a tiled fused kernel), the
+memory-aware schedule and the tile widths, and last the gather (a merged
+join's fused kernel reads the concat's branches in place of the
+concat).
 
 :func:`optimize` is the whole API; each stage is also callable on its
 own (``optimize_skip_connections``, the transforms,
@@ -25,9 +27,9 @@ from .liveness import estimate_peak_internal
 from .scheduling import ScheduleStats, reschedule
 from .skip_opt import SkipOptStats, optimize_skip_connections
 from .transform import (TransformStats, commute_upsample_lconv,
-                        merge_lconv_add, merge_lconv_concat,
-                        merge_sum_fconv, push_act_through_concat,
-                        split_concat_fconv)
+                        gather_concat_inputs, merge_lconv_add,
+                        merge_lconv_concat, merge_sum_fconv,
+                        push_act_through_concat, split_concat_fconv)
 
 __all__ = ["TeMCOConfig", "OptimizationReport", "optimize"]
 
@@ -90,7 +92,9 @@ class OptimizationReport:
             t = self.transforms
             lines.append(f"transforms: {t.merged_concats} concat merges, "
                          f"{t.merged_adds} add merges, {t.split_concats} splits, "
-                         f"{t.commuted_upsamples} upsample commutes")
+                         f"{t.commuted_upsamples} upsample commutes"
+                         + (f", {t.gathered_concats} concats gathered"
+                            if t.gathered_concats else ""))
         if self.fusion:
             f_ = self.fusion
             lines.append(f"fusion: {f_.fused} fused kernels "
@@ -190,6 +194,12 @@ def _compile_once(graph: Graph,
     if config.enable_fusion:
         # tiles are sized against the live bytes of the final schedule
         report.fusion.widened = widen_tiles(work, config.fusion)
+        if report.transforms is not None:
+            # a merged lconv's fused kernel reads its concat's branches.
+            # That only lowers live bytes, so every tile still fits; run
+            # before widen_tiles, it would re-size the gathered sites'
+            # tiles, and their outputs would round differently
+            gather_concat_inputs(work, report.transforms)
     report.peak_after = estimate_peak_internal(work)
     report.weight_bytes_after = work.weight_bytes()
     logger.debug("pipeline: %s peak %d B -> %d B", work.name,

@@ -37,6 +37,14 @@ skip-connection *join* points:
   activation: ``conv1×1 ∘ act ∘ concat`` ⇒ ``conv1×1 ∘ concat ∘ act``
   per branch, exposing the join to the concat split.
 
+Last of all, once fusion and the tile widths are done,
+:func:`gather_concat_inputs` turns the concat a merged lconv's fused
+kernel reads into the kernel's own inputs (VTC's virtual tensors):
+``fused(concat(a, upsample(b)))`` ⇒ ``fused(a, b)`` with
+``b``'s upsample factor an attr, so neither the concat nor the upsample
+is ever allocated — the kernel gathers the branches straight into the
+``[x; 1]`` copy it makes anyway.
+
 Each is a rule on :func:`repro.ir.rewrite.rewrite`, which does the
 splicing, the clean-up and the decision log for all of them.
 """
@@ -53,10 +61,11 @@ from ..ir.graph import Graph
 from ..ir.node import Node
 from ..ir.rewrite import Splice, rewrite
 from ..ir.value import Value
+from ..obs import get_tracer
 
 __all__ = ["TransformStats", "merge_lconv_concat", "merge_lconv_add",
            "merge_sum_fconv", "split_concat_fconv", "commute_upsample_lconv",
-           "push_act_through_concat"]
+           "push_act_through_concat", "gather_concat_inputs"]
 
 
 @dataclass
@@ -66,10 +75,12 @@ class TransformStats:
     split_concats: int = 0
     commuted_upsamples: int = 0
     pushed_acts: int = 0
+    gathered_concats: int = 0
 
     def total(self) -> int:
         return (self.merged_concats + self.merged_adds + self.split_concats
-                + self.commuted_upsamples + self.pushed_acts)
+                + self.commuted_upsamples + self.pushed_acts
+                + self.gathered_concats)
 
 
 # ---------------------------------------------------------------------------
@@ -486,3 +497,98 @@ def _commute_upsample(graph: Graph, up: Node, consumers: dict) -> Splice | None:
         "upsample_commutes_with_lconv",
         {"reduced_bytes": lconv.inputs[0].nbytes,
          "restored_bytes": up.output.nbytes})
+
+
+# ---------------------------------------------------------------------------
+# concat gather (virtual tensors: a fused kernel reads the branches)
+# ---------------------------------------------------------------------------
+
+_FUSED_OPS = ("fused_block", "fused_restore")
+
+
+def gather_concat_inputs(graph: Graph,
+                         stats: TransformStats | None = None) -> TransformStats:
+    """Rewrite ``fused(concat(a, upsample(b), ...))`` to ``fused(a, b, ...)``.
+
+    Runs after fusion and ``widen_tiles``.  A fused node whose one input
+    is a channel concat that feeds nothing else and is no graph output
+    reads the concat's branches instead; a branch that is an
+    ``upsample_nearest`` read only by that concat becomes the upsample's
+    input, with the upsample's factor in the node's ``input_scales``.
+    The kernel gathers the branches into its ``[x; 1]`` (or its tile's
+    pass-through rows), which holds the same bytes as before, so the
+    output does not move by a bit; the concat and the upsamples are
+    dropped.  Every concat-fed fused node left afterwards is logged as a
+    ``skip`` with the reason.
+    """
+    stats = stats or TransformStats()
+    stats.gathered_concats += rewrite(
+        graph, lambda node: node.op in _FUSED_OPS and len(node.inputs) == 1,
+        _gather)
+    tracer = get_tracer()
+    if tracer.enabled:
+        for node in graph.nodes:
+            concat = _fed_by_concat(graph, node)
+            if concat is not None:
+                tracer.decision(
+                    "transform.gather", concat.name, "skip",
+                    _gather_refusal(graph, concat,
+                                    graph.consumers_of(concat.output)),
+                    fused=node.name, concat_bytes=concat.output.nbytes)
+    return stats
+
+
+def _fed_by_concat(graph: Graph, node: Node) -> Node | None:
+    """The channel concat that is a one-input fused node's input, if any."""
+    if node.op not in _FUSED_OPS or len(node.inputs) != 1:
+        return None
+    producer = graph.producer_of(node.inputs[0])
+    if producer is None or not _is_channel_concat(producer):
+        return None
+    return producer
+
+
+def _is_output(graph: Graph, value: Value) -> bool:
+    return any(value is out for out in graph.outputs)
+
+
+def _gather_refusal(graph: Graph, concat: Node, users: list[Node]
+                    ) -> str | None:
+    """Why the fused node reading ``concat`` (read by ``users``) may not
+    read its branches instead (None: it may)."""
+    if _is_output(graph, concat.output):
+        return "concat_is_output"
+    if len(users) != 1:
+        return "concat_shared"
+    return None
+
+
+def _gather(graph: Graph, fused: Node, consumers: dict) -> Splice | None:
+    concat = _fed_by_concat(graph, fused)
+    if concat is None or _gather_refusal(
+            graph, concat, consumers.get(concat.output, [])):
+        return None
+    sources, scales = [], []
+    for v in concat.inputs:
+        up = graph.producer_of(v)
+        if (up is not None and up.op == "upsample_nearest"
+                and len(consumers.get(v, ())) == 1 and not _is_output(graph, v)):
+            sources.append(up.inputs[0])
+            scales.append(int(up.attrs.get("scale", 2)))
+        else:
+            sources.append(v)
+            scales.append(1)
+    # the same kernel on other inputs: its name stays, its value is new
+    out = fused.output
+    gathered = fused.clone(fused.name, sources, Value(
+        graph.namer.fresh(out.name), out.shape, out.dtype))
+    gathered.attrs["input_scales"] = scales
+    _ops.validate_node(gathered)
+    return Splice(
+        [gathered], fused.output, gathered.output,
+        "transform.gather", concat.name, "apply", "concat_read_in_place",
+        {"fused": gathered.name, "branches": len(sources),
+         "upsampled_branches": sum(scale != 1 for scale in scales),
+         "concat_bytes": concat.output.nbytes,
+         "upsampled_bytes": sum(v.nbytes for v, scale
+                                in zip(concat.inputs, scales) if scale != 1)})

@@ -12,6 +12,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .graph import Graph
+from .ops import input_scales
 
 __all__ = ["to_dot", "save_dot"]
 
@@ -66,9 +67,11 @@ def to_dot(graph: Graph, *, rankdir: str = "TB") -> str:
         lines.append(f'  "{node.name}" [label="{_label(node)}", '
                      f'fillcolor="{_color(node)}"];')
         producer[node.output.name] = node.name
-        for v in node.inputs:
+        for v, scale in zip(node.inputs, input_scales(node)):
             src = producer.get(v.name, v.name)
-            lines.append(f'  "{src}" -> "{node.name}";')
+            # an input a fused kernel reads nearest-upsampled
+            label = f' [label="↑{scale}"]' if scale != 1 else ""
+            lines.append(f'  "{src}" -> "{node.name}"{label};')
     for i, v in enumerate(graph.outputs):
         sink = f"output{i}"
         lines.append(f'  "{sink}" [label="output\\n{v.name}", '

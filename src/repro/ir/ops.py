@@ -29,6 +29,12 @@ channels that are input channels carried through unchanged (activated,
 in a fused node).  The weight (``weight`` / ``w1``) then maps, in order,
 the output rows outside the runs to the input columns outside them, and
 the bias covers those restored rows only.
+
+A fused node may read *k* inputs: its tile's input is their channel
+concatenation, each input first nearest-upsampled by its factor in the
+``input_scales`` attr (absent: one input, or every factor 1).  The
+concat and the upsamples are never materialised; :func:`fused_input_shape`
+gives the shape they would have.
 """
 
 from __future__ import annotations
@@ -56,6 +62,9 @@ __all__ = [
     "POOL_OPS",
     "passthrough_runs",
     "tile_channels",
+    "input_scales",
+    "gathered_shape",
+    "fused_input_shape",
 ]
 
 #: Element-wise activation op kinds that activation-layer fusion can absorb.
@@ -185,6 +194,41 @@ def tile_channels(node: Node) -> int:
     """``C'`` of a fused node: the rows of its tile, ``w1``'s restored
     rows plus its pass-through rows."""
     return int(node.params["w1"].shape[0]) + _passthrough_width(node)
+
+
+def input_scales(node: Node) -> tuple[int, ...]:
+    """A fused node's per-input nearest-upsample factors (1: none)."""
+    scales = node.attrs.get("input_scales")
+    return (tuple(int(s) for s in scales) if scales
+            else (1,) * len(node.inputs))
+
+
+def gathered_shape(shapes, scales) -> tuple[int, int, int, int]:
+    """The NCHW shape of the channel concat of arrays of ``shapes``, each
+    nearest-upsampled by its factor in ``scales``; ``ValueError`` if they
+    do not line up."""
+    if len(shapes) != len(scales) or not shapes:
+        raise ValueError(f"{len(shapes)} inputs, {len(scales)} scales")
+    planes = set()
+    for shape, scale in zip(shapes, scales):
+        if len(shape) != 4 or scale < 1:
+            raise ValueError(f"input {tuple(shape)} at scale {scale}: "
+                             f"expected NCHW and a scale >= 1")
+        planes.add((shape[0], shape[2] * scale, shape[3] * scale))
+    if len(planes) != 1:
+        raise ValueError(f"inputs {[tuple(s) for s in shapes]} at scales "
+                         f"{list(scales)} differ in batch or plane")
+    (n, h, w), = planes
+    return n, sum(int(shape[1]) for shape in shapes), h, w
+
+
+def fused_input_shape(node: Node) -> tuple[int, int, int, int]:
+    """The shape of a fused node's tile input: its inputs gathered."""
+    try:
+        return gathered_shape([v.shape for v in node.inputs],
+                              input_scales(node))
+    except ValueError as exc:
+        raise ValueError(f"node {node.name!r} ({node.op}): {exc}") from None
 
 
 def _validate_passthrough(node: Node, rows: int, cols: int) -> None:
@@ -454,7 +498,7 @@ register("batchnorm2d", _batchnorm_infer, _batchnorm_validate,
 # ---------------------------------------------------------------------------
 
 def _fused_block_infer(node: Node):
-    n, c, h, w = _nchw(node, node.input)
+    n, c, h, w = fused_input_shape(node)
     w1 = node.params["w1"]  # (C', R_in) lconv restore matrix, restored rows
     w2 = node.params["w2"]  # (R_out, C') fconv reduce matrix
     carried = _passthrough_width(node)
@@ -472,11 +516,17 @@ def _fused_block_infer(node: Node):
     scale = int(node.attrs.get("upsample", 0) or 0)
     if scale:
         oh, ow = oh * scale, ow * scale
-    return (n, w2.shape[0], oh, ow), node.input.dtype
+    return (n, w2.shape[0], oh, ow), node.inputs[0].dtype
+
+
+def _validate_fused_inputs(node: Node) -> None:
+    _require(len(node.inputs) >= 1, node, "takes at least one input")
+    _require(len({v.dtype for v in node.inputs}) == 1, node,
+             "inputs differ in dtype")
 
 
 def _fused_block_validate(node: Node) -> None:
-    _require(len(node.inputs) == 1, node, "fused_block takes one input")
+    _validate_fused_inputs(node)
     for p in ("w1", "w2"):
         _require(p in node.params and node.params[p].ndim == 2, node,
                  f"fused_block requires 2D {p!r} param")
@@ -503,7 +553,7 @@ def _fused_block_flops(node: Node) -> int:
     (restored or passed through) and the fconv GEMM."""
     w1 = node.params["w1"]
     w2 = node.params["w2"]
-    n, _, h, w = node.input.shape
+    n, _, h, w = fused_input_shape(node)
     cprime = tile_channels(node)
     lconv = 2 * n * h * w * w1.shape[0] * w1.shape[1]
     # fconv runs at the post-pool/upsample resolution
@@ -517,7 +567,7 @@ register("fused_block", _fused_block_infer, _fused_block_validate, _fused_block_
 
 
 def _fused_restore_infer(node: Node):
-    n, c, h, w = _nchw(node, node.input)
+    n, c, h, w = fused_input_shape(node)
     w1 = node.params["w1"]  # (C', R_in) lconv restore matrix, restored rows
     carried = _passthrough_width(node)
     _require(w1.shape[1] + carried == c, node,
@@ -531,11 +581,11 @@ def _fused_restore_infer(node: Node):
     scale = int(node.attrs.get("upsample", 0) or 0)
     if scale:
         oh, ow = oh * scale, ow * scale
-    return (n, w1.shape[0] + carried, oh, ow), node.input.dtype
+    return (n, w1.shape[0] + carried, oh, ow), node.inputs[0].dtype
 
 
 def _fused_restore_validate(node: Node) -> None:
-    _require(len(node.inputs) == 1, node, "fused_restore takes one input")
+    _validate_fused_inputs(node)
     _require("w1" in node.params and node.params["w1"].ndim == 2, node,
              "fused_restore requires 2D 'w1' param")
     act = node.attrs.get("act")
@@ -552,7 +602,7 @@ def _fused_restore_validate(node: Node) -> None:
 
 def _fused_restore_flops(node: Node) -> int:
     w1 = node.params["w1"]
-    n, _, h, w = node.input.shape
+    n, _, h, w = fused_input_shape(node)
     return (2 * n * h * w * w1.shape[0] * w1.shape[1]
             + n * h * w * tile_channels(node))
 

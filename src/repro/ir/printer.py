@@ -14,13 +14,16 @@ from __future__ import annotations
 
 from .graph import Graph
 from .node import Node
+from .ops import input_scales
 
 __all__ = ["format_graph", "format_node", "summarize_graph"]
 
 
 def format_node(node: Node) -> str:
-    """One node as ``out = op[attrs](ins)  # shape``."""
-    ins = ", ".join(v.name for v in node.inputs)
+    """One node as ``out = op[attrs](ins)  # shape``; a fused kernel's
+    input it reads nearest-upsampled by ``s`` prints as ``name↑s``."""
+    ins = ", ".join(v.name + (f"↑{scale}" if scale != 1 else "")
+                    for v, scale in zip(node.inputs, input_scales(node)))
     interesting = {k: v for k, v in node.attrs.items()
                    if k in ("role", "stride", "kernel", "scale", "axis", "act", "pool",
                             "upsample", "groups")

@@ -5,12 +5,13 @@
 node's static input shape, attrs and weights fix — a conv's path,
 geometry, im2col view strides and weight views, a batchnorm's scale and
 shift, an activation with its attrs, a pool's window, a fused kernel's
-tiles and packed ``[w1 | b1]`` — so a call only computes.  A merged
-lconv with pass-through runs that stays unfused runs the fused kernel's
-restore, one block written straight into its output.  :func:`bind` looks
-the binder up; a :class:`~repro.runtime.executor.Schedule` binds every
-node of its graph once, when a session is built.  :func:`run_node` binds
-and runs one node, for callers that hold no session.
+tiles, packed ``[w1 | b1]`` and where each of its inputs lands in
+``[x; 1]`` — so a call only computes.  A merged lconv with pass-through
+runs that stays unfused runs the fused kernel's restore, one block
+written straight into its output.  :func:`bind` looks the binder up; a
+:class:`~repro.runtime.executor.Schedule` binds every node of its graph
+once, when a session is built.  :func:`run_node` binds and runs one
+node, for callers that hold no session.
 
 A kernel keeps what it derived from the node's weights (some of it
 copies), so a graph whose nodes are bound must not have its ``params``
@@ -27,7 +28,8 @@ from typing import Callable
 import numpy as np
 
 from ..ir.node import Node
-from ..ir.ops import ACTIVATION_OPS, passthrough_runs, tile_channels
+from ..ir.ops import (ACTIVATION_OPS, fused_input_shape, input_scales,
+                      passthrough_runs, tile_channels)
 from .activation import (elu, gelu, get_activation, hardswish,
                          leaky_relu, relu, sigmoid, silu, softmax, tanh)
 from .conv import (bind_conv2d, bind_conv_transpose2d, conv2d,
@@ -177,12 +179,14 @@ def _bind_fused(node: Node) -> Kernel:
     attrs, params = node.attrs, node.params
     w2, b2 = ((params["w2"], params.get("b2")) if node.op == "fused_block"
               else (None, None))
-    return _unary(bind_fused(
-        node.inputs[0].shape, params["w1"], params.get("b1"), w2, b2,
-        act=attrs.get("act"), pool=attrs.get("pool"),
+    kernel = bind_fused(
+        [v.shape for v in node.inputs], params["w1"], params.get("b1"), w2,
+        b2, act=attrs.get("act"), pool=attrs.get("pool"),
         upsample=int(attrs.get("upsample", 0) or 0),
         block_size=int(attrs.get("block_size", DEFAULT_BLOCK_SIZE)),
-        act_params=attrs.get("act_params"), passthrough=passthrough_runs(node)))
+        act_params=attrs.get("act_params"), passthrough=passthrough_runs(node),
+        scales=input_scales(node))
+    return lambda inputs: kernel(*inputs)
 
 
 def site_scratch_bytes(node: Node, block_size: int | None = None) -> int:
@@ -193,7 +197,7 @@ def site_scratch_bytes(node: Node, block_size: int | None = None) -> int:
     if block_size is None:
         block_size = node.attrs.get("block_size", DEFAULT_BLOCK_SIZE)
     return fused_scratch_bytes(
-        node.input.shape, node.input.dtype.itemsize,
+        fused_input_shape(node), node.inputs[0].dtype.itemsize,
         block_size=int(block_size), c_prime=tile_channels(node))
 
 

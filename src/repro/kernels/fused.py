@@ -46,9 +46,10 @@ the tile, which no other op sees, changes.
 Like Listing 1, which is compiled once for a static shape, the kernel is
 *bound* once (:func:`bind_fused`): the activation callable with its
 attrs, the clamped block size and each block's weight slices, the
-resampling kernel, and the packed ``[w1 | b1]`` restore matrix are all resolved
-before the first call.  The bound ``x -> y`` closure holds no per-call
-state, so several threads may run it at once.  :func:`fused_block` and
+resampling kernel, the packed ``[w1 | b1]`` restore matrix and where
+each input's channels land are all resolved before the first call.  The
+bound ``(x₁, …, x_k) -> y`` closure holds no per-call state, so several
+threads may run it at once.  :func:`fused_block` and
 :func:`fused_restore` bind for the shape they are given and call.
 
 One tile buffer is allocated per sample group and reused by every
@@ -94,6 +95,19 @@ block-diagonal GEMM rather than one per branch, whose dispatch cost
 2-5x at batch 4 on DenseNet's 3-8 branch sites.  A site without runs has
 one restored run per block: the kernel as it was, bit for bit.
 
+The kernel may read ``k`` inputs, each with a nearest-upsample factor
+(VTC's virtual tensors): ``x`` is then their channel concatenation, each
+input upsampled, and it is never materialised.  Each run of ``[x; 1]``'s
+rows and each pass-through run is resolved, when the kernel is bound, to
+``(input, channel slice, factor)`` reads, and a call copies each read
+straight into ``[x; 1]`` or the tile's rows — an upsampled one as one
+repeat of its columns and one copy broadcast over each row's copies.
+``[x; 1]`` then holds the bytes it held when the graph materialised the
+concat, so the output is bitwise the same, while the concat and the
+upsample are never allocated.  Restored channels are read in place
+(without a bias) only where they are one run of one input at factor 1.
+One input at factor 1 is the kernel as it was.
+
 Correctness constraint from the paper (§3.2): the activation is
 element-wise and the fconv needs *all* activated channels per output
 element, so the sequence cannot be reordered — but it *can* be blocked
@@ -107,7 +121,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..ir.ops import conv_output_hw
+from ..ir.ops import conv_output_hw, gathered_shape
 from .activation import get_activation
 from .pool import bind_pool2d, upsample_nearest
 
@@ -168,33 +182,78 @@ def _row_pieces(c_prime: int, runs: tuple[tuple[int, int, int], ...]):
 
 def _restored_columns(r_in: int, runs: tuple[tuple[int, int, int], ...]):
     """The input channels outside the pass-through runs, in order, as
-    index pairs ``(columns of [x; 1], channels of x)``: they are ``w1``'s
-    columns.  The second is None where the run is all of ``x``."""
+    ``(k, c0, c1)``: channels ``c0:c1`` of the gathered input are ``w1``'s
+    columns (and ``[x; 1]``'s rows) from ``k`` on."""
     columns, col, k = [], 0, 0
     for _out_row, in_col, width in (*runs, (0, r_in, 0)):
         if in_col > col:
-            columns.append(((slice(None), slice(k, k + in_col - col)),
-                            None if (col, in_col) == (0, r_in)
-                            else (slice(None), slice(col, in_col))))
+            columns.append((k, col, in_col))
             k += in_col - col
         col = in_col + width
-    return tuple(columns)
+    return columns
 
 
-def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
+def _source_reads(c0: int, c1: int, widths: tuple[int, ...],
+                  scales: tuple[int, ...]):
+    """Channels ``c0:c1`` of the gathered input as ``(source, channels,
+    scale, at, width)`` reads, in order: ``channels`` of input ``source``
+    (None: all of them), upsampled by ``scale``, are the ``width``
+    channels ``at`` past ``c0``."""
+    start = 0
+    for source, (count, scale) in enumerate(zip(widths, scales)):
+        lo, hi = max(c0, start), min(c1, start + count)
+        if lo < hi:
+            yield (source,
+                   None if hi - lo == count
+                   else (slice(None), slice(lo - start, hi - start)),
+                   scale, lo - c0, hi - lo)
+        start += count
+
+
+def _copy_spread(dest: np.ndarray, src: np.ndarray, scale: int,
+                 channels_last: bool = False) -> None:
+    """Copy ``src`` (NCHW, or NHWC where ``channels_last``),
+    nearest-upsampled by ``scale``, into ``dest``: one repeat of its
+    columns, then one copy broadcast over each row's ``scale`` copies.
+    (A single copy broadcast into an ``(h, s, w, s)`` view runs NumPy's
+    inner loop over ``s`` elements, ~2.5x slower.)"""
+    if scale == 1:
+        dest.reshape(src.shape)[...] = src
+    elif channels_last:
+        n, h, w, c = src.shape
+        dest.reshape(n, h, scale, w * scale, c)[...] = np.repeat(
+            src, scale, axis=2)[:, :, None]
+    else:
+        n, c, h, w = src.shape
+        dest.reshape(n, c, h, scale, w * scale)[...] = np.repeat(
+            src, scale, axis=3)[:, :, :, None]
+
+
+def bind_fused(x_shape, w1: np.ndarray,
                b1: np.ndarray | None, w2: np.ndarray | None = None,
                b2: np.ndarray | None = None, act: str | None = None,
                pool: dict[str, Any] | None = None, upsample: int = 0,
                block_size: int = DEFAULT_BLOCK_SIZE,
                act_params: dict[str, Any] | None = None,
-               passthrough=()) -> Callable[[np.ndarray], np.ndarray]:
+               passthrough=(), scales=None) -> Callable[..., np.ndarray]:
     """The fused kernel for inputs of shape ``x_shape`` (any batch):
     :func:`fused_block` with a reduce matrix ``w2``, :func:`fused_restore`
-    without one (then ``b2`` is ignored).  See those for the parameters."""
+    without one (then ``b2`` is ignored).  See those for the parameters.
+
+    ``x_shape`` is one input's shape, or the shapes of ``k`` inputs whose
+    channel concatenation, each input nearest-upsampled by its factor in
+    ``scales`` (default: all 1), is the tile's input; the kernel is then
+    called with the ``k`` arrays, of one dtype, and gathers them into
+    ``[x; 1]`` (or the tile's pass-through rows) without materialising the
+    concatenation."""
     name = "fused_restore" if w2 is None else "fused_block"
     if pool is not None and upsample:
         raise ValueError(f"{name} cannot both pool and upsample")
-    _n, r_in, h, w = x_shape
+    shapes = ((tuple(x_shape),) if isinstance(x_shape[0], (int, np.integer))
+              else tuple(tuple(shape) for shape in x_shape))
+    scales = (1,) * len(shapes) if scales is None else tuple(map(int, scales))
+    _n, r_in, h, w = gathered_shape(shapes, scales)
+    widths = tuple(int(shape[1]) for shape in shapes)
     runs = tuple((int(o), int(i), int(k)) for o, i, k in passthrough)
     carried = sum(k for _o, _i, k in runs)
     c_restored, r_restored = w1.shape
@@ -222,22 +281,27 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
     rows_axis = (slice(None),) * (2 if channels_last else 1)
 
     def steps(c0: int, c1: int):
-        """A block's runs: ``(rows, in_channels, None)`` for pass-through
-        rows, ``(rows, None, restore_rows)`` for restored rows.  ``rows``
-        indexes the tile (None: all of it); ``restore_rows`` is the restore
-        GEMM's right operand, ``[w1 | b1]``'s rows against the NCHW
-        ``[x; 1]``, or their transpose against ``[x; 1]ᵀ`` for a
+        """A block's runs: ``(rows, (source, channels, scale), None)`` for
+        pass-through rows, ``(rows, None, restore_rows)`` for restored
+        rows.  ``rows`` indexes the tile (None: all of it); ``restore_rows``
+        is the restore GEMM's right operand, ``[w1 | b1]``'s rows against
+        the NCHW ``[x; 1]``, or their transpose against ``[x; 1]ᵀ`` for a
         channels-last tile."""
         for start, stop, in_col, w1_row in pieces:
             lo, hi = max(start, c0), min(stop, c1)
             if lo >= hi:
                 continue
-            rows = (None if (lo, hi) == (c0, c1)
-                    else rows_axis + (slice(lo - c0, hi - c0),))
             if in_col is not None:
                 col = in_col + lo - start
-                yield rows, (slice(None), slice(col, col + hi - lo)), None
+                for source, channels, scale, at, width in _source_reads(
+                        col, col + hi - lo, widths, scales):
+                    a, b = lo + at, lo + at + width
+                    yield ((None if (a, b) == (c0, c1)
+                            else rows_axis + (slice(a - c0, b - c0),)),
+                           (source, channels, scale), None)
                 continue
+            rows = (None if (lo, hi) == (c0, c1)
+                    else rows_axis + (slice(lo - c0, hi - c0),))
             restore_rows = restore[w1_row + lo - start:w1_row + hi - start]
             yield (rows, None, np.ascontiguousarray(restore_rows.T)
                    if channels_last else restore_rows)
@@ -246,9 +310,15 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
                     tuple(steps(c0, min(c0 + block, c_prime))),
                     None if w2 is None else w2[:, c0:c0 + block])
                    for c0 in range(0, c_prime, block))
-    columns = _restored_columns(r_in, runs)
-    # without a bias, one run of restored channels is read in place
-    x_in_place = b1 is None and len(columns) == 1
+    # [x; 1]'s rows, each filled by one (upsampling) copy from an input
+    fills = tuple(((slice(None), slice(k + at, k + at + width)),
+                   source, channels, scale)
+                  for k, c0, c1 in _restored_columns(r_in, runs)
+                  for source, channels, scale, at, width
+                  in _source_reads(c0, c1, widths, scales))
+    # without a bias, restored channels that are one run of one input at
+    # its own resolution are read in place
+    x_in_place = b1 is None and len(fills) == 1 and fills[0][3] == 1
     # a restore with nothing to resample lands straight in its output slice
     may_write_through = w2 is None and resample is None
     b2_nchw = None if w2 is None or b2 is None else b2[None, :, None, None]
@@ -256,21 +326,24 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
     # one sample's share of the tile, in elements
     tile_elems, restore_itemsize = block * hw, restore.itemsize
 
-    def core(x: np.ndarray, out: np.ndarray) -> None:
+    def core(xs: list[np.ndarray], out: np.ndarray) -> None:
         """Channel-blocked lconv→act→resample[→fconv] over one sample
         group, streamed through one reusable tile into ``out``, that
         group's output."""
+        x = xs[0]
         n = x.shape[0]
         if x_in_place:  # a view
-            channels = columns[0][1]
+            _to, source, channels, _scale = fills[0]
+            x = xs[source]
             x_flat = (x if channels is None else x[channels]
                       ).reshape(n, r_restored, hw)
         else:
             # [w1 | b1] @ [x; 1] over the restored channels only: the bias
             # is added inside the restore GEMM
             x_aug = np.empty((n, restore.shape[1], h, w), dtype=x.dtype)
-            for to, channels in columns:
-                x_aug[to] = x if channels is None else x[channels]
+            for to, source, channels, scale in fills:
+                _copy_spread(x_aug[to], xs[source] if channels is None
+                             else xs[source][channels], scale)
             if b1 is not None:
                 x_aug[:, r_restored] = 1
             x_flat = x_aug.reshape(n, restore.shape[1], hw)
@@ -294,9 +367,9 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
             else:
                 tile = scratch[:n * width * hw].reshape(
                     (n, hw, width) if channels_last else (n, width, hw))
-            for rows, source, restore_rows in block_steps:
+            for rows, read, restore_rows in block_steps:
                 rows = tile if rows is None else tile[rows]
-                if source is None:
+                if read is None:
                     # (1) restore the block's rows, one GEMM per sample
                     if channels_last:
                         np.matmul(x_flat, restore_rows, out=rows)
@@ -308,14 +381,18 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
                     continue
                 # (1-2) pass-through rows: the activation, or a copy, of
                 # the input channels the run carries
-                src = x[source]
+                source, channels, scale = read
+                src = xs[source]
+                if channels is not None:
+                    src = src[channels]
                 if channels_last:
                     src = src.transpose(0, 2, 3, 1)
-                rows = rows.reshape(src.shape)
-                if act_fn is not None and src.dtype == dtype:
-                    act_fn(src, out=rows)
-                    continue
-                rows[...] = src
+                if scale == 1:
+                    rows = rows.reshape(src.shape)
+                    if act_fn is not None and src.dtype == dtype:
+                        act_fn(src, out=rows)
+                        continue
+                _copy_spread(rows, src, scale, channels_last)
                 if act_fn is not None:
                     act_fn(rows, out=rows)
             if direct:
@@ -348,7 +425,8 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
             else:
                 out += acc.reshape(out.shape)
 
-    def fused(x: np.ndarray) -> np.ndarray:
+    def fused(*xs: np.ndarray) -> np.ndarray:
+        x = xs[0]
         n = x.shape[0]
         dtype = (x.dtype if weights_dtype is None
                  else np.promote_types(x.dtype, weights_dtype))
@@ -358,11 +436,11 @@ def bind_fused(x_shape: tuple[int, ...], w1: np.ndarray,
         sample_bytes = tile_elems * (itemsize if itemsize > restore_itemsize
                                      else restore_itemsize)
         if n * sample_bytes <= TILE_BYTES:
-            core(x, out)
+            core(xs, out)
         else:  # balanced sample groups, each with a tile that fits
             size = _group_size(n, sample_bytes)
             for s0 in range(0, n, size):
-                core(x[s0:s0 + size], out[s0:s0 + size])
+                core([x[s0:s0 + size] for x in xs], out[s0:s0 + size])
         if b2_nchw is not None:
             out += b2_nchw
         return out
@@ -438,12 +516,13 @@ def fused_scratch_bytes(input_shape: tuple[int, ...], itemsize: int,
                         block_size: int = DEFAULT_BLOCK_SIZE,
                         c_prime: int | None = None) -> int:
     """Peak scratch of :func:`fused_block`: one whole-batch channel-block
-    tile over the whole plane.  The kernel holds at most
-    this much: a batch whose tile outgrows :data:`TILE_BYTES` runs in
-    sample groups that each hold a group-sized tile.  The figure stays
-    the whole-batch one because :func:`repro.core.fusion.widen_tiles`
-    budgets block widths with it, and a grouped figure would change
-    compiles.
+    tile over the whole plane.  ``input_shape`` is the tile input's, the
+    gathered shape where the kernel reads several inputs.  The kernel
+    holds at most this much: a batch whose tile outgrows
+    :data:`TILE_BYTES` runs in sample groups that each hold a group-sized
+    tile.  The figure stays the whole-batch one because
+    :func:`repro.core.fusion.widen_tiles` budgets block widths with it,
+    and a grouped figure would change compiles.
 
     Reported separately from internal-tensor memory (the paper's CUDA
     tiles live in shared memory, outside the DRAM tensor pool); exposed
@@ -456,7 +535,9 @@ def fused_scratch_bytes(input_shape: tuple[int, ...], itemsize: int,
     way; upsampled: ``scale + scale²`` tiles) + one ``(N, R_out, tile)``
     fconv accumulator, which only blocks after the first add into the
     output + the rank-``R+1`` augmented input ``[x; 1]`` when there is a
-    bias, all independent of ``C'``
+    bias or ``k > 1`` inputs fill it (an input read at factor ``s``
+    passes through one transient repeat of its columns, ``1/s`` of its
+    upsampled size, before the tile exists), all independent of ``C'``
     (measured with ``tracemalloc`` in ``tests/test_kernels_fused.py``),
     each for one sample group where the batch is grouped.
     """

@@ -5,8 +5,10 @@ with random activations (``leaky_relu`` / ``elu`` with drawn slopes and
 alphas), pools, skip connections joined by add/concat, DenseNet
 composite blocks, FractalNet sum joins and U-Net decoder upsampling —
 the full surface TeMCO's passes pattern-match on — plus, on request, the
-strays real exported graphs carry: graph inputs nothing reads and
-branches nothing consumes.  Deterministic given the seed.
+strays real exported graphs carry (graph inputs nothing reads and
+branches nothing consumes) and a U-Net encoder–decoder stage whose
+decoder reads the channel concat of its skip and its upsampled deep
+branch.  Deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -47,9 +49,34 @@ def _fractal_join(b: GraphBuilder, rng: np.random.Generator, h, name: str):
                     name=f"{name}.mix")
 
 
+def _encoder_decoder(b: GraphBuilder, rng: np.random.Generator, h,
+                     name: str):
+    """U-Net's stage at the current resolution: a skip ``act(conv3x3(h))``
+    pooled down, ``act(conv3x3)`` there, nearest-upsampled back and
+    joined with the skip by a channel concat (either order) that a
+    3×3 decoder conv reads — after decomposition, the concat of a
+    reduced skip and an upsampled reduced tensor that the gather turns
+    into the decoder's fused kernel's inputs.  One activation, so the
+    concat merge applies."""
+    act = _activation(b, rng)
+    width = 8 * int(rng.integers(2, 4))
+    skip = act(b.conv2d(h, width, 3, padding=1, name=f"{name}.enc"))
+    down = (b.maxpool2d(skip, 2) if rng.integers(0, 2)
+            else b.avgpool2d(skip, 2))
+    for j in range(int(rng.integers(2, 4))):
+        down = act(b.conv2d(down, 8 * int(rng.integers(2, 4)), 3, padding=1,
+                            name=f"{name}.mid{j}"))
+    up = b.upsample_nearest(down, 2)
+    joined = (skip, up) if rng.integers(0, 2) else (up, skip)
+    return act(b.conv2d(b.concat(*joined, name=f"{name}.cat"),
+                        8 * int(rng.integers(1, 3)), 3, padding=1,
+                        name=f"{name}.dec"))
+
+
 def random_cnn(seed: int, *, max_blocks: int = 5, hw: int = 16,
                batch: int = 1, base_channels: int = 8,
-               strays: bool = False, long_skip: bool = False) -> Graph:
+               strays: bool = False, long_skip: bool = False,
+               encoder_decoder: bool = False) -> Graph:
     """A random small CNN with skip connections.
 
     Structure: a stem conv, then up to ``max_blocks`` blocks, each
@@ -67,11 +94,15 @@ def random_cnn(seed: int, *, max_blocks: int = 5, hw: int = 16,
     ``seed``.  ``long_skip`` concatenates the (pooled) stem activation
     onto the tail, U-Net style: a tensor idle across every block, which
     is what gives a memory budget below the peak something to evict.
+    ``encoder_decoder`` appends :func:`_encoder_decoder`'s stage after
+    the blocks, drawn from its own stream, so the rest of the network
+    drawn for ``seed`` stays the same.
     """
     rng = np.random.default_rng(seed)
     stray_rng = np.random.default_rng([seed, 1])  # leaves ``rng`` alone
     dense_rng = np.random.default_rng([seed, 2])  # so does the composite's layout
     fractal_rng = np.random.default_rng([seed, 3])  # and the sum joins
+    unet_rng = np.random.default_rng([seed, 4])  # and the U-Net stage
     b = GraphBuilder(f"fuzz{seed}", seed=seed)
     if strays and stray_rng.integers(0, 2):
         b.input("unused_big", (batch, 64, hw, hw))
@@ -137,6 +168,8 @@ def random_cnn(seed: int, *, max_blocks: int = 5, hw: int = 16,
         if fractal_rng.integers(0, 4) == 0:
             h = _fractal_join(b, fractal_rng, h, f"b{i}.frac")
             channels = h.shape[1]
+    if encoder_decoder:
+        h = _encoder_decoder(b, unet_rng, h, "unet")
     if long_skip:
         if cur_hw < hw:
             stem = b.avgpool2d(stem, hw // cur_hw)

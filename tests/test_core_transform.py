@@ -5,10 +5,12 @@ import pytest
 
 from repro.core import (assert_equivalent, commute_upsample_lconv,
                         estimate_peak_internal, fuse_activation_layers,
-                        merge_lconv_add, merge_lconv_concat, merge_sum_fconv,
-                        optimize, push_act_through_concat, split_concat_fconv)
+                        gather_concat_inputs, merge_lconv_add,
+                        merge_lconv_concat, merge_sum_fconv, optimize,
+                        push_act_through_concat, split_concat_fconv)
 from repro.decompose import DecompositionConfig, decompose_graph
 from repro.ir import GraphBuilder, ops
+from repro.ir.emit import make_node
 from repro.models import build_model
 from repro.obs import Tracer, use_tracer
 from repro.plan import plan_memory
@@ -443,3 +445,142 @@ class TestCommuteUpsample:
         up = b.upsample_nearest(b.relu(x), 2)
         g = b.finish(up)
         assert commute_upsample_lconv(g).commuted_upsamples == 0
+
+
+def _gathered(g):
+    """Gather ``g``'s concat-fed fused nodes under a tracer: ``(before,
+    stats, decisions)``, ``before`` the graph as it was."""
+    before = g.clone("before")
+    tracer = Tracer()
+    with use_tracer(tracer):
+        stats = gather_concat_inputs(g)
+    return before, stats, tracer.decisions_for("transform.gather")
+
+
+def _bitwise_same(before, after):
+    x = random_input(before)
+    want, got = execute(before, x), execute(after, x)
+    for old, new in zip(before.outputs, after.outputs, strict=True):
+        assert got.outputs[new.name].tobytes() == \
+            want.outputs[old.name].tobytes()
+    assert got.memory.peak_internal_bytes == estimate_peak_internal(after)
+
+
+class TestGatherConcat:
+    """A fused kernel reads its concat's branches in place; an upsampled
+    branch is read at its own resolution (ROADMAP item 18)."""
+
+    def test_unet_decoder_stage(self):
+        """``fconv(act(concat(lconv(skip), upsample(act(lconv(deep))))))``
+        compiles to one fused kernel on ``skip`` and ``deep`` at factor 2:
+        neither the concat nor the upsample is allocated."""
+        b = GraphBuilder("t", seed=5)
+        skip = b.relu(b.conv2d(b.input("skip", (2, 3, 8, 8)), 16, 1,
+                               name="lconv_skip"))
+        deep = b.relu(b.conv2d(b.input("deep", (2, 4, 4, 4)), 24, 1,
+                               name="lconv_deep"))
+        cat = b.concat(skip, b.upsample_nearest(deep, 2), name="cat")
+        g = b.finish(b.conv2d(cat, 6, 1, name="fconv"))
+        commute_upsample_lconv(g)
+        merge_lconv_concat(g)
+        fuse_activation_layers(g)
+        before, stats, [decision] = _gathered(g)
+        assert stats.gathered_concats == 1
+        [fused] = g.nodes
+        assert [v.name for v in fused.inputs] == ["skip", "deep"]
+        assert fused.attrs["input_scales"] == [1, 2]
+        assert ops.fused_input_shape(fused) == (2, 7, 8, 8)
+        args = decision["args"]
+        assert (args["verdict"], args["reason"]) == ("apply",
+                                                     "concat_read_in_place")
+        assert (args["branches"], args["upsampled_branches"]) == (2, 1)
+        _bitwise_same(before, g)
+        assert estimate_peak_internal(g) < estimate_peak_internal(before)
+
+    @pytest.mark.parametrize("act", [None, "relu", "sigmoid"])
+    @pytest.mark.parametrize("upsampled", [False, True])
+    def test_densenet_passthrough_concat(self, act, upsampled):
+        """A pass-through branch is tile rows read from its input, which
+        may be an upsample's input read at factor 2."""
+        b = GraphBuilder("t", seed=6)
+        x = b.input("x", (2, 6, 8, 8))
+        carried = (b.upsample_nearest(b.input("lo", (2, 5, 4, 4)), 2)
+                   if upsampled else b.maxpool2d(x, 1))
+        cat = b.concat(carried, b.conv2d(x, 16, 1, name="lconv"),
+                       name="cat")
+        if act is not None:
+            cat = getattr(b, act)(cat)
+        g = b.finish(b.conv2d(cat, 4, 1, name="after"))
+        merge_lconv_concat(g)
+        fuse_activation_layers(g)
+        before, stats, _ = _gathered(g)
+        assert stats.gathered_concats == 1
+        fused = next(n for n in g.nodes if n.op == "fused_block")
+        assert ops.passthrough_runs(fused) == ((0, 0, 6 - upsampled),)
+        assert fused.attrs["input_scales"] == [1 + upsampled, 1]
+        assert not any(n.op in ("concat", "upsample_nearest") for n in g.nodes)
+        _bitwise_same(before, g)
+
+    @staticmethod
+    def _fused_on_concat(b):
+        """``fused_block(concat(skip, upsample(deep)))`` built by hand,
+        with the concat and the upsample returned for other readers."""
+        rng = np.random.default_rng(7)
+        up = b.upsample_nearest(b.input("deep", (2, 4, 4, 4)), 2, name="up")
+        cat = b.concat(b.input("skip", (2, 3, 8, 8)), up, name="cat")
+        fused = make_node(
+            b.graph, "fused_block", [cat],
+            attrs={"act": "relu", "block_size": 8},
+            params={"w1": rng.normal(size=(20, 7)).astype(np.float32),
+                    "b1": rng.normal(size=20).astype(np.float32),
+                    "w2": rng.normal(size=(5, 20)).astype(np.float32)},
+            name="fused")
+        b.graph.add_node(fused)
+        return fused.output, cat, up
+
+    @pytest.mark.parametrize("reader, reason", [
+        ("second_consumer", "concat_shared"),
+        ("graph_output", "concat_is_output")])
+    def test_refuses_a_concat_read_elsewhere(self, reader, reason):
+        b = GraphBuilder("t", seed=0)
+        out, cat, _up = self._fused_on_concat(b)
+        other = b.maxpool2d(cat, 1) if reader == "second_consumer" else cat
+        g = b.finish(out, other)
+        before, stats, [decision] = _gathered(g)
+        assert stats.gathered_concats == 0
+        args = decision["args"]
+        assert (args["subject"], args["verdict"], args["reason"]) == (
+            "cat", "skip", reason)
+        assert [n.op for n in g.nodes] == [n.op for n in before.nodes]
+
+    def test_shared_upsample_stays_a_plain_branch(self):
+        b = GraphBuilder("t", seed=0)
+        out, _cat, up = self._fused_on_concat(b)
+        g = b.finish(out, b.maxpool2d(up, 1))
+        before, stats, _ = _gathered(g)
+        assert stats.gathered_concats == 1
+        fused = next(n for n in g.nodes if n.op == "fused_block")
+        assert [v.name for v in fused.inputs] == ["skip", up.name]
+        assert fused.attrs["input_scales"] == [1, 1]
+        assert any(n.op == "upsample_nearest" for n in g.nodes)
+        _bitwise_same(before, g)
+
+
+class TestGatherFuzz:
+    """Generated U-Net encoder–decoder stages: the gather fires, the
+    compile stays within the fuzz tolerance of the decomposed graph, and
+    the planned peak is the measured one."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fires_equivalent_and_peak_as_planned(self, seed):
+        graph = decompose_graph(random_cnn(seed, encoder_decoder=True),
+                                DecompositionConfig(ratio=0.25, hooi_iters=0))
+        optimized, report = optimize(graph)
+        assert report.transforms.gathered_concats >= 1
+        assert any(2 in n.attrs.get("input_scales", ())
+                   for n in optimized.nodes)
+        inputs = random_input(graph)
+        assert_equivalent(graph, optimized, inputs)
+        run = execute(optimized, inputs)
+        assert run.memory.peak_internal_bytes == estimate_peak_internal(
+            optimized)

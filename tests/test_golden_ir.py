@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.core import optimize
 from repro.decompose import DecompositionConfig, decompose_graph
-from repro.ir import GraphBuilder, format_graph
+from repro.ir import GraphBuilder, format_graph, ops
 
 
 def _ops_signature(graph) -> list[str]:
@@ -69,13 +69,13 @@ class TestGoldenStructures:
         g = b.finish(out)
         dg = decompose_graph(g, DecompositionConfig(ratio=0.25))
         opt, report = optimize(dg)
-        sig = _ops_signature(opt)
-        # the concat now joins *reduced* tensors and a merged lconv
-        # (or its fusion) replaced the full-width join
-        assert "concat" in sig
-        concat_node = next(n for n in opt.nodes if n.op == "concat")
+        # the join now reads *reduced* tensors: a merged lconv's fused
+        # kernel gathers them, so no concat is allocated at all
+        assert "concat" not in _ops_signature(opt)
+        join = next(n for n in opt.nodes if len(n.inputs) > 1)
+        assert join.op == "fused_block"
         full_width = 32 + 32
-        assert concat_node.output.shape[1] < full_width
+        assert ops.fused_input_shape(join)[1] < full_width
         assert report.peak_after < report.peak_before
 
     def test_printed_form_is_stable_for_fig3(self):

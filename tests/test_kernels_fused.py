@@ -8,10 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _pool_geometry import pool_geometry
-from repro.kernels import (avgpool2d, bind_fused, fused_block, fused_restore,
-                           fused_scratch_bytes, get_activation, maxpool2d,
-                           pointwise_conv, upsample_nearest)
+from _zoo_compiles import cheap
+from repro.core import optimize
+from repro.decompose import decompose_graph
+from repro.ir import Node, Value
+from repro.ir.ops import input_scales
+from repro.kernels import (avgpool2d, bind, bind_fused, fused_block,
+                           fused_restore, fused_scratch_bytes, get_activation,
+                           maxpool2d, pointwise_conv, upsample_nearest)
 from repro.kernels import fused as fused_module
+from repro.models import build_model
 
 
 @pytest.fixture
@@ -441,6 +447,74 @@ class TestPassThroughRuns:
                           passthrough=[(0, 0, 3)])
 
 
+class TestGatheredInputs:
+    """``k`` inputs, each nearest-upsampled by its factor, gathered into
+    ``[x; 1]`` and the tile's pass-through rows: bitwise the one-input
+    kernel on their materialised concat, over any split of the channels,
+    run layout, factor, resampling, activation, bias, batch and dtype,
+    and in any sample grouping."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(site=_merged_site(), seed=st.integers(0, 10_000),
+           block=st.integers(1, 12), bias=st.booleans(),
+           act=st.sampled_from([None, "relu", "sigmoid", "leaky_relu"]),
+           pooled=st.one_of(st.none(), pool_geometry()),
+           unpooled=st.sampled_from(TestPassThroughRuns.UNPOOLED),
+           n=st.sampled_from([1, 2, 3, 32]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           cuts=st.lists(st.integers(1, 30), max_size=3, unique=True),
+           factors=st.lists(st.sampled_from([1, 2, 3]), min_size=4,
+                            max_size=4))
+    def test_bitwise_the_concat(self, site, seed, block, bias, act, pooled,
+                                unpooled, n, dtype, cuts, factors):
+        runs, rows, cols, c_prime, r_in = site
+        if pooled is None:
+            variant, (h, w) = dict(VARIANTS[unpooled]), (12, 12)
+        else:
+            pool, (h, w) = pooled
+            variant = {"pool": pool}
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape, fan_in=1):
+            return (rng.normal(size=shape) / np.sqrt(fan_in)).astype(dtype)
+
+        edges = [0, *sorted(c for c in cuts if c < r_in), r_in]
+        widths = np.diff(edges)
+        scales = [f if h % f == 0 and w % f == 0 else 1
+                  for f in factors[:len(widths)]]
+        sources = [draw(n, c, h // f, w // f) for c, f in zip(widths, scales)]
+        x = np.concatenate([upsample_nearest(src, f)
+                            for src, f in zip(sources, scales)], axis=1)
+        w1, b1 = draw(rows, cols, fan_in=cols), draw(rows) if bias else None
+        w2, b2 = draw(3, c_prime, fan_in=c_prime), draw(3)
+        shapes = [src.shape for src in sources]
+        for w2_, b2_ in ((w2, b2), (None, None)):
+            kwargs = dict(act=act, block_size=block, passthrough=runs,
+                          **variant)
+            want = bind_fused(x.shape, w1, b1, w2_, b2_, **kwargs)(x)
+            kernel = bind_fused(shapes, w1, b1, w2_, b2_, scales=scales,
+                                **kwargs)
+            assert kernel(*sources).tobytes() == want.tobytes()
+            sample = fused_scratch_bytes(
+                (1,) + x.shape[1:], x.itemsize, block_size=block,
+                c_prime=c_prime)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fused_module, "TILE_BYTES",
+                              -(-n * sample // min(n, 3)))
+                assert kernel(*sources).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shapes, scales", [
+        ([(2, 3, 8, 8), (2, 4, 4, 4)], [1, 1]),   # planes differ
+        ([(2, 3, 8, 8), (1, 4, 4, 4)], [1, 2]),   # batches differ
+        ([(2, 3, 8, 8), (2, 4, 4, 4)], [1]),      # a factor short
+        ([(2, 3, 8, 8), (2, 4, 8, 8)], [1, 0]),   # no factor 0
+    ])
+    def test_inputs_must_line_up(self, rng, shapes, scales):
+        with pytest.raises(ValueError):
+            bind_fused(shapes, _f32(rng, 8, 7), None, act="relu",
+                       scales=scales)
+
+
 def _traced_peak(fn):
     """(result, peak bytes allocated while ``fn`` ran, result included)."""
     fn()  # first-call caches (ufunc loops, BLAS buffers) are not scratch
@@ -542,3 +616,42 @@ class TestScratchMeasuredLeakyRelu(TestScratchMeasured):
     tile's boolean mask but nothing tile-sized in the tile's dtype."""
 
     ACT = "leaky_relu"
+
+
+class TestGatheredSitesHoldLess:
+    """Gathering moves no bytes into the kernel: at every gathered site
+    of unet_small (Tucker at batch 4, CP at batch 32, one BLAS thread as
+    the whole suite runs), the gathered kernel's ``tracemalloc`` peak
+    beyond its output is at most the one-input kernel's on the
+    materialised concat — so the concat and the upsample the graph no
+    longer allocates leave the process.  Up to ``HEADERS`` more bytes
+    are allowed: the Python objects of the extra inputs' views, a few
+    hundred bytes whatever the tensors' sizes."""
+
+    HEADERS = 1024
+
+    @pytest.mark.parametrize("method, batch", [("tucker", 4), ("cp", 32)])
+    def test_no_more_than_the_kernel_on_the_concat(self, rng, method, batch):
+        graph, _ = optimize(decompose_graph(
+            build_model("unet_small", batch=batch, hw=32), cheap(method)))
+        sites = [n for n in graph.nodes
+                 if n.op == "fused_block" and len(n.inputs) > 1]
+        assert len(sites) == 3
+        for node in sites:
+            sources = [_f32(rng, *v.shape) for v in node.inputs]
+            concat = np.concatenate(
+                [upsample_nearest(src, f)
+                 for src, f in zip(sources, input_scales(node))], axis=1)
+            attrs = {k: v for k, v in node.attrs.items()
+                     if k != "input_scales"}
+            one_input = Node(node.name, node.op,
+                             [Value("concat", concat.shape,
+                                    node.inputs[0].dtype)],
+                             node.output, attrs, node.params)
+            gathered, one = bind(node), bind(one_input)
+            got, gathered_peak = _traced_peak(lambda: gathered(sources))
+            want, one_peak = _traced_peak(lambda: one([concat]))
+            assert got.tobytes() == want.tobytes(), node.name
+            assert (gathered_peak - got.nbytes
+                    <= one_peak - want.nbytes + self.HEADERS), (
+                node.name, gathered_peak, one_peak)

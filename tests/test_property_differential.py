@@ -132,9 +132,10 @@ def test_ledger_is_the_simulated_event_list(seed, remat):
 
 
 @settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_serialization_roundtrip_on_optimized_random_cnns(seed):
-    g = random_cnn(seed, max_blocks=3)
+@given(seed=st.integers(0, 10_000), encoder_decoder=st.booleans())
+def test_serialization_roundtrip_on_optimized_random_cnns(seed,
+                                                          encoder_decoder):
+    g = random_cnn(seed, max_blocks=3, encoder_decoder=encoder_decoder)
     dg = decompose_graph(g, DecompositionConfig(ratio=0.3))
     opt, _ = optimize(dg)
     structure, weights = graph_to_dict(opt)

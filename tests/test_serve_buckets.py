@@ -9,7 +9,7 @@ import pytest
 
 from repro import DecompositionConfig, decompose_graph, kernels, optimize
 from repro.core import estimate_peak_internal
-from repro.ir import graph_fingerprint
+from repro.ir import graph_fingerprint, ops
 from repro.models import MODEL_ZOO, build_model
 from repro.obs.fleetview import memory_drift
 from repro.plan import plan_memory
@@ -83,6 +83,21 @@ class TestWithBatch:
                     assert theirs.params[key] is array
         # the source graph is untouched
         assert g.inputs[0].shape[0] == BATCH
+
+    def test_keeps_the_gather_factors(self):
+        """unet_small's decoder kernels read a skip and an upsampled
+        branch in place; every bucket keeps each input's factor."""
+        g = _temco("unet_small", hw=16)
+        sites = [i for i, n in enumerate(g.nodes) if "input_scales" in n.attrs]
+        assert len(sites) == 3
+        for n in (1, 2):
+            bucket = g.with_batch(n)
+            for i in sites:
+                node = bucket.nodes[i]
+                assert node.attrs["input_scales"] == [1, 2]
+                assert ops.fused_input_shape(node)[0] == n
+                assert (ops.fused_input_shape(node)[1:]
+                        == ops.fused_input_shape(g.nodes[i])[1:])
 
     def test_round_trips_to_an_equal_fingerprint(self):
         g = _temco("unet_small", hw=16)
