@@ -4,7 +4,8 @@ The paper notes (§4.2) that skip-connection optimization must be
 *selective*: copying deep restore chains costs compute, so the guards
 control a coverage/overhead trade-off.  This sweep shows how the number
 of optimized connections responds to the two thresholds on DenseNet
-(many skip connections of varying depth).
+(many skip connections of varying depth), and the peak the rest of the
+pipeline reaches from each setting.
 """
 
 from repro.bench import ablate_thresholds, fast_mode, format_table
@@ -22,7 +23,8 @@ def test_threshold_ablation(benchmark, report_sink):
     table = [[p.distance_threshold, p.compute_slack, p.candidates,
               p.optimized, p.peak_mib] for p in points]
     report_sink("ablation_thresholds", format_table(
-        ["distance", "compute slack", "candidates", "optimized", "peak MiB"],
+        ["distance", "compute slack", "candidates", "optimized",
+         "pipeline peak MiB"],
         table, title="A1: skip-opt threshold sweep (DenseNet, batch 2)"))
 
     by = {(p.distance_threshold, p.compute_slack): p for p in points}

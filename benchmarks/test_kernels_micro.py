@@ -94,7 +94,7 @@ class TestFusedVsSeparate:
     def test_fused_kernel(self, benchmark, block):
         x = _data((4, self.C_IN, self.HW, self.HW))
         w1, b1, w2, b2 = self._weights()
-        benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu", None, 0, block),
+        benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu", None, block),
                   x)
 
 
@@ -116,7 +116,7 @@ class TestHotSites:
         # the terms of the join that feeds the head; every other join is
         # summed inside the fused block below
         x, w1, b1 = _data((batch, 2, 32, 32)), _data((16, 2)), _data(16)
-        benchmark(bind_fused(x.shape, w1, b1, None, None, "relu", None, 0,
+        benchmark(bind_fused(x.shape, w1, b1, None, None, "relu", None,
                              16), x)
 
     @pytest.mark.parametrize("k", [2, 4])
@@ -127,7 +127,7 @@ class TestHotSites:
         x = _data((batch, 2 * k, 32, 32))
         w1, b1 = _merged_w1(k), _data(16 * k)
         w2 = np.concatenate([_data((2, 16))] * k, axis=1)
-        benchmark(bind_fused(x.shape, w1, b1, w2, _data(2), "relu", None, 0,
+        benchmark(bind_fused(x.shape, w1, b1, w2, _data(2), "relu", None,
                              32), x)
 
     def test_fused_block_pooled_alexnet(self, benchmark, batch):
@@ -158,7 +158,7 @@ class TestHotSites:
         x = _data((batch, 64, 4, 4))
         w1, b1 = _merged_w1(8), _data(128)
         w2, b2 = _data((88, 176)), _data(88)
-        benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu", None, 0, 176,
+        benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu", None, 176,
                              passthrough=[(0, 0, 48)]), x)
 
     def test_fused_block_densenet_hottest(self, benchmark, batch):
@@ -167,7 +167,7 @@ class TestHotSites:
         x = _data((batch, 38, 8, 8))
         w1, b1 = _merged_w1(3), _data(48)
         w2, b2 = _data((64, 80)), _data(64)
-        benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu", None, 0, 32,
+        benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu", None, 32,
                              passthrough=[(0, 0, 32)]), x)
 
     def test_fused_block_unet_wide(self, benchmark, batch):
@@ -176,7 +176,7 @@ class TestHotSites:
         x = _data((batch, 5, 32, 32))
         w1, b1 = _data((48, 5)), _data(48)
         w2, b2 = _data((4, 48)), _data(4)
-        benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu", None, 0, 32),
+        benchmark(bind_fused(x.shape, w1, b1, w2, b2, "relu", None, 32),
                   x)
 
     def _unet_decoder(self, batch):
@@ -187,7 +187,7 @@ class TestHotSites:
         w1 = np.zeros((48, 5), dtype=np.float32)
         w1[:16, :2], w1[16:, 2:] = _data((16, 2)), _data((32, 3))
         return skip, deep, (w1, _data(48), _data((4, 48)), _data(4), "relu",
-                            None, 0, 32)
+                            None, 32)
 
     def test_fused_block_unet_gathered(self, benchmark, batch):
         # the kernel reads the skip and the deep branch in place,

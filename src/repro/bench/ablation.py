@@ -1,7 +1,8 @@
 """Ablation drivers for the design choices DESIGN.md calls out.
 
 A1 — skip-opt thresholds (DISTANCE_THRESHOLD / COMPUTE_THRESHOLD):
-     how selectivity changes what gets optimized (§4.2's ResNet note).
+     how selectivity changes what gets optimized (§4.2's ResNet note)
+     and the peak the rest of the pipeline then reaches.
 A2 — decomposition method/ratio: weight memory, fit error and peak
      internal memory across Tucker/CP/TT and rank ratios.
 A4 — fused-kernel channel-block size: scratch bytes vs wall-clock, and
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import (FusionConfig, SkipOptConfig, TeMCOConfig,
-                    estimate_peak_internal, optimize, simulate)
+from ..core import (FusionConfig, SkipOptConfig, TeMCOConfig, optimize,
+                    simulate)
 from ..core.skip_opt import optimize_skip_connections
 from ..data.synthetic import random_inputs
 from ..decompose import DecompositionConfig, decompose_graph, decomposition_records
@@ -49,8 +50,10 @@ def ablate_thresholds(model: str = "densenet", batch: int = 2,
                       distance_thresholds: tuple[int, ...] = (2, 4, 8, 16, 32),
                       compute_slacks: tuple[float, ...] = (0.1, 1.0, 10.0),
                       seed: int = 0) -> list[ThresholdPoint]:
-    """Sweep Algorithm 1's thresholds; skip-opt only (no fusion), so the
-    peak differences are attributable to the guard settings."""
+    """Sweep Algorithm 1's thresholds: skip-opt at each setting, then the
+    rest of the pipeline (transforms, fusion, scheduling) on its result.
+    A restore copy pays off only once fusion collapses it, so the peak
+    is the pipeline's; skip-opt alone raises it at every setting."""
     original = build_model(model, batch=batch, seed=seed)
     decomposed = decompose_graph(original, DecompositionConfig(seed=seed))
     points = []
@@ -59,11 +62,12 @@ def ablate_thresholds(model: str = "densenet", batch: int = 2,
             work = decomposed.clone()
             stats = optimize_skip_connections(
                 work, SkipOptConfig(distance_threshold=dist,
-                                    compute_slack=slack, global_check=True))
+                                    compute_slack=slack))
+            _, report = optimize(work, TeMCOConfig(enable_skip_opt=False))
             points.append(ThresholdPoint(
                 distance_threshold=dist, compute_slack=slack,
                 candidates=stats.candidates, optimized=stats.optimized,
-                peak_mib=estimate_peak_internal(work) / MIB))
+                peak_mib=report.peak_after / MIB))
     return points
 
 

@@ -7,6 +7,12 @@ through tiles (see :mod:`repro.kernels.fused`).  The full-size restored
 tensors (``Output1``/``Input2`` in Figure 3b) disappear from the graph:
 the fused node consumes one reduced tensor and produces the next.
 
+A pool runs on each tile.  A nearest upsample does not: it commutes
+with the 1×1 restore and the element-wise activation, so the fused node
+reads the lconv's input at the upsample's factor (its ``input_scales``
+attr, the form :func:`repro.core.transform.gather_concat_inputs` gives a
+gathered branch) and restores the upsampled plane.
+
 Also fuses the degenerate ``lconv → activation → fconv`` chains created
 by the layer transformations (merged block-diagonal lconvs, whose
 pass-through runs the fused node carries, and copied restore chains) —
@@ -125,8 +131,12 @@ def _match_chain(graph: Graph, lconv: Node, consumers: dict) -> _Chain | None:
             return epilogue(act, None)
     resample: Node | None = None
     # a pool (``lconv-relu-pool-fconv`` in Listing 1) or a nearest
-    # upsample (UNet decoder after the upsample-commute transformation)
-    if cursor.op in _ops.POOL_OPS or cursor.op == "upsample_nearest":
+    # upsample of factor > 1 (a UNet decoder the transforms did not
+    # commute, as in a fusion-only compile), which the fused node reads
+    # as a factor on the lconv's input
+    if cursor.op in _ops.POOL_OPS or (
+            cursor.op == "upsample_nearest"
+            and int(cursor.attrs.get("scale", 2)) > 1):
         resample = cursor
         cursor = _single_consumer(consumers, resample)
         if cursor is None:
@@ -190,7 +200,7 @@ def _fuse(graph: Graph, lconv: Node, consumers: dict, config: FusionConfig,
             }
             stats.with_pool += 1
         else:
-            attrs["upsample"] = int(chain.resample.attrs.get("scale", 2))
+            attrs["input_scales"] = [int(chain.resample.attrs.get("scale", 2))]
             stats.with_upsample += 1
 
     if fconv is not None:

@@ -19,11 +19,10 @@ Pipeline of one optimization (Figure 7):
 4. the chain is cloned immediately before each distant use and the use
    is rewired to the clone's output (``InsertBefore`` + replace).
 
-On top of the paper's local ``Overhead`` guard, the pass optionally
-re-estimates the *global* schedule peak after each tentative rewrite
-and rolls back rewrites that do not pay off (``global_check``) — the
-static estimator is exact for our executor, so accepted rewrites are
-guaranteed wins.
+The pass has only the paper's local ``Overhead`` guard.  A restore copy
+usually raises the peak until the transforms and fusion collapse it, so
+the global guard is the pipeline's: :func:`repro.core.optimize` also
+compiles without skip-opt and keeps the lower peak.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from ..ir.graph import Graph
 from ..ir.node import Node
 from ..ir.value import Value
 from ..obs import get_tracer
-from .liveness import SkipConnection, estimate_peak_internal, find_skip_connections
+from .liveness import SkipConnection, find_skip_connections
 
 logger = logging.getLogger(__name__)
 
@@ -69,19 +68,10 @@ class SkipOptConfig:
         Multiplier on the paper's ``COMPUTE_THRESHOLD`` (the FLOPs of
         the corresponding original, non-decomposed layers).  1.0
         reproduces the paper's setting.
-    global_check:
-        After the local guards accept, tentatively apply the rewrite
-        and keep it only if the statically estimated schedule peak does
-        not increase.  Off by default: a restore copy often pays off
-        only after the downstream transform/fusion stages collapse it,
-        so the pipeline guards globally instead (it re-runs without
-        skip-opt if the full pipeline ends up worse).  Enable when
-        running this pass standalone.
     """
 
     distance_threshold: int = 4
     compute_slack: float = 1.0
-    global_check: bool = False
 
 
 @dataclass
@@ -93,7 +83,6 @@ class SkipOptStats:
     rejected_no_chain: int = 0
     rejected_compute: int = 0
     rejected_memory: int = 0
-    rejected_global: int = 0
     copies_inserted: int = 0
     nodes_copied: int = 0
 
@@ -253,7 +242,6 @@ def optimize_skip_connections(graph: Graph,
         stats.candidates = len(skips)
         logger.debug("skip_opt: %d candidate skip connections in %s",
                      len(skips), graph.name)
-        baseline_peak = estimate_peak_internal(graph) if config.global_check else 0
 
         for skip in sorted(skips, key=lambda s: s.interval.begin):
             with tracer.span(f"restore_plan:{skip.value.name}",
@@ -272,19 +260,7 @@ def optimize_skip_connections(graph: Graph,
                 if not _passes_overhead(skip, plan, config, stats):
                     continue
 
-                inserted = _apply(graph, skip, plan)
-                if config.global_check:
-                    new_peak = estimate_peak_internal(graph)
-                    if new_peak >= baseline_peak and new_peak > 0:
-                        _rollback(graph, skip, inserted)
-                        stats.rejected_global += 1
-                        tracer.decision("skip_opt", skip.value.name, "reject",
-                                        "global_peak", new_peak_bytes=new_peak,
-                                        baseline_peak_bytes=baseline_peak)
-                        logger.debug("skip_opt: %s rolled back (peak %d >= %d)",
-                                     skip.value.name, new_peak, baseline_peak)
-                        continue
-                    baseline_peak = new_peak
+                _apply(graph, skip, plan)
                 stats.optimized += 1
                 stats.copies_inserted += len(skip.far_uses)
                 stats.nodes_copied += len(plan.nodes) * len(skip.far_uses)
@@ -302,13 +278,8 @@ def optimize_skip_connections(graph: Graph,
     return stats
 
 
-def _apply(graph: Graph, skip: SkipConnection,
-           plan: RestorePlan) -> list[tuple[Node, list[Node], Value]]:
-    """Clone the restore chain before each far use; rewire the use.
-
-    Returns rollback info: ``(use node, cloned nodes, original value)``.
-    """
-    inserted = []
+def _apply(graph: Graph, skip: SkipConnection, plan: RestorePlan) -> None:
+    """Clone the restore chain before each far use; rewire the use."""
     for use in skip.far_uses:
         mapping: dict[Value, Value] = {}
         clones: list[Node] = []
@@ -322,13 +293,3 @@ def _apply(graph: Graph, skip: SkipConnection,
             clones.append(clone)
         graph.insert_before(use, clones)
         use.replace_input(skip.value, mapping[skip.value])
-        inserted.append((use, clones, skip.value))
-    return inserted
-
-
-def _rollback(graph: Graph, skip: SkipConnection,
-              inserted: list[tuple[Node, list[Node], Value]]) -> None:
-    for use, clones, original_value in inserted:
-        use.replace_input(clones[-1].output, original_value)
-        for clone in clones:
-            graph.remove_node(clone)

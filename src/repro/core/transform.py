@@ -568,16 +568,19 @@ def _gather(graph: Graph, fused: Node, consumers: dict) -> Splice | None:
     if concat is None or _gather_refusal(
             graph, concat, consumers.get(concat.output, [])):
         return None
+    # the fused node's own factor, from a trailing upsample, applies to
+    # every branch on top of the branch's
+    base = _ops.input_scales(fused)[0]
     sources, scales = [], []
     for v in concat.inputs:
         up = graph.producer_of(v)
         if (up is not None and up.op == "upsample_nearest"
                 and len(consumers.get(v, ())) == 1 and not _is_output(graph, v)):
             sources.append(up.inputs[0])
-            scales.append(int(up.attrs.get("scale", 2)))
+            scales.append(int(up.attrs.get("scale", 2)) * base)
         else:
             sources.append(v)
-            scales.append(1)
+            scales.append(base)
     # the same kernel on other inputs: its name stays, its value is new
     out = fused.output
     gathered = fused.clone(fused.name, sources, Value(
@@ -588,7 +591,7 @@ def _gather(graph: Graph, fused: Node, consumers: dict) -> Splice | None:
         [gathered], fused.output, gathered.output,
         "transform.gather", concat.name, "apply", "concat_read_in_place",
         {"fused": gathered.name, "branches": len(sources),
-         "upsampled_branches": sum(scale != 1 for scale in scales),
+         "upsampled_branches": sum(scale != base for scale in scales),
          "concat_bytes": concat.output.nbytes,
          "upsampled_bytes": sum(v.nbytes for v, scale
-                                in zip(concat.inputs, scales) if scale != 1)})
+                                in zip(concat.inputs, scales) if scale != base)})

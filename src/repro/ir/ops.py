@@ -34,7 +34,8 @@ A fused node may read *k* inputs: its tile's input is their channel
 concatenation, each input first nearest-upsampled by its factor in the
 ``input_scales`` attr (absent: one input, or every factor 1).  The
 concat and the upsamples are never materialised; :func:`fused_input_shape`
-gives the shape they would have.
+gives the shape they would have.  It is the only way a fused node
+upsamples: a fused chain's trailing upsample is a factor on its input.
 """
 
 from __future__ import annotations
@@ -497,118 +498,77 @@ register("batchnorm2d", _batchnorm_infer, _batchnorm_validate,
 # fused block (Listing 1 analog)
 # ---------------------------------------------------------------------------
 
-def _fused_block_infer(node: Node):
+def _fused_reduce(node: Node) -> np.ndarray | None:
+    """A fused block's ``(R_out, C')`` fconv reduce matrix ``w2``; None
+    for a restore."""
+    return node.params["w2"] if node.op == "fused_block" else None
+
+
+def _fused_infer(node: Node):
+    """A block's ``R_out`` or a restore's ``C'`` channels, at the tile
+    input's plane, pooled if the node pools."""
     n, c, h, w = fused_input_shape(node)
     w1 = node.params["w1"]  # (C', R_in) lconv restore matrix, restored rows
-    w2 = node.params["w2"]  # (R_out, C') fconv reduce matrix
     carried = _passthrough_width(node)
     _require(w1.shape[1] + carried == c, node,
-             f"fused block input channels {c} != w1 in-channels {w1.shape[1]}"
+             f"input channels {c} != w1 in-channels {w1.shape[1]}"
              f"{_carried(carried)}")
-    _require(w2.shape[1] == w1.shape[0] + carried, node,
-             f"w2 in-channels {w2.shape[1]} != w1 out-channels {w1.shape[0]}"
-             f"{_carried(carried)}")
-    oh, ow = h, w
+    channels = w1.shape[0] + carried
+    w2 = _fused_reduce(node)
+    if w2 is not None:
+        _require(w2.shape[1] == channels, node,
+                 f"w2 in-channels {w2.shape[1]} != w1 out-channels "
+                 f"{w1.shape[0]}{_carried(carried)}")
+        channels = w2.shape[0]
     pool = node.attrs.get("pool")
     if pool is not None:
-        oh, ow = conv_output_hw(oh, ow, pool["kernel"], pool.get("stride", pool["kernel"]),
-                                pool.get("padding", 0))
-    scale = int(node.attrs.get("upsample", 0) or 0)
-    if scale:
-        oh, ow = oh * scale, ow * scale
-    return (n, w2.shape[0], oh, ow), node.inputs[0].dtype
+        h, w = conv_output_hw(h, w, pool["kernel"],
+                              pool.get("stride", pool["kernel"]),
+                              pool.get("padding", 0))
+    return (n, channels, h, w), node.inputs[0].dtype
 
 
-def _validate_fused_inputs(node: Node) -> None:
+def _fused_validate(node: Node) -> None:
     _require(len(node.inputs) >= 1, node, "takes at least one input")
     _require(len({v.dtype for v in node.inputs}) == 1, node,
              "inputs differ in dtype")
-
-
-def _fused_block_validate(node: Node) -> None:
-    _validate_fused_inputs(node)
-    for p in ("w1", "w2"):
+    for p in ("w1", "w2") if node.op == "fused_block" else ("w1",):
         _require(p in node.params and node.params[p].ndim == 2, node,
-                 f"fused_block requires 2D {p!r} param")
+                 f"{node.op} requires 2D {p!r} param")
     act = node.attrs.get("act")
     _require(act is None or act in ACTIVATION_OPS, node, f"bad act {act!r}")
     pool = node.attrs.get("pool")
     if pool is not None:
         _require(pool.get("kind") in ("max", "avg"), node, f"bad pool kind {pool}")
         _require("kernel" in pool, node, "pool config missing 'kernel'")
-    _require(not (pool is not None and node.attrs.get("upsample")), node,
-             "fused_block cannot both pool and upsample")
-    _validate_fused_passthrough(node)
-
-
-def _validate_fused_passthrough(node: Node) -> None:
+    if node.op == "fused_restore":
+        _require(act is not None or pool is not None
+                 or max(input_scales(node)) > 1, node,
+                 "fused_restore must absorb at least one layer beyond the "
+                 "lconv")
     if node.attrs.get("passthrough"):
         w1, carried = node.params["w1"], _passthrough_width(node)
         _validate_passthrough(node, w1.shape[0] + carried,
                               w1.shape[1] + carried)
 
 
-def _fused_block_flops(node: Node) -> int:
-    """The restored block's GEMM, one activation op per tile element
-    (restored or passed through) and the fconv GEMM."""
+def _fused_flops(node: Node) -> int:
+    """The restored rows' GEMM and one activation op per tile element
+    (restored or passed through), at the tile input's plane, plus a
+    block's fconv GEMM at its output's."""
     w1 = node.params["w1"]
-    w2 = node.params["w2"]
     n, _, h, w = fused_input_shape(node)
     cprime = tile_channels(node)
-    lconv = 2 * n * h * w * w1.shape[0] * w1.shape[1]
-    # fconv runs at the post-pool/upsample resolution
-    _, _, oh, ow = node.output.shape
-    fconv = 2 * n * oh * ow * w2.shape[0] * cprime
-    act = n * h * w * cprime
-    return lconv + fconv + act
+    flops = 2 * n * h * w * w1.shape[0] * w1.shape[1] + n * h * w * cprime
+    w2 = _fused_reduce(node)
+    if w2 is not None:
+        _, _, oh, ow = node.output.shape
+        flops += 2 * n * oh * ow * w2.shape[0] * cprime
+    return flops
 
 
-register("fused_block", _fused_block_infer, _fused_block_validate, _fused_block_flops)
-
-
-def _fused_restore_infer(node: Node):
-    n, c, h, w = fused_input_shape(node)
-    w1 = node.params["w1"]  # (C', R_in) lconv restore matrix, restored rows
-    carried = _passthrough_width(node)
-    _require(w1.shape[1] + carried == c, node,
-             f"fused restore input channels {c} != w1 in-channels {w1.shape[1]}"
-             f"{_carried(carried)}")
-    oh, ow = h, w
-    pool = node.attrs.get("pool")
-    if pool is not None:
-        oh, ow = conv_output_hw(oh, ow, pool["kernel"], pool.get("stride", pool["kernel"]),
-                                pool.get("padding", 0))
-    scale = int(node.attrs.get("upsample", 0) or 0)
-    if scale:
-        oh, ow = oh * scale, ow * scale
-    return (n, w1.shape[0] + carried, oh, ow), node.inputs[0].dtype
-
-
-def _fused_restore_validate(node: Node) -> None:
-    _validate_fused_inputs(node)
-    _require("w1" in node.params and node.params["w1"].ndim == 2, node,
-             "fused_restore requires 2D 'w1' param")
-    act = node.attrs.get("act")
-    _require(act is None or act in ACTIVATION_OPS, node, f"bad act {act!r}")
-    pool = node.attrs.get("pool")
-    if pool is not None:
-        _require(pool.get("kind") in ("max", "avg"), node, f"bad pool kind {pool}")
-    _require(not (pool is not None and node.attrs.get("upsample")), node,
-             "fused_restore cannot both pool and upsample")
-    _require(act is not None or pool is not None or node.attrs.get("upsample"),
-             node, "fused_restore must absorb at least one layer beyond the lconv")
-    _validate_fused_passthrough(node)
-
-
-def _fused_restore_flops(node: Node) -> int:
-    w1 = node.params["w1"]
-    n, _, h, w = fused_input_shape(node)
-    return (2 * n * h * w * w1.shape[0] * w1.shape[1]
-            + n * h * w * tile_channels(node))
-
-
-register("fused_restore", _fused_restore_infer, _fused_restore_validate,
-         _fused_restore_flops)
+register("fused_block", _fused_infer, _fused_validate, _fused_flops)
+register("fused_restore", _fused_infer, _fused_validate, _fused_flops)
 
 
 # ---------------------------------------------------------------------------

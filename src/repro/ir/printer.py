@@ -26,7 +26,7 @@ def format_node(node: Node) -> str:
                     for v, scale in zip(node.inputs, input_scales(node)))
     interesting = {k: v for k, v in node.attrs.items()
                    if k in ("role", "stride", "kernel", "scale", "axis", "act", "pool",
-                            "upsample", "groups")
+                            "groups")
                    and v not in (None, [1, 1], [0, 0], 1, {})}
     attr_str = ""
     if interesting:

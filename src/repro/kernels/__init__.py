@@ -182,7 +182,6 @@ def _bind_fused(node: Node) -> Kernel:
     kernel = bind_fused(
         [v.shape for v in node.inputs], params["w1"], params.get("b1"), w2,
         b2, act=attrs.get("act"), pool=attrs.get("pool"),
-        upsample=int(attrs.get("upsample", 0) or 0),
         block_size=int(attrs.get("block_size", DEFAULT_BLOCK_SIZE)),
         act_params=attrs.get("act_params"), passthrough=passthrough_runs(node),
         scales=input_scales(node))

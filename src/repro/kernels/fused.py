@@ -1,4 +1,4 @@
-"""The fused ``lconv → activation [→ pool | upsample] → fconv`` kernel.
+"""The fused ``lconv → activation [→ pool] → fconv`` kernel.
 
 This is the NumPy analog of the paper's CUDA kernel (Listing 1).  The
 CUDA version streams the restored C'-channel tensor through shared-
@@ -7,7 +7,7 @@ blocks*: for each block of ``block_size`` restored channels we
 
 1. restore the block with the lconv weights (``w1``),
 2. apply the element-wise activation,
-3. optionally pool / nearest-upsample the block spatially,
+3. optionally pool the block spatially,
 4. contract the block into the fconv accumulator (``w2``).
 
 At no point does the full restored tensor ``(N, C', H, W)`` exist —
@@ -46,14 +46,14 @@ the tile, which no other op sees, changes.
 Like Listing 1, which is compiled once for a static shape, the kernel is
 *bound* once (:func:`bind_fused`): the activation callable with its
 attrs, the clamped block size and each block's weight slices, the
-resampling kernel, the packed ``[w1 | b1]`` restore matrix and where
+pooling kernel, the packed ``[w1 | b1]`` restore matrix and where
 each input's channels land are all resolved before the first call.  The
 bound ``(x₁, …, x_k) -> y`` closure holds no per-call state, so several
 threads may run it at once.  :func:`fused_block` and
 :func:`fused_restore` bind for the shape they are given and call.
 
 One tile buffer is allocated per sample group and reused by every
-block, and a block touches it twice before it is resampled or the fconv
+block, and a block touches it twice before it is pooled or the fconv
 GEMM reads it — the restore GEMM writes it, the activation rewrites it
 in place:
 
@@ -70,12 +70,11 @@ in place:
 * step 3 pools a channels-last tile with :func:`~.pool.bind_pool2d`
   bound ``channels_last`` — its row pass into a temporary, its column
   pass straight into a pooled buffer reused by every block (a block) or
-  into the block's slice of the NCHW output (a restore).  Upsampling
-  stays NCHW and makes new arrays;
+  into the block's slice of the NCHW output (a restore);
 * step 4 is a batched GEMM: the first block's writes the output itself,
   each later block's goes into one reused accumulator that is added into
-  the output; a restore with nothing to resample writes straight into
-  its output slice.
+  the output; a restore without a pool writes straight into its output
+  slice.
 
 Data-movement passes, not FLOPs, are what a block costs: on the
 ``(4, 2, 32, 32) -> 16`` restore the GEMM is 21 us where the bias add
@@ -106,7 +105,10 @@ repeat of its columns and one copy broadcast over each row's copies.
 concat, so the output is bitwise the same, while the concat and the
 upsample are never allocated.  Restored channels are read in place
 (without a bias) only where they are one run of one input at factor 1.
-One input at factor 1 is the kernel as it was.
+One input at factor 1 is the kernel as it was.  This is also how the
+kernel upsamples its own result: nearest upsampling commutes with the
+1×1 restore and the element-wise activation, so a chain's trailing
+upsample is a factor on the lconv's input (:mod:`repro.core.fusion`).
 
 Correctness constraint from the paper (§3.2): the activation is
 element-wise and the fconv needs *all* activated channels per output
@@ -123,7 +125,7 @@ import numpy as np
 
 from ..ir.ops import conv_output_hw, gathered_shape
 from .activation import get_activation
-from .pool import bind_pool2d, upsample_nearest
+from .pool import bind_pool2d
 
 __all__ = ["bind_fused", "fused_block", "fused_restore",
            "fused_scratch_bytes", "DEFAULT_BLOCK_SIZE"]
@@ -144,23 +146,18 @@ def _group_size(n: int, sample_tile_bytes: int) -> int:
     return -(-n // groups)
 
 
-def _bind_resample(tile_hw: tuple[int, int], pool: dict[str, Any] | None,
-                   upsample: int):
-    """The optional pooling step for channels-last tiles / nearest-upsample
-    step for NCHW tiles of spatial size ``tile_hw``, and the ``(h, w)`` it
-    leaves them at; ``None`` for no step."""
+def _bind_pool(tile_hw: tuple[int, int], pool: dict[str, Any] | None):
+    """The optional pooling step for channels-last tiles of spatial size
+    ``tile_hw``, and the ``(h, w)`` it leaves them at; ``None`` for no
+    step."""
     h, w = tile_hw
-    if pool is not None:
-        stride = pool.get("stride", pool["kernel"])
-        padding = pool.get("padding", 0)
-        return (bind_pool2d(pool["kind"], (1, h, w, 1), pool["kernel"],
-                            stride, padding, channels_last=True),
-                conv_output_hw(h, w, pool["kernel"], stride, padding))
-    if upsample:
-        scale = int(upsample)
-        return (lambda tile: upsample_nearest(tile, scale),
-                (h * scale, w * scale))
-    return None, (h, w)
+    if pool is None:
+        return None, (h, w)
+    stride = pool.get("stride", pool["kernel"])
+    padding = pool.get("padding", 0)
+    return (bind_pool2d(pool["kind"], (1, h, w, 1), pool["kernel"],
+                        stride, padding, channels_last=True),
+            conv_output_hw(h, w, pool["kernel"], stride, padding))
 
 
 def _row_pieces(c_prime: int, runs: tuple[tuple[int, int, int], ...]):
@@ -232,7 +229,7 @@ def _copy_spread(dest: np.ndarray, src: np.ndarray, scale: int,
 def bind_fused(x_shape, w1: np.ndarray,
                b1: np.ndarray | None, w2: np.ndarray | None = None,
                b2: np.ndarray | None = None, act: str | None = None,
-               pool: dict[str, Any] | None = None, upsample: int = 0,
+               pool: dict[str, Any] | None = None,
                block_size: int = DEFAULT_BLOCK_SIZE,
                act_params: dict[str, Any] | None = None,
                passthrough=(), scales=None) -> Callable[..., np.ndarray]:
@@ -246,9 +243,6 @@ def bind_fused(x_shape, w1: np.ndarray,
     called with the ``k`` arrays, of one dtype, and gathers them into
     ``[x; 1]`` (or the tile's pass-through rows) without materialising the
     concatenation."""
-    name = "fused_restore" if w2 is None else "fused_block"
-    if pool is not None and upsample:
-        raise ValueError(f"{name} cannot both pool and upsample")
     shapes = ((tuple(x_shape),) if isinstance(x_shape[0], (int, np.integer))
               else tuple(tuple(shape) for shape in x_shape))
     scales = (1,) * len(shapes) if scales is None else tuple(map(int, scales))
@@ -274,7 +268,7 @@ def bind_fused(x_shape, w1: np.ndarray,
     # a pooled site's tile is channels-last, (N, h·w, blk): each pooling
     # tap then reduces a contiguous w·blk or blk run, not one image row
     channels_last = pool is not None
-    resample, (oh, ow) = _bind_resample((h, w), pool, upsample)
+    pool_fn, (oh, ow) = _bind_pool((h, w), pool)
     r_out = c_prime if w2 is None else w2.shape[0]
     pieces = _row_pieces(c_prime, runs)
     # the tile axis that holds a block's channels
@@ -319,17 +313,17 @@ def bind_fused(x_shape, w1: np.ndarray,
     # without a bias, restored channels that are one run of one input at
     # its own resolution are read in place
     x_in_place = b1 is None and len(fills) == 1 and fills[0][3] == 1
-    # a restore with nothing to resample lands straight in its output slice
-    may_write_through = w2 is None and resample is None
+    # a restore without a pool lands straight in its output slice
+    direct = w2 is None and not channels_last
     b2_nchw = None if w2 is None or b2 is None else b2[None, :, None, None]
     hw, ohw = h * w, oh * ow
     # one sample's share of the tile, in elements
     tile_elems, restore_itemsize = block * hw, restore.itemsize
 
     def core(xs: list[np.ndarray], out: np.ndarray) -> None:
-        """Channel-blocked lconv→act→resample[→fconv] over one sample
+        """Channel-blocked lconv→act[→pool][→fconv] over one sample
         group, streamed through one reusable tile into ``out``, that
-        group's output."""
+        group's C-contiguous output."""
         x = xs[0]
         n = x.shape[0]
         if x_in_place:  # a view
@@ -349,7 +343,6 @@ def bind_fused(x_shape, w1: np.ndarray,
             x_flat = x_aug.reshape(n, restore.shape[1], hw)
         if channels_last:  # BLAS reads the NCHW input with a trans flag
             x_flat = x_flat.transpose(0, 2, 1)
-        direct = may_write_through and out.flags.c_contiguous
         dtype = np.promote_types(x.dtype, restore.dtype)
         if not direct:
             scratch = np.empty(n * block * hw, dtype=dtype)
@@ -357,8 +350,7 @@ def bind_fused(x_shape, w1: np.ndarray,
             if channels_last:
                 pooled = np.empty(n * block * ohw, dtype=dtype)
             # the first block's GEMM writes the output itself
-            into_out = out.flags.c_contiguous
-            if not into_out or len(blocks) > 1:
+            if len(blocks) > 1:
                 acc = np.empty((n, r_out, ohw), dtype=out.dtype)
         for c0, c1, block_steps, reduce_block in blocks:
             width = c1 - c0
@@ -397,33 +389,23 @@ def bind_fused(x_shape, w1: np.ndarray,
                     act_fn(rows, out=rows)
             if direct:
                 continue
-            # (3) optional spatial resampling per block.  A pool's column
-            # pass writes a restore's output slice, or the pooled tile the
-            # fconv GEMM then reads through an NCHW view
+            # (3) optional pooling per block.  Its column pass writes a
+            # restore's output slice, or the pooled tile the fconv GEMM
+            # then reads through an NCHW view
             if channels_last:
                 tile = tile.reshape(n, h, w, width)
                 if w2 is None:
-                    resample(tile, out=out[:, c0:c1].transpose(0, 2, 3, 1))
+                    pool_fn(tile, out=out[:, c0:c1].transpose(0, 2, 3, 1))
                     continue
-                tile = resample(tile, out=pooled[:n * ohw * width].reshape(
+                tile = pool_fn(tile, out=pooled[:n * ohw * width].reshape(
                     n, oh, ow, width)).transpose(0, 3, 1, 2)
-            else:
-                tile = tile.reshape(n, width, h, w)
-                if resample is not None:
-                    tile = resample(tile)
-                if w2 is None:  # restore epilogue: write the block through
-                    out[:, c0:c1] = tile
-                    continue
             tile = tile.reshape(n, width, ohw)
             # (4) accumulate into the reduced output
-            if c0 == 0 and into_out:
+            if c0 == 0:
                 np.matmul(reduce_block, tile, out=out.reshape(n, r_out, ohw))
                 continue
             np.matmul(reduce_block, tile, out=acc)
-            if c0 == 0:
-                out[...] = acc.reshape(out.shape)
-            else:
-                out += acc.reshape(out.shape)
+            out += acc.reshape(out.shape)
 
     def fused(*xs: np.ndarray) -> np.ndarray:
         x = xs[0]
@@ -451,7 +433,6 @@ def bind_fused(x_shape, w1: np.ndarray,
 def fused_block(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
                 w2: np.ndarray, b2: np.ndarray | None,
                 act: str | None = None, pool: dict[str, Any] | None = None,
-                upsample: int = 0,
                 block_size: int = DEFAULT_BLOCK_SIZE,
                 act_params: dict[str, Any] | None = None,
                 passthrough=()) -> np.ndarray:
@@ -469,9 +450,6 @@ def fused_block(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
     pool:
         Optional pooling config ``{"kind", "kernel", "stride", "padding"}``
         applied between the activation and the fconv.
-    upsample:
-        Optional nearest-neighbour upsample scale (mutually exclusive
-        with ``pool``); used after the UNet decoder transformation.
     block_size:
         Restored channels per tile; clamped into ``[1, C']`` so an
         oversized block reports the same scratch it actually uses
@@ -485,17 +463,16 @@ def fused_block(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
         maps, in order, the rows outside the runs to the input channels
         outside them, and ``b1`` covers those rows only.
     """
-    return bind_fused(x.shape, w1, b1, w2, b2, act, pool, upsample,
-                      block_size, act_params, passthrough)(x)
+    return bind_fused(x.shape, w1, b1, w2, b2, act, pool, block_size,
+                      act_params, passthrough)(x)
 
 
 def fused_restore(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
                   act: str | None = None, pool: dict[str, Any] | None = None,
-                  upsample: int = 0,
                   block_size: int = DEFAULT_BLOCK_SIZE,
                   act_params: dict[str, Any] | None = None,
                   passthrough=()) -> np.ndarray:
-    """Restore-epilogue kernel: ``lconv → act [→ pool | upsample]`` streamed
+    """Restore-epilogue kernel: ``lconv → act [→ pool]`` streamed
     through channel-block tiles, materializing only the *final* tensor.
 
     Used where a restored tensor is genuinely needed downstream (a join
@@ -508,8 +485,8 @@ def fused_restore(x: np.ndarray, w1: np.ndarray, b1: np.ndarray | None,
     without the trailing fconv contraction; the parameters are
     :func:`fused_block`'s.
     """
-    return bind_fused(x.shape, w1, b1, None, None, act, pool, upsample,
-                      block_size, act_params, passthrough)(x)
+    return bind_fused(x.shape, w1, b1, None, None, act, pool, block_size,
+                      act_params, passthrough)(x)
 
 
 def fused_scratch_bytes(input_shape: tuple[int, ...], itemsize: int,
@@ -529,10 +506,9 @@ def fused_scratch_bytes(input_shape: tuple[int, ...], itemsize: int,
     for the tile-size ablation benchmark.
 
     Beyond the returned array the kernels hold at most this tile + one
-    resample call on it (pooled: the row-reduced tile, and for a block
-    the pooled tile the column pass writes and the fconv GEMM reads — a
-    restore's column pass writes its output slice, no padded copy either
-    way; upsampled: ``scale + scale²`` tiles) + one ``(N, R_out, tile)``
+    pool call on it (the row-reduced tile, and for a block the pooled
+    tile the column pass writes and the fconv GEMM reads — a restore's
+    column pass writes its output slice, no padded copy either way) + one ``(N, R_out, tile)``
     fconv accumulator, which only blocks after the first add into the
     output + the rank-``R+1`` augmented input ``[x; 1]`` when there is a
     bias or ``k > 1`` inputs fill it (an input read at factor ``s``

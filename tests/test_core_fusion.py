@@ -134,6 +134,52 @@ class TestEpilogueFusion:
                                        atol=1e-5)
 
 
+class TestTrailingUpsample:
+    """A chain's trailing nearest upsample is a factor on the fused node's
+    input (its ``input_scales``): upsampling commutes with the 1×1
+    restore and the activation, so the node restores the upsampled plane
+    and the kernel has no upsample step of its own."""
+
+    def _graph(self, tail):
+        """``lconv → relu → upsample`` into an fconv, or into a concat
+        with the input (an epilogue)."""
+        b = GraphBuilder("t", seed=0)
+        x = b.input("x", (2, 4, 16, 16))
+        up = b.upsample_nearest(b.relu(b.conv2d(
+            b.maxpool2d(x, 2), 24, 1, name="lconv")), 2)
+        if tail == "fconv":
+            return b.finish(b.conv2d(up, 4, 1, name="fconv"))
+        return b.finish(b.conv2d(b.concat(x, up), 6, 3, padding=1))
+
+    @pytest.mark.parametrize("tail, op", [("fconv", "fused_block"),
+                                          ("concat", "fused_restore")])
+    def test_fuses_into_an_input_factor(self, tail, op):
+        g = self._graph(tail)
+        before = g.clone("before")
+        stats = fuse_activation_layers(g)
+        assert (stats.fused, stats.with_upsample) == (1, 1)
+        [fused] = [n for n in g.nodes if n.op.startswith("fused")]
+        assert fused.op == op
+        assert fused.attrs["input_scales"] == [2]
+        assert "upsample" not in fused.attrs
+        assert not any(n.op == "upsample_nearest" for n in g.nodes)
+        inp = random_input(g)
+        assert_equivalent(before, g, inp, rtol=1e-5)
+        assert (execute(g, inp).memory.peak_internal_bytes
+                == estimate_peak_internal(g))
+
+
+    def test_a_factor_one_upsample_is_not_folded(self):
+        # an identity upsample is no layer a restore could absorb: the
+        # lconv stays unfused rather than becoming an empty fused_restore
+        b = GraphBuilder("t", seed=0)
+        x = b.input("x", (2, 4, 8, 8))
+        up = b.upsample_nearest(b.conv2d(x, 24, 1, name="lconv"), 1)
+        g = b.finish(b.conv2d(b.concat(x, up), 6, 3, padding=1))
+        assert fuse_activation_layers(g).fused == 0
+        assert any(n.op == "upsample_nearest" for n in g.nodes)
+
+
 class TestScratchReporting:
     def test_scratch_tracked_separately(self):
         g = _decomposed_chain()

@@ -497,6 +497,23 @@ class TestGatherConcat:
         _bitwise_same(before, g)
         assert estimate_peak_internal(g) < estimate_peak_internal(before)
 
+    def test_a_fused_upsample_multiplies_each_branch_factor(self):
+        """A fused node that already reads its concat at factor 2 (a
+        trailing upsample) reads each branch at its own factor times 2."""
+        b = GraphBuilder("t", seed=5)
+        low = b.input("low", (2, 2, 2, 2))
+        cat = b.concat(b.input("x", (2, 3, 4, 4)),
+                       b.upsample_nearest(low, 2), name="cat")
+        up = b.upsample_nearest(b.relu(b.conv2d(cat, 24, 1, name="lconv")),
+                                2)
+        g = b.finish(b.conv2d(up, 6, 1, name="fconv"))
+        fuse_activation_layers(g)
+        before, stats, _ = _gathered(g)
+        assert stats.gathered_concats == 1
+        [fused] = g.nodes
+        assert fused.attrs["input_scales"] == [2, 4]
+        _bitwise_same(before, g)
+
     @pytest.mark.parametrize("act", [None, "relu", "sigmoid"])
     @pytest.mark.parametrize("upsampled", [False, True])
     def test_densenet_passthrough_concat(self, act, upsampled):

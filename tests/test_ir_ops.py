@@ -122,14 +122,19 @@ class TestFusedOps:
                                  "w2": np.zeros((6, 32), np.float32)})
         assert node.output.shape == (2, 6, 4, 4)
 
-    def test_fused_block_rejects_pool_and_upsample(self):
+    def test_fused_block_upsampled_input_then_pool(self):
+        # an input factor restores the upsampled plane, which the tile's
+        # pool then reduces
         g, x = _graph_with_input((2, 4, 8, 8))
-        with pytest.raises(ValueError, match="cannot both"):
-            make_node(g, "fused_block", [x],
-                      attrs={"act": "relu", "upsample": 2,
-                             "pool": {"kind": "max", "kernel": [2, 2]}},
-                      params={"w1": np.zeros((32, 4), np.float32),
-                              "w2": np.zeros((6, 32), np.float32)})
+        node = make_node(g, "fused_block", [x],
+                         attrs={"act": "relu", "input_scales": [2],
+                                "pool": {"kind": "max", "kernel": [2, 2]}},
+                         params={"w1": np.zeros((32, 4), np.float32),
+                                 "w2": np.zeros((6, 32), np.float32)})
+        assert node.output.shape == (2, 6, 8, 8)
+        assert ops.node_flops(node) == (2 * 2 * 256 * 32 * 4   # restore
+                                        + 2 * 256 * 32         # act
+                                        + 2 * 2 * 64 * 6 * 32)  # fconv
 
     def test_fused_block_weight_mismatch(self):
         g, x = _graph_with_input((2, 4, 8, 8))
@@ -142,15 +147,20 @@ class TestFusedOps:
     def test_fused_restore_upsample(self):
         g, x = _graph_with_input((2, 4, 8, 8))
         node = make_node(g, "fused_restore", [x],
-                         attrs={"act": "relu", "upsample": 2},
+                         attrs={"act": "relu", "input_scales": [2]},
                          params={"w1": np.zeros((32, 4), np.float32)})
         assert node.output.shape == (2, 32, 16, 16)
+        # an upsample alone is a layer the restore absorbs
+        bare = make_node(g, "fused_restore", [x], attrs={"input_scales": [2]},
+                         params={"w1": np.zeros((32, 4), np.float32)})
+        assert bare.output.shape == (2, 32, 16, 16)
 
     def test_fused_restore_must_absorb_something(self):
         g, x = _graph_with_input((2, 4, 8, 8))
-        with pytest.raises(ValueError, match="absorb"):
-            make_node(g, "fused_restore", [x], attrs={},
-                      params={"w1": np.zeros((32, 4), np.float32)})
+        for attrs in ({}, {"input_scales": [1]}):
+            with pytest.raises(ValueError, match="absorb"):
+                make_node(g, "fused_restore", [x], attrs=attrs,
+                          params={"w1": np.zeros((32, 4), np.float32)})
 
 
 class TestPassThroughRuns:

@@ -93,8 +93,11 @@ def _fused_cases():
 
 
 def _fused(op, dtype, act, extra, biases):
-    """C' = 12 in blocks of 5 (the last one short) over an 8x8 plane."""
-    attrs = dict(extra, act=act, block_size=5)
+    """C' = 12 in blocks of 5 (the last one short) over an 8x8 plane;
+    a variant's input factor is the node's ``input_scales``."""
+    attrs = {"input_scales" if key == "scales" else key: value
+             for key, value in extra.items()}
+    attrs.update(act=act, block_size=5)
     if act in ACT_PARAMS:
         attrs["act_params"] = ACT_PARAMS[act]
     shapes = {"w1": (12, 3), "b1": (12,), "w2": (4, 12), "b2": (4,)}
@@ -187,9 +190,10 @@ def _spelled_out(node, xs):
         return np.concatenate(xs, axis=a.get("axis", 1))
     if op in ACTIVATION_OPS:
         return kernels.get_activation(op, **ACT_PARAMS.get(op, {}))(x)
+    if a.get("input_scales"):  # the kernel on the materialised upsample
+        x = kernels.upsample_nearest(x, a["input_scales"][0])
     kwargs = dict(act=a.get("act"), pool=a.get("pool"),
-                  upsample=a.get("upsample", 0), block_size=a["block_size"],
-                  act_params=a.get("act_params"))
+                  block_size=a["block_size"], act_params=a.get("act_params"))
     if op == "fused_block":
         return kernels.fused_block(x, p["w1"], p.get("b1"), p["w2"],
                                    p.get("b2"), **kwargs)

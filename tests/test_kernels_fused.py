@@ -26,7 +26,9 @@ def rng():
 
 
 def reference_chain(x, w1, b1, w2, b2, act=None, pool=None, upsample=0):
-    """lconv → act → resample → fconv, each as a separate full kernel."""
+    """lconv → act → resample → fconv, each as a separate full kernel.
+    The kernel upsamples its input instead (``scales``): nearest
+    upsampling commutes with the 1×1 restore and the activation."""
     full = pointwise_conv(x, w1, b1)
     if act is not None:
         full = get_activation(act)(full)
@@ -65,8 +67,8 @@ class TestFusedBlock:
         x = rng.normal(size=(1, 3, 4, 4))
         w1 = rng.normal(size=(12, 3))
         w2 = rng.normal(size=(2, 12))
-        got = fused_block(x, w1, None, w2, None, act="relu", upsample=2,
-                          block_size=4)
+        got = bind_fused(x.shape, w1, None, w2, None, act="relu",
+                         block_size=4, scales=[2])(x)
         want = reference_chain(x, w1, None, w2, None, act="relu", upsample=2)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -78,13 +80,6 @@ class TestFusedBlock:
         for block in (1, 2, 3, 5, 16, 100):
             got = fused_block(x, w1, b1, w2, b2, act="relu", block_size=block)
             np.testing.assert_allclose(got, reference, atol=1e-10)
-
-    def test_pool_and_upsample_rejected(self, rng):
-        x = rng.normal(size=(1, 2, 4, 4))
-        with pytest.raises(ValueError, match="cannot both"):
-            fused_block(x, rng.normal(size=(4, 2)), None,
-                        rng.normal(size=(2, 4)), None,
-                        pool={"kind": "max", "kernel": (2, 2)}, upsample=2)
 
     def test_weight_shape_mismatch_rejected(self, rng):
         x = rng.normal(size=(1, 2, 4, 4))
@@ -185,7 +180,8 @@ class TestFusedRestore:
     def test_with_upsample(self, rng):
         x = rng.normal(size=(1, 2, 3, 3))
         w1 = rng.normal(size=(5, 2))
-        got = fused_restore(x, w1, None, act="tanh", upsample=3, block_size=2)
+        got = bind_fused(x.shape, w1, None, act="tanh", block_size=2,
+                         scales=[3])(x)
         want = reference_chain(x, w1, None, None, None, act="tanh", upsample=3)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
@@ -249,13 +245,19 @@ MAXPOOL_3S2P1 = {"kind": "max", "kernel": (3, 3), "stride": (2, 2),
                  "padding": (1, 1)}
 AVGPOOL_2 = {"kind": "avg", "kernel": (2, 2), "stride": (2, 2),
              "padding": (0, 0)}
-#: the resampling forms a fused kernel runs in
+#: the resampling forms a fused kernel runs in: a pool on each tile, or
+#: an upsample read as a factor on the input
 VARIANTS = {
     "plain": {},
     "maxpool": {"pool": MAXPOOL_3S2P1},
     "avgpool": {"pool": AVGPOOL_2},
-    "upsample": {"upsample": 2},
+    "upsample": {"scales": (2,)},
 }
+
+
+def _scale(variant: dict) -> int:
+    """The input factor of a variant: the tile's plane over the input's."""
+    return variant.get("scales", (1,))[0]
 
 
 def _f32(rng, *shape):
@@ -273,10 +275,11 @@ class TestPerSampleIndependence:
         x = _f32(rng, n, 5, 8, 8)
         w1, b1 = _f32(rng, 40, 5), _f32(rng, 40)
         w2, b2 = _f32(rng, 7, 40), _f32(rng, 7)
-        kwargs = dict(act="relu", block_size=16, **VARIANTS[variant])
-        whole = fused_block(x, w1, b1, w2, b2, **kwargs)
+        kernel = bind_fused(x.shape, w1, b1, w2, b2, act="relu",
+                            block_size=16, **VARIANTS[variant])
+        whole = kernel(x)
         for i in range(n):
-            alone = fused_block(x[i:i + 1], w1, b1, w2, b2, **kwargs)
+            alone = kernel(x[i:i + 1])
             assert whole[i:i + 1].tobytes() == alone.tobytes(), (variant, i)
 
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
@@ -284,10 +287,11 @@ class TestPerSampleIndependence:
     def test_fused_restore(self, rng, n, variant):
         x = _f32(rng, n, 3, 8, 8)
         w1, b1 = _f32(rng, 40, 3), _f32(rng, 40)
-        kwargs = dict(act="silu", block_size=16, **VARIANTS[variant])
-        whole = fused_restore(x, w1, b1, **kwargs)
+        kernel = bind_fused(x.shape, w1, b1, act="silu", block_size=16,
+                            **VARIANTS[variant])
+        whole = kernel(x)
         for i in range(n):
-            alone = fused_restore(x[i:i + 1], w1, b1, **kwargs)
+            alone = kernel(x[i:i + 1])
             assert whole[i:i + 1].tobytes() == alone.tobytes(), (variant, i)
 
 
@@ -328,7 +332,8 @@ class TestSampleGroups:
                             **VARIANTS[variant])
         one_group = kernel(x)
         # the default constant runs these small tiles as one group
-        sample = fused_scratch_bytes((1,) + x.shape[1:], 4, block_size=16,
+        plane = 8 * _scale(VARIANTS[variant])
+        sample = fused_scratch_bytes((1, 5, plane, plane), 4, block_size=16,
                                      c_prime=40)
         assert fused_module._group_size(n, sample) == n
         count = {"one_sample": n, "two": 2, "three": 3}[groups]
@@ -423,14 +428,15 @@ class TestPassThroughRuns:
                                 block_size=block, passthrough=runs, **variant)
             got = kernel(x)
             assert got.dtype == dtype
+            scale = _scale(variant)
             np.testing.assert_allclose(
                 got, reference_chain(x, dense, dense_b1, w2_, b2_, act=act,
                                      pool=variant.get("pool"),
-                                     upsample=variant.get("upsample", 0)),
+                                     upsample=scale),
                 **tol)
             sample = fused_scratch_bytes(
-                (1,) + x.shape[1:], x.itemsize, block_size=block,
-                c_prime=c_prime)
+                (1, r_in, h * scale, w * scale), x.itemsize,
+                block_size=block, c_prime=c_prime)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(fused_module, "TILE_BYTES",
                               -(-n * sample // min(n, 3)))
@@ -488,15 +494,19 @@ class TestGatheredInputs:
         w1, b1 = draw(rows, cols, fan_in=cols), draw(rows) if bias else None
         w2, b2 = draw(3, c_prime, fan_in=c_prime), draw(3)
         shapes = [src.shape for src in sources]
+        # the kernel's own factor (a trailing upsample) multiplies each
+        # input's
+        base = _scale(variant)
         for w2_, b2_ in ((w2, b2), (None, None)):
             kwargs = dict(act=act, block_size=block, passthrough=runs,
-                          **variant)
-            want = bind_fused(x.shape, w1, b1, w2_, b2_, **kwargs)(x)
-            kernel = bind_fused(shapes, w1, b1, w2_, b2_, scales=scales,
-                                **kwargs)
+                          pool=variant.get("pool"))
+            want = bind_fused(x.shape, w1, b1, w2_, b2_, scales=[base],
+                              **kwargs)(x)
+            kernel = bind_fused(shapes, w1, b1, w2_, b2_,
+                                scales=[f * base for f in scales], **kwargs)
             assert kernel(*sources).tobytes() == want.tobytes()
             sample = fused_scratch_bytes(
-                (1,) + x.shape[1:], x.itemsize, block_size=block,
+                (1, r_in, h * base, w * base), x.itemsize, block_size=block,
                 c_prime=c_prime)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(fused_module, "TILE_BYTES",
@@ -528,7 +538,7 @@ def _traced_peak(fn):
 
 class TestScratchMeasured:
     """`fused_scratch_bytes` against what a bound kernel really holds per
-    call: beyond the returned array, at most the tile + one resample call
+    call: beyond the returned array, at most the tile + one pool call
     on that tile + one fconv accumulator (`fused_block`) + the
     rank-``R+1`` augmented input that carries the bias into the restore
     GEMM — whatever ``C'`` is.  The packed ``[w1 | b1]`` is made when the
@@ -551,29 +561,28 @@ class TestScratchMeasured:
         out, peak = _traced_peak(lambda: kernel(x))
         return peak - out.nbytes, out
 
-    def _input_and_mask(self):
-        """``[x; 1]`` (the bias rides in the restore GEMM) and leaky
-        relu's one temporary, the tile's boolean ``x < 0``."""
-        plane = self.HW * self.HW
+    def _input_and_mask(self, scale=1):
+        """``[x; 1]`` (the bias rides in the restore GEMM) at the tile's
+        plane and leaky relu's one temporary, the tile's boolean
+        ``x < 0``."""
+        plane = (self.HW * scale) ** 2
         mask = self.N * self.BLOCK * plane * (self.ACT == "leaky_relu")
         return self.N * (self.R + 1) * plane * 4 + mask
 
-    def _bound(self, rng, out, fconv, pool=None, upsample=0):
-        scratch = fused_scratch_bytes((self.N, self.R, self.HW, self.HW), 4,
+    def _bound(self, rng, out, fconv, pool=None, scales=(1,)):
+        hw = self.HW * scales[0]
+        scratch = fused_scratch_bytes((self.N, self.R, hw, hw), 4,
                                       block_size=self.BLOCK)
-        assert scratch == self.N * self.BLOCK * self.HW * self.HW * 4
-        tile = _f32(rng, self.N, self.BLOCK, self.HW, self.HW)
+        assert scratch == self.N * self.BLOCK * hw * hw * 4
         resample = 0
         if pool is not None:
+            tile = _f32(rng, self.N, self.BLOCK, self.HW, self.HW)
             fn = maxpool2d if pool["kind"] == "max" else avgpool2d
             resample = _traced_peak(lambda: fn(
                 tile, pool["kernel"], pool["stride"], pool["padding"]))[1]
-        elif upsample:
-            resample = _traced_peak(
-                lambda: upsample_nearest(tile, upsample))[1]
         accumulator = out.nbytes if fconv else 0
-        return (scratch + resample + accumulator + self._input_and_mask()
-                + self.SLACK)
+        return (scratch + resample + accumulator
+                + self._input_and_mask(scales[0]) + self.SLACK)
 
     @pytest.mark.parametrize("fconv", [True, False],
                              ids=["fused_block", "fused_restore"])
@@ -598,8 +607,9 @@ class TestScratchMeasured:
         self.N = 32
         transient, out = self._transient(rng, 2 * self.BLOCK, fconv,
                                          **kwargs)
-        sample = fused_scratch_bytes(
-            (1, self.R, self.HW, self.HW), 4, block_size=self.BLOCK)
+        hw = self.HW * _scale(kwargs)
+        sample = fused_scratch_bytes((1, self.R, hw, hw), 4,
+                                     block_size=self.BLOCK)
         self.N = fused_module._group_size(32, sample)
         assert self.N < 32
         assert transient <= self._bound(rng, out[:self.N], fconv,

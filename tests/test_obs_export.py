@@ -197,7 +197,6 @@ def _stats_match_decisions(tracer, stats):
         "compute_overhead": stats.rejected_compute,
         "memory_overhead": stats.rejected_memory,
         "no_chain": stats.rejected_no_chain,
-        "global_peak": stats.rejected_global,
     }
     for reason, count in by_reason.items():
         events = tracer.decisions_for("skip_opt", verdict="reject",
