@@ -13,7 +13,7 @@ from repro.bench import ablate_thresholds, fast_mode, format_table
 from _bench_util import run_once
 
 DIST = (2, 4, 8) if fast_mode() else (2, 4, 8, 16, 32)
-SLACKS = (0.1, 1.0) if fast_mode() else (0.1, 1.0, 10.0)
+SLACKS = (0.01, 1.0) if fast_mode() else (0.01, 0.1, 1.0)
 
 
 def test_threshold_ablation(benchmark, report_sink):

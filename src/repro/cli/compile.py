@@ -6,7 +6,7 @@ optimize MODEL|FILE.npz [-o OUT.npz]
 run MODEL|FILE.npz
     Execute one inference on synthetic input; print the memory profile
     and wall-clock time.  A saved ``optimize -o`` graph runs as compiled;
-    ``--budget BYTES`` plans a spill/prefetch/remat schedule and the
+    ``--budget BYTES`` plans a spill/prefetch schedule and the
     runtime enforces it — outputs stay bitwise identical while the
     measured peak lands on the plan's simulated peak.
 plan MODEL|FILE.npz [--budget BYTES] [--optimize]
@@ -123,8 +123,7 @@ def _cmd_run(args) -> int:
               f"{format_bytes(memory_plan.budget_bytes)} — "
               f"{'within budget' if ok else 'OVER BUDGET'}; "
               f"{stats.spills} spill(s) "
-              f"({format_bytes(stats.spilled_bytes)} spilled), "
-              f"{stats.remats} remat(s)")
+              f"({format_bytes(stats.spilled_bytes)} spilled)")
         if not ok:
             return 1
     print(f"median wall-clock: {timing.median * 1e3:.1f} ms "
@@ -138,8 +137,7 @@ def _cmd_plan(args) -> int:
     graph = _load_model(args)
     target = _temco_target(graph, args) if args.optimize else graph
     cost_model = PlanCostModel(
-        spill_bandwidth_bytes_per_s=args.spill_gbps * 1e9,
-        recompute_flops_per_s=args.compute_gflops * 1e9)
+        spill_bandwidth_bytes_per_s=args.spill_gbps * 1e9)
     baseline = estimate_peak_internal(target)
     floor = estimate_peak_floor(target)
     budget = (parse_budget(args.budget, reference=baseline)
@@ -171,10 +169,6 @@ def _cmd_plan(args) -> int:
                    else f"use@{action.next_use}")
             schedule = (f"spill@{action.spill_after} "
                         f"prefetch@{action.prefetch_issue} {use}")
-        elif action.kind == "remat":
-            schedule = (f"drop@{action.drop_after} "
-                        f"remat@{action.remat_before} "
-                        f"chain={len(action.chain)}")
         else:
             schedule = "resident at peak"
         rows.append([action.kind, action.value.name,
@@ -193,7 +187,7 @@ def _cmd_plan(args) -> int:
                  f"({'fits' if mplan.within_budget else 'DOES NOT FIT'})")
     print(line)
     print(f"relief: {format_bytes(mplan.relief_bytes)} via "
-          f"{len(mplan.spills)} spill(s) + {len(mplan.remats)} remat(s); "
+          f"{len(mplan.spills)} spill(s); "
           f"predicted overhead "
           f"{mplan.predicted_overhead_seconds * 1e3:.3f} ms")
     return 0
@@ -234,7 +228,7 @@ def register(sub) -> None:
     p.set_defaults(fn=_obs_wrap(_cmd_run))
 
     p = sub.add_parser("plan", help="budget-constrained memory plan: "
-                                    "spill/prefetch/remat schedule, cost "
+                                    "spill/prefetch schedule, cost "
                                     "model, predicted peak")
     common(p)
     obs_flags(p)
@@ -247,12 +241,6 @@ def register(sub) -> None:
                    metavar="GBPS",
                    help="modelled host<->device spill bandwidth in GB/s "
                         "(default 12)")
-    kernel_gflops = PlanCostModel.recompute_flops_per_s / 1e9
-    p.add_argument("--compute-gflops", type=positive_float,
-                   default=kernel_gflops, metavar="GFLOPS",
-                   help="modelled recompute throughput in GFLOP/s "
-                        f"(default {kernel_gflops:g}, what the NumPy "
-                        "kernels reach)")
     p.add_argument("--json", action="store_true",
                    help="print the full plan as JSON (for scripts/CI)")
     p.set_defaults(fn=_obs_wrap(_cmd_plan))

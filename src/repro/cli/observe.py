@@ -154,9 +154,9 @@ def _cmd_memcheck(args) -> int:
             f"budgeted-run conformance (budget {args.budget}, "
             f"batch {args.batch}, hw {args.hw})",
             ["model", "budget B", "planned B", "measured B", "spills",
-             "remats", "verdict"],
+             "verdict"],
             [[ba.model, ba.budget_bytes, ba.planned_peak_bytes,
-              ba.measured_peak_bytes, ba.spills, ba.remats,
+              ba.measured_peak_bytes, ba.spills,
               "ok" if ba.passed else "FAIL"] for ba in audits],
             [(f"baseline {format_bytes(ba.baseline_peak_bytes)} -> budgeted "
               f"{format_bytes(ba.measured_peak_bytes)} "

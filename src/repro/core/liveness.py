@@ -70,7 +70,7 @@ class LedgerEvent(NamedTuple):
     #: schedule index the event fires at (-1 while binding graph inputs)
     node_index: int
     #: ``alloc`` / ``free`` / ``scratch``, or a memory plan's ``spill``
-    #: (free-like) / ``prefetch`` / ``remat`` (alloc-like)
+    #: (free-like) / ``prefetch`` (alloc-like)
     action: str
     #: the tensor's name (``"<scratch>"`` for a scratch charge)
     value: str
@@ -94,8 +94,8 @@ class MemorySchedule:
     #: live bytes sampled at each node after its output is charged and
     #: before anything is freed — the executor's ``MemoryProfile.events``
     live: tuple[int, ...]
-    #: peak over the whole run, input binding, prefetch charges and
-    #: remat transients included — what the allocator measures
+    #: peak over the whole run, input binding and prefetch charges
+    #: included — what the allocator measures
     peak_bytes: int
     #: where the peak is first reached (``-1`` = during input binding)
     peak_index: int
@@ -147,15 +147,14 @@ def simulate(graph: Graph, *, order: list[Node] | None = None, actions=None,
     whole graph, as the list of events
     :func:`repro.runtime.executor.execute` makes the allocator emit:
     inputs are charged one by one (an unused one is freed at once); at
-    each node the plan's prefetch charges, each remat chain (its allocs,
-    then the frees of its intermediates), the node's output, then what
-    :func:`free_schedule` says dies there, then the plan's spills and
-    drops.  The live samples and peaks are folds of that one pass, and
-    every static peak or live-byte figure in the package is read off it.
+    each node the plan's prefetch charges, the node's output, then what
+    :func:`free_schedule` says dies there, then the plan's spills.  The
+    live samples and peaks are folds of that one pass, and every static
+    peak or live-byte figure in the package is read off it.
 
     ``order`` evaluates a candidate schedule (a permutation of
     ``graph.nodes``) without mutating the graph.  ``actions`` are a
-    memory plan's spill/remat actions bucketed by node boundary
+    memory plan's spills bucketed by node boundary
     (:func:`repro.plan.bucket_actions`), replayed where
     :class:`~repro.runtime.planned.PlanEnforcer` applies them.
     ``inplace_activations`` models the PyTorch ``inplace=True``
@@ -165,9 +164,8 @@ def simulate(graph: Graph, *, order: list[Node] | None = None, actions=None,
     nodes = graph.nodes if order is None else order
     frees_after = free_schedule(graph, order)
     empty: dict[int, list] = {}
-    spill_at, issue_at, drop_at, remat_at = (
-        (actions.spill_at, actions.issue_at, actions.drop_at, actions.remat_at)
-        if actions is not None else (empty,) * 4)
+    spill_at, issue_at = ((actions.spill_at, actions.issue_at)
+                          if actions is not None else (empty, empty))
     events: list[LedgerEvent] = []
     live = 0
 
@@ -178,11 +176,9 @@ def simulate(graph: Graph, *, order: list[Node] | None = None, actions=None,
         events.append(LedgerEvent(index, action, v.name, nbytes, live))
 
     def evict(index: int) -> None:
-        """The plan's spills and drops at the boundary after ``index``."""
+        """The plan's spills at the boundary after ``index``."""
         for a in spill_at.get(index, ()):
             emit(index, "spill", a.value, -1)
-        for a in drop_at.get(index, ()):
-            emit(index, "free", a.value, -1)
 
     for v in graph.inputs:
         emit(-1, "alloc", v)
@@ -195,14 +191,6 @@ def simulate(graph: Graph, *, order: list[Node] | None = None, actions=None,
     for index, node in enumerate(nodes):
         for a in issue_at.get(index, ()):
             emit(index, "prefetch", a.value)
-        for a in remat_at.get(index, ()):
-            target = a.value.name
-            for cnode in a.chain:
-                action = "remat" if cnode.output.name == target else "alloc"
-                emit(index, action, cnode.output)
-            for cnode in a.chain:
-                if cnode.output.name != target:
-                    emit(index, "free", cnode.output, -1)
         dying = frees_after[index]
         if inplace_activations and reuses_input_buffer(node, dying):
             emit(index, "free", dying[0], -1)
@@ -237,8 +225,7 @@ def estimate_peak_floor(graph: Graph) -> int:
     so the term comes from :func:`simulate`, not a plain sum).
 
     No memory plan can beat this — every node's operands and result
-    must be resident while it runs, whatever gets spilled or
-    rematerialized around it.  Budgets below this floor are infeasible
+    must be resident while it runs, whatever gets spilled around it.  Budgets below this floor are infeasible
     by construction; :func:`repro.plan.plan_memory` reports them with
     the residual against its best achievable peak.
     """

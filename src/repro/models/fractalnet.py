@@ -5,7 +5,7 @@ computes the shallow column first, so its output idles across the
 entire deep sub-tree before the join — one long-lived tensor per
 recursion level.  Like :mod:`~repro.models.wavenet` this puts the peak
 well above the single-node working-set floor, giving the budget
-planner (:mod:`repro.plan`) real spill/remat headroom; the original
+planner (:mod:`repro.plan`) real spill headroom; the original
 mean-join is replaced by an elementwise sum, which the skip optimizer
 already models.
 """

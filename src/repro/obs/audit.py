@@ -230,7 +230,6 @@ class BudgetAudit:
     planned_peak_bytes: int
     measured_peak_bytes: int
     spills: int
-    remats: int
     spilled_bytes: int
     findings: list[AuditFinding] = field(default_factory=list)
 
@@ -249,7 +248,7 @@ class BudgetAudit:
             "baseline_peak_bytes": self.baseline_peak_bytes,
             "planned_peak_bytes": self.planned_peak_bytes,
             "measured_peak_bytes": self.measured_peak_bytes,
-            "spills": self.spills, "remats": self.remats,
+            "spills": self.spills,
             "spilled_bytes": self.spilled_bytes,
             "passed": self.passed,
             "findings": [vars(f) for f in self.findings],
@@ -269,7 +268,7 @@ def audit_budgeted(graph: Graph, budget_bytes: int,
        not an exception,
     2. **budget** — the measured peak is ≤ ``budget_bytes``
        (``budget_exceeded``),
-    3. **plan conformance** — the spill/prefetch/remat-tagged ledger is
+    3. **plan conformance** — the spill/prefetch-tagged ledger is
        the event list ``simulate(graph, actions=plan.buckets)``
        predicts, event for event (``event_mismatch``),
     4. **semantics** — every output is bitwise identical to the
@@ -298,7 +297,7 @@ def audit_budgeted(graph: Graph, budget_bytes: int,
                 budget_bytes=budget_bytes,
                 baseline_peak_bytes=baseline_peak,
                 planned_peak_bytes=exc.predicted_peak_bytes,
-                measured_peak_bytes=0, spills=0, remats=0, spilled_bytes=0,
+                measured_peak_bytes=0, spills=0, spilled_bytes=0,
                 findings=[finding])
         result = execute(graph, inputs, plan=mplan, record_ledger=True)
 
@@ -328,7 +327,7 @@ def audit_budgeted(graph: Graph, budget_bytes: int,
             passed=not any(f.severity == "error" for f in findings),
             budget_bytes=budget_bytes, measured_peak_bytes=measured,
             planned_peak_bytes=mplan.planned_peak_bytes,
-            spills=len(mplan.spills), remats=len(mplan.remats))
+            spills=len(mplan.spills))
 
     stats = profile.plan_stats
     return BudgetAudit(
@@ -337,7 +336,6 @@ def audit_budgeted(graph: Graph, budget_bytes: int,
         planned_peak_bytes=mplan.planned_peak_bytes,
         measured_peak_bytes=measured,
         spills=stats.spills if stats else 0,
-        remats=stats.remats if stats else 0,
         spilled_bytes=stats.spilled_bytes if stats else 0,
         findings=findings)
 

@@ -47,7 +47,7 @@ log = logging.getLogger(__name__)
 
 #: seconds between two samples of the background sampler
 INTERVAL_S = 0.25
-#: trailing window of the fleet doc's rates (QPS, spill / remat rate)
+#: trailing window of the fleet doc's rates (QPS, spill rate)
 WINDOW_S = 5.0
 #: snapshots kept; older ones are evicted, so memory stays bounded by
 #: ``HISTORY_SAMPLES x series`` regardless of uptime
@@ -472,7 +472,6 @@ class FleetView:
                     "serve.measured_peak_bytes", 0.0),
                 "budget_bytes": rstats.get("plan.budget_bytes", 0.0),
                 "spill_rate": rate(f"plan.spilled_bytes{suffix}"),
-                "remat_rate": rate(f"plan.remat{suffix}"),
             })
         slo = backend.slo
         return {

@@ -1,17 +1,17 @@
 """repro.plan: budget-constrained memory planning.
 
 A new layer between compilation and execution: given an optimized
-graph and a byte budget, :func:`plan_memory` chooses per-tensor
-``keep`` / ``spill`` / ``remat`` actions that the runtime enforces at
-node boundaries (see :mod:`repro.runtime.planned`), trading compute
-and host-link transfers for resident bytes — the paper's core trade,
-promoted to a user-facing contract.
+graph and a byte budget, :func:`plan_memory` chooses which tensors to
+spill across their liveness gaps (the rest are recorded as ``keep``),
+and the runtime enforces those spills at node boundaries (see
+:mod:`repro.runtime.planned`), trading host-link transfers for resident
+bytes as a user-facing contract.
 """
 
 from .budget import BudgetSyntaxError, format_bytes, parse_budget
 from .planner import (ActionBuckets, InfeasibleBudget, KeepAction, MemoryPlan,
-                      PlanAction, PlanCostModel, RematAction, SpillAction,
-                      bucket_actions, plan_memory)
+                      PlanAction, PlanCostModel, SpillAction, bucket_actions,
+                      plan_memory)
 
 __all__ = [
     "BudgetSyntaxError",
@@ -20,7 +20,6 @@ __all__ = [
     "PlanCostModel",
     "KeepAction",
     "SpillAction",
-    "RematAction",
     "PlanAction",
     "MemoryPlan",
     "InfeasibleBudget",

@@ -9,7 +9,7 @@ accounting — current footprint, peak footprint, and the live-set
 snapshot at the peak (used by the Figure-4 breakdown of how much of the
 peak is skip connections).
 
-Every event — a charge (``alloc``, or a plan's ``prefetch`` / ``remat``),
+Every event — a charge (``alloc``, or a plan's ``prefetch``),
 a release (``free``, or a plan's ``spill``) and a transient ``scratch``
 charge — leaves through one emit path as one
 :class:`~repro.core.liveness.LedgerEvent`, the tuple
@@ -58,8 +58,8 @@ class TensorAllocator:
     def alloc(self, value: Value, action: str = "alloc",
               nbytes: int | None = None) -> None:
         """Charge ``value``.  ``action`` is the event's tag: ``"alloc"``,
-        or how a memory plan brought the tensor back — ``"prefetch"``
-        (staged back from the host side) or ``"remat"`` (recomputed).
+        or ``"prefetch"``, a memory plan staging a spilled tensor back
+        from the host side.
         ``nbytes`` is ``value.nbytes``, passed by a caller that has it
         precomputed."""
         if value.name in self._live:

@@ -86,7 +86,7 @@ class InferenceSession:
         unless one is installed with :func:`repro.obs.use_tracer`).
     memory_plan:
         A :class:`~repro.plan.MemoryPlan` enforced on every inference
-        of this session: spills, prefetches and remats keep the
+        of this session: its spills and prefetches keep the
         measured peak at the plan's predicted peak (see
         :mod:`repro.runtime.planned`).
     """

@@ -95,8 +95,6 @@ class Schedule:
             for index, node in enumerate(graph.nodes))
         self.peak_scratch_bytes = max(
             (step.scratch_bytes for step in self.steps), default=0)
-        #: node name -> bound kernel, for the plan's remat replays
-        self.kernels = {step.node.name: step.kernel for step in self.steps}
 
 
 class RunObserver:
@@ -230,8 +228,8 @@ def execute(graph: Graph | Schedule, inputs: dict[str, np.ndarray], *,
         node that produces a non-finite value (NaN/inf), instead of
         letting it propagate silently to the output.
     plan:
-        A :class:`~repro.plan.MemoryPlan` to enforce: spill, prefetch
-        and remat actions run at node boundaries via
+        A :class:`~repro.plan.MemoryPlan` to enforce: its spills and
+        prefetches run at node boundaries via
         :class:`~repro.runtime.planned.PlanEnforcer`, keeping the
         measured peak at the plan's predicted peak while outputs stay
         bitwise-identical.  Incompatible with ``inplace_activations``
@@ -272,8 +270,7 @@ def execute(graph: Graph | Schedule, inputs: dict[str, np.ndarray], *,
                 f"plan for {plan.graph_name!r} covers {plan.num_nodes} nodes "
                 f"but graph {graph.name!r} has {len(graph.nodes)}")
         from .planned import PlanEnforcer
-        observers.append(PlanEnforcer(plan, allocator, env, tracer,
-                                      schedule.kernels))
+        observers.append(PlanEnforcer(plan, allocator, env, tracer))
 
     # bind and account graph inputs
     for v in graph.inputs:

@@ -29,8 +29,9 @@ class PlanStats:
     spilled_bytes: int = 0
     prefetches: int = 0
     prefetched_bytes: int = 0
+    #: always 0: a plan only spills.  Kept because perfbench's traced
+    #: form reads it (``plan.remats`` in its per-layer metrics)
     remats: int = 0
-    remat_flops: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -41,7 +42,6 @@ class PlanStats:
             "prefetches": self.prefetches,
             "prefetched_bytes": self.prefetched_bytes,
             "remats": self.remats,
-            "remat_flops": self.remat_flops,
         }
 
 
@@ -68,7 +68,7 @@ class MemoryProfile:
     #: ``record_ledger=True`` — what :func:`~repro.core.liveness.simulate`
     #: predicts, event for event
     ledger: list[LedgerEvent] | None = None
-    #: spill/prefetch/remat accounting of the enforced memory plan, when
+    #: spill/prefetch accounting of the enforced memory plan, when
     #: the executor ran with ``plan=`` (see :mod:`repro.runtime.planned`)
     plan_stats: PlanStats | None = None
 

@@ -454,16 +454,15 @@ class InferenceServer(Servable):
                 self.metrics.gauge("serve.measured_peak_bytes", peak)
 
     def _record_plan_stats(self, stats) -> None:
-        """Merge one budgeted run's spill/remat counters into the
-        server registry so ``GET /metrics`` exports them
-        (``repro_plan_spilled_bytes_total``, ``repro_plan_remat_total``,
+        """Merge one budgeted run's spill counters into the server
+        registry so ``GET /metrics`` exports them
+        (``repro_plan_spills_total``, ``repro_plan_spilled_bytes_total``,
         …) alongside the serving metrics."""
         if stats is None:
             return
         self.metrics.inc("plan.spills", stats.spills)
         self.metrics.inc("plan.spilled_bytes", stats.spilled_bytes)
         self.metrics.inc("plan.prefetched_bytes", stats.prefetched_bytes)
-        self.metrics.inc("plan.remat", stats.remats)
 
     def _record_waterfall(self, tracer, request: _Request,
                           batch_start_us: float, latency: float) -> None:

@@ -106,7 +106,7 @@ BAD_VALUES = [  # (command line up to the flag, flag, rejected value)
     (["serve", "alexnet"], "--duration", "-1"),
     (["fleet", "alexnet"], "--drain-timeout", "-0.5"),
     (["plan", "alexnet"], "--spill-gbps", "0"),
-    (["plan", "alexnet"], "--compute-gflops", "-3"),
+    (["plan", "alexnet"], "--spill-gbps", "-3"),
     (["memcheck"], "--tolerance", "-0.1"),
     (["optimize", "alexnet"], "--energy", "0"),
     (["optimize", "alexnet"], "--energy", "1.5"),

@@ -34,7 +34,7 @@ CONSTANTS = {
                          "READMIT_BACKOFF_MAX_S", "HEALTH_INTERVAL_S"),
     "repro.fleet.router": ("MAX_ATTEMPTS", "RETRY_BACKOFF_S",
                            "HEDGE_DELAY_S", "ATTEMPT_TIMEOUT_S"),
-    "repro.plan.planner": ("PREFETCH_LEAD", "MAX_CHAIN_LEN"),
+    "repro.plan.planner": ("PREFETCH_LEAD",),
     "repro.serve.loadgen": ("RESULT_TIMEOUT_S",),
     "repro.train.sgd": ("MOMENTUM", "GRAD_CLIP"),
 }

@@ -19,7 +19,7 @@ from repro.core import estimate_peak_internal, optimize
 from repro.ir import Node, Value
 from repro.ir.dtype import DType
 from repro.ir.ops import ACTIVATION_OPS, REGISTRY, infer_output
-from repro.plan import PlanCostModel, plan_memory
+from repro.plan import plan_memory
 from repro.runtime import InferenceSession
 
 from _graph_fixtures import random_input
@@ -226,9 +226,8 @@ def test_bound_kernel_is_run_node_bitwise_on_every_call(name, dtype):
 
 def _budgeted_wavenet(decomposed):
     graph, _ = optimize(decomposed("wavenet2d", 16))
-    plan = plan_memory(graph, int(0.8 * estimate_peak_internal(graph)),
-                       cost_model=PlanCostModel(recompute_flops_per_s=2e12))
-    assert plan.remats  # priced ~free: the run replays chains
+    plan = plan_memory(graph, int(0.8 * estimate_peak_internal(graph)))
+    assert plan.spills
     return graph, plan
 
 
@@ -273,8 +272,8 @@ def test_one_session_serves_four_threads_at_once(decomposed, budgeted):
 
 
 def test_a_session_binds_each_node_once(decomposed, monkeypatch):
-    """Construction binds every node; runs — their remat replays
-    included — only call what was bound."""
+    """Construction binds every node; runs — budgeted ones included —
+    only call what was bound."""
     graph, plan = _budgeted_wavenet(decomposed)
     bound = []
     bind = kernels.bind
@@ -290,5 +289,5 @@ def test_a_session_binds_each_node_once(decomposed, monkeypatch):
     first = session.run(inputs)
     second = session.run(inputs)
     assert len(bound) == len(graph.nodes)
-    assert first.memory.plan_stats.remats == len(plan.remats) > 0
+    assert first.memory.plan_stats.spills == len(plan.spills) > 0
     assert first.output().tobytes() == second.output().tobytes()

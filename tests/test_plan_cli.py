@@ -92,13 +92,13 @@ class TestPlanMetricNames:
     def test_counters_expose_the_documented_prometheus_names(self):
         registry = MetricsRegistry()
         registry.inc("plan.spilled_bytes", 4096)
-        registry.inc("plan.remat", 2)
+        registry.inc("plan.spills", 2)
         text = prometheus_text(registry)
         assert "repro_plan_spilled_bytes_total 4096" in text
-        assert "repro_plan_remat_total 2" in text
+        assert "repro_plan_spills_total 2" in text
 
     def test_name_conversion_is_stable(self):
         assert prometheus_metric_name("plan.spilled_bytes") == \
             "repro_plan_spilled_bytes"
-        assert prometheus_metric_name("plan.remat") == "repro_plan_remat"
+        assert prometheus_metric_name("plan.spills") == "repro_plan_spills"
 

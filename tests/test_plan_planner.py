@@ -3,13 +3,13 @@ and the typed infeasibility contract."""
 
 import pytest
 
+from repro import DecompositionConfig, build_model, decompose_graph, optimize
 from repro.core import estimate_peak_floor, estimate_peak_internal, simulate
 from repro.data.synthetic import random_inputs
 from repro.ir import GraphBuilder
-from repro.ir.ops import node_flops
 from repro.models import build_wavenet2d
 from repro.plan import (BudgetSyntaxError, InfeasibleBudget, KeepAction,
-                        MemoryPlan, PlanCostModel, RematAction, SpillAction,
+                        MemoryPlan, PlanCostModel, SpillAction,
                         bucket_actions, format_bytes, parse_budget,
                         plan_memory)
 
@@ -78,41 +78,33 @@ class TestSimulation:
         assert schedule.live == plan.planned_live
 
 
-def _two_remats_at_one_boundary():
-    """``a`` is cheap to hold but replays through a wide intermediate;
-    ``b`` is its own chain.  Both are dropped after node 2 and replayed
-    before node 5, where which chain goes first sets the high water."""
-    b = GraphBuilder("two_remats", seed=0)
+def _two_spills_at_one_boundary():
+    """``a`` and ``bb`` both idle across the relu pair: each is spilled
+    after node 1 and prefetched back before node 4, their consumer."""
+    b = GraphBuilder("two_spills", seed=0)
     x = b.input("x", (1, 4, 8, 8))
-    a = b.conv2d(b.conv2d(x, 32, 1), 2, 1)         # nodes 0, 1
-    bb = b.conv2d(x, 8, 1)                          # node 2
-    m = b.relu(b.relu(x))                           # nodes 3, 4
-    ab = b.concat(a, bb)                            # node 5
-    g = b.finish(b.concat(b.concat(ab, m), x))      # nodes 6, 7
+    a = b.conv2d(x, 2, 1)                           # node 0
+    bb = b.conv2d(x, 8, 1)                          # node 1
+    m = b.relu(b.relu(x))                           # nodes 2, 3
+    ab = b.concat(a, bb)                            # node 4
+    g = b.finish(b.concat(b.concat(ab, m), x))      # nodes 5, 6
 
-    def remat(value, chain):
-        return RematAction(
-            value=value, drop_after=2, remat_before=5, chain=chain,
-            recompute_flops=sum(node_flops(n) for n in chain),
-            transient_bytes=sum(n.output.nbytes for n in chain))
+    def spill(value):
+        return SpillAction(value=value, spill_after=1, prefetch_issue=3,
+                           next_use=4)
 
-    return g, remat(a, (g.nodes[0], g.nodes[1])), remat(bb, (g.nodes[2],))
+    return g, spill(a), spill(bb)
 
 
 class TestActionOrder:
-    """Two remats at one boundary: the planner prices the order the
-    enforcer replays, whatever order the actions were found in."""
-
-    def test_the_two_orders_would_price_differently(self):
-        _, ra, rb = _two_remats_at_one_boundary()
-        assert (max(ra.transient_bytes, ra.nbytes + rb.transient_bytes)
-                != max(rb.transient_bytes, rb.nbytes + ra.transient_bytes))
+    """Two spills at one boundary: the ledger is the same event list
+    whatever order the actions were found in."""
 
     @pytest.mark.parametrize("found_first", ["a", "b"])
     def test_priced_order_is_the_enforced_order(self, found_first):
         from repro.runtime import execute
-        g, ra, rb = _two_remats_at_one_boundary()
-        found = (ra, rb) if found_first == "a" else (rb, ra)
+        g, sa, sb = _two_spills_at_one_boundary()
+        found = (sa, sb) if found_first == "a" else (sb, sa)
         priced = simulate(g, actions=bucket_actions(found))
         # the plan hands the enforcer the opposite arrival order
         plan = MemoryPlan(
@@ -122,8 +114,8 @@ class TestActionOrder:
             actions=found[::-1], cost_model=PlanCostModel())
         inputs = random_inputs(g, 0)
         result = execute(g, inputs, plan=plan, record_ledger=True)
-        assert result.memory.plan_stats.remats == 2
-        assert result.memory.ledger == simulate(g, actions=plan.buckets).events
+        assert result.memory.plan_stats.spills == 2
+        assert result.memory.ledger == priced.events
         assert result.memory.peak_internal_bytes == plan.planned_peak_bytes
         assert tuple(result.memory.events) == plan.planned_live
         for name, want in execute(g, inputs).outputs.items():
@@ -134,7 +126,7 @@ class TestPlanMemory:
     def test_no_budget_is_the_all_keep_analysis_view(self, wavenet):
         plan = plan_memory(wavenet)
         assert plan.budget_bytes is None
-        assert not plan.spills and not plan.remats
+        assert not plan.spills
         assert plan.planned_peak_bytes == plan.baseline_peak_bytes
         assert plan.within_budget
         assert plan.relief_bytes == 0
@@ -148,14 +140,14 @@ class TestPlanMemory:
         assert plan.within_budget
         assert plan.baseline_peak_bytes == baseline
         assert plan.relief_bytes == baseline - plan.planned_peak_bytes
-        assert plan.spills or plan.remats
+        assert plan.spills
 
-    def test_actions_are_ordered_spills_remats_keeps(self, wavenet):
+    def test_actions_are_ordered_spills_keeps(self, wavenet):
         plan = plan_memory(wavenet, int(0.6 * estimate_peak_internal(wavenet)))
-        rank = {"spill": 0, "remat": 1, "keep": 2}
+        rank = {"spill": 0, "keep": 1}
         ranks = [rank[a.kind] for a in plan.actions]
         assert ranks == sorted(ranks)
-        assert all(isinstance(a, (SpillAction, RematAction, KeepAction))
+        assert all(isinstance(a, (SpillAction, KeepAction))
                    for a in plan.actions)
 
     def test_spill_schedule_is_internally_consistent(self, wavenet):
@@ -163,22 +155,6 @@ class TestPlanMemory:
         for a in plan.spills:
             assert a.spill_after < a.prefetch_issue <= a.next_use
             assert a.nbytes == a.value.nbytes
-
-    def test_remat_chain_bookkeeping(self, wavenet):
-        # remat actions (when chosen) must carry a schedule-ordered
-        # chain whose flop/byte totals match the chain itself
-        baseline = estimate_peak_internal(wavenet)
-        index_of = {n.name: i for i, n in enumerate(wavenet.nodes)}
-        for fraction in (0.9, 0.7, 0.55):
-            plan = plan_memory(wavenet, int(fraction * baseline))
-            for a in plan.remats:
-                order = [index_of[n.name] for n in a.chain]
-                assert order == sorted(order)
-                assert a.chain[-1].output.name == a.value.name
-                assert a.recompute_flops == sum(node_flops(n) for n in a.chain)
-                assert a.transient_bytes == \
-                    sum(n.output.nbytes for n in a.chain)
-                assert a.drop_after < a.remat_before
 
     def test_overhead_prediction_follows_the_cost_model(self, wavenet):
         cm = PlanCostModel(spill_bandwidth_bytes_per_s=1e9)
@@ -196,8 +172,7 @@ class TestPlanMemory:
                     "planned_live", "cost_model", "within_budget"):
             assert key in doc
         assert len(doc["actions"]) == len(plan.actions)
-        assert all(a["kind"] in ("spill", "remat", "keep")
-                   for a in doc["actions"])
+        assert all(a["kind"] in ("spill", "keep") for a in doc["actions"])
 
     def test_non_positive_budget_rejected(self, wavenet):
         with pytest.raises(ValueError, match="positive"):
@@ -223,3 +198,35 @@ class TestInfeasibleBudget:
 
     def test_plan_type_is_memory_plan(self, wavenet):
         assert isinstance(plan_memory(wavenet), MemoryPlan)
+
+
+class TestBenchmarkRows:
+    """The plans of perfbench's two budget rows (``graph_b4``: Tucker
+    0.1, batch 4, hw 32, budgets a share of the TeMCO peak), pinned.
+    Which tensors spill depends on shapes only, so the factors are
+    solved without HOOI sweeps."""
+
+    @staticmethod
+    def _plan(model, share):
+        graph = build_model(model, batch=4, hw=32, seed=0)
+        decomposed = decompose_graph(graph, DecompositionConfig(
+            method="tucker", ratio=0.1, seed=0, hooi_iters=0))
+        temco, _ = optimize(decomposed)
+        plan = plan_memory(temco, int(share * estimate_peak_internal(temco)))
+        return [(a.value.name, a.spill_after, a.prefetch_issue, a.next_use)
+                for a in plan.spills], plan.planned_peak_bytes
+
+    def test_wavenet2d_at_80_percent(self):
+        spills, peak = self._plan("wavenet2d", 0.8)
+        assert spills == [
+            ("layer0.out.out", 9, 13, 14), ("layer1.out.out", 15, 19, 20),
+            ("layer2.out.out", 21, 25, 26), ("layer3.out.out", 27, 32, 33),
+            ("layer4.out.out", 34, 38, 39), ("layer5.out.out", 40, 44, 45)]
+        assert peak == 1_572_864
+
+    def test_fractalnet_at_90_percent(self):
+        spills, peak = self._plan("fractalnet", 0.9)
+        assert spills == [("frac.b.b.s.core.out", 99, 132, 133),
+                          ("frac.b.s.core.out", 67, 134, 135),
+                          ("frac.s.core.out", 3, 136, 137)]
+        assert peak == 819_200

@@ -21,7 +21,7 @@ from repro.core import (compare_graphs, estimate_peak_floor, optimize,
                         simulate)
 from repro.decompose import DecompositionConfig, decompose_graph
 from repro.ir import graph_from_dict, graph_to_dict
-from repro.plan import InfeasibleBudget, PlanCostModel, plan_memory
+from repro.plan import InfeasibleBudget, plan_memory
 from repro.runtime import execute
 
 from _fuzz import random_cnn
@@ -96,27 +96,24 @@ def test_planned_timeline_is_the_enforced_one(seed):
         assert plan.planned_peak_bytes == memory.peak_internal_bytes
 
 
-def _tightest_plan(graph, fractions, cost_model=None):
+def _tightest_plan(graph, fractions):
     """The plan for the smallest ``fractions`` of the peak the planner
     meets (the last fraction, 1.0, always is)."""
     peak = simulate(graph).peak_bytes
     for fraction in fractions:
         try:
-            return plan_memory(graph, int(fraction * peak),
-                               cost_model=cost_model)
+            return plan_memory(graph, int(fraction * peak))
         except InfeasibleBudget:
             continue
     raise AssertionError("no fraction was feasible")
 
 
 @settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 10_000), remat=st.booleans())
-def test_ledger_is_the_simulated_event_list(seed, remat):
+@given(seed=st.integers(0, 10_000))
+def test_ledger_is_the_simulated_event_list(seed):
     """Event for event — node, action, tensor, bytes and running total —
     the run records what ``simulate`` predicts: under both accounting
-    policies, and enforcing the tightest feasible budget (remats priced
-    near free when ``remat``)."""
-    cost_model = PlanCostModel(recompute_flops_per_s=2e12) if remat else None
+    policies, and enforcing the tightest feasible budget."""
     for graph in _decomposed_and_optimized(seed):
         inputs = random_input(graph, seed)
         for inplace in (False, True):
@@ -124,8 +121,7 @@ def test_ledger_is_the_simulated_event_list(seed, remat):
                              inplace_activations=inplace).memory.ledger
             assert ledger == simulate(
                 graph, inplace_activations=inplace).events
-        plan = _tightest_plan(graph, (0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
-                              cost_model)
+        plan = _tightest_plan(graph, (0.5, 0.6, 0.7, 0.8, 0.9, 1.0))
         ledger = execute(graph, inputs, plan=plan,
                          record_ledger=True).memory.ledger
         assert ledger == simulate(graph, actions=plan.buckets).events

@@ -8,7 +8,7 @@ from repro import kernels
 from repro.core import estimate_peak_internal, optimize, simulate
 from repro.ir.graph import Graph
 from repro.obs import Tracer
-from repro.plan import PlanCostModel, bucket_actions, plan_memory
+from repro.plan import bucket_actions, plan_memory
 from repro.plan import planner as planner_module
 from repro.runtime import InferenceSession, execute
 from repro.runtime import executor as executor_module
@@ -16,15 +16,14 @@ from repro.runtime import executor as executor_module
 from _graph_fixtures import make_skip_graph, random_input
 
 
-def _budgeted(decomposed, name, fraction, cost_model=None):
+def _budgeted(decomposed, name, fraction):
     graph, _ = optimize(decomposed(name, 16))
     assert any(n.op.startswith("fused") for n in graph.nodes)
-    plan = plan_memory(graph, int(fraction * estimate_peak_internal(graph)),
-                       cost_model=cost_model)
+    plan = plan_memory(graph, int(fraction * estimate_peak_internal(graph)))
     return graph, plan
 
 
-@pytest.fixture(params=["skipnet", "fused+spills", "fused+remats"])
+@pytest.fixture(params=["skipnet", "fused+spills", "wavenet+spills"])
 def traced_run(request, decomposed):
     """``(graph, plan, tracer, result)`` of one run with the tracer and
     the ledger both on."""
@@ -34,10 +33,8 @@ def traced_run(request, decomposed):
         graph, plan = _budgeted(decomposed, "fractalnet", 0.9)
         assert plan.spills
     else:
-        graph, plan = _budgeted(
-            decomposed, "wavenet2d", 0.8,
-            PlanCostModel(recompute_flops_per_s=2e12))  # remats priced ~free
-        assert plan.remats
+        graph, plan = _budgeted(decomposed, "wavenet2d", 0.8)
+        assert plan.spills
     tracer = Tracer()
     result = execute(graph, random_input(graph), tracer=tracer,
                      record_ledger=True, plan=plan)
