@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import functools
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -63,12 +65,17 @@ def variant_names_for(model: str) -> list[str]:
 
 @dataclass(frozen=True)
 class VariantSet:
-    """All graph variants of one benchmark model."""
+    """All graph variants of one benchmark model.
+
+    ``graphs`` is read-only: :func:`build_variants` hands one cached set
+    to every caller, so a swap in place would leak into later callers.
+    Derive a changed set with ``dataclasses.replace(vs, graphs={...})``.
+    """
 
     model: str
     batch: int
     hw: int
-    graphs: dict[str, Graph]
+    graphs: Mapping[str, Graph]
 
     def input_batch(self, seed: int = 0) -> dict[str, np.ndarray]:
         return random_inputs(self.graphs["original"], seed)
@@ -107,7 +114,8 @@ def _build_variants(model: str, batch: int, hw: int | None, ratio: float,
             continue
         optimized, _report = optimize(decomposed, _VARIANT_CONFIGS[variant])
         graphs[variant] = optimized
-    return VariantSet(model=model, batch=batch, hw=actual_hw, graphs=graphs)
+    return VariantSet(model=model, batch=batch, hw=actual_hw,
+                      graphs=MappingProxyType(graphs))
 
 
 def geomean(values: list[float]) -> float:

@@ -28,13 +28,12 @@ from ..data import random_inputs
 from ..decompose import DecompositionConfig, decompose_graph
 from ..ir import format_graph, save_dot, save_graph, summarize_graph
 from ..models import EXTRA_MODELS, MODEL_ZOO
-from ..plan import (InfeasibleBudget, PlanCostModel, format_bytes,
-                    parse_budget, plan_memory)
+from ..plan import InfeasibleBudget, format_bytes, parse_budget, plan_memory
 from ..runtime import InferenceSession, profile_markdown, timeline_csv
 from .flags import (MIB, _budget_plan, _load_model, _obs_wrap,
                     _print_infeasible, _temco_target, budget_flag, common,
-                    decomposition_flags, obs_flags, positive_float,
-                    positive_int, unit_fraction)
+                    decomposition_flags, obs_flags, positive_int,
+                    unit_fraction)
 
 
 def _cmd_models(args) -> int:
@@ -136,14 +135,12 @@ def _cmd_run(args) -> int:
 def _cmd_plan(args) -> int:
     graph = _load_model(args)
     target = _temco_target(graph, args) if args.optimize else graph
-    cost_model = PlanCostModel(
-        spill_bandwidth_bytes_per_s=args.spill_gbps * 1e9)
     baseline = estimate_peak_internal(target)
     floor = estimate_peak_floor(target)
     budget = (parse_budget(args.budget, reference=baseline)
               if args.budget else None)
     try:
-        mplan = plan_memory(target, budget, cost_model=cost_model)
+        mplan = plan_memory(target, budget)
     except InfeasibleBudget as exc:
         if args.json:
             print(json.dumps(
@@ -172,11 +169,9 @@ def _cmd_plan(args) -> int:
         else:
             schedule = "resident at peak"
         rows.append([action.kind, action.value.name,
-                     f"{action.nbytes / 1024:.1f}",
-                     f"{action.cost_seconds(cost_model) * 1e6:.1f}",
-                     schedule])
+                     f"{action.nbytes / 1024:.1f}", schedule])
     print(format_table(
-        ["action", "tensor", "KiB", "cost us", "schedule"], rows,
+        ["action", "tensor", "KiB", "schedule"], rows,
         title=f"memory plan for {target.name!r} ({len(target.nodes)} nodes)"))
     print()
     print(f"baseline peak: {format_bytes(baseline)}   "
@@ -187,9 +182,8 @@ def _cmd_plan(args) -> int:
                  f"({'fits' if mplan.within_budget else 'DOES NOT FIT'})")
     print(line)
     print(f"relief: {format_bytes(mplan.relief_bytes)} via "
-          f"{len(mplan.spills)} spill(s); "
-          f"predicted overhead "
-          f"{mplan.predicted_overhead_seconds * 1e3:.3f} ms")
+          f"{len(mplan.spills)} spill(s), "
+          f"{format_bytes(mplan.spilled_bytes)} spilled")
     return 0
 
 
@@ -228,8 +222,8 @@ def register(sub) -> None:
     p.set_defaults(fn=_obs_wrap(_cmd_run))
 
     p = sub.add_parser("plan", help="budget-constrained memory plan: "
-                                    "spill/prefetch schedule, cost "
-                                    "model, predicted peak")
+                                    "spill/prefetch schedule, "
+                                    "predicted peak")
     common(p)
     obs_flags(p)
     budget_flag(p)
@@ -237,10 +231,6 @@ def register(sub) -> None:
                    help="plan the decomposed + TeMCO-optimized graph "
                         "instead of the raw model")
     decomposition_flags(p, "for --optimize")
-    p.add_argument("--spill-gbps", type=positive_float, default=12.0,
-                   metavar="GBPS",
-                   help="modelled host<->device spill bandwidth in GB/s "
-                        "(default 12)")
     p.add_argument("--json", action="store_true",
                    help="print the full plan as JSON (for scripts/CI)")
     p.set_defaults(fn=_obs_wrap(_cmd_plan))

@@ -36,8 +36,7 @@ from ..obs import get_tracer, profile_tracer, write_collapsed_stacks
 from ..plan import format_bytes, parse_budget
 from ..runtime import InferenceSession, metrics_markdown
 from .flags import (MIB, _load_model, _obs_wrap, _temco_target, budget_flag,
-                    common, decomposition_flags, non_negative_float, obs_flags,
-                    positive_int)
+                    common, decomposition_flags, obs_flags, positive_int)
 
 
 def _cmd_trace(args) -> int:
@@ -165,12 +164,10 @@ def _cmd_memcheck(args) -> int:
             f"{len(audits)} budgeted run(s) — measured peak within budget, "
             f"bitwise-identical outputs, ledger == simulated events")
     audits = audit_zoo(models, batch=args.batch, hw=args.hw,
-                       ratio=args.ratio, method=args.method, seed=args.seed,
-                       tolerance=args.tolerance)
+                       ratio=args.ratio, method=args.method, seed=args.seed)
     return _report_memcheck(
         args, audits,
-        f"memory conformance audit (batch {args.batch}, hw {args.hw}, "
-        f"tolerance {args.tolerance:.2%})",
+        f"memory conformance audit (batch {args.batch}, hw {args.hw})",
         ["model", "variant", "measured B", "predicted B", "events",
          "verdict"],
         [[ma.model, ga.variant, ga.measured_peak_bytes,
@@ -271,9 +268,6 @@ def register(sub) -> None:
            batch_help="audit batch size (default 2: small and fast)",
            hw_help="input resolution (default 32)")
     decomposition_flags(p)
-    p.add_argument("--tolerance", type=non_negative_float, default=0.0,
-                   help="allowed relative measured-vs-predicted peak "
-                        "deviation (default 0.0: bit-exact)")
     budget_flag(p)
     p.add_argument("--json", action="store_true",
                    help="print the audit results as JSON (for scripts/CI)")

@@ -36,14 +36,7 @@ from .tracer import get_tracer
 
 __all__ = ["AuditFinding", "GraphAudit", "ModelAudit", "BudgetAudit",
            "event_findings", "audit_graph", "audit_model", "audit_zoo",
-           "audit_budgeted", "DEFAULT_TOLERANCE"]
-
-#: default relative tolerance of a measured ``live_bytes`` against the
-#: predicted one.
-#: The refcounting executor implements exactly the liveness model, so
-#: the documented contract is bit-exact agreement; the knob exists for
-#: future backends whose allocation order may be timing-dependent.
-DEFAULT_TOLERANCE = 0.0
+           "audit_budgeted"]
 
 
 @dataclass(frozen=True)
@@ -150,17 +143,15 @@ def _describe(event: LedgerEvent | None) -> str:
 
 def event_findings(graph: Graph, predicted: list[LedgerEvent],
                    measured: list[LedgerEvent], *,
-                   tolerance: float = DEFAULT_TOLERANCE,
                    subject: str = "") -> list[AuditFinding]:
     """The first event where ``measured`` leaves ``predicted``, as one
-    ``event_mismatch`` finding (none when the lists agree).  Node,
-    action, tensor and bytes must match exactly; ``live_bytes`` within
-    ``tolerance`` (relative).  Later events inherit the first
+    ``event_mismatch`` finding (none when the lists agree).  Events
+    compare exactly — node, action, tensor, bytes and running live
+    total: the refcounting executor implements the liveness model, so
+    there is no slack to allow.  Later events inherit the first
     divergence, so only that one is reported."""
     for i, (want, got) in enumerate(zip_longest(predicted, measured)):
-        if (want is not None and got is not None and want[:4] == got[:4]
-                and abs(got.live_bytes - want.live_bytes)
-                <= tolerance * want.live_bytes):
+        if want == got:
             continue
         index = (want or got).node_index
         where = (graph.nodes[index].name if 0 <= index < len(graph.nodes)
@@ -175,13 +166,11 @@ def event_findings(graph: Graph, predicted: list[LedgerEvent],
 
 
 def audit_graph(graph: Graph, inputs: dict[str, np.ndarray] | None = None, *,
-                tolerance: float = DEFAULT_TOLERANCE, model: str = "",
-                variant: str = "", seed: int = 0) -> GraphAudit:
+                model: str = "", variant: str = "",
+                seed: int = 0) -> GraphAudit:
     """Execute ``graph`` with the ledger on and check it against the
-    events :func:`~repro.core.liveness.simulate` predicts (see the
-    module docstring).  ``tolerance`` is the allowed relative deviation
-    of a measured ``live_bytes`` from its prediction (0.0 = bit-exact,
-    the default)."""
+    events :func:`~repro.core.liveness.simulate` predicts, exactly (see
+    the module docstring)."""
     if inputs is None:
         inputs = random_inputs(graph, seed)
     tracer = get_tracer()
@@ -192,8 +181,7 @@ def audit_graph(graph: Graph, inputs: dict[str, np.ndarray] | None = None, *,
     ledger = profile.ledger
     subject = graph.name or model
     schedule = simulate(graph)
-    findings = event_findings(graph, schedule.events, ledger,
-                              tolerance=tolerance, subject=subject)
+    findings = event_findings(graph, schedule.events, ledger, subject=subject)
 
     measured = profile.peak_internal_bytes
     predicted = schedule.peak_bytes
@@ -218,7 +206,7 @@ class BudgetAudit:
     The budgeted run must honour four claims at once: the plan is
     feasible, the *measured* peak stays at or under the budget, the
     ledger is the event list :func:`repro.core.liveness.simulate`
-    predicts for the plan (the byte-exact contract the planner prices
+    predicts for the plan (the byte-exact contract the planner plans
     against), and the outputs are bitwise identical to an unplanned
     run.
     """
@@ -341,8 +329,8 @@ def audit_budgeted(graph: Graph, budget_bytes: int,
 
 
 def audit_model(model: str, *, batch: int = 2, hw: int | None = 32,
-                ratio: float = 0.1, method: str = "tucker", seed: int = 0,
-                tolerance: float = DEFAULT_TOLERANCE) -> ModelAudit:
+                ratio: float = 0.1, method: str = "tucker",
+                seed: int = 0) -> ModelAudit:
     """Audit one zoo model: original graph, best TeMCO variant, and the
     cross-variant claim that optimization lowered the measured peak."""
     from ..bench.harness import build_variants, variant_names_for
@@ -351,11 +339,10 @@ def audit_model(model: str, *, batch: int = 2, hw: int | None = 32,
                         method=method)
     best = variant_names_for(model)[-1]
     inputs = vs.input_batch(seed)
-    original = audit_graph(vs.graphs["original"], inputs,
-                           tolerance=tolerance, model=model,
+    original = audit_graph(vs.graphs["original"], inputs, model=model,
                            variant="original", seed=seed)
-    optimized = audit_graph(vs.graphs[best], inputs, tolerance=tolerance,
-                            model=model, variant=best, seed=seed)
+    optimized = audit_graph(vs.graphs[best], inputs, model=model,
+                            variant=best, seed=seed)
 
     findings: list[AuditFinding] = []
     if optimized.measured_peak_bytes > original.measured_peak_bytes:
@@ -380,14 +367,12 @@ def audit_model(model: str, *, batch: int = 2, hw: int | None = 32,
 
 def audit_zoo(models: list[str] | None = None, *, batch: int = 2,
               hw: int | None = 32, ratio: float = 0.1,
-              method: str = "tucker", seed: int = 0,
-              tolerance: float = DEFAULT_TOLERANCE) -> list[ModelAudit]:
+              method: str = "tucker", seed: int = 0) -> list[ModelAudit]:
     """Audit several zoo models (all of them by default)."""
     from ..models import MODEL_ZOO
 
     audits = []
     for model in models or list(MODEL_ZOO):
         audits.append(audit_model(model, batch=batch, hw=hw, ratio=ratio,
-                                  method=method, seed=seed,
-                                  tolerance=tolerance))
+                                  method=method, seed=seed))
     return audits

@@ -10,14 +10,12 @@ bytes as a user-facing contract.
 
 from .budget import BudgetSyntaxError, format_bytes, parse_budget
 from .planner import (ActionBuckets, InfeasibleBudget, KeepAction, MemoryPlan,
-                      PlanAction, PlanCostModel, SpillAction, bucket_actions,
-                      plan_memory)
+                      PlanAction, SpillAction, bucket_actions, plan_memory)
 
 __all__ = [
     "BudgetSyntaxError",
     "parse_budget",
     "format_bytes",
-    "PlanCostModel",
     "KeepAction",
     "SpillAction",
     "PlanAction",

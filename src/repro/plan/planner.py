@@ -17,11 +17,12 @@ in the compiler (the skip-connection optimization's restore chains,
 :mod:`repro.core.skip_opt`): a plan re-runs no node.
 
 The planner greedily relieves the *predicted* peak: simulate the
-executor's allocation schedule byte-for-byte, find the peak node, rank
-the tensors idle across that node by transfer seconds per byte relieved
-at the configured bandwidth, then by name, apply the cheapest, and
-repeat until the budget holds.  When no candidate relieves a still-over-budget peak the
-typed :class:`InfeasibleBudget` reports the residual bytes.
+executor's allocation schedule byte-for-byte, find the peak node, spill
+the first tensor by name among those idle across that node, and repeat
+until the budget holds.  Spills are not priced: every one is the same
+host round trip per byte relieved, so a price would rank them only by
+rounding noise.  When no candidate relieves a still-over-budget peak
+the typed :class:`InfeasibleBudget` reports the residual bytes.
 
 The simulation is the contract: :func:`repro.core.liveness.simulate`
 predicts the allocator's events exactly (input binding, prefetch
@@ -41,7 +42,7 @@ from ..ir.graph import Graph
 from ..ir.value import Value
 from .budget import format_bytes
 
-__all__ = ["PlanCostModel", "KeepAction", "SpillAction", "PlanAction",
+__all__ = ["KeepAction", "SpillAction", "PlanAction",
            "ActionBuckets", "bucket_actions", "MemoryPlan",
            "InfeasibleBudget", "plan_memory"]
 
@@ -49,24 +50,6 @@ __all__ = ["PlanCostModel", "KeepAction", "SpillAction", "PlanAction",
 #: nodes of lead between issuing a prefetch and needing the tensor
 #: (1 = the transfer overlaps the preceding node's compute)
 PREFETCH_LEAD = 1
-
-
-@dataclass(frozen=True)
-class PlanCostModel:
-    """What a spill costs: a round trip over a PCIe-class host link
-    (~12 GB/s effective), configurable per plan."""
-
-    #: host-link bandwidth used for spill + prefetch transfers
-    spill_bandwidth_bytes_per_s: float = 12e9
-
-    def spill_seconds(self, nbytes: int) -> float:
-        return 2.0 * nbytes / self.spill_bandwidth_bytes_per_s
-
-    def to_dict(self) -> dict:
-        return {
-            "spill_bandwidth_bytes_per_s": self.spill_bandwidth_bytes_per_s,
-            "prefetch_lead": PREFETCH_LEAD,
-        }
 
 
 @dataclass(frozen=True)
@@ -79,9 +62,6 @@ class KeepAction:
     @property
     def nbytes(self) -> int:
         return self.value.nbytes
-
-    def cost_seconds(self, cm: PlanCostModel) -> float:
-        return 0.0
 
     def to_dict(self) -> dict:
         return {"kind": "keep", "value": self.value.name,
@@ -108,9 +88,6 @@ class SpillAction:
     @property
     def nbytes(self) -> int:
         return self.value.nbytes
-
-    def cost_seconds(self, cm: PlanCostModel) -> float:
-        return cm.spill_seconds(self.nbytes)
 
     def to_dict(self) -> dict:
         return {"kind": "spill", "value": self.value.name,
@@ -186,7 +163,6 @@ class MemoryPlan:
     #: the executor's ``MemoryProfile.events``)
     planned_live: tuple[int, ...]
     actions: tuple[PlanAction, ...]
-    cost_model: PlanCostModel
 
     @cached_property
     def buckets(self) -> ActionBuckets:
@@ -211,10 +187,6 @@ class MemoryPlan:
         return self.baseline_peak_bytes - self.planned_peak_bytes
 
     @property
-    def predicted_overhead_seconds(self) -> float:
-        return sum(a.cost_seconds(self.cost_model) for a in self.actions)
-
-    @property
     def within_budget(self) -> bool:
         return (self.budget_bytes is None
                 or self.planned_peak_bytes <= self.budget_bytes)
@@ -228,11 +200,9 @@ class MemoryPlan:
             "planned_peak_bytes": self.planned_peak_bytes,
             "relief_bytes": self.relief_bytes,
             "spilled_bytes": self.spilled_bytes,
-            "predicted_overhead_seconds": self.predicted_overhead_seconds,
             "within_budget": self.within_budget,
             "planned_live": list(self.planned_live),
             "actions": [a.to_dict() for a in self.actions],
-            "cost_model": self.cost_model.to_dict(),
         }
 
     def summary(self) -> str:
@@ -292,8 +262,7 @@ def _candidates(graph: Graph, intervals: dict[Value, LiveInterval],
 # the greedy planner
 # ---------------------------------------------------------------------------
 
-def plan_memory(graph: Graph, budget_bytes: int | None = None, *,
-                cost_model: PlanCostModel | None = None) -> MemoryPlan:
+def plan_memory(graph: Graph, budget_bytes: int | None = None) -> MemoryPlan:
     """Plan ``graph`` to fit ``budget_bytes`` of internal-tensor memory.
 
     ``budget_bytes=None`` plans nothing (all-keep) and just reports the
@@ -301,7 +270,6 @@ def plan_memory(graph: Graph, budget_bytes: int | None = None, *,
     Raises :class:`InfeasibleBudget` when no spill schedule fits.
     """
     graph.validate()
-    cm = cost_model or PlanCostModel()
     if budget_bytes is not None and budget_bytes <= 0:
         raise ValueError(f"budget must be positive, got {budget_bytes}")
     intervals = analyze_liveness(graph)
@@ -313,10 +281,6 @@ def plan_memory(graph: Graph, budget_bytes: int | None = None, *,
     actions: dict[str, PlanAction] = {}
     rejected: set[str] = set()
 
-    def score(a: SpillAction) -> tuple:
-        # transfer seconds per byte relieved, then name
-        return (a.cost_seconds(cm) / max(a.nbytes, 1), a.value.name)
-
     # ``schedule`` is always the simulation of the current ``actions``:
     # a revert restores the action set it was computed from
     schedule = simulate(graph)
@@ -327,7 +291,7 @@ def plan_memory(graph: Graph, budget_bytes: int | None = None, *,
         if not cands:
             raise InfeasibleBudget(graph.name, budget_bytes,
                                    schedule.peak_bytes)
-        best = min(cands, key=score)
+        best = min(cands, key=lambda a: a.value.name)
         actions[best.value.name] = best
         trial = simulate(graph, actions=bucket_actions(actions.values()))
         # no local relief (e.g. the prefetch charge re-creates the
@@ -352,5 +316,4 @@ def plan_memory(graph: Graph, budget_bytes: int | None = None, *,
         graph_name=graph.name, num_nodes=len(graph.nodes),
         budget_bytes=budget_bytes, baseline_peak_bytes=baseline_peak,
         planned_peak_bytes=schedule.peak_bytes, planned_live=schedule.live,
-        actions=tuple(sorted(actions.values(), key=_action_order)),
-        cost_model=cm)
+        actions=tuple(sorted(actions.values(), key=_action_order)))

@@ -20,7 +20,7 @@ executor loop.
 
 Within one boundary the actions run in the order
 :func:`~repro.plan.bucket_actions` fixes — the same order the planner
-priced them in.  Every byte movement goes through the
+simulated them in.  Every byte movement goes through the
 :class:`~repro.runtime.allocator.TensorAllocator` with the tagged
 ``spill`` / ``prefetch`` actions, so an enforced run's
 ledger is exactly the event list ``simulate(graph, actions=plan.buckets)``

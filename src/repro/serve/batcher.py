@@ -193,8 +193,7 @@ def derive_buckets(graph: Graph, memory_plan: MemoryPlan | None = None
         plan = None
         if memory_plan is not None:
             try:
-                plan = plan_memory(bucket_graph, memory_plan.budget_bytes,
-                                   cost_model=memory_plan.cost_model)
+                plan = plan_memory(bucket_graph, memory_plan.budget_bytes)
             except InfeasibleBudget as exc:
                 refused[size] = BucketRefusal(None, str(exc))
                 continue

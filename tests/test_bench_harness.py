@@ -27,6 +27,14 @@ class TestHarness:
         assert build_variants("wavenet2d", batch=1) \
             is build_variants("wavenet2d", 1, 32)
 
+    def test_cached_graphs_are_read_only(self):
+        # one cached set serves every caller: a swap in place would leak
+        vs = build_variants("unet_small", batch=1, hw=32)
+        with pytest.raises(TypeError):
+            vs.graphs["original"] = vs.graphs["decomposed"]
+        assert build_variants("unet_small", batch=1, hw=32).graphs["original"] \
+            is not vs.graphs["decomposed"]
+
     def test_variants_are_equivalent(self):
         vs = build_variants("unet_small", batch=1, hw=32)
         inputs = vs.input_batch()

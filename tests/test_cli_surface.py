@@ -105,9 +105,6 @@ BAD_VALUES = [  # (command line up to the flag, flag, rejected value)
     (["top"], "--timeout", "0"),
     (["serve", "alexnet"], "--duration", "-1"),
     (["fleet", "alexnet"], "--drain-timeout", "-0.5"),
-    (["plan", "alexnet"], "--spill-gbps", "0"),
-    (["plan", "alexnet"], "--spill-gbps", "-3"),
-    (["memcheck"], "--tolerance", "-0.1"),
     (["optimize", "alexnet"], "--energy", "0"),
     (["optimize", "alexnet"], "--energy", "1.5"),
     (["optimize", "alexnet"], "--ratio", "0"),
@@ -125,6 +122,20 @@ def test_bad_numbers_are_one_line_usage_errors(prefix, flag, value, capsys):
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith(
         f"repro {prefix[0]}: error: argument {flag}: ")
+
+
+@pytest.mark.parametrize("prefix,flag,value", [
+    (["plan", "alexnet"], "--spill-gbps", "12"),  # a plan prices nothing
+    (["memcheck"], "--tolerance", "0"),           # an audit is exact
+])
+def test_removed_pricing_flags_are_usage_errors(prefix, flag, value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*prefix, flag, value])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(
+        f"repro: error: unrecognized arguments: {flag}")
 
 
 def test_boundary_values_still_parse():

@@ -1,6 +1,6 @@
 """Every settable knob is a contract: the config classes' fields.
 
-``tests/golden/config_surface.json`` records, for each of the nine config
+``tests/golden/config_surface.json`` records, for each of the eight config
 classes and for ``optimize()``, every field (parameter) as
 ``name=repr(default)`` in declaration order, and the value of each module
 constant that holds a value only tests change (through
@@ -19,13 +19,12 @@ from pathlib import Path
 from repro.core import FusionConfig, SkipOptConfig, TeMCOConfig, optimize
 from repro.decompose import DecompositionConfig
 from repro.fleet import PoolConfig
-from repro.plan import PlanCostModel
 from repro.serve import LoadgenConfig, ServerConfig
 from repro.train import SGDConfig
 
 GOLDEN = Path(__file__).parent / "golden" / "config_surface.json"
 CONFIGS = (TeMCOConfig, SkipOptConfig, FusionConfig, DecompositionConfig,
-           PlanCostModel, ServerConfig, PoolConfig, LoadgenConfig, SGDConfig)
+           ServerConfig, PoolConfig, LoadgenConfig, SGDConfig)
 #: module -> its constants that only tests change
 CONSTANTS = {
     "repro.core.skip_opt": ("MEMORY_SLACK", "MAX_CHAIN_NODES"),

@@ -24,8 +24,10 @@ class TestLoadgenFleet:
 
     def test_fleet_loadgen_survives_kill_fault(self, capsys, tmp_path):
         metrics_out = tmp_path / "fleet.metrics"
+        # least-outstanding routing breaks ties toward replica 0, so its
+        # first routed request fires the fault whatever the concurrency
         assert main(["loadgen", "unet_small", "--batch", "2", "--hw", "16",
-                     "--fleet", "3", "--fault", "1:kill:2",
+                     "--fleet", "3", "--fault", "0:kill:1",
                      "--requests", "12", "--concurrency", "4",
                      "--metrics-out", str(metrics_out), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -1,5 +1,7 @@
 """Conformance auditor: clean passes, injected faults, trace verdicts."""
 
+import dataclasses
+
 import pytest
 
 from repro.bench import harness
@@ -31,12 +33,12 @@ class TestAuditGraph:
         assert doc["measured_peak_bytes"] == doc["predicted_peak_bytes"]
         assert doc["findings"] == []
 
-    def test_tolerance_validates_exactness_not_slack(self):
-        # tolerance is a *bound*: a 0.0 default must still pass because
-        # the executor implements the liveness model exactly
+    def test_exact_audit_passes_on_a_skip_model(self):
+        # the audit has no slack: it passes because the executor
+        # implements the liveness model exactly
         from repro.models import build_model
         graph = build_model("unet_small", batch=2, hw=32)
-        audit = audit_graph(graph, tolerance=0.0)
+        audit = audit_graph(graph)
         assert audit.passed
 
 
@@ -67,9 +69,9 @@ class TestAuditModel:
         def swapped(model, **kwargs):
             vs = real(model, **kwargs)
             best = harness.variant_names_for(model)[-1]
-            vs.graphs["original"], vs.graphs[best] = \
-                vs.graphs[best], vs.graphs["original"]
-            return vs
+            return dataclasses.replace(vs, graphs={
+                **vs.graphs, "original": vs.graphs[best],
+                best: vs.graphs["original"]})
 
         monkeypatch.setattr(harness, "build_variants", swapped)
         result = audit_model("alexnet", batch=2, hw=32)
@@ -92,14 +94,15 @@ class TestLedgerFindings:
             == (999, predicted[1].live_bytes)
         assert event_findings(graph, predicted, list(predicted)) == []
 
-    def test_tolerance_applies_to_live_bytes_only(self):
+    def test_one_byte_of_drift_is_a_finding(self):
+        # the comparison is exact: no slack absorbs a one-byte drift
         graph = build_model("alexnet", batch=1, hw=32)
         predicted = simulate(graph).events
         ledger = list(predicted)
         ledger[1] = ledger[1]._replace(live_bytes=ledger[1].live_bytes + 1)
-        assert event_findings(graph, predicted, ledger, tolerance=0.5) == []
-        ledger[1] = ledger[1]._replace(value="other")
-        assert event_findings(graph, predicted, ledger, tolerance=0.5)
+        [finding] = event_findings(graph, predicted, ledger)
+        assert finding.kind == "event_mismatch"
+        assert finding.measured - finding.expected == 1
 
 
 class TestInjectedFaults:

@@ -5,6 +5,7 @@ import json
 
 from repro.cli import main
 from repro.obs import MetricsRegistry, prometheus_metric_name, prometheus_text
+from repro.plan import format_bytes
 
 #: small-but-plannable CLI workload shared by every test here
 WAVENET = ["wavenet2d", "--batch", "1", "--hw", "16"]
@@ -17,6 +18,17 @@ class TestPlanCommand:
         assert "spill" in out
         assert "baseline peak" in out and "planned peak" in out
         assert "floor" in out
+
+    def test_relief_line_matches_the_json_and_prices_nothing(self, capsys):
+        assert main(["plan", *WAVENET, "--budget", "60%", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert main(["plan", *WAVENET, "--budget", "60%"]) == 0
+        out = capsys.readouterr().out
+        spills = sum(a["kind"] == "spill" for a in doc["actions"])
+        assert out.splitlines()[-1] == (
+            f"relief: {format_bytes(doc['relief_bytes'])} via {spills} "
+            f"spill(s), {format_bytes(doc['spilled_bytes'])} spilled")
+        assert "cost" not in out
 
     def test_json_document_is_machine_parseable(self, capsys):
         assert main(["plan", *WAVENET, "--budget", "60%", "--json"]) == 0
